@@ -47,10 +47,7 @@
 //! Architectures are scale-tuned above 10³ devices (longer anti-entropy
 //! and MAPE periods — nobody whole-store-syncs 10⁵ records every second),
 //! so the ladder numbers are comparable *within* a size class, not across
-//! classes. ML2 is capped at 10⁴ devices: its cloud-centric control cost
-//! grows with fleet size (the ladder's own scaling counter-example),
-//! which makes a 10⁵ ML2 run a multi-hour affair on one core; the skip
-//! is logged, never silent.
+//! classes.
 
 use riot_bench::perf::{repo_root, run_benchmark, suite_json, validate_suite, PerfResult};
 use riot_core::{ArchitectureConfig, SampleMode, Scenario, ScenarioSpec};
@@ -238,18 +235,6 @@ fn main() {
 
         if run_ladder {
             for (level, id) in LEVELS.iter().zip(&size.ladder_ids) {
-                // ML2's cloud-centric control is the ladder's scaling
-                // counter-example: its per-event cost grows with fleet
-                // size (~6.4 µs/event at 10⁴ vs ~0.4 µs at 10³ — already
-                // measured by the smaller classes), which makes a 10⁵ run
-                // a multi-hour affair on one core. Capped, not hidden.
-                if matches!(level, MaturityLevel::Ml2) && devices > 10_000 {
-                    println!(
-                        "{id:<20} skipped: cloud-centric control cost grows with fleet size; \
-                         ML2 is measured at 10^3/10^4 (see those classes)"
-                    );
-                    continue;
-                }
                 let r = run_benchmark(id, size.reps, || {
                     run_scale(*level, size, SampleMode::Incremental, Some(1_000))
                 });

@@ -14,9 +14,12 @@
 //! riot-lint: allow-file(P1, reason = "dense ProcessId-indexed adjacency/dist vectors and the link table are indexed under the identity convention above; every id is minted by add_node in this module")
 
 use crate::latency::LatencyModel;
+use resolve::Search;
 use riot_sim::{Delivery, Medium, ProcessId, SimDuration, SimRng, SimTime};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
+
+mod resolve;
 
 /// The role a node plays in the IoT landscape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,6 +120,15 @@ pub struct Network {
     /// cleared by [`Network::invalidate`] and by degradation changes (which
     /// leave `path_cache` alone — degradation is invisible to routing).
     routes: Vec<RouteTable>,
+    /// Whether any `routes` list has an entry; lets a clear of an already
+    /// clean cache (a heal restoring its links one by one) skip the walk.
+    routes_cached: bool,
+    /// Live shortest-path searches by root, dropped with `path_cache`.
+    /// Only edge and cloud roots are kept, so this is O(hubs × nodes).
+    searches: BTreeMap<usize, Search>,
+    /// How often `clear_routes` walked the route lists.
+    #[cfg(test)]
+    route_walks: usize,
 }
 
 impl Network {
@@ -132,6 +144,10 @@ impl Network {
             external_latency: SimDuration::ZERO,
             path_cache: BTreeMap::new(),
             routes: Vec::new(),
+            routes_cached: false,
+            searches: BTreeMap::new(),
+            #[cfg(test)]
+            route_walks: 0,
         }
     }
 
@@ -150,6 +166,8 @@ impl Network {
             label: label.into(),
         });
         self.adjacency.push(Vec::new());
+        // Searches hold per-node vectors sized when they started.
+        self.searches.clear();
         id
     }
 
@@ -340,11 +358,20 @@ impl Network {
 
     fn invalidate(&mut self) {
         self.path_cache.clear();
+        self.searches.clear();
         self.clear_routes();
     }
 
     /// Empties every per-sender route list, keeping their allocations.
     fn clear_routes(&mut self) {
+        if !self.routes_cached {
+            return;
+        }
+        self.routes_cached = false;
+        #[cfg(test)]
+        {
+            self.route_walks += 1;
+        }
         for list in &mut self.routes {
             list.clear();
         }
@@ -360,89 +387,13 @@ impl Network {
         let pos = match self.routes[from].binary_search_by_key(&(to as u32), |e| e.0) {
             Ok(i) => i,
             Err(i) => {
-                let hops = self.path_indices(from, to).map(|path| {
-                    path.windows(2)
-                        .map(|pair| {
-                            let k = if pair[0] <= pair[1] {
-                                (pair[0], pair[1])
-                            } else {
-                                (pair[1], pair[0])
-                            };
-                            let link = self.links[&k];
-                            CachedHop {
-                                loss: link.loss,
-                                latency: link.latency,
-                                factor: self.degraded.get(&k).copied(),
-                            }
-                        })
-                        .collect()
-                });
+                let hops = self.cold_hops(from, to);
                 self.routes[from].insert(i, (to as u32, hops));
+                self.routes_cached = true;
                 i
             }
         };
         self.routes[from][pos].1.as_deref()
-    }
-
-    fn path_indices(&mut self, from: usize, to: usize) -> Option<Vec<usize>> {
-        if from >= self.nodes.len() || to >= self.nodes.len() {
-            return None;
-        }
-        if let Some(cached) = self.path_cache.get(&(from, to)) {
-            return cached.clone();
-        }
-        let result = self.dijkstra(from, to);
-        self.path_cache.insert((from, to), result.clone());
-        if let Some(p) = &result {
-            // A path is symmetric under this cost model; prime the reverse.
-            let mut rev = p.clone();
-            rev.reverse();
-            self.path_cache.insert((to, from), Some(rev));
-        }
-        result
-    }
-
-    fn dijkstra(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        use std::cmp::Reverse;
-        let n = self.nodes.len();
-        let mut dist = vec![u64::MAX; n];
-        let mut prev = vec![usize::MAX; n];
-        let mut heap = BinaryHeap::new();
-        dist[from] = 0;
-        heap.push(Reverse((0u64, from)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if u == to {
-                break;
-            }
-            if d > dist[u] {
-                continue;
-            }
-            for &v in &self.adjacency[u] {
-                let k = if u <= v { (u, v) } else { (v, u) };
-                if self.cut.contains(&k) {
-                    continue;
-                }
-                let link = &self.links[&k];
-                let w = link.latency.mean().as_micros().max(1);
-                let nd = d.saturating_add(w);
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = u;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        if dist[to] == u64::MAX {
-            return None;
-        }
-        let mut path = vec![to];
-        let mut cur = to;
-        while cur != from {
-            cur = prev[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -699,5 +650,264 @@ mod tests {
         assert!(!net.link_usable(a, b));
         net.restore_link(a, b);
         assert!(net.link_usable(a, b));
+    }
+
+    // -- Shared resumable searches (`dijkstra`) against the per-pair oracle.
+
+    use super::resolve::NODES_SETTLED;
+    use crate::topology::{full_mesh, ring, Hierarchy, HierarchySpec};
+
+    fn fixed_us(us: u64) -> Link {
+        Link::lossless(LatencyModel::Fixed(SimDuration::from_micros(us)))
+    }
+
+    /// The fleet `riot_core::Scenario::build` makes: the default hierarchy
+    /// plus each device's backup link to the next edge.
+    fn fleet(edges: usize, devices_per_edge: usize) -> (Network, Hierarchy) {
+        let (mut net, h) = Hierarchy::build(&HierarchySpec {
+            edges,
+            devices_per_edge,
+            ..HierarchySpec::default()
+        });
+        let backup = Link {
+            latency: LatencyModel::uniform_ms(4, 12),
+            loss: 0.005,
+        };
+        for (e, devs) in h.devices.iter().enumerate() {
+            for &d in devs {
+                net.add_link(d, h.edges[(e + 1) % edges], backup);
+            }
+        }
+        (net, h)
+    }
+
+    fn random_kind(rng: &mut SimRng) -> NodeKind {
+        [NodeKind::Device, NodeKind::Edge, NodeKind::Cloud][rng.range_u64(0, 3) as usize]
+    }
+
+    /// 4–13 nodes of random kinds on a chain plus random chords; weights all
+    /// different, or all equal.
+    fn random_graph(rng: &mut SimRng, equal_weights: bool) -> Network {
+        let mut net = Network::new();
+        let n = rng.range_u64(4, 14) as usize;
+        for i in 0..n {
+            let kind = random_kind(rng);
+            net.add_node(kind, format!("n{i}"));
+        }
+        let mut weights: Vec<u64> = (0..(n * n) as u64).map(|i| 1_000 + 37 * i).collect();
+        rng.shuffle(&mut weights);
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if b == a + 1 || rng.chance(0.3) {
+                    let w = if equal_weights {
+                        1_000
+                    } else {
+                        weights[a * n + b]
+                    };
+                    net.add_link(ProcessId(a), ProcessId(b), fixed_us(w));
+                }
+            }
+        }
+        net
+    }
+
+    /// A `w` × `h` grid of equal links: the most shortest paths per pair.
+    fn grid(rng: &mut SimRng, w: usize, h: usize) -> Network {
+        let mut net = Network::new();
+        for i in 0..w * h {
+            let kind = random_kind(rng);
+            net.add_node(kind, format!("g{i}"));
+        }
+        for y in 0..h {
+            for x in 0..w {
+                let i = y * w + x;
+                if x + 1 < w {
+                    net.add_link(ProcessId(i), ProcessId(i + 1), fixed_us(1_000));
+                }
+                if y + 1 < h {
+                    net.add_link(ProcessId(i), ProcessId(i + w), fixed_us(1_000));
+                }
+            }
+        }
+        net
+    }
+
+    fn random_node(net: &Network, rng: &mut SimRng) -> ProcessId {
+        ProcessId(rng.range_u64(0, net.node_count() as u64) as usize)
+    }
+
+    fn random_link(net: &Network, rng: &mut SimRng) -> Option<(ProcessId, ProcessId)> {
+        let keys: Vec<(usize, usize)> = net.links.keys().copied().collect();
+        rng.pick(&keys).map(|&(a, b)| (ProcessId(a), ProcessId(b)))
+    }
+
+    fn random_topology_change(net: &mut Network, rng: &mut SimRng) {
+        match rng.range_u64(0, 8) {
+            0 | 1 => {
+                if let Some((a, b)) = random_link(net, rng) {
+                    net.cut_link(a, b);
+                }
+            }
+            2 => {
+                let cut: Vec<(usize, usize)> = net.cut.iter().copied().collect();
+                if let Some(&(a, b)) = rng.pick(&cut) {
+                    net.restore_link(ProcessId(a), ProcessId(b));
+                }
+            }
+            3 => {
+                let n = random_node(net, rng);
+                net.isolate(n);
+            }
+            4 => {
+                let (mut left, mut right) = (Vec::new(), Vec::new());
+                for i in 0..net.node_count() {
+                    match rng.range_u64(0, 3) {
+                        0 => left.push(ProcessId(i)),
+                        1 => right.push(ProcessId(i)),
+                        _ => {}
+                    }
+                }
+                net.partition(&[left, right]);
+            }
+            5 => {
+                let (dev, parent) = (random_node(net, rng), random_node(net, rng));
+                if dev != parent {
+                    let w = if rng.chance(0.5) { 1_000 } else { 1_500 };
+                    net.reattach(dev, parent, fixed_us(w));
+                }
+            }
+            6 => {
+                if let Some((a, b)) = random_link(net, rng) {
+                    net.degrade_link(a, b, 3.0);
+                }
+            }
+            _ => net.heal_all(),
+        }
+    }
+
+    /// Asks for every ordered pair in a random order — so searches are
+    /// resumed, and rooted at either end — and compares with the oracle.
+    fn assert_matches_oracle(net: &mut Network, rng: &mut SimRng, what: &str) {
+        let n = net.node_count();
+        let mut pairs: Vec<(usize, usize)> =
+            (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).collect();
+        rng.shuffle(&mut pairs);
+        for (a, b) in pairs {
+            assert_eq!(
+                net.dijkstra(a, b),
+                net.dijkstra_oracle(a, b),
+                "{what}: {a} -> {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_searches_match_the_per_pair_oracle() {
+        for seed in 0..24 {
+            let mut rng = SimRng::seed_from(seed);
+            let (gw, gh) = (rng.range_u64(2, 6) as usize, rng.range_u64(2, 5) as usize);
+            let edge = NodeKind::Edge;
+            let mut nets = vec![
+                ("unique weights", random_graph(&mut rng, false)),
+                ("equal weights", random_graph(&mut rng, true)),
+                ("ring", ring(edge, 3 + seed as usize % 7, fixed_us(1_000)).0),
+                (
+                    "full mesh",
+                    full_mesh(edge, 3 + seed as usize % 5, fixed_us(1_000)).0,
+                ),
+                ("grid", grid(&mut rng, gw, gh)),
+                (
+                    "fleet",
+                    fleet(2 + seed as usize % 3, 1 + seed as usize % 4).0,
+                ),
+            ];
+            for (what, net) in &mut nets {
+                assert_matches_oracle(net, &mut rng, what);
+                for _ in 0..8 {
+                    random_topology_change(net, &mut rng);
+                    assert_matches_oracle(net, &mut rng, what);
+                }
+            }
+        }
+    }
+
+    /// Split-brain plus cloud blackout on a 10 × 100 fleet leaves edges 1–5
+    /// and 6–10 joined only through devices' backup links: 9-10-911-1-4 and
+    /// 9-6-411-5-4 cost the same. A search from 9 keeps the first, one from
+    /// 4 the second (`mesh_1e3` seed 23 hits this pair).
+    #[test]
+    fn equal_cost_bridges_keep_the_senders_choice() {
+        let (mut net, h) = fleet(10, 100);
+        net.partition(&[h.edges[..5].to_vec(), h.edges[5..].to_vec()]);
+        net.isolate(h.cloud);
+        assert_eq!(net.dijkstra_oracle(9, 4), Some(vec![9, 10, 911, 1, 4]));
+        assert_eq!(net.dijkstra_oracle(4, 9), Some(vec![4, 5, 411, 6, 9]));
+
+        assert_eq!(net.path_indices(9, 4), Some(vec![9, 10, 911, 1, 4]));
+        // Again, with the receiver's search already live and so the root.
+        net.invalidate();
+        assert_eq!(net.dijkstra(4, 3), Some(vec![4, 3]));
+        assert!(net.searches.contains_key(&4) && !net.searches.contains_key(&9));
+        assert_eq!(net.dijkstra(9, 4), Some(vec![9, 10, 911, 1, 4]));
+    }
+
+    #[test]
+    fn a_fleet_asking_for_its_cloud_shares_one_search() {
+        let (mut net, h) = fleet(10, 100);
+        net.cut_link(h.edges[0], h.cloud);
+        net.restore_link(h.edges[0], h.cloud);
+        let before = NODES_SETTLED.get();
+        for d in h.all_devices() {
+            assert_eq!(net.path(d, h.cloud).map(|p| p.len()), Some(3));
+        }
+        let settled = NODES_SETTLED.get() - before;
+        assert!(settled <= 2 * net.node_count(), "settled {settled}");
+
+        net.isolate(h.cloud);
+        let before = NODES_SETTLED.get();
+        for d in h.all_devices() {
+            assert_eq!(net.path(d, h.cloud), None);
+        }
+        let settled = NODES_SETTLED.get() - before;
+        assert!(settled <= net.node_count(), "settled {settled}");
+    }
+
+    #[test]
+    fn only_hub_searches_are_kept() {
+        let (mut net, h) = Hierarchy::build(&HierarchySpec {
+            edges: 2,
+            devices_per_edge: 5_000,
+            ..HierarchySpec::default()
+        });
+        for (e, devs) in h.devices.iter().enumerate() {
+            for &d in devs {
+                assert!(net.reachable(d, h.edges[e]));
+                assert!(net.reachable(d, h.cloud));
+            }
+        }
+        assert!(net.reachable(h.devices[0][0], h.devices[1][0]));
+        assert!(net.searches.len() <= h.edges.len() + 1);
+        assert!(net
+            .searches
+            .keys()
+            .all(|&root| net.nodes[root].kind != NodeKind::Device));
+    }
+
+    #[test]
+    fn clearing_a_clean_route_cache_does_not_walk_it() {
+        let (mut net, h) = fleet(3, 4);
+        let mut rng = SimRng::seed_from(1);
+        let dev = h.devices[0][0];
+        Medium::<u32>::route(&mut net, SimTime::ZERO, dev, h.cloud, &0, &mut rng);
+        let newly_cut = net.isolate(h.cloud);
+        assert_eq!(newly_cut.len(), 3);
+        assert_eq!(net.route_walks, 1);
+        for (a, b) in newly_cut {
+            net.restore_link(a, b);
+        }
+        assert_eq!(net.route_walks, 1, "nothing was cached between the heals");
+        Medium::<u32>::route(&mut net, SimTime::ZERO, dev, h.cloud, &0, &mut rng);
+        net.degrade_link(dev, h.edges[0], 2.0);
+        assert_eq!(net.route_walks, 2);
     }
 }

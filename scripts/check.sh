@@ -67,6 +67,9 @@ if [[ "$quick" == "0" ]]; then
     exit 1
   }
 
+  echo "==> benchmark smoke (all four workloads at 1/20 size, untraced + traced; every BENCHMARK.json metric emitted once)"
+  cargo run --quiet --release -p riot-bench --bin benchmark -- --smoke > /dev/null
+
   echo "==> campaign fuzz smoke (committed reproducers reproduce + minimal; seeded sweep finds & shrinks)"
   cargo run --quiet -p riot-bench --bin riot -- campaign fuzz --smoke > /dev/null
 fi
