@@ -177,19 +177,14 @@ impl CloudProcess {
     }
 
     fn run_mape(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let now = ctx.now();
-        let silence = self.cfg.arch.silence_threshold;
-        let observations: Vec<(ComponentId, ProcessId, bool)> = self
-            .last_seen
-            .iter()
-            .map(|(c, (dev, seen))| (*c, *dev, now.saturating_since(*seen) < silence))
-            .collect();
         let Some(mape) = self.mape.as_mut() else {
             return;
         };
+        let now = ctx.now();
+        let silence = self.cfg.arch.silence_threshold;
         let mut fresh = 0usize;
-        for (component, device, is_fresh) in &observations {
-            let state = if *is_fresh {
+        for (component, (device, seen)) in &self.last_seen {
+            let state = if now.saturating_since(*seen) < silence {
                 fresh += 1;
                 ComponentState::Running
             } else {
@@ -197,10 +192,10 @@ impl CloudProcess {
             };
             mape.observe_component(*component, state, *device, now);
         }
-        let coverage = if observations.is_empty() {
+        let coverage = if self.last_seen.is_empty() {
             1.0
         } else {
-            fresh as f64 / observations.len() as f64
+            fresh as f64 / self.last_seen.len() as f64
         };
         mape.observe_metric("scope.coverage", coverage, now);
         let (_, plan) = mape.cycle(now);
@@ -292,20 +287,16 @@ impl Process<Msg> for CloudProcess {
                 ctx.schedule(self.cfg.arch.mape_period, TAG_MAPE);
             }
             TAG_SYNC => {
-                for target in self.cfg.subscribers.clone() {
-                    let peer_domain = self
-                        .cfg
-                        .domain_of
-                        .get(&target)
-                        .copied()
-                        .unwrap_or(self.cfg.domain);
-                    let msg = self
-                        .store
-                        .sync_out(peer_domain, &self.cfg.registry, SimTime::ZERO);
-                    if !msg.entries.is_empty() {
-                        ctx.send(target, Msg::Sync(msg));
-                    }
-                }
+                let CloudProcess { cfg, store, .. } = self;
+                store.sync_round(
+                    cfg.subscribers.iter().map(|target| {
+                        let domain = cfg.domain_of.get(target).copied();
+                        (*target, domain.unwrap_or(cfg.domain))
+                    }),
+                    &cfg.registry,
+                    SimTime::ZERO,
+                    |target, msg| ctx.send(target, Msg::Sync(msg)),
+                );
                 ctx.schedule(self.cfg.arch.sync_period, TAG_SYNC);
             }
             _ => {}

@@ -273,19 +273,38 @@ impl EdgeProcess {
         }
     }
 
-    fn sync_targets(&self) -> Vec<ProcessId> {
-        match self.cfg.arch.replication {
-            ReplicationMode::None | ReplicationMode::CloudOnly => Vec::new(),
-            ReplicationMode::EdgeToCloud => vec![self.cfg.cloud],
-            ReplicationMode::EdgeMesh => {
-                let mut targets = vec![self.cfg.cloud];
-                match &self.swim {
-                    Some(s) => targets.extend(s.alive_peers()),
-                    None => targets.extend(self.cfg.peer_edges.iter().copied()),
-                }
-                targets
-            }
-        }
+    /// This round's sync targets with the domain each lives in: the cloud
+    /// first, then — in a mesh — the peers SWIM believes alive, in id
+    /// order (without SWIM: every configured peer, as configured).
+    fn sync_targets<'a>(
+        cfg: &'a EdgeConfig,
+        swim: &'a Option<Swim>,
+    ) -> impl Iterator<Item = (ProcessId, DomainId)> + 'a {
+        let (to_cloud, to_peers) = match cfg.arch.replication {
+            ReplicationMode::None | ReplicationMode::CloudOnly => (false, false),
+            ReplicationMode::EdgeToCloud => (true, false),
+            ReplicationMode::EdgeMesh => (true, true),
+        };
+        let configured: &[ProcessId] = match swim {
+            None => &cfg.peer_edges,
+            Some(_) => &[],
+        };
+        let alive = swim
+            .iter()
+            .flat_map(|s| s.view().iter())
+            .filter(|(_, info)| info.state == MemberState::Alive)
+            .map(|(peer, _)| peer);
+        let peers = alive
+            .chain(configured.iter().copied())
+            .filter(move |_| to_peers);
+        to_cloud
+            .then_some(cfg.cloud)
+            .into_iter()
+            .chain(peers)
+            .map(|target| {
+                let domain = cfg.domain_of.get(&target).copied();
+                (target, domain.unwrap_or(cfg.domain))
+            })
     }
 
     fn ingest_reading(&mut self, ctx: &mut Ctx<'_, Msg>, reading: ReadingPayload) {
@@ -337,21 +356,16 @@ impl EdgeProcess {
     }
 
     fn run_mape(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let Some(mape) = self.mape.as_mut() else {
+            return;
+        };
         let now = ctx.now();
         let silence = self.cfg.arch.silence_threshold;
         // Failure detection by silence: a component not heard from within
         // the threshold is believed failed (Figure 5's Monitor activity).
         let mut fresh = 0usize;
-        let observations: Vec<(ComponentId, ProcessId, bool)> = self
-            .last_seen
-            .iter()
-            .map(|(c, (dev, seen))| (*c, *dev, now.saturating_since(*seen) < silence))
-            .collect();
-        let Some(mape) = self.mape.as_mut() else {
-            return;
-        };
-        for (component, device, is_fresh) in &observations {
-            let state = if *is_fresh {
+        for (component, (device, seen)) in &self.last_seen {
+            let state = if now.saturating_since(*seen) < silence {
                 fresh += 1;
                 ComponentState::Running
             } else {
@@ -359,10 +373,10 @@ impl EdgeProcess {
             };
             mape.observe_component(*component, state, *device, now);
         }
-        let coverage = if observations.is_empty() {
+        let coverage = if self.last_seen.is_empty() {
             1.0
         } else {
-            fresh as f64 / observations.len() as f64
+            fresh as f64 / self.last_seen.len() as f64
         };
         mape.observe_metric("scope.coverage", coverage, now);
         let (_, plan) = mape.cycle(now);
@@ -508,22 +522,15 @@ impl Process<Msg> for EdgeProcess {
                 ctx.schedule(self.cfg.arch.coord_tick, TAG_COORD);
             }
             TAG_SYNC => {
-                let now = ctx.now();
-                for target in self.sync_targets() {
-                    let peer_domain = self
-                        .cfg
-                        .domain_of
-                        .get(&target)
-                        .copied()
-                        .unwrap_or(self.cfg.domain);
-                    let msg = self
-                        .store
-                        .sync_out(peer_domain, &self.cfg.registry, SimTime::ZERO);
-                    if !msg.entries.is_empty() {
-                        ctx.send(target, Msg::Sync(msg));
-                    }
-                }
-                let _ = now;
+                let EdgeProcess {
+                    cfg, swim, store, ..
+                } = self;
+                store.sync_round(
+                    Self::sync_targets(cfg, swim),
+                    &cfg.registry,
+                    SimTime::ZERO,
+                    |target, msg| ctx.send(target, Msg::Sync(msg)),
+                );
                 ctx.schedule(self.cfg.arch.sync_period, TAG_SYNC);
             }
             TAG_MAPE => {

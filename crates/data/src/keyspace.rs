@@ -79,6 +79,17 @@ impl KeySpace {
         self.table.borrow().name(key.0).to_owned()
     }
 
+    /// This space's key for the name `key` denotes in `from` — a different
+    /// space — minting on first sight: how a store with a private space
+    /// reads a foreign [`SyncMsg`](crate::SyncMsg).
+    pub(crate) fn translate(&self, from: &KeySpace, key: DataKey) -> DataKey {
+        DataKey(
+            self.table
+                .borrow_mut()
+                .intern(from.table.borrow().name(key.0)),
+        )
+    }
+
     /// Number of interned keys.
     pub fn len(&self) -> usize {
         self.table.borrow().len()

@@ -31,7 +31,7 @@ fn workspace_has_no_violations() {
         graph.fns_indexed
     );
     assert_eq!(
-        graph.hot_roots, 31,
+        graph.hot_roots, 33,
         "hot roots declared in lint-hotpaths.toml"
     );
     assert_eq!(

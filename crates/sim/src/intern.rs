@@ -107,6 +107,7 @@ impl SymbolTable {
             Ok(pos) => Symbol(self.by_name.get(pos).copied().unwrap_or(0)),
             Err(pos) => {
                 let id = self.names.len() as u32;
+                // riot-lint: allow(A1, reason = "minting happens once per distinct name; interning a name seen before allocates nothing")
                 self.names.push(name.to_owned());
                 self.by_name.insert(pos, id);
                 Symbol(id)
