@@ -38,15 +38,18 @@ fn workspace_has_no_violations() {
         graph.entry_roots, 6,
         "entry roots declared in lint-hotpaths.toml"
     );
+    // Floors at the counts of the tree that last touched the cones (the
+    // kernel's `EventQueue` is reached through qualified calls — a rewrite
+    // to `queue.pop()` would drop it from the hot cone unnoticed). Lower
+    // them only with the removal of a reachable function.
     assert!(
-        graph.hot_reachable >= 20,
-        "hot cone suspiciously small: {} fns",
+        graph.hot_reachable >= 224,
+        "hot cone shrank: {} fns",
         graph.hot_reachable
     );
     assert!(
-        graph.entry_reachable > graph.hot_reachable,
-        "entry cone ({}) should dominate the hot cone ({})",
-        graph.entry_reachable,
-        graph.hot_reachable
+        graph.entry_reachable >= 364,
+        "entry cone shrank: {} fns",
+        graph.entry_reachable
     );
 }

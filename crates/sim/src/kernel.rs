@@ -1,4 +1,5 @@
-//! Kernel internals: the event heap and the state shared with [`Ctx`].
+//! Kernel internals: the event type and the state shared with [`Ctx`]; the
+//! queue the events wait in is `queue.rs`.
 //!
 //! Everything a process may touch during a callback lives in [`Kernel`]; the
 //! process table itself lives one level up in [`Sim`](crate::Sim) so that a
@@ -10,11 +11,12 @@ use crate::medium::{Delivery, Medium};
 use crate::metrics::Metrics;
 use crate::observer::{AnyObserver, EventMask, SimEvent, SimEventKind, SimObserver};
 use crate::process::{ProcessId, TimerId};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 pub(crate) enum EventKind<M> {
@@ -34,6 +36,10 @@ pub(crate) enum EventKind<M> {
     },
     Up {
         id: ProcessId,
+    },
+    /// A scheduled mutation of the world: index into `Sim::injections`.
+    Injection {
+        idx: usize,
     },
 }
 
@@ -115,7 +121,7 @@ impl KernelKeys {
 pub struct Kernel<M> {
     pub(crate) clock: SimTime,
     pub(crate) seq: u64,
-    pub(crate) queue: BinaryHeap<Event<M>>,
+    pub(crate) queue: EventQueue<M>,
     pub(crate) medium: Box<dyn Medium<M>>,
     pub(crate) rng: SimRng,
     pub(crate) metrics: Metrics,
@@ -169,9 +175,9 @@ impl<M: fmt::Debug> Kernel<M> {
             clock: SimTime::ZERO,
             seq: 0,
             // A steady-state process keeps a handful of events in flight;
-            // sizing the heap off the expected population avoids the doubling
-            // cascade during the start-up burst.
-            queue: BinaryHeap::with_capacity((expected_processes * 4).max(16)),
+            // sizing the queue's slab off the expected population avoids the
+            // doubling cascade during the start-up burst.
+            queue: EventQueue::with_capacity((expected_processes * 4).max(16)),
             medium,
             rng,
             metrics,
@@ -194,7 +200,7 @@ impl<M: fmt::Debug> Kernel<M> {
         debug_assert!(at >= self.clock, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event { at, seq, kind });
+        EventQueue::push(&mut self.queue, Event { at, seq, kind });
     }
 
     pub(crate) fn is_up(&self, id: ProcessId) -> bool {

@@ -16,7 +16,7 @@
 //!   `riot-net` provides a full IoT topology medium, and [`IdealMedium`] /
 //!   [`LossyMedium`] serve protocol tests.
 //! * **Determinism**: one seeded ChaCha stream ([`SimRng`]) per run and
-//!   stable tie-breaking in the event heap mean the same seed reproduces the
+//!   stable tie-breaking in the event queue mean the same seed reproduces the
 //!   same run bit-for-bit.
 //! * **Observability**: a typed event bus — the kernel emits one
 //!   [`SimEvent`] per occurrence to an ordered list of [`SimObserver`]s.
@@ -63,6 +63,7 @@ mod medium;
 mod metrics;
 pub mod observer;
 mod process;
+mod queue;
 mod rng;
 mod sim;
 pub mod stream;

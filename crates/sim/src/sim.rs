@@ -2,11 +2,12 @@
 //!
 //! riot-lint: allow-file(P1, reason = "engine core: every panic path is a documented `# Panics` API contract over process-table indices the kernel itself mints")
 
-use crate::kernel::{Event, EventKind, Kernel};
+use crate::kernel::{EventKind, Kernel};
 use crate::medium::{IdealMedium, Medium};
 use crate::metrics::Metrics;
 use crate::observer::{AnyObserver, SimEventKind, SimObserver};
 use crate::process::{Ctx, Process, ProcessId};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
@@ -81,7 +82,7 @@ impl SimBuilder {
         }
     }
 
-    /// Declares how many processes the world will hold, so the event heap
+    /// Declares how many processes the world will hold, so the event queue
     /// and per-process tables are sized once up front instead of doubling
     /// through the start-up burst. Purely a capacity hint: it does not limit
     /// anything, and has no observable effect on results.
@@ -221,19 +222,9 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     /// Panics if `at` is in the past.
     pub fn schedule_injection(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<M>) + 'static) {
         assert!(at >= self.kernel.clock, "injection scheduled into the past");
-        let idx = self.injections.len() as u64;
+        let idx = self.injections.len();
         self.injections.push(Some(Box::new(f)));
-        // Injections ride the ordinary event queue as timers owned by no
-        // process; we reuse the Down/Up slot pattern with a dedicated kind.
-        self.kernel.push(
-            at,
-            EventKind::Timer {
-                owner: ProcessId(usize::MAX),
-                tag: idx,
-                timer: crate::process::TimerId(u64::MAX),
-                epoch: 0,
-            },
-        );
+        self.kernel.push(at, EventKind::Injection { idx });
     }
 
     /// Sends a message into the simulation from the outside world at the
@@ -400,7 +391,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.ensure_started();
         let before = self.events_processed;
         while !self.kernel.halted {
-            match self.kernel.queue.peek() {
+            match EventQueue::peek(&mut self.kernel.queue) {
                 Some(ev) if ev.at <= deadline => {}
                 _ => break,
             }
@@ -469,7 +460,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     }
 
     fn step_one(&mut self) {
-        let ev = self.kernel.queue.pop().expect("caller checked non-empty");
+        let ev = EventQueue::pop(&mut self.kernel.queue).expect("caller checked non-empty");
         debug_assert!(ev.at >= self.kernel.clock, "time went backwards");
         self.kernel.clock = ev.at;
         self.events_processed += 1;
@@ -505,14 +496,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                 timer,
                 epoch,
             } => {
-                if owner.0 == usize::MAX {
-                    // An injection riding the queue.
-                    let f = self.injections[tag as usize]
-                        .take()
-                        .expect("injection fires once");
-                    f(self);
-                    return;
-                }
                 // Each timer id pops exactly once: retire its lifecycle slot
                 // now, whether it fires, was cancelled, or is stale.
                 if self.kernel.retire_timer(timer) {
@@ -530,6 +513,10 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             }
             EventKind::Up { id } => {
                 self.set_up(id);
+            }
+            EventKind::Injection { idx } => {
+                let f = self.injections[idx].take().expect("injection fires once");
+                f(self);
             }
         }
     }
@@ -562,12 +549,6 @@ impl<M: fmt::Debug> fmt::Debug for Sim<M> {
             .field("events_processed", &self.events_processed)
             .finish()
     }
-}
-
-// Keep the unused-import lint honest: `Event` is used via the kernel module.
-#[allow(unused)]
-fn _assert_event_ordering<M>(a: &Event<M>, b: &Event<M>) -> std::cmp::Ordering {
-    a.cmp(b)
 }
 
 #[cfg(test)]
@@ -800,6 +781,132 @@ mod tests {
         assert!(sim.is_up(a));
         sim.run_until(SimTime::from_secs(2));
         assert!(!sim.is_up(a));
+    }
+
+    /// Logs what reaches it, in order; injections append through
+    /// `process_mut`.
+    struct Logger {
+        log: Vec<String>,
+        timers: Vec<(SimDuration, u64)>,
+    }
+
+    impl Process<Msg> for Logger {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            for &(delay, tag) in &self.timers {
+                ctx.schedule(delay, tag);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
+            let Msg::Ping(n) = msg;
+            self.log.push(format!("msg {n} @{}", ctx.now().as_micros()));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            self.log
+                .push(format!("timer {tag} @{}", ctx.now().as_micros()));
+        }
+    }
+
+    #[test]
+    fn pushes_at_the_clock_fire_before_an_event_the_run_peeked_at() {
+        // `run_until` stops by peeking at the 300 s timer, which moves the
+        // queue's cursor 299 s ahead of the clock. What is pushed at the
+        // clock afterwards lands behind the cursor and must still pop first,
+        // in scheduling order.
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        let a = sim.add_process(Logger {
+            log: Vec::new(),
+            timers: vec![(SimDuration::from_secs(300), 300)],
+        });
+        assert_eq!(sim.run_until(SimTime::from_secs(1)), 0);
+        sim.send_external(a, Msg::Ping(1));
+        sim.schedule_injection(SimTime::from_secs(1), move |sim| {
+            let at = sim.now().as_micros();
+            let logger = sim.process_mut::<Logger>(a).unwrap();
+            logger.log.push(format!("injection @{at}"));
+        });
+        sim.send_external(a, Msg::Ping(2));
+        assert_eq!(sim.run_until(SimTime::from_secs(2)), 3);
+        sim.run_to_completion();
+        assert_eq!(
+            sim.process::<Logger>(a).unwrap().log,
+            [
+                "msg 1 @1000000",
+                "injection @1000000",
+                "msg 2 @1000000",
+                "timer 300 @300000000",
+            ]
+        );
+    }
+
+    #[test]
+    fn timers_either_side_of_the_ring_boundary_fire_in_time_order() {
+        // 2048 slots of 1024 µs ahead is the first delay the queue's ring
+        // does not cover; 1 µs less is the last it does. Scheduled latest
+        // first, so `seq` order is the reverse of time order.
+        const RING_US: u64 = 2048 * 1024;
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        let a = sim.add_process(Logger {
+            log: Vec::new(),
+            timers: vec![
+                (SimDuration::from_micros(RING_US + 1), 2),
+                (SimDuration::from_micros(RING_US), 1),
+                (SimDuration::from_micros(RING_US - 1), 0),
+            ],
+        });
+        sim.run_to_completion();
+        assert_eq!(
+            sim.process::<Logger>(a).unwrap().log,
+            ["timer 0 @2097151", "timer 1 @2097152", "timer 2 @2097153"]
+        );
+    }
+
+    #[test]
+    fn a_large_timer_world_lives_in_the_ring_and_leaks_no_cells() {
+        // 10⁴ device-like processes, each with a 500 ms and a 1 s periodic
+        // timer at a random phase: 2 × 10⁴ pending events, of which only the
+        // cursor's slot is ever in the near heap.
+        struct Ticker;
+        impl Process<Msg> for Ticker {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                for period_us in [500_000u64, 1_000_000] {
+                    let phase = ctx.rng().range_u64(1, period_us);
+                    ctx.schedule(SimDuration::from_micros(phase), period_us);
+                }
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, period_us: u64) {
+                ctx.schedule(SimDuration::from_micros(period_us), period_us);
+            }
+        }
+        const PROCESSES: usize = 10_000;
+        let mut sim: Sim<Msg> = SimBuilder::new(5).expect_processes(PROCESSES).build();
+        for _ in 0..PROCESSES {
+            sim.add_process(Ticker);
+        }
+        let (mut peak_near, mut peak_ring) = (0, 0);
+        let mut steps = 0usize;
+        while sim.now() < SimTime::from_secs(3) {
+            assert!(sim.step());
+            steps += 1;
+            if steps.is_multiple_of(64) {
+                // Restart churn: the dead life's timers stay queued until
+                // they pop, the new life's join them.
+                let id = ProcessId(steps / 64 % PROCESSES);
+                sim.set_down(id);
+                sim.set_up(id);
+            }
+            let (near, ring, _) = sim.kernel.queue.census();
+            peak_near = peak_near.max(near);
+            peak_ring = peak_ring.max(ring);
+        }
+        assert!(steps > 80_000, "{steps} events in 3 s");
+        assert!(peak_near < 300, "near held {peak_near} events");
+        assert!(
+            peak_ring > 2 * PROCESSES - 300,
+            "ring peaked at {peak_ring}"
+        );
+        let (_, _, slab) = sim.kernel.queue.census();
+        assert_eq!(slab, peak_ring, "the slab is the peak ring population");
     }
 
     #[test]
