@@ -303,7 +303,7 @@ fn main() -> ExitCode {
                     rec.id,
                     result.trace_tail.len()
                 );
-                for line in &result.trace_tail {
+                for line in result.trace_tail_lines() {
                     println!("{line}");
                 }
             }

@@ -39,7 +39,8 @@ use riot_model::{
 use riot_net::{presets, Hierarchy, HierarchySpec, LatencyModel, Link, Network};
 use riot_sim::{
     ActivityTracker, FlowAccounting, HistogramSummary, MeasureProbe, MetricKey, Metrics, ProcessId,
-    QuantileSketch, RingTrace, Sim, SimBuilder, SimDuration, SimTime, StreamPipeline,
+    QuantileSketch, RingTrace, Sim, SimBuilder, SimDuration, SimEvent, SimTime, StreamPipeline,
+    ToJson,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -1157,10 +1158,10 @@ impl Scenario {
             .and_then(|i| self.sim.observer::<OnlineMonitor>(i))
             .map(monitor_outcomes)
             .unwrap_or_default();
-        let trace_tail: Vec<String> = self
+        let trace_tail: Vec<SimEvent> = self
             .ring_idx
-            .and_then(|i| self.sim.observer::<RingTrace>(i))
-            .map(RingTrace::tail_json_lines)
+            .and_then(|i| self.sim.observer_mut::<RingTrace>(i))
+            .map(RingTrace::take_tail)
             .unwrap_or_default();
         let streams = self.stream_summaries();
         ScenarioResult {
@@ -1347,10 +1348,12 @@ pub struct ScenarioResult {
     /// files stay byte-identical; experiment binaries report the fields
     /// they care about explicitly.
     pub monitors: Vec<MonitorOutcome>,
-    /// The last-N kernel events as JSON lines, when
-    /// [`ScenarioSpec::trace_tail`] was set. Excluded from the JSON
+    /// The last-N kernel events, oldest first, when
+    /// [`ScenarioSpec::trace_tail`] was set: the forensic ring's contents,
+    /// moved out unrendered — [`ScenarioResult::trace_tail_lines`] is their
+    /// text form, produced when asked for. Excluded from the JSON
     /// rendering: a debugging/forensics artifact, not a result.
-    pub trace_tail: Vec<String>,
+    pub trace_tail: Vec<SimEvent>,
     /// One bounded-memory summary row per stream enabled in
     /// [`ScenarioSpec::streams`] (latency probes first, then flows, then
     /// activity). Excluded from the JSON rendering so existing result files
@@ -1401,6 +1404,16 @@ impl ScenarioResult {
     /// obligations, in [`ScenarioSpec::monitors`] order.
     pub fn failed_monitors(&self) -> impl Iterator<Item = &MonitorOutcome> {
         self.monitors.iter().filter(|m| m.failed())
+    }
+
+    /// [`ScenarioResult::trace_tail`] as compact JSON lines, one per event,
+    /// oldest first — rendered here, on demand: a run that nobody asks for
+    /// its tail never pays for the text.
+    pub fn trace_tail_lines(&self) -> Vec<String> {
+        self.trace_tail
+            .iter()
+            .map(|e| e.to_json().render())
+            .collect()
     }
 }
 
@@ -1685,11 +1698,61 @@ mod tests {
         spec.trace_tail = Some(7);
         let result = Scenario::build(spec).run();
         assert_eq!(result.trace_tail.len(), 7);
-        for line in &result.trace_tail {
+        let lines = result.trace_tail_lines();
+        assert_eq!(lines.len(), 7);
+        for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert!(line.contains("\"t_us\":"), "{line}");
         }
         assert!(result.event_trace.is_empty(), "full trace stays off");
+    }
+
+    /// The forensic ring as it was before it kept events: every event is
+    /// rendered on arrival and the last `cap` lines are retained. The
+    /// reference [`ScenarioResult::trace_tail_lines`] is compared against.
+    struct EagerTail {
+        cap: usize,
+        lines: std::sync::Arc<std::sync::Mutex<std::collections::VecDeque<String>>>,
+    }
+
+    impl riot_sim::SimObserver for EagerTail {
+        fn on_event(&mut self, event: &SimEvent) {
+            let mut lines = self.lines.lock().unwrap();
+            if lines.len() == self.cap {
+                lines.pop_front();
+            }
+            lines.push_back(event.to_json().render());
+        }
+    }
+
+    #[test]
+    fn trace_tail_rendered_on_demand_equals_the_eager_ring() {
+        for cap in [7, 256] {
+            let mut spec = ScenarioSpec::new("tail", MaturityLevel::Ml2, 5);
+            spec.edges = 2;
+            spec.devices_per_edge = 3;
+            spec.duration = SimDuration::from_secs(30);
+            spec.warmup = SimDuration::from_secs(10);
+            spec.trace_tail = Some(cap);
+            let eager = std::sync::Arc::new(std::sync::Mutex::new(
+                std::collections::VecDeque::with_capacity(cap),
+            ));
+            let handle = eager.clone();
+            spec.observers.register(move || EagerTail {
+                cap,
+                lines: handle.clone(),
+            });
+            let result = Scenario::build(spec).run();
+            let eager: Vec<String> = eager.lock().unwrap().iter().cloned().collect();
+            assert_eq!(eager.len(), cap, "the run outlasts the ring");
+            assert_eq!(result.trace_tail_lines(), eager, "capacity {cap}");
+            // The ring wrapped many times and the tail still reads oldest
+            // first, sample notes included.
+            assert!(result.trace_tail.windows(2).all(|w| w[0].at <= w[1].at));
+            if cap == 256 {
+                assert!(eager.iter().any(|l| l.contains(r#""kind":"note""#)));
+            }
+        }
     }
 
     #[test]

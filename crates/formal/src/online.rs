@@ -2,10 +2,11 @@
 //!
 //! An [`OnlineMonitor`] is a [`SimObserver`] that advances LTL [`Monitor`]s
 //! *while the run executes* instead of replaying a recorded time series
-//! afterwards. Memory is O(formula) per property — the progressed residual —
-//! independent of run length, and a violation is timestamped the instant the
-//! verdict becomes definite, which is exactly the detection signal a MAPE-K
-//! loop needs (the paper's pillar VII cannot wait for the run to end).
+//! afterwards. Memory is O(formula) per property — the distinct residuals
+//! met, a capped few (see [`Monitor`]) — independent of run length, and a
+//! violation is timestamped the instant the verdict becomes definite, which
+//! is exactly the detection signal a MAPE-K loop needs (the paper's pillar
+//! VII cannot wait for the run to end).
 //!
 //! ## Valuation wire format
 //!
@@ -30,7 +31,7 @@ use crate::ltl::Ltl;
 use crate::monitor::{Monitor, Verdict3};
 use crate::parse::{parse_ltl, ParseError};
 use crate::prop::{AtomId, Atoms, Valuation};
-use riot_sim::{MetricKey, OnlineStats, SimEvent, SimEventKind, SimObserver, SimTime};
+use riot_sim::{EventMask, MetricKey, OnlineStats, SimEvent, SimEventKind, SimObserver, SimTime};
 
 /// One measurement-derived atom: an online-stats window over
 /// `SimEventKind::Measure` events for one metric key, folded into the next
@@ -151,6 +152,11 @@ impl OnlineMonitor {
     /// the bus instead of waiting for end-of-run summaries: the bank keeps
     /// the same O(1) reducer the streaming-telemetry layer uses and
     /// re-derives the atom between any two published valuations.
+    ///
+    /// Bind gauges *before* registering the bank on a bus: the kernel samples
+    /// [`SimObserver::interest`] once at registration, and a bank without
+    /// gauges does not subscribe to `Measure` events at all (the rule
+    /// `riot_sim::StreamPipeline::push` documents for its operators).
     pub fn bind_measure(&mut self, atom: &str, key: MetricKey, max_mean: f64) -> AtomId {
         let atom = self.atoms.intern(atom);
         self.gauges.push(MeasureGauge {
@@ -301,8 +307,13 @@ impl SimObserver for OnlineMonitor {
         self.step_valuation(event.at, val);
     }
 
-    fn interest(&self) -> riot_sim::EventMask {
-        riot_sim::EventMask::NOTE | riot_sim::EventMask::MEASURE
+    /// Valuation notes, plus measurements when a gauge is bound to read them.
+    fn interest(&self) -> EventMask {
+        if self.gauges.is_empty() {
+            EventMask::NOTE
+        } else {
+            EventMask::NOTE | EventMask::MEASURE
+        }
     }
 
     fn name(&self) -> &str {
@@ -473,6 +484,53 @@ mod tests {
         let p = &om.properties()[0];
         assert_eq!(p.verdict(), Verdict3::Violated);
         assert_eq!(p.first_violation(), Some(SimTime::from_secs(3)));
+    }
+
+    #[test]
+    fn interest_follows_what_is_bound() {
+        let mut metrics = riot_sim::Metrics::new();
+        let key = metrics.intern("lat.ms");
+        let mut om = OnlineMonitor::new("sat");
+        om.watch("fast", "G fast").unwrap();
+        assert_eq!(om.interest(), EventMask::NOTE, "no gauge reads measures");
+        om.bind_measure("fast", key, 10.0);
+        assert_eq!(om.interest(), EventMask::NOTE | EventMask::MEASURE);
+    }
+
+    #[test]
+    fn a_gauge_bound_before_registration_is_fed_by_the_kernel() {
+        use riot_sim::{Ctx, Process, Sim, SimBuilder};
+
+        /// Measures 5 ms once, then publishes a valuation without `fast`.
+        struct Quick(MetricKey);
+        impl Process<()> for Quick {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.measure(self.0, 5.0);
+                ctx.annotate("sat");
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: ProcessId, _: ()) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, _: u64) {}
+        }
+
+        let run = |with_gauge: bool| {
+            let mut sim: Sim<()> = SimBuilder::new(1).build();
+            let key = sim.metrics_mut().intern("lat.ms");
+            let mut om = OnlineMonitor::new("sat");
+            om.watch("fast", "G fast").unwrap();
+            if with_gauge {
+                om.bind_measure("fast", key, 10.0);
+            }
+            let bank = sim.add_observer(om);
+            sim.add_process(Quick(key));
+            sim.run_to_completion();
+            let om = sim.observer::<OnlineMonitor>(bank).unwrap();
+            assert_eq!(om.samples(), 1);
+            om.properties()[0].verdict()
+        };
+        // The kernel sampled `NOTE | MEASURE`, the 5 ms reading reached the
+        // window and the bound held; without a gauge nothing sets `fast`.
+        assert_eq!(run(true), Verdict3::Inconclusive);
+        assert_eq!(run(false), Verdict3::Violated);
     }
 
     #[test]

@@ -149,6 +149,16 @@ impl Valuation {
         self
     }
 
+    /// The atoms true in both valuations.
+    pub(crate) fn intersect(self, other: Valuation) -> Valuation {
+        Valuation(self.0 & other.0)
+    }
+
+    /// The atoms true in either valuation.
+    pub(crate) fn union(self, other: Valuation) -> Valuation {
+        Valuation(self.0 | other.0)
+    }
+
     /// Number of true atoms.
     pub fn count(self) -> u32 {
         self.0.count_ones()

@@ -81,7 +81,8 @@ fn monitor_agrees_with_trace_semantics() {
     }
 }
 
-/// Boolean simplification never changes meaning.
+/// Boolean simplification never changes meaning, and is a normal form:
+/// simplifying twice is simplifying once.
 #[test]
 fn simplify_preserves_semantics() {
     let mut rng = SimRng::seed_from(0xF0_0002);
@@ -96,9 +97,229 @@ fn simplify_preserves_semantics() {
                 "simplify changed meaning at {at}"
             );
         }
+        assert_eq!(
+            simplify(simplified.clone()),
+            simplified,
+            "simplify is not idempotent on {phi}"
+        );
         // Note: simplify may grow `Implies` by one node (it desugars to
         // `!a | b`), so no size bound is asserted — only semantics.
     }
+}
+
+/// The progression and simplification `Monitor` ran before it kept a table:
+/// constant folding plus `a == b` on adjacent operands, re-simplified at
+/// every level. Kept verbatim as the reference the table and the ACI normal
+/// form are compared against — under names of its own, because riot-lint
+/// resolves calls by name and would wire `Monitor::step`'s hot cone into a
+/// second `progress` or `step`.
+mod oracle {
+    use riot_formal::{Ltl, Valuation, Verdict3};
+
+    pub fn old_progress(phi: &Ltl, state: Valuation) -> Ltl {
+        let f = match phi {
+            Ltl::True => Ltl::True,
+            Ltl::False => Ltl::False,
+            Ltl::Atom(a) => {
+                if state.contains(*a) {
+                    Ltl::True
+                } else {
+                    Ltl::False
+                }
+            }
+            Ltl::Not(f) => old_progress(f, state).not(),
+            Ltl::And(a, b) => old_progress(a, state).and(old_progress(b, state)),
+            Ltl::Or(a, b) => old_progress(a, state).or(old_progress(b, state)),
+            Ltl::Implies(a, b) => old_progress(a, state).not().or(old_progress(b, state)),
+            Ltl::Next(f) => (**f).clone(),
+            Ltl::Globally(f) => old_progress(f, state).and(phi.clone()),
+            Ltl::Eventually(f) => old_progress(f, state).or(phi.clone()),
+            Ltl::Until(a, b) => old_progress(b, state).or(old_progress(a, state).and(phi.clone())),
+            Ltl::Release(a, b) => {
+                old_progress(b, state).and(old_progress(a, state).or(phi.clone()))
+            }
+        };
+        old_simplify(f)
+    }
+
+    pub fn old_simplify(phi: Ltl) -> Ltl {
+        match phi {
+            Ltl::Not(f) => match old_simplify(*f) {
+                Ltl::True => Ltl::False,
+                Ltl::False => Ltl::True,
+                Ltl::Not(inner) => *inner,
+                g => g.not(),
+            },
+            Ltl::And(a, b) => {
+                let a = old_simplify(*a);
+                let b = old_simplify(*b);
+                match (a, b) {
+                    (Ltl::False, _) | (_, Ltl::False) => Ltl::False,
+                    (Ltl::True, g) | (g, Ltl::True) => g,
+                    (a, b) if a == b => a,
+                    (a, b) => a.and(b),
+                }
+            }
+            Ltl::Or(a, b) => {
+                let a = old_simplify(*a);
+                let b = old_simplify(*b);
+                match (a, b) {
+                    (Ltl::True, _) | (_, Ltl::True) => Ltl::True,
+                    (Ltl::False, g) | (g, Ltl::False) => g,
+                    (a, b) if a == b => a,
+                    (a, b) => a.or(b),
+                }
+            }
+            Ltl::Implies(a, b) => old_simplify(Ltl::Or(Box::new(Ltl::Not(a)), b)),
+            other => other,
+        }
+    }
+
+    fn verdict_of(residual: &Ltl) -> Verdict3 {
+        match residual {
+            Ltl::True => Verdict3::Satisfied,
+            Ltl::False => Verdict3::Violated,
+            _ => Verdict3::Inconclusive,
+        }
+    }
+
+    /// The monitor as it was: one residual, progressed on every step.
+    pub struct OldMonitor {
+        pub residual: Ltl,
+        pub verdict: Verdict3,
+        pub steps: usize,
+    }
+
+    impl OldMonitor {
+        pub fn new(phi: Ltl) -> Self {
+            let residual = old_simplify(phi);
+            OldMonitor {
+                verdict: verdict_of(&residual),
+                residual,
+                steps: 0,
+            }
+        }
+
+        pub fn feed(&mut self, state: Valuation) -> Verdict3 {
+            if self.verdict != Verdict3::Inconclusive {
+                return self.verdict;
+            }
+            self.steps += 1;
+            self.residual = old_progress(&self.residual, state);
+            self.verdict = verdict_of(&self.residual);
+            self.verdict
+        }
+
+        pub fn finish(&self) -> bool {
+            match self.verdict {
+                Verdict3::Satisfied => true,
+                Verdict3::Violated => false,
+                Verdict3::Inconclusive => self.residual.accepts_empty(),
+            }
+        }
+    }
+}
+
+/// `phi` up to associativity, commutativity and idempotence of `&` and `|`
+/// in its boolean skeleton (temporal bodies verbatim, as `simplify` leaves
+/// them): chains flattened, operands sorted and deduplicated, a chain of one
+/// being its operand. Two formulas with the same key differ by those three
+/// laws only.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum AciKey {
+    Leaf(String),
+    Chain(bool, Vec<AciKey>),
+}
+
+fn aci_key(phi: &Ltl) -> AciKey {
+    match phi {
+        Ltl::And(a, b) | Ltl::Or(a, b) => {
+            let conj = matches!(phi, Ltl::And(..));
+            let mut operands = Vec::new();
+            for side in [a, b] {
+                match aci_key(side) {
+                    AciKey::Chain(c, inner) if c == conj => operands.extend(inner),
+                    key => operands.push(key),
+                }
+            }
+            operands.sort();
+            operands.dedup();
+            if operands.len() == 1 {
+                operands.remove(0)
+            } else {
+                AciKey::Chain(conj, operands)
+            }
+        }
+        Ltl::Not(f) => AciKey::Leaf(format!("!{:?}", aci_key(f))),
+        other => AciKey::Leaf(other.to_string()),
+    }
+}
+
+/// A trace of up to `max_len` states made of long constant runs — the shape
+/// of a sampled requirement series, where an outage holds one valuation for
+/// many samples and the old residuals grew by a conjunct a sample.
+fn run_trace(rng: &mut SimRng, max_len: usize) -> Vec<Valuation> {
+    let (_, p, q, r) = atoms3();
+    let n = rng.range_u64(0, max_len as u64 + 1) as usize;
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let mut v = Valuation::EMPTY;
+        v.set(p, rng.chance(0.5));
+        v.set(q, rng.chance(0.5));
+        v.set(r, rng.chance(0.5));
+        let run = rng.range_u64(1, 25) as usize;
+        out.extend(std::iter::repeat_n(v, run.min(n - out.len())));
+    }
+    out
+}
+
+/// The table-driven monitor over the ACI normal form is the old monitor:
+/// same verdict after every state (so the same first-violation and
+/// first-satisfaction instants), same step count, same end-of-trace
+/// resolution, and a residual that differs from the old one by
+/// associativity, commutativity and idempotence only. A rule that collapses
+/// more (complement, absorption), or a transition keyed on less than the
+/// atoms the formula mentions, breaks one of these.
+#[test]
+fn table_monitor_matches_the_old_progression() {
+    let mut rng = SimRng::seed_from(0xF0_0008);
+    let mut definite = 0;
+    for case in 0..2_048 {
+        let phi = ltl_formula(&mut rng, 4);
+        let t = run_trace(&mut rng, 64);
+        assert_eq!(
+            aci_key(&simplify(phi.clone())),
+            aci_key(&oracle::old_simplify(phi.clone())),
+            "case {case}: simplify did more than ACI on {phi}"
+        );
+        let mut old = oracle::OldMonitor::new(phi.clone());
+        let mut new = Monitor::new(phi.clone());
+        assert_eq!(
+            new.verdict(),
+            old.verdict,
+            "case {case}: {phi} before any state"
+        );
+        for (i, s) in t.iter().enumerate() {
+            assert_eq!(
+                new.step(*s),
+                old.feed(*s),
+                "case {case}: {phi} after state {i}"
+            );
+            assert_eq!(new.steps(), old.steps, "case {case}: {phi} after state {i}");
+            assert_eq!(
+                aci_key(new.residual()),
+                aci_key(&old.residual),
+                "case {case}: {phi} after state {i}"
+            );
+        }
+        assert_eq!(new.finish(), old.finish(), "case {case}: {phi}");
+        assert_eq!(new.finish(), phi.evaluate(&t, 0), "case {case}: {phi}");
+        definite += usize::from(new.verdict() != riot_formal::Verdict3::Inconclusive);
+    }
+    assert!(
+        (256..1_792).contains(&definite),
+        "the sample must mix definite and open verdicts, got {definite}"
+    );
 }
 
 /// The classical dualities hold under the finite-trace semantics.

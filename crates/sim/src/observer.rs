@@ -35,7 +35,6 @@ use crate::time::SimTime;
 use crate::trace::TraceKind;
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// What happened at one emitted instant. Mirrors [`TraceKind`] but keeps the
@@ -241,7 +240,7 @@ impl SimEventKind {
 }
 
 /// One event on the observability bus.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SimEvent {
     /// Virtual time of the event.
     pub at: SimTime,
@@ -250,6 +249,38 @@ pub struct SimEvent {
     /// `Debug` rendering of the payload when `trace_payloads` is enabled and
     /// the event carries one; empty otherwise.
     pub detail: String,
+}
+
+impl Clone for SimEvent {
+    fn clone(&self) -> Self {
+        SimEvent {
+            at: self.at,
+            kind: self.kind.clone(),
+            detail: self.detail.clone(),
+        }
+    }
+
+    /// Overwrites `self` reusing its string buffers: a slot of a full
+    /// [`RingTrace`] takes the next event without allocating once its
+    /// buffers have grown to the texts the run emits.
+    fn clone_from(&mut self, source: &Self) {
+        self.at = source.at;
+        match (&mut self.kind, &source.kind) {
+            (
+                SimEventKind::Note { id, text },
+                SimEventKind::Note {
+                    id: from,
+                    text: src,
+                },
+            ) => {
+                *id = *from;
+                text.clone_from(src);
+            }
+            // riot-lint: allow(A1, reason = "allocates only when a Note lands on a slot that held another kind (one text buffer); every other kind is plain data")
+            (kind, from) => *kind = from.clone(),
+        }
+        self.detail.clone_from(&source.detail);
+    }
 }
 
 impl fmt::Display for SimEvent {
@@ -374,15 +405,24 @@ pub fn take_crash_tail() -> Option<Vec<String>> {
 /// A bounded recording observer: keeps the last `capacity` events, evicting
 /// the oldest, so long runs get crash forensics without unbounded retention.
 ///
+/// The ring holds events, not text: nothing is rendered until someone reads
+/// the tail ([`RingTrace::tail_json_lines`]), and [`RingTrace::take_tail`]
+/// hands the events on still unrendered. A full ring overwrites its oldest
+/// slot in place, so steady state allocates nothing.
+///
 /// With [`RingTrace::forensics`], the ring publishes its rendered tail to a
 /// thread-local when dropped during a panic unwind ([`take_crash_tail`]),
 /// which is how harness cells ship their final events inside `CellError`
-/// rows. The publication path only runs while unwinding — a completed run
-/// pays nothing beyond the ring itself.
+/// rows. A crash is the moment the tail is read, so that path renders; it
+/// only runs while unwinding — a completed run pays nothing beyond the ring
+/// itself.
 #[derive(Debug)]
 pub struct RingTrace {
     capacity: usize,
-    ring: VecDeque<SimEvent>,
+    /// Up to `capacity` events. Once full, `oldest` indexes the next slot to
+    /// overwrite and the tail reads `slots[oldest..]` then `slots[..oldest]`.
+    slots: Vec<SimEvent>,
+    oldest: usize,
     forensics: bool,
 }
 
@@ -392,7 +432,8 @@ impl RingTrace {
         let capacity = capacity.max(1);
         RingTrace {
             capacity,
-            ring: VecDeque::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            oldest: 0,
             forensics: false,
         }
     }
@@ -412,32 +453,44 @@ impl RingTrace {
 
     /// Number of currently retained events.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.slots.len()
     }
 
     /// `true` if nothing has been observed yet.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.slots.is_empty()
     }
 
     /// The retained events, oldest first.
     pub fn tail(&self) -> impl Iterator<Item = &SimEvent> {
-        self.ring.iter()
+        let (newer, older) = self.slots.split_at(self.oldest);
+        older.iter().chain(newer)
+    }
+
+    /// Moves the retained events out, oldest first, leaving the ring empty.
+    pub fn take_tail(&mut self) -> Vec<SimEvent> {
+        self.slots.rotate_left(self.oldest);
+        self.oldest = 0;
+        std::mem::take(&mut self.slots)
     }
 
     /// The retained events rendered as compact JSON lines, oldest first.
     pub fn tail_json_lines(&self) -> Vec<String> {
-        self.ring.iter().map(|e| e.to_json().render()).collect()
+        self.tail().map(|e| e.to_json().render()).collect()
     }
 }
 
 impl SimObserver for RingTrace {
     fn on_event(&mut self, event: &SimEvent) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+        let full = self.slots.len() == self.capacity;
+        match self.slots.get_mut(self.oldest) {
+            Some(slot) if full => {
+                slot.clone_from(event);
+                self.oldest = (self.oldest + 1) % self.capacity;
+            }
+            // riot-lint: allow(A1, reason = "clones only while the ring fills, at most `capacity` times a run; a full ring overwrites in place")
+            _ => self.slots.push(event.clone()),
         }
-        // riot-lint: allow(A1, reason = "forensic ring is opt-in via spec.trace_tail; not installed on benchmarked hot runs")
-        self.ring.push_back(event.clone());
     }
 
     fn name(&self) -> &str {
@@ -447,7 +500,7 @@ impl SimObserver for RingTrace {
 
 impl Drop for RingTrace {
     fn drop(&mut self) {
-        if self.forensics && std::thread::panicking() && !self.ring.is_empty() {
+        if self.forensics && std::thread::panicking() && !self.slots.is_empty() {
             let tail = self.tail_json_lines();
             CRASH_TAIL.with(|cell| *cell.borrow_mut() = Some(tail));
         }
@@ -484,6 +537,44 @@ mod tests {
             })
             .collect();
         assert_eq!(tags, vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn overwritten_slots_keep_nothing_of_the_evicted_event() {
+        let note = |n: u64, text: &str| SimEvent {
+            at: SimTime::from_micros(n),
+            kind: SimEventKind::Note {
+                id: ProcessId(usize::MAX),
+                text: text.to_owned(),
+            },
+            detail: format!("payload {n}"),
+        };
+        // Ten events through three slots: the long note at 2 is evicted by a
+        // timer, the short note at 8 lands on a slot that held a timer, and
+        // the one at 5 is overwritten by it.
+        let events: Vec<SimEvent> = (0..10)
+            .map(|n| match n {
+                2 => note(n, "an evicted note with a long text"),
+                5 => note(n, "overwritten in place"),
+                8 => note(n, "kept"),
+                _ => ev(n),
+            })
+            .collect();
+        let mut ring = RingTrace::new(3);
+        for e in &events {
+            ring.on_event(e);
+        }
+        assert_eq!(ring.len(), 3);
+        let tail: Vec<SimEvent> = ring.tail().cloned().collect();
+        assert_eq!(tail, events[7..], "the last three, oldest first, verbatim");
+        assert_eq!(
+            ring.tail_json_lines()[1],
+            r#"{"t_us":8,"kind":"note","id":"external","text":"kept","detail":"payload 8"}"#
+        );
+        assert_eq!(ring.take_tail(), events[7..], "moved out in the same order");
+        assert!(ring.is_empty(), "and the ring starts over");
+        ring.on_event(&events[0]);
+        assert_eq!(ring.tail().count(), 1);
     }
 
     #[test]

@@ -554,6 +554,7 @@ impl<M: fmt::Debug> fmt::Debug for Sim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
     use crate::medium::LossyMedium;
     use crate::observer::{RingTrace, SimEvent};
     use crate::trace::TraceKind;
@@ -1009,6 +1010,45 @@ mod tests {
         let ring = sim.observer::<RingTrace>(0).unwrap();
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.tail_json_lines().len(), 4);
+    }
+
+    #[test]
+    fn ring_tail_rendered_late_equals_lines_rendered_on_arrival() {
+        /// The eager reference: every event rendered as it arrives.
+        struct Eager(Vec<String>);
+        impl SimObserver for Eager {
+            fn on_event(&mut self, event: &SimEvent) {
+                self.0.push(event.to_json().render());
+            }
+        }
+        let mut sim: Sim<Msg> = SimBuilder::new(1)
+            .trace_payloads(true)
+            .observer(RingTrace::new(5))
+            .observer(Eager(Vec::new()))
+            .build();
+        let a = sim.add_process(Counter::new());
+        for i in 0..12 {
+            sim.send_external(a, Msg::Ping(i));
+            sim.annotate(format!("phase={i}"));
+        }
+        sim.run_to_completion();
+        let eager = sim.observer::<Eager>(1).unwrap().0.clone();
+        let last = &eager[eager.len() - 5..];
+        assert!(
+            last.iter().any(|l| l.contains(r#""detail":"Ping("#)),
+            "{last:?}"
+        );
+        assert!(eager.iter().any(|l| l.contains(r#""text":"phase=11""#)));
+        // Slots were overwritten in place many times over, by notes and by
+        // payload-carrying deliveries alike; the tail reads as if each line
+        // had been rendered when its event happened.
+        assert_eq!(
+            sim.observer::<RingTrace>(0).unwrap().tail_json_lines(),
+            last
+        );
+        let taken = sim.observer_mut::<RingTrace>(0).unwrap().take_tail();
+        let rendered: Vec<String> = taken.iter().map(|e| e.to_json().render()).collect();
+        assert_eq!(rendered, last);
     }
 
     #[test]
