@@ -21,8 +21,8 @@ use std::collections::BTreeMap;
 const TAG_MAPE: u64 = 1;
 const TAG_SYNC: u64 = 2;
 
-/// Pre-interned keys for the cloud's metric names (see `DeviceKeys` for the
-/// pattern): minted on the first callback, allocation-free thereafter.
+/// Pre-interned keys for the cloud's metric names: minted on the first
+/// callback, allocation-free thereafter.
 #[derive(Debug, Clone, Copy)]
 struct CloudKeys {
     ingest_denied: MetricKey,

@@ -24,19 +24,46 @@ const TAG_CONTROL: u64 = 2;
 const TAG_RESTART_DONE: u64 = 3;
 const TAG_TIMEOUT_BASE: u64 = 1 << 32;
 
-/// Static configuration of one device.
-#[derive(Debug, Clone)]
-pub struct DeviceConfig {
+/// What every device of one edge group has in common, built once and
+/// shared: a [`DeviceProcess`] carries only what differs between devices
+/// (the architecture alone is 176 bytes).
+#[derive(Debug)]
+pub struct DeviceGroup {
     /// The architecture being realized.
     pub arch: ArchitectureConfig,
-    /// The device's primary edge.
-    pub primary_edge: ProcessId,
-    /// Backup edges, in failover order (used at ML4). Shared: every device
-    /// on the same edge holds the same failover list, so one allocation
-    /// serves the whole edge group.
-    pub backup_edges: Rc<[ProcessId]>,
+    /// Backup edges, in failover order (used at ML4).
+    pub backup_edges: Vec<ProcessId>,
     /// The cloud node.
     pub cloud: ProcessId,
+    keys: DeviceKeys,
+}
+
+impl DeviceGroup {
+    /// Builds one group's shared configuration, interning the devices'
+    /// metric names in the run's `metrics`.
+    pub fn new(
+        arch: ArchitectureConfig,
+        backup_edges: Vec<ProcessId>,
+        cloud: ProcessId,
+        metrics: &mut Metrics,
+    ) -> Rc<Self> {
+        Rc::new(DeviceGroup {
+            arch,
+            backup_edges,
+            cloud,
+            keys: DeviceKeys::new(metrics),
+        })
+    }
+}
+
+/// Static configuration of one device: its group's shared part, and what
+/// differs from device to device.
+#[derive(Debug, Clone)]
+pub struct DeviceConfig {
+    /// Architecture, failover list and cloud, shared by the edge group.
+    pub group: Rc<DeviceGroup>,
+    /// The device's primary edge.
+    pub primary_edge: ProcessId,
     /// The device's component.
     pub component: ComponentId,
     /// Data key this device writes (interned in the run's
@@ -83,9 +110,8 @@ impl DeviceWindow {
     }
 }
 
-/// Pre-interned keys for the device's metric names, minted on the first
-/// callback with kernel access and reused for every update thereafter —
-/// the control loop's metric writes are allocation-free at steady state.
+/// Pre-interned keys for the device's metric names, minted once per
+/// [`DeviceGroup`] — the control loop's metric writes never allocate.
 #[derive(Debug, Clone, Copy)]
 struct DeviceKeys {
     rehome: MetricKey,
@@ -110,47 +136,66 @@ impl DeviceKeys {
 }
 
 /// The device process.
+///
+/// `repr(C)` pins the declared order: the fields a sense or control tick
+/// reads and writes come first and fill the first 64 bytes, `group` — the
+/// one other thing such a tick follows — starts the next, and what only
+/// message handling, failover or the rescan oracle touches sits behind
+/// (DESIGN.md §9, "Per-event memory"; pinned by `layout_keeps_a_tick_…`).
 #[derive(Debug)]
+#[repr(C)]
 pub struct DeviceProcess {
-    cfg: DeviceConfig,
-    keys: Option<DeviceKeys>,
-    state: ComponentState,
+    /// Scenario node-state slab and this device's slot in it. When
+    /// attached, the sampling window and the last-sense instant live in
+    /// the slab row and nowhere else.
+    slab: Option<(NodeSlab, u32)>,
+    on_backup_since: Option<SimTime>,
     /// 0 = primary edge; `i > 0` = `backup_edges[i - 1]`.
     controller_idx: usize,
+    reading_seq: u64,
     next_req: u64,
+    consecutive_timeouts: u32,
+    state: ComponentState,
+    group: Rc<DeviceGroup>,
+    primary_edge: ProcessId,
+    data_key: DataKey,
+    component: ComponentId,
+    domain: DomainId,
+    sensitivity: Sensitivity,
     /// Outstanding control requests, newest last. Lookup is by linear scan:
     /// at most a handful of requests are ever in flight (the control period
     /// exceeds the deadline), and a short `Vec` beats a tree here.
     pending: Vec<(u64, SimTime)>,
-    consecutive_timeouts: u32,
-    reading_seq: u64,
+    failovers: u64,
+    /// The sampling window and last-sense instant of a device *without* a
+    /// slab (the full-rescan sampler and bare-`Sim` tests); never written
+    /// once a slab is attached, so the rescan oracle reads state the
+    /// incremental path has no hand in.
     window: DeviceWindow,
     last_reading_at: Option<SimTime>,
-    failovers: u64,
-    on_backup_since: Option<SimTime>,
-    /// Scenario node-state slab and this device's slot in it. The local
-    /// `window` stays maintained in parallel: the full-rescan sampler (the
-    /// incremental path's oracle) drains it directly.
-    slab: Option<(NodeSlab, u32)>,
 }
 
 impl DeviceProcess {
     /// Creates a device with its component running.
     pub fn new(cfg: DeviceConfig) -> Self {
         DeviceProcess {
-            cfg,
-            keys: None,
-            state: ComponentState::Running,
+            slab: None,
+            on_backup_since: None,
             controller_idx: 0,
-            next_req: 0,
-            pending: Vec::new(),
-            consecutive_timeouts: 0,
             reading_seq: 0,
+            next_req: 0,
+            consecutive_timeouts: 0,
+            state: ComponentState::Running,
+            group: cfg.group,
+            primary_edge: cfg.primary_edge,
+            data_key: cfg.data_key,
+            component: cfg.component,
+            domain: cfg.domain,
+            sensitivity: cfg.sensitivity,
+            pending: Vec::new(),
+            failovers: 0,
             window: DeviceWindow::default(),
             last_reading_at: None,
-            failovers: 0,
-            on_backup_since: None,
-            slab: None,
         }
     }
 
@@ -172,13 +217,15 @@ impl DeviceProcess {
         }
     }
 
-    /// Drains and resets the sampling window.
-    pub fn take_window(&mut self) -> DeviceWindow {
+    /// Drains and resets the local sampling window — empty when a slab is
+    /// attached, which then holds the window.
+    pub(crate) fn take_window(&mut self) -> DeviceWindow {
         std::mem::take(&mut self.window)
     }
 
-    /// When the device last produced a reading.
-    pub fn last_reading_at(&self) -> Option<SimTime> {
+    /// When the device last produced a reading — `None` when a slab is
+    /// attached, which then holds the instant.
+    pub(crate) fn last_reading_at(&self) -> Option<SimTime> {
         self.last_reading_at
     }
 
@@ -190,7 +237,7 @@ impl DeviceProcess {
     /// Re-homes the device to a new primary edge (the mobility disruption:
     /// the device roamed and re-associated).
     pub fn rehome(&mut self, new_primary: ProcessId) {
-        self.cfg.primary_edge = new_primary;
+        self.primary_edge = new_primary;
         self.controller_idx = 0;
         self.consecutive_timeouts = 0;
         self.on_backup_since = None;
@@ -199,29 +246,42 @@ impl DeviceProcess {
     /// The edge currently serving this device.
     pub fn current_edge(&self) -> ProcessId {
         if self.controller_idx == 0 {
-            self.cfg.primary_edge
+            self.primary_edge
         } else {
             // riot-lint: allow(P1, reason = "controller_idx wraps mod backup_edges.len() + 1 on failover")
-            self.cfg.backup_edges[self.controller_idx - 1]
+            self.group.backup_edges[self.controller_idx - 1]
         }
     }
 
-    /// The interned metric keys, minting them on first use.
-    fn hot_keys(&mut self, ctx: &mut Ctx<'_, Msg>) -> DeviceKeys {
-        *self
-            .keys
-            .get_or_insert_with(|| DeviceKeys::new(ctx.metrics()))
+    /// Counts one control round-trip into the sampling window.
+    fn note_control_ok(&mut self, latency_ms: f64) {
+        match &self.slab {
+            Some((slab, slot)) => slab.note_control_ok(*slot, latency_ms),
+            None => {
+                self.window.control_ok += 1;
+                self.window.latency_sum_ms += latency_ms;
+                self.window.latency_count += 1;
+            }
+        }
+    }
+
+    /// Counts one timed-out control request into the sampling window.
+    fn note_control_timeout(&mut self) {
+        match &self.slab {
+            Some((slab, slot)) => slab.note_control_timeout(*slot),
+            None => self.window.control_timeout += 1,
+        }
     }
 
     fn controller(&self) -> Option<ProcessId> {
-        match self.cfg.arch.control {
+        match self.group.arch.control {
             ControlPlacement::LocalOnly => None,
-            ControlPlacement::Cloud => Some(self.cfg.cloud),
+            ControlPlacement::Cloud => Some(self.group.cloud),
             ControlPlacement::Edge => Some(if self.controller_idx == 0 {
-                self.cfg.primary_edge
+                self.primary_edge
             } else {
                 // ML3's slow remote redirection parks the device on the cloud.
-                self.cfg.cloud
+                self.group.cloud
             }),
             ControlPlacement::EdgeWithFailover => Some(self.current_edge()),
         }
@@ -233,9 +293,9 @@ impl DeviceProcess {
 
     fn meta(&self, now: SimTime) -> DataMeta {
         DataMeta {
-            sensitivity: self.cfg.sensitivity,
+            sensitivity: self.sensitivity,
             purposes: PurposeSet::only(riot_data::Purpose::Operations),
-            origin: self.cfg.domain,
+            origin: self.domain,
             produced_at: now,
         }
     }
@@ -252,9 +312,9 @@ impl DeviceProcess {
         }
         self.reading_seq += 1;
         let now = ctx.now();
-        self.last_reading_at = Some(now);
-        if let Some((slab, slot)) = &self.slab {
-            slab.note_sense(*slot, now);
+        match &self.slab {
+            Some((slab, slot)) => slab.note_sense(*slot, now),
+            None => self.last_reading_at = Some(now),
         }
         let value = 20.0 + (self.reading_seq % 10) as f64 + ctx.rng().unit();
         if let Some(host) = self.data_host() {
@@ -262,10 +322,10 @@ impl DeviceProcess {
             ctx.send(
                 host,
                 Msg::App(AppMsg::Reading {
-                    key: self.cfg.data_key,
+                    key: self.data_key,
                     value,
                     meta,
-                    component: self.cfg.component,
+                    component: self.component,
                     state: self.state,
                     device: ctx.id(),
                 }),
@@ -277,12 +337,11 @@ impl DeviceProcess {
         // A device parked on a backup edge re-probes its primary after a
         // while: backup residency is a refuge, not a new home.
         if let Some(since) = self.on_backup_since {
-            if ctx.now().saturating_since(since) >= self.cfg.arch.rehome_after {
+            if ctx.now().saturating_since(since) >= self.group.arch.rehome_after {
                 self.controller_idx = 0;
                 self.on_backup_since = None;
                 self.consecutive_timeouts = 0;
-                let key = self.hot_keys(ctx).rehome;
-                ctx.metrics().incr_key(key);
+                ctx.metrics().incr_key(self.group.keys.rehome);
             }
         }
         match self.controller() {
@@ -290,17 +349,9 @@ impl DeviceProcess {
                 // ML1: the bundled local controller decides. It works iff
                 // the component is alive — and there is nobody to fix it.
                 if self.state.provides_service() {
-                    self.window.control_ok += 1;
-                    self.window.latency_sum_ms += 1.0;
-                    self.window.latency_count += 1;
-                    if let Some((slab, slot)) = &self.slab {
-                        slab.note_control_ok(*slot, 1.0);
-                    }
+                    self.note_control_ok(1.0);
                 } else {
-                    self.window.control_timeout += 1;
-                    if let Some((slab, slot)) = &self.slab {
-                        slab.note_control_timeout(*slot);
-                    }
+                    self.note_control_timeout();
                 }
             }
             Some(controller) => {
@@ -312,7 +363,7 @@ impl DeviceProcess {
                     controller,
                     Msg::App(AppMsg::ControlRequest { req_id, issued_at }),
                 );
-                ctx.schedule(self.cfg.arch.control_deadline, TAG_TIMEOUT_BASE + req_id);
+                ctx.schedule(self.group.arch.control_deadline, TAG_TIMEOUT_BASE + req_id);
             }
         }
     }
@@ -321,19 +372,16 @@ impl DeviceProcess {
         if self.take_pending(req_id).is_none() {
             return; // reply beat the deadline
         }
-        self.window.control_timeout += 1;
-        if let Some((slab, slot)) = &self.slab {
-            slab.note_control_timeout(*slot);
-        }
-        let key = self.hot_keys(ctx).control_timeout;
-        ctx.metrics().incr_key(key);
+        self.note_control_timeout();
+        ctx.metrics().incr_key(self.group.keys.control_timeout);
         self.consecutive_timeouts += 1;
-        match self.cfg.arch.control {
+        match self.group.arch.control {
             ControlPlacement::EdgeWithFailover
-                if self.consecutive_timeouts >= self.cfg.arch.failover_after_timeouts
-                    && !self.cfg.backup_edges.is_empty() =>
+                if self.consecutive_timeouts >= self.group.arch.failover_after_timeouts
+                    && !self.group.backup_edges.is_empty() =>
             {
-                self.controller_idx = (self.controller_idx + 1) % (self.cfg.backup_edges.len() + 1);
+                self.controller_idx =
+                    (self.controller_idx + 1) % (self.group.backup_edges.len() + 1);
                 self.on_backup_since = if self.controller_idx == 0 {
                     None
                 } else {
@@ -341,14 +389,13 @@ impl DeviceProcess {
                 };
                 self.consecutive_timeouts = 0;
                 self.failovers += 1;
-                let key = self.hot_keys(ctx).failover;
-                ctx.metrics().incr_key(key);
+                ctx.metrics().incr_key(self.group.keys.failover);
                 if ctx.is_observing() {
                     ctx.annotate(format!("failover to {}", self.current_edge()));
                 }
             }
             ControlPlacement::Edge
-                if self.consecutive_timeouts >= self.cfg.arch.ml3_fallback_timeouts =>
+                if self.consecutive_timeouts >= self.group.arch.ml3_fallback_timeouts =>
             {
                 self.controller_idx = 1 - self.controller_idx.min(1);
                 self.on_backup_since = if self.controller_idx == 0 {
@@ -358,8 +405,7 @@ impl DeviceProcess {
                 };
                 self.consecutive_timeouts = 0;
                 self.failovers += 1;
-                let key = self.hot_keys(ctx).ml3_fallback;
-                ctx.metrics().incr_key(key);
+                ctx.metrics().incr_key(self.group.keys.ml3_fallback);
             }
             _ => {}
         }
@@ -368,14 +414,12 @@ impl DeviceProcess {
 
 impl Process<Msg> for DeviceProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.hot_keys(ctx);
         // Stagger periodic activity so devices do not phase-lock.
-        let sense_jitter = ctx
-            .rng()
-            .range_u64(0, self.cfg.arch.sense_period.as_micros().max(1));
+        let arch = &self.group.arch;
+        let sense_jitter = ctx.rng().range_u64(0, arch.sense_period.as_micros().max(1));
         let control_jitter = ctx
             .rng()
-            .range_u64(0, self.cfg.arch.control_period.as_micros().max(1));
+            .range_u64(0, arch.control_period.as_micros().max(1));
         ctx.schedule(riot_sim::SimDuration::from_micros(sense_jitter), TAG_SENSE);
         ctx.schedule(
             riot_sim::SimDuration::from_micros(control_jitter),
@@ -389,23 +433,18 @@ impl Process<Msg> for DeviceProcess {
                 if self.take_pending(req_id).is_some() =>
             {
                 let latency_ms = (ctx.now() - issued_at).as_millis_f64();
-                self.window.control_ok += 1;
-                self.window.latency_sum_ms += latency_ms;
-                self.window.latency_count += 1;
-                if let Some((slab, slot)) = &self.slab {
-                    slab.note_control_ok(*slot, latency_ms);
-                }
+                self.note_control_ok(latency_ms);
                 self.consecutive_timeouts = 0;
-                let key = self.hot_keys(ctx).control_latency_ms;
+                let key = self.group.keys.control_latency_ms;
                 ctx.metrics().observe_key(key, latency_ms);
                 // Same value onto the observability bus for streaming
                 // consumers; one branch when nobody listens.
                 ctx.measure(key, latency_ms);
             }
             Msg::App(AppMsg::Restart { component })
-                if component == self.cfg.component && self.state == ComponentState::Failed =>
+                if component == self.component && self.state == ComponentState::Failed =>
             {
-                ctx.schedule(self.cfg.arch.restart_delay, TAG_RESTART_DONE);
+                ctx.schedule(self.group.arch.restart_delay, TAG_RESTART_DONE);
             }
             _ => {}
         }
@@ -415,19 +454,18 @@ impl Process<Msg> for DeviceProcess {
         match tag {
             TAG_SENSE => {
                 self.sense(ctx);
-                ctx.schedule(self.cfg.arch.sense_period, TAG_SENSE);
+                ctx.schedule(self.group.arch.sense_period, TAG_SENSE);
             }
             TAG_CONTROL => {
                 self.run_control(ctx);
-                ctx.schedule(self.cfg.arch.control_period, TAG_CONTROL);
+                ctx.schedule(self.group.arch.control_period, TAG_CONTROL);
             }
             TAG_RESTART_DONE if self.state == ComponentState::Failed => {
                 self.state = ComponentState::Running;
                 if let Some((slab, slot)) = &self.slab {
                     slab.set_serving(*slot, true);
                 }
-                let key = self.hot_keys(ctx).component_restarted;
-                ctx.metrics().incr_key(key);
+                ctx.metrics().incr_key(self.group.keys.component_restarted);
             }
             t if t >= TAG_TIMEOUT_BASE => {
                 self.on_control_timeout(ctx, t - TAG_TIMEOUT_BASE);
@@ -447,12 +485,15 @@ mod tests {
     use riot_model::MaturityLevel;
     use riot_sim::{Sim, SimBuilder};
 
-    fn device_cfg(level: MaturityLevel) -> DeviceConfig {
+    fn device_cfg(level: MaturityLevel, metrics: &mut Metrics) -> DeviceConfig {
         DeviceConfig {
-            arch: ArchitectureConfig::for_level(level),
+            group: DeviceGroup::new(
+                ArchitectureConfig::for_level(level),
+                vec![ProcessId(1)],
+                ProcessId(2),
+                metrics,
+            ),
             primary_edge: ProcessId(0),
-            backup_edges: vec![ProcessId(1)].into(),
-            cloud: ProcessId(2),
             component: ComponentId(0),
             data_key: riot_data::KeySpace::new().intern("dev/reading"),
             sensitivity: Sensitivity::Internal,
@@ -493,7 +534,8 @@ mod tests {
             requests: 0,
             readings: 0,
         });
-        let dev = sim.add_process(DeviceProcess::new(device_cfg(level)));
+        let cfg = device_cfg(level, sim.metrics_mut());
+        let dev = sim.add_process(DeviceProcess::new(cfg));
         (sim, primary, cloud, dev)
     }
 
@@ -620,7 +662,7 @@ mod tests {
         let host = sim.add_process(Inspect { seen: None });
         let _b = sim.add_process(Inspect { seen: None });
         let _c = sim.add_process(Inspect { seen: None });
-        let mut cfg = device_cfg(MaturityLevel::Ml3);
+        let mut cfg = device_cfg(MaturityLevel::Ml3, sim.metrics_mut());
         cfg.primary_edge = host;
         cfg.sensitivity = Sensitivity::Personal;
         cfg.domain = DomainId(9);
@@ -629,6 +671,46 @@ mod tests {
         let meta = sim.process::<Inspect>(host).unwrap().seen.unwrap();
         assert_eq!(meta.sensitivity, Sensitivity::Personal);
         assert_eq!(meta.origin, DomainId(9));
+    }
+
+    #[test]
+    fn layout_keeps_a_tick_inside_the_first_two_lines() {
+        use std::mem::{offset_of, size_of};
+        assert!(size_of::<DeviceProcess>() <= 192);
+        // What an ML1 sense or control tick reads or writes: the first 64
+        // bytes, and the shared-config pointer right behind them.
+        for hot in [
+            offset_of!(DeviceProcess, slab) + size_of::<Option<(NodeSlab, u32)>>(),
+            offset_of!(DeviceProcess, on_backup_since) + size_of::<Option<SimTime>>(),
+            offset_of!(DeviceProcess, controller_idx) + size_of::<usize>(),
+            offset_of!(DeviceProcess, reading_seq) + size_of::<u64>(),
+            offset_of!(DeviceProcess, next_req) + size_of::<u64>(),
+            offset_of!(DeviceProcess, consecutive_timeouts) + size_of::<u32>(),
+            offset_of!(DeviceProcess, state) + size_of::<ComponentState>(),
+        ] {
+            assert!(hot <= 64, "a hot field ends at byte {hot}");
+        }
+        assert!(offset_of!(DeviceProcess, group) + size_of::<Rc<DeviceGroup>>() <= 128);
+        // The no-slab window is the one thing a slab-attached tick never
+        // touches; it may sit anywhere behind.
+        assert!(offset_of!(DeviceProcess, window) >= 64);
+    }
+
+    #[test]
+    fn window_and_last_sense_live_in_the_slab_row_when_one_is_attached() {
+        let (mut sim, _, _, dev) = world(MaturityLevel::Ml3);
+        let slab = NodeSlab::new(riot_sim::SimDuration::from_secs(3), vec![false]);
+        sim.process_mut::<DeviceProcess>(dev)
+            .unwrap()
+            .attach_slab(slab.clone(), 0);
+        sim.run_until(SimTime::from_secs(5));
+        let d = sim.process_mut::<DeviceProcess>(dev).unwrap();
+        assert_eq!(d.take_window(), DeviceWindow::default(), "no second copy");
+        assert_eq!(d.last_reading_at(), None, "no second copy");
+        let fold = slab.sample_fold(SimTime::from_secs(5), 1.0e6);
+        assert!(fold.window.control_ok >= 8, "{:?}", fold.window);
+        assert_eq!(fold.window.latency_count, fold.window.control_ok);
+        assert_eq!(fold.covered, 1, "the row saw the senses");
     }
 
     #[test]

@@ -21,8 +21,8 @@ const TAG_COORD: u64 = 1;
 const TAG_SYNC: u64 = 2;
 const TAG_MAPE: u64 = 3;
 
-/// Pre-interned keys for the edge's metric names (see `DeviceKeys` for the
-/// pattern): minted on the first callback, allocation-free thereafter.
+/// Pre-interned keys for the edge's metric names: minted on the first
+/// callback, allocation-free thereafter.
 #[derive(Debug, Clone, Copy)]
 struct EdgeKeys {
     swim_state_change: MetricKey,

@@ -65,7 +65,7 @@ mod state;
 
 pub use cloud::{CloudConfig, CloudProcess};
 pub use config::{ArchitectureConfig, ControlPlacement, MapePlacement, ReplicationMode};
-pub use device::{DeviceConfig, DeviceProcess, DeviceWindow};
+pub use device::{DeviceConfig, DeviceGroup, DeviceProcess, DeviceWindow};
 pub use edge::{EdgeConfig, EdgeProcess};
 pub use mobility::{roaming_schedule, Layout, MobilitySpec};
 pub use msg::{AppMsg, Msg, PolicyUpdate};

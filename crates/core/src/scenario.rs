@@ -17,7 +17,7 @@
 
 use crate::cloud::{CloudConfig, CloudProcess};
 use crate::config::{ArchitectureConfig, ReplicationMode};
-use crate::device::{DeviceConfig, DeviceProcess, DeviceWindow};
+use crate::device::{DeviceConfig, DeviceGroup, DeviceProcess, DeviceWindow};
 use crate::edge::{EdgeConfig, EdgeProcess};
 use crate::msg::Msg;
 use crate::observe::{
@@ -662,34 +662,30 @@ impl Scenario {
             debug_assert_eq!(id, e);
         }
 
-        // Failover lists are identical for every device on the same edge;
-        // build each once and share the allocation across the edge group.
-        let backups_of_edge: Vec<Rc<[ProcessId]>> = (0..spec.edges)
+        // Architecture, failover list, cloud id and metric keys are
+        // identical for every device on the same edge: one shared
+        // allocation per edge group.
+        let group_of_edge: Vec<Rc<DeviceGroup>> = (0..spec.edges)
             .map(|e| {
-                (1..spec.edges)
+                let backups = (1..spec.edges)
                     // riot-lint: allow(P1, reason = "hierarchy.edges has exactly spec.edges entries; the index is reduced mod spec.edges")
                     .map(|k| hierarchy.edges[(e + k) % spec.edges])
-                    .collect()
+                    .collect();
+                DeviceGroup::new(arch.clone(), backups, hierarchy.cloud, sim.metrics_mut())
             })
             .collect();
 
         let mut devices = Vec::with_capacity(spec.device_count());
         let mut global_idx = 0usize;
-        for (e, devs) in hierarchy.devices.iter().enumerate() {
+        for (e, (devs, group)) in hierarchy.devices.iter().zip(&group_of_edge).enumerate() {
             for &d in devs {
                 let personal =
                     spec.personal_every > 0 && global_idx.is_multiple_of(spec.personal_every);
                 let key = keys.intern(&format!("dev{}/reading", d.0));
-                let backups = backups_of_edge
-                    .get(e)
-                    .cloned()
-                    .unwrap_or_else(|| Rc::from([]));
                 let mut dev = DeviceProcess::new(DeviceConfig {
-                    arch: arch.clone(),
+                    group: group.clone(),
                     // riot-lint: allow(P1, reason = "e enumerates hierarchy.devices, built with one entry per edge")
                     primary_edge: hierarchy.edges[e],
-                    backup_edges: backups,
-                    cloud: hierarchy.cloud,
                     component: riot_model::ComponentId(d.0 as u32),
                     data_key: key,
                     sensitivity: if personal {
@@ -1585,6 +1581,83 @@ mod tests {
             detected <= 20.0,
             "online detection flags within a few samples: {detected}"
         );
+    }
+
+    /// Disruptions packed inside single sampling periods — the ticks in
+    /// which a slab row's flag bits and its window change together.
+    fn same_tick_storm(spec: &ScenarioSpec) -> DisruptionSchedule {
+        let ms = SimTime::from_millis;
+        let fault = |node| Disruption::ComponentFault {
+            node,
+            component: riot_model::ComponentId(0),
+        };
+        let crash = |node, back_ms| Disruption::NodeCrash {
+            node,
+            recover_after: Some(SimDuration::from_millis(back_ms)),
+        };
+        // (12 s, 13 s]: a fault storm over one edge's devices.
+        let mut storm = DisruptionSchedule::new();
+        for d in 0..spec.devices_per_edge {
+            storm.push(ms(12_100 + 150 * d as u64), fault(spec.device_id(0, d)));
+        }
+        storm
+            // (14 s, 15 s]: a device crashes and restarts, its neighbour
+            // roams to another edge, all inside one period.
+            .at(ms(14_200), crash(spec.device_id(1, 0), 400))
+            .at(
+                ms(14_500),
+                Disruption::Mobility {
+                    device: spec.device_id(1, 1),
+                    new_parent: spec.edge_id(0),
+                },
+            )
+            // On a sample instant exactly: the injections run before the
+            // sample, and the crash outlasts the freshness horizon.
+            .at(ms(16_000), crash(spec.device_id(2, 1), 4_500))
+            .at(ms(16_000), fault(spec.device_id(2, 0)))
+            // An edge blinks: control rounds time out (and ML4 devices fail
+            // over) while the faulted devices above are being restarted.
+            .at(ms(18_300), crash(spec.edge_id(1), 700))
+            // A crashed-and-faulted device: both inputs down, one comes back.
+            .at(ms(21_100), fault(spec.device_id(1, 2)))
+            .at(ms(21_400), crash(spec.device_id(1, 2), 300))
+    }
+
+    #[test]
+    fn incremental_sampling_equals_full_rescan_on_every_level() {
+        let levels = [
+            MaturityLevel::Ml1,
+            MaturityLevel::Ml2,
+            MaturityLevel::Ml3,
+            MaturityLevel::Ml4,
+        ];
+        for level in levels {
+            for seed in [3u64, 17, 40] {
+                let run = |mode| {
+                    let mut spec = ScenarioSpec::new("row-vs-rescan", level, seed);
+                    spec.edges = 3;
+                    spec.devices_per_edge = 3;
+                    spec.duration = SimDuration::from_secs(40);
+                    spec.warmup = SimDuration::from_secs(10);
+                    spec.disruptions = same_tick_storm(&spec);
+                    spec.sample_mode = mode;
+                    Scenario::build(spec).run()
+                };
+                let inc = run(SampleMode::Incremental);
+                let oracle = run(SampleMode::FullRescan);
+                assert_eq!(
+                    inc.events_processed, oracle.events_processed,
+                    "{level:?} seed {seed}: event streams diverged"
+                );
+                assert_eq!(
+                    inc.to_json().render(),
+                    oracle.to_json().render(),
+                    "{level:?} seed {seed}: the slab rows and the rescan disagree"
+                );
+                let coverage = inc.report.requirements["coverage"].resilience;
+                assert!(coverage < 1.0, "{level:?}: the storm was felt");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,19 @@
-//! Struct-of-arrays node-state slab: the scenario layer's scale backbone.
+//! The node-state slab: the scenario layer's scale backbone.
 //!
 //! The pre-slab sampler walked the whole process table every tick — one
 //! `Any`-downcast, one window drain and one store slot-probe per device —
 //! which is O(devices) pointer chases per sample. At 10⁵ devices that walk
 //! dominates the scenario layer. The slab inverts the flow: processes
-//! *push* the few scalars sampling needs into flat parallel arrays as they
-//! change, and [`Scenario::sample`](crate::Scenario) folds over those
-//! arrays instead of the process table.
+//! *push* the few scalars sampling needs into flat per-device tables as
+//! they change, and [`Scenario::sample`](crate::Scenario) folds over those
+//! tables instead of the process table.
+//!
+//! What a *device* event writes — the control window, the coverage inputs
+//! and the last-sense instant — is one 32-byte [`Row`] per device, so a
+//! control or sense tick dirties one slab line, not one per column. What
+//! store probes write (the consumer-freshness mirror) and what only the
+//! fold reads (`personal`) stay as columns: the freshness fold scans them
+//! densely and never looks at a row.
 //!
 //! Three mechanisms keep the per-tick cost proportional to what actually
 //! changed while staying bit-for-bit identical to the full rescan (the
@@ -20,17 +27,17 @@
 //!   IEEE-754 addition of `+0.0` to a non-negative running sum is the
 //!   identity, so the skip cannot perturb the recorded series.
 //! - **Coverage counter + monotone expiry wheel.** The covered predicate
-//!   (`up ∧ serving ∧ reported within the freshness horizon`) is kept as a
-//!   per-device bit plus a population count, updated on the transitions
-//!   (liveness events from the observer bus, component state changes,
-//!   senses). Passive expiry — a device becoming stale purely by time
+//!   (`up ∧ serving ∧ reported within the freshness horizon`) is kept as
+//!   three per-device flag bits plus a population count, updated on the
+//!   transitions (liveness events from the observer bus, component state
+//!   changes, senses). Passive expiry — a device becoming stale purely by time
 //!   passing — is handled by a wheel of `(sense_at + horizon, slot)`
 //!   entries; senses arrive in virtual-time order, so the wheel is a
 //!   monotone queue and each entry is pushed and popped exactly once.
 //! - **Consumer freshness mirror.** Each device's staleness-at-consumer is
 //!   mirrored from the consuming store through a
 //!   [`riot_data::StoreProbe`], so the per-tick freshness fold is a flat
-//!   scan over two arrays. The terms themselves change every tick (they
+//!   scan over two columns. The terms themselves change every tick (they
 //!   age with `now`), so this fold is O(operational devices) by nature —
 //!   but it is pure arithmetic over contiguous memory, not a slot probe
 //!   through the process table per device. When *no* record has ever been
@@ -57,36 +64,52 @@ pub(crate) struct NodeSlab {
 
 impl std::fmt::Debug for NodeSlab {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeSlab")
-            .field("devices", &self.inner.borrow().win_ok.len())
-            .finish()
+        let mut out = f.debug_struct("NodeSlab");
+        // A device may be printed from inside a slab write (a panic message
+        // under `note_*`, say): report that instead of a second panic.
+        match self.inner.try_borrow() {
+            Ok(inner) => out.field("devices", &inner.rows.len()),
+            Err(_) => out.field("devices", &"<being written>"),
+        };
+        out.finish()
     }
 }
 
-/// The parallel arrays, indexed by device slot (0..device_count, in
+/// [`Row::flags`] bits: the three inputs of the covered predicate. A device
+/// is covered iff all three are set, so the predicate needs no bit of its
+/// own, and `FRESH` implies the device has sensed at least once.
+const UP: u8 = 1;
+const SERVING: u8 = 1 << 1;
+const FRESH: u8 = 1 << 2;
+const COVERED: u8 = UP | SERVING | FRESH;
+
+/// Everything one device's own events write, in half a cache line.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    // -- Control-loop window (drained every sample).
+    win_ok: u32,
+    win_timeout: u32,
+    win_lat_n: u32,
+    /// `UP | SERVING | FRESH`.
+    flags: u8,
+    win_lat_sum: f64,
+    /// When the device last sensed (meaningful while `FRESH` is set).
+    last_sense: SimTime,
+}
+
+/// The per-device tables, indexed by device slot (0..device_count, in
 /// device-index order — the same order `Scenario::devices()` lists).
 struct SlabInner {
     /// Freshness horizon: a device "reports" while its last sense is at
     /// most this old (`sense_period * 3`, resolved at build time).
     horizon: SimDuration,
-    // -- Control-loop window (drained every sample).
-    win_ok: Vec<u32>,
-    win_timeout: Vec<u32>,
-    win_lat_sum: Vec<f64>,
-    win_lat_n: Vec<u32>,
+    rows: Vec<Row>,
     /// Dirty bitset: bit `slot` is set when the device saw window activity
     /// since the last drain. One word per 64 devices; walking the words in
     /// order yields dirty slots in device-index order for free.
     dirty_words: Vec<u64>,
-    // -- Covered predicate inputs and the maintained count.
-    up: Vec<bool>,
-    serving: Vec<bool>,
-    fresh: Vec<bool>,
-    covered: Vec<bool>,
+    /// How many rows have all of `COVERED` set.
     covered_count: usize,
-    /// When each device last sensed (valid where `sensed`).
-    last_sense: Vec<SimTime>,
-    sensed: Vec<bool>,
     /// Monotone queue of `(expiry instant, slot)` freshness deadlines.
     wheel: VecDeque<(SimTime, u32)>,
     // -- Consumer freshness mirror (valid where `cons_seen`).
@@ -102,21 +125,21 @@ struct SlabInner {
 }
 
 impl SlabInner {
-    /// Re-derives one device's covered bit from its inputs, maintaining
-    /// the population count.
-    fn recompute_covered(&mut self, slot: usize) {
-        let now_covered = self.up.get(slot).copied().unwrap_or(false)
-            && self.serving.get(slot).copied().unwrap_or(false)
-            && self.fresh.get(slot).copied().unwrap_or(false);
-        if let Some(bit) = self.covered.get_mut(slot) {
-            if *bit != now_covered {
-                *bit = now_covered;
-                if now_covered {
-                    self.covered_count += 1;
-                } else {
-                    self.covered_count = self.covered_count.saturating_sub(1);
-                }
-            }
+    /// Sets or clears one covered-predicate input of a device, keeping the
+    /// population count of covered devices in step.
+    fn set_flag(&mut self, slot: usize, bit: u8, on: bool) {
+        let Some(row) = self.rows.get_mut(slot) else {
+            return;
+        };
+        if (row.flags & bit != 0) == on {
+            return;
+        }
+        let was_covered = row.flags == COVERED;
+        row.flags ^= bit;
+        if row.flags == COVERED {
+            self.covered_count += 1;
+        } else if was_covered {
+            self.covered_count = self.covered_count.saturating_sub(1);
         }
     }
 
@@ -133,16 +156,12 @@ impl SlabInner {
             let slot = slot as usize;
             // Superseded entries (the device sensed again later) carry an
             // older deadline than the latest sense would; skip those.
-            let latest = self.sensed.get(slot).copied().unwrap_or(false)
-                && self
-                    .last_sense
-                    .get(slot)
-                    .is_some_and(|at| *at + self.horizon == deadline);
-            if latest && self.fresh.get(slot).copied().unwrap_or(false) {
-                if let Some(f) = self.fresh.get_mut(slot) {
-                    *f = false;
-                }
-                self.recompute_covered(slot);
+            let latest = self
+                .rows
+                .get(slot)
+                .is_some_and(|row| row.last_sense + self.horizon == deadline);
+            if latest {
+                self.set_flag(slot, FRESH, false);
             }
         }
     }
@@ -166,21 +185,20 @@ impl NodeSlab {
     pub(crate) fn new(horizon: SimDuration, personal: Vec<bool>) -> NodeSlab {
         let n = personal.len();
         let nonpersonal = personal.iter().filter(|p| !**p).count();
+        let unreported = Row {
+            win_ok: 0,
+            win_timeout: 0,
+            win_lat_n: 0,
+            flags: UP | SERVING,
+            win_lat_sum: 0.0,
+            last_sense: SimTime::ZERO,
+        };
         NodeSlab {
             inner: Rc::new(RefCell::new(SlabInner {
                 horizon,
-                win_ok: vec![0; n],
-                win_timeout: vec![0; n],
-                win_lat_sum: vec![0.0; n],
-                win_lat_n: vec![0; n],
+                rows: vec![unreported; n],
                 dirty_words: vec![0; n.div_ceil(64)],
-                up: vec![true; n],
-                serving: vec![true; n],
-                fresh: vec![false; n],
-                covered: vec![false; n],
                 covered_count: 0,
-                last_sense: vec![SimTime::ZERO; n],
-                sensed: vec![false; n],
                 // At most ⌈horizon / sense_period⌉ = 3 deadlines are ever
                 // outstanding per device; one extra slot of headroom.
                 wheel: VecDeque::with_capacity(n.saturating_mul(4)),
@@ -196,15 +214,10 @@ impl NodeSlab {
     /// Records a successful control round-trip with its observed latency.
     pub(crate) fn note_control_ok(&self, slot: u32, latency_ms: f64) {
         let mut s = self.inner.borrow_mut();
-        let i = slot as usize;
-        if let Some(v) = s.win_ok.get_mut(i) {
-            *v += 1;
-        }
-        if let Some(v) = s.win_lat_sum.get_mut(i) {
-            *v += latency_ms;
-        }
-        if let Some(v) = s.win_lat_n.get_mut(i) {
-            *v += 1;
+        if let Some(row) = s.rows.get_mut(slot as usize) {
+            row.win_ok += 1;
+            row.win_lat_sum += latency_ms;
+            row.win_lat_n += 1;
         }
         Self::mark_dirty(&mut s, slot);
     }
@@ -212,8 +225,8 @@ impl NodeSlab {
     /// Records a timed-out control request.
     pub(crate) fn note_control_timeout(&self, slot: u32) {
         let mut s = self.inner.borrow_mut();
-        if let Some(v) = s.win_timeout.get_mut(slot as usize) {
-            *v += 1;
+        if let Some(row) = s.rows.get_mut(slot as usize) {
+            row.win_timeout += 1;
         }
         Self::mark_dirty(&mut s, slot);
     }
@@ -230,44 +243,24 @@ impl NodeSlab {
     pub(crate) fn note_sense(&self, slot: u32, now: SimTime) {
         let mut s = self.inner.borrow_mut();
         let i = slot as usize;
-        if let Some(at) = s.last_sense.get_mut(i) {
-            *at = now;
-        }
-        if let Some(b) = s.sensed.get_mut(i) {
-            *b = true;
+        if let Some(row) = s.rows.get_mut(i) {
+            row.last_sense = now;
         }
         let deadline = now + s.horizon;
         s.wheel.push_back((deadline, slot));
-        if let Some(f) = s.fresh.get_mut(i) {
-            if !*f {
-                *f = true;
-                s.recompute_covered(i);
-            }
-        }
+        s.set_flag(i, FRESH, true);
     }
 
     /// Mirrors a component-state transition (fault injection, restart).
     pub(crate) fn set_serving(&self, slot: u32, serving: bool) {
         let mut s = self.inner.borrow_mut();
-        let i = slot as usize;
-        if let Some(b) = s.serving.get_mut(i) {
-            if *b != serving {
-                *b = serving;
-                s.recompute_covered(i);
-            }
-        }
+        s.set_flag(slot as usize, SERVING, serving);
     }
 
     /// Mirrors a process liveness transition (from the observer bus).
     pub(crate) fn set_up(&self, slot: u32, up: bool) {
         let mut s = self.inner.borrow_mut();
-        let i = slot as usize;
-        if let Some(b) = s.up.get_mut(i) {
-            if *b != up {
-                *b = up;
-                s.recompute_covered(i);
-            }
-        }
+        s.set_flag(slot as usize, UP, up);
     }
 
     /// Mirrors a record landing in a consumer store.
@@ -302,11 +295,12 @@ impl NodeSlab {
     /// the bitset walk and the folds only read and clear in place —
     /// nothing here may allocate.
     pub(crate) fn sample_fold(&self, now: SimTime, never_seen_staleness_s: f64) -> SampleFold {
-        let mut s = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let s = &mut *guard;
         s.expire(now);
 
         // Window drain. Walking the bitset words in order visits dirty
-        // devices in device-index order, which keeps the floating-point
+        // rows in device-index order, which keeps the floating-point
         // latency sum on the exact same addition sequence as the rescan
         // (clean devices contribute +0.0 — the IEEE identity on this
         // non-negative running sum).
@@ -316,21 +310,11 @@ impl NodeSlab {
             while word != 0 {
                 let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                if let Some(v) = s.win_ok.get_mut(i) {
-                    window.control_ok += *v;
-                    *v = 0;
-                }
-                if let Some(v) = s.win_timeout.get_mut(i) {
-                    window.control_timeout += *v;
-                    *v = 0;
-                }
-                if let Some(v) = s.win_lat_sum.get_mut(i) {
-                    window.latency_sum_ms += *v;
-                    *v = 0.0;
-                }
-                if let Some(v) = s.win_lat_n.get_mut(i) {
-                    window.latency_count += *v;
-                    *v = 0;
+                if let Some(row) = s.rows.get_mut(i) {
+                    window.control_ok += std::mem::take(&mut row.win_ok);
+                    window.control_timeout += std::mem::take(&mut row.win_timeout);
+                    window.latency_sum_ms += std::mem::take(&mut row.win_lat_sum);
+                    window.latency_count += std::mem::take(&mut row.win_lat_n);
                 }
             }
         }
@@ -523,6 +507,76 @@ mod tests {
         // A later sense supersedes the expired deadline.
         s.note_sense(0, SimTime::from_secs(5));
         assert_eq!(s.sample_fold(SimTime::from_secs(6), 1.0e6).covered, 1);
+    }
+
+    #[test]
+    fn a_row_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Row>(), 32);
+    }
+
+    #[test]
+    fn every_flag_transition_keeps_the_covered_count() {
+        // From each of the eight flag states, set and clear each input —
+        // redundant writes included — on one device while its neighbour
+        // stays covered; the fold's count must follow the predicate.
+        let inputs = [UP, SERVING, FRESH];
+        for start in 0u8..8 {
+            for (bit, on) in inputs.iter().flat_map(|b| [(*b, true), (*b, false)]) {
+                let s = slab(2);
+                s.note_sense(1, SimTime::from_secs(1));
+                let apply = |bit: u8, on: bool| match bit {
+                    UP => s.set_up(0, on),
+                    SERVING => s.set_serving(0, on),
+                    // Only a sense sets `FRESH`; only the expiry clears it.
+                    _ if on => s.note_sense(0, SimTime::from_secs(1)),
+                    _ => {
+                        let mut inner = s.inner.borrow_mut();
+                        inner.set_flag(0, FRESH, false);
+                    }
+                };
+                for b in inputs {
+                    apply(b, start & b != 0);
+                }
+                let covered = |flags: u8| 1 + usize::from(flags == COVERED);
+                let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
+                assert_eq!(fold.covered, covered(start), "state {start:03b}");
+                apply(bit, on);
+                let after = if on { start | bit } else { start & !bit };
+                assert_eq!(s.inner.borrow().rows[0].flags, after);
+                let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
+                assert_eq!(
+                    fold.covered,
+                    covered(after),
+                    "state {start:03b}, bit {bit:03b} -> {on}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn expire_ignores_a_deadline_a_later_sense_superseded() {
+        let s = slab(2);
+        s.note_sense(0, SimTime::from_secs(1));
+        s.note_sense(1, SimTime::from_secs(1));
+        s.note_sense(0, SimTime::from_secs(3));
+        // t = 5: both t = 1 deadlines (4 s) have passed. Device 1's is its
+        // latest and expires it; device 0's row says it sensed at 3 s, so
+        // its popped deadline is stale and must not clear `FRESH`.
+        let fold = s.sample_fold(SimTime::from_secs(5), 1.0e6);
+        assert_eq!(fold.covered, 1);
+        assert_eq!(s.inner.borrow().rows[0].flags, COVERED);
+        assert_eq!(s.inner.borrow().rows[1].flags, UP | SERVING);
+        assert_eq!(s.inner.borrow().wheel.len(), 1, "the 6 s deadline waits");
+        // ... and that one is the latest: it expires on time.
+        assert_eq!(s.sample_fold(SimTime::from_secs(7), 1.0e6).covered, 0);
+    }
+
+    #[test]
+    fn debug_of_a_slab_being_written_does_not_panic() {
+        let s = slab(3);
+        assert_eq!(format!("{s:?}"), "NodeSlab { devices: 3 }");
+        let _writing = s.inner.borrow_mut();
+        assert!(format!("{s:?}").contains("being written"));
     }
 
     #[test]

@@ -40,15 +40,16 @@ fn workspace_has_no_violations() {
     );
     // Floors at the counts of the tree that last touched the cones (the
     // kernel's `EventQueue` is reached through qualified calls — a rewrite
-    // to `queue.pop()` would drop it from the hot cone unnoticed). Lower
-    // them only with the removal of a reachable function.
+    // to `queue.pop()` would drop it from the hot cone unnoticed — and its
+    // `PayloadSlab` through `hold`/`release`, names the method fallback
+    // resolves). Lower them only with the removal of a reachable function.
     assert!(
-        graph.hot_reachable >= 242,
+        graph.hot_reachable >= 244,
         "hot cone shrank: {} fns",
         graph.hot_reachable
     );
     assert!(
-        graph.entry_reachable >= 377,
+        graph.entry_reachable >= 382,
         "entry cone shrank: {} fns",
         graph.entry_reachable
     );

@@ -19,11 +19,16 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::fmt;
 
-pub(crate) enum EventKind<M> {
+/// What a queued event does when it pops. Sized by the timer variant: a
+/// message body waits in the kernel's [`PayloadSlab`], so the queue moves
+/// the same few words whatever the message type is (DESIGN.md §9,
+/// "Per-event memory").
+pub(crate) enum EventKind {
     Deliver {
         from: ProcessId,
         to: ProcessId,
-        msg: M,
+        /// Slot of the message body in [`Kernel::payloads`].
+        payload: u32,
     },
     Timer {
         owner: ProcessId,
@@ -43,27 +48,27 @@ pub(crate) enum EventKind<M> {
     },
 }
 
-pub(crate) struct Event<M> {
+pub(crate) struct Event {
     pub at: SimTime,
     pub seq: u64,
-    pub kind: EventKind<M>,
+    pub kind: EventKind,
 }
 
-impl<M> PartialEq for Event<M> {
+impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
 
-impl<M> Eq for Event<M> {}
+impl Eq for Event {}
 
-impl<M> PartialOrd for Event<M> {
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M> Ord for Event<M> {
+impl Ord for Event {
     /// Max-heap inverted: earliest time first, ties broken by scheduling
     /// order. This tie-break is what makes runs deterministic.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -71,6 +76,55 @@ impl<M> Ord for Event<M> {
             .at
             .cmp(&self.at)
             .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// Message bodies in flight, one slot per queued `Deliver` event. Freed
+/// slots are reused last-out-first, so a steady flow keeps writing the
+/// same few cache-hot slots and the slab's length is the peak number of
+/// messages that were ever in flight at once.
+pub(crate) struct PayloadSlab<M> {
+    slots: Vec<Option<M>>,
+    /// Vacant slots, most recently freed last.
+    free: Vec<u32>,
+}
+
+impl<M> PayloadSlab<M> {
+    fn new() -> Self {
+        PayloadSlab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `msg` and returns its slot.
+    fn hold(&mut self, msg: M) -> u32 {
+        if let Some(id) = self.free.pop() {
+            if let Some(slot) = self.slots.get_mut(id as usize) {
+                *slot = Some(msg);
+                return id;
+            }
+        }
+        let id = self.slots.len();
+        assert!(id < u32::MAX as usize, "payload slab outgrew its u32 slots");
+        // riot-lint: allow(A1, reason = "growth is bounded by the peak number of in-flight messages, like the ring's cell slab; steady state reuses freed slots")
+        self.slots.push(Some(msg));
+        id as u32
+    }
+
+    /// Empties slot `id` and returns the body it held; `None` if it held
+    /// none — every `Deliver` event owns its slot until it pops, so that
+    /// is a kernel bug, not a state a run can reach.
+    pub(crate) fn release(&mut self, id: u32) -> Option<M> {
+        let msg = self.slots.get_mut(id as usize)?.take()?;
+        self.free.push(id);
+        Some(msg)
+    }
+
+    /// `(occupied, length)`, for the tests that show nothing leaks.
+    #[cfg(test)]
+    pub(crate) fn census(&self) -> (usize, usize) {
+        (self.slots.len() - self.free.len(), self.slots.len())
     }
 }
 
@@ -121,7 +175,9 @@ impl KernelKeys {
 pub struct Kernel<M> {
     pub(crate) clock: SimTime,
     pub(crate) seq: u64,
-    pub(crate) queue: EventQueue<M>,
+    pub(crate) queue: EventQueue,
+    /// The bodies of the queued `Deliver` events.
+    pub(crate) payloads: PayloadSlab<M>,
     pub(crate) medium: Box<dyn Medium<M>>,
     pub(crate) rng: SimRng,
     pub(crate) metrics: Metrics,
@@ -178,6 +234,7 @@ impl<M: fmt::Debug> Kernel<M> {
             // sizing the queue's slab off the expected population avoids the
             // doubling cascade during the start-up burst.
             queue: EventQueue::with_capacity((expected_processes * 4).max(16)),
+            payloads: PayloadSlab::new(),
             medium,
             rng,
             metrics,
@@ -196,7 +253,7 @@ impl<M: fmt::Debug> Kernel<M> {
         }
     }
 
-    pub(crate) fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+    pub(crate) fn push(&mut self, at: SimTime, kind: EventKind) {
         debug_assert!(at >= self.clock, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
@@ -262,7 +319,8 @@ impl<M: fmt::Debug> Kernel<M> {
         match self.medium.route(self.clock, from, to, &msg, &mut self.rng) {
             Delivery::After(latency) => {
                 let at = self.clock + latency;
-                self.push(at, EventKind::Deliver { from, to, msg });
+                let payload = self.payloads.hold(msg);
+                self.push(at, EventKind::Deliver { from, to, payload });
             }
             Delivery::Drop(reason) => {
                 self.metrics.incr_key(self.keys.msg_dropped);

@@ -39,13 +39,13 @@ fn slot_of(at: SimTime) -> u64 {
 
 /// One slab entry: on a slot's list while `event` is `Some`, on the free
 /// list otherwise.
-struct Cell<M> {
+struct Cell {
     next: u32,
-    event: Option<Event<M>>,
+    event: Option<Event>,
 }
 
-pub(crate) struct EventQueue<M> {
-    near: BinaryHeap<Event<M>>,
+pub(crate) struct EventQueue {
+    near: BinaryHeap<Event>,
     /// Highest slot whose events live in `near`.
     cursor: u64,
     /// List head per ring position (`slot % RING_SLOTS`), `NIL` when empty.
@@ -56,13 +56,13 @@ pub(crate) struct EventQueue<M> {
     occupied: [u64; RING_WORDS],
     /// The slab behind every list. Freed cells are reused last-out-first,
     /// so its length is the peak ring population and nothing more.
-    cells: Vec<Cell<M>>,
+    cells: Vec<Cell>,
     free: u32,
     ring_len: usize,
-    far: BinaryHeap<Event<M>>,
+    far: BinaryHeap<Event>,
 }
 
-impl<M> EventQueue<M> {
+impl EventQueue {
     /// An empty queue whose slab is pre-sized for `capacity` ring events.
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventQueue {
@@ -85,7 +85,7 @@ impl<M> EventQueue<M> {
         self.len() == 0
     }
 
-    pub(crate) fn push(&mut self, event: Event<M>) {
+    pub(crate) fn push(&mut self, event: Event) {
         let slot = slot_of(event.at);
         if slot <= self.cursor {
             self.near.push(event);
@@ -98,14 +98,14 @@ impl<M> EventQueue<M> {
 
     /// The earliest event. Takes `&mut self` because it may advance the
     /// cursor to load the next slot into `near`.
-    pub(crate) fn peek(&mut self) -> Option<&Event<M>> {
+    pub(crate) fn peek(&mut self) -> Option<&Event> {
         if self.near.is_empty() {
             self.refill();
         }
         self.near.peek()
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Event<M>> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         if self.near.is_empty() {
             self.refill();
         }
@@ -113,7 +113,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Puts `event` at the head of its slot's list.
-    fn link(&mut self, slot: u64, event: Event<M>) {
+    fn link(&mut self, slot: u64, event: Event) {
         let pos = (slot % RING_SLOTS) as usize;
         // riot-lint: allow(P1, reason = "pos < RING_SLOTS = heads.len(), fixed at construction")
         let head = &mut self.heads[pos];
@@ -199,7 +199,7 @@ impl<M> EventQueue<M> {
 }
 
 #[cfg(test)]
-impl<M> EventQueue<M> {
+impl EventQueue {
     /// `(near, ring, slab)` populations, for the tests that show the ring
     /// engages and the slab does not leak.
     pub(crate) fn census(&self) -> (usize, usize, usize) {
@@ -211,7 +211,7 @@ impl<M> EventQueue<M> {
 mod tests {
     use super::*;
     use crate::kernel::EventKind;
-    use crate::process::ProcessId;
+    use crate::process::{ProcessId, TimerId};
     use crate::rng::SimRng;
     use crate::time::SimDuration;
 
@@ -222,14 +222,20 @@ mod tests {
     /// event — driven by the same script under a clock that follows the
     /// pops, as the kernel's does.
     struct Checked {
-        queue: EventQueue<u32>,
-        oracle: BinaryHeap<Event<u32>>,
+        queue: EventQueue,
+        oracle: BinaryHeap<Event>,
         clock: SimTime,
         seq: u64,
     }
 
-    fn key(event: &Event<u32>) -> (SimTime, u64) {
-        (event.at, event.seq)
+    /// What identifies a popped event: its order key and what it carries.
+    fn key(event: &Event) -> (SimTime, u64, Option<u32>, Option<u64>) {
+        let (payload, tag) = match event.kind {
+            EventKind::Deliver { payload, .. } => (Some(payload), None),
+            EventKind::Timer { tag, .. } => (None, Some(tag)),
+            _ => (None, None),
+        };
+        (event.at, event.seq, payload, tag)
     }
 
     impl Checked {
@@ -242,11 +248,28 @@ mod tests {
             }
         }
 
-        fn event(&self, delay_us: u64) -> Event<u32> {
+        /// Timers, deliveries and lifecycle events in rotation, each
+        /// carrying its `seq` where the variant has room for it.
+        fn event(&self, delay_us: u64) -> Event {
+            let id = ProcessId(self.seq as usize % 7);
+            let kind = match self.seq % 3 {
+                0 => EventKind::Timer {
+                    owner: id,
+                    tag: self.seq,
+                    timer: TimerId(self.seq),
+                    epoch: 0,
+                },
+                1 => EventKind::Deliver {
+                    from: id,
+                    to: ProcessId(0),
+                    payload: self.seq as u32,
+                },
+                _ => EventKind::Down { id },
+            };
             Event {
                 at: self.clock + SimDuration::from_micros(delay_us),
                 seq: self.seq,
-                kind: EventKind::Down { id: ProcessId(0) },
+                kind,
             }
         }
 
@@ -282,6 +305,14 @@ mod tests {
             while self.pop() {}
             assert!(self.queue.is_empty());
         }
+    }
+
+    #[test]
+    fn a_queued_event_is_one_cache_line() {
+        // A wider `EventKind` variant fails here instead of costing every
+        // sift and every ring cell a second line at 10⁵ pending timers.
+        assert!(std::mem::size_of::<Event>() <= 56);
+        assert!(std::mem::size_of::<Cell>() <= 64);
     }
 
     #[test]

@@ -470,7 +470,13 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             self.max_events
         );
         match ev.kind {
-            EventKind::Deliver { from, to, msg } => {
+            EventKind::Deliver { from, to, payload } => {
+                // The slot is freed before the liveness check, so a delivery
+                // to a downed process returns it too.
+                let Some(msg) = self.kernel.payloads.release(payload) else {
+                    debug_assert!(false, "deliver event {payload} has no payload");
+                    return;
+                };
                 if !self.kernel.is_up(to) {
                     let key = self.kernel.keys.msg_dropped;
                     self.kernel.metrics.incr_key(key);
@@ -908,6 +914,158 @@ mod tests {
         );
         let (_, _, slab) = sim.kernel.queue.census();
         assert_eq!(slab, peak_ring, "the slab is the peak ring population");
+    }
+
+    /// Forwards what reaches it to random peers while its budget lasts, and
+    /// keeps a timer or two running beside the messages.
+    struct Chatter {
+        budget: u32,
+    }
+
+    impl Chatter {
+        fn chat(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            let peers = ctx.process_count();
+            for _ in 0..ctx.rng().range_u64(0, 3) {
+                if self.budget == 0 {
+                    return;
+                }
+                self.budget -= 1;
+                let to = ProcessId(ctx.rng().range_u64(0, peers as u64) as usize);
+                ctx.send(to, Msg::Ping(self.budget));
+            }
+            if self.budget > 0 && ctx.rng().chance(0.3) {
+                let delay = ctx.rng().range_u64(0, 5_000);
+                ctx.schedule(SimDuration::from_micros(delay), 0);
+            }
+        }
+    }
+
+    impl Process<Msg> for Chatter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            self.chat(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {
+            self.chat(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
+            self.chat(ctx);
+        }
+    }
+
+    #[test]
+    fn payload_slots_are_all_returned_and_the_slab_is_the_peak_in_flight() {
+        const PROCESSES: u64 = 6;
+        for seed in 0..24 {
+            for lossy in [false, true] {
+                let builder = SimBuilder::new(seed);
+                let mut sim: Sim<Msg> = if lossy {
+                    let medium = LossyMedium::new(SimDuration::from_millis(1), 0.3);
+                    builder.build_with_medium(Box::new(medium))
+                } else {
+                    builder.build()
+                };
+                for _ in 0..PROCESSES {
+                    sim.add_process(Chatter { budget: 40 });
+                }
+                // Occupancy only falls at the top of a step (the release) and
+                // only rises after it, so reading it after every step and
+                // every outside action sees the true peak.
+                let mut script = SimRng::seed_from(seed ^ 0xA11CE);
+                let mut peak = 0;
+                let mut observe = |sim: &Sim<Msg>| {
+                    let (occupied, _) = sim.kernel.payloads.census();
+                    peak = peak.max(occupied);
+                };
+                for _ in 0..400 {
+                    let id = ProcessId(script.range_u64(0, PROCESSES) as usize);
+                    match script.range_u64(0, 10) {
+                        0 => sim.set_down(id),
+                        1 | 2 => sim.set_up(id),
+                        3 | 4 => sim.send_external(id, Msg::Ping(0)),
+                        _ => {
+                            sim.step();
+                        }
+                    }
+                    observe(&sim);
+                }
+                while sim.step() {
+                    observe(&sim);
+                }
+                sim.run_to_completion();
+                assert!(peak > 1, "seed {seed}: the script kept messages in flight");
+                assert_eq!(
+                    sim.kernel.payloads.census(),
+                    (0, peak),
+                    "seed {seed} lossy {lossy}: (occupied, slab length)"
+                );
+                let m = sim.metrics();
+                assert_eq!(
+                    m.counter("sim.msg.sent"),
+                    m.counter("sim.msg.delivered") + m.counter("sim.msg.dropped"),
+                    "seed {seed} lossy {lossy}: every message ended one way"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_delivery_to_a_downed_process_frees_its_slot_and_shows_its_payload() {
+        let mut sim: Sim<Msg> = SimBuilder::new(1)
+            .tracing(true)
+            .trace_payloads(true)
+            .build();
+        let a = sim.add_process(Counter::new());
+        sim.send_external(a, Msg::Ping(9));
+        sim.set_down(a);
+        assert_eq!(sim.kernel.payloads.census(), (1, 1), "body waits queued");
+        assert!(sim.step());
+        assert_eq!(sim.kernel.payloads.census(), (0, 1), "slot returned");
+        assert!(sim
+            .trace()
+            .filtered(|e| matches!(&e.kind, TraceKind::Dropped { reason, .. } if reason == "down"))
+            .any(|e| e.detail.contains("Ping(9)")));
+        assert_eq!(sim.metrics().counter("sim.msg.dropped"), 1);
+        // The freed slot is the next one used.
+        sim.set_up(a);
+        sim.send_external(a, Msg::Ping(10));
+        assert_eq!(sim.kernel.payloads.census(), (1, 1));
+        sim.run_to_completion();
+        assert_eq!(sim.process::<Counter>(a).unwrap().received.len(), 1);
+    }
+
+    #[test]
+    fn dropping_a_sim_drops_each_queued_body_once() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        #[derive(Debug)]
+        struct Body(Rc<Cell<u32>>);
+        impl Drop for Body {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        struct Sink;
+        impl Process<Body> for Sink {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Body>, _from: ProcessId, _msg: Body) {}
+        }
+
+        let drops = Rc::new(Cell::new(0));
+        let mut sim: Sim<Body> = SimBuilder::new(1).build();
+        let up = sim.add_process(Sink);
+        let down = sim.add_process(Sink);
+        for _ in 0..4 {
+            sim.send_external(up, Body(drops.clone()));
+            sim.send_external(down, Body(drops.clone()));
+        }
+        sim.set_down(down);
+        // One delivered and one dropped at a dead process: both bodies end
+        // with their event.
+        assert!(sim.step() && sim.step());
+        assert_eq!(drops.get(), 2);
+        assert_eq!(sim.kernel.payloads.census(), (6, 8));
+        drop(sim);
+        assert_eq!(drops.get(), 8, "six queued bodies, each dropped once");
     }
 
     #[test]
