@@ -474,6 +474,17 @@ impl Process<Msg> for DeviceProcess {
         }
     }
 
+    /// One load in each line of the hot prefix — `slab` opens the first,
+    /// `group` the second (pinned by `prefetch_reads_every_line_…`) — and the
+    /// slab row behind the first: everything a sense or control tick misses
+    /// on at 10⁵ devices.
+    fn prefetch(&self) {
+        if let Some((slab, slot)) = &self.slab {
+            slab.prefetch(*slot);
+        }
+        std::hint::black_box(Rc::as_ptr(&self.group));
+    }
+
     fn name(&self) -> &str {
         "device"
     }
@@ -694,6 +705,27 @@ mod tests {
         // The no-slab window is the one thing a slab-attached tick never
         // touches; it may sit anywhere behind.
         assert!(offset_of!(DeviceProcess, window) >= 64);
+    }
+
+    #[test]
+    fn prefetch_reads_every_line_of_the_hot_prefix() {
+        use std::mem::offset_of;
+        // The fields `DeviceProcess::prefetch` loads. A field shuffle that
+        // leaves a line of the prefix without one fails here instead of
+        // silently un-staging that line.
+        let read = [
+            offset_of!(DeviceProcess, slab),
+            offset_of!(DeviceProcess, group),
+        ];
+        let hot_end = offset_of!(DeviceProcess, group) + size_of::<Rc<DeviceGroup>>();
+        for line in 0..hot_end.div_ceil(64) {
+            assert!(
+                read.iter().any(|at| at / 64 == line),
+                "no load in bytes {}..{}",
+                line * 64,
+                line * 64 + 64
+            );
+        }
     }
 
     #[test]

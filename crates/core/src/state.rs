@@ -211,6 +211,13 @@ impl NodeSlab {
         }
     }
 
+    /// Reads the row a device event of `slot` will write, for
+    /// [`riot_sim::Process::prefetch`]; changes nothing.
+    pub(crate) fn prefetch(&self, slot: u32) {
+        let s = self.inner.borrow();
+        std::hint::black_box(s.rows.get(slot as usize).map(|row| row.flags));
+    }
+
     /// Records a successful control round-trip with its observed latency.
     pub(crate) fn note_control_ok(&self, slot: u32, latency_ms: f64) {
         let mut s = self.inner.borrow_mut();

@@ -31,7 +31,7 @@ fn workspace_has_no_violations() {
         graph.fns_indexed
     );
     assert_eq!(
-        graph.hot_roots, 36,
+        graph.hot_roots, 39,
         "hot roots declared in lint-hotpaths.toml"
     );
     assert_eq!(
@@ -42,14 +42,16 @@ fn workspace_has_no_violations() {
     // kernel's `EventQueue` is reached through qualified calls — a rewrite
     // to `queue.pop()` would drop it from the hot cone unnoticed — and its
     // `PayloadSlab` through `hold`/`release`, names the method fallback
-    // resolves). Lower them only with the removal of a reachable function.
+    // resolves; the look-ahead's `prefetch` implementations sit behind
+    // `dyn Process` and are in the cone only as declared roots). Lower them
+    // only with the removal of a reachable function.
     assert!(
-        graph.hot_reachable >= 244,
+        graph.hot_reachable >= 253,
         "hot cone shrank: {} fns",
         graph.hot_reachable
     );
     assert!(
-        graph.entry_reachable >= 382,
+        graph.entry_reachable >= 389,
         "entry cone shrank: {} fns",
         graph.entry_reachable
     );

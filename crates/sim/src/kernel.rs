@@ -22,7 +22,9 @@ use std::fmt;
 /// What a queued event does when it pops. Sized by the timer variant: a
 /// message body waits in the kernel's [`PayloadSlab`], so the queue moves
 /// the same few words whatever the message type is (DESIGN.md §9,
-/// "Per-event memory").
+/// "Per-event memory"). Plain words, hence `Copy`: the queue fills a fresh
+/// chunk with copies of its first event and moves a slot out by slice.
+#[derive(Clone, Copy)]
 pub(crate) enum EventKind {
     Deliver {
         from: ProcessId,
@@ -48,6 +50,7 @@ pub(crate) enum EventKind {
     },
 }
 
+#[derive(Clone, Copy)]
 pub(crate) struct Event {
     pub at: SimTime,
     pub seq: u64,

@@ -71,6 +71,17 @@ pub trait Process<M> {
     /// churn). State may be inspected but no effects are possible.
     fn on_down(&mut self) {}
 
+    /// Reads, and does not act on, what this process's next callback will
+    /// touch: its own hot fields, and rows of shared tables it indexes. The
+    /// kernel calls this for the target of every timer and delivery in a
+    /// large batch of events it is about to dispatch, so that the cache
+    /// misses of many processes overlap instead of being taken one event at
+    /// a time. It may be called any number of times, or never, between
+    /// callbacks; with `&self` and no [`Ctx`] it has no way to change the
+    /// run. Pass what is read through [`std::hint::black_box`], or the
+    /// compiler drops the loads. The default does nothing.
+    fn prefetch(&self) {}
+
     /// A short, human-readable name used in panics and traces.
     fn name(&self) -> &str {
         "process"

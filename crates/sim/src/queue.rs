@@ -8,17 +8,19 @@
 //! * **near** — a binary heap of every event whose slot is ≤ the cursor.
 //!   All pops come from here, ordered by [`Event`]'s `Ord`.
 //! * **ring** — the next 2047 slots, each an unordered, intrusive singly
-//!   linked list through one slab of cells. A push is a cell write; nothing
-//!   is compared until the cursor reaches the slot.
+//!   linked list of nine-event chunks through one slab. A push is a write
+//!   into the slot's first chunk — it reads no chunk — and nothing is
+//!   compared until the cursor reaches the slot.
 //! * **far** — a binary heap of everything beyond the ring, drained into the
 //!   ring as the cursor advances.
 //!
 //! Slots are disjoint time ranges and near orders its own content, so
 //! `near < ring < far` in time and the pop sequence is the heap's. When near
-//! runs empty the cursor jumps to the next occupied slot and that slot's
-//! cells are heapified into near. A peek does the same, so the cursor may
-//! run ahead of the clock (`run_until` peeks past its deadline); a push
-//! behind the cursor joins near, which keeps the order exact.
+//! runs empty, [`EventQueue::load`] moves the cursor to the next occupied
+//! slot and heapifies that slot's chunks into near. The kernel loads before
+//! it peeks as well as before it pops, so the cursor may run ahead of the
+//! clock (`run_until` peeks past its deadline); a push behind the cursor
+//! joins near, which keeps the order exact.
 
 use crate::kernel::Event;
 use crate::time::SimTime;
@@ -30,47 +32,68 @@ const SLOT_SHIFT: u32 = 10;
 /// architectures lands in the ring, not in `far`.
 const RING_SLOTS: u64 = 2048;
 const RING_WORDS: usize = (RING_SLOTS / 64) as usize;
-/// End of a cell list.
+/// End of a chunk list.
 const NIL: u32 = u32::MAX;
+/// Events a chunk holds: 8 + 56 K bytes is a whole number of cache lines
+/// only for K ≡ 1 (mod 8), and K = 1 is one dependent load per event.
+const CHUNK_EVENTS: usize = 9;
 
 fn slot_of(at: SimTime) -> u64 {
     at.as_micros() >> SLOT_SHIFT
 }
 
-/// One slab entry: on a slot's list while `event` is `Some`, on the free
-/// list otherwise.
-struct Cell {
+/// One slab entry, eight whole cache lines. On a slot's list every chunk is
+/// full but the first, whose population is in the slot's [`Head`]; what lies
+/// beyond that, and everything in a chunk on the free list, is a stale copy
+/// nobody reads.
+#[repr(align(64))]
+struct Chunk {
     next: u32,
-    event: Option<Event>,
+    events: [Event; CHUNK_EVENTS],
 }
+
+/// A slot's list: its first chunk — the one that may have room — and how
+/// many events that chunk holds. The count lives here and not in the chunk
+/// so that a push into a slot a second ahead stores into a cold chunk
+/// without first loading from it.
+#[derive(Clone, Copy)]
+struct Head {
+    chunk: u32,
+    len: u32,
+}
+
+const EMPTY: Head = Head { chunk: NIL, len: 0 };
 
 pub(crate) struct EventQueue {
     near: BinaryHeap<Event>,
     /// Highest slot whose events live in `near`.
     cursor: u64,
-    /// List head per ring position (`slot % RING_SLOTS`), `NIL` when empty.
-    /// Only slots in `cursor + 1 .. cursor + RING_SLOTS` are ever linked, so
-    /// a position never mixes two slots and the cursor's own is empty.
-    heads: Vec<u32>,
+    /// List head per ring position (`slot % RING_SLOTS`), `EMPTY` when
+    /// nothing is linked. Only slots in `cursor + 1 .. cursor + RING_SLOTS`
+    /// are ever linked, so a position never mixes two slots and the
+    /// cursor's own is empty.
+    heads: Vec<Head>,
     /// One bit per ring position: its list is non-empty.
     occupied: [u64; RING_WORDS],
-    /// The slab behind every list. Freed cells are reused last-out-first,
-    /// so its length is the peak ring population and nothing more.
-    cells: Vec<Cell>,
+    /// The slab behind every list. Freed chunks are reused last-out-first,
+    /// so its length is at most a ninth of the peak ring population plus
+    /// one part-filled first chunk per occupied slot.
+    chunks: Vec<Chunk>,
     free: u32,
     ring_len: usize,
     far: BinaryHeap<Event>,
 }
 
 impl EventQueue {
-    /// An empty queue whose slab is pre-sized for `capacity` ring events.
+    /// An empty queue whose slab is pre-sized for `capacity` ring events
+    /// spread over every slot of the ring.
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             near: BinaryHeap::new(),
             cursor: 0,
-            heads: vec![NIL; RING_SLOTS as usize],
+            heads: vec![EMPTY; RING_SLOTS as usize],
             occupied: [0; RING_WORDS],
-            cells: Vec::with_capacity(capacity),
+            chunks: Vec::with_capacity(capacity.div_ceil(CHUNK_EVENTS) + RING_SLOTS as usize),
             free: NIL,
             ring_len: 0,
             far: BinaryHeap::new(),
@@ -96,50 +119,82 @@ impl EventQueue {
         }
     }
 
-    /// The earliest event. Takes `&mut self` because it may advance the
-    /// cursor to load the next slot into `near`.
-    pub(crate) fn peek(&mut self) -> Option<&Event> {
-        if self.near.is_empty() {
-            self.refill();
+    /// With `near` spent, moves the next occupied slot into it and returns
+    /// how many events that brought; 0 while `near` still holds any, and when
+    /// the whole queue is empty. [`peek`](Self::peek) and [`pop`](Self::pop)
+    /// look at `near` alone, so the kernel calls this before either: one
+    /// emptiness test per event where the two each made their own.
+    #[inline]
+    pub(crate) fn load(&mut self) -> usize {
+        if !self.near.is_empty() {
+            return 0;
         }
+        self.refill();
+        self.near.len()
+    }
+
+    /// What [`load`](Self::load) last moved into `near` and has not popped
+    /// yet, plus whatever was pushed behind the cursor since; heap order.
+    pub(crate) fn loaded(&self) -> &[Event] {
+        self.near.as_slice()
+    }
+
+    /// The earliest event, after a [`load`](Self::load).
+    pub(crate) fn peek(&self) -> Option<&Event> {
+        debug_assert!(
+            !self.near.is_empty() || self.is_empty(),
+            "peek needs a load"
+        );
         self.near.peek()
     }
 
+    /// Removes the earliest event, after a [`load`](Self::load).
     pub(crate) fn pop(&mut self) -> Option<Event> {
-        if self.near.is_empty() {
-            self.refill();
-        }
+        debug_assert!(!self.near.is_empty() || self.is_empty(), "pop needs a load");
         self.near.pop()
     }
 
-    /// Puts `event` at the head of its slot's list.
+    /// Appends `event` to its slot's first chunk, putting a chunk from the
+    /// free list (or a new one) in front of one that is full.
     fn link(&mut self, slot: u64, event: Event) {
         let pos = (slot % RING_SLOTS) as usize;
         // riot-lint: allow(P1, reason = "pos < RING_SLOTS = heads.len(), fixed at construction")
         let head = &mut self.heads[pos];
-        let cell = Cell {
-            next: *head,
-            event: Some(event),
-        };
+        self.ring_len += 1;
+        let room = self
+            .chunks
+            .get_mut(head.chunk as usize)
+            .and_then(|chunk| chunk.events.get_mut(head.len as usize));
+        if let Some(place) = room {
+            *place = event;
+            head.len += 1;
+            return;
+        }
         // `NIL` is past any slab the assert below lets exist, so an empty
         // free list falls through to growth.
-        *head = match self.cells.get_mut(self.free as usize) {
+        let id = match self.chunks.get_mut(self.free as usize) {
             Some(reused) => {
                 let id = self.free;
                 self.free = reused.next;
-                *reused = cell;
+                reused.next = head.chunk;
+                if let Some(first) = reused.events.first_mut() {
+                    *first = event;
+                }
                 id
             }
             None => {
-                let id = self.cells.len();
+                let id = self.chunks.len();
                 assert!(id < NIL as usize, "event slab outgrew its u32 links");
-                self.cells.push(cell);
+                self.chunks.push(Chunk {
+                    next: head.chunk,
+                    events: [event; CHUNK_EVENTS],
+                });
                 id as u32
             }
         };
+        *head = Head { chunk: id, len: 1 };
         // riot-lint: allow(P1, reason = "pos / 64 < RING_WORDS, the array's length")
         self.occupied[pos / 64] |= 1 << (pos % 64);
-        self.ring_len += 1;
     }
 
     /// With `near` empty: advances the cursor to the next slot holding
@@ -154,16 +209,20 @@ impl EventQueue {
             // `near`'s own buffer goes round: emptied by pops, refilled here.
             let mut buf = std::mem::take(&mut self.near).into_vec();
             // riot-lint: allow(P1, reason = "pos < RING_SLOTS = heads.len(), fixed at construction")
-            let mut id = std::mem::replace(&mut self.heads[pos], NIL);
+            let Head { chunk: mut id, len } = std::mem::replace(&mut self.heads[pos], EMPTY);
+            let mut len = len as usize;
             // riot-lint: allow(P1, reason = "pos / 64 < RING_WORDS, the array's length")
             self.occupied[pos / 64] &= !(1 << (pos % 64));
-            while let Some(cell) = self.cells.get_mut(id as usize) {
-                debug_assert!(cell.event.is_some(), "a linked cell holds an event");
-                buf.extend(cell.event.take());
-                let next = std::mem::replace(&mut cell.next, self.free);
+            // One dependent load a chunk: its other seven lines are at
+            // addresses the core knows as soon as it has the chunk's id.
+            // Only the first chunk can be part-filled.
+            while let Some(chunk) = self.chunks.get_mut(id as usize) {
+                buf.extend_from_slice(chunk.events.get(..len).unwrap_or_default());
+                self.ring_len -= len;
+                len = CHUNK_EVENTS;
+                let next = std::mem::replace(&mut chunk.next, self.free);
                 self.free = id;
                 id = next;
-                self.ring_len -= 1;
             }
             self.near = BinaryHeap::from(buf);
         } else if let Some(first) = self.far.peek() {
@@ -203,7 +262,7 @@ impl EventQueue {
     /// `(near, ring, slab)` populations, for the tests that show the ring
     /// engages and the slab does not leak.
     pub(crate) fn census(&self) -> (usize, usize, usize) {
-        (self.near.len(), self.ring_len, self.cells.len())
+        (self.near.len(), self.ring_len, self.chunks.len())
     }
 }
 
@@ -281,6 +340,7 @@ mod tests {
         }
 
         fn peek(&mut self) {
+            self.queue.load();
             assert_eq!(self.queue.peek().map(key), self.oracle.peek().map(key));
             assert_eq!(self.queue.len(), self.oracle.len());
         }
@@ -288,6 +348,7 @@ mod tests {
         /// Pops both sides; `false` once both are empty.
         fn pop(&mut self) -> bool {
             let want = self.oracle.pop();
+            self.queue.load();
             let got = self.queue.pop();
             assert_eq!(got.as_ref().map(key), want.as_ref().map(key));
             assert_eq!(self.queue.len(), self.oracle.len());
@@ -308,11 +369,12 @@ mod tests {
     }
 
     #[test]
-    fn a_queued_event_is_one_cache_line() {
+    fn a_ring_chunk_is_eight_whole_cache_lines() {
         // A wider `EventKind` variant fails here instead of costing every
-        // sift and every ring cell a second line at 10⁵ pending timers.
+        // sift more bytes and every chunk a ninth line at 10⁵ pending timers.
         assert!(std::mem::size_of::<Event>() <= 56);
-        assert!(std::mem::size_of::<Cell>() <= 64);
+        assert_eq!(std::mem::size_of::<Chunk>(), 512);
+        assert_eq!(std::mem::align_of::<Chunk>(), 64);
     }
 
     #[test]
@@ -390,11 +452,85 @@ mod tests {
         for _ in 0..10_000 {
             q.push(5 * SLOT_US + rng.range_u64(0, SLOT_US));
         }
-        let (near, ring, slab) = q.queue.census();
-        assert_eq!((near, ring, slab), (0, 10_000, 10_000));
+        let chunks = 10_000usize.div_ceil(CHUNK_EVENTS);
+        assert_eq!(q.queue.census(), (0, 10_000, chunks));
         q.peek();
-        assert_eq!(q.queue.census(), (10_000, 0, 10_000));
+        assert_eq!(q.queue.census(), (10_000, 0, chunks));
         q.drain();
+    }
+
+    #[test]
+    fn slots_of_every_chunk_boundary_size_pop_in_order_through_reused_chunks() {
+        // One slot at a time, filled to a population either side of every
+        // chunk boundary, on a queue whose clock sits on a slot boundary.
+        // Three rounds: from the second on every chunk comes off the free
+        // list carrying the events of its previous life, up to nine of them
+        // beyond the new `len`.
+        let mut rng = SimRng::seed_from(9);
+        let mut q = Checked::new();
+        q.push(3 * SLOT_US);
+        q.pop();
+        let mut slab_after_first_round = None;
+        for round in 0..3 {
+            for population in [0usize, 1, 8, 9, 10, 18, 19, 10_000, 19, 1, 10, 0, 9] {
+                for i in 0..population {
+                    // Bursts of up to seven share one `at`.
+                    if i % 7 == 0 || rng.chance(0.5) {
+                        q.push(2 * SLOT_US + rng.range_u64(0, SLOT_US));
+                    } else {
+                        q.push(2 * SLOT_US + SLOT_US / 2);
+                    }
+                }
+                let (near, ring, slab) = q.queue.census();
+                assert_eq!((near, ring), (0, population));
+                assert!(slab >= population.div_ceil(CHUNK_EVENTS));
+                q.peek();
+                assert_eq!(q.queue.census(), (population, 0, slab));
+                q.drain();
+                assert_eq!(q.queue.census(), (0, 0, slab), "round {round}");
+                // Land on the next slot boundary, as the first pop did.
+                q.push(SLOT_US - q.clock.as_micros() % SLOT_US);
+                q.pop();
+            }
+            let (_, _, slab) = q.queue.census();
+            let first = *slab_after_first_round.get_or_insert(slab);
+            assert_eq!(first, 10_000usize.div_ceil(CHUNK_EVENTS));
+            assert_eq!(slab, first, "round {round} reused the first round's chunks");
+        }
+    }
+
+    #[test]
+    fn many_part_filled_slots_cost_one_chunk_each_and_refill_by_their_own_len() {
+        // 300 slots of 1..=19 events, linked interleaved so that no slot's
+        // chunks are neighbours in the slab; then the same again with the
+        // populations shifted, so a reused chunk's stale tail is longer
+        // than its new `len` as often as shorter.
+        let mut q = Checked::new();
+        q.push(3 * SLOT_US);
+        q.pop();
+        for round in 0..3u64 {
+            let population = |slot: u64| (slot * 7 + round * 5) % 19 + 1;
+            let mut total = 0;
+            for pass in 0..19 {
+                for slot in 0..300 {
+                    if pass < population(slot) {
+                        q.push((2 + slot) * SLOT_US + pass * 50);
+                        total += 1;
+                    }
+                }
+            }
+            let occupied = 300;
+            let (near, ring, slab) = q.queue.census();
+            assert_eq!((near, ring), (0, total as usize));
+            assert!(
+                slab <= total as usize / CHUNK_EVENTS + occupied,
+                "round {round}: {slab} chunks for {total} events"
+            );
+            q.drain();
+            assert_eq!(q.queue.census(), (0, 0, slab));
+            q.push(SLOT_US - q.clock.as_micros() % SLOT_US);
+            q.pop();
+        }
     }
 
     #[test]
@@ -410,6 +546,6 @@ mod tests {
         }
         let (_, ring, slab) = q.queue.census();
         assert_eq!(ring, 0);
-        assert!(slab <= 100, "freed cells are reused, not leaked: {slab}");
+        assert!(slab <= 100, "freed chunks are reused, not leaked: {slab}");
     }
 }
