@@ -8,8 +8,6 @@
 //!   simulated against a predictive [`ActionModel`] of the knowledge base
 //!   and chosen by expected requirement-satisfaction gain per unit cost
 //!   ("model-based planning … using contextual information", §V-B).
-//!
-//! The ablation benchmark A3 compares the two on plan quality and cost.
 
 use crate::analyze::Issue;
 use crate::knowledge::KnowledgeBase;

@@ -13,16 +13,15 @@
 //! | `a1_coord_ablation` | design choice | gossip/SWIM parameter sensitivity |
 //! | `a2_data_ablation` | design choice | sync-period vs staleness trade-off |
 //!
-//! Criterion micro-benchmarks live in `benches/`. Every binary prints
-//! plain-text tables and writes machine-readable JSON under `results/`.
-//! The `riot` binary is a general-purpose scenario CLI (`--help` for
-//! usage): pick a maturity level (or all), a disruption suite, sizes,
-//! roaming, and get the resilience table plus optional JSON.
+//! Every binary prints plain-text tables and writes machine-readable JSON
+//! under `results/`. The `riot` binary is a general-purpose scenario CLI
+//! (`--help` for usage): pick a maturity level (or all), a disruption
+//! suite, sizes, roaming, and get the resilience table plus optional JSON.
+//! Speed is measured by the `benchmark` binary alone (`BENCHMARK.json`,
+//! `src/bin/benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod perf;
 
 pub use riot_harness::HarnessConfig;
 use riot_sim::ToJson;
@@ -328,69 +327,5 @@ mod tests {
         assert!(sweep_config(args(&["--threads"])).is_err());
         assert!(sweep_config(args(&["--threads", "zero"])).is_err());
         assert!(sweep_config(args(&["--threads", "0"])).is_err());
-    }
-}
-
-/// A minimal wall-clock micro-benchmark harness used by the `benches/`
-/// targets; criterion is unavailable in offline builds, and statistical
-/// rigor matters less here than a stable, dependency-free smoke number.
-///
-/// Wall-clock time is confined to this module and `riot-harness`'s
-/// progress reporter by lint rule `D2` (`riot-lint`): simulation results
-/// never depend on it — these numbers are operator-facing diagnostics
-/// only. Experiment binaries that report per-cell cost read the
-/// harness-measured `CellRecord::wall` instead of timing anything
-/// themselves.
-pub mod harness {
-    use std::time::{Duration, Instant};
-
-    /// Budget per benchmark: enough for a stable mean, short enough that the
-    /// full suite stays in CI budgets.
-    const BUDGET: Duration = Duration::from_millis(500);
-    const WARMUP: Duration = Duration::from_millis(50);
-
-    /// Times `f` repeatedly for a fixed budget and prints ns/iter.
-    pub fn bench<T, F: FnMut() -> T>(name: &str, mut f: F) {
-        // riot-lint: allow(D2, reason = "bench harness measures wall-clock by design")
-        let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
-        while warm_start.elapsed() < WARMUP {
-            std::hint::black_box(f());
-            warm_iters += 1;
-        }
-        // riot-lint: allow(D2, reason = "bench harness measures wall-clock by design")
-        let start = Instant::now();
-        let mut iters = 0u64;
-        while start.elapsed() < BUDGET {
-            std::hint::black_box(f());
-            iters += 1;
-        }
-        let total = start.elapsed();
-        let per_iter = total.as_nanos() / u128::from(iters.max(1));
-        println!("{name:<44} {per_iter:>12} ns/iter ({iters} iters, warmup {warm_iters})");
-    }
-
-    /// Like [`bench()`], but rebuilds input state outside the timed section.
-    pub fn bench_batched<S, T, Setup: FnMut() -> S, Run: FnMut(S) -> T>(
-        name: &str,
-        mut setup: Setup,
-        mut run: Run,
-    ) {
-        let mut timed = Duration::ZERO;
-        let mut iters = 0u64;
-        // Warmup: one full cycle.
-        let s = setup();
-        let _ = run(s);
-        while timed < BUDGET {
-            let s = setup();
-            // riot-lint: allow(D2, reason = "bench harness measures wall-clock by design")
-            let start = Instant::now();
-            let out = run(s);
-            timed += start.elapsed();
-            iters += 1;
-            std::hint::black_box(out);
-        }
-        let per_iter = timed.as_nanos() / u128::from(iters.max(1));
-        println!("{name:<44} {per_iter:>12} ns/iter ({iters} iters)");
     }
 }

@@ -1,7 +1,7 @@
 //! Golden byte-identity tests for the scenario layer (DESIGN.md §13).
 //!
-//! Three rings of defence around the committed `results/*.json`
-//! artifacts, from cheapest to most behavioural:
+//! Two rings of defence around the committed `results/*.json` artifacts,
+//! the cheaper first:
 //!
 //! 1. [`committed_artifacts_are_byte_pinned`] hashes the eight committed
 //!    files against golden FNV-1a digests. Any PR that regenerates an
@@ -14,16 +14,16 @@
 //!    devices), so slab bugs that only bite at scale (slot aliasing,
 //!    wheel wrap, bitset word edges at device 64·k) cannot hide behind
 //!    ring 1.
-//! 3. [`incremental_sampling_equals_full_rescan`] is the property test:
-//!    across seeds × disruption campaigns, the O(changed) sampler
-//!    ([`SampleMode::Incremental`]) must produce a byte-identical
-//!    serialized result to the process-table oracle
-//!    ([`SampleMode::FullRescan`]) — same series, same reports, same
-//!    monitor verdicts, same event count.
+//!
+//! The behavioural ring — the slab fold against the process-table rescan
+//! oracle, across seeds × disruption suites — is a unit test of `riot-core`
+//! (`scenario.rs::incremental_sampling_equals_full_rescan_on_every_level`),
+//! because the oracle is a `#[cfg(test)]` item of that crate.
 
-use riot_core::{SampleMode, Scenario, ScenarioResult, ScenarioSpec};
+use riot_core::{Scenario, ScenarioSpec};
 use riot_model::MaturityLevel;
 use riot_sim::{SimDuration, ToJson};
+use std::path::Path;
 
 /// FNV-1a 64-bit — dependency-free content digest for golden pinning.
 fn fnv1a(data: &[u8]) -> u64 {
@@ -50,7 +50,7 @@ const GOLDEN_ARTIFACTS: &[(&str, usize, u64)] = &[
 
 #[test]
 fn committed_artifacts_are_byte_pinned() {
-    let root = riot_bench::perf::repo_root();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for (name, len, digest) in GOLDEN_ARTIFACTS {
         let path = root.join("results").join(format!("{name}.json"));
         let bytes =
@@ -67,20 +67,19 @@ fn committed_artifacts_are_byte_pinned() {
 /// The 10⁴-device golden spec: ML1 (pure device timers — the regime where
 /// the slab fast paths are all active), short horizon so the test stays
 /// debug-buildable.
-fn ten_k_spec(mode: SampleMode) -> ScenarioSpec {
+fn ten_k_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new("golden-1e4", MaturityLevel::Ml1, 11);
     spec.edges = 10;
     spec.devices_per_edge = 1_000;
     spec.duration = SimDuration::from_secs(10);
     spec.warmup = SimDuration::from_secs(2);
     spec.sample_every = SimDuration::from_secs(1);
-    spec.sample_mode = mode;
     spec
 }
 
 #[test]
 fn ten_k_device_scenario_is_golden() {
-    let result = Scenario::build(ten_k_spec(SampleMode::Incremental)).run();
+    let result = Scenario::build(ten_k_spec()).run();
     assert_eq!(result.devices, 10_000);
     assert_eq!(result.events_processed, 300_000);
     // The whole serialized result — series, reports, monitors — pinned as
@@ -88,52 +87,4 @@ fn ten_k_device_scenario_is_golden() {
     // means the scenario layer stopped being deterministic at scale.
     let json = result.to_json().pretty();
     assert_eq!(fnv1a(json.as_bytes()), 0x405e_14ca_cf40_2c03);
-}
-
-/// One property-test scenario: ML4 (EdgeMesh replication, edge control
-/// with failover — every slab mechanism live), 3 edges × 3 devices,
-/// standard 120 s duration so the suites' disruption timelines fit.
-fn property_spec(seed: u64, mode: SampleMode) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::new("slab-vs-rescan", MaturityLevel::Ml4, seed);
-    spec.edges = 3;
-    spec.devices_per_edge = 3;
-    spec.duration = SimDuration::from_secs(120);
-    spec.warmup = SimDuration::from_secs(20);
-    spec.sample_every = SimDuration::from_secs(1);
-    spec.sample_mode = mode;
-    spec
-}
-
-/// A suite campaign: compiles a spec into its disruption schedule.
-type Campaign = fn(&ScenarioSpec) -> riot_model::DisruptionSchedule;
-
-fn run_with(seed: u64, campaign: Campaign, mode: SampleMode) -> ScenarioResult {
-    let mut spec = property_spec(seed, mode);
-    spec.disruptions = campaign(&spec);
-    Scenario::build(spec).run()
-}
-
-#[test]
-fn incremental_sampling_equals_full_rescan() {
-    let campaigns: [(&str, Campaign); 3] = [
-        ("infrastructure", riot_bench::suites::infrastructure),
-        ("connectivity", riot_bench::suites::connectivity),
-        ("service", riot_bench::suites::service),
-    ];
-    for seed in [7u64, 21, 42] {
-        for (name, campaign) in campaigns {
-            let inc = run_with(seed, campaign, SampleMode::Incremental);
-            let oracle = run_with(seed, campaign, SampleMode::FullRescan);
-            assert_eq!(
-                inc.events_processed, oracle.events_processed,
-                "seed {seed} / {name}: event streams diverged"
-            );
-            assert_eq!(
-                inc.to_json().pretty(),
-                oracle.to_json().pretty(),
-                "seed {seed} / {name}: incremental sample fold is not \
-                 byte-identical to the full-rescan oracle"
-            );
-        }
-    }
 }

@@ -168,9 +168,9 @@ pub struct DeviceProcess {
     pending: Vec<(u64, SimTime)>,
     failovers: u64,
     /// The sampling window and last-sense instant of a device *without* a
-    /// slab (the full-rescan sampler and bare-`Sim` tests); never written
-    /// once a slab is attached, so the rescan oracle reads state the
-    /// incremental path has no hand in.
+    /// slab (the `#[cfg(test)]` rescan oracle and bare-`Sim` tests); never
+    /// written once a slab is attached, so the oracle reads state the slab
+    /// path has no hand in.
     window: DeviceWindow,
     last_reading_at: Option<SimTime>,
 }
@@ -204,6 +204,12 @@ impl DeviceProcess {
         self.slab = Some((slab, slot));
     }
 
+    /// Back to a bare device, for the `#[cfg(test)]` rescan oracle.
+    #[cfg(test)]
+    pub(crate) fn detach_slab(&mut self) {
+        self.slab = None;
+    }
+
     /// The component's current lifecycle state.
     pub fn component_state(&self) -> ComponentState {
         self.state
@@ -219,12 +225,14 @@ impl DeviceProcess {
 
     /// Drains and resets the local sampling window — empty when a slab is
     /// attached, which then holds the window.
+    #[cfg(test)]
     pub(crate) fn take_window(&mut self) -> DeviceWindow {
         std::mem::take(&mut self.window)
     }
 
     /// When the device last produced a reading — `None` when a slab is
     /// attached, which then holds the instant.
+    #[cfg(test)]
     pub(crate) fn last_reading_at(&self) -> Option<SimTime> {
         self.last_reading_at
     }

@@ -80,6 +80,5 @@ pub use resilience::{
     ResilienceReport, Thresholds, GOAL_NAME, REQUIREMENT_NAMES,
 };
 pub use scenario::{
-    standard_domains, DeviceInfo, SampleMode, Scenario, ScenarioResult, ScenarioSpec, SpecError,
-    MAX_TRACE_TAIL,
+    standard_domains, DeviceInfo, Scenario, ScenarioResult, ScenarioSpec, SpecError, MAX_TRACE_TAIL,
 };

@@ -23,10 +23,8 @@
 //! artifacts must be reproducible, so `Scenario::build` registers observers
 //! in a fixed, documented order:
 //!
-//! 1. the runtime-internal node-slab liveness mirror (when sampling
-//!    incrementally — the default; see
-//!    [`SampleMode`](crate::SampleMode)), so the slab reflects a
-//!    lifecycle event before any user observer sees it,
+//! 1. the runtime-internal node-slab liveness mirror, so the slab
+//!    reflects a lifecycle event before any user observer sees it,
 //! 2. the online monitor bank built from `ScenarioSpec::monitors` (if any),
 //! 3. the forensic `RingTrace` from `ScenarioSpec::trace_tail` (if any),
 //! 4. the streaming-telemetry pipeline from `ScenarioSpec::streams` (if
@@ -230,8 +228,8 @@ pub enum StreamKind {
     /// jurisdiction.
     FlowsByJurisdiction,
     /// Node liveness mirror ([`ActivityTracker`](riot_sim::ActivityTracker)):
-    /// tracks up/down transitions and lets sampling read availability from
-    /// the stream instead of rescanning kernel state.
+    /// tracks up/down transitions; the `#[cfg(test)]` rescan oracle reads
+    /// availability from it instead of the kernel's table.
     Activity,
 }
 

@@ -17,7 +17,7 @@
 
 use crate::cloud::{CloudConfig, CloudProcess};
 use crate::config::{ArchitectureConfig, ReplicationMode};
-use crate::device::{DeviceConfig, DeviceGroup, DeviceProcess, DeviceWindow};
+use crate::device::{DeviceConfig, DeviceGroup, DeviceProcess};
 use crate::edge::{EdgeConfig, EdgeProcess};
 use crate::msg::Msg;
 use crate::observe::{
@@ -106,25 +106,6 @@ pub struct ScenarioSpec {
     /// monitor bank, ring and stream pipeline (registration order is fixed;
     /// see [`ObserverSpec`]).
     pub observers: ObserverSpec,
-    /// How [`Scenario`] gathers each sample tick (see [`SampleMode`]).
-    /// The two modes produce byte-identical results — pinned by a property
-    /// test — so this is a performance knob, not a semantic one.
-    pub sample_mode: SampleMode,
-}
-
-/// How the scenario runner gathers per-device state at each sample tick.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SampleMode {
-    /// O(changed) sampling off the node-state slab (`crate::state`):
-    /// devices push window/coverage/freshness deltas as they happen and the
-    /// sampler folds flat arrays. The default.
-    #[default]
-    Incremental,
-    /// O(devices) walk of the process table at every tick: drains each
-    /// device's window and probes each consumer store directly. The oracle
-    /// the incremental path is checked against, and the "before" baseline
-    /// in the scale benchmarks.
-    FullRescan,
 }
 
 /// Largest ring-tail capacity a spec may request (2^20 entries). A request
@@ -189,7 +170,6 @@ impl ScenarioSpec {
             trace_tail: None,
             streams: StreamSpec::new(),
             observers: ObserverSpec::new(),
-            sample_mode: SampleMode::default(),
         }
     }
 
@@ -349,9 +329,6 @@ impl Telemetry for SampleTelemetry {
 /// A built, ready-to-run scenario.
 pub struct Scenario {
     spec: ScenarioSpec,
-    /// The effective architecture, resolved once at build time so the
-    /// sampling loop never re-derives (and re-clones) it per tick.
-    arch: ArchitectureConfig,
     sim: Sim<Msg>,
     hierarchy: Hierarchy,
     /// The run-wide data-key space every store shares.
@@ -369,9 +346,8 @@ pub struct Scenario {
     streams: Option<StreamIdx>,
     /// Pre-interned series keys for the sampling loop.
     sample_keys: SampleKeys,
-    /// The node-state slab behind [`SampleMode::Incremental`]; `None` under
-    /// [`SampleMode::FullRescan`], whose sampler walks the process table.
-    slab: Option<crate::state::NodeSlab>,
+    /// The node-state slab every sample tick folds (`crate::state`).
+    slab: NodeSlab,
 }
 
 /// Bus and operator indices of the built-in streaming-telemetry pipeline,
@@ -506,32 +482,26 @@ impl Scenario {
             .build_with_medium(Box::new(net));
         let sample_keys = SampleKeys::new(sim.metrics_mut());
 
-        // -- Node-state slab (the `SampleMode::Incremental` backbone; see
-        // crate::state). Built before the bus registrations so its liveness
-        // mirror is the first observer: by the time any user observer sees
-        // a lifecycle event, the slab already reflects it.
-        let slab = if spec.sample_mode == SampleMode::Incremental {
-            let personal: Vec<bool> = (0..spec.device_count())
-                .map(|i| spec.personal_every > 0 && i.is_multiple_of(spec.personal_every))
-                .collect();
-            Some(NodeSlab::new(arch.sense_period * 3, personal))
-        } else {
-            None
-        };
-        if let Some(slab) = &slab {
-            // Devices occupy the contiguous id range after cloud + edges.
-            sim.add_observer(SlabLiveness::new(
-                slab.clone(),
-                1 + spec.edges,
-                spec.device_count(),
-            ));
-        }
+        // -- Node-state slab (the sampler's backbone; see crate::state).
+        // Built before the bus registrations so its liveness mirror is the
+        // first observer: by the time any user observer sees a lifecycle
+        // event, the slab already reflects it.
+        let personal: Vec<bool> = (0..spec.device_count())
+            .map(|i| spec.personal_every > 0 && i.is_multiple_of(spec.personal_every))
+            .collect();
+        let slab = NodeSlab::new(arch.sense_period * 3, personal);
+        // Devices occupy the contiguous id range after cloud + edges.
+        sim.add_observer(SlabLiveness::new(
+            slab.clone(),
+            1 + spec.edges,
+            spec.device_count(),
+        ));
 
         // -- Observability bus. Registration order is fixed and documented
-        // (crate::observe): slab liveness mirror (runtime-internal, when
-        // sampling incrementally), monitor bank, forensic ring, stream
-        // pipeline, then user factories. Observers only read events, so
-        // this cannot change the run itself — only what gets reported.
+        // (crate::observe): slab liveness mirror (runtime-internal), monitor
+        // bank, forensic ring, stream pipeline, then user factories.
+        // Observers only read events, so this cannot change the run itself
+        // — only what gets reported.
         let monitor_idx = if spec.monitors.is_empty() {
             None
         } else {
@@ -695,9 +665,7 @@ impl Scenario {
                     },
                     domain: DomainId(0),
                 });
-                if let Some(slab) = &slab {
-                    dev.attach_slab(slab.clone(), global_idx as u32);
-                }
+                dev.attach_slab(slab.clone(), global_idx as u32);
                 let id = sim.add_process(dev);
                 debug_assert_eq!(id, d);
                 devices.push(DeviceInfo {
@@ -712,45 +680,41 @@ impl Scenario {
 
         // -- Consumer-freshness mirrors: a store probe on each consuming
         // store writes record arrivals/evictions straight into the slab, so
-        // the incremental freshness fold never touches the stores. The
-        // consumer mapping mirrors `consumer_staleness` and is static — a
-        // device's designated consumer follows from its *home* edge index,
-        // which neither mobility nor failover rewrites.
-        if let Some(slab) = &slab {
-            match arch.replication {
-                // No replication: nothing ever lands anywhere; the mirror
-                // stays unwritten and every key reads never-seen.
-                ReplicationMode::None => {}
-                ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => {
-                    let mut slot_of: Vec<Option<u32>> = vec![None; keys.len()];
-                    for (slot, info) in devices.iter().enumerate() {
-                        if let Some(s) = slot_of.get_mut(info.key.index()) {
-                            *s = Some(slot as u32);
-                        }
-                    }
-                    if let Some(cloud) = sim.process_mut::<CloudProcess>(hierarchy.cloud) {
-                        cloud.set_store_probe(Rc::new(ConsumerMirror::new(slab.clone(), slot_of)));
+        // the freshness fold never touches the stores. The consumer mapping
+        // is static — a device's designated consumer follows from its *home*
+        // edge index, which neither mobility nor failover rewrites — and is
+        // the one the `#[cfg(test)]` rescan oracle's `consumer_staleness`
+        // walks.
+        match arch.replication {
+            // No replication: nothing ever lands anywhere; the mirror
+            // stays unwritten and every key reads never-seen.
+            ReplicationMode::None => {}
+            ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => {
+                let mut slot_of: Vec<Option<u32>> = vec![None; keys.len()];
+                for (slot, info) in devices.iter().enumerate() {
+                    if let Some(s) = slot_of.get_mut(info.key.index()) {
+                        *s = Some(slot as u32);
                     }
                 }
-                ReplicationMode::EdgeMesh => {
-                    for (j, &e) in hierarchy.edges.iter().enumerate() {
-                        // Edge j consumes the devices homed on the previous
-                        // edge (whose consumer is `(edge_index + 1) % edges`).
-                        let producer_edge = (j + spec.edges - 1) % spec.edges.max(1);
-                        let mut slot_of: Vec<Option<u32>> = vec![None; keys.len()];
-                        for (slot, info) in devices.iter().enumerate() {
-                            if info.edge_index == producer_edge {
-                                if let Some(s) = slot_of.get_mut(info.key.index()) {
-                                    *s = Some(slot as u32);
-                                }
+                if let Some(cloud) = sim.process_mut::<CloudProcess>(hierarchy.cloud) {
+                    cloud.set_store_probe(Rc::new(ConsumerMirror::new(slab.clone(), slot_of)));
+                }
+            }
+            ReplicationMode::EdgeMesh => {
+                for (j, &e) in hierarchy.edges.iter().enumerate() {
+                    // Edge j consumes the devices homed on the previous
+                    // edge (whose consumer is `(edge_index + 1) % edges`).
+                    let producer_edge = (j + spec.edges - 1) % spec.edges.max(1);
+                    let mut slot_of: Vec<Option<u32>> = vec![None; keys.len()];
+                    for (slot, info) in devices.iter().enumerate() {
+                        if info.edge_index == producer_edge {
+                            if let Some(s) = slot_of.get_mut(info.key.index()) {
+                                *s = Some(slot as u32);
                             }
                         }
-                        if let Some(edge) = sim.process_mut::<EdgeProcess>(e) {
-                            edge.set_store_probe(Rc::new(ConsumerMirror::new(
-                                slab.clone(),
-                                slot_of,
-                            )));
-                        }
+                    }
+                    if let Some(edge) = sim.process_mut::<EdgeProcess>(e) {
+                        edge.set_store_probe(Rc::new(ConsumerMirror::new(slab.clone(), slot_of)));
                     }
                 }
             }
@@ -766,7 +730,6 @@ impl Scenario {
         let goals = standard_goal_model();
         Scenario {
             spec,
-            arch,
             sim,
             hierarchy,
             keys,
@@ -810,10 +773,10 @@ impl Scenario {
         self.finish()
     }
 
-    /// Staleness of `info`'s key at its consuming store. An associated
-    /// function over disjoint borrows on purpose: the sampling loop holds
-    /// `&self.devices` while probing `self.sim`, so a `&mut self` method
-    /// would force the per-tick clone of the device index this replaced.
+    /// Staleness of `info`'s key at its consuming store, for the rescan
+    /// oracle. An associated function over disjoint borrows: [`Self::rescan`]
+    /// holds `&self.devices` while probing `self.sim`.
+    #[cfg(test)]
     fn consumer_staleness(
         sim: &Sim<Msg>,
         hierarchy: &Hierarchy,
@@ -829,7 +792,6 @@ impl Scenario {
                 .and_then(|c| c.store().staleness_secs_key(info.key, now))
                 .unwrap_or(NEVER_SEEN_STALENESS_S),
             ReplicationMode::EdgeMesh => {
-                // riot-lint: allow(P1, reason = "hierarchy.edges has exactly spec.edges entries; the index is reduced mod spec.edges")
                 let consumer = hierarchy.edges[(info.edge_index + 1) % edges];
                 sim.process::<EdgeProcess>(consumer)
                     .and_then(|e| e.store().staleness_secs_key(info.key, now))
@@ -838,20 +800,16 @@ impl Scenario {
         }
     }
 
-    /// Whether a device is currently up. When the `Activity` stream is
-    /// enabled this reads the pipeline's liveness mirror — sampling consumes
-    /// the stream instead of rescanning kernel state — with the kernel's own
-    /// table as the fallback. The two agree by construction (the tracker
-    /// replays the same `ProcessDown`/`ProcessUp` events the kernel
-    /// emitted), which the streams integration test pins down by requiring
-    /// byte-identical results with streams on and off.
+    /// Whether a device is currently up, for the rescan oracle. When the
+    /// `Activity` stream is enabled this reads the pipeline's liveness
+    /// mirror, with the kernel's own table as the fallback. The two agree
+    /// by construction (the tracker replays the same
+    /// `ProcessDown`/`ProcessUp` events the kernel emitted).
+    #[cfg(test)]
     fn device_is_up(&self, id: ProcessId) -> bool {
         if let Some(s) = &self.streams {
             if let Some(op) = s.activity {
-                // Qualified call so riot-lint's call graph gets a precise
-                // edge to `Sim::observer` (the name-based method fallback
-                // would also wire `SimBuilder::observer`, which allocates).
-                if let Some(pipeline) = Sim::observer::<StreamPipeline>(&self.sim, s.pipeline) {
+                if let Some(pipeline) = self.sim.observer::<StreamPipeline>(s.pipeline) {
                     if let Some(tracker) = pipeline.get::<ActivityTracker>(op) {
                         return tracker.is_up(id);
                     }
@@ -863,43 +821,64 @@ impl Scenario {
 
     /// One resilience sample tick. Declared a hot root in
     /// `lint-hotpaths.toml`: nothing reachable from here may allocate
-    /// (rule A1), which the fixed-field [`SampleTelemetry`] valuation,
-    /// the pre-interned [`SampleKeys`] and the borrow-splitting
-    /// [`Self::consumer_staleness`] exist to guarantee. Calls into other
+    /// (rule A1), which the fixed-field [`SampleTelemetry`] valuation and
+    /// the pre-interned [`SampleKeys`] exist to guarantee. Calls into other
     /// crates use qualified-call syntax so the lint's call graph gets
     /// precise edges (DESIGN.md §10).
     fn sample(&mut self, now: SimTime) {
-        let fold = match &self.slab {
-            // O(changed): fold the node-state slab's flat arrays. Devices
-            // pushed their deltas as they happened; nothing here touches
-            // the process table or the stores.
-            Some(slab) => slab.sample_fold(now, NEVER_SEEN_STALENESS_S),
-            None => self.rescan(now),
-        };
+        // O(changed): fold the node-state slab's flat arrays. Devices
+        // pushed their deltas as they happened; nothing here touches the
+        // process table or the stores.
+        let fold = self.slab.sample_fold(now, NEVER_SEEN_STALENESS_S);
         self.publish_sample(now, &fold);
     }
 
-    /// The [`SampleMode::FullRescan`] gather: one O(devices) pass over the
-    /// device index — control-loop window, coverage, and consumer-store
-    /// freshness together. `self.devices` and `self.sim` are disjoint
-    /// fields, so the loop needs no clone of the device index. Keeping the
+    /// The rescan oracle: [`Self::build`] and [`Self::run`] with every
+    /// device detached from the slab and each sample gathered by
+    /// [`Self::rescan`] instead of the slab fold. The liveness mirror and
+    /// the store probes stay registered and write rows nothing reads.
+    #[cfg(test)]
+    fn run_rescan_oracle(spec: ScenarioSpec) -> ScenarioResult {
+        let mut scenario = Scenario::build(spec);
+        for info in &scenario.devices {
+            scenario
+                .sim
+                .process_mut::<DeviceProcess>(info.id)
+                .expect("device process")
+                .detach_slab();
+        }
+        let mut t = SimTime::ZERO;
+        let end = SimTime::ZERO + scenario.spec.duration;
+        while t < end {
+            t = (t + scenario.spec.sample_every).min(end);
+            scenario.sim.run_until(t);
+            let fold = scenario.rescan(t);
+            scenario.publish_sample(t, &fold);
+        }
+        scenario.finish()
+    }
+
+    /// The oracle's gather: one O(devices) pass over the device index —
+    /// control-loop window, coverage, and consumer-store freshness
+    /// together, read from the process table and the stores. Keeping the
     /// staleness accumulation in device-index order pins the floating-point
     /// sum — and therefore the recorded freshness series — bit-for-bit;
-    /// the incremental fold replays the identical addition sequence (its
-    /// slot order *is* device-index order), which is what lets the property
-    /// tests demand byte-identical results from both modes.
+    /// the slab fold replays the identical addition sequence (its slot
+    /// order *is* device-index order), which is what lets the oracle test
+    /// demand byte-identical results.
+    #[cfg(test)]
     fn rescan(&mut self, now: SimTime) -> SampleFold {
-        let mut window = DeviceWindow::default();
+        let mut window = crate::device::DeviceWindow::default();
         let mut covered = 0usize;
         let mut staleness_sum = 0.0;
         let mut staleness_n = 0usize;
-        let fresh_horizon = self.arch.sense_period * 3;
+        let arch = self.spec.architecture();
+        let fresh_horizon = arch.sense_period * 3;
         for info in &self.devices {
             let up = self.device_is_up(info.id);
             let dev = self
                 .sim
                 .process_mut::<DeviceProcess>(info.id)
-                // riot-lint: allow(P1, reason = "every id in the device index was registered as a DeviceProcess by build()")
                 .expect("device process");
             let w = dev.take_window();
             window.control_ok += w.control_ok;
@@ -919,7 +898,7 @@ impl Scenario {
                 staleness_sum += Self::consumer_staleness(
                     &self.sim,
                     &self.hierarchy,
-                    self.arch.replication,
+                    arch.replication,
                     self.spec.edges,
                     info,
                     now,
@@ -936,10 +915,10 @@ impl Scenario {
         }
     }
 
-    /// The mode-independent tail of a sample tick: privacy audit, telemetry
-    /// valuation, verdicts, series pushes and the bus note. Both gather
-    /// paths feed the same [`SampleFold`] through here, so a result can
-    /// only differ between modes if the gathered numbers do.
+    /// The tail of a sample tick: privacy audit, telemetry valuation,
+    /// verdicts, series pushes and the bus note. The `#[cfg(test)]` rescan
+    /// oracle feeds its own [`SampleFold`] through here, so its result can
+    /// only differ from the slab's if the gathered numbers do.
     fn publish_sample(&mut self, now: SimTime, fold: &SampleFold) {
         let window = &fold.window;
         let covered = fold.covered;
@@ -1623,39 +1602,98 @@ mod tests {
             .at(ms(21_400), crash(spec.device_id(1, 2), 300))
     }
 
+    // The three schedules below equal `riot_bench::suites::{infrastructure,
+    // connectivity, service}` at three edges, the one shape the oracle test
+    // runs them at.
+
+    /// Edge 0 down 40–65 s, edge 1 down 70–85 s.
+    fn infrastructure_suite(spec: &ScenarioSpec) -> DisruptionSchedule {
+        let crash = |edge, back_s| Disruption::NodeCrash {
+            node: spec.edge_id(edge),
+            recover_after: Some(SimDuration::from_secs(back_s)),
+        };
+        DisruptionSchedule::new()
+            .at(SimTime::from_secs(40), crash(0, 25))
+            .at(SimTime::from_secs(70), crash(1, 15))
+    }
+
+    /// A cloud outage, 40–65 s. (The suite's edge partition at 80–95 s
+    /// needs four edges to split and compiles to nothing at three.)
+    fn connectivity_suite(spec: &ScenarioSpec) -> DisruptionSchedule {
+        DisruptionSchedule::new().at(
+            SimTime::from_secs(40),
+            Disruption::CloudOutage {
+                cloud: spec.cloud_id(),
+                heal_after: Some(SimDuration::from_secs(25)),
+            },
+        )
+    }
+
+    /// Every device with global index ≡ 1 mod 4 loses its component, one
+    /// every 7 s from 35 s.
+    fn service_suite(spec: &ScenarioSpec) -> DisruptionSchedule {
+        let mut s = DisruptionSchedule::new();
+        let mut t = 35u64;
+        for e in 0..spec.edges {
+            for d in 0..spec.devices_per_edge {
+                if (e * spec.devices_per_edge + d) % 4 == 1 {
+                    let node = spec.device_id(e, d);
+                    s.push(
+                        SimTime::from_secs(t),
+                        Disruption::ComponentFault {
+                            node,
+                            component: riot_model::ComponentId(node.0 as u32),
+                        },
+                    );
+                    t += 7;
+                }
+            }
+        }
+        s
+    }
+
     #[test]
     fn incremental_sampling_equals_full_rescan_on_every_level() {
-        let levels = [
-            MaturityLevel::Ml1,
-            MaturityLevel::Ml2,
-            MaturityLevel::Ml3,
-            MaturityLevel::Ml4,
+        type Schedule = fn(&ScenarioSpec) -> DisruptionSchedule;
+        // (levels, seeds, duration s, warm-up s), at 3 edges × 3 devices
+        // sampled every second.
+        type Shape<'a> = (&'a [MaturityLevel], [u64; 3], u64, u64);
+        let storm: Shape = (&MaturityLevel::ALL, [3, 17, 40], 40, 10);
+        // ML4 alone under the suites: EdgeMesh replication and edge control
+        // with failover — every slab mechanism live — over the standard
+        // 120 s the suites' timelines are written for.
+        let suite: Shape = (&[MaturityLevel::Ml4], [7, 21, 42], 120, 20);
+        let table: [(Shape, Schedule, &str); 4] = [
+            (storm, same_tick_storm, "storm"),
+            (suite, infrastructure_suite, "infrastructure"),
+            (suite, connectivity_suite, "connectivity"),
+            (suite, service_suite, "service"),
         ];
-        for level in levels {
-            for seed in [3u64, 17, 40] {
-                let run = |mode| {
+        for ((levels, seeds, duration, warmup), schedule, name) in table {
+            for &level in levels {
+                for seed in seeds {
                     let mut spec = ScenarioSpec::new("row-vs-rescan", level, seed);
                     spec.edges = 3;
                     spec.devices_per_edge = 3;
-                    spec.duration = SimDuration::from_secs(40);
-                    spec.warmup = SimDuration::from_secs(10);
-                    spec.disruptions = same_tick_storm(&spec);
-                    spec.sample_mode = mode;
-                    Scenario::build(spec).run()
-                };
-                let inc = run(SampleMode::Incremental);
-                let oracle = run(SampleMode::FullRescan);
-                assert_eq!(
-                    inc.events_processed, oracle.events_processed,
-                    "{level:?} seed {seed}: event streams diverged"
-                );
-                assert_eq!(
-                    inc.to_json().render(),
-                    oracle.to_json().render(),
-                    "{level:?} seed {seed}: the slab rows and the rescan disagree"
-                );
-                let coverage = inc.report.requirements["coverage"].resilience;
-                assert!(coverage < 1.0, "{level:?}: the storm was felt");
+                    spec.duration = SimDuration::from_secs(duration);
+                    spec.warmup = SimDuration::from_secs(warmup);
+                    spec.disruptions = schedule(&spec);
+                    let inc = Scenario::build(spec.clone()).run();
+                    let oracle = Scenario::run_rescan_oracle(spec);
+                    assert_eq!(
+                        inc.events_processed, oracle.events_processed,
+                        "{level:?} seed {seed} / {name}: event streams diverged"
+                    );
+                    assert_eq!(
+                        inc.to_json().render(),
+                        oracle.to_json().render(),
+                        "{level:?} seed {seed} / {name}: the slab rows and the rescan disagree"
+                    );
+                    if name == "storm" {
+                        let coverage = inc.report.requirements["coverage"].resilience;
+                        assert!(coverage < 1.0, "{level:?}: the storm was felt");
+                    }
+                }
             }
         }
     }

@@ -17,7 +17,8 @@
 //!
 //! Three mechanisms keep the per-tick cost proportional to what actually
 //! changed while staying bit-for-bit identical to the full rescan (the
-//! `SampleMode::FullRescan` oracle, pinned by a property test):
+//! `#[cfg(test)]` rescan oracle in `scenario.rs`, pinned by a property
+//! test):
 //!
 //! - **Dirty window set.** Control-loop counters accumulate per device;
 //!   devices that saw activity since the last drain set a bit in a fixed
@@ -629,6 +630,10 @@ mod tests {
         mirror.on_record(k1, SimTime::from_secs(1)); // device slot 1
         let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
         assert!((fold.staleness_sum - (1.0e6 + 1.0)).abs() < 1e-6);
+        mirror.on_evict(k1);
+        let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
+        assert!((fold.staleness_sum - 2.0e6).abs() < 1e-6); // evicted = unseen
+        mirror.on_record(k1, SimTime::from_secs(1));
         mirror.on_clear();
         let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
         assert!((fold.staleness_sum - 2.0e6).abs() < 1e-6);

@@ -9,7 +9,7 @@
 //!
 //! - **D1** — no `HashMap`/`HashSet` in sim-visible crates (their iteration
 //!   order is randomized per process);
-//! - **D2** — no ambient wall-clock time outside the bench harness;
+//! - **D2** — no ambient wall-clock time, anywhere;
 //! - **D3** — no ambient entropy, anywhere;
 //! - **P1** — no `.unwrap()` / `.expect(..)` / `panic!` / bare indexing in
 //!   non-test library code.
@@ -285,8 +285,6 @@ fn parse_directive_body(rest: &str) -> Result<Directive, String> {
 pub struct FileClass {
     /// D1 applies (file belongs to a sim-visible crate).
     pub sim_visible: bool,
-    /// D2 applies (file is not a bench target).
-    pub ambient_time_forbidden: bool,
     /// P1 applies (file is non-test library code).
     pub panic_checked: bool,
 }
@@ -295,7 +293,6 @@ impl FileClass {
     /// A class with every rule enabled — what fixture tests use.
     pub const STRICT: FileClass = FileClass {
         sim_visible: true,
-        ambient_time_forbidden: true,
         panic_checked: true,
     };
 }
@@ -310,12 +307,10 @@ pub fn classify(rel: &str) -> FileClass {
     // Root-level tests/ and examples/ drive the sim crates directly, so
     // they are sim-visible too.
     let sim_visible = crate_name == "root" || SIM_VISIBLE_CRATES.contains(&crate_name);
-    let ambient_time_forbidden = !rel.starts_with("crates/bench/benches/");
     let panic_checked =
         rel.contains("/src/") && !rel.contains("/bin/") && !rel.ends_with("src/main.rs");
     FileClass {
         sim_visible,
-        ambient_time_forbidden,
         panic_checked,
     }
 }
@@ -431,9 +426,7 @@ pub fn analyze_source(
         if class.sim_visible {
             findings.extend(rules::check_d1(code));
         }
-        if class.ambient_time_forbidden {
-            findings.extend(rules::check_d2(code));
-        }
+        findings.extend(rules::check_d2(code));
         findings.extend(rules::check_d3(code));
         if class.panic_checked && !analysis.in_test.get(idx).copied().unwrap_or(false) {
             findings.extend(rules::check_p1(code));
@@ -782,11 +775,9 @@ mod tests {
     #[test]
     fn classify_scopes() {
         let sim = classify("crates/sim/src/kernel.rs");
-        assert!(sim.sim_visible && sim.ambient_time_forbidden && sim.panic_checked);
+        assert!(sim.sim_visible && sim.panic_checked);
         let bench_lib = classify("crates/bench/src/lib.rs");
-        assert!(!bench_lib.sim_visible && bench_lib.ambient_time_forbidden);
-        let bench_bench = classify("crates/bench/benches/sim_bench.rs");
-        assert!(!bench_bench.ambient_time_forbidden && !bench_bench.panic_checked);
+        assert!(!bench_lib.sim_visible && bench_lib.panic_checked);
         let bin = classify("crates/bench/src/bin/riot.rs");
         assert!(!bin.panic_checked);
         let root_test = classify("tests/determinism.rs");
@@ -795,31 +786,31 @@ mod tests {
         // to the same determinism bar (its progress module carries the one
         // reviewed D2 allow-file).
         let harness = classify("crates/harness/src/grid.rs");
-        assert!(harness.sim_visible && harness.ambient_time_forbidden && harness.panic_checked);
+        assert!(harness.sim_visible && harness.panic_checked);
         // The observability bus feeds recorded traces and online monitor
         // verdicts: the observer modules are fully inside the determinism
         // perimeter, on both the kernel and the scenario side.
         let observer = classify("crates/sim/src/observer.rs");
-        assert!(observer.sim_visible && observer.ambient_time_forbidden && observer.panic_checked);
+        assert!(observer.sim_visible && observer.panic_checked);
         let observe = classify("crates/core/src/observe.rs");
         assert!(observe.sim_visible && observe.panic_checked);
         // The metric-key intern table sits under every recorded result: it
         // must stay inside the determinism perimeter (no ambient hashing)
         // and panic-checked like the rest of the kernel.
         let intern = classify("crates/sim/src/intern.rs");
-        assert!(intern.sim_visible && intern.ambient_time_forbidden && intern.panic_checked);
+        assert!(intern.sim_visible && intern.panic_checked);
         // Streaming telemetry operators compute sim-visible aggregates on
         // the per-event hot path: full determinism perimeter, and their
         // leaf updates are declared hot roots in lint-hotpaths.toml.
         let stream = classify("crates/sim/src/stream.rs");
-        assert!(stream.sim_visible && stream.ambient_time_forbidden && stream.panic_checked);
+        assert!(stream.sim_visible && stream.panic_checked);
         // The campaign subsystem generates, compiles and shrinks the
         // disruption schedules that scenarios replay: any nondeterminism
         // here diverges a fuzz sweep, so it sits inside the determinism
         // perimeter (rule D3 keeps its entropy behind explicit SimRng
         // seeds) and is panic-checked like the rest.
         let campaign = classify("crates/campaign/src/gen.rs");
-        assert!(campaign.sim_visible && campaign.ambient_time_forbidden && campaign.panic_checked);
+        assert!(campaign.sim_visible && campaign.panic_checked);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! | id | violation | scope |
 //! |----|-----------|-------|
 //! | `D1` | `HashMap`/`HashSet` use (unordered iteration) | sim-visible crates |
-//! | `D2` | ambient wall-clock (`Instant::now`, `SystemTime::now`) | everywhere except `crates/bench/benches/` |
+//! | `D2` | ambient wall-clock (`Instant::now`, `SystemTime::now`) | everywhere |
 //! | `D3` | ambient entropy (`thread_rng`, `rand::random`, `RandomState`, ...) | everywhere |
 //! | `P1` | panic paths (`.unwrap()`, `.expect(`, `panic!`, bare indexing) | non-test library code |
 //! | `A1` | allocating/formatting calls (`format!`, `.to_string()`, `Box::new`, un-pre-sized `Vec::new`/`.collect()`, `.clone()`, …) | functions reachable from a declared hot root |
@@ -90,9 +90,9 @@ pub fn check_d2(code: &str) -> Option<Finding> {
         if has_token(code, tok) {
             return Some((
                 RuleId::D2,
-                format!("ambient wall-clock `{tok}()` outside the bench harness"),
-                "thread SimTime from the simulation clock; for operator-facing timing use \
-                 riot_bench::harness"
+                format!("ambient wall-clock `{tok}()`"),
+                "thread SimTime from the simulation clock; operator-facing timing goes through \
+                 the benchmark's clock.rs (crates/bench/src/bin/benchmark/)"
                     .into(),
             ));
         }

@@ -44,14 +44,21 @@ fn workspace_has_no_violations() {
     // `PayloadSlab` through `hold`/`release`, names the method fallback
     // resolves; the look-ahead's `prefetch` implementations sit behind
     // `dyn Process` and are in the cone only as declared roots). Lower them
-    // only with the removal of a reachable function.
+    // only with the removal of a reachable function. Last lowered, 253 → 236
+    // and 389 → 379, when the rescan sampler became a `#[cfg(test)]` oracle:
+    // `Scenario::{rescan, consumer_staleness, device_is_up}` and
+    // `DeviceProcess::{take_window, last_reading_at}` left both cones with
+    // what only they reached — `DeviceProcess::component_state`,
+    // `ComponentState::provides_service`, `ReplicatedStore::{get_key,
+    // staleness_secs_key}`, `DataMeta::age_secs` — and, from the hot cone
+    // alone, `Sim::{observer, process_mut}` and five `as_any_mut`s.
     assert!(
-        graph.hot_reachable >= 253,
+        graph.hot_reachable >= 236,
         "hot cone shrank: {} fns",
         graph.hot_reachable
     );
     assert!(
-        graph.entry_reachable >= 389,
+        graph.entry_reachable >= 379,
         "entry cone shrank: {} fns",
         graph.entry_reachable
     );

@@ -2,8 +2,8 @@
 # The full local gate: everything CI (and the tier-1 driver) checks, in the
 # order that fails fastest. Run from anywhere inside the repository.
 #
-#   scripts/check.sh           # fmt + clippy + riot-lint + tests
-#   scripts/check.sh --quick   # skip the test suite (style + lint only)
+#   scripts/check.sh           # fmt + clippy + riot-lint + doc + tests + three smokes
+#   scripts/check.sh --quick   # skip the tests and smokes (style + lint + doc only)
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -36,36 +36,10 @@ if [[ "$quick" == "0" ]]; then
   echo "==> cargo test (workspace)"
   cargo test --quiet
 
-  echo "==> observability bus determinism (observers on vs off, byte-identical)"
-  cargo test --quiet -p riot-core --test observer_bus
-
-  echo "==> streaming telemetry (artifact stability, worker determinism, sketch bound)"
-  cargo test --quiet -p riot-harness --test stream_pipeline
-
   echo "==> riot-harness smoke grid (parallel run of a small scenario sweep)"
   cargo run --quiet -p riot-bench --bin riot -- \
     --level ml1 --edges 2 --devices 2 --duration 20 --warmup 5 \
     --seeds 2 --threads 2 --stream-summary > /dev/null
-
-  echo "==> perf smoke (kernel suite: schema + streamed path >= 50% of unobserved)"
-  cargo run --quiet -p riot-bench --bin perf -- --smoke > /dev/null
-
-  # The >=50% throughput gate is asserted inside perf --smoke; make sure the
-  # benchmark actually ran rather than being silently dropped from the suite.
-  grep -q '"stream_pipeline"' target/BENCH_kernel_smoke.json || {
-    echo "error: stream_pipeline benchmark missing from the smoke suite" >&2
-    exit 1
-  }
-
-  echo "==> scale smoke (scenario-layer gates: 5x-seed sampling throughput, O(changed) beats the rescan oracle, end-to-end floor)"
-  cargo run --quiet --release -p riot-bench --bin scale_e1 -- --smoke > /dev/null
-
-  # The three gates are asserted inside scale_e1 --smoke; make sure the
-  # gated sampler benchmark actually ran.
-  grep -q '"sampler_inc_1e4"' target/BENCH_scale_smoke.json || {
-    echo "error: sampler_inc_1e4 benchmark missing from the scale smoke suite" >&2
-    exit 1
-  }
 
   echo "==> benchmark smoke (all four workloads at 1/20 size, untraced + traced; every BENCHMARK.json metric emitted once)"
   cargo run --quiet --release -p riot-bench --bin benchmark -- --smoke > /dev/null

@@ -1,103 +1,18 @@
 //! Streaming telemetry pipeline guarantees, end to end:
 //!
 //! 1. streams are strictly opt-in and passive — the same seed with
-//!    `StreamSpec::standard()` enabled publishes a byte-identical artifact,
-//!    and the eight committed `results/*.json` files do not move;
+//!    `StreamSpec::standard()` enabled publishes a byte-identical artifact
+//!    (the eight committed `results/*.json` files are pinned by
+//!    `crates/bench/tests/golden_artifacts.rs`);
 //! 2. stream aggregates are deterministic across harness worker counts —
 //!    1-thread and 4-thread sweeps render byte-identical summary JSON;
 //! 3. online sketch percentiles match exact post-hoc percentiles within
 //!    the sketch's documented relative value-error bound `α`.
-//!
-//! Byte-identity is asserted on MD5 digests (plus direct string equality
-//! where both sides are in memory); the digest implementation lives in
-//! [`md5`] below and is self-tested against the RFC 1321 vectors so it
-//! cannot vacuously pass.
 
 use riot_core::{Scenario, ScenarioResult, ScenarioSpec, StreamSpec};
 use riot_harness::{Cell, Grid, HarnessConfig};
 use riot_model::{ComponentId, Disruption, DisruptionSchedule, MaturityLevel};
 use riot_sim::{Json, QuantileSketch, SimDuration, SimRng, SimTime, ToJson};
-
-/// RFC 1321 MD5, dependency-free. Test-only code: the workspace's offline
-/// allowlist has no hash crate, and the artifact-stability contract below
-/// is stated in md5 digests on purpose — they are what `md5sum` prints, so
-/// a failure can be re-checked from a shell.
-mod md5 {
-    const S: [u32; 64] = [
-        7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 5, 9, 14, 20, 5, 9, 14, 20, 5,
-        9, 14, 20, 5, 9, 14, 20, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 6, 10,
-        15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-    ];
-
-    /// `K[i] = ⌊|sin(i+1)| · 2³²⌋` — the RFC's constant derivation.
-    fn k_table() -> [u32; 64] {
-        let mut k = [0u32; 64];
-        for (i, slot) in k.iter_mut().enumerate() {
-            *slot = ((i as f64 + 1.0).sin().abs() * 4_294_967_296.0) as u32;
-        }
-        k
-    }
-
-    pub fn hex(data: &[u8]) -> String {
-        let k = k_table();
-        let mut msg = data.to_vec();
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        msg.push(0x80);
-        while msg.len() % 64 != 56 {
-            msg.push(0);
-        }
-        msg.extend_from_slice(&bit_len.to_le_bytes());
-
-        let (mut a0, mut b0, mut c0, mut d0) = (
-            0x6745_2301u32,
-            0xefcd_ab89u32,
-            0x98ba_dcfeu32,
-            0x1032_5476u32,
-        );
-        for chunk in msg.chunks_exact(64) {
-            let mut m = [0u32; 16];
-            for (j, word) in m.iter_mut().enumerate() {
-                let b = &chunk[j * 4..j * 4 + 4];
-                *word = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            }
-            let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-            for i in 0..64 {
-                let (f, g) = match i {
-                    0..=15 => ((b & c) | (!b & d), i),
-                    16..=31 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                    32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
-                    _ => (c ^ (b | !d), (7 * i) % 16),
-                };
-                let f = f.wrapping_add(a).wrapping_add(k[i]).wrapping_add(m[g]);
-                a = d;
-                d = c;
-                c = b;
-                b = b.wrapping_add(f.rotate_left(S[i]));
-            }
-            a0 = a0.wrapping_add(a);
-            b0 = b0.wrapping_add(b);
-            c0 = c0.wrapping_add(c);
-            d0 = d0.wrapping_add(d);
-        }
-        let mut out = String::with_capacity(32);
-        for word in [a0, b0, c0, d0] {
-            for byte in word.to_le_bytes() {
-                out.push_str(&format!("{byte:02x}"));
-            }
-        }
-        out
-    }
-}
-
-#[test]
-fn md5_matches_rfc_1321_vectors() {
-    assert_eq!(md5::hex(b""), "d41d8cd98f00b204e9800998ecf8427e");
-    assert_eq!(md5::hex(b"abc"), "900150983cd24fb0d6963f7d28e17f72");
-    assert_eq!(
-        md5::hex(b"abcdefghijklmnopqrstuvwxyz"),
-        "c3fcd3d76192e4007dfb496cca67e13b"
-    );
-}
 
 /// A faulty, disrupted spec: control traffic, ingest traffic, drops and
 /// up/down transitions so every built-in stream kind has work to do.
@@ -127,7 +42,7 @@ fn stormy_spec(level: MaturityLevel, seed: u64) -> ScenarioSpec {
 }
 
 fn fingerprint(r: &ScenarioResult) -> String {
-    md5::hex(r.to_json().render().as_bytes())
+    r.to_json().render()
 }
 
 #[test]
@@ -163,37 +78,6 @@ fn streams_leave_published_artifacts_byte_identical() {
     }
 }
 
-#[test]
-fn committed_results_artifacts_are_untouched() {
-    // The eight experiment artifacts under results/ were generated before
-    // streaming telemetry existed; streams are opt-in, so landing the
-    // feature must not move a single byte of them. If a later change
-    // deliberately regenerates results/, update these digests in the same
-    // commit — the pin exists so a telemetry change cannot move them
-    // *silently*.
-    let pinned = [
-        ("a1_coord_ablation", "cb6b3298767c583f33593d8ac5c453e0"),
-        ("a2_data_ablation", "3b483dadd82dae957ffd4198c538d3d9"),
-        ("e1_maturity", "a1bb891ab924a801f95a76c5b6a9fcc8"),
-        ("e2_landscape", "6fc5c9066e289fb21b5396603b46bd03"),
-        ("e3_verification", "bc1fdd9e8a4386d26880ed0df0c6b695"),
-        ("e4_control", "a1ba532534627bcaaa678c115b2543c9"),
-        ("e5_dataflows", "98d4325ec47dcf223fc7b54e1c5a52ab"),
-        ("e6_mape", "eab687392d9e85bb00356a99f58b35c5"),
-    ];
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for (name, want) in pinned {
-        let path = results.join(format!("{name}.json"));
-        let bytes =
-            std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        assert_eq!(
-            md5::hex(&bytes),
-            want,
-            "results/{name}.json moved — streams must not perturb committed artifacts"
-        );
-    }
-}
-
 /// Renders the stream summary rows of a four-seed sweep, executed on
 /// `threads` harness workers, as one JSON string per cell in grid order.
 fn sweep_summaries(threads: usize) -> Vec<String> {
@@ -215,15 +99,11 @@ fn sweep_summaries(threads: usize) -> Vec<String> {
 fn stream_aggregates_are_byte_identical_across_worker_counts() {
     // Each cell is an isolated deterministic simulation and the grid
     // merges results in declaration order, so the number of workers must
-    // be invisible in the aggregates — byte for byte, digest for digest.
+    // be invisible in the aggregates — byte for byte.
     let serial = sweep_summaries(1);
     let parallel = sweep_summaries(4);
     assert_eq!(serial.len(), 4);
     assert_eq!(serial, parallel, "worker count leaked into stream output");
-    assert_eq!(
-        md5::hex(serial.join("\n").as_bytes()),
-        md5::hex(parallel.join("\n").as_bytes()),
-    );
     for json in &serial {
         assert!(
             json.contains("device.control.latency_ms") && json.contains("activity.transitions"),
