@@ -8,13 +8,13 @@
 //! stale, and recovery stalls — the failure mode experiments E4 and E6
 //! quantify.
 
-use crate::config::{ArchitectureConfig, MapePlacement};
+use crate::config::ArchitectureConfig;
 use crate::msg::{AppMsg, Msg, ReadingPayload};
-use crate::recovery::{scope_requirements, RecoveryPlanner};
-use riot_adapt::{AdaptationAction, MapeLoop, Placement};
+use crate::recovery::MapeHost;
+use riot_adapt::Placement;
 use riot_coord::{CloudRegistry, RegistryConfig};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
-use riot_model::{ComponentId, ComponentState, DomainId, DomainRegistry};
+use riot_model::{DomainId, DomainRegistry};
 use riot_sim::{Ctx, MetricKey, Metrics, Process, ProcessId, SimTime};
 use std::collections::BTreeMap;
 
@@ -69,11 +69,7 @@ pub struct CloudProcess {
     keys: Option<CloudKeys>,
     store: ReplicatedStore,
     registry_service: CloudRegistry,
-    mape: Option<MapeLoop<RecoveryPlanner>>,
-    /// Component telemetry: component → (hosting device, last heard).
-    last_seen: BTreeMap<ComponentId, (ProcessId, SimTime)>,
-    /// Execute-stage dedup: component → when we last commanded a restart.
-    restart_sent_at: BTreeMap<ComponentId, SimTime>,
+    mape: MapeHost,
     control_served: u64,
 }
 
@@ -96,25 +92,13 @@ impl CloudProcess {
         };
         let store =
             ReplicatedStore::with_keys(cfg.me.0 as u32, cfg.domain, policy, cfg.keys.clone());
-        let mape = if cfg.arch.mape == MapePlacement::Cloud {
-            Some(MapeLoop::new(
-                scope_requirements(),
-                RecoveryPlanner,
-                Placement::Cloud,
-                cfg.arch.mape_period,
-                cfg.arch.knowledge_freshness,
-            ))
-        } else {
-            None
-        };
+        let mape = MapeHost::new(&cfg.arch, Placement::Cloud);
         CloudProcess {
             cfg,
             keys: None,
             store,
             registry_service: CloudRegistry::new(RegistryConfig::default()),
             mape,
-            last_seen: BTreeMap::new(),
-            restart_sent_at: BTreeMap::new(),
             control_served: 0,
         }
     }
@@ -137,7 +121,7 @@ impl CloudProcess {
 
     /// MAPE statistics, when the cloud hosts the loop.
     pub fn mape_stats(&self) -> Option<riot_adapt::MapeStats> {
-        self.mape.as_ref().map(|m| m.stats())
+        self.mape.stats()
     }
 
     /// The interned metric keys, minting them on first use.
@@ -157,7 +141,6 @@ impl CloudProcess {
             device,
         } = reading;
         let now = ctx.now();
-        self.last_seen.insert(component, (device, now));
         let produced_at = meta.produced_at;
         let action = self
             .store
@@ -171,60 +154,19 @@ impl CloudProcess {
             let lat_key = self.hot_keys(ctx).ingest_latency_ms;
             ctx.measure(lat_key, now.saturating_since(produced_at).as_millis_f64());
         }
-        if let Some(mape) = self.mape.as_mut() {
-            mape.observe_component(component, state, device, now);
-        }
+        self.mape.heard(component, state, device, now);
     }
 
     fn run_mape(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let Some(mape) = self.mape.as_mut() else {
-            return;
-        };
-        let now = ctx.now();
-        let silence = self.cfg.arch.silence_threshold;
-        let mut fresh = 0usize;
-        for (component, (device, seen)) in &self.last_seen {
-            let state = if now.saturating_since(*seen) < silence {
-                fresh += 1;
-                ComponentState::Running
-            } else {
-                ComponentState::Failed
-            };
-            mape.observe_component(*component, state, *device, now);
-        }
-        let coverage = if self.last_seen.is_empty() {
-            1.0
-        } else {
-            fresh as f64 / self.last_seen.len() as f64
-        };
-        mape.observe_metric("scope.coverage", coverage, now);
-        let (_, plan) = mape.cycle(now);
-        // Execute with a per-component cooldown: a restart command is given
-        // time to act (and to traverse a possibly degraded network) before
-        // being repeated.
-        let cooldown = self.cfg.arch.silence_threshold;
-        for action in plan.actions {
-            if let AdaptationAction::RestartComponent { component, host } = action {
-                let recently = self
-                    .restart_sent_at
-                    .get(&component)
-                    .is_some_and(|at| now.saturating_since(*at) < cooldown);
-                if recently {
-                    continue;
-                }
-                self.restart_sent_at.insert(component, now);
-                let key = self.hot_keys(ctx).restart_sent;
-                ctx.metrics().incr_key(key);
-                ctx.send(host, Msg::App(AppMsg::Restart { component }));
-            }
-        }
+        let restart_sent = self.hot_keys(ctx).restart_sent;
+        self.mape.run(ctx, restart_sent);
     }
 }
 
 impl Process<Msg> for CloudProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.hot_keys(ctx);
-        if self.mape.is_some() {
+        if self.mape.hosted() {
             ctx.schedule(self.cfg.arch.mape_period, TAG_MAPE);
         }
         if !self.cfg.subscribers.is_empty()
@@ -312,7 +254,7 @@ impl Process<Msg> for CloudProcess {
 mod tests {
     use super::*;
     use riot_coord::RegistryMsg;
-    use riot_model::{Domain, Jurisdiction, MaturityLevel};
+    use riot_model::{ComponentId, ComponentState, Domain, Jurisdiction, MaturityLevel};
     use riot_sim::{Sim, SimBuilder};
 
     fn cloud_cfg(level: MaturityLevel, me: ProcessId) -> CloudConfig {

@@ -16,7 +16,7 @@ use crate::msg::{AppMsg, Msg};
 use crate::state::NodeSlab;
 use riot_data::{DataKey, DataMeta, PurposeSet, Sensitivity};
 use riot_model::{ComponentId, ComponentState, DomainId};
-use riot_sim::{Ctx, MetricKey, Metrics, Process, ProcessId, SimTime};
+use riot_sim::{Ctx, EventMask, MetricKey, Metrics, Process, ProcessId, SimTime};
 use std::rc::Rc;
 
 const TAG_SENSE: u64 = 1;
@@ -398,7 +398,7 @@ impl DeviceProcess {
                 self.consecutive_timeouts = 0;
                 self.failovers += 1;
                 ctx.metrics().incr_key(self.group.keys.failover);
-                if ctx.is_observing() {
+                if ctx.wants(EventMask::NOTE) {
                     ctx.annotate(format!("failover to {}", self.current_edge()));
                 }
             }

@@ -9,12 +9,12 @@
 
 use crate::config::{ArchitectureConfig, MapePlacement, ReplicationMode};
 use crate::msg::{AppMsg, Msg, PolicyUpdate, ReadingPayload};
-use crate::recovery::{scope_requirements, RecoveryPlanner};
-use riot_adapt::{AdaptationAction, MapeLoop, Placement};
+use crate::recovery::MapeHost;
+use riot_adapt::Placement;
 use riot_coord::{Election, ElectionOutput, Gossip, GossipConfig, MemberState, Swim, SwimOutput};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
-use riot_model::{ComponentId, ComponentState, DomainId, DomainRegistry};
-use riot_sim::{Ctx, MetricKey, Metrics, Process, ProcessId, SimTime};
+use riot_model::{DomainId, DomainRegistry};
+use riot_sim::{Ctx, EventMask, MetricKey, Metrics, Process, ProcessId, SimTime};
 use std::collections::BTreeMap;
 
 const TAG_COORD: u64 = 1;
@@ -86,11 +86,7 @@ pub struct EdgeProcess {
     election: Option<Election>,
     gossip: Option<Gossip<PolicyUpdate>>,
     store: ReplicatedStore,
-    mape: Option<MapeLoop<RecoveryPlanner>>,
-    /// Component telemetry: component → (hosting device, last heard).
-    last_seen: BTreeMap<ComponentId, (ProcessId, SimTime)>,
-    /// Execute-stage dedup: component → when we last commanded a restart.
-    restart_sent_at: BTreeMap<ComponentId, SimTime>,
+    mape: MapeHost,
     control_served: u64,
     /// Set once the process has started; a second `on_start` is a restart
     /// after a crash, which loses volatile state.
@@ -127,17 +123,7 @@ impl EdgeProcess {
         } else {
             (None, None, None)
         };
-        let mape = if cfg.arch.mape == MapePlacement::Edge {
-            Some(MapeLoop::new(
-                scope_requirements(),
-                RecoveryPlanner,
-                Placement::Edge,
-                cfg.arch.mape_period,
-                cfg.arch.knowledge_freshness,
-            ))
-        } else {
-            None
-        };
+        let mape = MapeHost::new(&cfg.arch, Placement::Edge);
         EdgeProcess {
             cfg,
             keys: None,
@@ -146,8 +132,6 @@ impl EdgeProcess {
             gossip,
             store,
             mape,
-            last_seen: BTreeMap::new(),
-            restart_sent_at: BTreeMap::new(),
             control_served: 0,
             started: false,
         }
@@ -226,7 +210,7 @@ impl EdgeProcess {
 
     /// MAPE statistics, when this edge hosts a loop.
     pub fn mape_stats(&self) -> Option<riot_adapt::MapeStats> {
-        self.mape.as_ref().map(|m| m.stats())
+        self.mape.stats()
     }
 
     /// The interned metric keys, minting them on first use.
@@ -243,9 +227,8 @@ impl EdgeProcess {
                 SwimOutput::StateChange { node, to, .. } => {
                     let key = self.hot_keys(ctx).swim_state_change;
                     ctx.metrics().incr_key(key);
-                    if let Some(mape) = self.mape.as_mut() {
-                        mape.observe_node(node, to == MemberState::Alive, ctx.now());
-                    }
+                    self.mape
+                        .observe_node(node, to == MemberState::Alive, ctx.now());
                 }
             }
         }
@@ -258,7 +241,7 @@ impl EdgeProcess {
                 ElectionOutput::LeaderChanged { leader, .. } => {
                     let key = self.hot_keys(ctx).election_leader_change;
                     ctx.metrics().incr_key(key);
-                    if ctx.is_observing() {
+                    if ctx.wants(EventMask::NOTE) {
                         ctx.annotate(format!("scope {} leader: {:?}", self.cfg.scope, leader));
                     }
                 }
@@ -317,7 +300,6 @@ impl EdgeProcess {
             device,
         } = reading;
         let now = ctx.now();
-        self.last_seen.insert(component, (device, now));
         // Policy-checked ingestion: a governed edge manages its local
         // privacy scope even for direct device pushes (§VI-B).
         let action = self
@@ -335,9 +317,7 @@ impl EdgeProcess {
                 now.saturating_since(meta.produced_at).as_millis_f64(),
             );
         }
-        if let Some(mape) = self.mape.as_mut() {
-            mape.observe_component(component, state, device, now);
-        }
+        self.mape.heard(component, state, device, now);
         // At ML3 the cloud hosts MAPE but devices talk to the edge: relay
         // telemetry upstream so the cloud's knowledge stays fresh.
         if self.cfg.arch.mape == MapePlacement::Cloud {
@@ -356,49 +336,8 @@ impl EdgeProcess {
     }
 
     fn run_mape(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let Some(mape) = self.mape.as_mut() else {
-            return;
-        };
-        let now = ctx.now();
-        let silence = self.cfg.arch.silence_threshold;
-        // Failure detection by silence: a component not heard from within
-        // the threshold is believed failed (Figure 5's Monitor activity).
-        let mut fresh = 0usize;
-        for (component, (device, seen)) in &self.last_seen {
-            let state = if now.saturating_since(*seen) < silence {
-                fresh += 1;
-                ComponentState::Running
-            } else {
-                ComponentState::Failed
-            };
-            mape.observe_component(*component, state, *device, now);
-        }
-        let coverage = if self.last_seen.is_empty() {
-            1.0
-        } else {
-            fresh as f64 / self.last_seen.len() as f64
-        };
-        mape.observe_metric("scope.coverage", coverage, now);
-        let (_, plan) = mape.cycle(now);
-        // Execute with a per-component cooldown: a restart command is given
-        // time to act (and to traverse a possibly degraded network) before
-        // being repeated.
-        let cooldown = self.cfg.arch.silence_threshold;
-        for action in plan.actions {
-            if let AdaptationAction::RestartComponent { component, host } = action {
-                let recently = self
-                    .restart_sent_at
-                    .get(&component)
-                    .is_some_and(|at| now.saturating_since(*at) < cooldown);
-                if recently {
-                    continue;
-                }
-                self.restart_sent_at.insert(component, now);
-                let key = self.hot_keys(ctx).restart_sent;
-                ctx.metrics().incr_key(key);
-                ctx.send(host, Msg::App(AppMsg::Restart { component }));
-            }
-        }
+        let restart_sent = self.hot_keys(ctx).restart_sent;
+        self.mape.run(ctx, restart_sent);
     }
 }
 
@@ -409,8 +348,7 @@ impl Process<Msg> for EdgeProcess {
             // memory, telemetry is stale, pending restart cooldowns are
             // void. Peers (or the devices themselves) repopulate us.
             self.store.clear();
-            self.last_seen.clear();
-            self.restart_sent_at.clear();
+            self.mape.clear();
             let key = self.hot_keys(ctx).restarted;
             ctx.metrics().incr_key(key);
         }
@@ -429,7 +367,7 @@ impl Process<Msg> for EdgeProcess {
                 .range_u64(0, self.cfg.arch.sync_period.as_micros().max(1));
             ctx.schedule(riot_sim::SimDuration::from_micros(jitter), TAG_SYNC);
         }
-        if self.mape.is_some() {
+        if self.mape.hosted() {
             let jitter = ctx
                 .rng()
                 .range_u64(0, self.cfg.arch.mape_period.as_micros().max(1));
@@ -549,7 +487,7 @@ impl Process<Msg> for EdgeProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use riot_model::{Domain, Jurisdiction, MaturityLevel};
+    use riot_model::{ComponentId, ComponentState, Domain, Jurisdiction, MaturityLevel};
     use riot_sim::{Sim, SimBuilder, SimDuration};
 
     fn registry() -> DomainRegistry {

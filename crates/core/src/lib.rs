@@ -20,9 +20,10 @@
 //! * [`ScenarioResult`] / [`ResilienceReport`] quantify the paper's
 //!   definition of resilience — *persistence of requirement satisfaction
 //!   when facing change* — as time-weighted satisfaction, MTTR and outage
-//!   statistics.
-//! * Scenarios publish per-sample requirement valuations onto the kernel
-//!   observability bus: [`MonitorSpec`] watches LTL properties *online*
+//!   statistics, integrated from the run's [`SampleLog`]: one typed column
+//!   per sampled series, owned by the scenario.
+//! * Scenarios also publish each sample's requirement valuation onto the
+//!   kernel observability bus: [`MonitorSpec`] watches LTL properties *online*
 //!   (verdicts and detection timestamps in [`ScenarioResult::monitors`]),
 //!   [`ScenarioSpec::trace_tail`] keeps bounded crash forensics,
 //!   [`ScenarioSpec::streams`] attaches windowed streaming-telemetry
@@ -76,8 +77,9 @@ pub use observe::{
 pub use recovery::RecoveryPlanner;
 pub use report::{pct, resilience_table, secs, Stats, Table};
 pub use resilience::{
-    outcome_from_series, standard_goal_model, standard_requirements, RequirementOutcome,
-    ResilienceReport, Thresholds, GOAL_NAME, REQUIREMENT_NAMES,
+    outcome_from_series, standard_goal_model, standard_requirements, time_weighted_mean,
+    time_weighted_mean_raw, RequirementOutcome, ResilienceReport, SampleLog, Series, Thresholds,
+    GOAL_NAME, REQUIREMENT_NAMES,
 };
 pub use scenario::{
     standard_domains, DeviceInfo, Scenario, ScenarioResult, ScenarioSpec, SpecError, MAX_TRACE_TAIL,

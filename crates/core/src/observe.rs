@@ -1,6 +1,28 @@
 //! Scenario-level observability: observer registration specs, online
 //! requirement monitors, and their reported outcomes.
 //!
+//! ## Which surface for what
+//!
+//! A scenario is observed through three surfaces and keeps one record of
+//! its own:
+//!
+//! * **events** — what happened, in order: an observer on the kernel bus.
+//!   [`ScenarioSpec::trace_tail`](crate::ScenarioSpec::trace_tail) keeps
+//!   the last N (all of them, if N is large enough) in a `RingTrace`;
+//!   [`ScenarioSpec::monitors`](crate::ScenarioSpec::monitors) steps LTL
+//!   monitors on them; [`ObserverSpec`] registers anything else.
+//! * **bounded aggregates** — what a signal looked like, in memory
+//!   independent of run length: a [`StreamSpec`] operator, reported as a
+//!   [`StreamSummary`] row.
+//! * **run totals** — how often and how long: `riot_sim::Metrics` counters
+//!   and histograms, read into [`ScenarioResult`](crate::ScenarioResult)'s
+//!   counters and `control_latency`.
+//! * **the samples** — the per-tick requirement verdicts and telemetry the
+//!   resilience numbers are integrated from: the scenario's own
+//!   [`SampleLog`](crate::SampleLog), not an observer and not a metric.
+//!
+//! ## The `sat` note
+//!
 //! [`Scenario`](crate::Scenario) publishes one requirement-satisfaction
 //! valuation per sample onto the kernel observability bus as an annotation
 //! with the [`SAT_LABEL`] label:
@@ -334,8 +356,9 @@ pub struct StreamQuantiles {
 
 /// End-of-run report of one enabled stream: a bounded-memory summary row.
 ///
-/// Unlike the unbounded `series_*` vectors in
-/// [`ScenarioResult`](crate::ScenarioResult), a summary's size is independent
+/// Unlike the per-sample columns of a [`SampleLog`](crate::SampleLog) (and
+/// the `*_series` vectors [`ScenarioResult`](crate::ScenarioResult) copies
+/// from it), a summary's size is independent
 /// of run length — it is the streaming-telemetry answer to "what did this
 /// signal look like" without retaining the signal.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,8 +2,8 @@
 //! satisfaction when facing change".
 //!
 //! The scenario runner samples each requirement's verdict into a 0/1 time
-//! series. This module turns those series into the numbers the experiments
-//! report:
+//! series — one column of the run's [`SampleLog`]. This module turns those
+//! columns into the numbers the experiments report:
 //!
 //! * **baseline satisfaction** — time-weighted satisfaction before the
 //!   first disruption (does the architecture even work in calm weather?);
@@ -16,7 +16,7 @@
 use riot_model::{
     GoalModel, Predicate, Requirement, RequirementId, RequirementKind, RequirementSet,
 };
-use riot_sim::{Metrics, SimTime};
+use riot_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// Thresholds for the standard scenario requirement set.
@@ -130,6 +130,94 @@ pub fn standard_goal_model() -> GoalModel {
     goals
 }
 
+/// One sampled series: `(time, value)` points in time order.
+pub type Series = Vec<(SimTime, f64)>;
+
+/// Everything the scenario sampler records, one column per series and one
+/// point per column per sample tick. This is the observation every result
+/// is computed from: [`ResilienceReport::from_log`] integrates the
+/// satisfaction columns, and the telemetry columns become
+/// `ScenarioResult::telemetry_means`. It grows with run length by design —
+/// `sat_all_series` and `satfrac_series` are part of the result.
+#[derive(Debug, Clone, Default)]
+pub struct SampleLog {
+    /// 0/1: the goal-model root ([`GOAL_NAME`]) is satisfied.
+    pub goal: Series,
+    /// 0/1: every requirement is satisfied.
+    pub all: Series,
+    /// Fraction of the requirements that are satisfied.
+    pub satfrac: Series,
+    /// 0/1 per requirement, in [`REQUIREMENT_NAMES`] order.
+    pub requirements: [Series; REQUIREMENT_NAMES.len()],
+    /// `ctl.availability`; no point on a tick without a control round.
+    pub availability: Series,
+    /// `ctl.latency_ms`; no point on a tick without a completed round.
+    pub latency_ms: Series,
+    /// `coverage`.
+    pub coverage: Series,
+    /// `freshness_s`; no point while no operational key has a consumer.
+    pub freshness_s: Series,
+    /// `privacy.violations`.
+    pub privacy_violations: Series,
+}
+
+impl SampleLog {
+    /// The telemetry columns under the names the requirements read them
+    /// by, in name order.
+    pub fn telemetry(&self) -> [(&'static str, &[(SimTime, f64)]); 5] {
+        [
+            ("coverage", &self.coverage),
+            ("ctl.availability", &self.availability),
+            ("ctl.latency_ms", &self.latency_ms),
+            ("freshness_s", &self.freshness_s),
+            ("privacy.violations", &self.privacy_violations),
+        ]
+    }
+}
+
+/// The *resilience integral*: the time-weighted mean of a satisfaction
+/// series over `[from, to]`, holding the last value between points and
+/// clamping values to `[0, 1]` — the fraction of the window during which
+/// the requirement held. The gap before the first point counts as that
+/// first point's value. `None` when the series is empty or the window is
+/// degenerate.
+pub fn time_weighted_mean(points: &[(SimTime, f64)], from: SimTime, to: SimTime) -> Option<f64> {
+    integrate(points, from, to, true)
+}
+
+/// Like [`time_weighted_mean`] but without clamping — for series carrying
+/// physical quantities rather than satisfaction indicators.
+pub fn time_weighted_mean_raw(
+    points: &[(SimTime, f64)],
+    from: SimTime,
+    to: SimTime,
+) -> Option<f64> {
+    integrate(points, from, to, false)
+}
+
+fn integrate(pts: &[(SimTime, f64)], from: SimTime, to: SimTime, clamp: bool) -> Option<f64> {
+    let first = pts.first()?;
+    if to <= from {
+        return None;
+    }
+    let bound = |v: f64| if clamp { v.clamp(0.0, 1.0) } else { v };
+    let mut acc = 0.0;
+    let mut cur_t = from;
+    // Value in force at `from`: the last point at or before it.
+    let mut cur_v = pts
+        .iter()
+        .take_while(|(t, _)| *t <= from)
+        .last()
+        .map_or(first.1, |(_, v)| *v);
+    for (t, v) in pts.iter().filter(|(t, _)| *t > from && *t <= to) {
+        acc += (*t - cur_t).as_secs_f64() * bound(cur_v);
+        cur_t = *t;
+        cur_v = *v;
+    }
+    acc += (to - cur_t).as_secs_f64() * bound(cur_v);
+    Some(acc / (to - from).as_secs_f64())
+}
+
 /// Per-requirement outcome over a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequirementOutcome {
@@ -165,27 +253,8 @@ pub fn outcome_from_series(
     split: SimTime,
     end: SimTime,
 ) -> RequirementOutcome {
-    let weighted = |from: SimTime, to: SimTime| -> f64 {
-        if to <= from || points.is_empty() {
-            return 1.0;
-        }
-        let mut acc = 0.0;
-        let mut cur_t = from;
-        let mut cur_v = points
-            .iter()
-            .take_while(|(t, _)| *t <= from)
-            .last()
-            .map(|(_, v)| *v)
-            // riot-lint: allow(P1, reason = "points is non-empty: checked at the top of this closure")
-            .unwrap_or(points[0].1);
-        for (t, v) in points.iter().filter(|(t, _)| *t > from && *t <= to) {
-            acc += (*t - cur_t).as_secs_f64() * cur_v.clamp(0.0, 1.0);
-            cur_t = *t;
-            cur_v = *v;
-        }
-        acc += (to - cur_t).as_secs_f64() * cur_v.clamp(0.0, 1.0);
-        acc / (to - from).as_secs_f64()
-    };
+    // An empty series, like an empty window, is vacuously satisfied.
+    let weighted = |from: SimTime, to: SimTime| time_weighted_mean(points, from, to).unwrap_or(1.0);
 
     // Outage extraction over the disruption window.
     let mut outages: Vec<f64> = Vec::new();
@@ -241,35 +310,32 @@ riot_sim::impl_to_json_struct!(ResilienceReport {
 });
 
 impl ResilienceReport {
-    /// Builds the report from the runner's recorded series.
-    ///
-    /// Expects series `sat.<name>` for each name plus `sat.all` (the 0/1
-    /// all-satisfied indicator) and `satfrac` (the satisfied fraction).
-    pub fn from_metrics(
-        metrics: &Metrics,
-        names: &[&str],
+    /// Builds the report from the sampler's log: one outcome per
+    /// requirement and one for the goal-model root under [`GOAL_NAME`].
+    pub fn from_log(
+        log: &SampleLog,
         start: SimTime,
         split: SimTime,
         end: SimTime,
     ) -> ResilienceReport {
-        let mut requirements = BTreeMap::new();
-        for name in names {
-            let series = metrics.series(&format!("sat.{name}")).unwrap_or(&[]);
-            requirements.insert(
-                name.to_string(),
-                outcome_from_series(series, start, split, end),
-            );
-        }
-        let all = metrics.series("sat.all").unwrap_or(&[]);
-        let all_outcome = outcome_from_series(all, start, split, end);
-        let mean_satisfaction = metrics
-            .time_weighted_mean("satfrac", split, end)
-            .unwrap_or(1.0);
+        let columns = REQUIREMENT_NAMES
+            .iter()
+            .zip(&log.requirements)
+            .chain([(&GOAL_NAME, &log.goal)]);
+        let requirements = columns
+            .map(|(name, series)| {
+                (
+                    name.to_string(),
+                    outcome_from_series(series, start, split, end),
+                )
+            })
+            .collect();
+        let all_outcome = outcome_from_series(&log.all, start, split, end);
         ResilienceReport {
             requirements,
             overall_baseline: all_outcome.baseline,
             overall_resilience: all_outcome.resilience,
-            mean_satisfaction,
+            mean_satisfaction: time_weighted_mean(&log.satfrac, split, end).unwrap_or(1.0),
         }
     }
 }
@@ -277,6 +343,7 @@ impl ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riot_sim::SimRng;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -399,18 +466,85 @@ mod tests {
     }
 
     #[test]
-    fn report_from_metrics_collects_all_series() {
-        let mut m = Metrics::new();
+    fn report_from_log_collects_all_series() {
+        let mut log = SampleLog::default();
+        let latency = REQUIREMENT_NAMES.iter().position(|n| *n == "latency");
+        let latency = latency.expect("a standard requirement");
         for s in 0..=20 {
             let ok = !(10..15).contains(&s);
-            m.series_push("sat.latency", t(s), if ok { 1.0 } else { 0.0 });
-            m.series_push("sat.all", t(s), if ok { 1.0 } else { 0.0 });
-            m.series_push("satfrac", t(s), if ok { 1.0 } else { 0.5 });
+            log.requirements[latency].push((t(s), if ok { 1.0 } else { 0.0 }));
+            log.all.push((t(s), if ok { 1.0 } else { 0.0 }));
+            log.satfrac.push((t(s), if ok { 1.0 } else { 0.5 }));
         }
-        let r = ResilienceReport::from_metrics(&m, &["latency"], t(0), t(5), t(20));
+        let r = ResilienceReport::from_log(&log, t(0), t(5), t(20));
         assert_eq!(r.requirements["latency"].outages, 1);
         assert!(r.overall_resilience < 1.0);
         assert_eq!(r.overall_baseline, 1.0);
         assert!(r.mean_satisfaction < 1.0);
+        // A column nobody sampled is vacuously satisfied, and every name is
+        // reported.
+        assert_eq!(r.requirements["privacy"].resilience, 1.0);
+        assert_eq!(r.requirements.len(), REQUIREMENT_NAMES.len() + 1);
+        assert!(r.requirements.contains_key(GOAL_NAME));
+    }
+
+    #[test]
+    fn time_weighted_mean_step_function() {
+        // satisfied [0, 4), violated [4, 8), satisfied [8, 10]
+        let sat = [(t(0), 1.0), (t(4), 0.0), (t(8), 1.0)];
+        let r = time_weighted_mean(&sat, t(0), t(10)).unwrap();
+        assert!((r - 0.6).abs() < 1e-9, "got {r}");
+    }
+
+    #[test]
+    fn time_weighted_mean_window_subset() {
+        let sat = [(t(0), 1.0), (t(5), 0.0)];
+        // Window [5, 10]: fully violated.
+        assert_eq!(time_weighted_mean(&sat, t(5), t(10)), Some(0.0));
+        // Degenerate window.
+        assert!(time_weighted_mean(&sat, t(5), t(5)).is_none());
+        // A series that never got a point.
+        assert!(time_weighted_mean(&[], t(0), t(1)).is_none());
+    }
+
+    #[test]
+    fn time_weighted_mean_clamps_values() {
+        let s = [(t(0), 7.0)];
+        assert_eq!(time_weighted_mean(&s, t(0), t(1)), Some(1.0));
+        assert_eq!(time_weighted_mean_raw(&s, t(0), t(1)), Some(7.0));
+    }
+
+    const CASES: usize = 500;
+
+    /// The satisfaction integral is always in [0, 1].
+    #[test]
+    fn satisfaction_integral_bounds() {
+        let mut rng = SimRng::seed_from(0x5EED_0003);
+        for _ in 0..CASES {
+            let n = rng.range_u64(1, 50) as usize;
+            let mut points: Vec<(SimTime, f64)> = (0..n)
+                .map(|_| (t(rng.range_u64(0, 100)), rng.range_f64(0.0, 1.0)))
+                .collect();
+            let window_end = rng.range_u64(101, 200);
+            points.sort_by_key(|(at, _)| *at);
+            let r = time_weighted_mean(&points, t(0), t(window_end))
+                .expect("series present, window nonempty");
+            assert!((0.0..=1.0).contains(&r), "integral out of bounds: {r}");
+        }
+    }
+
+    #[test]
+    fn satisfaction_integral_of_constant_series() {
+        let mut rng = SimRng::seed_from(0x5EED_0004);
+        for _ in 0..CASES {
+            let v = rng.range_f64(0.0, 1.0);
+            let n = rng.range_u64(1, 20);
+            let points: Vec<(SimTime, f64)> = (0..n).map(|i| (t(i), v)).collect();
+            let r = time_weighted_mean(&points, t(0), t(n + 5)).expect("series present");
+            assert!(
+                (r - v).abs() < 1e-9,
+                "constant series integrates to itself: {r} vs {v}"
+            );
+        }
     }
 }

@@ -27,8 +27,8 @@ use crate::observe::{
 use crate::state::{ConsumerMirror, NodeSlab, SampleFold, SlabLiveness};
 
 use crate::resilience::{
-    standard_goal_model, standard_requirements, ResilienceReport, Thresholds, GOAL_NAME,
-    REQUIREMENT_NAMES,
+    standard_goal_model, standard_requirements, time_weighted_mean_raw, ResilienceReport,
+    SampleLog, Thresholds, REQUIREMENT_NAMES,
 };
 use riot_data::{DataKey, KeySpace, Sensitivity};
 use riot_formal::OnlineMonitor;
@@ -38,9 +38,9 @@ use riot_model::{
 };
 use riot_net::{presets, Hierarchy, HierarchySpec, LatencyModel, Link, Network};
 use riot_sim::{
-    ActivityTracker, FlowAccounting, HistogramSummary, MeasureProbe, MetricKey, Metrics, ProcessId,
-    QuantileSketch, RingTrace, Sim, SimBuilder, SimDuration, SimEvent, SimTime, StreamPipeline,
-    ToJson,
+    ActivityTracker, EventMask, FlowAccounting, HistogramSummary, MeasureProbe, MetricKey,
+    ProcessId, QuantileSketch, RingTrace, Sim, SimBuilder, SimDuration, SimEvent, SimTime,
+    StreamPipeline, ToJson,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -84,18 +84,14 @@ pub struct ScenarioSpec {
     pub arch: Option<ArchitectureConfig>,
     /// Edge↔cloud link override (for RTT sweeps).
     pub edge_cloud_link: Option<Link>,
-    /// Record the full kernel event trace (sends, drops, timer firings,
-    /// process up/down) into [`ScenarioResult::event_trace`]. Off by
-    /// default: tracing a long run allocates one entry per event.
-    pub trace_events: bool,
     /// LTL properties monitored *online* over the published requirement
     /// valuations (see [`MonitorSpec`] for the wire format); outcomes
     /// land in [`ScenarioResult::monitors`].
     pub monitors: Vec<MonitorSpec>,
     /// Keep a bounded ring of the last `N` kernel events and report it in
-    /// [`ScenarioResult::trace_tail`]; unlike `trace_events` this is safe on
-    /// long runs (O(N) retention) and also ships crash forensics when a run
-    /// panics inside a harness cell.
+    /// [`ScenarioResult::trace_tail`]: O(N) retention however long the run,
+    /// and crash forensics when a run panics inside a harness cell. A ring
+    /// large enough not to wrap holds the run's whole event history.
     pub trace_tail: Option<usize>,
     /// Built-in streaming-telemetry pipelines (windowed operators over the
     /// observer bus; see [`StreamSpec`]). Empty by default; enabled streams
@@ -165,7 +161,6 @@ impl ScenarioSpec {
             disruptions: DisruptionSchedule::new(),
             arch: None,
             edge_cloud_link: None,
-            trace_events: false,
             monitors: Vec::new(),
             trace_tail: None,
             streams: StreamSpec::new(),
@@ -249,57 +244,9 @@ pub struct DeviceInfo {
     pub personal: bool,
 }
 
-/// Series keys used by every [`Scenario::sample`] tick, interned once at
-/// build time. The old code paid a `format!("sat.{name}")` /
-/// `format!("telemetry.{key}")` allocation per series per sample; the keys
-/// below make the sampling loop allocation-free for every series. One
-/// named field per telemetry series of [`SampleTelemetry`] — the old
-/// string-keyed cache (and its miss path) is gone entirely, which is what
-/// lets riot-lint's A1 rule prove `Scenario::sample` allocation-free.
-struct SampleKeys {
-    /// `sat.<goal>` for the goal-model root.
-    goal: MetricKey,
-    /// `sat.all`.
-    all: MetricKey,
-    /// `satfrac`.
-    satfrac: MetricKey,
-    /// `sat.<name>` per entry of `REQUIREMENT_NAMES`, in canonical order.
-    reqs: Vec<MetricKey>,
-    /// `telemetry.ctl.availability`.
-    availability: MetricKey,
-    /// `telemetry.ctl.latency_ms`.
-    latency_ms: MetricKey,
-    /// `telemetry.coverage`.
-    coverage: MetricKey,
-    /// `telemetry.freshness_s`.
-    freshness_s: MetricKey,
-    /// `telemetry.privacy.violations`.
-    privacy: MetricKey,
-}
-
-impl SampleKeys {
-    fn new(metrics: &mut Metrics) -> Self {
-        SampleKeys {
-            goal: metrics.intern(&format!("sat.{GOAL_NAME}")),
-            all: metrics.intern("sat.all"),
-            satfrac: metrics.intern("satfrac"),
-            reqs: REQUIREMENT_NAMES
-                .iter()
-                .map(|n| metrics.intern(&format!("sat.{n}")))
-                .collect(),
-            availability: metrics.intern("telemetry.ctl.availability"),
-            latency_ms: metrics.intern("telemetry.ctl.latency_ms"),
-            coverage: metrics.intern("telemetry.coverage"),
-            freshness_s: metrics.intern("telemetry.freshness_s"),
-            privacy: metrics.intern("telemetry.privacy.violations"),
-        }
-    }
-}
-
-/// One sample tick's telemetry valuation: a fixed field per series instead
-/// of the `BTreeMap<String, f64>` the sampler used to build (two
-/// allocations per entry per tick). Requirements and the goal model read
-/// it through the [`Telemetry`] trait by metric name.
+/// One sample tick's telemetry valuation, a fixed field per series.
+/// Requirements and the goal model read it through the [`Telemetry`] trait
+/// by metric name.
 struct SampleTelemetry {
     /// `ctl.availability`, when any control round completed this window.
     availability: Option<f64>,
@@ -344,8 +291,8 @@ pub struct Scenario {
     /// Bus/operator indices of the stream pipeline, when `spec.streams` is
     /// non-empty.
     streams: Option<StreamIdx>,
-    /// Pre-interned series keys for the sampling loop.
-    sample_keys: SampleKeys,
+    /// What every sample tick recorded; the result is computed from it.
+    log: SampleLog,
     /// The node-state slab every sample tick folds (`crate::state`).
     slab: NodeSlab,
 }
@@ -476,11 +423,9 @@ impl Scenario {
         // -- Simulation and processes (spawn order must match node ids).
         let mut sim: Sim<Msg> = SimBuilder::new(spec.seed)
             .max_events(2_000_000_000)
-            .tracing(spec.trace_events)
             // Cloud + edges + devices, known before a single spawn.
             .expect_processes(1 + spec.edges + spec.device_count())
             .build_with_medium(Box::new(net));
-        let sample_keys = SampleKeys::new(sim.metrics_mut());
 
         // -- Node-state slab (the sampler's backbone; see crate::state).
         // Built before the bus registrations so its liveness mirror is the
@@ -740,7 +685,7 @@ impl Scenario {
             monitor_idx,
             ring_idx,
             streams,
-            sample_keys,
+            log: SampleLog::default(),
             slab,
         }
     }
@@ -821,10 +766,10 @@ impl Scenario {
 
     /// One resilience sample tick. Declared a hot root in
     /// `lint-hotpaths.toml`: nothing reachable from here may allocate
-    /// (rule A1), which the fixed-field [`SampleTelemetry`] valuation and
-    /// the pre-interned [`SampleKeys`] exist to guarantee. Calls into other
-    /// crates use qualified-call syntax so the lint's call graph gets
-    /// precise edges (DESIGN.md §10).
+    /// (rule A1) beyond the [`SampleLog`] columns' own growth, which the
+    /// fixed-field [`SampleTelemetry`] valuation exists to guarantee. Calls
+    /// into other crates use qualified-call syntax so the lint's call graph
+    /// gets precise edges (DESIGN.md §10).
     fn sample(&mut self, now: SimTime) {
         // O(changed): fold the node-state slab's flat arrays. Devices
         // pushed their deltas as they happened; nothing here touches the
@@ -916,9 +861,10 @@ impl Scenario {
     }
 
     /// The tail of a sample tick: privacy audit, telemetry valuation,
-    /// verdicts, series pushes and the bus note. The `#[cfg(test)]` rescan
-    /// oracle feeds its own [`SampleFold`] through here, so its result can
-    /// only differ from the slab's if the gathered numbers do.
+    /// verdicts, one point per [`SampleLog`] column and the bus note. The
+    /// `#[cfg(test)]` rescan oracle feeds its own [`SampleFold`] through
+    /// here, so its result can only differ from the slab's if the gathered
+    /// numbers do.
     fn publish_sample(&mut self, now: SimTime, fold: &SampleFold) {
         let window = &fold.window;
         let covered = fold.covered;
@@ -946,18 +892,19 @@ impl Scenario {
 
         let goal_eval = GoalModel::evaluate(&self.goals, &self.requirements, &telemetry);
         let goal_sat = goal_eval.root == Verdict::Satisfied;
-        let metrics = self.sim.metrics_mut();
-        metrics.series_push_key(self.sample_keys.goal, now, if goal_sat { 1.0 } else { 0.0 });
+        let indicator = |sat: bool| if sat { 1.0 } else { 0.0 };
+        let log = &mut self.log;
+        log.goal.push((now, indicator(goal_sat)));
         let mut all_sat = true;
         let mut sat_count = 0usize;
         let mut req_count = 0usize;
         // Verdict bitmask in requirement (id) order, for the bus note below
         // — REQUIREMENT_NAMES is far below 32 entries.
         let mut sat_bits = 0u32;
-        for (i, (req, key)) in self
+        for (i, (req, column)) in self
             .requirements
             .iter()
-            .zip(&self.sample_keys.reqs)
+            .zip(&mut log.requirements)
             .enumerate()
         {
             let sat = Requirement::evaluate(req, &telemetry) == Verdict::Satisfied;
@@ -967,33 +914,30 @@ impl Scenario {
                 sat_bits |= 1u32.checked_shl(i as u32).unwrap_or(0);
             }
             req_count += 1;
-            metrics.series_push_key(*key, now, if sat { 1.0 } else { 0.0 });
+            column.push((now, indicator(sat)));
         }
-        metrics.series_push_key(self.sample_keys.all, now, if all_sat { 1.0 } else { 0.0 });
-        metrics.series_push_key(
-            self.sample_keys.satfrac,
-            now,
-            sat_count as f64 / req_count.max(1) as f64,
-        );
-        // Push order mirrors the old name-sorted map iteration so the
-        // recorded series are byte-identical.
-        metrics.series_push_key(self.sample_keys.coverage, now, telemetry.coverage);
+        log.all.push((now, indicator(all_sat)));
+        log.satfrac
+            .push((now, sat_count as f64 / req_count.max(1) as f64));
+        log.coverage.push((now, telemetry.coverage));
         if let Some(avail) = telemetry.availability {
-            metrics.series_push_key(self.sample_keys.availability, now, avail);
+            log.availability.push((now, avail));
         }
         if let Some(lat) = telemetry.latency_ms {
-            metrics.series_push_key(self.sample_keys.latency_ms, now, lat);
+            log.latency_ms.push((now, lat));
         }
         if let Some(fresh) = telemetry.freshness_s {
-            metrics.series_push_key(self.sample_keys.freshness_s, now, fresh);
+            log.freshness_s.push((now, fresh));
         }
-        metrics.series_push_key(self.sample_keys.privacy, now, telemetry.privacy_violations);
+        log.privacy_violations
+            .push((now, telemetry.privacy_violations));
 
         // -- Publish the valuation onto the observability bus so online
         // monitors advance at this sample. Token order is part of the
         // contract (crate::observe): `all`, `goal`, then the requirement
-        // names in canonical order. Skipped entirely when nobody listens.
-        if self.sim.is_observing() {
+        // names in canonical order. Skipped entirely when no observer reads
+        // notes.
+        if self.sim.wants(EventMask::NOTE) {
             let mut note = String::with_capacity(96);
             let _ = write!(
                 note,
@@ -1093,40 +1037,20 @@ impl Scenario {
             .sim
             .metrics_mut()
             .summarize("device.control.latency_ms");
-        let mut names: Vec<&str> = REQUIREMENT_NAMES.to_vec();
-        names.push(GOAL_NAME);
-        let report =
-            ResilienceReport::from_metrics(self.sim.metrics(), &names, SimTime::ZERO, split, end);
-        let series = |name: &str| -> Vec<(f64, f64)> {
-            self.sim
-                .metrics()
-                .series(name)
-                .unwrap_or(&[])
-                .iter()
-                .map(|(t, v)| (t.as_secs_f64(), *v))
-                .collect()
+        let report = ResilienceReport::from_log(&self.log, SimTime::ZERO, split, end);
+        let in_secs = |series: &[(SimTime, f64)]| -> Vec<(f64, f64)> {
+            series.iter().map(|(t, v)| (t.as_secs_f64(), *v)).collect()
         };
-        let sat_all_series = series("sat.all");
-        let satfrac_series = series("satfrac");
-        let mut telemetry_means = BTreeMap::new();
-        let telemetry_names: Vec<String> = self
-            .sim
-            .metrics()
-            .series_names()
-            .filter(|n| n.starts_with("telemetry."))
-            .map(str::to_owned)
-            .collect();
-        for name in telemetry_names {
-            if let Some(mean) = self.sim.metrics().time_weighted_mean_raw(&name, split, end) {
-                telemetry_means.insert(name.trim_start_matches("telemetry.").to_owned(), mean);
-            }
-        }
-        let event_trace: Vec<String> = self
-            .sim
-            .trace()
-            .entries()
-            .iter()
-            .map(|e| e.to_string())
+        let sat_all_series = in_secs(&self.log.all);
+        let satfrac_series = in_secs(&self.log.satfrac);
+        // A column that never got a point has no mean and no entry.
+        let telemetry_means: BTreeMap<String, f64> = self
+            .log
+            .telemetry()
+            .into_iter()
+            .filter_map(|(name, series)| {
+                Some((name.to_owned(), time_weighted_mean_raw(series, split, end)?))
+            })
             .collect();
         let monitors: Vec<MonitorOutcome> = self
             .monitor_idx
@@ -1157,7 +1081,6 @@ impl Scenario {
             events_processed: self.sim.events_processed(),
             sat_all_series,
             satfrac_series,
-            event_trace,
             monitors,
             trace_tail,
             streams,
@@ -1314,10 +1237,6 @@ pub struct ScenarioResult {
     pub sat_all_series: Vec<(f64, f64)>,
     /// The sampled satisfied-fraction series, as `(seconds, fraction)`.
     pub satfrac_series: Vec<(f64, f64)>,
-    /// Rendered kernel trace entries, in event order. Empty unless
-    /// [`ScenarioSpec::trace_events`] was set. Excluded from the JSON
-    /// rendering: it is a debugging/determinism artifact, not a result.
-    pub event_trace: Vec<String>,
     /// Outcomes of the online monitors from [`ScenarioSpec::monitors`], in
     /// spec order. Excluded from the JSON rendering so existing result
     /// files stay byte-identical; experiment binaries report the fields
@@ -1815,7 +1734,6 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert!(line.contains("\"t_us\":"), "{line}");
         }
-        assert!(result.event_trace.is_empty(), "full trace stays off");
     }
 
     /// The forensic ring as it was before it kept events: every event is

@@ -12,10 +12,10 @@
 //!   next id. No ambient hashing is involved anywhere (riot-lint rule D1
 //!   applies to this module): the name→id index is a `Vec` kept sorted by
 //!   name and probed by binary search.
-//! * Registration order is *not* part of any observable output: iteration
-//!   for serialization always walks the sorted index, so two runs that
-//!   intern the same names in different orders still render byte-identical
-//!   metrics.
+//! * Registration order is *not* part of any observable output: results
+//!   name their metrics, and a [`SymbolTable`] that is serialized walks its
+//!   sorted index, so two runs that intern the same names in different
+//!   orders still render byte-identical output.
 //! * A [`MetricKey`] is only meaningful to the recorder that minted it
 //!   (or a clone of it). Keys are never serialized.
 
@@ -166,21 +166,9 @@ impl Interner {
         self.table.get(name).map(|s| MetricKey(s.0))
     }
 
-    /// The name a key denotes (empty for foreign keys, which cannot occur
-    /// through the public API).
-    pub fn name(&self, key: MetricKey) -> &str {
-        self.table.name(Symbol(key.0))
-    }
-
     /// Number of interned names.
     pub fn len(&self) -> usize {
         self.table.len()
-    }
-
-    /// Iterates all slot indices in **name order** — the serialization
-    /// order, independent of registration order.
-    pub fn indices_by_name(&self) -> impl Iterator<Item = usize> + '_ {
-        self.table.indices_by_name()
     }
 }
 
@@ -206,19 +194,18 @@ mod tests {
         assert!(i.get("x").is_none());
         let x = i.intern("x");
         assert_eq!(i.get("x"), Some(x));
-        assert_eq!(i.name(x), "x");
         assert_eq!(i.len(), 1);
     }
 
     #[test]
     fn iteration_is_name_ordered_regardless_of_registration() {
-        let mut i = Interner::default();
+        let mut t = SymbolTable::new();
         for n in ["zeta", "alpha", "mid"] {
-            i.intern(n);
+            t.intern(n);
         }
-        let names: Vec<&str> = i
+        let names: Vec<&str> = t
             .indices_by_name()
-            .map(|idx| i.name(MetricKey(idx as u32)))
+            .map(|idx| t.names[idx].as_str())
             .collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
     }

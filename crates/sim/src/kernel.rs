@@ -9,12 +9,11 @@
 use crate::intern::MetricKey;
 use crate::medium::{Delivery, Medium};
 use crate::metrics::Metrics;
-use crate::observer::{AnyObserver, EventMask, SimEvent, SimEventKind, SimObserver};
+use crate::observer::{AnyObserver, EventMask, SimEvent, SimEventKind};
 use crate::process::{ProcessId, TimerId};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::fmt;
@@ -184,16 +183,13 @@ pub struct Kernel<M> {
     pub(crate) medium: Box<dyn Medium<M>>,
     pub(crate) rng: SimRng,
     pub(crate) metrics: Metrics,
-    pub(crate) trace: Trace,
     /// Registered observers with their interest masks (sampled once at
-    /// registration), dispatched in registration order after the built-in
-    /// trace recorder (see [`crate::observer`] for the contract).
+    /// registration), dispatched in registration order (see
+    /// [`crate::observer`] for the contract).
     pub(crate) observers: Vec<(EventMask, Box<dyn AnyObserver>)>,
-    /// `true` when anyone is listening (trace enabled or observers present);
-    /// the emit path checks this one flag before doing any work.
-    pub(crate) observing: bool,
-    /// Union of the trace recorder's and every observer's interest: emits of
-    /// kinds outside this mask return before constructing the event.
+    /// Union of every observer's interest — the one gate on the emit path:
+    /// emits of kinds outside this mask return before constructing the
+    /// event.
     pub(crate) interest: EventMask,
     /// Liveness flag per process.
     pub(crate) live: Vec<bool>,
@@ -218,16 +214,9 @@ impl<M: fmt::Debug> Kernel<M> {
     pub(crate) fn new(
         medium: Box<dyn Medium<M>>,
         rng: SimRng,
-        trace: Trace,
         trace_payloads: bool,
         expected_processes: usize,
     ) -> Self {
-        let observing = trace.is_enabled();
-        let interest = if observing {
-            EventMask::ALL
-        } else {
-            EventMask::NONE
-        };
         let mut metrics = Metrics::new();
         let keys = KernelKeys::new(&mut metrics);
         Kernel {
@@ -241,10 +230,8 @@ impl<M: fmt::Debug> Kernel<M> {
             medium,
             rng,
             metrics,
-            trace,
             observers: Vec::new(),
-            observing,
-            interest,
+            interest: EventMask::NONE,
             live: Vec::with_capacity(expected_processes),
             epoch: Vec::with_capacity(expected_processes),
             timer_states: VecDeque::with_capacity((expected_processes * 2).max(16)),
@@ -267,23 +254,21 @@ impl<M: fmt::Debug> Kernel<M> {
         self.live.get(id.0).copied().unwrap_or(false)
     }
 
-    /// Registers an observer; returns its index. The `observing` flag and
-    /// the `interest` union are the lazy-detail gates for the whole emit
-    /// path, so both are kept in sync here. The observer's interest mask is
-    /// sampled exactly once, now.
+    /// Registers an observer; returns its index. The observer's interest
+    /// mask is sampled exactly once, now, and joins the `interest` union
+    /// that gates the whole emit path.
     pub(crate) fn add_observer(&mut self, observer: Box<dyn AnyObserver>) -> usize {
         let mask = observer.interest();
         self.observers.push((mask, observer));
-        self.observing = true;
         self.interest |= mask;
         self.observers.len() - 1
     }
 
-    /// Emits one event to the bus: the built-in trace recorder first, then
-    /// every interested observer in registration order. Kinds outside the
-    /// combined interest mask return at the first branch, before the event
-    /// is constructed. The payload `Debug` rendering is lazy — it only
-    /// happens when `trace_payloads` was requested.
+    /// Emits one event to the bus: every interested observer, in
+    /// registration order. Kinds outside the combined interest mask return
+    /// at the first branch, before the event is constructed. The payload
+    /// `Debug` rendering is lazy — it only happens when `trace_payloads`
+    /// was requested.
     #[inline]
     pub(crate) fn emit(&mut self, kind: SimEventKind, payload: Option<&M>) {
         let bit = kind.mask();
@@ -300,7 +285,6 @@ impl<M: fmt::Debug> Kernel<M> {
             kind,
             detail,
         };
-        self.trace.on_event(&event);
         for (mask, observer) in &mut self.observers {
             if mask.intersects(bit) {
                 observer.on_event(&event);

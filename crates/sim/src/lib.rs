@@ -18,11 +18,16 @@
 //! * **Determinism**: one seeded ChaCha stream ([`SimRng`]) per run and
 //!   stable tie-breaking in the event queue mean the same seed reproduces the
 //!   same run bit-for-bit.
-//! * **Observability**: a typed event bus — the kernel emits one
-//!   [`SimEvent`] per occurrence to an ordered list of [`SimObserver`]s.
-//!   [`Metrics`] (counters, gauges, histograms, time series), the structured
-//!   [`Trace`] recorder, and the bounded [`RingTrace`] all ride it; see
-//!   [`observer`] for the determinism contract.
+//! * **Observability**: three surfaces, one job each. *Events* go on a
+//!   typed bus — the kernel emits one [`SimEvent`] per occurrence to an
+//!   ordered list of [`SimObserver`]s, and the bounded [`RingTrace`] is the
+//!   observer that keeps them (see [`observer`] for the determinism
+//!   contract). *Bounded aggregates* over those events — moments, sketched
+//!   percentiles, windows, flow and liveness counts — are operators of a
+//!   [`StreamPipeline`] ([`stream`]). *Run totals* are [`Metrics`]:
+//!   counters and histograms written through pre-interned [`MetricKey`]s.
+//!   What a scenario samples per tick is its own record, not a fourth
+//!   store here (`riot_core::SampleLog`).
 //! * **Disruption**: processes can be crashed and restarted (with timer
 //!   epochs so stale timers die), and arbitrary scheduled *injections* can
 //!   mutate the world mid-run — the hook used for partitions, churn and
@@ -41,7 +46,8 @@
 //!     }
 //!     fn on_message(&mut self, _: &mut Ctx<'_, &'static str>, _: ProcessId, _: &'static str) {}
 //!     fn on_timer(&mut self, ctx: &mut Ctx<'_, &'static str>, _tag: u64) {
-//!         ctx.metrics().incr("beacon.tick");
+//!         let ticks = ctx.metrics().intern("beacon.tick");
+//!         ctx.metrics().incr_key(ticks);
 //!         ctx.schedule(SimDuration::from_secs(1), 0);
 //!     }
 //! }
@@ -68,7 +74,6 @@ mod rng;
 mod sim;
 pub mod stream;
 mod time;
-mod trace;
 
 pub use embed::Embed;
 pub use intern::{MetricKey, Symbol, SymbolTable};
@@ -87,4 +92,3 @@ pub use stream::{
     TumblingWindow,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry, TraceKind};

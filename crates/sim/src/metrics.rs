@@ -1,16 +1,16 @@
-//! In-simulation metrics: counters, gauges, histograms and time series.
+//! In-simulation metrics: run-total counters and histograms.
 //!
-//! Every experiment in the reproduction is expressed in terms of metrics
-//! recorded here — e.g. requirement-satisfaction time series, message counts,
-//! recovery-time histograms. Storage is id-indexed `Vec`s behind a
-//! deterministic intern table ([`MetricKey`], see [`crate::intern`]): the
-//! string API stays as a thin compat layer, while hot paths pre-intern
-//! their keys once and update counters with zero heap allocations.
-//! Iteration for serialization always walks names in sorted order, so
-//! output stays deterministic and diffable no matter the interning order.
+//! One of the kernel's three observation surfaces (crate docs): what a run
+//! *counted* — messages sent, restarts commanded, control round-trip
+//! latencies — lives here; what *happened*, event by event, goes to
+//! observers on the bus ([`crate::observer`]), and bounded aggregates over
+//! those events are stream operators ([`crate::stream`]). Storage is
+//! id-indexed `Vec`s behind a deterministic intern table ([`MetricKey`],
+//! see [`crate::intern`]): a writer interns its names once and updates by
+//! key with zero heap allocations; readers may look a metric up by name
+//! after the run.
 
 use crate::intern::{Interner, MetricKey};
-use crate::time::SimTime;
 use std::fmt;
 
 /// A histogram that retains all recorded samples.
@@ -175,48 +175,41 @@ impl fmt::Display for HistogramSummary {
 /// The metrics recorder owned by a simulation run.
 ///
 /// Metric names are dotted paths by convention (`"net.dropped"`,
-/// `"req.latency.sat"`); the recorder itself treats them as opaque keys.
+/// `"device.control.latency_ms"`); the recorder itself treats them as
+/// opaque keys.
 ///
-/// Hot call sites should [`intern`](Metrics::intern) their names once and
-/// use the `*_key` variants: a counter increment through a pre-interned
-/// [`MetricKey`] is a bounds-checked `Vec` write — no allocation, no tree
-/// walk. The string API remains fully supported (it now costs one binary
-/// search on the hit path instead of an allocation) so existing call sites
-/// keep working unchanged.
+/// Writers [`intern`](Metrics::intern) their names once and update through
+/// the `*_key` methods: a counter increment through a [`MetricKey`] is a
+/// bounds-checked `Vec` write — no allocation, no tree walk. Reads by name
+/// ([`counter`](Metrics::counter), [`histogram`](Metrics::histogram),
+/// [`summarize`](Metrics::summarize)) cost one binary search and are meant
+/// for after the run.
 ///
 /// # Examples
 ///
 /// ```
-/// use riot_sim::{Metrics, SimTime};
+/// use riot_sim::Metrics;
 ///
 /// let mut m = Metrics::new();
-/// m.incr("net.sent");
-/// m.incr_by("net.sent", 2);
-/// m.gauge_set("cluster.size", 5.0);
-/// m.observe("rtt_ms", 12.5);
-/// m.series_push("load", SimTime::from_secs(1), 0.7);
-///
-/// // The interned fast path lands in the same slots as the string API.
 /// let sent = m.intern("net.sent");
+/// let rtt = m.intern("rtt_ms");
 /// m.incr_key(sent);
+/// m.incr_by_key(sent, 2);
+/// m.observe_key(rtt, 12.5);
 ///
-/// assert_eq!(m.counter("net.sent"), 4);
-/// assert_eq!(m.counter_key(sent), 4);
-/// assert_eq!(m.gauge("cluster.size"), Some(5.0));
+/// assert_eq!(m.counter_key(sent), 3);
+/// assert_eq!(m.counter("net.sent"), 3);
 /// assert_eq!(m.histogram("rtt_ms").unwrap().count(), 1);
-/// assert_eq!(m.series("load").unwrap().len(), 1);
+/// assert_eq!(m.counter("never.written"), 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     interner: Interner,
-    /// All four stores are id-indexed and kept in lockstep with the
-    /// interner: `None` means "interned but never written" — such metrics
-    /// are invisible to reads and iteration, exactly like names that were
-    /// never mentioned at all.
-    counters: Vec<Option<u64>>,
-    gauges: Vec<Option<f64>>,
+    /// Both stores are id-indexed and kept in lockstep with the interner.
+    /// A name that was interned but never written reads like one that was
+    /// never mentioned: a zero counter, no histogram.
+    counters: Vec<u64>,
     histograms: Vec<Option<Histogram>>,
-    series: Vec<Option<Vec<(SimTime, f64)>>>,
 }
 
 impl Metrics {
@@ -232,10 +225,8 @@ impl Metrics {
     pub fn intern(&mut self, name: &str) -> MetricKey {
         let key = self.interner.intern(name);
         while self.counters.len() < self.interner.len() {
-            self.counters.push(None);
-            self.gauges.push(None);
+            self.counters.push(0);
             self.histograms.push(None);
-            self.series.push(None);
         }
         key
     }
@@ -243,17 +234,6 @@ impl Metrics {
     /// Returns the key for an already-interned name without minting.
     pub fn lookup(&self, name: &str) -> Option<MetricKey> {
         self.interner.get(name)
-    }
-
-    /// Increments a counter by one.
-    pub fn incr(&mut self, name: &str) {
-        self.incr_by(name, 1);
-    }
-
-    /// Increments a counter by `delta`.
-    pub fn incr_by(&mut self, name: &str, delta: u64) {
-        let key = self.intern(name);
-        self.incr_by_key(key, delta);
     }
 
     /// Increments a counter by one through a pre-interned key —
@@ -267,7 +247,7 @@ impl Metrics {
     #[inline]
     pub fn incr_by_key(&mut self, key: MetricKey, delta: u64) {
         if let Some(slot) = self.counters.get_mut(key.index()) {
-            *slot = Some(slot.unwrap_or(0) + delta);
+            *slot += delta;
         } else {
             debug_assert!(false, "MetricKey minted by a different recorder");
         }
@@ -281,47 +261,7 @@ impl Metrics {
     /// Reads a counter through a pre-interned key.
     #[inline]
     pub fn counter_key(&self, key: MetricKey) -> u64 {
-        self.counters
-            .get(key.index())
-            .copied()
-            .flatten()
-            .unwrap_or(0)
-    }
-
-    /// Sets a gauge to an absolute value.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        let key = self.intern(name);
-        self.gauge_set_key(key, value);
-    }
-
-    /// Sets a gauge through a pre-interned key.
-    #[inline]
-    pub fn gauge_set_key(&mut self, key: MetricKey, value: f64) {
-        if let Some(slot) = self.gauges.get_mut(key.index()) {
-            *slot = Some(value);
-        } else {
-            debug_assert!(false, "MetricKey minted by a different recorder");
-        }
-    }
-
-    /// Adds `delta` to a gauge (missing gauges start at zero).
-    pub fn gauge_add(&mut self, name: &str, delta: f64) {
-        let key = self.intern(name);
-        if let Some(slot) = self.gauges.get_mut(key.index()) {
-            *slot = Some(slot.unwrap_or(0.0) + delta);
-        }
-    }
-
-    /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.lookup(name)
-            .and_then(|key| self.gauges.get(key.index()).copied().flatten())
-    }
-
-    /// Records one histogram sample.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        let key = self.intern(name);
-        self.observe_key(key, value);
+        self.counters.get(key.index()).copied().unwrap_or(0)
     }
 
     /// Records one histogram sample through a pre-interned key. Allocation
@@ -356,148 +296,6 @@ impl Metrics {
             max: h.max(),
         })
     }
-
-    /// Appends a `(time, value)` point to a named time series.
-    ///
-    /// A series retains every point, so its memory grows with run length.
-    /// When only a summary is needed (moments, percentiles, windowed
-    /// trends), prefer the bounded-memory reducers in [`crate::stream`] —
-    /// [`OnlineStats`](crate::OnlineStats),
-    /// [`QuantileSketch`](crate::QuantileSketch) or a window — fed from a
-    /// [`Measure`](crate::SimEventKind::Measure) probe on the observer bus.
-    pub fn series_push(&mut self, name: &str, at: SimTime, value: f64) {
-        let key = self.intern(name);
-        self.series_push_key(key, at, value);
-    }
-
-    /// Appends a series point through a pre-interned key.
-    #[inline]
-    pub fn series_push_key(&mut self, key: MetricKey, at: SimTime, value: f64) {
-        if let Some(slot) = self.series.get_mut(key.index()) {
-            slot.get_or_insert_with(Vec::new).push((at, value));
-        } else {
-            debug_assert!(false, "MetricKey minted by a different recorder");
-        }
-    }
-
-    /// Borrows a time series.
-    pub fn series(&self, name: &str) -> Option<&[(SimTime, f64)]> {
-        self.lookup(name)
-            .and_then(|key| self.series.get(key.index()))
-            .and_then(Option::as_ref)
-            .map(Vec::as_slice)
-    }
-
-    /// Iterates over all counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.interner.indices_by_name().filter_map(|idx| {
-            let v = (*self.counters.get(idx)?)?;
-            Some((self.interner.name(MetricKey(idx as u32)), v))
-        })
-    }
-
-    /// Iterates over all gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.interner.indices_by_name().filter_map(|idx| {
-            let v = (*self.gauges.get(idx)?)?;
-            Some((self.interner.name(MetricKey(idx as u32)), v))
-        })
-    }
-
-    /// Iterates over all time-series names in name order.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.interner.indices_by_name().filter_map(|idx| {
-            self.series.get(idx)?.as_ref()?;
-            Some(self.interner.name(MetricKey(idx as u32)))
-        })
-    }
-
-    /// Iterates over all histogram names in name order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.interner.indices_by_name().filter_map(|idx| {
-            self.histograms.get(idx)?.as_ref()?;
-            Some(self.interner.name(MetricKey(idx as u32)))
-        })
-    }
-
-    /// Merges another recorder into this one: counters add, gauges take the
-    /// other's value, histograms and series concatenate. The other
-    /// recorder's keys are re-interned here, so the two recorders need not
-    /// share an interning order.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (name, v) in other.counters() {
-            let key = self.intern(name);
-            self.incr_by_key(key, v);
-        }
-        for (name, v) in other.gauges() {
-            let key = self.intern(name);
-            self.gauge_set_key(key, v);
-        }
-        for name in other.histogram_names() {
-            if let Some(h) = other.histogram(name) {
-                let key = self.intern(name);
-                for s in h.samples() {
-                    self.observe_key(key, *s);
-                }
-            }
-        }
-        for name in other.series_names() {
-            if let Some(pts) = other.series(name) {
-                let key = self.intern(name);
-                if let Some(slot) = self.series.get_mut(key.index()) {
-                    slot.get_or_insert_with(Vec::new).extend_from_slice(pts);
-                }
-            }
-        }
-    }
-
-    /// Computes the time-weighted mean of a boolean-ish series (values are
-    /// clamped to `[0, 1]`) over `[from, to]`, holding the last value between
-    /// points. Returns `None` when the series is missing, empty, or the
-    /// window is degenerate.
-    ///
-    /// This is the *resilience integral* used across experiments: the series
-    /// records requirement satisfaction over time and this returns the
-    /// fraction of the window during which the requirement held.
-    pub fn time_weighted_mean(&self, name: &str, from: SimTime, to: SimTime) -> Option<f64> {
-        self.integrate(name, from, to, true)
-    }
-
-    /// Like [`Metrics::time_weighted_mean`] but without clamping values to
-    /// `[0, 1]` — for series carrying physical quantities rather than
-    /// satisfaction indicators.
-    pub fn time_weighted_mean_raw(&self, name: &str, from: SimTime, to: SimTime) -> Option<f64> {
-        self.integrate(name, from, to, false)
-    }
-
-    fn integrate(&self, name: &str, from: SimTime, to: SimTime, clamp: bool) -> Option<f64> {
-        let key = self.interner.get(name)?;
-        let pts = self.series.get(key.index())?.as_ref()?;
-        if pts.is_empty() || to <= from {
-            return None;
-        }
-        let bound = |v: f64| if clamp { v.clamp(0.0, 1.0) } else { v };
-        let mut acc = 0.0;
-        let mut cur_t = from;
-        // Value in force at `from`: last point at or before it, else the first
-        // point's value once it appears (the gap before the first point counts
-        // as that first value, a deliberate, documented choice).
-        let mut cur_v = pts
-            .iter()
-            .take_while(|(t, _)| *t <= from)
-            .last()
-            .map(|(_, v)| *v)
-            // riot-lint: allow(P1, reason = "pts is non-empty: checked at function entry")
-            .unwrap_or(pts[0].1);
-        for (t, v) in pts.iter().filter(|(t, _)| *t > from && *t <= to) {
-            let span = (*t - cur_t).as_secs_f64();
-            acc += span * bound(cur_v);
-            cur_t = *t;
-            cur_v = *v;
-        }
-        acc += (to - cur_t).as_secs_f64() * bound(cur_v);
-        Some(acc / (to - from).as_secs_f64())
-    }
 }
 
 #[cfg(test)]
@@ -508,20 +306,10 @@ mod tests {
     fn counters_accumulate() {
         let mut m = Metrics::new();
         assert_eq!(m.counter("x"), 0);
-        m.incr("x");
-        m.incr_by("x", 4);
+        let x = m.intern("x");
+        m.incr_key(x);
+        m.incr_by_key(x, 4);
         assert_eq!(m.counter("x"), 5);
-    }
-
-    #[test]
-    fn gauges_set_and_add() {
-        let mut m = Metrics::new();
-        assert_eq!(m.gauge("g"), None);
-        m.gauge_set("g", 2.0);
-        m.gauge_add("g", 0.5);
-        assert_eq!(m.gauge("g"), Some(2.5));
-        m.gauge_add("fresh", -1.0);
-        assert_eq!(m.gauge("fresh"), Some(-1.0));
     }
 
     #[test]
@@ -562,8 +350,9 @@ mod tests {
     #[test]
     fn summary_matches_histogram() {
         let mut m = Metrics::new();
+        let h = m.intern("h");
         for x in [1.0, 2.0, 3.0, 4.0] {
-            m.observe("h", x);
+            m.observe_key(h, x);
         }
         let s = m.summarize("h").unwrap();
         assert_eq!(s.count, 4);
@@ -576,54 +365,36 @@ mod tests {
 
     #[test]
     fn string_and_key_apis_share_one_slot() {
-        // Compat contract: pre-interned keys and the string API land in the
-        // same counter/gauge/histogram/series, in either order.
+        // A name read after the run finds what its key wrote, and interning
+        // the same name again yields the same key.
         let mut m = Metrics::new();
         let c = m.intern("c");
-        m.incr("c");
         m.incr_key(c);
         m.incr_by_key(c, 3);
-        assert_eq!(m.counter("c"), 5);
-        assert_eq!(m.counter_key(c), 5);
+        assert_eq!(m.intern("c"), c);
+        assert_eq!(m.lookup("c"), Some(c));
+        assert_eq!(m.counter("c"), 4);
+        assert_eq!(m.counter_key(c), 4);
 
         let h = m.intern("h");
-        m.observe("h", 1.0);
+        m.observe_key(h, 1.0);
         m.observe_key(h, 2.0);
         assert_eq!(m.histogram("h").map(Histogram::count), Some(2));
-
-        let g = m.intern("g");
-        m.gauge_set_key(g, 4.0);
-        m.gauge_add("g", 1.0);
-        assert_eq!(m.gauge("g"), Some(5.0));
-
-        let s = m.intern("s");
-        m.series_push("s", SimTime::ZERO, 0.0);
-        m.series_push_key(s, SimTime::from_secs(1), 1.0);
-        assert_eq!(m.series("s").map(<[_]>::len), Some(2));
+        assert_eq!(m.counter("h"), 0, "one name, two stores, no crosstalk");
     }
 
     #[test]
     fn interning_alone_creates_no_visible_metric() {
         // A registered-but-never-written name must stay invisible, so that
-        // eager pre-interning at startup cannot change serialized output.
+        // eager pre-interning at startup cannot change what a reader sees.
         let mut m = Metrics::new();
         m.intern("ghost");
-        m.incr("real");
-        assert_eq!(m.counters().map(|(n, _)| n).collect::<Vec<_>>(), ["real"]);
-        assert_eq!(m.gauges().count(), 0);
-        assert_eq!(m.series_names().count(), 0);
-        assert_eq!(m.histogram_names().count(), 0);
+        let real = m.intern("real");
+        m.incr_key(real);
+        assert_eq!(m.counter("real"), 1);
         assert_eq!(m.counter("ghost"), 0);
-    }
-
-    #[test]
-    fn iteration_is_name_ordered_regardless_of_interning_order() {
-        let mut m = Metrics::new();
-        for name in ["zz", "aa", "mm"] {
-            m.incr(name);
-        }
-        let names: Vec<&str> = m.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, ["aa", "mm", "zz"]);
+        assert!(m.histogram("ghost").is_none());
+        assert!(m.summarize("ghost").is_none());
     }
 
     #[test]
@@ -635,69 +406,5 @@ mod tests {
         c.incr_key(k);
         assert_eq!(m.counter("x"), 1);
         assert_eq!(c.counter("x"), 2);
-    }
-
-    #[test]
-    fn merge_combines_everything() {
-        let mut a = Metrics::new();
-        a.incr("c");
-        a.observe("h", 1.0);
-        a.series_push("s", SimTime::ZERO, 1.0);
-        let mut b = Metrics::new();
-        b.incr_by("c", 2);
-        b.gauge_set("g", 9.0);
-        b.observe("h", 3.0);
-        b.series_push("s", SimTime::from_secs(1), 0.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge("g"), Some(9.0));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.series("s").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn time_weighted_mean_step_function() {
-        let mut m = Metrics::new();
-        // satisfied [0, 4), violated [4, 8), satisfied [8, 10]
-        m.series_push("sat", SimTime::ZERO, 1.0);
-        m.series_push("sat", SimTime::from_secs(4), 0.0);
-        m.series_push("sat", SimTime::from_secs(8), 1.0);
-        let r = m
-            .time_weighted_mean("sat", SimTime::ZERO, SimTime::from_secs(10))
-            .unwrap();
-        assert!((r - 0.6).abs() < 1e-9, "got {r}");
-    }
-
-    #[test]
-    fn time_weighted_mean_window_subset() {
-        let mut m = Metrics::new();
-        m.series_push("sat", SimTime::ZERO, 1.0);
-        m.series_push("sat", SimTime::from_secs(5), 0.0);
-        // Window [5, 10]: fully violated.
-        let r = m
-            .time_weighted_mean("sat", SimTime::from_secs(5), SimTime::from_secs(10))
-            .unwrap();
-        assert_eq!(r, 0.0);
-        // Degenerate window.
-        assert!(m
-            .time_weighted_mean("sat", SimTime::from_secs(5), SimTime::from_secs(5))
-            .is_none());
-        assert!(m
-            .time_weighted_mean("missing", SimTime::ZERO, SimTime::from_secs(1))
-            .is_none());
-    }
-
-    #[test]
-    fn time_weighted_mean_clamps_values() {
-        let mut m = Metrics::new();
-        m.series_push("s", SimTime::ZERO, 7.0);
-        let r = m
-            .time_weighted_mean("s", SimTime::ZERO, SimTime::from_secs(1))
-            .unwrap();
-        assert_eq!(r, 1.0);
-        let raw = m
-            .time_weighted_mean_raw("s", SimTime::ZERO, SimTime::from_secs(1))
-            .unwrap();
-        assert_eq!(raw, 7.0);
     }
 }

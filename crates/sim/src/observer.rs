@@ -1,14 +1,15 @@
 //! The observability bus: typed kernel events and streaming observers.
 //!
 //! The kernel emits one [`SimEvent`] per significant occurrence — message
-//! send/deliver/drop, timer fire, process lifecycle transition, annotation —
-//! to an *ordered* list of [`SimObserver`]s registered on the builder (or on
-//! [`Sim`](crate::Sim) before the run starts). The built-in
-//! [`Trace`](crate::Trace) recorder is itself just one such observer; online
-//! runtime monitors (`riot_formal::OnlineMonitor`) and the bounded
-//! [`RingTrace`] are others. This turns observability from record-then-analyze
-//! into stream-and-react: a monitor can flag a requirement violation *during*
-//! the run, which is what a MAPE-K loop needs.
+//! send/deliver/drop, timer fire, process lifecycle transition, annotation,
+//! measurement — to an *ordered* list of [`SimObserver`]s registered on the
+//! builder (or on [`Sim`](crate::Sim) before the run starts). Everything
+//! that watches a run is such an observer: the bounded [`RingTrace`] keeps
+//! the events themselves, a [`StreamPipeline`](crate::StreamPipeline) folds
+//! them into bounded aggregates, and online runtime monitors
+//! (`riot_formal::OnlineMonitor`) flag a requirement violation *during* the
+//! run, which is what a MAPE-K loop needs. There is no built-in recorder:
+//! a run with no observer constructs no event.
 //!
 //! ## Determinism contract for observer authors
 //!
@@ -20,25 +21,26 @@
 //!    are byte-identical by construction.
 //! 2. Events arrive in virtual-time order (ties in kernel scheduling order),
 //!    exactly once each, on the single simulation thread.
-//! 3. Dispatch order is fixed: the built-in [`Trace`](crate::Trace) recorder
-//!    sees each event first, then registered observers in registration
-//!    order. Observer state must depend only on the event stream, never on
-//!    wall-clock time or ambient entropy (riot-lint rules D2/D3 apply here).
-//! 4. `SimEvent::detail` carries a `Debug` rendering of the message payload
-//!    only when `trace_payloads` is enabled; with no observers registered and
-//!    tracing off, the emit path is a single branch and allocates nothing.
+//! 3. Dispatch order is registration order. Observer state must depend only
+//!    on the event stream, never on wall-clock time or ambient entropy
+//!    (riot-lint rules D2/D3 apply here).
+//! 4. The union of the registered [`SimObserver::interest`] masks is the one
+//!    gate on the emit path: a kind nobody subscribed to returns at a single
+//!    branch and allocates nothing, and call sites that format a text ask
+//!    [`Ctx::wants`](crate::Ctx::wants) first. `SimEvent::detail` carries a
+//!    `Debug` rendering of the message payload only when `trace_payloads` is
+//!    enabled.
 
 use crate::intern::MetricKey;
 use crate::json::{Json, ToJson};
 use crate::process::ProcessId;
 use crate::time::SimTime;
-use crate::trace::TraceKind;
 use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
 
-/// What happened at one emitted instant. Mirrors [`TraceKind`] but keeps the
-/// drop reason as `&'static str` so the hot path never allocates.
+/// What happened at one emitted instant. The drop reason is a
+/// `&'static str` so the hot path never allocates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimEventKind {
     /// A process submitted a message to the medium.
@@ -204,39 +206,6 @@ impl SimEventKind {
             _ => None,
         }
     }
-
-    /// Converts to the owned [`TraceKind`] representation used by the
-    /// recording [`Trace`](crate::Trace). Allocates (reason/text move into
-    /// `String`s), so callers only invoke this when recording is enabled.
-    pub fn to_trace_kind(&self) -> TraceKind {
-        match *self {
-            SimEventKind::Sent { from, to } => TraceKind::Sent { from, to },
-            SimEventKind::Delivered { from, to } => TraceKind::Delivered { from, to },
-            SimEventKind::Dropped { from, to, reason } => TraceKind::Dropped {
-                from,
-                to,
-                // riot-lint: allow(A1, reason = "runs only when the recording Trace is enabled; benchmarked hot runs are untraced")
-                reason: reason.to_owned(),
-            },
-            SimEventKind::TimerFired { owner, tag } => TraceKind::TimerFired { owner, tag },
-            SimEventKind::ProcessDown { id } => TraceKind::ProcessDown { id },
-            SimEventKind::ProcessUp { id } => TraceKind::ProcessUp { id },
-            SimEventKind::Note { id, ref text } => TraceKind::Note {
-                id,
-                // riot-lint: allow(A1, reason = "runs only when the recording Trace is enabled; benchmarked hot runs are untraced")
-                text: text.clone(),
-            },
-            SimEventKind::Measure {
-                id,
-                key,
-                value_bits,
-            } => TraceKind::Measure {
-                id,
-                key,
-                value_bits,
-            },
-        }
-    }
 }
 
 /// One event on the observability bus.
@@ -355,8 +324,8 @@ pub trait SimObserver {
 
     /// The event kinds this observer consumes. The kernel samples this once
     /// at registration and never dispatches kinds outside the mask to this
-    /// observer; kinds *no* observer (and not the trace recorder) subscribed
-    /// to are dropped before the event is constructed. Purely an
+    /// observer; kinds *no* observer subscribed to are dropped before the
+    /// event is constructed. Purely an
     /// optimization — observers must tolerate receiving a superset. The
     /// default subscribes to everything.
     fn interest(&self) -> EventMask {
@@ -426,13 +395,18 @@ pub struct RingTrace {
     forensics: bool,
 }
 
+/// Most slots a new [`RingTrace`] reserves before its first event: a ring
+/// sized for the longest run still costs a short one only what it emits.
+const RING_RESERVE: usize = 1024;
+
 impl RingTrace {
-    /// A ring keeping the last `capacity` events (at least 1).
+    /// A ring keeping the last `capacity` events (at least 1). Slots are
+    /// allocated as events arrive, up to `capacity`.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RingTrace {
             capacity,
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity.min(RING_RESERVE)),
             oldest: 0,
             forensics: false,
         }
@@ -488,7 +462,7 @@ impl SimObserver for RingTrace {
                 slot.clone_from(event);
                 self.oldest = (self.oldest + 1) % self.capacity;
             }
-            // riot-lint: allow(A1, reason = "clones only while the ring fills, at most `capacity` times a run; a full ring overwrites in place")
+            // riot-lint: allow(A1, reason = "clones, and grows the slot vector, only while the ring fills, at most `capacity` times a run; a full ring overwrites in place")
             _ => self.slots.push(event.clone()),
         }
     }
@@ -586,6 +560,21 @@ mod tests {
     }
 
     #[test]
+    fn a_large_ring_reserves_little_and_grows_to_its_capacity() {
+        let big = RingTrace::new(1 << 20);
+        assert_eq!(big.capacity(), 1 << 20);
+        assert!(big.slots.capacity() <= RING_RESERVE, "reserved up front");
+
+        let mut ring = RingTrace::new(3 * RING_RESERVE);
+        for n in 0..4 * RING_RESERVE as u64 {
+            ring.on_event(&ev(n));
+        }
+        assert_eq!(ring.len(), 3 * RING_RESERVE, "grew past the reservation");
+        let first = ring.tail().next().map(|e| e.at);
+        assert_eq!(first, Some(SimTime::from_micros(RING_RESERVE as u64)));
+    }
+
+    #[test]
     fn event_renders_as_json_object() {
         let e = SimEvent {
             at: SimTime::from_micros(1500),
@@ -600,23 +589,6 @@ mod tests {
         assert_eq!(
             line,
             r#"{"t_us":1500,"kind":"dropped","from":1,"to":"external","reason":"loss","detail":"Ping(1)"}"#
-        );
-    }
-
-    #[test]
-    fn to_trace_kind_round_trips_fields() {
-        let kind = SimEventKind::Dropped {
-            from: ProcessId(0),
-            to: ProcessId(1),
-            reason: "partition",
-        };
-        assert_eq!(
-            kind.to_trace_kind(),
-            TraceKind::Dropped {
-                from: ProcessId(0),
-                to: ProcessId(1),
-                reason: "partition".to_owned(),
-            }
         );
     }
 

@@ -111,8 +111,8 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
     }
 
     /// Sends `msg` to `to`, routed through the medium (which decides latency
-    /// and loss). Sending to a down process silently drops with a trace
-    /// entry; protocols are expected to tolerate loss.
+    /// and loss). Sending to a down process silently drops with a
+    /// `Dropped` event; protocols are expected to tolerate loss.
     pub fn send(&mut self, to: ProcessId, msg: M) {
         let from = self.id;
         self.kernel.submit_message(from, to, msg);
@@ -141,10 +141,10 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
     }
 
     /// Records a free-form annotation on the observability bus (a no-op when
-    /// nobody is listening — the text conversion is skipped entirely, so
-    /// hot-path annotations cost one branch on untraced runs).
+    /// no observer subscribed to notes — the text conversion is skipped
+    /// entirely, so hot-path annotations cost one branch on such runs).
     pub fn annotate(&mut self, text: impl Into<String>) {
-        if !self.kernel.observing {
+        if !self.wants(crate::observer::EventMask::NOTE) {
             return;
         }
         let id = self.id;
@@ -164,11 +164,7 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
     /// telemetry operators ([`crate::stream`]) consume these events.
     #[inline]
     pub fn measure(&mut self, key: crate::intern::MetricKey, value: f64) {
-        if !self
-            .kernel
-            .interest
-            .intersects(crate::observer::EventMask::MEASURE)
-        {
+        if !self.wants(crate::observer::EventMask::MEASURE) {
             return;
         }
         let id = self.id;
@@ -182,10 +178,12 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
         );
     }
 
-    /// `true` if anyone is listening on the observability bus. Pre-check this
-    /// before building an expensive [`Ctx::annotate`] string.
-    pub fn is_observing(&self) -> bool {
-        self.kernel.observing
+    /// `true` if some registered observer subscribed to a kind in `mask`.
+    /// Pre-check `wants(EventMask::NOTE)` before building an expensive
+    /// [`Ctx::annotate`] string.
+    #[inline]
+    pub fn wants(&self, mask: crate::observer::EventMask) -> bool {
+        self.kernel.interest.intersects(mask)
     }
 
     /// `true` if the given process is currently up.

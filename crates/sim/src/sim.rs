@@ -5,12 +5,11 @@
 use crate::kernel::{EventKind, Kernel};
 use crate::medium::{IdealMedium, Medium};
 use crate::metrics::Metrics;
-use crate::observer::{AnyObserver, SimEventKind, SimObserver};
+use crate::observer::{AnyObserver, EventMask, SimEventKind, SimObserver};
 use crate::process::{Ctx, Process, ProcessId};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 use std::any::Any;
 use std::fmt;
 
@@ -48,14 +47,12 @@ const STAGE_MIN: usize = 32;
 /// use riot_sim::{Sim, SimBuilder, SimDuration};
 ///
 /// let sim: Sim<String> = SimBuilder::new(42)
-///     .tracing(true)
 ///     .max_events(1_000_000)
 ///     .build();
 /// assert_eq!(sim.now().as_micros(), 0);
 /// ```
 pub struct SimBuilder {
     seed: u64,
-    tracing: bool,
     trace_payloads: bool,
     max_events: u64,
     expected_processes: usize,
@@ -66,7 +63,6 @@ impl fmt::Debug for SimBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimBuilder")
             .field("seed", &self.seed)
-            .field("tracing", &self.tracing)
             .field("trace_payloads", &self.trace_payloads)
             .field("max_events", &self.max_events)
             .field("expected_processes", &self.expected_processes)
@@ -80,7 +76,6 @@ impl SimBuilder {
     pub fn new(seed: u64) -> Self {
         SimBuilder {
             seed,
-            tracing: false,
             trace_payloads: false,
             max_events: u64::MAX,
             expected_processes: 0,
@@ -97,14 +92,9 @@ impl SimBuilder {
         self
     }
 
-    /// Enables structured tracing (see [`crate::Trace`]).
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Also record `Debug` renderings of payloads in the trace (requires
-    /// tracing; costly on large runs).
+    /// Also put a `Debug` rendering of each message payload on the events
+    /// observers see ([`SimEvent::detail`](crate::SimEvent::detail); costly
+    /// on large runs, and nothing without an observer).
     pub fn trace_payloads(mut self, on: bool) -> Self {
         self.trace_payloads = on;
         self
@@ -118,9 +108,9 @@ impl SimBuilder {
     }
 
     /// Registers a [`SimObserver`] on the run's observability bus. Observers
-    /// see every kernel event in virtual-time order; dispatch order is the
-    /// built-in trace recorder first, then observers in registration order
-    /// (see [`crate::observer`] for the determinism contract).
+    /// see every kernel event in virtual-time order, dispatched in
+    /// registration order (see [`crate::observer`] for the determinism
+    /// contract).
     pub fn observer(mut self, observer: impl SimObserver + Any) -> Self {
         self.observers.push(Box::new(observer));
         self
@@ -135,14 +125,7 @@ impl SimBuilder {
     /// `Network`).
     pub fn build_with_medium<M: fmt::Debug>(self, medium: Box<dyn Medium<M>>) -> Sim<M> {
         let rng = SimRng::seed_from(self.seed);
-        let trace = Trace::new(self.tracing);
-        let mut kernel = Kernel::new(
-            medium,
-            rng,
-            trace,
-            self.trace_payloads,
-            self.expected_processes,
-        );
+        let mut kernel = Kernel::new(medium, rng, self.trace_payloads, self.expected_processes);
         for observer in self.observers {
             kernel.add_observer(observer);
         }
@@ -249,14 +232,9 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         &self.kernel.metrics
     }
 
-    /// Mutable access to metrics (e.g. for scenario-level series).
+    /// Mutable access to metrics (to intern keys before the run).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.kernel.metrics
-    }
-
-    /// The trace recorded so far (empty unless tracing was enabled).
-    pub fn trace(&self) -> &Trace {
-        &self.kernel.trace
     }
 
     /// Registers an observer on the bus mid-build (same contract as
@@ -272,16 +250,16 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.kernel.add_observer(observer)
     }
 
-    /// Number of registered observers (excluding the built-in trace).
+    /// Number of registered observers.
     pub fn observer_count(&self) -> usize {
         self.kernel.observers.len()
     }
 
-    /// `true` if anyone is listening on the bus (tracing enabled or at least
-    /// one observer registered). Use this to gate expensive annotation
-    /// formatting at call sites.
-    pub fn is_observing(&self) -> bool {
-        self.kernel.observing
+    /// `true` if some registered observer subscribed to a kind in `mask`.
+    /// Call sites that format a text for [`Sim::annotate`] ask
+    /// `wants(EventMask::NOTE)` first.
+    pub fn wants(&self, mask: EventMask) -> bool {
+        self.kernel.interest.intersects(mask)
     }
 
     /// Downcasts the observer at `index` (as returned by
@@ -305,10 +283,11 @@ impl<M: fmt::Debug + 'static> Sim<M> {
 
     /// Records a free-form annotation from outside the simulation (scenario
     /// drivers, injectors) onto the bus, attributed to the external id. A
-    /// no-op when nobody is listening; callers formatting an expensive
-    /// payload should pre-check [`Sim::is_observing`].
+    /// no-op — the text conversion included — when no observer subscribed
+    /// to notes; callers formatting an expensive text should pre-check
+    /// [`Sim::wants`].
     pub fn annotate(&mut self, text: impl Into<String>) {
-        if !self.kernel.observing {
+        if !self.wants(EventMask::NOTE) {
             return;
         }
         self.kernel.emit(
@@ -605,7 +584,6 @@ mod tests {
     use crate::json::ToJson;
     use crate::medium::LossyMedium;
     use crate::observer::{RingTrace, SimEvent};
-    use crate::trace::TraceKind;
 
     #[derive(Debug)]
     enum Msg {
@@ -1263,8 +1241,8 @@ mod tests {
     #[test]
     fn a_delivery_to_a_downed_process_frees_its_slot_and_shows_its_payload() {
         let mut sim: Sim<Msg> = SimBuilder::new(1)
-            .tracing(true)
             .trace_payloads(true)
+            .observer(RingTrace::new(16))
             .build();
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(9));
@@ -1273,8 +1251,10 @@ mod tests {
         assert!(sim.step());
         assert_eq!(sim.kernel.payloads.census(), (0, 1), "slot returned");
         assert!(sim
-            .trace()
-            .filtered(|e| matches!(&e.kind, TraceKind::Dropped { reason, .. } if reason == "down"))
+            .observer::<RingTrace>(0)
+            .unwrap()
+            .tail()
+            .filter(|e| matches!(e.kind, SimEventKind::Dropped { reason: "down", .. }))
             .any(|e| e.detail.contains("Ping(9)")));
         assert_eq!(sim.metrics().counter("sim.msg.dropped"), 1);
         // The freed slot is the next one used.
@@ -1341,16 +1321,17 @@ mod tests {
     #[test]
     fn tracing_records_lifecycle() {
         let mut sim: Sim<Msg> = SimBuilder::new(1)
-            .tracing(true)
             .trace_payloads(true)
+            .observer(RingTrace::new(16))
             .build();
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(3));
         sim.run_to_completion();
-        assert!(sim.trace().len() >= 2);
-        assert!(sim
-            .trace()
-            .filtered(|e| matches!(e.kind, TraceKind::Delivered { .. }))
+        let ring = sim.observer::<RingTrace>(0).unwrap();
+        assert!(ring.len() >= 2);
+        assert!(ring
+            .tail()
+            .filter(|e| matches!(e.kind, SimEventKind::Delivered { .. }))
             .any(|e| e.detail.contains("Ping(3)")));
     }
 
@@ -1368,25 +1349,25 @@ mod tests {
     #[test]
     fn observers_see_the_trace_event_sequence() {
         let mut sim: Sim<Msg> = SimBuilder::new(1)
-            .tracing(true)
             .observer(Recorder { seen: Vec::new() })
+            .observer(RingTrace::new(64))
             .build();
         let a = sim.add_process(Counter::new());
-        let second = sim.add_observer(Recorder { seen: Vec::new() });
+        let third = sim.add_observer(Recorder { seen: Vec::new() });
         sim.send_external(a, Msg::Ping(1));
         sim.set_down(a);
         sim.run_to_completion();
         let first: Vec<String> = sim.observer::<Recorder>(0).unwrap().seen.clone();
-        let also: Vec<String> = sim.observer::<Recorder>(second).unwrap().seen.clone();
-        let trace: Vec<String> = sim
-            .trace()
-            .entries()
-            .iter()
+        let also: Vec<String> = sim.observer::<Recorder>(third).unwrap().seen.clone();
+        let ring: Vec<String> = sim
+            .observer::<RingTrace>(1)
+            .unwrap()
+            .tail()
             .map(|e| e.to_string())
             .collect();
         assert!(!first.is_empty());
         assert_eq!(first, also, "every observer sees the same sequence");
-        assert_eq!(first, trace, "the trace recorder is just another observer");
+        assert_eq!(first, ring, "and an unwrapped ring holds exactly it");
     }
 
     #[test]
@@ -1397,16 +1378,39 @@ mod tests {
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(1));
         sim.run_to_completion();
-        assert!(sim.is_observing());
-        assert!(sim.trace().is_empty(), "trace stays off");
+        assert!(sim.wants(EventMask::ALL));
         assert!(!sim.observer::<Recorder>(0).unwrap().seen.is_empty());
     }
 
     #[test]
     fn nobody_listening_means_not_observing() {
         let sim: Sim<Msg> = SimBuilder::new(1).build();
-        assert!(!sim.is_observing());
+        assert!(!sim.wants(EventMask::ALL));
         assert_eq!(sim.observer_count(), 0);
+    }
+
+    #[test]
+    fn annotations_are_gated_on_note_interest_not_on_any_observer() {
+        /// Subscribes to lifecycle transitions only, as the scenario's
+        /// liveness mirror does.
+        struct Lifecycle;
+        impl SimObserver for Lifecycle {
+            fn on_event(&mut self, _event: &SimEvent) {}
+            fn interest(&self) -> EventMask {
+                EventMask::LIFECYCLE
+            }
+        }
+        let mut sim: Sim<Msg> = SimBuilder::new(1).observer(Lifecycle).build();
+        assert!(sim.wants(EventMask::PROCESS_DOWN));
+        assert!(!sim.wants(EventMask::NOTE), "nobody reads notes yet");
+        assert!(!sim.wants(EventMask::MEASURE));
+        let ring = sim.add_observer(RingTrace::new(4));
+        assert!(
+            sim.wants(EventMask::NOTE),
+            "a ring subscribes to everything"
+        );
+        sim.annotate("seen");
+        assert_eq!(sim.observer::<RingTrace>(ring).unwrap().len(), 1);
     }
 
     #[test]
@@ -1463,14 +1467,15 @@ mod tests {
 
     #[test]
     fn external_annotations_reach_the_bus() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1).tracing(true).build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).observer(RingTrace::new(16)).build();
         sim.add_process(Counter::new());
         sim.annotate("phase=warmup");
         sim.run_to_completion();
         assert!(sim
-            .trace()
-            .filtered(|e| matches!(e.kind, TraceKind::Note { .. }))
-            .any(|e| format!("{:?}", e.kind).contains("phase=warmup")));
+            .observer::<RingTrace>(0)
+            .unwrap()
+            .tail()
+            .any(|e| matches!(&e.kind, SimEventKind::Note { text, .. } if text == "phase=warmup")));
     }
 
     #[test]
