@@ -69,11 +69,17 @@ impl KnowledgeBase {
         self.now
     }
 
-    /// Records a metric observation.
-    pub fn record(&mut self, metric: impl Into<String>, value: f64, at: SimTime) {
+    /// Records a metric observation, replacing the one held for `metric`.
+    /// The name is copied only the first time a metric is seen.
+    pub fn record(&mut self, metric: &str, value: f64, at: SimTime) {
         self.now = self.now.max(at);
-        self.metrics
-            .insert(metric.into(), Observation { value, at });
+        let observation = Observation { value, at };
+        match self.metrics.get_mut(metric) {
+            Some(held) => *held = observation,
+            None => {
+                self.metrics.insert(metric.to_owned(), observation);
+            }
+        }
     }
 
     /// The raw observation for a metric, fresh or not.
@@ -172,6 +178,19 @@ mod tests {
         assert_eq!(kb.observation("m").unwrap().value, 5.0);
         assert_eq!(kb.age("m"), Some(SimDuration::ZERO));
         assert_eq!(kb.metric_count(), 1);
+    }
+
+    #[test]
+    fn a_repeated_record_overwrites_in_place() {
+        let mut kb = KnowledgeBase::new(SimDuration::from_secs(10));
+        kb.record("m", 5.0, SimTime::from_secs(1));
+        kb.record("m", 7.0, SimTime::from_secs(2));
+        assert_eq!(kb.metric_count(), 1);
+        let newer = Observation {
+            value: 7.0,
+            at: SimTime::from_secs(2),
+        };
+        assert_eq!(kb.observation("m"), Some(newer));
     }
 
     #[test]

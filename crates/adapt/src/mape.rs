@@ -63,8 +63,10 @@ pub struct MapeLoop<P> {
     stats: MapeStats,
     /// Ring buffer of the most recent *eventful* cycles (issues or actions).
     history: VecDeque<CycleRecord>,
-    history_cap: usize,
 }
+
+/// Length of the audit log: the newest eventful cycles kept.
+const HISTORY_CAP: usize = 64;
 
 impl<P: std::fmt::Debug> std::fmt::Debug for MapeLoop<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -95,7 +97,6 @@ impl<P: Planner> MapeLoop<P> {
             last_cycle: None,
             stats: MapeStats::default(),
             history: VecDeque::new(),
-            history_cap: 64,
         }
     }
 
@@ -104,14 +105,6 @@ impl<P: Planner> MapeLoop<P> {
     /// answer *what did the loop decide, and when* after the fact.
     pub fn history(&self) -> impl Iterator<Item = &CycleRecord> {
         self.history.iter()
-    }
-
-    /// Caps the audit log length (default 64).
-    pub fn set_history_cap(&mut self, cap: usize) {
-        self.history_cap = cap;
-        while self.history.len() > cap {
-            self.history.pop_front();
-        }
     }
 
     /// Where this loop runs.
@@ -195,7 +188,7 @@ impl<P: Planner> MapeLoop<P> {
                 issues: issues.len(),
                 actions: plan.actions.clone(),
             });
-            while self.history.len() > self.history_cap {
+            if self.history.len() > HISTORY_CAP {
                 self.history.pop_front();
             }
         }
@@ -302,13 +295,13 @@ mod tests {
     #[test]
     fn history_records_only_eventful_cycles_and_is_bounded() {
         let mut m = loop_with_standard_rules();
-        m.set_history_cap(3);
         // Healthy cycles leave no trace.
         m.observe_metric("service_up", 1.0, SimTime::ZERO);
         m.cycle(SimTime::from_secs(1));
         assert_eq!(m.history().count(), 0);
         // Violations do — and the log is capped.
-        for t in 2..10 {
+        let last = 2 + HISTORY_CAP as u64 + 5;
+        for t in 2..=last {
             m.observe_metric("service_up", 0.0, SimTime::from_secs(t));
             m.observe_component(
                 ComponentId(1),
@@ -319,11 +312,15 @@ mod tests {
             m.cycle(SimTime::from_secs(t));
         }
         let records: Vec<_> = m.history().cloned().collect();
-        assert_eq!(records.len(), 3, "capped at 3");
+        assert_eq!(records.len(), HISTORY_CAP, "capped");
         assert_eq!(
             records.last().unwrap().at,
-            SimTime::from_secs(9),
+            SimTime::from_secs(last),
             "newest kept"
+        );
+        assert_eq!(
+            records[0].at,
+            SimTime::from_secs(last + 1 - HISTORY_CAP as u64)
         );
         assert_eq!(records[0].issues, 1);
         assert!(matches!(

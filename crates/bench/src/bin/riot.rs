@@ -441,6 +441,21 @@ mod tests {
         a.trace_tail = Some(usize::MAX); // bypass the flag parser's own check
         let err = build_spec(&a, MaturityLevel::Ml4, a.seed).unwrap_err();
         assert!(err.contains("trace_tail"), "{err}");
+        // Likewise a zero shape that got past `--edges 0` / `--devices 0`.
+        let mut a = parse_args(&argv("")).unwrap();
+        a.edges = 0;
+        let err = build_spec(&a, MaturityLevel::Ml4, a.seed).unwrap_err();
+        assert!(err.contains("edges"), "{err}");
+        let mut a = parse_args(&argv("")).unwrap();
+        a.devices_per_edge = 0;
+        let err = build_spec(&a, MaturityLevel::Ml4, a.seed).unwrap_err();
+        assert!(err.contains("devices_per_edge"), "{err}");
+        // No flag sets the sample interval; the same `validate` call is
+        // what would report a zero one.
+        let mut spec = build_spec(&parse_args(&argv("")).unwrap(), MaturityLevel::Ml4, 1).unwrap();
+        spec.sample_every = SimDuration::ZERO;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("sample_every"), "{err}");
     }
 
     #[test]

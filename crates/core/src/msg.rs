@@ -2,13 +2,12 @@
 //!
 //! Every protocol crate defines its own message enum; [`Msg`] composes them
 //! (plus the application-level IoT traffic) into the single type the
-//! simulator routes. [`riot_sim::Embed`] instances let generic glue address
-//! each sub-protocol.
+//! simulator routes; each process matches on the variants it hosts.
 
 use riot_coord::{ElectionMsg, GossipMsg, RegistryMsg, SwimMsg};
 use riot_data::{DataKey, DataMeta, SyncMsg};
 use riot_model::{ComponentId, ComponentState};
-use riot_sim::{Embed, ProcessId, SimTime};
+use riot_sim::{ProcessId, SimTime};
 
 /// A governance posture disseminated between edges by gossip — the
 /// decentralized path for "governance among administrative domains"
@@ -112,58 +111,4 @@ pub enum Msg {
     Sync(SyncMsg),
     /// Application traffic.
     App(AppMsg),
-}
-
-macro_rules! embed {
-    ($sub:ty, $variant:ident) => {
-        impl Embed<$sub> for Msg {
-            fn embed(sub: $sub) -> Msg {
-                Msg::$variant(sub)
-            }
-            fn extract(self) -> Result<$sub, Msg> {
-                match self {
-                    Msg::$variant(s) => Ok(s),
-                    other => Err(other),
-                }
-            }
-        }
-    };
-}
-
-embed!(SwimMsg, Swim);
-embed!(GossipMsg<PolicyUpdate>, Gossip);
-embed!(ElectionMsg, Election);
-embed!(RegistryMsg, Registry);
-embed!(SyncMsg, Sync);
-embed!(AppMsg, App);
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn embeds_round_trip() {
-        let m = Msg::embed(SwimMsg::Ping {
-            seq: 1,
-            updates: vec![],
-        });
-        let back: Result<SwimMsg, Msg> = m.extract();
-        assert!(matches!(back, Ok(SwimMsg::Ping { seq: 1, .. })));
-
-        let m = Msg::embed(ElectionMsg::Heartbeat { term: 3 });
-        let wrong: Result<SwimMsg, Msg> = m.extract();
-        assert!(wrong.is_err());
-    }
-
-    #[test]
-    fn app_messages_embed() {
-        let m = Msg::embed(AppMsg::ControlRequest {
-            req_id: 9,
-            issued_at: SimTime::ZERO,
-        });
-        match m {
-            Msg::App(AppMsg::ControlRequest { req_id, .. }) => assert_eq!(req_id, 9),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
 }

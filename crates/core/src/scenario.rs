@@ -113,6 +113,13 @@ pub const MAX_TRACE_TAIL: usize = 1 << 20;
 /// [`ScenarioSpec::validate`] before any simulation resources are committed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecError {
+    /// `edges = 0`: a scenario needs at least one edge.
+    ZeroEdges,
+    /// `devices_per_edge = 0`: a scenario needs at least one device.
+    ZeroDevicesPerEdge,
+    /// `sample_every` is zero: the sampling loop of [`Scenario::run`] would
+    /// never advance.
+    ZeroSampleInterval,
     /// `trace_tail = Some(0)` retains nothing; use `None` to disable the
     /// ring instead.
     ZeroTraceTail,
@@ -126,6 +133,14 @@ pub enum SpecError {
 impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SpecError::ZeroEdges => write!(f, "edges must be at least 1"),
+            SpecError::ZeroDevicesPerEdge => write!(f, "devices_per_edge must be at least 1"),
+            SpecError::ZeroSampleInterval => {
+                write!(
+                    f,
+                    "sample_every must be positive: a run never ends on a zero interval"
+                )
+            }
             SpecError::ZeroTraceTail => {
                 write!(
                     f,
@@ -173,6 +188,15 @@ impl ScenarioSpec {
     /// assembling specs from untrusted input (CLI flags, config files)
     /// should call it first and report the typed error instead.
     pub fn validate(&self) -> Result<(), SpecError> {
+        if self.edges == 0 {
+            return Err(SpecError::ZeroEdges);
+        }
+        if self.devices_per_edge == 0 {
+            return Err(SpecError::ZeroDevicesPerEdge);
+        }
+        if self.sample_every == SimDuration::ZERO {
+            return Err(SpecError::ZeroSampleInterval);
+        }
         match self.trace_tail {
             Some(0) => Err(SpecError::ZeroTraceTail),
             Some(n) if n > MAX_TRACE_TAIL => Err(SpecError::TraceTailTooLarge { requested: n }),
@@ -361,15 +385,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate specs (zero edges or devices) and on specs
-    /// rejected by [`ScenarioSpec::validate`].
+    /// Panics on specs rejected by [`ScenarioSpec::validate`].
     pub fn build(spec: ScenarioSpec) -> Scenario {
-        assert!(
-            spec.edges >= 1 && spec.devices_per_edge >= 1,
-            "degenerate scenario"
-        );
         let validated = spec.validate();
-        // riot-lint: allow(P1, reason = "spec validation: an invalid spec must fail loudly at build time, like the degenerate-spec assert above; validate() is public for callers that want the typed error")
+        // riot-lint: allow(P1, reason = "spec validation: an invalid spec must fail loudly at build time; validate() is public for callers that want the typed error")
         validated.unwrap_or_else(|e| panic!("invalid scenario spec: {e}"));
         let arch = spec.architecture();
 
@@ -453,7 +472,7 @@ impl Scenario {
             let mut bank = OnlineMonitor::new(SAT_LABEL);
             for m in &spec.monitors {
                 let watched = bank.watch(&m.name, &m.formula);
-                // riot-lint: allow(P1, reason = "spec validation: a malformed monitor formula must fail loudly at build time, like the degenerate-spec asserts above")
+                // riot-lint: allow(P1, reason = "spec validation: a malformed monitor formula must fail loudly at build time, like an invalid spec above")
                 watched.unwrap_or_else(|e| panic!("monitor '{}': {e}", m.name));
             }
             Some(sim.add_observer(bank))
@@ -755,7 +774,7 @@ impl Scenario {
         if let Some(s) = &self.streams {
             if let Some(op) = s.activity {
                 if let Some(pipeline) = self.sim.observer::<StreamPipeline>(s.pipeline) {
-                    if let Some(tracker) = pipeline.get::<ActivityTracker>(op) {
+                    if let Some(tracker) = pipeline.activity_tracker(op) {
                         return tracker.is_up(id);
                     }
                 }
@@ -970,7 +989,7 @@ impl Scenario {
             (s.cloud_ingest, "cloud.ingest.latency_ms"),
         ];
         for (slot, name) in probes {
-            let Some(probe) = slot.and_then(|op| pipeline.get::<MeasureProbe>(op)) else {
+            let Some(probe) = slot.and_then(|op| pipeline.measure_probe(op)) else {
                 continue;
             };
             let stats = probe.stats();
@@ -993,7 +1012,7 @@ impl Scenario {
                 flows: Vec::new(),
             });
         }
-        if let Some(flow) = s.flows.and_then(|op| pipeline.get::<FlowAccounting>(op)) {
+        if let Some(flow) = s.flows.and_then(|op| pipeline.flow_accounting(op)) {
             let counts = flow.counts();
             rows.push(StreamSummary {
                 name: StreamKind::FlowsByJurisdiction.name().to_owned(),
@@ -1007,10 +1026,7 @@ impl Scenario {
                     .collect(),
             });
         }
-        if let Some(tracker) = s
-            .activity
-            .and_then(|op| pipeline.get::<ActivityTracker>(op))
-        {
+        if let Some(tracker) = s.activity.and_then(|op| pipeline.activity_tracker(op)) {
             rows.push(StreamSummary {
                 name: StreamKind::Activity.name().to_owned(),
                 count: tracker.transitions(),
@@ -1634,6 +1650,40 @@ mod tests {
         assert!(rendered.contains("trace_tail"), "{rendered}");
         spec.trace_tail = Some(MAX_TRACE_TAIL);
         assert_eq!(spec.validate(), Ok(()));
+    }
+
+    #[test]
+    fn spec_validation_rejects_zero_shape_and_zero_sample_interval() {
+        type Edit = fn(&mut ScenarioSpec);
+        let cases: [(Edit, SpecError, &str); 3] = [
+            (|s| s.edges = 0, SpecError::ZeroEdges, "edges"),
+            (
+                |s| s.devices_per_edge = 0,
+                SpecError::ZeroDevicesPerEdge,
+                "devices_per_edge",
+            ),
+            (
+                |s| s.sample_every = SimDuration::ZERO,
+                SpecError::ZeroSampleInterval,
+                "sample_every",
+            ),
+        ];
+        for (edit, want, field) in cases {
+            let mut spec = small(MaturityLevel::Ml1);
+            edit(&mut spec);
+            assert_eq!(spec.validate(), Err(want));
+            assert!(want.to_string().contains(field), "{want}");
+            // `build` reports it through the same path, before it commits
+            // anything — a zero interval used to hang `run` instead.
+            let built =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Scenario::build(spec)));
+            let Err(panic) = built else {
+                panic!("build accepted a spec with zero {field}");
+            };
+            let text = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(text.contains("invalid scenario spec"), "{text}");
+            assert!(text.contains(field), "{text}");
+        }
     }
 
     #[test]

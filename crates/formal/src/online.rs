@@ -30,19 +30,8 @@
 use crate::ltl::Ltl;
 use crate::monitor::{Monitor, Verdict3};
 use crate::parse::{parse_ltl, ParseError};
-use crate::prop::{AtomId, Atoms, Valuation};
-use riot_sim::{EventMask, MetricKey, OnlineStats, SimEvent, SimEventKind, SimObserver, SimTime};
-
-/// One measurement-derived atom: an online-stats window over
-/// `SimEventKind::Measure` events for one metric key, folded into the next
-/// valuation as a boolean atom (see [`OnlineMonitor::bind_measure`]).
-#[derive(Debug, Clone)]
-struct MeasureGauge {
-    atom: AtomId,
-    key: MetricKey,
-    max_mean: f64,
-    window: OnlineStats,
-}
+use crate::prop::{Atoms, Valuation};
+use riot_sim::{EventMask, SimEvent, SimEventKind, SimObserver, SimTime};
 
 /// One property watched by an [`OnlineMonitor`].
 #[derive(Debug, Clone)]
@@ -124,7 +113,6 @@ pub struct OnlineMonitor {
     label: String,
     atoms: Atoms,
     props: Vec<OnlineProperty>,
-    gauges: Vec<MeasureGauge>,
     samples: usize,
 }
 
@@ -135,42 +123,8 @@ impl OnlineMonitor {
             label: label.into(),
             atoms: Atoms::new(),
             props: Vec::new(),
-            gauges: Vec::new(),
             samples: 0,
         }
-    }
-
-    /// Binds `atom` to a streaming aggregate: `Measure` events carrying
-    /// `key` are folded into an [`OnlineStats`] window, and at each
-    /// valuation step the atom is set to whether the window's mean is at
-    /// most `max_mean` (then the window resets). A window with no samples
-    /// leaves the bound vacuously honored — silence is not evidence of a
-    /// violation; pair with a liveness atom if silence itself must be
-    /// flagged.
-    ///
-    /// This is how monitor valuations read stream aggregates directly from
-    /// the bus instead of waiting for end-of-run summaries: the bank keeps
-    /// the same O(1) reducer the streaming-telemetry layer uses and
-    /// re-derives the atom between any two published valuations.
-    ///
-    /// Bind gauges *before* registering the bank on a bus: the kernel samples
-    /// [`SimObserver::interest`] once at registration, and a bank without
-    /// gauges does not subscribe to `Measure` events at all (the rule
-    /// `riot_sim::StreamPipeline::push` documents for its operators).
-    pub fn bind_measure(&mut self, atom: &str, key: MetricKey, max_mean: f64) -> AtomId {
-        let atom = self.atoms.intern(atom);
-        self.gauges.push(MeasureGauge {
-            atom,
-            key,
-            max_mean,
-            window: OnlineStats::new(),
-        });
-        atom
-    }
-
-    /// Number of measurement gauges bound via [`OnlineMonitor::bind_measure`].
-    pub fn gauge_count(&self) -> usize {
-        self.gauges.len()
     }
 
     /// Parses `formula` and watches it under `name`. Atom names in the
@@ -270,16 +224,6 @@ impl OnlineMonitor {
 
 impl SimObserver for OnlineMonitor {
     fn on_event(&mut self, event: &SimEvent) {
-        if let SimEventKind::Measure { key, .. } = event.kind {
-            if let Some(value) = event.kind.measure_value() {
-                for gauge in &mut self.gauges {
-                    if gauge.key == key {
-                        gauge.window.record(value);
-                    }
-                }
-            }
-            return;
-        }
         let SimEventKind::Note { ref text, .. } = event.kind else {
             return;
         };
@@ -292,28 +236,13 @@ impl SimObserver for OnlineMonitor {
             None if rest.is_empty() => rest,
             None => return,
         };
-        let mut val = self.parse_valuation(body);
-        // Fold measurement gauges in after the published pairs, so a bound
-        // atom always reflects the stream (a note cannot override it), then
-        // start a fresh window for the next inter-valuation interval.
-        for gauge in &mut self.gauges {
-            let window = &gauge.window;
-            val.set(
-                gauge.atom,
-                window.count() == 0 || window.mean() <= gauge.max_mean,
-            );
-            gauge.window = OnlineStats::new();
-        }
+        let val = self.parse_valuation(body);
         self.step_valuation(event.at, val);
     }
 
-    /// Valuation notes, plus measurements when a gauge is bound to read them.
+    /// Valuation notes are all the bank reads.
     fn interest(&self) -> EventMask {
-        if self.gauges.is_empty() {
-            EventMask::NOTE
-        } else {
-            EventMask::NOTE | EventMask::MEASURE
-        }
+        EventMask::NOTE
     }
 
     fn name(&self) -> &str {
@@ -443,106 +372,11 @@ mod tests {
         assert!(om.properties().is_empty());
     }
 
-    fn measure(t: u64, key: MetricKey, v: f64) -> SimEvent {
-        SimEvent {
-            at: SimTime::from_secs(t),
-            kind: SimEventKind::Measure {
-                id: ProcessId(0),
-                key,
-                value_bits: v.to_bits(),
-            },
-            detail: String::new(),
-        }
-    }
-
-    #[test]
-    fn bound_measure_atom_follows_the_window_mean() {
-        let mut metrics = riot_sim::Metrics::new();
-        let key = metrics.intern("lat.ms");
-        let other = metrics.intern("lat.other");
-
-        let mut om = OnlineMonitor::new("sat");
-        om.watch("fast", "G fast").unwrap();
-        om.bind_measure("fast", key, 10.0);
-        assert_eq!(om.gauge_count(), 1);
-
-        // Window 1: mean 6 ≤ 10 — atom true. A foreign key is ignored.
-        om.on_event(&measure(1, key, 4.0));
-        om.on_event(&measure(1, key, 8.0));
-        om.on_event(&measure(1, other, 500.0));
-        om.on_event(&note(1, "sat"));
-        assert_eq!(om.properties()[0].verdict(), Verdict3::Inconclusive);
-
-        // Window 2: no samples — vacuously honored.
-        om.on_event(&note(2, "sat"));
-        assert_eq!(om.properties()[0].verdict(), Verdict3::Inconclusive);
-
-        // Window 3: mean 25 > 10 — the safety property is violated at the
-        // sample that closed the window, with its timestamp.
-        om.on_event(&measure(3, key, 25.0));
-        om.on_event(&note(3, "sat"));
-        let p = &om.properties()[0];
-        assert_eq!(p.verdict(), Verdict3::Violated);
-        assert_eq!(p.first_violation(), Some(SimTime::from_secs(3)));
-    }
-
     #[test]
     fn interest_follows_what_is_bound() {
-        let mut metrics = riot_sim::Metrics::new();
-        let key = metrics.intern("lat.ms");
         let mut om = OnlineMonitor::new("sat");
+        assert_eq!(om.interest(), EventMask::NOTE, "nothing watched");
         om.watch("fast", "G fast").unwrap();
-        assert_eq!(om.interest(), EventMask::NOTE, "no gauge reads measures");
-        om.bind_measure("fast", key, 10.0);
-        assert_eq!(om.interest(), EventMask::NOTE | EventMask::MEASURE);
-    }
-
-    #[test]
-    fn a_gauge_bound_before_registration_is_fed_by_the_kernel() {
-        use riot_sim::{Ctx, Process, Sim, SimBuilder};
-
-        /// Measures 5 ms once, then publishes a valuation without `fast`.
-        struct Quick(MetricKey);
-        impl Process<()> for Quick {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                ctx.measure(self.0, 5.0);
-                ctx.annotate("sat");
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: ProcessId, _: ()) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, _: u64) {}
-        }
-
-        let run = |with_gauge: bool| {
-            let mut sim: Sim<()> = SimBuilder::new(1).build();
-            let key = sim.metrics_mut().intern("lat.ms");
-            let mut om = OnlineMonitor::new("sat");
-            om.watch("fast", "G fast").unwrap();
-            if with_gauge {
-                om.bind_measure("fast", key, 10.0);
-            }
-            let bank = sim.add_observer(om);
-            sim.add_process(Quick(key));
-            sim.run_to_completion();
-            let om = sim.observer::<OnlineMonitor>(bank).unwrap();
-            assert_eq!(om.samples(), 1);
-            om.properties()[0].verdict()
-        };
-        // The kernel sampled `NOTE | MEASURE`, the 5 ms reading reached the
-        // window and the bound held; without a gauge nothing sets `fast`.
-        assert_eq!(run(true), Verdict3::Inconclusive);
-        assert_eq!(run(false), Verdict3::Violated);
-    }
-
-    #[test]
-    fn gauge_atom_overrides_published_pairs() {
-        let mut metrics = riot_sim::Metrics::new();
-        let key = metrics.intern("lat.ms");
-        let mut om = OnlineMonitor::new("sat");
-        om.watch("fast", "G fast").unwrap();
-        om.bind_measure("fast", key, 10.0);
-        om.on_event(&measure(1, key, 99.0));
-        // The note claims fast=1, but the bound stream disagrees and wins.
-        om.on_event(&note(1, "sat fast=1"));
-        assert_eq!(om.properties()[0].verdict(), Verdict3::Violated);
+        assert_eq!(om.interest(), EventMask::NOTE, "one property watched");
     }
 }

@@ -110,7 +110,6 @@ pub struct Network {
     cut: BTreeSet<(usize, usize)>,
     /// Latency multipliers for degraded links (congestion, interference).
     degraded: BTreeMap<(usize, usize), f64>,
-    per_hop_overhead: SimDuration,
     external_latency: SimDuration,
     path_cache: BTreeMap<(usize, usize), Option<Vec<usize>>>,
     /// Flattened per-hop route data: `routes[from]` is sorted by
@@ -140,7 +139,6 @@ impl Network {
             adjacency: Vec::new(),
             cut: BTreeSet::new(),
             degraded: BTreeMap::new(),
-            per_hop_overhead: SimDuration::ZERO,
             external_latency: SimDuration::ZERO,
             path_cache: BTreeMap::new(),
             routes: Vec::new(),
@@ -149,12 +147,6 @@ impl Network {
             #[cfg(test)]
             route_walks: 0,
         }
-    }
-
-    /// Sets a fixed processing overhead added per hop traversed.
-    pub fn set_per_hop_overhead(&mut self, d: SimDuration) {
-        self.per_hop_overhead = d;
-        self.invalidate();
     }
 
     /// Adds a node and returns its id. Ids are assigned densely in call
@@ -420,7 +412,6 @@ impl<M> Medium<M> for Network {
         if from == to {
             return Delivery::After(SimDuration::ZERO);
         }
-        let overhead = self.per_hop_overhead;
         let Some(hops) = self.resolve_hops(from.0, to.0) else {
             return Delivery::Drop("partition");
         };
@@ -436,7 +427,7 @@ impl<M> Medium<M> for Network {
             if let Some(factor) = hop.factor {
                 d = d.mul_f64(factor);
             }
-            total += d + overhead;
+            total += d;
         }
         Delivery::After(total)
     }
@@ -576,17 +567,6 @@ mod tests {
             Medium::<u32>::route(&mut net, SimTime::ZERO, a, a, &0, &mut rng),
             Delivery::After(SimDuration::ZERO)
         );
-    }
-
-    #[test]
-    fn per_hop_overhead_adds_up() {
-        let (mut net, a, _, c) = line3();
-        net.set_per_hop_overhead(SimDuration::from_millis(2));
-        let mut rng = SimRng::seed_from(0);
-        match Medium::<u32>::route(&mut net, SimTime::ZERO, a, c, &0, &mut rng) {
-            Delivery::After(d) => assert_eq!(d, SimDuration::from_millis(15)),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -37,16 +37,8 @@ pub(crate) enum EventKind {
         timer: TimerId,
         epoch: u64,
     },
-    Down {
-        id: ProcessId,
-    },
-    Up {
-        id: ProcessId,
-    },
     /// A scheduled mutation of the world: index into `Sim::injections`.
-    Injection {
-        idx: usize,
-    },
+    Injection { idx: usize },
 }
 
 #[derive(Clone, Copy)]
@@ -206,7 +198,6 @@ pub struct Kernel<M> {
     pub(crate) pending_cancels: usize,
     /// Pre-interned keys for the kernel's own hot-path counters.
     pub(crate) keys: KernelKeys,
-    pub(crate) halted: bool,
     pub(crate) trace_payloads: bool,
 }
 
@@ -238,7 +229,6 @@ impl<M: fmt::Debug> Kernel<M> {
             timer_base: 0,
             pending_cancels: 0,
             keys,
-            halted: false,
             trace_payloads,
         }
     }
@@ -384,18 +374,5 @@ impl<M: fmt::Debug> Kernel<M> {
             self.timer_base += 1;
         }
         cancelled
-    }
-
-    /// Queues a down transition for `id`, effective at the current instant
-    /// but after the running handler returns.
-    pub(crate) fn request_down(&mut self, id: ProcessId) {
-        let at = self.clock;
-        self.push(at, EventKind::Down { id });
-    }
-
-    /// Queues an up transition for `id` after `delay`.
-    pub(crate) fn request_up(&mut self, id: ProcessId, delay: SimDuration) {
-        let at = self.clock + delay;
-        self.push(at, EventKind::Up { id });
     }
 }

@@ -61,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod embed;
 mod intern;
 pub mod json;
 mod kernel;
@@ -75,7 +74,6 @@ mod sim;
 pub mod stream;
 mod time;
 
-pub use embed::Embed;
 pub use intern::{MetricKey, Symbol, SymbolTable};
 pub use json::{Json, ToJson};
 pub use medium::{Delivery, IdealMedium, LossyMedium, Medium};
@@ -87,8 +85,7 @@ pub use process::{Ctx, Process, ProcessId, TimerId};
 pub use rng::SimRng;
 pub use sim::{AnyProcess, Sim, SimBuilder};
 pub use stream::{
-    ActivityTracker, AnyOperator, CountByKey, Filter, FlowAccounting, Map, MeasureProbe,
-    OnlineStats, Operator, QuantileSketch, SampleSink, SlidingWindow, StreamPipeline,
-    TumblingWindow,
+    ActivityTracker, CountByKey, FlowAccounting, MeasureProbe, OnlineStats, QuantileSketch,
+    StreamOp, StreamPipeline, TumblingWindow,
 };
 pub use time::{SimDuration, SimTime};

@@ -191,27 +191,9 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
         self.kernel.is_up(id)
     }
 
-    /// Requests that `target` be taken down. The transition happens at the
-    /// current instant but after this handler returns, so a process may take
-    /// itself down safely.
-    pub fn take_down(&mut self, target: ProcessId) {
-        self.kernel.request_down(target);
-    }
-
-    /// Requests that `target` be brought (back) up after `delay`; its
-    /// `on_start` runs again with a fresh timer epoch.
-    pub fn bring_up(&mut self, target: ProcessId, delay: crate::time::SimDuration) {
-        self.kernel.request_up(target, delay);
-    }
-
     /// Number of processes spawned in this simulation.
     pub fn process_count(&self) -> usize {
         self.kernel.live.len()
-    }
-
-    /// Requests that the whole simulation stop after this handler returns.
-    pub fn halt(&mut self) {
-        self.kernel.halted = true;
     }
 }
 

@@ -307,8 +307,8 @@ mod tests {
             }
         }
 
-        /// Timers, deliveries and lifecycle events in rotation, each
-        /// carrying its `seq` where the variant has room for it.
+        /// Timers, deliveries and injections in rotation, each carrying
+        /// its `seq` where the variant has room for it.
         fn event(&self, delay_us: u64) -> Event {
             let id = ProcessId(self.seq as usize % 7);
             let kind = match self.seq % 3 {
@@ -323,7 +323,9 @@ mod tests {
                     to: ProcessId(0),
                     payload: self.seq as u32,
                 },
-                _ => EventKind::Down { id },
+                _ => EventKind::Injection {
+                    idx: self.seq as usize,
+                },
             };
             Event {
                 at: self.clock + SimDuration::from_micros(delay_us),

@@ -369,13 +369,13 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.with_proc(id, |p, ctx| p.on_start(ctx));
     }
 
-    /// Runs until the queue drains, `deadline` is reached, or a process calls
-    /// [`Ctx::halt`]. Returns the number of events processed by this call.
-    /// The clock is advanced to `deadline` when the queue drains early.
+    /// Runs until the queue drains or `deadline` is reached. Returns the
+    /// number of events processed by this call. The clock is advanced to
+    /// `deadline` when the queue drains early.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.ensure_started();
         let before = self.events_processed;
-        while !self.kernel.halted {
+        loop {
             self.load();
             match EventQueue::peek(&self.kernel.queue) {
                 Some(ev) if ev.at <= deadline => {}
@@ -383,7 +383,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             }
             self.step_one();
         }
-        if !self.kernel.halted && self.kernel.clock < deadline {
+        if self.kernel.clock < deadline {
             self.kernel.clock = deadline;
         }
         self.events_processed - before
@@ -395,19 +395,18 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.run_until(deadline)
     }
 
-    /// Runs until the event queue is empty or a process halts the run.
+    /// Runs until the event queue is empty.
     pub fn run_to_completion(&mut self) -> u64 {
         self.ensure_started();
         let before = self.events_processed;
-        while !self.kernel.halted && !self.kernel.queue.is_empty() {
+        while !self.kernel.queue.is_empty() {
             self.load();
             self.step_one();
         }
         // Drain invariant: once every queued event has popped, every timer
         // slot has been retired and reclaimed — nothing leaks across a run.
         debug_assert!(
-            !self.kernel.queue.is_empty()
-                || (self.kernel.pending_cancels == 0 && self.kernel.timer_states.is_empty()),
+            self.kernel.pending_cancels == 0 && self.kernel.timer_states.is_empty(),
             "drained queue left {} timer slots ({} cancelled) unreclaimed",
             self.kernel.timer_states.len(),
             self.kernel.pending_cancels,
@@ -423,10 +422,10 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     }
 
     /// Processes exactly one event if any is queued; returns `false` when
-    /// the queue is empty or the run has halted.
+    /// the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        if self.kernel.halted || self.kernel.queue.is_empty() {
+        if self.kernel.queue.is_empty() {
             return false;
         }
         self.load();
@@ -461,10 +460,10 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     /// timer or delivery will call gets to read what that callback will
     /// touch. The loads of one process depend on each other, those of
     /// different processes do not, so the core overlaps them — and the
-    /// handlers that follow find their lines in cache. Lifecycle events and
-    /// injections touch no process state worth reading ahead, and a stale or
-    /// dead target is not worth telling apart: it costs two more misses to
-    /// find out than to read it.
+    /// handlers that follow find their lines in cache. Injections touch no
+    /// process state worth reading ahead, and a stale or dead target is not
+    /// worth telling apart: it costs two more misses to find out than to
+    /// read it.
     #[inline(never)]
     fn stage(&self) {
         for event in EventQueue::loaded(&self.kernel.queue) {
@@ -534,12 +533,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                 self.kernel
                     .emit(SimEventKind::TimerFired { owner, tag }, None);
                 self.with_proc(owner, |p, ctx| p.on_timer(ctx, tag));
-            }
-            EventKind::Down { id } => {
-                self.set_down(id);
-            }
-            EventKind::Up { id } => {
-                self.set_up(id);
             }
             EventKind::Injection { idx } => {
                 let f = self.injections[idx].take().expect("injection fires once");
@@ -1002,7 +995,7 @@ mod tests {
         }
     }
 
-    /// Tag of the timer on which a [`Probe`] orders process 1 back up.
+    /// The anchor's early timer, alone in slot 4.
     const ANCHOR_US: u64 = 5_000;
     /// Where every other event of the probe world lands: slot 19.
     const BATCH_US: u64 = 20_000;
@@ -1014,12 +1007,6 @@ mod tests {
             }
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
-            if tag == ANCHOR_US {
-                let delay = SimDuration::from_micros(BATCH_US - ANCHOR_US);
-                ctx.bring_up(ProcessId(1), delay);
-            }
-        }
         fn prefetch(&self) {
             self.prefetched.set(self.prefetched.get() + 1);
         }
@@ -1027,11 +1014,11 @@ mod tests {
 
     /// A world whose slot 19 loads with `probes + 10` events of every kind:
     /// `probes + 2` timers (one of a downed process, one of a previous
-    /// life), six deliveries (one to the downed process), an injection and
-    /// an `Up`. Returns it started, slot 19 still in the ring, with the
-    /// look-ahead calls each process should have received once that slot
-    /// is loaded and staged. (A `Down` always pops in the slot it was
-    /// requested in, so it is never part of a slot being loaded.)
+    /// life), six deliveries (one to the downed process) and two
+    /// injections, the second of which brings the downed process back up.
+    /// Returns it started, slot 19 still in the ring, with the look-ahead
+    /// calls each process should have received once that slot is loaded
+    /// and staged.
     fn probe_world(probes: usize) -> (Sim<Msg>, Vec<u64>) {
         let medium = IdealMedium::with_latency(SimDuration::from_micros(BATCH_US));
         let mut sim: Sim<Msg> = SimBuilder::new(3).build_with_medium(Box::new(medium));
@@ -1052,6 +1039,9 @@ mod tests {
             want[to] += 1;
         }
         sim.schedule_injection(SimTime::from_micros(BATCH_US), |_| {});
+        sim.schedule_injection(SimTime::from_micros(BATCH_US), |sim| {
+            sim.set_up(ProcessId(1));
+        });
         let calls: u64 = want.iter().sum();
         assert_eq!(calls as usize, probes + 8, "timers and deliveries");
         (sim, want)
@@ -1082,10 +1072,10 @@ mod tests {
             for (name, drive) in drivers {
                 let (mut sim, want) = probe_world(probes);
                 assert!(prefetch_calls(&sim).iter().all(|&n| n == 0), "{name}");
-                // The anchor pops and queues the `Up`; the next load brings
-                // slot 19 in. The dead process's timer and delivery, the
-                // stale timer, the `Up` and the injection all pop; process 1
-                // restarts into a slot of one event, which is not staged.
+                // The anchor pops; the next load brings slot 19 in. The dead
+                // process's timer and delivery, the stale timer and both
+                // injections all pop; process 1 restarts into a slot of one
+                // event, which is not staged.
                 drive(&mut sim);
                 assert!(sim.is_up(ProcessId(1)));
                 assert!(sim.now() >= SimTime::from_micros(2 * BATCH_US));
@@ -1494,54 +1484,6 @@ mod tests {
         let mut sim: Sim<Msg> = SimBuilder::new(1).max_events(100).build();
         sim.add_process(Looper);
         sim.run_to_completion();
-    }
-
-    #[test]
-    fn processes_can_take_each_other_down_and_up() {
-        struct Supervisor {
-            target: ProcessId,
-        }
-        impl Process<Msg> for Supervisor {
-            fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
-                let Msg::Ping(n) = msg;
-                match n {
-                    0 => ctx.take_down(self.target),
-                    _ => ctx.bring_up(self.target, SimDuration::from_millis(100)),
-                }
-            }
-        }
-        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let worker = sim.add_process(Counter::new());
-        let boss = sim.add_process(Supervisor { target: worker });
-        sim.send_external(boss, Msg::Ping(0));
-        sim.run_until(SimTime::from_millis(10));
-        assert!(!sim.is_up(worker), "supervisor took the worker down");
-        sim.send_external(boss, Msg::Ping(1));
-        sim.run_until(SimTime::from_millis(50));
-        assert!(!sim.is_up(worker), "bring-up is delayed");
-        sim.run_until(SimTime::from_millis(200));
-        assert!(sim.is_up(worker));
-        assert_eq!(
-            sim.process::<Counter>(worker).unwrap().start_count,
-            2,
-            "restart re-ran on_start"
-        );
-    }
-
-    #[test]
-    fn halt_stops_the_run() {
-        struct Halter;
-        impl Process<Msg> for Halter {
-            fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {
-                ctx.halt();
-            }
-        }
-        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let a = sim.add_process(Halter);
-        sim.send_external(a, Msg::Ping(0));
-        sim.send_external(a, Msg::Ping(1));
-        let n = sim.run_to_completion();
-        assert_eq!(n, 1, "second delivery never runs after halt");
     }
 
     #[test]

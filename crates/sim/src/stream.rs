@@ -11,22 +11,23 @@
 //! ## Pieces
 //!
 //! * **Reducers** — [`OnlineStats`] (Welford count/mean/M2 with exact
-//!   min/max, mergeable) and [`QuantileSketch`] (fixed log-bucket quantile
-//!   sketch with a documented relative value-error bound, allocation-free
-//!   after setup). Both implement [`SampleSink`].
-//! * **Windows** — [`TumblingWindow`] (non-overlapping spans, stats over
-//!   window means) and [`SlidingWindow`] (overlapping spans as bounded
-//!   panes, merged on demand). Both are `SampleSink`s over `SampleSink`
-//!   state, bounded by construction.
-//! * **Operators** — event-level combinators implementing [`Operator`]:
-//!   [`Filter`] (predicate gate), [`Map`] (event → sample extraction into a
-//!   sink), [`CountByKey`]/[`FlowAccounting`] (per-[`MetricKey`] flow
-//!   accounting), [`MeasureProbe`] (follows one measurement key from
-//!   [`Ctx::measure`](crate::Ctx::measure) events), and [`ActivityTracker`]
-//!   (up/down liveness mirrored from lifecycle events).
-//! * **[`StreamPipeline`]** — an ordered bag of boxed operators that is
-//!   itself one [`SimObserver`] on the bus, so a whole pipeline costs the
-//!   kernel a single dispatch slot.
+//!   min/max) and [`QuantileSketch`] (fixed log-bucket quantile sketch with
+//!   a documented relative value-error bound, allocation-free after setup).
+//! * **Windows** — [`TumblingWindow`]: non-overlapping spans, stats over
+//!   window means, bounded by construction.
+//! * **Operators** — the closed set [`StreamOp`]: [`MeasureProbe`] (follows
+//!   one measurement key from [`Ctx::measure`](crate::Ctx::measure) events),
+//!   [`FlowAccounting`] (per-[`MetricKey`] delivery counts over a
+//!   [`CountByKey`]) and [`ActivityTracker`] (up/down liveness mirrored
+//!   from lifecycle events). These three are every operator a scenario or
+//!   the benchmark ever pushed, so they are an enum, not a trait: the
+//!   pipeline derives `Clone`, reads come back typed without a downcast,
+//!   and the call graph sees through the dispatch. A fourth operator is one
+//!   variant, one `From` impl and one arm in each of [`StreamOp`]'s two
+//!   `match`es.
+//! * **[`StreamPipeline`]** — an ordered list of operators that is itself
+//!   one [`SimObserver`] on the bus, so a whole pipeline costs the kernel a
+//!   single dispatch slot.
 //!
 //! ## Determinism
 //!
@@ -40,24 +41,20 @@
 //!
 //! ## Hot-path discipline
 //!
-//! [`StreamPipeline::on_event`] and the leaf update methods
-//! ([`OnlineStats::record`], [`QuantileSketch::record`],
-//! [`CountByKey::observe`], [`TumblingWindow::push_sample`],
-//! [`SlidingWindow::push_sample`]) are declared `[hot]` roots in
-//! `lint-hotpaths.toml`, so riot-lint A1 proves them allocation-free. The
-//! leaves are declared individually because dynamic dispatch through
-//! `Box<dyn Operator>` is invisible to the call-graph pass (DESIGN.md §10).
+//! [`StreamPipeline::on_event`] is a declared `[hot]` root in
+//! `lint-hotpaths.toml`; it dispatches by `match`, so riot-lint's call
+//! graph reaches every leaf update ([`OnlineStats::record`],
+//! [`QuantileSketch::record`], [`CountByKey::observe_slot`],
+//! [`TumblingWindow::push_sample`]) from it and A1 proves them
+//! allocation-free (DESIGN.md §10).
 
 use crate::intern::MetricKey;
 use crate::observer::{EventMask, SimEvent, SimEventKind, SimObserver};
 use crate::process::ProcessId;
 use crate::time::{SimDuration, SimTime};
-use std::any::Any;
-use std::collections::VecDeque;
 
 /// Numerically stable streaming moments: count, mean, M2 (Welford), plus
-/// exact min/max. O(1) state, O(1) update, mergeable (Chan et al.) so
-/// window panes can be combined without revisiting samples.
+/// exact min/max. O(1) state, O(1) update.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
@@ -97,31 +94,6 @@ impl OnlineStats {
         }
         if v > self.max {
             self.max = v;
-        }
-    }
-
-    /// Folds another reducer in (parallel-variance merge). Merging follows
-    /// the operand order deterministically: `a.merge(&b)` is the state of
-    /// having seen all of `a`'s samples, then `b`'s summary.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
         }
     }
 
@@ -358,28 +330,6 @@ impl QuantileSketch {
     }
 }
 
-/// A consumer of timestamped numeric samples — the reduction half of the
-/// operator layer. Reducers and windows implement this; [`Map`] bridges
-/// events into one.
-pub trait SampleSink {
-    /// Folds one sample in.
-    fn push_sample(&mut self, at: SimTime, value: f64);
-}
-
-impl SampleSink for OnlineStats {
-    #[inline]
-    fn push_sample(&mut self, _at: SimTime, value: f64) {
-        self.record(value);
-    }
-}
-
-impl SampleSink for QuantileSketch {
-    #[inline]
-    fn push_sample(&mut self, _at: SimTime, value: f64) {
-        self.record(value);
-    }
-}
-
 /// Non-overlapping fixed-width windows in virtual time. Keeps the stats of
 /// the *current* window plus O(1) roll-up state: the stats of the last
 /// closed window and an [`OnlineStats`] over all closed windows' means —
@@ -455,92 +405,6 @@ impl TumblingWindow {
     }
 }
 
-impl SampleSink for TumblingWindow {
-    #[inline]
-    fn push_sample(&mut self, at: SimTime, value: f64) {
-        TumblingWindow::push_sample(self, at, value);
-    }
-}
-
-/// Overlapping windows as bounded *panes*: samples land in non-overlapping
-/// panes of the slide interval, and a window query merges the panes it
-/// covers. Memory is capped at `width / slide` panes regardless of sample
-/// rate; the pane deque rotates in place (pop-before-push) so the hot path
-/// never reallocates.
-#[derive(Debug, Clone)]
-pub struct SlidingWindow {
-    width: SimDuration,
-    slide: SimDuration,
-    panes: VecDeque<(SimTime, OnlineStats)>,
-}
-
-impl SlidingWindow {
-    /// A window of `width` advancing every `slide`. `slide` is clamped to
-    /// at least 1 µs and at most `width`; `width` is rounded up to a whole
-    /// number of slides.
-    pub fn new(width: SimDuration, slide: SimDuration) -> Self {
-        let slide_us = slide.as_micros().max(1);
-        let width_us = width.as_micros().max(slide_us);
-        let panes = width_us.div_ceil(slide_us) as usize;
-        SlidingWindow {
-            width: SimDuration::from_micros(panes as u64 * slide_us),
-            slide: SimDuration::from_micros(slide_us),
-            panes: VecDeque::with_capacity(panes),
-        }
-    }
-
-    /// Folds one sample into the pane containing `at`, retiring the oldest
-    /// pane if the deque is at capacity. Samples must arrive in virtual-time
-    /// order (the bus guarantees this for operators).
-    #[inline]
-    pub fn push_sample(&mut self, at: SimTime, value: f64) {
-        let pane_start =
-            SimTime::from_micros(at.as_micros() / self.slide.as_micros() * self.slide.as_micros());
-        match self.panes.back_mut() {
-            Some((start, stats)) if *start == pane_start => stats.record(value),
-            _ => {
-                if self.panes.len() == self.panes.capacity() {
-                    self.panes.pop_front();
-                }
-                let mut stats = OnlineStats::new();
-                stats.record(value);
-                self.panes.push_back((pane_start, stats));
-            }
-        }
-    }
-
-    /// Merged stats over the panes inside the window ending at the newest
-    /// pane (empty stats before any sample).
-    pub fn aggregate(&self) -> OnlineStats {
-        let mut out = OnlineStats::new();
-        let Some(&(newest, _)) = self.panes.back() else {
-            return out;
-        };
-        // The window ends where the newest pane ends; a pane belongs to it
-        // if the pane's span reaches back no further than `width` before
-        // that end: start + width ≥ newest + slide.
-        let end_us = newest.as_micros() + self.slide.as_micros();
-        for (start, stats) in &self.panes {
-            if start.as_micros() + self.width.as_micros() >= end_us {
-                out.merge(stats);
-            }
-        }
-        out
-    }
-
-    /// Number of panes currently retained (≤ `width / slide`).
-    pub fn pane_count(&self) -> usize {
-        self.panes.len()
-    }
-}
-
-impl SampleSink for SlidingWindow {
-    #[inline]
-    fn push_sample(&mut self, at: SimTime, value: f64) {
-        SlidingWindow::push_sample(self, at, value);
-    }
-}
-
 /// Exact per-key event counting over a *closed* key set declared at
 /// construction — per-jurisdiction or per-link flow accounting. Lookups
 /// are binary search over a sorted slot vector (no hashing, riot-lint D1),
@@ -563,19 +427,8 @@ impl CountByKey {
         CountByKey { slots }
     }
 
-    /// Increments the slot for `key`; a key not declared at construction
-    /// is counted nowhere.
-    #[inline]
-    pub fn observe(&mut self, key: MetricKey) {
-        if let Some(pos) = self.slot(key) {
-            if let Some((_, n)) = self.slots.get_mut(pos) {
-                *n += 1;
-            }
-        }
-    }
-
-    /// The stable slot index of `key`, usable with
-    /// [`CountByKey::observe_slot`] to skip the per-observation key search.
+    /// The stable slot index of `key` for [`CountByKey::observe_slot`]
+    /// (`None` for a key not declared at construction).
     pub fn slot(&self, key: MetricKey) -> Option<usize> {
         self.slots
             .binary_search_by_key(&key.index(), |&(k, _)| k.index())
@@ -613,123 +466,10 @@ impl CountByKey {
     }
 }
 
-/// An event-level stream stage. Operators compose into a
-/// [`StreamPipeline`]; each receives every bus event, in order, exactly
-/// once per run. The passive-tap contract of [`SimObserver`] applies.
-pub trait Operator {
-    /// Called once per bus event, in virtual-time order.
-    fn on_event(&mut self, event: &SimEvent);
-
-    /// The event kinds this operator consumes (same contract as
-    /// [`SimObserver::interest`]): the pipeline skips the operator for kinds
-    /// outside the mask and advertises the union of its operators' masks to
-    /// the kernel. Purely an optimization — operators must tolerate a
-    /// superset. Defaults to everything.
-    fn interest(&self) -> EventMask {
-        EventMask::ALL
-    }
-
-    /// Short diagnostic name.
-    fn name(&self) -> &str {
-        "operator"
-    }
-}
-
-/// Object-safe super-trait adding downcasting to [`Operator`], blanket
-/// implemented like [`crate::AnyObserver`] so pipelines can be inspected
-/// after a run.
-pub trait AnyOperator: Operator {
-    /// Upcast to [`Any`] for post-run inspection.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable upcast to [`Any`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<T: Operator + Any> AnyOperator for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Gates an inner operator on a predicate: `inner` sees exactly the events
-/// for which `pred` returns `true`. Use a plain `fn` pointer as `P` when
-/// the composed type must be nameable for post-run downcasting.
-pub struct Filter<P, O> {
-    pred: P,
-    inner: O,
-}
-
-impl<P: FnMut(&SimEvent) -> bool, O: Operator> Filter<P, O> {
-    /// Wraps `inner` behind `pred`.
-    pub fn new(pred: P, inner: O) -> Self {
-        Filter { pred, inner }
-    }
-
-    /// The wrapped operator.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-}
-
-impl<P: FnMut(&SimEvent) -> bool, O: Operator> Operator for Filter<P, O> {
-    #[inline]
-    fn on_event(&mut self, event: &SimEvent) {
-        if (self.pred)(event) {
-            self.inner.on_event(event);
-        }
-    }
-
-    fn interest(&self) -> EventMask {
-        // The predicate is opaque, so the filter can narrow by kind only as
-        // far as its inner operator does.
-        self.inner.interest()
-    }
-
-    fn name(&self) -> &str {
-        "filter"
-    }
-}
-
-/// Extracts a numeric sample from each event and feeds it to a
-/// [`SampleSink`]: the bridge from the event layer to the reduction layer.
-/// Events for which `extract` returns `None` are skipped.
-pub struct Map<F, S> {
-    extract: F,
-    sink: S,
-}
-
-impl<F: FnMut(&SimEvent) -> Option<f64>, S: SampleSink> Map<F, S> {
-    /// Feeds `extract`ed samples into `sink`.
-    pub fn new(extract: F, sink: S) -> Self {
-        Map { extract, sink }
-    }
-
-    /// The reduction state accumulated so far.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-}
-
-impl<F: FnMut(&SimEvent) -> Option<f64>, S: SampleSink> Operator for Map<F, S> {
-    #[inline]
-    fn on_event(&mut self, event: &SimEvent) {
-        if let Some(v) = (self.extract)(event) {
-            self.sink.push_sample(event.at, v);
-        }
-    }
-
-    fn name(&self) -> &str {
-        "map"
-    }
-}
-
 /// Follows one measurement key: every [`SimEventKind::Measure`] event
 /// carrying `key` feeds an [`OnlineStats`], a [`QuantileSketch`], and a
-/// [`TumblingWindow`] — the standard latency-telemetry bundle, fully
-/// concrete so scenarios can downcast it out of a pipeline after a run.
+/// [`TumblingWindow`] — the standard latency-telemetry bundle.
+#[derive(Clone)]
 pub struct MeasureProbe {
     key: MetricKey,
     stats: OnlineStats,
@@ -768,11 +508,11 @@ impl MeasureProbe {
     pub fn window(&self) -> &TumblingWindow {
         &self.window
     }
-}
 
-impl Operator for MeasureProbe {
+    /// Folds one bus event in; anything but a `Measure` of this probe's
+    /// key is ignored.
     #[inline]
-    fn on_event(&mut self, event: &SimEvent) {
+    pub fn on_event(&mut self, event: &SimEvent) {
         if let SimEventKind::Measure {
             key, value_bits, ..
         } = event.kind
@@ -785,14 +525,6 @@ impl Operator for MeasureProbe {
             }
         }
     }
-
-    fn interest(&self) -> EventMask {
-        EventMask::MEASURE
-    }
-
-    fn name(&self) -> &str {
-        "measure-probe"
-    }
 }
 
 /// Per-destination flow accounting: counts delivered messages by the
@@ -800,6 +532,7 @@ impl Operator for MeasureProbe {
 /// jurisdiction). The process → counter-slot map is a dense vector resolved
 /// once at construction, so the per-event cost is one bounds-checked load
 /// plus one increment — no per-event key search.
+#[derive(Clone)]
 pub struct FlowAccounting {
     slot_of: Vec<Option<u32>>,
     counts: CountByKey,
@@ -825,24 +558,16 @@ impl FlowAccounting {
     pub fn counts(&self) -> &CountByKey {
         &self.counts
     }
-}
 
-impl Operator for FlowAccounting {
+    /// Folds one bus event in; anything but a `Delivered` to an accounted
+    /// process is ignored.
     #[inline]
-    fn on_event(&mut self, event: &SimEvent) {
+    pub fn on_event(&mut self, event: &SimEvent) {
         if let SimEventKind::Delivered { to, .. } = event.kind {
             if let Some(Some(slot)) = self.slot_of.get(to.index()) {
                 self.counts.observe_slot(*slot as usize);
             }
         }
-    }
-
-    fn interest(&self) -> EventMask {
-        EventMask::DELIVERED
-    }
-
-    fn name(&self) -> &str {
-        "flow-accounting"
     }
 }
 
@@ -852,6 +577,7 @@ impl Operator for FlowAccounting {
 /// the mirrored state provably equals the kernel's own liveness table at
 /// every instant — which lets consumers (e.g. `Scenario::sample`) answer
 /// liveness queries from the stream instead of rescanning kernel state.
+#[derive(Clone)]
 pub struct ActivityTracker {
     up: Vec<bool>,
     transitions: u64,
@@ -881,11 +607,11 @@ impl ActivityTracker {
     pub fn transitions(&self) -> u64 {
         self.transitions
     }
-}
 
-impl Operator for ActivityTracker {
+    /// Folds one bus event in; anything but a lifecycle transition is
+    /// ignored.
     #[inline]
-    fn on_event(&mut self, event: &SimEvent) {
+    pub fn on_event(&mut self, event: &SimEvent) {
         let (idx, state) = match event.kind {
             SimEventKind::ProcessDown { id } => (id.index(), false),
             SimEventKind::ProcessUp { id } => (id.index(), true),
@@ -896,29 +622,73 @@ impl Operator for ActivityTracker {
             self.transitions += 1;
         }
     }
+}
 
+/// The closed set of stream operators (see the module docs for why it is
+/// an enum). Built from an operator with `into()`, which is what
+/// [`StreamPipeline::push`] does.
+#[derive(Clone)]
+pub enum StreamOp {
+    /// Latency telemetry over one measurement key (boxed: six times the
+    /// size of the other two).
+    Measure(Box<MeasureProbe>),
+    /// Per-key delivery counts.
+    Flows(FlowAccounting),
+    /// The liveness mirror.
+    Activity(ActivityTracker),
+}
+
+impl StreamOp {
+    /// The event kinds the operator consumes (same contract as
+    /// [`SimObserver::interest`]).
     fn interest(&self) -> EventMask {
-        EventMask::LIFECYCLE
+        match self {
+            StreamOp::Measure(_) => EventMask::MEASURE,
+            StreamOp::Flows(_) => EventMask::DELIVERED,
+            StreamOp::Activity(_) => EventMask::LIFECYCLE,
+        }
     }
 
-    fn name(&self) -> &str {
-        "activity-tracker"
+    #[inline]
+    fn on_event(&mut self, event: &SimEvent) {
+        match self {
+            StreamOp::Measure(probe) => MeasureProbe::on_event(probe, event),
+            StreamOp::Flows(flows) => FlowAccounting::on_event(flows, event),
+            StreamOp::Activity(tracker) => ActivityTracker::on_event(tracker, event),
+        }
     }
 }
 
-/// An ordered bag of operators behind a single observer slot: the kernel
+impl From<MeasureProbe> for StreamOp {
+    fn from(op: MeasureProbe) -> Self {
+        StreamOp::Measure(Box::new(op))
+    }
+}
+
+impl From<FlowAccounting> for StreamOp {
+    fn from(op: FlowAccounting) -> Self {
+        StreamOp::Flows(op)
+    }
+}
+
+impl From<ActivityTracker> for StreamOp {
+    fn from(op: ActivityTracker) -> Self {
+        StreamOp::Activity(op)
+    }
+}
+
+/// An ordered list of operators behind a single observer slot: the kernel
 /// dispatches each event once to the pipeline, which fans it out to every
-/// operator in push order. Operators are retrieved after the run by index
-/// and concrete type via [`StreamPipeline::get`].
+/// operator in push order. Operators are read back after the run by index
+/// through the typed accessors.
 ///
-/// Each operator's [`Operator::interest`] mask is sampled at push time: the
-/// pipeline skips operators for kinds outside their mask and advertises the
-/// union as its own [`SimObserver::interest`], so a pipeline of narrow
-/// operators costs the kernel nothing on kinds none of them consume.
-#[derive(Default)]
+/// The pipeline skips operators for kinds outside their interest mask and
+/// advertises the union as its own [`SimObserver::interest`], so a pipeline
+/// of narrow operators costs the kernel nothing on kinds none of them
+/// consume.
+#[derive(Clone, Default)]
 pub struct StreamPipeline {
-    ops: Vec<(EventMask, Box<dyn AnyOperator>)>,
-    events: u64,
+    ops: Vec<(EventMask, StreamOp)>,
 }
 
 impl StreamPipeline {
@@ -931,30 +701,38 @@ impl StreamPipeline {
     pub fn with_capacity(n: usize) -> Self {
         StreamPipeline {
             ops: Vec::with_capacity(n),
-            events: 0,
         }
     }
 
-    /// Appends an operator; returns its index for post-run retrieval. The
-    /// operator's interest mask is sampled here, once.
-    pub fn push<O: Operator + Any>(&mut self, op: O) -> usize {
-        let mask = op.interest();
-        self.ops.push((mask, Box::new(op)));
+    /// Appends an operator; returns its index for post-run retrieval.
+    pub fn push(&mut self, op: impl Into<StreamOp>) -> usize {
+        let op = op.into();
+        self.ops.push((op.interest(), op));
         self.ops.len() - 1
     }
 
-    /// The operator at `idx`, downcast to its concrete type.
-    pub fn get<O: Operator + Any>(&self, idx: usize) -> Option<&O> {
-        self.ops
-            .get(idx)
-            .and_then(|(_, op)| op.as_any().downcast_ref())
+    /// The operator at `idx`, if it is a [`MeasureProbe`].
+    pub fn measure_probe(&self, idx: usize) -> Option<&MeasureProbe> {
+        match self.ops.get(idx) {
+            Some((_, StreamOp::Measure(probe))) => Some(probe.as_ref()),
+            _ => None,
+        }
     }
 
-    /// Mutable variant of [`StreamPipeline::get`].
-    pub fn get_mut<O: Operator + Any>(&mut self, idx: usize) -> Option<&mut O> {
-        self.ops
-            .get_mut(idx)
-            .and_then(|(_, op)| op.as_any_mut().downcast_mut())
+    /// The operator at `idx`, if it is a [`FlowAccounting`].
+    pub fn flow_accounting(&self, idx: usize) -> Option<&FlowAccounting> {
+        match self.ops.get(idx) {
+            Some((_, StreamOp::Flows(flows))) => Some(flows),
+            _ => None,
+        }
+    }
+
+    /// The operator at `idx`, if it is an [`ActivityTracker`].
+    pub fn activity_tracker(&self, idx: usize) -> Option<&ActivityTracker> {
+        match self.ops.get(idx) {
+            Some((_, StreamOp::Activity(tracker))) => Some(tracker),
+            _ => None,
+        }
     }
 
     /// Number of operators.
@@ -966,22 +744,15 @@ impl StreamPipeline {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
-
-    /// Number of events dispatched to the pipeline by the kernel (only
-    /// kinds within the pipeline's interest union reach it).
-    pub fn events_seen(&self) -> u64 {
-        self.events
-    }
 }
 
 impl SimObserver for StreamPipeline {
     #[inline]
     fn on_event(&mut self, event: &SimEvent) {
-        self.events += 1;
         let bit = event.kind.mask();
         for (mask, op) in &mut self.ops {
             if mask.intersects(bit) {
-                op.on_event(event);
+                StreamOp::on_event(op, event);
             }
         }
     }
@@ -1043,27 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn online_stats_merge_equals_single_pass() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 7.3) % 13.0).collect();
-        let mut whole = OnlineStats::new();
-        let (mut a, mut b) = (OnlineStats::new(), OnlineStats::new());
-        for (i, &x) in xs.iter().enumerate() {
-            whole.record(x);
-            if i < 37 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
     fn sketch_quantiles_within_alpha_of_exact() {
         // Deterministic skewed sample: latencies spanning three decades.
         let mut xs: Vec<f64> = (1..=5000u64)
@@ -1116,71 +866,21 @@ mod tests {
     }
 
     #[test]
-    fn sliding_window_is_bounded_and_merges_panes() {
-        let mut w = SlidingWindow::new(SimDuration::from_secs(4), SimDuration::from_secs(1));
-        for s in 0..100u64 {
-            w.push_sample(SimTime::from_secs(s), s as f64);
-        }
-        assert!(w.pane_count() <= 4, "pane deque stays bounded");
-        let agg = w.aggregate();
-        // Window covers the last 4 panes: seconds 96..=99.
-        assert_eq!(agg.count(), 4);
-        assert!((agg.mean() - 97.5).abs() < 1e-12);
-        assert_eq!(agg.min(), 96.0);
-        assert_eq!(agg.max(), 99.0);
-    }
-
-    #[test]
-    fn sliding_window_skips_stale_panes_in_aggregate() {
-        let mut w = SlidingWindow::new(SimDuration::from_secs(2), SimDuration::from_secs(1));
-        w.push_sample(SimTime::from_secs(0), 1.0);
-        // A long quiet gap: the old pane is still in the deque but outside
-        // the window ending at the newest pane.
-        w.push_sample(SimTime::from_secs(50), 5.0);
-        let agg = w.aggregate();
-        assert_eq!(agg.count(), 1);
-        assert_eq!(agg.mean(), 5.0);
-    }
-
-    #[test]
     fn count_by_key_counts_declared_keys_only() {
         let mut m = crate::metrics::Metrics::new();
         let (a, b, c) = (m.intern("k.a"), m.intern("k.b"), m.intern("k.c"));
         let mut counts = CountByKey::new(&[b, a, b]);
-        counts.observe(a);
-        counts.observe(b);
-        counts.observe(b);
-        counts.observe(c); // undeclared → ignored
+        let (slot_a, slot_b) = (counts.slot(a).unwrap(), counts.slot(b).unwrap());
+        assert_eq!(counts.slot(c), None, "undeclared → no slot");
+        counts.observe_slot(slot_a);
+        counts.observe_slot(slot_b);
+        counts.observe_slot(slot_b);
+        counts.observe_slot(99); // out of range → ignored
         assert_eq!(counts.count(a), 1);
         assert_eq!(counts.count(b), 2);
         assert_eq!(counts.count(c), 0);
         assert_eq!(counts.total(), 3);
         assert_eq!(counts.iter().count(), 2, "duplicates collapsed");
-    }
-
-    #[test]
-    fn filter_map_pipeline_composes_with_fn_pointers() {
-        let mut m = crate::metrics::Metrics::new();
-        let key = m.intern("lat.ms");
-        fn is_measure(ev: &SimEvent) -> bool {
-            matches!(ev.kind, SimEventKind::Measure { .. })
-        }
-        fn value_of(ev: &SimEvent) -> Option<f64> {
-            ev.kind.measure_value()
-        }
-        type Probe = Filter<fn(&SimEvent) -> bool, Map<fn(&SimEvent) -> Option<f64>, OnlineStats>>;
-        let mut pipeline = StreamPipeline::with_capacity(1);
-        let idx = pipeline.push::<Probe>(Filter::new(
-            is_measure,
-            Map::new(value_of, OnlineStats::new()),
-        ));
-        pipeline.on_event(&measure(1, key, 4.0));
-        pipeline.on_event(&delivered(2, 0)); // filtered out
-        pipeline.on_event(&measure(3, key, 8.0));
-        let probe = pipeline.get::<Probe>(idx).expect("downcast by named type");
-        assert_eq!(probe.inner().sink().count(), 2);
-        assert!((probe.inner().sink().mean() - 6.0).abs() < 1e-12);
-        assert_eq!(pipeline.events_seen(), 3);
     }
 
     #[test]
@@ -1235,5 +935,61 @@ mod tests {
         });
         assert!(t.is_up(ProcessId(1)));
         assert_eq!(t.transitions(), 2);
+    }
+
+    #[test]
+    fn a_cloned_pipeline_fed_the_same_events_reports_the_same_aggregates() {
+        let mut m = crate::metrics::Metrics::new();
+        let (lat, eu) = (m.intern("lat.ms"), m.intern("flow.eu"));
+        let mut original = StreamPipeline::with_capacity(3);
+        let probe = original.push(MeasureProbe::new(
+            lat,
+            QuantileSketch::for_latency_ms(),
+            SimDuration::from_millis(10),
+        ));
+        let flows = original.push(FlowAccounting::new(vec![Some(eu), None]));
+        let activity = original.push(ActivityTracker::new(2));
+        let down = SimEvent {
+            at: SimTime::from_micros(7),
+            kind: SimEventKind::ProcessDown { id: ProcessId(1) },
+            detail: String::new(),
+        };
+        let prefix = [measure(1, lat, 4.0), delivered(2, 0), down];
+        let suffix = [measure(20_000, lat, 9.0), delivered(20_001, 0)];
+        for ev in &prefix {
+            original.on_event(ev);
+        }
+        // Fork mid-run: the clone carries the prefix's state and then sees
+        // the same suffix.
+        let mut fork = original.clone();
+        for ev in &suffix {
+            original.on_event(ev);
+            fork.on_event(ev);
+        }
+        assert_eq!(fork.len(), 3);
+        assert_eq!(fork.interest(), original.interest());
+        let (a, b) = (
+            original.measure_probe(probe).unwrap(),
+            fork.measure_probe(probe).unwrap(),
+        );
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.stats().count(), 2);
+        assert_eq!(a.sketch(), b.sketch());
+        assert_eq!(a.window().closed_count(), b.window().closed_count());
+        assert_eq!(a.window().over_means(), b.window().over_means());
+        let (a, b) = (
+            original.flow_accounting(flows).unwrap(),
+            fork.flow_accounting(flows).unwrap(),
+        );
+        assert_eq!(a.counts().count(eu), 2);
+        assert_eq!(b.counts().count(eu), 2);
+        let (a, b) = (
+            original.activity_tracker(activity).unwrap(),
+            fork.activity_tracker(activity).unwrap(),
+        );
+        assert_eq!((a.up_count(), a.transitions()), (1, 1));
+        assert_eq!((b.up_count(), b.transitions()), (1, 1));
+        // A typed read at another operator's index is `None`, not a panic.
+        assert!(fork.measure_probe(flows).is_none());
     }
 }

@@ -2,8 +2,8 @@
 # The full local gate: everything CI (and the tier-1 driver) checks, in the
 # order that fails fastest. Run from anywhere inside the repository.
 #
-#   scripts/check.sh           # fmt + clippy + riot-lint + doc + tests + three smokes
-#   scripts/check.sh --quick   # skip the tests and smokes (style + lint + doc only)
+#   scripts/check.sh           # fmt + clippy + riot-lint + doc + tests + benchmark package build + three smokes
+#   scripts/check.sh --quick   # skip the tests, that build and the smokes (style + lint + doc only)
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -35,6 +35,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 if [[ "$quick" == "0" ]]; then
   echo "==> cargo test (workspace)"
   cargo test --quiet
+
+  echo "==> standalone benchmark package (the build BENCHMARK.json runs: its own manifest and lock file)"
+  cargo build --release --offline --quiet --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+  if [[ -n "$(git status --porcelain crates/bench/src/bin/benchmark)" ]]; then
+    echo "error: building the benchmark package changed files under its directory:" >&2
+    git status --porcelain crates/bench/src/bin/benchmark >&2
+    exit 1
+  fi
 
   echo "==> riot-harness smoke grid (parallel run of a small scenario sweep)"
   cargo run --quiet -p riot-bench --bin riot -- \
