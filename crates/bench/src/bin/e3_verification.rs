@@ -195,15 +195,16 @@ fn main() {
         .find(|o| o.name == "recovers")
         .expect("online monitor outcome");
     assert_eq!(
-        online.verdict,
-        format!("{verdict:?}"),
+        online.verdict, verdict,
         "online verdict must match the post-hoc replay"
     );
     assert_eq!(online.steps, monitor.steps(), "same number of samples");
     assert_eq!(online.holds_at_end, monitor.finish(), "same residual");
     println!(
         "  online:   {} after {} samples (holds at end: {}) — matches replay",
-        online.verdict, online.steps, online.holds_at_end
+        online.verdict.name(),
+        online.steps,
+        online.holds_at_end
     );
 
     // ---- 2b. Probabilistic model checking: the quantitative side of
@@ -269,7 +270,7 @@ fn main() {
         "e3_verification",
         &Output {
             ctl: ctl_rows,
-            monitor_verdict: format!("{verdict:?}"),
+            monitor_verdict: verdict.name().to_owned(),
             monitor_steps: monitor.steps(),
             recovery_probability: est.mean,
             recovery_lo: est.lo,
@@ -278,10 +279,9 @@ fn main() {
             sprt_observations: sprt.observations(),
             dtmc_availability: pi[up.index()],
             dtmc_recover_10s: p_recover_10,
-            online_verdict: online.verdict.clone(),
+            online_verdict: online.verdict.name().to_owned(),
             online_steps: online.steps,
-            online_matches_replay: online.verdict == format!("{verdict:?}")
-                && online.steps == monitor.steps(),
+            online_matches_replay: online.verdict == verdict && online.steps == monitor.steps(),
             online_first_violation_s: online.first_violation_s,
         },
     );

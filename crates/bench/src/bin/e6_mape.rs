@@ -126,7 +126,7 @@ fn run_cell(name: &'static str, placement: MapePlacement, with_outages: bool) ->
         restarts: r.restarts,
         restart_commands: r.restart_commands,
         detect_s: safety.first_violation_s,
-        recovery_verdict: recovers.verdict,
+        recovery_verdict: recovers.verdict.name().to_owned(),
         recovery_holds_at_end: recovers.holds_at_end,
     }
 }

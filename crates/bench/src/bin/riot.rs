@@ -428,7 +428,7 @@ mod tests {
         let a = parse_args(&argv("--stream-summary")).unwrap();
         assert!(a.stream_summary);
         let spec = build_spec(&a, MaturityLevel::Ml4, a.seed).unwrap();
-        assert_eq!(spec.streams.len(), 4, "all built-in stream kinds enabled");
+        assert_eq!(spec.streams, StreamSpec::standard(), "the pipeline is on");
         let a = parse_args(&argv("")).unwrap();
         assert!(!a.stream_summary);
         let spec = build_spec(&a, MaturityLevel::Ml4, a.seed).unwrap();
@@ -456,6 +456,12 @@ mod tests {
         spec.sample_every = SimDuration::ZERO;
         let err = spec.validate().unwrap_err().to_string();
         assert!(err.contains("sample_every"), "{err}");
+        // Nor does a flag name a monitor; one whose formula names an atom
+        // no sample values is reported by that call too, not run.
+        spec.sample_every = SimDuration::from_secs(1);
+        spec.monitors = vec![riot_core::MonitorSpec::new("typo", "G !covrage")];
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("unknown atom 'covrage'"), "{err}");
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn describe(f: &Finding) -> String {
             verdict,
             first_violation_s,
         } => match first_violation_s {
-            Some(t) => format!("violated {monitor} ({verdict}, first at {t:.0}s)"),
-            None => format!("violated {monitor} ({verdict})"),
+            Some(t) => format!("violated {monitor} ({}, first at {t:.0}s)", verdict.name()),
+            None => format!("violated {monitor} ({})", verdict.name()),
         },
         Finding::Crash { panic } => format!("crash: {panic}"),
     }

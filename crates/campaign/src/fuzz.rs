@@ -12,6 +12,7 @@
 use crate::gen::{generate, mutate_in_place, CampaignSpace};
 use crate::program::{CampaignProgram, Expectation, ScenarioParams};
 use riot_core::{MonitorSpec, Scenario};
+use riot_formal::Verdict3;
 use riot_harness::{fuzz_grid, FuzzPlan, FuzzReport, HarnessConfig};
 use riot_sim::SimRng;
 
@@ -22,9 +23,9 @@ pub enum Finding {
     Violated {
         /// Monitor name (from the program's `oracle` directives).
         monitor: String,
-        /// The monitor's three-valued verdict (`"Violated"` for definite
-        /// violations, `"Inconclusive"` for unmet pending obligations).
-        verdict: String,
+        /// The monitor's three-valued verdict (`Violated` for definite
+        /// violations, `Inconclusive` for unmet pending obligations).
+        verdict: Verdict3,
         /// Virtual time of the first definite violation, when there was
         /// one.
         first_violation_s: Option<f64>,
@@ -107,7 +108,7 @@ pub fn run_program(program: &CampaignProgram) -> Vec<Finding> {
         .failed_monitors()
         .map(|m| Finding::Violated {
             monitor: m.name.clone(),
-            verdict: m.verdict.clone(),
+            verdict: m.verdict,
             first_violation_s: m.first_violation_s,
         })
         .collect()
@@ -194,7 +195,7 @@ mod tests {
             findings.iter().any(|f| matches!(
                 f,
                 Finding::Violated { monitor, verdict, first_violation_s: Some(t) }
-                    if monitor == "coverage_safe" && verdict == "Violated" && *t >= 20.0
+                    if monitor == "coverage_safe" && *verdict == Verdict3::Violated && *t >= 20.0
             )),
             "blackout + storm must violate G coverage: {findings:?}"
         );

@@ -23,7 +23,6 @@
 use crate::compile::Campaign;
 use crate::vector::{AdversaryMode, CampaignVector, Dim};
 use riot_core::{MonitorSpec, ScenarioSpec};
-use riot_formal::{parse_ltl, Atoms};
 use riot_model::MaturityLevel;
 use riot_sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -432,14 +431,14 @@ impl CampaignProgram {
                     if !tail.is_empty() {
                         return err(lineno, format!("trailing input '{tail}'"));
                     }
-                    let mut atoms = Atoms::new();
-                    if let Err(e) = parse_ltl(formula, &mut atoms) {
-                        return err(lineno, format!("oracle {oname}: bad formula: {e}"));
+                    let oracle = MonitorSpec::new(oname, formula);
+                    if let Err(e) = oracle.validate() {
+                        return err(lineno, format!("oracle {oname}: {e}"));
                     }
                     if oracles.iter().any(|m| m.name == oname) {
                         return err(lineno, format!("duplicate oracle '{oname}'"));
                     }
-                    oracles.push(MonitorSpec::new(oname, formula));
+                    oracles.push(oracle);
                 }
                 "vector" => campaign.push(parse_vector(rest, lineno)?),
                 "expect" => match rest.split_once(char::is_whitespace) {
@@ -649,6 +648,10 @@ expect violated coverage_safe
                 "missing mode",
             ),
             ("campaign \"x\"\noracle bad \"G (\"", "bad formula"),
+            (
+                "campaign \"x\"\noracle c \"G !covrage\"",
+                "oracle c: unknown atom 'covrage' (known: all goal latency availability coverage freshness privacy)",
+            ),
             ("campaign \"x\"\nexpect violated ghost", "unknown oracle"),
             ("campaign \"x\"\nscenario warmup=50 duration=40", "warmup"),
             ("vector cloud-blackout onset=1 heal=0", "missing 'campaign"),
@@ -669,6 +672,13 @@ expect violated coverage_safe
         }
         let e = CampaignProgram::parse("campaign \"x\"\nvector warp onset=1").unwrap_err();
         assert_eq!(e.line, 2, "line numbers are 1-based");
+        // Hostile: more atoms than a valuation has bits is an error on the
+        // oracle's line, not the vocabulary's panic.
+        let wide: Vec<String> = (0..70).map(|i| format!("p{i}")).collect();
+        let text = format!("campaign \"x\"\n\noracle wide \"G ({})\"", wide.join(" | "));
+        let e = CampaignProgram::parse(&text).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.to_string().contains("oracle wide: bad formula"), "{e}");
     }
 
     #[test]

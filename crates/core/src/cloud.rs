@@ -178,30 +178,7 @@ impl Process<Msg> for CloudProcess {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, msg: Msg) {
         match msg {
-            Msg::App(AppMsg::Reading {
-                key,
-                value,
-                meta,
-                component,
-                state,
-                device,
-            })
-            | Msg::App(AppMsg::RelayedReading {
-                key,
-                value,
-                meta,
-                component,
-                state,
-                device,
-            }) => {
-                let reading = ReadingPayload {
-                    key,
-                    value,
-                    meta,
-                    component,
-                    state,
-                    device,
-                };
+            Msg::App(AppMsg::Reading(reading) | AppMsg::RelayedReading(reading)) => {
                 self.ingest_telemetry(ctx, reading);
             }
             Msg::App(AppMsg::ControlRequest { req_id, issued_at }) => {
@@ -286,14 +263,14 @@ mod tests {
     }
 
     fn reading(device: ProcessId, key: riot_data::DataKey, state: ComponentState) -> Msg {
-        Msg::App(AppMsg::Reading {
+        Msg::App(AppMsg::Reading(ReadingPayload {
             key,
             value: 1.0,
             meta: riot_data::DataMeta::operational(DomainId(0), SimTime::ZERO),
             component: ComponentId(device.0 as u32),
             state,
             device,
-        })
+        }))
     }
 
     #[derive(Default)]

@@ -12,7 +12,7 @@
 //! consecutive control timeouts make it re-home to a backup edge.
 
 use crate::config::{ArchitectureConfig, ControlPlacement};
-use crate::msg::{AppMsg, Msg};
+use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::state::NodeSlab;
 use riot_data::{DataKey, DataMeta, PurposeSet, Sensitivity};
 use riot_model::{ComponentId, ComponentState, DomainId};
@@ -329,14 +329,14 @@ impl DeviceProcess {
             let meta = self.meta(now);
             ctx.send(
                 host,
-                Msg::App(AppMsg::Reading {
+                Msg::App(AppMsg::Reading(ReadingPayload {
                     key: self.data_key,
                     value,
                     meta,
                     component: self.component,
                     state: self.state,
                     device: ctx.id(),
-                }),
+                })),
             );
         }
     }
@@ -533,7 +533,7 @@ mod tests {
                     self.requests += 1;
                     ctx.send(from, Msg::App(AppMsg::ControlReply { req_id, issued_at }));
                 }
-                Msg::App(AppMsg::Reading { .. }) => self.readings += 1,
+                Msg::App(AppMsg::Reading(_)) => self.readings += 1,
                 _ => {}
             }
         }
@@ -672,7 +672,7 @@ mod tests {
         }
         impl Process<Msg> for Inspect {
             fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
-                if let Msg::App(AppMsg::Reading { meta, .. }) = msg {
+                if let Msg::App(AppMsg::Reading(ReadingPayload { meta, .. })) = msg {
                     self.seen = Some(meta);
                 }
             }
@@ -713,6 +713,14 @@ mod tests {
         // The no-slab window is the one thing a slab-attached tick never
         // touches; it may sit anywhere behind.
         assert!(offset_of!(DeviceProcess, window) >= 64);
+    }
+
+    #[test]
+    fn a_message_still_fits_a_56_byte_slab_slot() {
+        // What a payload-slab slot holds. `AppMsg`'s reading variants carry
+        // one `ReadingPayload` (48 bytes) where they spelt its six fields;
+        // `AppMsg` grew a tag word for it and `Msg` found its own tag there.
+        assert!(std::mem::size_of::<Msg>() <= 56);
     }
 
     #[test]

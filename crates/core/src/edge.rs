@@ -321,17 +321,7 @@ impl EdgeProcess {
         // At ML3 the cloud hosts MAPE but devices talk to the edge: relay
         // telemetry upstream so the cloud's knowledge stays fresh.
         if self.cfg.arch.mape == MapePlacement::Cloud {
-            ctx.send(
-                self.cfg.cloud,
-                Msg::App(AppMsg::RelayedReading {
-                    key,
-                    value,
-                    meta,
-                    component,
-                    state,
-                    device,
-                }),
-            );
+            ctx.send(self.cfg.cloud, Msg::App(AppMsg::RelayedReading(reading)));
         }
     }
 
@@ -409,24 +399,7 @@ impl Process<Msg> for EdgeProcess {
                     }
                 }
             }
-            Msg::App(AppMsg::Reading {
-                key,
-                value,
-                meta,
-                component,
-                state,
-                device,
-            }) => {
-                let reading = ReadingPayload {
-                    key,
-                    value,
-                    meta,
-                    component,
-                    state,
-                    device,
-                };
-                self.ingest_reading(ctx, reading);
-            }
+            Msg::App(AppMsg::Reading(reading)) => self.ingest_reading(ctx, reading),
             Msg::App(AppMsg::ControlRequest { req_id, issued_at }) => {
                 self.control_served += 1;
                 ctx.send(from, Msg::App(AppMsg::ControlReply { req_id, issued_at }));
@@ -556,21 +529,21 @@ mod tests {
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
             match msg {
                 Msg::Sync(_) => self.syncs += 1,
-                Msg::App(AppMsg::RelayedReading { .. }) => self.relays += 1,
+                Msg::App(AppMsg::RelayedReading(_)) => self.relays += 1,
                 _ => {}
             }
         }
     }
 
     fn reading(device: ProcessId, key: riot_data::DataKey) -> Msg {
-        Msg::App(AppMsg::Reading {
+        Msg::App(AppMsg::Reading(ReadingPayload {
             key,
             value: 1.0,
             meta: riot_data::DataMeta::operational(DomainId(0), SimTime::ZERO),
             component: ComponentId(device.0 as u32),
             state: ComponentState::Running,
             device,
-        })
+        }))
     }
 
     #[test]
@@ -715,14 +688,14 @@ mod tests {
         let dev = sim.add_process(Dev::default());
         sim.send_external(
             me,
-            Msg::App(AppMsg::Reading {
+            Msg::App(AppMsg::Reading(ReadingPayload {
                 key: edge_key(&sim, me, "d/reading"),
                 value: 1.0,
                 meta: riot_data::DataMeta::operational(DomainId(0), SimTime::ZERO),
                 component: ComponentId(1),
                 state: ComponentState::Running,
                 device: dev,
-            }),
+            })),
         );
         // Silence threshold is 3s; run well past it.
         sim.run_until(SimTime::from_secs(10));
@@ -809,14 +782,14 @@ mod tests {
         // A personal reading lands on the vendor edge: a violation at rest.
         sim.send_external(
             e1,
-            Msg::App(AppMsg::Reading {
+            Msg::App(AppMsg::Reading(ReadingPayload {
                 key: edge_key(&sim, e1, "wearable/hr"),
                 value: 70.0,
                 meta: riot_data::DataMeta::personal(DomainId(0), SimTime::ZERO),
                 component: ComponentId(9),
                 state: ComponentState::Running,
                 device: dev,
-            }),
+            })),
         );
         sim.run_until(SimTime::from_secs(2));
         let reg = registry_with_vendor();

@@ -69,10 +69,10 @@ pub use config::{ArchitectureConfig, ControlPlacement, MapePlacement, Replicatio
 pub use device::{DeviceConfig, DeviceGroup, DeviceProcess, DeviceWindow};
 pub use edge::{EdgeConfig, EdgeProcess};
 pub use mobility::{roaming_schedule, Layout, MobilitySpec};
-pub use msg::{AppMsg, Msg, PolicyUpdate};
+pub use msg::{AppMsg, Msg, PolicyUpdate, ReadingPayload};
 pub use observe::{
-    MonitorOutcome, MonitorSpec, ObserverSpec, StreamKind, StreamQuantiles, StreamSpec,
-    StreamStats, StreamSummary, SAT_LABEL,
+    MonitorError, MonitorOutcome, MonitorSpec, ObserverSpec, StreamQuantiles, StreamSpec,
+    StreamStats, StreamSummary, SAT_LABEL, VALUATION_ATOMS,
 };
 pub use recovery::RecoveryPlanner;
 pub use report::{pct, resilience_table, secs, Stats, Table};

@@ -22,9 +22,10 @@ pub enum PolicyUpdate {
     Governed,
 }
 
-/// The fields of a [`AppMsg::Reading`]/[`AppMsg::RelayedReading`] message,
-/// regrouped so ingestion paths can pass them as one value.
-#[derive(Debug, Clone)]
+/// One sensor reading with the reporting device's component telemetry: what
+/// [`AppMsg::Reading`] and [`AppMsg::RelayedReading`] both carry, so an
+/// ingestion path takes it — and a relay forwards it — as one value.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadingPayload {
     /// Data key (the run's interned id for `"dev<id>/reading"`).
     pub key: DataKey,
@@ -46,35 +47,9 @@ pub enum AppMsg {
     /// A sensor reading pushed from a device to its data/control host,
     /// carrying the device's component telemetry (the paper's Figure 5:
     /// monitoring *is* sensing at the devices).
-    Reading {
-        /// Data key (the run's interned id for `"dev<id>/reading"`).
-        key: DataKey,
-        /// Observed value.
-        value: f64,
-        /// Governance label.
-        meta: DataMeta,
-        /// The reporting device's component.
-        component: ComponentId,
-        /// Its lifecycle state.
-        state: ComponentState,
-        /// The device that produced it.
-        device: ProcessId,
-    },
+    Reading(ReadingPayload),
     /// A relayed copy of a reading (edge → cloud telemetry forwarding).
-    RelayedReading {
-        /// The original reading fields.
-        key: DataKey,
-        /// Observed value.
-        value: f64,
-        /// Governance label.
-        meta: DataMeta,
-        /// The reporting device's component.
-        component: ComponentId,
-        /// Its lifecycle state.
-        state: ComponentState,
-        /// The device that produced it.
-        device: ProcessId,
-    },
+    RelayedReading(ReadingPayload),
     /// A device asking its controller for a decision (the control loop).
     ControlRequest {
         /// Correlation id.

@@ -17,7 +17,7 @@
 //!
 //! Three mechanisms keep the per-tick cost proportional to what actually
 //! changed while staying bit-for-bit identical to the full rescan (the
-//! `#[cfg(test)]` rescan oracle in `scenario.rs`, pinned by a property
+//! `#[cfg(test)]` rescan oracle in `scenario/oracle.rs`, pinned by a property
 //! test):
 //!
 //! - **Dirty window set.** Control-loop counters accumulate per device;

@@ -18,9 +18,9 @@
 //! * **Runtime verification** — [`Ltl`] over finite traces with a
 //!   progression-based online [`Monitor`] producing three-valued verdicts;
 //!   progression is property-tested equivalent to the trace semantics. The
-//!   [`OnlineMonitor`] adapter rides the `riot-sim` observability bus and
-//!   advances monitors *during* a run with O(formula) memory, timestamping
-//!   violations the instant they become definite.
+//!   [`OnlineMonitor`] bank is stepped by its owner *during* a run (a
+//!   `riot-core` scenario does so once per sample) with O(formula) memory,
+//!   timestamping violations the instant they become definite.
 //! * **Bounded exploration** — [`bounded_search`]/[`check_invariant`] over
 //!   implicit [`TransitionSystem`]s, with shortest counterexample paths.
 //! * **Probabilistic model checking** — [`Dtmc`] Markov chains with

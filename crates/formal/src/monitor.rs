@@ -49,12 +49,6 @@ impl Verdict3 {
             Verdict3::Inconclusive => "Inconclusive",
         }
     }
-
-    /// `true` for the definite failure verdict: every extension of the
-    /// observed prefix violates the property.
-    pub fn is_violated(self) -> bool {
-        self == Verdict3::Violated
-    }
 }
 
 /// Distinct residuals one monitor interns, and transitions it records per

@@ -1,37 +1,25 @@
-//! Online runtime verification on the simulation observability bus.
+//! Online runtime verification: LTL monitors stepped while the run executes.
 //!
-//! An [`OnlineMonitor`] is a [`SimObserver`] that advances LTL [`Monitor`]s
-//! *while the run executes* instead of replaying a recorded time series
-//! afterwards. Memory is O(formula) per property — the distinct residuals
-//! met, a capped few (see [`Monitor`]) — independent of run length, and a
-//! violation is timestamped the instant the verdict becomes definite, which
-//! is exactly the detection signal a MAPE-K loop needs (the paper's pillar
-//! VII cannot wait for the run to end).
+//! An [`OnlineMonitor`] is a bank of LTL [`Monitor`]s over one shared atom
+//! vocabulary, advanced one trace state at a time by whoever owns it
+//! ([`OnlineMonitor::step_valuation`]) instead of replaying a recorded time
+//! series afterwards. Memory is O(formula) per property — the distinct
+//! residuals met, a capped few (see [`Monitor`]) — independent of run
+//! length, and a violation is timestamped the instant the verdict becomes
+//! definite, which is exactly the detection signal a MAPE-K loop needs (the
+//! paper's pillar VII cannot wait for the run to end).
 //!
-//! ## Valuation wire format
-//!
-//! Scenario drivers publish requirement-satisfaction states as annotation
-//! events (`SimEventKind::Note`). A note addressed to a monitor with label
-//! `sat` looks like:
-//!
-//! ```text
-//! sat all=1 goal=0 coverage=1 latency=0
-//! ```
-//!
-//! i.e. the label, then space-separated `name=0|1` pairs. Each matching note
-//! becomes one trace state: atoms named in watched formulas are set from the
-//! pairs (absent pairs default to false), and every watched monitor takes one
-//! step. Notes with a different label, and all non-note events, are ignored,
-//! so several monitors with distinct labels can share one bus.
-//!
-//! Determinism: the observer only reads events and mutates its own state, so
-//! registering it cannot perturb the run (see `riot_sim::observer`).
+//! A state is a [`Valuation`] over [`OnlineMonitor::atoms`]: the owner
+//! interns the atoms it can value before it watches a formula, so bit *i* of
+//! a state is the *i*-th atom interned and a formula naming anything else
+//! is detectable (the vocabulary grew). `riot_core::Scenario` owns one bank
+//! and steps it once per requirement sample; an atom never set reads false.
 
 use crate::ltl::Ltl;
 use crate::monitor::{Monitor, Verdict3};
 use crate::parse::{parse_ltl, ParseError};
 use crate::prop::{Atoms, Valuation};
-use riot_sim::{EventMask, SimEvent, SimEventKind, SimObserver, SimTime};
+use riot_sim::SimTime;
 
 /// One property watched by an [`OnlineMonitor`].
 #[derive(Debug, Clone)]
@@ -84,27 +72,23 @@ impl OnlineProperty {
     }
 }
 
-/// A streaming LTL monitor bank riding the observability bus.
+/// A streaming LTL monitor bank.
 ///
 /// # Examples
 ///
-/// Feeding valuations directly (as the scenario driver's notes would):
+/// Feeding valuations directly, as a scenario's sample tick does:
 ///
 /// ```
-/// use riot_formal::{OnlineMonitor, Verdict3};
-/// use riot_sim::{ProcessId, SimEvent, SimEventKind, SimObserver, SimTime};
+/// use riot_formal::{OnlineMonitor, Valuation, Verdict3};
+/// use riot_sim::SimTime;
 ///
 /// let mut om = OnlineMonitor::new("sat");
+/// let ok = om.atoms_mut().intern("ok");
 /// om.watch("always-ok", "G ok").unwrap();
 ///
-/// let note = |t: u64, text: &str| SimEvent {
-///     at: SimTime::from_secs(t),
-///     kind: SimEventKind::Note { id: ProcessId(usize::MAX), text: text.to_owned() },
-///     detail: String::new(),
-/// };
-/// om.on_event(&note(1, "sat ok=1"));
+/// om.step_valuation(SimTime::from_secs(1), Valuation::EMPTY.with(ok));
 /// assert_eq!(om.properties()[0].verdict(), Verdict3::Inconclusive);
-/// om.on_event(&note(2, "sat ok=0"));
+/// om.step_valuation(SimTime::from_secs(2), Valuation::EMPTY);
 /// assert_eq!(om.properties()[0].verdict(), Verdict3::Violated);
 /// assert_eq!(om.properties()[0].first_violation(), Some(SimTime::from_secs(2)));
 /// ```
@@ -117,7 +101,9 @@ pub struct OnlineMonitor {
 }
 
 impl OnlineMonitor {
-    /// Creates a monitor bank listening for notes prefixed with `label`.
+    /// Creates an empty monitor bank. `label` is the bank's display name
+    /// ([`OnlineMonitor::label`]) and nothing else: no input is matched
+    /// against it.
     pub fn new(label: impl Into<String>) -> Self {
         OnlineMonitor {
             label: label.into(),
@@ -127,8 +113,9 @@ impl OnlineMonitor {
         }
     }
 
-    /// Parses `formula` and watches it under `name`. Atom names in the
-    /// formula are matched against the `name=0|1` pairs of incoming notes.
+    /// Parses `formula` against the bank's vocabulary and watches it under
+    /// `name`. An atom the vocabulary lacks is interned behind the ones
+    /// already there.
     pub fn watch(&mut self, name: impl Into<String>, formula: &str) -> Result<(), ParseError> {
         let phi = parse_ltl(formula, &mut self.atoms)?;
         self.props.push(OnlineProperty {
@@ -154,7 +141,7 @@ impl OnlineMonitor {
         });
     }
 
-    /// The note label this bank listens for.
+    /// The bank's display name, as given to [`OnlineMonitor::new`].
     pub fn label(&self) -> &str {
         &self.label
     }
@@ -180,7 +167,7 @@ impl OnlineMonitor {
         self.props.iter().find(|p| p.name == name)
     }
 
-    /// Number of trace states consumed (matching notes seen).
+    /// Number of trace states consumed.
     pub fn samples(&self) -> usize {
         self.samples
     }
@@ -191,9 +178,9 @@ impl OnlineMonitor {
         self.props.iter().any(|p| p.verdict() == Verdict3::Violated)
     }
 
-    /// Feeds one trace state directly, bypassing note parsing. Used by the
-    /// note path, by tests, and by post-hoc replays that want byte-identical
-    /// progression semantics.
+    /// Feeds one trace state, observed at virtual time `at`: every watched
+    /// monitor takes one step, and a verdict that becomes definite is
+    /// timestamped `at`.
     pub fn step_valuation(&mut self, at: SimTime, state: Valuation) {
         self.samples += 1;
         for prop in &mut self.props {
@@ -204,91 +191,31 @@ impl OnlineMonitor {
             };
         }
     }
-
-    /// Parses a note body (`name=0|1` pairs, label already stripped) into a
-    /// valuation over this bank's atoms. Unknown names are ignored; absent
-    /// atoms are false.
-    fn parse_valuation(&self, body: &str) -> Valuation {
-        let mut val = Valuation::EMPTY;
-        for token in body.split_whitespace() {
-            let Some((key, raw)) = token.split_once('=') else {
-                continue;
-            };
-            if let Some(atom) = self.atoms.lookup(key) {
-                val.set(atom, raw == "1" || raw == "true");
-            }
-        }
-        val
-    }
-}
-
-impl SimObserver for OnlineMonitor {
-    fn on_event(&mut self, event: &SimEvent) {
-        let SimEventKind::Note { ref text, .. } = event.kind else {
-            return;
-        };
-        let Some(rest) = text.strip_prefix(self.label.as_str()) else {
-            return;
-        };
-        // The label must be a whole word: "sat" must not match "saturated".
-        let body = match rest.strip_prefix(' ') {
-            Some(body) => body,
-            None if rest.is_empty() => rest,
-            None => return,
-        };
-        let val = self.parse_valuation(body);
-        self.step_valuation(event.at, val);
-    }
-
-    /// Valuation notes are all the bank reads.
-    fn interest(&self) -> EventMask {
-        EventMask::NOTE
-    }
-
-    fn name(&self) -> &str {
-        "online-monitor"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use riot_sim::ProcessId;
 
-    fn note(t: u64, text: &str) -> SimEvent {
-        SimEvent {
-            at: SimTime::from_secs(t),
-            kind: SimEventKind::Note {
-                id: ProcessId(usize::MAX),
-                text: text.to_owned(),
-            },
-            detail: String::new(),
-        }
-    }
-
-    #[test]
-    fn ignores_foreign_labels_and_non_notes() {
-        let mut om = OnlineMonitor::new("sat");
-        om.watch("safety", "G p").unwrap();
-        om.on_event(&note(1, "other p=0"));
-        om.on_event(&note(1, "saturated p=0"));
-        om.on_event(&SimEvent {
-            at: SimTime::from_secs(1),
-            kind: SimEventKind::ProcessDown { id: ProcessId(0) },
-            detail: String::new(),
-        });
-        assert_eq!(om.samples(), 0);
-        assert_eq!(om.properties()[0].verdict(), Verdict3::Inconclusive);
+    /// Steps `om` at second `t` with exactly the named atoms true.
+    fn step(om: &mut OnlineMonitor, t: u64, holds: &[&str]) {
+        let state = Valuation::from_atoms(
+            holds
+                .iter()
+                .map(|name| om.atoms().lookup(name).expect("atom is in the vocabulary")),
+        );
+        om.step_valuation(SimTime::from_secs(t), state);
     }
 
     #[test]
     fn absent_atoms_default_to_false() {
         let mut om = OnlineMonitor::new("sat");
+        om.atoms_mut().intern("q");
         om.watch("liveness", "F p").unwrap();
-        om.on_event(&note(1, "sat q=1"));
+        step(&mut om, 1, &["q"]);
         assert_eq!(om.samples(), 1);
         assert_eq!(om.properties()[0].verdict(), Verdict3::Inconclusive);
-        om.on_event(&note(2, "sat p=1"));
+        step(&mut om, 2, &["p"]);
         assert_eq!(om.properties()[0].verdict(), Verdict3::Satisfied);
         assert_eq!(
             om.properties()[0].first_satisfaction(),
@@ -300,10 +227,10 @@ mod tests {
     fn detection_timestamp_is_the_violating_state() {
         let mut om = OnlineMonitor::new("sat");
         om.watch("safety", "G healthy").unwrap();
-        om.on_event(&note(1, "sat healthy=1"));
-        om.on_event(&note(2, "sat healthy=1"));
-        om.on_event(&note(3, "sat healthy=0"));
-        om.on_event(&note(4, "sat healthy=1"));
+        step(&mut om, 1, &["healthy"]);
+        step(&mut om, 2, &["healthy"]);
+        step(&mut om, 3, &[]);
+        step(&mut om, 4, &["healthy"]);
         let p = &om.properties()[0];
         assert_eq!(p.verdict(), Verdict3::Violated);
         assert_eq!(p.first_violation(), Some(SimTime::from_secs(3)));
@@ -313,14 +240,14 @@ mod tests {
 
     #[test]
     fn online_equals_post_hoc_replay() {
-        // The refactor's correctness oracle in miniature: the same series
-        // fed as notes and as a post-hoc Monitor replay must agree.
+        // The bank's correctness oracle in miniature: the same series
+        // stepped through the bank and through a lone Monitor must agree.
         let series = [true, true, false, false, true, false, true];
 
         let mut om = OnlineMonitor::new("sat");
         om.watch("recovers", "G (!all -> F all)").unwrap();
         for (i, up) in series.iter().enumerate() {
-            om.on_event(&note(i as u64 + 1, &format!("sat all={}", u8::from(*up))));
+            step(&mut om, i as u64 + 1, if *up { &["all"] } else { &[] });
         }
 
         let mut atoms = Atoms::new();
@@ -360,7 +287,7 @@ mod tests {
         let mut om = OnlineMonitor::new("sat");
         let p = om.atoms_mut().intern("p");
         om.watch_ltl("direct", Ltl::atom(p).globally());
-        om.on_event(&note(1, "sat p=0"));
+        step(&mut om, 1, &[]);
         assert_eq!(om.properties()[0].verdict(), Verdict3::Violated);
         assert_eq!(om.properties()[0].source(), "G p");
     }
@@ -370,13 +297,5 @@ mod tests {
         let mut om = OnlineMonitor::new("sat");
         assert!(om.watch("bad", "G (p ->").is_err());
         assert!(om.properties().is_empty());
-    }
-
-    #[test]
-    fn interest_follows_what_is_bound() {
-        let mut om = OnlineMonitor::new("sat");
-        assert_eq!(om.interest(), EventMask::NOTE, "nothing watched");
-        om.watch("fast", "G fast").unwrap();
-        assert_eq!(om.interest(), EventMask::NOTE, "one property watched");
     }
 }

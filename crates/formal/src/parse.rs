@@ -19,7 +19,7 @@
 
 use crate::ctl::Ctl;
 use crate::ltl::Ltl;
-use crate::prop::Atoms;
+use crate::prop::{AtomId, Atoms, MAX_ATOMS};
 use std::fmt;
 
 /// A parse failure with its character position.
@@ -195,6 +195,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Interns an identifier met at `position`. The vocabulary's cap is a
+    /// parse error here: formula text comes from outside the program, and
+    /// [`Atoms::intern`] panics past it.
+    fn atom(&mut self, name: &str, position: usize) -> Result<AtomId, ParseError> {
+        if self.atoms.lookup(name).is_none() && self.atoms.len() >= MAX_ATOMS {
+            return Err(ParseError {
+                position,
+                message: format!("more than {MAX_ATOMS} atomic propositions"),
+            });
+        }
+        Ok(self.atoms.intern(name))
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
             position: self.here(),
@@ -275,7 +288,7 @@ impl<'a> Parser<'a> {
         match self.bump() {
             Some(Token::True) => Ok(Ltl::True),
             Some(Token::False) => Ok(Ltl::False),
-            Some(Token::Ident(name)) => Ok(Ltl::atom(self.atoms.intern(&name))),
+            Some(Token::Ident(name)) => Ok(Ltl::atom(self.atom(&name, position)?)),
             Some(Token::LParen) => {
                 let f = self.ltl_implies()?;
                 self.expect(Token::RParen, "')'")?;
@@ -359,7 +372,7 @@ impl<'a> Parser<'a> {
         match self.bump() {
             Some(Token::True) => Ok(Ctl::True),
             Some(Token::False) => Ok(Ctl::False),
-            Some(Token::Ident(name)) => Ok(Ctl::atom(self.atoms.intern(&name))),
+            Some(Token::Ident(name)) => Ok(Ctl::atom(self.atom(&name, position)?)),
             Some(Token::LParen) => {
                 let f = self.ctl_implies()?;
                 self.expect(Token::RParen, "')'")?;
@@ -548,6 +561,12 @@ mod tests {
         assert!(e.message.contains("'U'"));
         let e = parse_ctl("E a U b", &mut atoms).unwrap_err();
         assert!(e.message.contains("'['"));
+        // The vocabulary's cap is an error at the atom that passes it, not
+        // the panic `Atoms::intern` raises there.
+        let wide: Vec<String> = (0..=MAX_ATOMS).map(|i| format!("p{i}")).collect();
+        let e = parse_ltl(&wide.join(" & "), &mut Atoms::new()).unwrap_err();
+        assert!(e.message.contains("atomic propositions"), "{e}");
+        assert_eq!(e.position, wide.join(" & ").rfind('p').unwrap());
     }
 
     #[test]

@@ -82,6 +82,11 @@ impl Atoms {
         &self.names[id.index()]
     }
 
+    /// The interned names, in interning order (position = [`AtomId::index`]).
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.names.iter().map(String::as_str)
+    }
+
     /// Number of interned atoms.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -113,6 +118,12 @@ pub struct Valuation(u64);
 impl Valuation {
     /// The valuation in which every atom is false.
     pub const EMPTY: Valuation = Valuation(0);
+
+    /// The valuation whose atom *i* — the *i*-th name interned into the
+    /// vocabulary it is read against — holds iff bit *i* of `bits` is set.
+    pub const fn from_bits(bits: u64) -> Self {
+        Valuation(bits)
+    }
 
     /// Builds a valuation from an iterator of true atoms.
     pub fn from_atoms(atoms: impl IntoIterator<Item = AtomId>) -> Self {
@@ -195,6 +206,9 @@ mod tests {
         assert_eq!(atoms.lookup("zzz"), None);
         assert_eq!(atoms.len(), 2);
         assert_eq!(atoms.name(a), "a");
+        assert_eq!(atoms.names().collect::<Vec<_>>(), ["a", "b"]);
+        // Bit i of a valuation is the i-th name interned.
+        assert_eq!(Valuation::from_bits(0b10), Valuation::from_atoms([b]));
     }
 
     #[test]

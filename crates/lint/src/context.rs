@@ -5,10 +5,15 @@
 //! *is* the mechanism. This module walks the scrubbed lines once, tracking
 //! brace depth, and marks every line that falls inside an item introduced
 //! by a `#[cfg(test)]` or `#[test]` attribute (including the attribute and
-//! signature lines themselves).
+//! signature lines themselves). A file that opens with the inner attribute
+//! `#![cfg(test)]` — an out-of-line test module — is test code throughout.
 
 /// Returns, per line, whether that line is inside test-only code.
 pub fn test_lines(lines: &[String]) -> Vec<bool> {
+    let mut header = lines.iter().take_while(|code| !code.contains('{'));
+    if header.any(|code| code.trim() == "#![cfg(test)]") {
+        return vec![true; lines.len()];
+    }
     let mut in_test = vec![false; lines.len()];
     let mut depth = 0i64;
     // Depth at which a pending test attribute was seen, plus the line it
@@ -100,6 +105,12 @@ mod tests {
     fn nested_braces_do_not_end_region_early() {
         let src = "#[cfg(test)]\nmod t {\n  fn f() { if x { y() } }\n  fn g() {}\n}\nfn l() {}\n";
         assert_eq!(mark(src), vec![true, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn inner_cfg_test_marks_the_whole_file() {
+        let src = "//! An out-of-line test module.\n#![cfg(test)]\nuse super::*;\nfn helper() { x.unwrap() }\n";
+        assert_eq!(mark(src), vec![true, true, true, true]);
     }
 
     #[test]

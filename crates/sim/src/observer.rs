@@ -4,12 +4,13 @@
 //! send/deliver/drop, timer fire, process lifecycle transition, annotation,
 //! measurement — to an *ordered* list of [`SimObserver`]s registered on the
 //! builder (or on [`Sim`](crate::Sim) before the run starts). Everything
-//! that watches a run is such an observer: the bounded [`RingTrace`] keeps
-//! the events themselves, a [`StreamPipeline`](crate::StreamPipeline) folds
-//! them into bounded aggregates, and online runtime monitors
-//! (`riot_formal::OnlineMonitor`) flag a requirement violation *during* the
-//! run, which is what a MAPE-K loop needs. There is no built-in recorder:
-//! a run with no observer constructs no event.
+//! that watches a run's *events* is such an observer: the bounded
+//! [`RingTrace`] keeps the events themselves and a
+//! [`StreamPipeline`](crate::StreamPipeline) folds them into bounded
+//! aggregates. (Online runtime monitors — `riot_formal::OnlineMonitor`,
+//! which flag a requirement violation *during* the run — read no events:
+//! whoever computes the monitored valuation steps them with it.) There is
+//! no built-in recorder: a run with no observer constructs no event.
 //!
 //! ## Determinism contract for observer authors
 //!

@@ -4,6 +4,11 @@
 #
 #   scripts/check.sh           # fmt + clippy + riot-lint + doc + tests + benchmark package build + three smokes
 #   scripts/check.sh --quick   # skip the tests, that build and the smokes (style + lint + doc only)
+#
+# Not here because they need a parent commit to compare with:
+# scripts/parity.sh <parent-rev> (the `riot` CLI prints byte-for-byte what the
+# parent printed) and scripts/bench_pairs.sh <parent-rev> (the benchmark's ten
+# alternated pairs).
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 

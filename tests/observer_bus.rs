@@ -132,6 +132,6 @@ fn online_monitor_agrees_with_post_hoc_replay() {
         replay.step(val);
     }
     assert_eq!(online.steps, replay.steps(), "one valuation per sample");
-    assert_eq!(online.verdict, format!("{:?}", replay.verdict()));
+    assert_eq!(online.verdict, replay.verdict());
     assert_eq!(online.holds_at_end, replay.finish());
 }
