@@ -7,6 +7,7 @@ use super::*;
 use crate::observe::{MonitorError, MonitorSpec, StreamSpec};
 use riot_formal::Verdict3;
 use riot_model::{Disruption, DisruptionSchedule, MaturityLevel};
+use riot_net::Network;
 use riot_sim::{SimDuration, SimEvent, ToJson};
 
 fn small(level: MaturityLevel) -> ScenarioSpec {
@@ -653,4 +654,92 @@ fn vendor_edge_receives_personal_data_only_when_ungoverned() {
         "ML4 governance keeps personal data home"
     );
     assert!(ml4.ingest_denied > 0 || ml4.report.requirements["privacy"].resilience == 1.0);
+}
+
+/// The benchmark's `mesh_1e3` campaign in small: a split-brain, a cloud
+/// blackout, a fault storm, a firmware wave over the whole fleet two
+/// devices at a time, and a mobility burst. Returns when the wave starts.
+fn five_vector_campaign(spec: &ScenarioSpec) -> (DisruptionSchedule, SimTime) {
+    let secs = SimDuration::from_secs;
+    let halves = |r: std::ops::Range<usize>| r.map(|e| spec.edge_id(e)).collect::<Vec<_>>();
+    let mid = spec.edges / 2;
+    let mut s = DisruptionSchedule::new()
+        .at(
+            SimTime::from_secs(30),
+            Disruption::Partition {
+                groups: vec![halves(0..mid), halves(mid..spec.edges)],
+                heal_after: Some(secs(20)),
+            },
+        )
+        .at(
+            SimTime::from_secs(60),
+            Disruption::CloudOutage {
+                cloud: spec.cloud_id(),
+                heal_after: Some(secs(20)),
+            },
+        );
+    for e in 0..spec.edges {
+        let node = spec.device_id(e, 1);
+        s.push(
+            SimTime::from_secs(90 + e as u64),
+            Disruption::ComponentFault {
+                node,
+                component: riot_model::ComponentId(node.0 as u32),
+            },
+        );
+    }
+    let wave = SimTime::from_secs(110);
+    for i in 0..spec.device_count() {
+        s.push(
+            wave + secs(2 * (i as u64 / 2)),
+            Disruption::NodeCrash {
+                node: spec.device_id(i / spec.devices_per_edge, i % spec.devices_per_edge),
+                recover_after: Some(secs(4)),
+            },
+        );
+    }
+    for k in 0..spec.edges {
+        s.push(
+            SimTime::from_secs(170 + k as u64),
+            Disruption::Mobility {
+                device: spec.device_id(k, 0),
+                new_parent: spec.edge_id((k + 1) % spec.edges),
+            },
+        );
+    }
+    (s, wave)
+}
+
+#[test]
+fn a_campaigns_device_churn_forgets_only_the_routes_it_touches() {
+    let mut spec = ScenarioSpec::new("mesh-smoke", MaturityLevel::Ml4, 11);
+    spec.edges = 10;
+    spec.devices_per_edge = 5;
+    spec.duration = SimDuration::from_secs(190);
+    spec.warmup = SimDuration::from_secs(20);
+    let (schedule, wave) = five_vector_campaign(&spec);
+    spec.disruptions = schedule;
+    let (edges, devices) = (spec.edges as u64, spec.device_count() as u64);
+    let mut scenario = Scenario::build(spec);
+    let stats_at = |scenario: &mut Scenario, t: SimTime| {
+        scenario.advance_to(t);
+        let net = scenario.sim.medium_mut::<Network>();
+        net.expect("the medium is the network").route_stats()
+    };
+    let before_wave = stats_at(&mut scenario, wave - SimDuration::from_secs(1));
+    let end = stats_at(&mut scenario, SimTime::from_secs(190));
+
+    // Only the hub changes may fall back: the partition and its 5 × 5
+    // edge-to-edge heals, the blackout and its heals.
+    let hub_changes = 1 + (edges / 2) * (edges - edges / 2) + 1 + edges;
+    assert!(before_wave.forgot_all <= hub_changes, "{before_wave:?}");
+    // Every crash cuts, every recovery restores two links, every roamer
+    // drops two links and gains one — and each of those was scoped.
+    assert_eq!(end.changes - before_wave.changes, 3 * devices + 3 * edges);
+    assert_eq!(end.forgot_all, before_wave.forgot_all, "{end:?}");
+    // Forgetting everything would have cost every held route at every
+    // change that had traffic before it.
+    assert!(end.epochs > 30 && end.held > 100, "{end:?}");
+    assert!(3 * end.cold < end.held * end.epochs, "{end:?}");
+    assert_eq!(end.searches > 0, end.settled > 0);
 }

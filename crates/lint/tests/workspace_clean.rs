@@ -73,14 +73,23 @@ fn workspace_has_no_violations() {
     // and `restore_after`, and lost three removed accessors (the stream
     // kinds' row name and list, the bank's observer name) — plus four `validate`/
     // `states`/`successors` methods of `Dtmc` and `Kripke` that only the
-    // method fallback on `spec.validate()` had pulled in.
+    // method fallback on `spec.validate()` had pulled in. Raised again, 211
+    // → 213 and 371 → 375, with link-scoped route forgetting in `riot-net`:
+    // under `net::Network::route` the hot cone lost `resolve_hops`,
+    // `cold_hops`, `path_indices`, `dijkstra`, `key` and (the weight is
+    // worked out when a link is set) `LatencyModel::mean`, and gained
+    // `lookup`, `fresh`, `RouteTable::{hops, put}`, `resolve`, `search`,
+    // `Search::chain` and `LinkSlot::other`; under `Scenario::build` the entry
+    // cone lost `clear_routes` and `key` and gained `link_id`, `tick`,
+    // `forgot`, `heal_is_local`, `LinkSlot::cut_at` and — the method
+    // fallback on `weight.saturating_add(..)` — `SimTime::saturating_add`.
     assert!(
-        graph.hot_reachable >= 211,
+        graph.hot_reachable >= 213,
         "hot cone shrank: {} fns",
         graph.hot_reachable
     );
     assert!(
-        graph.entry_reachable >= 371,
+        graph.entry_reachable >= 375,
         "entry cone shrank: {} fns",
         graph.entry_reachable
     );

@@ -32,5 +32,5 @@ mod network;
 pub mod topology;
 
 pub use latency::LatencyModel;
-pub use network::{Link, Network, NodeInfo, NodeKind};
+pub use network::{Link, Network, NodeInfo, NodeKind, RouteStats};
 pub use topology::{full_mesh, line, presets, ring, star, Hierarchy, HierarchySpec};

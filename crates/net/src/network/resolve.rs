@@ -1,67 +1,110 @@
-//! Cold route resolution: everything [`Network`] does on a `routes` miss,
-//! once per pair and topology change (DESIGN.md §9, "Routing").
+//! Cold route resolution: everything [`Network`] does when a lookup finds
+//! no fresh route, once per pair and change that could alter it (DESIGN.md
+//! §9, "Routing").
 //!
 //! Many pairs share an endpoint — every device asks for the cloud, every
 //! device of an edge asks for that edge — so the shortest-path search is
 //! rooted at the shared endpoint and kept: it settles nodes only until the
 //! asked one is settled and picks up from its frontier on the next ask.
 //!
-//! The answer for a pair must not depend on which end the search was rooted
-//! at. It is defined as what a search rooted at the *sender* finds: on
-//! equal-cost paths each node's predecessor is the one settled first, in
-//! (distance, index) order. [`Search::route`] reproduces that from a
-//! receiver-rooted search.
+//! What a search answers must not depend on which end it was rooted at. It
+//! is what a search rooted at the *sender* finds: on equal-cost paths each
+//! node's predecessor is the one settled first, in (distance, index) order.
+//! [`Search::route`] reproduces that from a receiver-rooted search.
 //!
-//! riot-lint: allow-file(A1, reason = "reached from Network::route only on a routes miss, once per pair and topology change; the per-message path is the cached hop walk in network.rs")
-//! riot-lint: allow-file(P1, reason = "per-node vectors are sized to the node count when a search starts and indexed by node ids minted by Network::add_node, which drops every search")
+//! That defines the path of the direction asked *first*. The other
+//! direction is primed with its reverse, which under equal-cost ties is not
+//! what a search from its own sender returns: a tied pair's two paths are
+//! whichever end asked first since the pair was last forgotten. So a route
+//! with an equal-cost alternative is forgotten at every topology change, as
+//! every route once was, and only a unique shortest path — the same from
+//! either end, in any ask order — is ever kept across one.
+//!
+//! riot-lint: allow-file(A1, reason = "reached from Network::route only when a lookup finds no fresh route, once per pair and change that could alter it; the per-message path is the lookup and the hop walk in network.rs")
+//! riot-lint: allow-file(P1, reason = "per-node vectors are sized to the node count when a search starts and indexed by node ids minted by Network::add_node, which drops every search; link ids come from the adjacency lists")
 
-use super::{key, CachedHop, Network, NodeKind};
-use riot_sim::ProcessId;
+use super::{Network, NodeKind, Route, RouteTable};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
-#[cfg(test)]
-thread_local! {
-    /// Nodes settled by every search on this thread: the noise-free measure
-    /// of routing work the tests bound.
-    pub(super) static NODES_SETTLED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+/// A path a search found: the ids of its links in travel order, and whether
+/// it is the only shortest one.
+pub(super) struct Found {
+    hops: Vec<u32>,
+    unique: bool,
+}
+
+impl RouteTable {
+    /// Writes the route to `to` at `at` (where [`RouteTable::find`] found
+    /// it, or where it belongs), over the range the entry already owns when
+    /// the hops fit there.
+    fn put(
+        &mut self,
+        at: Result<usize, usize>,
+        to: usize,
+        hops: impl ExactSizeIterator<Item = u32>,
+        unique: bool,
+        stamp: u64,
+    ) -> Route {
+        let i = at.unwrap_or_else(|i| {
+            let empty = Route {
+                to: to as u32,
+                start: 0,
+                len: 0,
+                cap: 0,
+                unique,
+                stamp,
+            };
+            self.routes.insert(i, empty);
+            i
+        });
+        let route = &mut self.routes[i];
+        let len = hops.len();
+        if len > route.cap as usize {
+            route.start = self.hops.len() as u32;
+            route.cap = len as u32;
+            self.hops.extend(hops);
+        } else {
+            for (slot, id) in self.hops[route.start as usize..].iter_mut().zip(hops) {
+                *slot = id;
+            }
+        }
+        route.len = len as u32;
+        route.unique = unique;
+        route.stamp = stamp;
+        *route
+    }
 }
 
 impl Network {
-    /// The `(from, to)` route flattened into per-hop link data, or `None`
-    /// across a partition.
-    pub(super) fn cold_hops(&mut self, from: usize, to: usize) -> Option<Box<[CachedHop]>> {
-        self.path_indices(from, to).map(|path| {
-            path.windows(2)
-                .map(|pair| {
-                    let k = key(ProcessId(pair[0]), ProcessId(pair[1]));
-                    let link = self.links[&k];
-                    CachedHop {
-                        loss: link.loss,
-                        latency: link.latency,
-                        factor: self.degraded.get(&k).copied(),
-                    }
-                })
-                .collect()
-        })
+    /// Resolves the `(from, to)` route and records it in `from`'s table at
+    /// `at`; no hops record a partition. A path is symmetric under this cost
+    /// model, so its reverse is written into `to`'s table, over whatever is
+    /// there, with the same stamp and the same claim to uniqueness.
+    pub(super) fn resolve(&mut self, from: usize, to: usize, at: Result<usize, usize>) -> Route {
+        self.stats.cold += 1;
+        self.stats.stale += u64::from(at.is_ok());
+        let stamp = self.clock;
+        let Some(found) = self.search(from, to) else {
+            return self.routes[from].put(at, to, [].into_iter(), true, stamp);
+        };
+        let hops = found.hops.iter().copied();
+        let back = self.routes[to].find(from);
+        self.routes[to].put(back, from, hops.clone().rev(), found.unique, stamp);
+        self.stats.primed += 1;
+        self.routes[from].put(at, to, hops, found.unique, stamp)
     }
 
-    pub(super) fn path_indices(&mut self, from: usize, to: usize) -> Option<Vec<usize>> {
-        if from >= self.nodes.len() || to >= self.nodes.len() {
-            return None;
+    /// The nodes along `hops` starting at `from`, both ends included.
+    pub(super) fn nodes_along(&self, from: usize, hops: &[u32]) -> Vec<usize> {
+        let mut path = Vec::with_capacity(hops.len() + 1);
+        let mut cur = from;
+        path.push(cur);
+        for &id in hops {
+            cur = self.links[id as usize].other(cur);
+            path.push(cur);
         }
-        if let Some(cached) = self.path_cache.get(&(from, to)) {
-            return cached.clone();
-        }
-        let result = self.dijkstra(from, to);
-        self.path_cache.insert((from, to), result.clone());
-        if let Some(p) = &result {
-            // A path is symmetric under this cost model; prime the reverse.
-            let mut rev = p.clone();
-            rev.reverse();
-            self.path_cache.insert((to, from), Some(rev));
-        }
-        result
+        path
     }
 
     /// The minimum-weight path from `from` to `to`; among equal-cost paths
@@ -72,7 +115,7 @@ impl Network {
     /// else `from` — and resumed on the next ask, so a fleet asking for its
     /// cloud shares one search. Device-rooted searches are not kept:
     /// device-to-device traffic would otherwise hold O(devices × nodes).
-    pub(super) fn dijkstra(&mut self, from: usize, to: usize) -> Option<Vec<usize>> {
+    fn search(&mut self, from: usize, to: usize) -> Option<Found> {
         let rank = |n: usize| {
             let tier = match self.nodes[n].kind {
                 NodeKind::Device => 0,
@@ -83,33 +126,44 @@ impl Network {
         };
         let root = if rank(to) > rank(from) { to } else { from };
         let nodes = self.nodes.len();
-        if self.nodes[root].kind == NodeKind::Device {
-            return Search::new(root, nodes).route(from, to, self);
-        }
-        // A search reads the rest of `self` while it runs.
-        let mut searches = std::mem::take(&mut self.searches);
-        let search = searches
-            .entry(root)
-            .or_insert_with(|| Search::new(root, nodes));
-        let path = search.route(from, to, self);
-        self.searches = searches;
-        path
+        let mut settled = 0;
+        let found = if self.nodes[root].kind == NodeKind::Device {
+            self.stats.searches += 1;
+            Search::new(root, nodes).route(from, to, self, &mut settled)
+        } else {
+            // A search reads the rest of `self` while it runs.
+            let mut searches = std::mem::take(&mut self.searches);
+            let search = searches.entry(root).or_insert_with(|| {
+                self.stats.searches += 1;
+                Search::new(root, nodes)
+            });
+            let found = search.route(from, to, self, &mut settled);
+            self.searches = searches;
+            found
+        };
+        self.stats.settled += settled;
+        found
+    }
+
+    /// [`Network::search`] as a node path, for the tests that hold it
+    /// against the oracle.
+    #[cfg(test)]
+    pub(super) fn dijkstra(&mut self, from: usize, to: usize) -> Option<Vec<usize>> {
+        self.search(from, to)
+            .map(|found| self.nodes_along(from, &found.hops))
     }
 
     /// The neighbours of `u` over links that are not cut, each with the
-    /// link's routing weight: its mean latency in µs, at least 1.
-    fn usable_links(&self, u: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.adjacency[u].iter().filter_map(move |&v| {
-            let k = key(ProcessId(u), ProcessId(v));
-            if self.cut.contains(&k) {
-                return None;
-            }
-            Some((v, self.links[&k].latency.mean().as_micros().max(1)))
+    /// link's routing weight and id.
+    fn usable_links(&self, u: usize) -> impl Iterator<Item = (usize, u64, u32)> + '_ {
+        self.adjacency[u].iter().filter_map(move |&(v, id)| {
+            let slot = &self.links[id as usize];
+            (!slot.cut).then_some((v as usize, slot.weight, id))
         })
     }
 
-    /// The per-pair search `dijkstra` replaced, kept as the tests' oracle:
-    /// a throw-away whole-graph search rooted at `from`.
+    /// The per-pair search `search` replaced, kept as the tests' oracle: a
+    /// throw-away whole-graph search rooted at `from`.
     #[cfg(test)]
     pub(super) fn dijkstra_oracle(&self, from: usize, to: usize) -> Option<Vec<usize>> {
         let n = self.nodes.len();
@@ -125,13 +179,12 @@ impl Network {
             if d > dist[u] {
                 continue;
             }
-            for &v in &self.adjacency[u] {
-                let k = if u <= v { (u, v) } else { (v, u) };
-                if self.cut.contains(&k) {
+            for &(v, id) in &self.adjacency[u] {
+                let (v, slot) = (v as usize, &self.links[id as usize]);
+                if slot.cut {
                     continue;
                 }
-                let link = &self.links[&k];
-                let w = link.latency.mean().as_micros().max(1);
+                let w = slot.link.latency.mean().as_micros().max(1);
                 let nd = d.saturating_add(w);
                 if nd < dist[v] {
                     dist[v] = nd;
@@ -157,14 +210,14 @@ impl Network {
 /// Dijkstra's search from one root, suspended between asks.
 ///
 /// Weights are ≥ 1, so every node that can still improve `v` or tie with it
-/// is settled before `v`: once `v` is settled its `dist`, `prev` and `tied`
+/// is settled before `v`: once `v` is settled its `dist`, `via` and `tied`
 /// are final, whatever the search settles later.
 #[derive(Debug)]
 pub(super) struct Search {
     root: usize,
     dist: Vec<u64>,
-    /// The neighbour that first reached this node at its `dist`.
-    prev: Vec<usize>,
+    /// The link that first reached this node at its `dist`.
+    via: Vec<u32>,
     settled: Vec<bool>,
     /// A second neighbour reached this node at the same `dist`.
     tied: Vec<bool>,
@@ -178,7 +231,7 @@ impl Search {
         Search {
             root,
             dist,
-            prev: vec![usize::MAX; nodes],
+            via: vec![u32::MAX; nodes],
             settled: vec![false; nodes],
             tied: vec![false; nodes],
             frontier: BinaryHeap::from([Reverse((0, root))]),
@@ -186,8 +239,8 @@ impl Search {
     }
 
     /// Settles nodes in (distance, index) order until `target` is settled
-    /// or the root's component is exhausted.
-    fn settle_until(&mut self, target: usize, net: &Network) {
+    /// or the root's component is exhausted, counting them into `settled`.
+    fn settle_until(&mut self, target: usize, net: &Network, settled: &mut u64) {
         while !self.settled[target] {
             let Some(Reverse((d, u))) = self.frontier.pop() else {
                 return;
@@ -196,13 +249,12 @@ impl Search {
                 continue;
             }
             self.settled[u] = true;
-            #[cfg(test)]
-            NODES_SETTLED.with(|n| n.set(n.get() + 1));
-            for (v, w) in net.usable_links(u) {
+            *settled += 1;
+            for (v, w, id) in net.usable_links(u) {
                 let nd = d.saturating_add(w);
                 if nd < self.dist[v] {
                     self.dist[v] = nd;
-                    self.prev[v] = u;
+                    self.via[v] = id;
                     self.tied[v] = false;
                     self.frontier.push(Reverse((nd, v)));
                 } else if nd == self.dist[v] {
@@ -212,44 +264,40 @@ impl Search {
         }
     }
 
+    /// The `via` chain from the settled node `start` down to the root, as
+    /// link ids in that order, and whether it is the only shortest path
+    /// between the two: no node on it is tied.
+    fn chain(&self, start: usize, net: &Network) -> Found {
+        let mut hops = Vec::new();
+        let mut unique = true;
+        let mut cur = start;
+        while cur != self.root {
+            unique &= !self.tied[cur];
+            hops.push(self.via[cur]);
+            cur = net.links[self.via[cur] as usize].other(cur);
+        }
+        Found { hops, unique }
+    }
+
     /// The route from `from` to `to`, one of which is this search's root,
     /// or `None` when they are not connected — the path a search rooted at
     /// `from` finds, whichever end this one is rooted at.
-    fn route(&mut self, from: usize, to: usize, net: &Network) -> Option<Vec<usize>> {
+    fn route(&mut self, from: usize, to: usize, net: &Network, settled: &mut u64) -> Option<Found> {
         debug_assert!(self.root == from || self.root == to);
-        if self.root == from {
-            self.settle_until(to, net);
-            if !self.settled[to] {
-                return None;
-            }
-            let mut path = vec![to];
-            let mut cur = to;
-            while cur != from {
-                cur = self.prev[cur];
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(path);
-        }
-        self.settle_until(from, net);
-        if !self.settled[from] {
+        let far = if self.root == from { to } else { from };
+        self.settle_until(far, net, settled);
+        if !self.settled[far] {
             return None;
         }
-        // Receiver-rooted: the `prev` chain already runs from `from` to
-        // `to`. If no node on it is tied it is the only shortest path.
-        let mut path = vec![from];
-        let mut cur = from;
-        let mut unique = true;
-        while cur != to {
-            unique &= !self.tied[cur];
-            cur = self.prev[cur];
-            path.push(cur);
+        let mut found = self.chain(far, net);
+        if self.root == from {
+            found.hops.reverse();
+        } else if !found.unique {
+            // Receiver-rooted, and the chain is one of several shortest
+            // paths: the sender would have made its own choice among them.
+            found.hops = self.sender_side_path(from, to, net);
         }
-        if unique {
-            Some(path)
-        } else {
-            Some(self.sender_side_path(from, to, net))
-        }
+        Some(found)
     }
 
     /// Among several shortest paths, the one a `from`-rooted search keeps,
@@ -259,45 +307,46 @@ impl Search {
     /// first: the smallest (distance from `from`, index). On a shortest
     /// `from`–`to` path distance from `from` is the total minus distance to
     /// `to`, so that is the largest `dist` here, then the smallest index.
-    fn sender_side_path(&self, from: usize, to: usize, net: &Network) -> Vec<usize> {
+    fn sender_side_path(&self, from: usize, to: usize, net: &Network) -> Vec<u32> {
         // Every link on a shortest `from`–`to` path, as (node, the node
-        // before it), found by walking downhill in `dist` from `from`. Only
-        // a tied node has more than its `prev` below it.
-        let mut steps: Vec<(usize, usize)> = Vec::new();
+        // before it, the link between), found by walking downhill in `dist`
+        // from `from`. Only a tied node has more than its `via` below it.
+        let mut steps: Vec<(usize, usize, u32)> = Vec::new();
         let mut seen = BTreeSet::from([from]);
         let mut stack = vec![from];
         while let Some(x) = stack.pop() {
             if x == to {
                 continue;
             }
-            let mut step = |y: usize| {
-                steps.push((y, x));
+            let mut step = |y: usize, id: u32| {
+                steps.push((y, x, id));
                 if seen.insert(y) {
                     stack.push(y);
                 }
             };
             if self.tied[x] {
-                for (y, w) in net.usable_links(x) {
+                for (y, w, id) in net.usable_links(x) {
                     if self.dist[y].saturating_add(w) == self.dist[x] {
-                        step(y);
+                        step(y, id);
                     }
                 }
             } else {
-                step(self.prev[x]);
+                step(net.links[self.via[x] as usize].other(x), self.via[x]);
             }
         }
-        let mut path = vec![to];
+        let mut hops = Vec::new();
         let mut cur = to;
         while cur != from {
-            cur = steps
+            let (id, before) = steps
                 .iter()
-                .filter(|&&(y, _)| y == cur)
-                .map(|&(_, x)| x)
-                .min_by_key(|&x| (Reverse(self.dist[x]), x))
+                .filter(|&&(y, _, _)| y == cur)
+                .map(|&(_, x, id)| (id, x))
+                .min_by_key(|&(_, x)| (Reverse(self.dist[x]), x))
                 .expect("every node reached downhill from `from` was reached from a node");
-            path.push(cur);
+            hops.push(id);
+            cur = before;
         }
-        path.reverse();
-        path
+        hops.reverse();
+        hops
     }
 }
