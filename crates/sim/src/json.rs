@@ -70,18 +70,7 @@ impl Json {
             Json::UInt(u) => {
                 let _ = write!(out, "{u}");
             }
-            Json::Float(f) => {
-                if f.is_finite() {
-                    // Ensure a numeric token that round-trips as a float.
-                    if f.fract() == 0.0 && f.abs() < 1e15 {
-                        let _ = write!(out, "{f:.1}");
-                    } else {
-                        let _ = write!(out, "{f}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Float(f) => write_float(out, *f),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -121,6 +110,22 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+/// A numeric token that round-trips as a float: an integral value keeps a
+/// `.0` or an exponent, so a reader does not take it for an integer.
+fn write_float(out: &mut String, f: f64) {
+    if !f.is_finite() {
+        out.push_str("null");
+    } else if f.fract() == 0.0 {
+        // `Display` would print an integer token. `Debug` prints the
+        // shortest form: the integer's digits and `.0` below 10¹⁶, `-0.0`
+        // for −0 — what `{:.1}` printed, without its exact-mode formatter —
+        // and an exponent from 10¹⁶ up (`1e16`).
+        let _ = write!(out, "{f:?}");
+    } else {
+        let _ = write!(out, "{f}");
     }
 }
 
@@ -301,6 +306,36 @@ mod tests {
         assert_eq!(Json::Float(2.0).render(), "2.0");
         assert_eq!(Json::Float(f64::NAN).render(), "null");
         assert_eq!(Json::Str("a\"b\n".into()).render(), r#""a\"b\n""#);
+    }
+
+    #[test]
+    fn integral_floats_render_as_float_tokens() {
+        // Below 10¹⁵: exactly what `{:.1}` printed, over every magnitude.
+        let mut rng = crate::SimRng::seed_from(3);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+        ];
+        for _ in 0..10_000 {
+            let digits = rng.range_u64(1, 16) as u32;
+            let magnitude = rng.range_u64(0, 10u64.pow(digits));
+            let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+            values.push(sign * magnitude as f64);
+        }
+        for f in values {
+            assert_eq!(Json::Float(f).render(), format!("{f:.1}"), "{f:e}");
+        }
+        // From 10¹⁵ up: a float token that parses back to the same value.
+        let two_53 = 2f64.powi(53);
+        for f in [1e15, -1e15, two_53, -two_53, 1e16, 1e300, -1e300] {
+            let token = Json::Float(f).render();
+            assert!(token.contains(['.', 'e']), "{token} is an integer token");
+            assert_eq!(token.parse::<f64>(), Ok(f), "{token}");
+        }
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub use observer::{
     take_crash_tail, AnyObserver, EventMask, RingTrace, SimEvent, SimEventKind, SimObserver,
 };
 pub use process::{Ctx, Process, ProcessId, TimerId};
+pub use queue::QueueStats;
 pub use rng::SimRng;
 pub use sim::{AnyProcess, Sim, SimBuilder};
 pub use stream::{

@@ -7,7 +7,7 @@ use crate::medium::{IdealMedium, Medium};
 use crate::metrics::Metrics;
 use crate::observer::{AnyObserver, EventMask, SimEventKind, SimObserver};
 use crate::process::{Ctx, Process, ProcessId};
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, QueueStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
@@ -414,6 +414,12 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.events_processed - before
     }
 
+    /// What the event queue has done so far: pushes by destination, slots
+    /// loaded and staged. Plain counts, identical on every rerun of a run.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.kernel.queue.stats
+    }
+
     /// Number of cancelled timers whose events have not yet popped — the
     /// transient memory the cancellation machinery is holding. Exposed for
     /// tests and diagnostics; a drained queue always reports zero.
@@ -452,6 +458,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     #[inline]
     fn load(&mut self) {
         if EventQueue::load(&mut self.kernel.queue) >= STAGE_MIN {
+            self.kernel.queue.stats.staged += 1;
             self.stage();
         }
     }
@@ -460,10 +467,12 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     /// timer or delivery will call gets to read what that callback will
     /// touch. The loads of one process depend on each other, those of
     /// different processes do not, so the core overlaps them — and the
-    /// handlers that follow find their lines in cache. Injections touch no
-    /// process state worth reading ahead, and a stale or dead target is not
-    /// worth telling apart: it costs two more misses to find out than to
-    /// read it.
+    /// handlers that follow find their lines in cache. The pass walks the
+    /// slot latest event first, as the queue stores it, so the lines of the
+    /// first events to pop are the last read and the likeliest still in the
+    /// nearest cache. Injections touch no process state worth reading
+    /// ahead, and a stale or dead target is not worth telling apart: it
+    /// costs two more misses to find out than to read it.
     #[inline(never)]
     fn stage(&self) {
         for event in EventQueue::loaded(&self.kernel.queue) {
@@ -905,7 +914,7 @@ mod tests {
     fn a_large_timer_world_lives_in_the_ring_and_leaks_no_cells() {
         // 10⁴ device-like processes, each with a 500 ms and a 1 s periodic
         // timer at a random phase: 2 × 10⁴ pending events, of which only the
-        // cursor's slot is ever in the near heap.
+        // cursor's slot is ever in near.
         const PROCESSES: usize = 10_000;
         let mut sim: Sim<Msg> = SimBuilder::new(5).expect_processes(PROCESSES).build();
         for _ in 0..PROCESSES {
@@ -1170,6 +1179,29 @@ mod tests {
             assert!(staged >= 4 * STAGE_MIN, "largest loaded slot: {staged}");
             sim.run_to_completion();
         });
+    }
+
+    #[test]
+    fn queue_stats_repeat_exactly_and_account_for_every_event() {
+        let run = || {
+            let medium = IdealMedium::with_latency(SimDuration::from_millis(3));
+            let mut sim: Sim<Msg> = SimBuilder::new(29).build_with_medium(Box::new(medium));
+            for _ in 0..400 {
+                sim.add_process(Chatter { budget: 60 });
+            }
+            sim.run_to_completion();
+            (sim.queue_stats(), sim.events_processed())
+        };
+        let (stats, events) = run();
+        assert_eq!(run(), (stats, events));
+        // Every event popped once: from a loaded slot, or from behind the
+        // cursor.
+        assert_eq!(stats.loaded + stats.behind, events);
+        assert!(stats.staged > 0 && stats.staged < stats.slots, "{stats:?}");
+        assert!(
+            stats.widest >= STAGE_MIN as u64 && stats.behind > 0,
+            "{stats:?}"
+        );
     }
 
     #[test]
