@@ -553,6 +553,7 @@ impl CampaignProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riot_sim::SimRng;
 
     const EXAMPLE: &str = r#"
 # a hand-written reproducer
@@ -679,6 +680,84 @@ expect violated coverage_safe
         let e = CampaignProgram::parse(&text).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.to_string().contains("oracle wide: bad formula"), "{e}");
+    }
+
+    /// One seeded mutant of `base`: one to four byte flips, inserts,
+    /// deletes, duplications and line splices (lines drawn from `corpus`),
+    /// read back as UTF-8 with invalid sequences replaced.
+    fn mutant(rng: &mut SimRng, base: &str, corpus: &[&str]) -> String {
+        const BYTES: &[u8] = b"0123456789=\" #\n\t-_.!|&()GFXUabcdefgmlovxyz\x00\xff";
+        let mut bytes = base.as_bytes().to_vec();
+        for _ in 0..rng.range_u64(1, 5) {
+            let at = rng.range_u64(0, bytes.len() as u64 + 1) as usize;
+            match rng.range_u64(0, 5) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << rng.range_u64(0, 8),
+                1 => {
+                    let byte = *rng.pick(BYTES).unwrap_or(&b' ');
+                    bytes.insert(at, byte);
+                }
+                2 if at < bytes.len() => {
+                    let end = (at + rng.range_u64(1, 4) as usize).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+                3 if at < bytes.len() => {
+                    let end = (at + rng.range_u64(1, 9) as usize).min(bytes.len());
+                    let copy = bytes[at..end].to_vec();
+                    bytes.splice(at..at, copy);
+                }
+                _ => {
+                    let lines: Vec<&str> = corpus.iter().flat_map(|t| t.lines()).collect();
+                    let line = rng.pick(&lines).copied().unwrap_or("");
+                    let text = String::from_utf8_lossy(&bytes).into_owned();
+                    let mut out: Vec<&str> = text.lines().collect();
+                    let pos = rng.range_u64(0, out.len() as u64 + 1) as usize;
+                    out.insert(pos, line);
+                    bytes = out.join("\n").into_bytes();
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Hostile input: seeded byte mutants of the committed reproducers and
+    /// the example never panic the parser. Each parses to a program that
+    /// round-trips through `render`, or fails with an error on a line the
+    /// text has (0 for whole-program checks).
+    #[test]
+    fn mutated_programs_parse_or_fail_on_a_line() {
+        let corpus = [
+            EXAMPLE,
+            include_str!("../../../tests/campaigns/blackout_availability.campaign"),
+            include_str!("../../../tests/campaigns/storm_coverage.campaign"),
+        ];
+        let (mut parsed, mut failed) = (0, 0);
+        for seed in [1, 2, 3, 4] {
+            let mut rng = SimRng::seed_from(0xCA3D_0000 + seed);
+            for i in 0..2_000 {
+                let base = corpus[i % corpus.len()];
+                let text = mutant(&mut rng, base, &corpus);
+                let outcome = std::panic::catch_unwind(|| CampaignProgram::parse(&text));
+                let Ok(outcome) = outcome else {
+                    panic!("seed {seed} mutant {i} panics the parser: {text:?}");
+                };
+                match outcome {
+                    Ok(p) => {
+                        let back = CampaignProgram::parse(&p.render());
+                        assert_eq!(back.as_ref(), Ok(&p), "seed {seed} mutant {i}: {text:?}");
+                        parsed += 1;
+                    }
+                    Err(e) => {
+                        let lines = text.lines().count();
+                        assert!(e.line <= lines, "seed {seed} mutant {i}: {e} of {lines}");
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            parsed > 100 && failed > 100,
+            "{parsed} parsed, {failed} failed"
+        );
     }
 
     #[test]

@@ -16,7 +16,6 @@ use riot_coord::{CloudRegistry, RegistryConfig};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
 use riot_sim::{Ctx, MetricKey, Metrics, Process, ProcessId, SimTime};
-use std::collections::BTreeMap;
 
 const TAG_MAPE: u64 = 1;
 const TAG_SYNC: u64 = 2;
@@ -56,9 +55,10 @@ pub struct CloudConfig {
     /// Third-party analytics subscribers the cloud brokers data to (the
     /// ML2 "cloud-based platforms for brokering IoT data" of Table 1).
     pub subscribers: Vec<ProcessId>,
-    /// Domains of every node, for policy decisions at sync time. Shared
-    /// with the edges: one map serves the whole deployment.
-    pub domain_of: std::rc::Rc<BTreeMap<ProcessId, DomainId>>,
+    /// The domain of every node, indexed by process id, for policy
+    /// decisions at sync time. Shared with the edges: one table serves the
+    /// whole deployment.
+    pub domain_of: std::rc::Rc<[DomainId]>,
     /// The run-wide data-key space shared with the edges and devices.
     pub keys: KeySpace,
 }
@@ -209,7 +209,7 @@ impl Process<Msg> for CloudProcess {
                 let CloudProcess { cfg, store, .. } = self;
                 store.sync_round(
                     cfg.subscribers.iter().map(|target| {
-                        let domain = cfg.domain_of.get(target).copied();
+                        let domain = cfg.domain_of.get(target.index()).copied();
                         (*target, domain.unwrap_or(cfg.domain))
                     }),
                     &cfg.registry,
@@ -247,7 +247,7 @@ mod tests {
             domain: DomainId(0),
             registry,
             subscribers: Vec::new(),
-            domain_of: std::rc::Rc::new(BTreeMap::new()),
+            domain_of: std::rc::Rc::from([]),
             keys: KeySpace::new(),
         }
     }

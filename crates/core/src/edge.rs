@@ -15,7 +15,6 @@ use riot_coord::{Election, ElectionOutput, Gossip, GossipConfig, MemberState, Sw
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
 use riot_sim::{Ctx, EventMask, MetricKey, Metrics, Process, ProcessId, SimTime};
-use std::collections::BTreeMap;
 
 const TAG_COORD: u64 = 1;
 const TAG_SYNC: u64 = 2;
@@ -63,10 +62,11 @@ pub struct EdgeConfig {
     pub peer_edges: Vec<ProcessId>,
     /// This edge's administrative domain.
     pub domain: DomainId,
-    /// Domains of every node, for policy decisions at sync time. Shared:
-    /// one map serves every edge and the cloud, so cloning a config does
-    /// not clone the (node-count-sized) table.
-    pub domain_of: std::rc::Rc<BTreeMap<ProcessId, DomainId>>,
+    /// The domain of every node, indexed by process id, for policy
+    /// decisions at sync time. Shared: one table serves every edge and the
+    /// cloud, so cloning a config does not clone the (node-count-sized)
+    /// table.
+    pub domain_of: std::rc::Rc<[DomainId]>,
     /// The shared domain registry (jurisdictions and trust).
     pub registry: DomainRegistry,
     /// The edge's scope id (for election/coordination reporting).
@@ -285,7 +285,7 @@ impl EdgeProcess {
             .into_iter()
             .chain(peers)
             .map(|target| {
-                let domain = cfg.domain_of.get(&target).copied();
+                let domain = cfg.domain_of.get(target.index()).copied();
                 (target, domain.unwrap_or(cfg.domain))
             })
     }
@@ -489,19 +489,15 @@ mod tests {
         peers: Vec<ProcessId>,
         cloud: ProcessId,
     ) -> EdgeConfig {
-        let mut domain_of = BTreeMap::new();
-        domain_of.insert(cloud, DomainId(0));
-        domain_of.insert(me, DomainId(0));
-        for p in &peers {
-            domain_of.insert(*p, DomainId(0));
-        }
+        let nodes = peers.iter().chain([&me, &cloud]).map(|p| p.index() + 1);
+        let domain_of = vec![DomainId(0); nodes.max().unwrap_or(0)];
         EdgeConfig {
             arch: ArchitectureConfig::for_level(level),
             me,
             cloud,
             peer_edges: peers,
             domain: DomainId(0),
-            domain_of: std::rc::Rc::new(domain_of),
+            domain_of: domain_of.into(),
             registry: registry(),
             scope: 0,
             keys: KeySpace::new(),

@@ -18,7 +18,8 @@ use riot_sim::{
     ActivityTracker, FlowAccounting, MeasureProbe, MetricKey, ProcessId, QuantileSketch, RingTrace,
     Sim, SimBuilder, SimTime, StreamPipeline,
 };
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Stable wire label for a jurisdiction (flow-accounting row names).
@@ -87,32 +88,26 @@ impl Scenario {
             }
         }
 
-        // -- Domains.
+        // -- Domains: one entry per process, by id. Every process is the
+        // city's but the vendor's edge. One shared table serves the cloud
+        // and every edge (the configs hold `Rc` handles).
         let registry = standard_domains();
         let vendor_idx = spec.vendor_edge_index();
-        let mut domain_of: BTreeMap<ProcessId, DomainId> = BTreeMap::new();
-        domain_of.insert(hierarchy.cloud, DomainId(0));
-        for (i, &e) in hierarchy.edges.iter().enumerate() {
-            let dom = if Some(i) == vendor_idx {
-                DomainId(1)
-            } else {
-                DomainId(0)
-            };
-            domain_of.insert(e, dom);
+        let n = 1 + spec.edges + spec.device_count();
+        let mut domain_of = vec![DomainId(0); n];
+        if let Some(vendor) = vendor_idx
+            .and_then(|i| hierarchy.edges.get(i))
+            .and_then(|e| domain_of.get_mut(e.index()))
+        {
+            *vendor = DomainId(1);
         }
-        for &d in &hierarchy.all_devices() {
-            domain_of.insert(d, DomainId(0));
-        }
-        // One shared map serves the cloud and every edge (the configs hold
-        // `Rc` handles) — at 10⁵ devices the per-process clone this replaces
-        // dominated build time and memory.
-        let domain_of = Rc::new(domain_of);
+        let domain_of: Rc<[DomainId]> = domain_of.into();
 
         // -- Simulation and processes (spawn order must match node ids).
         let mut sim: Sim<Msg> = SimBuilder::new(spec.seed)
             .max_events(2_000_000_000)
             // Cloud + edges + devices, known before a single spawn.
-            .expect_processes(1 + spec.edges + spec.device_count())
+            .expect_processes(n)
             .build_with_medium(Box::new(net));
 
         // -- Node-state slab (the sampler's backbone; see crate::state).
@@ -155,22 +150,28 @@ impl Scenario {
             }
             // Deliveries are attributed to the destination node's
             // data-domain jurisdiction; domain_of covers every process the
-            // hierarchy minted.
-            let n = 1 + spec.edges + spec.device_count();
-            let mut key_of: Vec<Option<MetricKey>> = vec![None; n];
+            // hierarchy minted. One `flow.*` key per domain, interned the
+            // first time a process of that domain comes up.
+            let mut key_of: Vec<Option<MetricKey>> = Vec::with_capacity(n);
+            let mut flow_of: Vec<(DomainId, Option<MetricKey>)> = Vec::new();
             let mut flow_names: Vec<(MetricKey, &'static str)> = Vec::new();
-            for (pid, dom) in domain_of.iter() {
-                let Some(domain) = registry.get(*dom) else {
-                    continue;
+            for &dom in domain_of.iter() {
+                let key = match flow_of.iter().find(|(d, _)| *d == dom) {
+                    Some(&(_, key)) => key,
+                    None => {
+                        let key = registry.get(dom).map(|domain| {
+                            let label = jurisdiction_label(domain.jurisdiction);
+                            let key = sim.metrics_mut().intern(&format!("flow.{label}"));
+                            if !flow_names.iter().any(|(k, _)| *k == key) {
+                                flow_names.push((key, label));
+                            }
+                            key
+                        });
+                        flow_of.push((dom, key));
+                        key
+                    }
                 };
-                let label = jurisdiction_label(domain.jurisdiction);
-                let key = sim.metrics_mut().intern(&format!("flow.{label}"));
-                if !flow_names.iter().any(|(k, _)| *k == key) {
-                    flow_names.push((key, label));
-                }
-                if let Some(slot) = key_of.get_mut(pid.index()) {
-                    *slot = Some(key);
-                }
+                key_of.push(key);
             }
             flow_names.sort_by_key(|(_, label)| *label);
             let flows = pipeline.push(FlowAccounting::new(key_of));
@@ -218,8 +219,8 @@ impl Scenario {
                 me: e,
                 cloud: hierarchy.cloud,
                 peer_edges,
-                // riot-lint: allow(P1, reason = "domain_of was populated above with every process the hierarchy minted")
-                domain: domain_of[&e],
+                // riot-lint: allow(P1, reason = "domain_of has one entry per process the hierarchy minted")
+                domain: domain_of[e.index()],
                 domain_of: domain_of.clone(),
                 registry: registry.clone(),
                 scope: i as u32,
@@ -243,11 +244,14 @@ impl Scenario {
 
         let mut devices = Vec::with_capacity(spec.device_count());
         let mut global_idx = 0usize;
+        let mut name = String::new();
         for (e, (devs, group)) in hierarchy.devices.iter().zip(&group_of_edge).enumerate() {
             for &d in devs {
                 let personal =
                     spec.personal_every > 0 && global_idx.is_multiple_of(spec.personal_every);
-                let key = keys.intern(&format!("dev{}/reading", d.0));
+                name.clear();
+                let _ = write!(name, "dev{}/reading", d.0);
+                let key = keys.intern(&name);
                 let mut dev = DeviceProcess::new(DeviceConfig {
                     group: group.clone(),
                     // riot-lint: allow(P1, reason = "e enumerates hierarchy.devices, built with one entry per edge")
@@ -276,43 +280,22 @@ impl Scenario {
 
         // -- Consumer-freshness mirrors: a store probe on each consuming
         // store writes record arrivals/evictions straight into the slab, so
-        // the freshness fold never touches the stores. The consumer mapping
-        // is static — a device's designated consumer follows from its *home*
-        // edge index, which neither mobility nor failover rewrites — and is
-        // the one the `#[cfg(test)]` rescan oracle's `consumer_staleness`
-        // walks.
-        match arch.replication {
-            // No replication: nothing ever lands anywhere; the mirror
-            // stays unwritten and every key reads never-seen.
-            ReplicationMode::None => {}
-            ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => {
-                let mut slot_of: Vec<Option<u32>> = vec![None; keys.len()];
-                for (slot, info) in devices.iter().enumerate() {
-                    if let Some(s) = slot_of.get_mut(info.key.index()) {
-                        *s = Some(slot as u32);
-                    }
+        // the freshness fold never touches the stores.
+        for (consumer, mirror) in consumer_mirrors(
+            arch.replication,
+            &hierarchy,
+            &devices,
+            spec.devices_per_edge,
+            keys.len(),
+            &slab,
+        ) {
+            let probe = Rc::new(mirror);
+            if consumer == hierarchy.cloud {
+                if let Some(cloud) = sim.process_mut::<CloudProcess>(consumer) {
+                    cloud.set_store_probe(probe);
                 }
-                if let Some(cloud) = sim.process_mut::<CloudProcess>(hierarchy.cloud) {
-                    cloud.set_store_probe(Rc::new(ConsumerMirror::new(slab.clone(), slot_of)));
-                }
-            }
-            ReplicationMode::EdgeMesh => {
-                for (j, &e) in hierarchy.edges.iter().enumerate() {
-                    // Edge j consumes the devices homed on the previous
-                    // edge (whose consumer is `(edge_index + 1) % edges`).
-                    let producer_edge = (j + spec.edges - 1) % spec.edges.max(1);
-                    let mut slot_of: Vec<Option<u32>> = vec![None; keys.len()];
-                    for (slot, info) in devices.iter().enumerate() {
-                        if info.edge_index == producer_edge {
-                            if let Some(s) = slot_of.get_mut(info.key.index()) {
-                                *s = Some(slot as u32);
-                            }
-                        }
-                    }
-                    if let Some(edge) = sim.process_mut::<EdgeProcess>(e) {
-                        edge.set_store_probe(Rc::new(ConsumerMirror::new(slab.clone(), slot_of)));
-                    }
-                }
+            } else if let Some(edge) = sim.process_mut::<EdgeProcess>(consumer) {
+                edge.set_store_probe(probe);
             }
         }
 
@@ -341,4 +324,56 @@ impl Scenario {
             sampled_to: SimTime::ZERO,
         }
     }
+}
+
+/// The consumer-freshness mirror of every consuming store, with the store's
+/// process. The consumer mapping is static — a device's designated consumer
+/// follows from its *home* edge index, which neither mobility nor failover
+/// rewrites — and is the one the `#[cfg(test)]` rescan oracle's
+/// `consumer_staleness` walks. Device keys were minted in device order and
+/// an edge's devices occupy one contiguous slot range, so every mirror
+/// shares one key → device-slot table and holds only its range.
+pub(super) fn consumer_mirrors(
+    replication: ReplicationMode,
+    hierarchy: &Hierarchy,
+    devices: &[DeviceInfo],
+    devices_per_edge: usize,
+    key_count: usize,
+    slab: &NodeSlab,
+) -> Vec<(ProcessId, ConsumerMirror)> {
+    let edges = hierarchy.edges.len();
+    let per_edge = devices_per_edge as u32;
+    let consumers: Vec<(ProcessId, Range<u32>)> = match replication {
+        // No replication: nothing ever lands anywhere; the mirror stays
+        // unwritten and every key reads never-seen.
+        ReplicationMode::None => return Vec::new(),
+        ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => {
+            vec![(hierarchy.cloud, 0..devices.len() as u32)]
+        }
+        // Edge j consumes the devices homed on the previous edge (whose
+        // consumer is `(edge_index + 1) % edges`).
+        ReplicationMode::EdgeMesh => hierarchy
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(j, &e)| {
+                let producer = ((j + edges - 1) % edges) as u32;
+                (e, producer * per_edge..(producer + 1) * per_edge)
+            })
+            .collect(),
+    };
+    let mut slot_of: Vec<Option<u32>> = vec![None; key_count];
+    for (slot, info) in devices.iter().enumerate() {
+        if let Some(s) = slot_of.get_mut(info.key.index()) {
+            *s = Some(slot as u32);
+        }
+    }
+    let slot_of: Rc<[Option<u32>]> = slot_of.into();
+    consumers
+        .into_iter()
+        .map(|(consumer, consumed)| {
+            let mirror = ConsumerMirror::new(slab.clone(), slot_of.clone(), consumed);
+            (consumer, mirror)
+        })
+        .collect()
 }

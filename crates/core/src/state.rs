@@ -51,6 +51,7 @@ use riot_data::{DataKey, StoreProbe};
 use riot_sim::{EventMask, ProcessId, SimDuration, SimEvent, SimEventKind, SimObserver, SimTime};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Shared handle to the scenario's node-state slab. Cloned into every
@@ -429,44 +430,53 @@ impl SimObserver for SlabLiveness {
 }
 
 /// A [`StoreProbe`] that mirrors one consumer store's records into the
-/// slab's freshness arrays. `slot_of` maps the store's dense data keys to
-/// device slots; keys the probe does not consume (peer edges' operational
-/// keys, personal keys) fall through.
+/// slab's freshness arrays. `slot_of` maps the run's dense data keys to
+/// device slots and is shared by every mirror of a run; `consumed` is the
+/// slot range this store is the designated consumer of. Keys outside it
+/// (other edges' devices, keys no device produces) fall through.
 pub(crate) struct ConsumerMirror {
     slab: NodeSlab,
-    /// Device slot per `DataKey::index()`, where this store is the
-    /// designated consumer.
-    slot_of: Vec<Option<u32>>,
-    /// The slots of `slot_of`, densely — for `on_clear` resets.
-    mirrored: Vec<u32>,
+    /// Device slot per `DataKey::index()`, for every device of the run.
+    slot_of: Rc<[Option<u32>]>,
+    /// The device slots this store consumes: one edge's devices, which
+    /// occupy a contiguous range, or the whole fleet.
+    consumed: Range<u32>,
 }
 
 impl ConsumerMirror {
-    pub(crate) fn new(slab: NodeSlab, slot_of: Vec<Option<u32>>) -> Self {
-        let mirrored = slot_of.iter().filter_map(|s| *s).collect();
+    pub(crate) fn new(slab: NodeSlab, slot_of: Rc<[Option<u32>]>, consumed: Range<u32>) -> Self {
         ConsumerMirror {
             slab,
             slot_of,
-            mirrored,
+            consumed,
+        }
+    }
+
+    /// The device slot `key` mirrors into, when this store consumes it.
+    #[inline]
+    pub(crate) fn slot(&self, key: DataKey) -> Option<u32> {
+        match self.slot_of.get(key.index()) {
+            Some(&Some(slot)) if self.consumed.contains(&slot) => Some(slot),
+            _ => None,
         }
     }
 }
 
 impl StoreProbe for ConsumerMirror {
     fn on_record(&self, key: DataKey, produced_at: SimTime) {
-        if let Some(Some(slot)) = self.slot_of.get(key.index()) {
-            self.slab.set_consumer_produced(*slot, produced_at);
+        if let Some(slot) = self.slot(key) {
+            self.slab.set_consumer_produced(slot, produced_at);
         }
     }
 
     fn on_evict(&self, key: DataKey) {
-        if let Some(Some(slot)) = self.slot_of.get(key.index()) {
-            self.slab.clear_consumer(*slot);
+        if let Some(slot) = self.slot(key) {
+            self.slab.clear_consumer(slot);
         }
     }
 
     fn on_clear(&self) {
-        for &slot in &self.mirrored {
+        for slot in self.consumed.start..self.consumed.end {
             self.slab.clear_consumer(slot);
         }
     }
@@ -622,11 +632,14 @@ mod tests {
     #[test]
     fn consumer_mirror_routes_keys_to_slots() {
         let s = slab(2);
-        let mirror = ConsumerMirror::new(s.clone(), vec![None, Some(1)]);
+        let slot_of: Rc<[Option<u32>]> = vec![None, Some(1), Some(0)].into();
+        let mirror = ConsumerMirror::new(s.clone(), slot_of, 1..2);
         let space = riot_data::KeySpace::new();
         let k0 = space.intern("a");
         let k1 = space.intern("b");
-        mirror.on_record(k0, SimTime::from_secs(1)); // not consumed here
+        let k2 = space.intern("c");
+        mirror.on_record(k0, SimTime::from_secs(1)); // no device's key
+        mirror.on_record(k2, SimTime::from_secs(1)); // slot 0: another consumer's
         mirror.on_record(k1, SimTime::from_secs(1)); // device slot 1
         let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
         assert!((fold.staleness_sum - (1.0e6 + 1.0)).abs() < 1e-6);

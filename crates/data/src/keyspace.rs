@@ -48,9 +48,9 @@ impl fmt::Debug for DataKey {
 /// A shared, deterministic name ↔ [`DataKey`] table. Clones are handles
 /// to the same table ([`KeySpace::same_as`] tells two handles apart).
 ///
-/// Ids follow registration order; serialization and iteration surfaces
-/// that expose names walk **name order** (via the underlying
-/// [`SymbolTable`]), so registration order never leaks into artifacts.
+/// Ids follow registration order. Nothing iterates the table: names
+/// leave it one key at a time through [`KeySpace::resolve`], so neither
+/// registration order nor the index's layout reaches an artifact.
 #[derive(Clone, Default)]
 pub struct KeySpace {
     table: Rc<RefCell<SymbolTable>>,

@@ -157,13 +157,8 @@ struct Snapshot {
     denied: u64,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Slab walks done by [`ReplicatedStore::snapshot`] on this thread.
-    static SNAPSHOTS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Flow-governance counters kept by each store.
+/// Flow-governance and work counters kept by each store. Each costs one
+/// add per write, message or slab walk, never one per entry pushed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Entries blocked at egress.
@@ -174,6 +169,12 @@ pub struct StoreStats {
     pub ingress_denied: u64,
     /// Records accepted from peers.
     pub ingress_accepted: u64,
+    /// Entries received pushes offered to [`ReplicatedStore::on_sync`]:
+    /// those neither accepted nor denied were already held.
+    pub offered: u64,
+    /// Slab walks that built a push: one per [`ReplicatedStore::sync_out`]
+    /// and one per peer domain of a [`ReplicatedStore::sync_round`].
+    pub snapshots: u64,
     /// Local writes.
     pub local_writes: u64,
 }
@@ -487,16 +488,15 @@ impl ReplicatedStore {
     }
 
     /// Walks the slab once and builds the push towards peers in
-    /// `peer_domain`, applying egress policy per entry. Leaves the stats
-    /// alone: [`ReplicatedStore::message`] counts per target.
+    /// `peer_domain`, applying egress policy per entry. Counts the walk;
+    /// [`ReplicatedStore::message`] counts the egress decisions per target.
     fn snapshot(
-        &self,
+        &mut self,
         peer_domain: DomainId,
         registry: &DomainRegistry,
         since: SimTime,
     ) -> Snapshot {
-        #[cfg(test)]
-        SNAPSHOTS_BUILT.with(|n| n.set(n.get() + 1));
+        self.stats.snapshots += 1;
         let mut entries = Vec::with_capacity(self.live);
         let mut redacted = 0;
         let mut denied = 0;
@@ -597,6 +597,7 @@ impl ReplicatedStore {
         let shared = msg.keys.same_as(&self.keys);
         let mut changed = 0;
         let mut memo = DecisionMemo::new();
+        self.stats.offered += msg.entries.len() as u64;
         for offered in msg.entries.iter() {
             let key = if shared {
                 offered.record.key
@@ -646,6 +647,7 @@ impl ReplicatedStore {
         registry: &DomainRegistry,
         since: SimTime,
     ) -> SyncMsg {
+        self.stats.snapshots += 1;
         let mut entries = Vec::with_capacity(self.live);
         for entry in self.slots.iter().flatten() {
             if since > SimTime::ZERO && entry.written_at <= since {
@@ -683,6 +685,7 @@ impl ReplicatedStore {
     fn on_sync_oracle(&mut self, msg: SyncMsg, registry: &DomainRegistry) -> usize {
         let shared = msg.keys.same_as(&self.keys);
         let mut changed = 0;
+        self.stats.offered += msg.entries.len() as u64;
         for mut entry in msg.entries.iter().copied() {
             if !shared {
                 entry.record.key = self.keys.intern(&msg.keys.resolve(entry.record.key));
@@ -1287,6 +1290,15 @@ mod tests {
         entries.iter().map(print).collect()
     }
 
+    /// A store's counters with its slab walks set aside: the shared push
+    /// walks once per round and domain, the oracle once per target.
+    fn flows(stats: StoreStats) -> StoreStats {
+        StoreStats {
+            snapshots: 0,
+            ..stats
+        }
+    }
+
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum ProbeCall {
         Record(usize, SimTime),
@@ -1549,7 +1561,9 @@ mod tests {
                     let (sa, sb): (Vec<_>, Vec<_>) = (slots(a), slots(b));
                     assert_eq!(sa, sb, "slots, {at}");
                     assert_eq!(a.len(), b.len(), "live, {at}");
-                    assert_eq!(a.stats(), b.stats(), "stats, {at}");
+                    assert_eq!(flows(a.stats()), flows(b.stats()), "stats, {at}");
+                    let walks = (a.stats().snapshots, b.stats().snapshots);
+                    assert!(walks.0 <= walks.1, "slab walks {walks:?}, {at}");
                     assert_eq!(a.keys().len(), b.keys().len(), "keys minted, {at}");
                     assert_eq!(
                         a.privacy_violations(&reg),
@@ -1596,6 +1610,7 @@ mod tests {
         assert_eq!(msg.entries.len(), 32, "the internal half flows");
         assert_eq!(prints(&msg.entries), prints(&want.entries));
         assert_eq!(src.stats(), twin.stats());
+        assert_eq!(src.stats().snapshots, 1);
     }
 
     /// Ten targets in two domains: two slab walks, five messages sharing
@@ -1621,10 +1636,10 @@ mod tests {
             .map(|(_, d)| twin.sync_out_oracle(*d, &reg, SimTime::ZERO))
             .collect();
 
-        let before = SNAPSHOTS_BUILT.with(|n| n.get());
         let mut got = Vec::new();
         src.sync_round(targets, &reg, SimTime::ZERO, |to, msg| got.push((to, msg)));
-        assert_eq!(SNAPSHOTS_BUILT.with(|n| n.get()) - before, 2);
+        assert_eq!(src.stats().snapshots, 2);
+        assert_eq!(twin.stats().snapshots, 10, "the oracle walks per target");
 
         assert_eq!(got.len(), 10);
         for (i, (to, msg)) in got.iter().enumerate() {
@@ -1636,7 +1651,11 @@ mod tests {
         assert!(!Rc::ptr_eq(&got[0].1.entries, &got[1].1.entries));
         assert_eq!(got[0].1.entries.len(), 30, "at home everything flows");
         assert_eq!(got[1].1.entries.len(), 20, "abroad: personal data stays");
-        assert_eq!(src.stats(), twin.stats(), "counted per target");
+        assert_eq!(
+            flows(src.stats()),
+            flows(twin.stats()),
+            "counted per target"
+        );
         assert_eq!(src.stats().egress_denied, 5 * 10);
         assert_eq!(src.stats().egress_redacted, 5 * 10);
     }
@@ -1680,5 +1699,10 @@ mod tests {
         assert_eq!(dst.on_sync(held.remove(0), &reg, SimTime::from_secs(3)), 8);
         assert_eq!(dst.get("k3").map(|r| r.value), Some(3.0));
         assert_eq!(dst.get("k-new"), None);
+        // The second copy offers the same eight entries, all already held.
+        assert_eq!(dst.on_sync(held.remove(0), &reg, SimTime::from_secs(3)), 0);
+        let stats = dst.stats();
+        assert_eq!((stats.offered, stats.ingress_accepted), (16, 8));
+        assert_eq!((stats.ingress_denied, stats.snapshots), (0, 0));
     }
 }

@@ -35,7 +35,7 @@ fn workspace_has_no_violations() {
         "hot roots declared in lint-hotpaths.toml"
     );
     assert_eq!(
-        graph.entry_roots, 6,
+        graph.entry_roots, 7,
         "entry roots declared in lint-hotpaths.toml"
     );
     // Floors at the counts of the tree that last touched the cones (the

@@ -42,15 +42,6 @@ pub enum NodeKind {
     Cloud,
 }
 
-/// Static facts about a topology node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeInfo {
-    /// The node's role.
-    pub kind: NodeKind,
-    /// Human-readable label used in reports.
-    pub label: String,
-}
-
 /// Parameters of one bidirectional link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
@@ -186,8 +177,8 @@ pub struct RouteStats {
 /// use riot_sim::{Delivery, Medium, ProcessId, SimRng, SimTime};
 ///
 /// let mut net = Network::new();
-/// let cloud = net.add_node(NodeKind::Cloud, "cloud");
-/// let edge = net.add_node(NodeKind::Edge, "edge-0");
+/// let cloud = net.add_node(NodeKind::Cloud);
+/// let edge = net.add_node(NodeKind::Edge);
 /// net.add_link(cloud, edge, Link::lossless(LatencyModel::fixed_ms(50)));
 ///
 /// let mut rng = SimRng::seed_from(0);
@@ -200,7 +191,8 @@ pub struct RouteStats {
 /// ```
 #[derive(Debug)]
 pub struct Network {
-    nodes: Vec<NodeInfo>,
+    /// Each node's role, by node id.
+    nodes: Vec<NodeKind>,
     /// The link table. There is no index from an endpoint pair to an id: the
     /// by-endpoint API scans the shorter adjacency list ([`Self::link_id`]).
     links: Vec<LinkSlot>,
@@ -256,13 +248,10 @@ impl Network {
 
     /// Adds a node and returns its id. Ids are assigned densely in call
     /// order and must match the order processes are spawned in the sim.
-    pub fn add_node(&mut self, kind: NodeKind, label: impl Into<String>) -> ProcessId {
+    pub fn add_node(&mut self, kind: NodeKind) -> ProcessId {
         let id = ProcessId(self.nodes.len());
         assert!(id.0 < u32::MAX as usize, "node indices are kept as u32");
-        self.nodes.push(NodeInfo {
-            kind,
-            label: label.into(),
-        });
+        self.nodes.push(kind);
         self.adjacency.push(Vec::new());
         // Searches hold per-node vectors sized when they started.
         self.searches.clear();
@@ -337,23 +326,23 @@ impl Network {
         self.nodes.len()
     }
 
-    /// Static facts about a node, if it exists.
-    pub fn node(&self, id: ProcessId) -> Option<&NodeInfo> {
-        self.nodes.get(id.0)
+    /// A node's role, if it exists.
+    pub fn node(&self, id: ProcessId) -> Option<NodeKind> {
+        self.nodes.get(id.0).copied()
     }
 
-    /// Iterates over `(id, info)` for all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = (ProcessId, &NodeInfo)> {
+    /// Iterates over `(id, role)` for all nodes.
+    pub fn nodes(&self) -> impl Iterator<Item = (ProcessId, NodeKind)> + '_ {
         self.nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| (ProcessId(i), n))
+            .map(|(i, &kind)| (ProcessId(i), kind))
     }
 
     /// All node ids of a given kind.
     pub fn nodes_of_kind(&self, kind: NodeKind) -> Vec<ProcessId> {
         self.nodes()
-            .filter(|(_, n)| n.kind == kind)
+            .filter(|&(_, k)| k == kind)
             .map(|(id, _)| id)
             .collect()
     }
@@ -711,9 +700,9 @@ mod tests {
 
     fn line3() -> (Network, ProcessId, ProcessId, ProcessId) {
         let mut net = Network::new();
-        let a = net.add_node(NodeKind::Device, "a");
-        let b = net.add_node(NodeKind::Edge, "b");
-        let c = net.add_node(NodeKind::Cloud, "c");
+        let a = net.add_node(NodeKind::Device);
+        let b = net.add_node(NodeKind::Edge);
+        let c = net.add_node(NodeKind::Cloud);
         net.add_link(a, b, Link::lossless(LatencyModel::fixed_ms(1)));
         net.add_link(b, c, Link::lossless(LatencyModel::fixed_ms(10)));
         (net, a, b, c)
@@ -733,9 +722,9 @@ mod tests {
     #[test]
     fn picks_cheapest_path() {
         let mut net = Network::new();
-        let a = net.add_node(NodeKind::Device, "a");
-        let b = net.add_node(NodeKind::Edge, "b");
-        let c = net.add_node(NodeKind::Cloud, "c");
+        let a = net.add_node(NodeKind::Device);
+        let b = net.add_node(NodeKind::Edge);
+        let c = net.add_node(NodeKind::Cloud);
         net.add_link(a, c, Link::lossless(LatencyModel::fixed_ms(100)));
         net.add_link(a, b, Link::lossless(LatencyModel::fixed_ms(5)));
         net.add_link(b, c, Link::lossless(LatencyModel::fixed_ms(5)));
@@ -780,8 +769,8 @@ mod tests {
     #[test]
     fn loss_is_per_link_and_calibrated() {
         let mut net = Network::new();
-        let a = net.add_node(NodeKind::Device, "a");
-        let b = net.add_node(NodeKind::Edge, "b");
+        let a = net.add_node(NodeKind::Device);
+        let b = net.add_node(NodeKind::Edge);
         net.add_link(
             a,
             b,
@@ -805,9 +794,9 @@ mod tests {
     #[test]
     fn reattach_moves_device() {
         let mut net = Network::new();
-        let e1 = net.add_node(NodeKind::Edge, "e1");
-        let e2 = net.add_node(NodeKind::Edge, "e2");
-        let d = net.add_node(NodeKind::Device, "d");
+        let e1 = net.add_node(NodeKind::Edge);
+        let e2 = net.add_node(NodeKind::Edge);
+        let d = net.add_node(NodeKind::Device);
         net.add_link(e1, e2, Link::lossless(LatencyModel::fixed_ms(5)));
         net.add_link(d, e1, Link::lossless(LatencyModel::fixed_ms(1)));
         assert_eq!(net.path(d, e2).unwrap(), vec![d, e1, e2]);
@@ -844,7 +833,6 @@ mod tests {
         assert_eq!(net.nodes_of_kind(NodeKind::Edge), vec![b]);
         assert_eq!(net.nodes_of_kind(NodeKind::Cloud), vec![c]);
         assert_eq!(net.node_count(), 3);
-        assert_eq!(net.node(a).unwrap().label, "a");
     }
 
     #[test]
@@ -860,7 +848,7 @@ mod tests {
     #[should_panic(expected = "self-links")]
     fn self_link_panics() {
         let mut net = Network::new();
-        let a = net.add_node(NodeKind::Device, "a");
+        let a = net.add_node(NodeKind::Device);
         net.add_link(a, a, Link::lossless(LatencyModel::fixed_ms(1)));
     }
 
@@ -937,9 +925,9 @@ mod tests {
     fn random_graph(rng: &mut SimRng, equal_weights: bool) -> Network {
         let mut net = Network::new();
         let n = rng.range_u64(4, 14) as usize;
-        for i in 0..n {
+        for _ in 0..n {
             let kind = random_kind(rng);
-            net.add_node(kind, format!("n{i}"));
+            net.add_node(kind);
         }
         let mut weights: Vec<u64> = (0..(n * n) as u64).map(|i| 1_000 + 37 * i).collect();
         rng.shuffle(&mut weights);
@@ -961,9 +949,9 @@ mod tests {
     /// A `w` × `h` grid of equal links: the most shortest paths per pair.
     fn grid(rng: &mut SimRng, w: usize, h: usize) -> Network {
         let mut net = Network::new();
-        for i in 0..w * h {
+        for _ in 0..w * h {
             let kind = random_kind(rng);
-            net.add_node(kind, format!("g{i}"));
+            net.add_node(kind);
         }
         for y in 0..h {
             for x in 0..w {
@@ -1186,7 +1174,7 @@ mod tests {
         assert!(net
             .searches
             .keys()
-            .all(|&root| net.nodes[root].kind != NodeKind::Device));
+            .all(|&root| net.nodes[root] != NodeKind::Device));
         // The device-to-device ask ran the one search that was not kept.
         assert_eq!(
             net.route_stats().searches,
@@ -1296,8 +1284,8 @@ mod tests {
     /// from 3 the way to 0 is 3-4-1-0. Node 6 hangs off node 0.
     fn hexagon() -> Network {
         let mut net = Network::new();
-        for i in 0..7 {
-            net.add_node(NodeKind::Edge, format!("h{i}"));
+        for _ in 0..7 {
+            net.add_node(NodeKind::Edge);
         }
         for (a, b) in [(0, 1), (1, 4), (4, 3), (0, 5), (5, 2), (2, 3), (0, 6)] {
             net.add_link(ProcessId(a), ProcessId(b), fixed_us(1_000));

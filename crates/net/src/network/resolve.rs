@@ -117,7 +117,7 @@ impl Network {
     /// device-to-device traffic would otherwise hold O(devices × nodes).
     fn search(&mut self, from: usize, to: usize) -> Option<Found> {
         let rank = |n: usize| {
-            let tier = match self.nodes[n].kind {
+            let tier = match self.nodes[n] {
                 NodeKind::Device => 0,
                 NodeKind::Edge => 1,
                 NodeKind::Cloud => 2,
@@ -127,7 +127,7 @@ impl Network {
         let root = if rank(to) > rank(from) { to } else { from };
         let nodes = self.nodes.len();
         let mut settled = 0;
-        let found = if self.nodes[root].kind == NodeKind::Device {
+        let found = if self.nodes[root] == NodeKind::Device {
             self.stats.searches += 1;
             Search::new(root, nodes).route(from, to, self, &mut settled)
         } else {

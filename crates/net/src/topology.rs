@@ -99,14 +99,14 @@ impl Hierarchy {
     /// cloud, edges `0..e`, then devices edge-by-edge.
     pub fn build(spec: &HierarchySpec) -> (Network, Hierarchy) {
         let mut net = Network::new();
-        let cloud = net.add_node(NodeKind::Cloud, "cloud");
+        let cloud = net.add_node(NodeKind::Cloud);
         let edges: Vec<ProcessId> = (0..spec.edges)
-            .map(|i| net.add_node(NodeKind::Edge, format!("edge-{i}")))
+            .map(|_| net.add_node(NodeKind::Edge))
             .collect();
         let mut devices = Vec::with_capacity(spec.edges);
-        for (ei, &e) in edges.iter().enumerate() {
+        for &e in &edges {
             let devs: Vec<ProcessId> = (0..spec.devices_per_edge)
-                .map(|di| net.add_node(NodeKind::Device, format!("dev-{ei}-{di}")))
+                .map(|_| net.add_node(NodeKind::Device))
                 .collect();
             devices.push(devs);
             net.add_link(e, cloud, spec.edge_cloud);
@@ -161,10 +161,8 @@ pub fn star(
     link: Link,
 ) -> (Network, ProcessId, Vec<ProcessId>) {
     let mut net = Network::new();
-    let hub = net.add_node(hub_kind, "hub");
-    let leaves: Vec<ProcessId> = (0..n)
-        .map(|i| net.add_node(leaf_kind, format!("leaf-{i}")))
-        .collect();
+    let hub = net.add_node(hub_kind);
+    let leaves: Vec<ProcessId> = (0..n).map(|_| net.add_node(leaf_kind)).collect();
     for &l in &leaves {
         net.add_link(hub, l, link);
     }
@@ -174,9 +172,7 @@ pub fn star(
 /// Builds a line of `n` nodes of one kind.
 pub fn line(kind: NodeKind, n: usize, link: Link) -> (Network, Vec<ProcessId>) {
     let mut net = Network::new();
-    let nodes: Vec<ProcessId> = (0..n)
-        .map(|i| net.add_node(kind, format!("n{i}")))
-        .collect();
+    let nodes: Vec<ProcessId> = (0..n).map(|_| net.add_node(kind)).collect();
     for w in nodes.windows(2) {
         net.add_link(w[0], w[1], link);
     }
@@ -198,9 +194,7 @@ pub fn ring(kind: NodeKind, n: usize, link: Link) -> (Network, Vec<ProcessId>) {
 /// Builds a complete graph of `n` nodes of one kind.
 pub fn full_mesh(kind: NodeKind, n: usize, link: Link) -> (Network, Vec<ProcessId>) {
     let mut net = Network::new();
-    let nodes: Vec<ProcessId> = (0..n)
-        .map(|i| net.add_node(kind, format!("n{i}")))
-        .collect();
+    let nodes: Vec<ProcessId> = (0..n).map(|_| net.add_node(kind)).collect();
     for i in 0..n {
         for j in (i + 1)..n {
             net.add_link(nodes[i], nodes[j], link);

@@ -9,13 +9,13 @@
 //! ## Determinism contract (DESIGN.md §9)
 //!
 //! * Ids are assigned in **registration order** — first `intern` wins the
-//!   next id. No ambient hashing is involved anywhere (riot-lint rule D1
-//!   applies to this module): the name→id index is a `Vec` kept sorted by
-//!   name and probed by binary search.
+//!   next id. The name→id index is an open-addressing table probed by a
+//!   fixed FNV-1a hash of the name's bytes: no seeded hashing (riot-lint
+//!   rules D1 and D3 apply to this module), and nothing iterates the
+//!   table, so its layout can reach no output.
 //! * Registration order is *not* part of any observable output: results
-//!   name their metrics, and a [`SymbolTable`] that is serialized walks its
-//!   sorted index, so two runs that intern the same names in different
-//!   orders still render byte-identical output.
+//!   name their metrics, so two runs that intern the same names in
+//!   different orders still render byte-identical output.
 //! * A [`MetricKey`] is only meaningful to the recorder that minted it
 //!   (or a clone of it). Keys are never serialized.
 
@@ -63,19 +63,40 @@ impl fmt::Debug for Symbol {
     }
 }
 
-/// A deterministic string interner: name ↔ id table where `names` is
-/// indexed by id (registration order) and `by_name` holds the same ids
-/// sorted by the name they denote, probed by binary search — no ambient
-/// hashing anywhere (riot-lint rule D1).
+/// FNV-1a over a name's bytes: a fixed function, so where a name sits in
+/// a [`SymbolTable`]'s index depends only on the names interned, never on
+/// the process.
+#[inline]
+fn fnv1a(name: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in name.as_bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// A deterministic string interner: name ↔ id table where the names sit
+/// back to back in one arena, in id (registration) order, and an
+/// open-addressing index over the same ids is placed by a fixed FNV-1a
+/// hash of the name and probed linearly. The index is only ever probed,
+/// never iterated.
 ///
 /// This is the generic table under the metrics interner; it is public
-/// so other layers (the data plane's key space, scenario node state) can
-/// intern their own namespaces with the same determinism contract:
-/// registration order mints dense ids, serialization walks name order.
+/// so other layers (the data plane's key space) can intern their own
+/// namespaces with the same determinism contract: registration order
+/// mints dense ids.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    by_name: Vec<u32>,
+    /// Every name, back to back in registration order.
+    text: String,
+    /// `ends[id]`: where name `id` ends in `text` (it starts where name
+    /// `id - 1` ends).
+    ends: Vec<usize>,
+    /// `id + 1` per occupied slot, 0 for an empty one. Its length is zero
+    /// or a power of two at least twice `ends.len()`, so a probe always
+    /// meets an empty slot.
+    slots: Vec<u32>,
 }
 
 impl SymbolTable {
@@ -84,44 +105,77 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
-    /// Binary-searches the sorted index. `Ok(pos)` finds the id at
-    /// `by_name[pos]`; `Err(pos)` is the insertion point for a new name.
-    fn position(&self, name: &str) -> Result<usize, usize> {
-        self.by_name
-            .binary_search_by(|&id| self.name_of_id(id).cmp(name))
+    /// Probes the index for `name`: the slot holding its id and the id, or
+    /// the empty slot where it would go and `None`.
+    fn probe(&self, name: &str) -> (usize, Option<u32>) {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = fnv1a(name) as usize & mask;
+        loop {
+            match self.slots.get(at) {
+                Some(&tagged) if tagged != 0 => {
+                    if self.name_of_id(tagged - 1) == name {
+                        return (at, Some(tagged - 1));
+                    }
+                }
+                _ => return (at, None),
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the index (to 8 slots when empty) and re-places every id.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(8);
+        let mask = len - 1;
+        // riot-lint: allow(A1, reason = "the index grows O(log names) times over a table's life; interning a name seen before never reaches here")
+        let mut slots = vec![0u32; len];
+        for id in 0..self.ends.len() {
+            let mut at = fnv1a(self.name_of_id(id as u32)) as usize & mask;
+            while slots.get(at).is_some_and(|&tagged| tagged != 0) {
+                at = (at + 1) & mask;
+            }
+            if let Some(slot) = slots.get_mut(at) {
+                *slot = id as u32 + 1;
+            }
+        }
+        self.slots = slots;
     }
 
     #[inline]
     fn name_of_id(&self, id: u32) -> &str {
-        // riot-lint: allow(P1, reason = "by_name only holds ids minted by this table, each of which indexes names")
-        self.names
-            .get(id as usize)
-            .map(String::as_str)
-            .unwrap_or("")
+        let id = id as usize;
+        let start = match id.checked_sub(1) {
+            Some(prev) => self.ends.get(prev).copied().unwrap_or(0),
+            None => 0,
+        };
+        let end = self.ends.get(id).copied().unwrap_or(start);
+        self.text.get(start..end).unwrap_or("")
     }
 
     /// Returns the symbol for `name`, minting a fresh dense id on first
     /// sight.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        match self.position(name) {
-            Ok(pos) => Symbol(self.by_name.get(pos).copied().unwrap_or(0)),
-            Err(pos) => {
-                let id = self.names.len() as u32;
-                // riot-lint: allow(A1, reason = "minting happens once per distinct name; interning a name seen before allocates nothing")
-                self.names.push(name.to_owned());
-                self.by_name.insert(pos, id);
-                Symbol(id)
-            }
+        let (mut at, found) = self.probe(name);
+        if let Some(id) = found {
+            return Symbol(id);
         }
+        if (self.ends.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+            at = self.probe(name).0;
+        }
+        let id = self.ends.len() as u32;
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        if let Some(slot) = self.slots.get_mut(at) {
+            *slot = id + 1;
+        }
+        Symbol(id)
     }
 
     /// Returns the symbol for `name` if it was ever interned — no
     /// allocation.
     pub fn get(&self, name: &str) -> Option<Symbol> {
-        self.position(name)
-            .ok()
-            .and_then(|pos| self.by_name.get(pos).copied())
-            .map(Symbol)
+        self.probe(name).1.map(Symbol)
     }
 
     /// The name a symbol denotes (empty for foreign symbols, which cannot
@@ -132,18 +186,12 @@ impl SymbolTable {
 
     /// Number of interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// `true` when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Iterates all slot indices in **name order** — the serialization
-    /// order, independent of registration order.
-    pub fn indices_by_name(&self) -> impl Iterator<Item = usize> + '_ {
-        self.by_name.iter().map(|&id| id as usize)
+        self.ends.is_empty()
     }
 }
 
@@ -198,19 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn iteration_is_name_ordered_regardless_of_registration() {
-        let mut t = SymbolTable::new();
-        for n in ["zeta", "alpha", "mid"] {
-            t.intern(n);
-        }
-        let names: Vec<&str> = t
-            .indices_by_name()
-            .map(|idx| t.names[idx].as_str())
-            .collect();
-        assert_eq!(names, vec!["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
     fn symbol_table_mirrors_the_interner_contract() {
         let mut t = SymbolTable::new();
         assert!(t.is_empty());
@@ -223,10 +258,45 @@ mod tests {
         assert_eq!(t.get("zzz"), None, "lookup does not mint");
         assert_eq!(t.name(a), "a");
         assert_eq!(t.len(), 2);
-        let ordered: Vec<&str> = t
-            .indices_by_name()
-            .map(|idx| t.names[idx].as_str())
-            .collect();
-        assert_eq!(ordered, vec!["a", "b"]);
+    }
+
+    /// Scrambled names with repeats, through several growths of the index,
+    /// against a map that hands out ids in first-sight order; every `get`
+    /// is checked before the `intern` that may mint, so misses are covered.
+    #[test]
+    fn symbols_match_a_first_sight_oracle() {
+        use std::collections::BTreeMap;
+        let empty = SymbolTable::new();
+        assert_eq!(empty.get(""), None);
+        assert_eq!(empty.get("dev0/reading"), None);
+
+        let mut t = SymbolTable::new();
+        let mut oracle: BTreeMap<String, u32> = BTreeMap::new();
+        // A fixed LCG scrambles 30 000 draws over 12 000 distinct names.
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..30_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let n = (state >> 33) % 12_000;
+            let name = match n % 3 {
+                0 => format!("dev{n}/reading"),
+                1 => format!("flow.{n}"),
+                _ => "x".repeat(1 + (n % 7) as usize) + &n.to_string(),
+            };
+            let want = oracle.get(&name).copied();
+            assert_eq!(t.get(&name).map(|s| s.0), want, "get before intern: {name}");
+            let next = oracle.len() as u32;
+            let id = *oracle.entry(name.clone()).or_insert(next);
+            assert_eq!(t.intern(&name).0, id, "intern: {name}");
+            assert_eq!(t.name(Symbol(id)), name);
+            assert!(t.slots.len() >= 2 * t.len(), "load stays at most one half");
+        }
+        assert_eq!(t.len(), oracle.len());
+        assert!(t.len() >= 10_000, "{} distinct names", t.len());
+        for (name, &id) in &oracle {
+            assert_eq!(t.get(name), Some(Symbol(id)));
+        }
+        assert_eq!(t.get("dev12000/reading"), None, "a miss after all growths");
     }
 }

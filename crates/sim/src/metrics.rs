@@ -182,8 +182,8 @@ impl fmt::Display for HistogramSummary {
 /// the `*_key` methods: a counter increment through a [`MetricKey`] is a
 /// bounds-checked `Vec` write — no allocation, no tree walk. Reads by name
 /// ([`counter`](Metrics::counter), [`histogram`](Metrics::histogram),
-/// [`summarize`](Metrics::summarize)) cost one binary search and are meant
-/// for after the run.
+/// [`summarize`](Metrics::summarize)) cost one hash probe of the name
+/// and are meant for after the run.
 ///
 /// # Examples
 ///

@@ -20,7 +20,10 @@ work=/root/scratch/parity
 
 parent_rev="$(git -C "$root" rev-parse --verify "$1^{commit}")"
 echo "==> parent ${parent_rev:0:7} -> $work/parent"
-rm -rf "$work/parent" "$work/out"
+# `git archive` stamps every file with the commit's time, older than a
+# target directory built from another revision, which cargo would then take
+# for fresh: the parent is always built from an empty target directory.
+rm -rf "$work/parent" "$work/out" "$work/parent-target"
 mkdir -p "$work/parent" "$work/out"
 git -C "$root" archive "$parent_rev" | tar -x -C "$work/parent"
 
