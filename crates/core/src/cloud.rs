@@ -221,10 +221,6 @@ impl Process<Msg> for CloudProcess {
             _ => {}
         }
     }
-
-    fn name(&self) -> &str {
-        "cloud"
-    }
 }
 
 #[cfg(test)]

@@ -492,10 +492,6 @@ impl Process<Msg> for DeviceProcess {
         }
         std::hint::black_box(Rc::as_ptr(&self.group));
     }
-
-    fn name(&self) -> &str {
-        "device"
-    }
 }
 
 #[cfg(test)]

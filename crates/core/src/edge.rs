@@ -451,10 +451,6 @@ impl Process<Msg> for EdgeProcess {
             _ => {}
         }
     }
-
-    fn name(&self) -> &str {
-        "edge"
-    }
 }
 
 #[cfg(test)]

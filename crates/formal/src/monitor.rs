@@ -114,10 +114,14 @@ pub struct Monitor {
     position: Position,
     verdict: Verdict3,
     steps: usize,
+    /// Steps that progressed the formula instead of following a recorded
+    /// transition.
+    misses: u64,
 }
 
 /// Two monitors are equal when they watch the same property and stand at the
-/// same point of it; how much of the automaton each has built is not state.
+/// same point of it; how much of the automaton each has built, and how much
+/// progression that took, is not state.
 impl PartialEq for Monitor {
     fn eq(&self, other: &Self) -> bool {
         self.original == other.original
@@ -163,6 +167,7 @@ impl Monitor {
             }],
             position: Position::Interned(0),
             steps: 0,
+            misses: 0,
         }
     }
 
@@ -186,7 +191,10 @@ impl Monitor {
                     None => self.miss(from, key),
                 }
             }
-            Position::Detached(residual) => *residual = progress(residual, key),
+            Position::Detached(residual) => {
+                self.misses += 1;
+                *residual = progress(residual, key);
+            }
         }
         self.verdict = verdict_of(self.residual());
         self.verdict
@@ -196,6 +204,7 @@ impl Monitor {
     /// intern the successor and record the transition — or, with the table
     /// full, carry the successor outside it.
     fn miss(&mut self, from: usize, key: Valuation) {
+        self.misses += 1;
         let next = progress(self.residual(), key);
         let to = match self.states.iter().position(|s| s.residual == next) {
             Some(to) => to,
@@ -264,12 +273,20 @@ impl Monitor {
         self.steps
     }
 
+    /// Of those steps, the ones that progressed the formula: a pair met for
+    /// the first time, or any step once the table is full. The rest followed
+    /// a recorded transition; hits are `steps() - misses()`.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
     /// Resets the monitor to its initial obligation. The automaton built so
     /// far is kept: it depends on the property alone.
     pub fn reset(&mut self) {
         self.position = Position::Interned(0);
         self.verdict = verdict_of(self.residual());
         self.steps = 0;
+        self.misses = 0;
     }
 }
 
@@ -466,10 +483,6 @@ mod tests {
         assert_eq!(simplify(body.clone()), body);
     }
 
-    fn progress_calls() -> usize {
-        progression::PROGRESS_CALLS.with(std::cell::Cell::get)
-    }
-
     /// `X^n f`.
     fn nexts(n: usize, f: Ltl) -> Ltl {
         (0..n).fold(f, |f, _| f.next())
@@ -490,7 +503,6 @@ mod tests {
         ];
         for phi in shapes {
             let mut m = Monitor::new(phi.clone());
-            let before = progress_calls();
             let mut pairs = std::collections::BTreeSet::new();
             let mut bound = 0;
             for step in 0..10_000 {
@@ -505,9 +517,9 @@ mod tests {
             assert_eq!(m.verdict(), Verdict3::Inconclusive, "{phi}");
             assert_eq!(m.steps(), 10_000);
             // One valuation, so the distinct pairs are the distinct states.
-            let calls = progress_calls() - before;
+            let calls = m.misses();
             assert!(
-                calls <= pairs.len(),
+                calls <= pairs.len() as u64,
                 "{phi}: {calls} progressions for {} (state, valuation) pairs",
                 pairs.len()
             );
@@ -522,7 +534,6 @@ mod tests {
         let r = atoms.intern("r");
         let mut m = Monitor::new(Ltl::responds(Ltl::atom(p).not(), Ltl::atom(q)));
         let mut rng = SimRng::seed_from(7);
-        let before = progress_calls();
         let mut pairs = std::collections::BTreeSet::new();
         for _ in 0..2_000 {
             let mut s = Valuation::EMPTY;
@@ -535,7 +546,7 @@ mod tests {
         // `r` is not in the formula: a valuation that differs only there
         // must follow the recorded transition, not mint a new one.
         assert!(pairs.len() <= 2 * 4, "two residuals, four valuations");
-        assert!(progress_calls() - before <= pairs.len());
+        assert!(m.misses() <= pairs.len() as u64);
     }
 
     #[test]
@@ -561,7 +572,12 @@ mod tests {
                 if !matches!(direct, Ltl::True | Ltl::False) {
                     direct = progress(&direct, *s);
                 }
+                let (steps, misses) = (m.steps(), m.misses());
+                let detached = matches!(m.position, Position::Detached(_));
                 assert_eq!(m.step(*s), verdict_of(&direct), "case {case} step {i}");
+                if detached && m.steps() > steps {
+                    assert_eq!(m.misses(), misses + 1, "a detached step is a miss");
+                }
                 assert_eq!(m.residual(), &direct, "case {case} step {i}");
                 assert!(m.states.len() <= TABLE_CAP);
                 assert!(m.states.iter().all(|s| s.out.len() <= TABLE_CAP));
@@ -571,6 +587,7 @@ mod tests {
             // A reset monitor is back on the table and replays identically.
             let verdict = m.verdict();
             m.reset();
+            assert_eq!((m.steps(), m.misses()), (0, 0));
             assert_eq!(m.residual(), &simplify(phi.clone()));
             for s in &trace {
                 m.step(*s);

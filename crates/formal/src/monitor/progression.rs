@@ -11,18 +11,9 @@
 use crate::ltl::Ltl;
 use crate::prop::Valuation;
 
-#[cfg(test)]
-thread_local! {
-    /// Calls to [`progress`] on this thread: the noise-free measure of
-    /// monitoring work the tests bound.
-    pub(super) static PROGRESS_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// Progresses `φ` through one state: the result is the obligation on the
 /// remaining suffix, in [`simplify`]'s normal form.
 pub fn progress(phi: &Ltl, state: Valuation) -> Ltl {
-    #[cfg(test)]
-    PROGRESS_CALLS.with(|c| c.set(c.get() + 1));
     simplify(unfold(phi, state))
 }
 

@@ -13,7 +13,8 @@
 //! `G` for LTL; `!`, `EX`, `AX`, `EF`, `AF`, `EG`, `AG` for CTL),
 //! `E[φ U ψ]` / `A[φ U ψ]` (CTL), atoms, `true`, `false`, parentheses.
 //! Identifiers match `[A-Za-z_][A-Za-z0-9_./]*` and are interned into the
-//! supplied [`Atoms`] vocabulary (keywords are reserved).
+//! supplied [`Atoms`] vocabulary (keywords are reserved). A formula has at
+//! most 256 operators and atoms, and its brackets nest at most 256 deep.
 //!
 //! riot-lint: allow-file(P1, reason = "recursive-descent parser: expect() is this parser's own Result-returning method, and byte-cursor indexing is bounded by the enclosing i < len loop conditions")
 
@@ -38,6 +39,16 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Most operators and atoms one formula may have, and the deepest its
+/// brackets may nest. The first bounds the depth of the parsed tree, and so
+/// of every walk over it (render, simplify, progression, drop); the second
+/// bounds the descent below through redundant brackets. Hostile text such
+/// as 10⁵ nested parentheses is an error, not a stack overflow. Both hold
+/// for a formula's rendering when they hold for its text: rendering keeps
+/// every operator and atom and opens at most one bracket per operator.
+/// Requirement formulas have tens.
+const MAX_NODES: usize = 256;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Token {
@@ -153,6 +164,29 @@ fn lex(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
                     message: format!("unexpected character '{other}'"),
                 })
             }
+        }
+    }
+    let (mut nodes, mut open) = (0, 0usize);
+    for &(position, ref token) in &out {
+        let message = match token {
+            Token::LParen | Token::LBracket => {
+                open += 1;
+                "brackets nested deeper than"
+            }
+            Token::RParen | Token::RBracket => {
+                open = open.saturating_sub(1);
+                continue;
+            }
+            _ => {
+                nodes += 1;
+                "more operators and atoms than"
+            }
+        };
+        if nodes > MAX_NODES || open > MAX_NODES {
+            return Err(ParseError {
+                position,
+                message: format!("{message} {MAX_NODES}"),
+            });
         }
     }
     Ok(out)
@@ -452,20 +486,32 @@ pub fn parse_ctl(input: &str, atoms: &mut Atoms) -> Result<Ctl, ParseError> {
 mod tests {
     use super::*;
     use crate::prop::Valuation;
+    use riot_sim::SimRng;
+
+    const LTL_SOURCES: [&str; 8] = [
+        "G (failed -> F recovered)",
+        "(a U b)",
+        "(a R b)",
+        "X X done",
+        "!(a & b)",
+        "((a | b) & c)",
+        "true",
+        "F false",
+    ];
+
+    const CTL_SOURCES: [&str; 6] = [
+        "AG EF up",
+        "E[degraded U repaired]",
+        "A[true U served]",
+        "AG (fault -> AF repaired)",
+        "!(EX down)",
+        "EG (a & b)",
+    ];
 
     #[test]
     fn ltl_round_trips_through_render() {
         let mut atoms = Atoms::new();
-        for src in [
-            "G (failed -> F recovered)",
-            "(a U b)",
-            "(a R b)",
-            "X X done",
-            "!(a & b)",
-            "((a | b) & c)",
-            "true",
-            "F false",
-        ] {
+        for src in LTL_SOURCES {
             let f = parse_ltl(src, &mut atoms).unwrap_or_else(|e| panic!("{src}: {e}"));
             // Re-parsing the rendering yields the same AST.
             let rendered = f.render(&atoms);
@@ -514,14 +560,7 @@ mod tests {
     #[test]
     fn ctl_round_trips_through_render() {
         let mut atoms = Atoms::new();
-        for src in [
-            "AG EF up",
-            "E[degraded U repaired]",
-            "A[true U served]",
-            "AG (fault -> AF repaired)",
-            "!(EX down)",
-            "EG (a & b)",
-        ] {
+        for src in CTL_SOURCES {
             let f = parse_ctl(src, &mut atoms).unwrap_or_else(|e| panic!("{src}: {e}"));
             let rendered = f.render(&atoms);
             let f2 = parse_ctl(&rendered, &mut atoms).unwrap();
@@ -570,6 +609,28 @@ mod tests {
     }
 
     #[test]
+    fn formulas_past_the_size_cap_are_errors_not_stack_overflows() {
+        let deep = format!("{}a{}", "(".repeat(100_000), ")".repeat(100_000));
+        let e = parse_ltl(&deep, &mut Atoms::new()).unwrap_err();
+        assert_eq!(e.position, MAX_NODES, "{e}");
+        assert!(e.message.contains("nested"), "{e}");
+        let e = parse_ctl(&"AG ".repeat(100_000), &mut Atoms::new()).unwrap_err();
+        assert_eq!(e.position, 3 * MAX_NODES, "{e}");
+        let chain = vec!["a"; 100_000].join(" & ");
+        let e = parse_ltl(&chain, &mut Atoms::new()).unwrap_err();
+        assert_eq!(e.position, 2 * MAX_NODES, "{e}");
+        // At the cap a formula parses, and its rendering — a bracket per
+        // operator — reads back to it.
+        let mut atoms = Atoms::new();
+        let deepest = format!("{}a", "!".repeat(MAX_NODES - 1));
+        let f = parse_ltl(&deepest, &mut atoms).expect("at the cap");
+        assert_eq!(parse_ltl(&f.render(&atoms), &mut atoms), Ok(f));
+        let f = parse_ctl(&format!("{}a", "AG ".repeat(MAX_NODES - 1)), &mut atoms);
+        let f = f.expect("at the cap");
+        assert_eq!(parse_ctl(&f.render(&atoms), &mut atoms), Ok(f));
+    }
+
+    #[test]
     fn dotted_identifiers_are_atoms() {
         let mut atoms = Atoms::new();
         let f = parse_ltl("G ctl.latency_ok", &mut atoms).unwrap();
@@ -584,5 +645,105 @@ mod tests {
         assert!(parse_ltl("G", &mut atoms).is_err());
         // But `g` (lowercase) is a fine identifier.
         assert!(parse_ltl("g", &mut atoms).is_ok());
+    }
+
+    /// `text` with one to four seeded edits: a byte overwritten by one of
+    /// the grammar's characters or by an arbitrary byte, a range deleted or
+    /// duplicated, or a corpus formula or a run of distinct atoms spliced
+    /// in — long enough to pass the vocabulary's cap.
+    fn mutant(rng: &mut SimRng, text: &str, corpus: &[&str]) -> String {
+        const ALPHABET: &[u8] = b"()[]!&|->UXFGRAE ptq_.09";
+        let mut bytes = text.as_bytes().to_vec();
+        for _ in 0..rng.range_u64(1, 5) {
+            let at = rng.range_u64(0, bytes.len() as u64 + 1) as usize;
+            match rng.range_u64(0, 6) {
+                0 if at < bytes.len() => {
+                    let pick = rng.range_u64(0, ALPHABET.len() as u64) as usize;
+                    bytes[at] = ALPHABET[pick];
+                }
+                1 if at < bytes.len() => bytes[at] = rng.range_u64(0, 256) as u8,
+                2 if at < bytes.len() => {
+                    let end = (at + rng.range_u64(1, 4) as usize).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+                3 if at < bytes.len() => {
+                    let end = (at + rng.range_u64(1, 9) as usize).min(bytes.len());
+                    let copy = bytes[at..end].to_vec();
+                    bytes.splice(at..at, copy);
+                }
+                4 => {
+                    let from = rng.range_u64(0, 8);
+                    let count = rng.range_u64(50, MAX_ATOMS as u64 + 8);
+                    let op = if rng.chance(0.5) { " & " } else { " | " };
+                    let run: Vec<String> = (from..from + count).map(|i| format!("w{i}")).collect();
+                    let run = format!("({})", run.join(op));
+                    bytes.splice(at..at, run.into_bytes());
+                }
+                _ => {
+                    let source = rng.pick(corpus).copied().unwrap_or("");
+                    bytes.splice(at..at, source.bytes());
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Hostile input: seeded byte mutants of every formula the workspace
+    /// parses never panic either parser. Each parses to a formula whose
+    /// rendering parses back to it, or fails at a position inside the text.
+    #[test]
+    fn mutated_formulas_parse_or_fail_at_a_position() {
+        // The parse tests' sources, the weakened fuzzing space's oracles
+        // and E3's CTL properties.
+        let oracles = [
+            "G coverage",
+            "G (!coverage -> F coverage)",
+            "G (!availability -> F availability)",
+        ];
+        let e3 = ["AG EF p0", "AG (p1 -> AF p2)"];
+        let ltl: Vec<&str> = LTL_SOURCES.iter().chain(&oracles).copied().collect();
+        let ctl: Vec<&str> = CTL_SOURCES.iter().chain(&e3).copied().collect();
+        let (mut parsed, mut failed, mut capped) = (0, 0, 0);
+        for seed in [1, 2, 3, 4] {
+            let mut rng = SimRng::seed_from(0xF0A3_0000 + seed);
+            for i in 0..2_000 {
+                for (corpus, is_ctl) in [(&ltl, false), (&ctl, true)] {
+                    let text = mutant(&mut rng, corpus[i % corpus.len()], corpus);
+                    let outcome = std::panic::catch_unwind(|| {
+                        let mut atoms = Atoms::new();
+                        let round_trip = if is_ctl {
+                            parse_ctl(&text, &mut atoms).map(|f| {
+                                let back = parse_ctl(&f.render(&atoms), &mut atoms);
+                                back == Ok(f)
+                            })
+                        } else {
+                            parse_ltl(&text, &mut atoms).map(|f| {
+                                let back = parse_ltl(&f.render(&atoms), &mut atoms);
+                                back == Ok(f)
+                            })
+                        };
+                        (round_trip, atoms.len())
+                    });
+                    let Ok((outcome, atom_count)) = outcome else {
+                        panic!("seed {seed} mutant {i} panics the parser: {text:?}");
+                    };
+                    match outcome {
+                        Ok(round_trips) => {
+                            assert!(round_trips, "seed {seed} mutant {i}: {text:?}");
+                            parsed += 1;
+                        }
+                        Err(e) => {
+                            assert!(e.position <= text.len(), "seed {seed} mutant {i}: {e}");
+                            capped += usize::from(atom_count == MAX_ATOMS);
+                            failed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            parsed > 500 && failed > 500 && capped > 50,
+            "{parsed} parsed, {failed} failed, {capped} at the atom cap"
+        );
     }
 }

@@ -84,18 +84,16 @@ fn crashing_cell_ships_its_ring_trace_tail() {
     // A healthy cell that also runs a forensic ring must leave no residue
     // behind for a later crash on the same worker to pick up.
     grid.cell(Cell::new("t/clean", 1, || -> u64 {
-        let mut sim: riot_sim::Sim<()> = riot_sim::SimBuilder::new(1)
-            .observer(riot_sim::RingTrace::forensics(3))
-            .build();
+        let mut sim: riot_sim::Sim<()> = riot_sim::SimBuilder::new(1).build();
+        sim.add_observer(riot_sim::RingTrace::forensics(3));
         sim.annotate("healthy run");
         sim.run_to_completion();
         drop(sim);
         1
     }));
     grid.cell(Cell::new("t/crash", 2, || -> u64 {
-        let mut sim: riot_sim::Sim<()> = riot_sim::SimBuilder::new(2)
-            .observer(riot_sim::RingTrace::forensics(3))
-            .build();
+        let mut sim: riot_sim::Sim<()> = riot_sim::SimBuilder::new(2).build();
+        sim.add_observer(riot_sim::RingTrace::forensics(3));
         for i in 0..10 {
             sim.annotate(format!("step={i}"));
         }

@@ -10,12 +10,11 @@ use crate::intern::MetricKey;
 use crate::medium::{Delivery, Medium};
 use crate::metrics::Metrics;
 use crate::observer::{AnyObserver, EventMask, SimEvent, SimEventKind};
-use crate::process::{ProcessId, TimerId};
+use crate::process::ProcessId;
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// What a queued event does when it pops. Sized by the timer variant: a
@@ -34,7 +33,6 @@ pub(crate) enum EventKind {
     Timer {
         owner: ProcessId,
         tag: u64,
-        timer: TimerId,
         epoch: u64,
     },
     /// A scheduled mutation of the world: index into `Sim::injections`.
@@ -122,22 +120,6 @@ impl<M> PayloadSlab<M> {
     }
 }
 
-/// Lifecycle of one scheduled timer, tracked in a sliding window indexed by
-/// timer id (see [`Kernel::timer_states`]). Each id corresponds to exactly
-/// one queued event, so every slot is retired exactly once — at the instant
-/// its event pops — and the window's `Done` prefix is reclaimed eagerly.
-/// This replaces the old cancelled-timer tombstone set, whose entries leaked
-/// whenever a timer was cancelled *after* it had already fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TimerState {
-    /// Scheduled, event still in the queue.
-    Pending,
-    /// Cancelled before its event popped; the pop will be swallowed.
-    Cancelled,
-    /// Event popped (fired, discarded, or swallowed); awaiting prefix GC.
-    Done,
-}
-
 /// Pre-interned [`MetricKey`]s for the counters the kernel itself bumps on
 /// the hot path — one intern each at construction, zero allocations per
 /// event thereafter.
@@ -187,15 +169,6 @@ pub struct Kernel<M> {
     pub(crate) live: Vec<bool>,
     /// Restart epoch per process; timers from a previous life are discarded.
     pub(crate) epoch: Vec<u64>,
-    /// Sliding window of timer lifecycles: slot `i` tracks the timer with id
-    /// `timer_base + i`. Ids below `timer_base` are retired and reclaimed.
-    pub(crate) timer_states: VecDeque<TimerState>,
-    /// Id of the oldest timer still tracked in `timer_states`.
-    pub(crate) timer_base: u64,
-    /// Number of `Cancelled` slots currently in the window. The drain
-    /// invariant — an empty event queue implies zero pending cancellations —
-    /// is asserted at the end of every completed run.
-    pub(crate) pending_cancels: usize,
     /// Pre-interned keys for the kernel's own hot-path counters.
     pub(crate) keys: KernelKeys,
     pub(crate) trace_payloads: bool,
@@ -225,9 +198,6 @@ impl<M: fmt::Debug> Kernel<M> {
             interest: EventMask::NONE,
             live: Vec::with_capacity(expected_processes),
             epoch: Vec::with_capacity(expected_processes),
-            timer_states: VecDeque::with_capacity((expected_processes * 2).max(16)),
-            timer_base: 0,
-            pending_cancels: 0,
             keys,
             trace_payloads,
         }
@@ -306,73 +276,12 @@ impl<M: fmt::Debug> Kernel<M> {
         }
     }
 
-    pub(crate) fn schedule_timer(
-        &mut self,
-        owner: ProcessId,
-        delay: SimDuration,
-        tag: u64,
-    ) -> TimerId {
-        let timer = TimerId(self.timer_base + self.timer_states.len() as u64);
-        self.timer_states.push_back(TimerState::Pending);
+    /// Queues a timer for `owner`, stamped with its current epoch: it fires
+    /// only if `owner` is still in that life when it pops.
+    pub(crate) fn schedule_timer(&mut self, owner: ProcessId, delay: SimDuration, tag: u64) {
         // riot-lint: allow(P1, reason = "owner was spawned by this kernel; epoch is grown in lockstep with the process table")
         let epoch = self.epoch[owner.0];
         let at = self.clock + delay;
-        self.push(
-            at,
-            EventKind::Timer {
-                owner,
-                tag,
-                timer,
-                epoch,
-            },
-        );
-        timer
-    }
-
-    /// Marks a timer cancelled. Only a `Pending` timer flips state: cancelling
-    /// one that already fired (or was already cancelled) is a no-op, exactly
-    /// matching the old tombstone semantics — minus the tombstone leak.
-    pub(crate) fn cancel_timer(&mut self, id: TimerId) {
-        let Some(idx) = id.0.checked_sub(self.timer_base) else {
-            return; // already retired and reclaimed
-        };
-        if let Some(state) = self.timer_states.get_mut(idx as usize) {
-            if *state == TimerState::Pending {
-                *state = TimerState::Cancelled;
-                self.pending_cancels += 1;
-            }
-        }
-    }
-
-    /// Retires a timer's window slot when its queue event pops — every id
-    /// pops exactly once, so this is the single point where slots complete.
-    /// Returns `true` if the timer had been cancelled (the caller swallows
-    /// the event). The window's `Done` prefix is reclaimed on the spot,
-    /// keeping memory bounded by the span of in-flight timers.
-    pub(crate) fn retire_timer(&mut self, id: TimerId) -> bool {
-        let Some(idx) = id.0.checked_sub(self.timer_base) else {
-            debug_assert!(false, "timer {id:?} retired twice");
-            return true;
-        };
-        let cancelled = match self.timer_states.get_mut(idx as usize) {
-            Some(state) => {
-                let was = *state;
-                debug_assert!(was != TimerState::Done, "timer {id:?} retired twice");
-                *state = TimerState::Done;
-                if was == TimerState::Cancelled {
-                    self.pending_cancels -= 1;
-                }
-                was == TimerState::Cancelled
-            }
-            None => {
-                debug_assert!(false, "timer {id:?} was never scheduled");
-                true
-            }
-        };
-        while self.timer_states.front() == Some(&TimerState::Done) {
-            self.timer_states.pop_front();
-            self.timer_base += 1;
-        }
-        cancelled
+        self.push(at, EventKind::Timer { owner, tag, epoch });
     }
 }

@@ -81,7 +81,7 @@ pub use metrics::{Histogram, HistogramSummary, Metrics};
 pub use observer::{
     take_crash_tail, AnyObserver, EventMask, RingTrace, SimEvent, SimEventKind, SimObserver,
 };
-pub use process::{Ctx, Process, ProcessId, TimerId};
+pub use process::{Ctx, Process, ProcessId};
 pub use queue::QueueStats;
 pub use rng::SimRng;
 pub use sim::{AnyProcess, Sim, SimBuilder};

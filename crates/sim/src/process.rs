@@ -27,10 +27,6 @@ impl fmt::Display for ProcessId {
     }
 }
 
-/// Identifies one scheduled timer, for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 /// The behaviour of a simulated actor.
 ///
 /// Implementations should be pure with respect to the kernel: all effects go
@@ -67,10 +63,6 @@ pub trait Process<M> {
         let _ = (ctx, tag);
     }
 
-    /// Called when the kernel takes this process down (crash injection or
-    /// churn). State may be inspected but no effects are possible.
-    fn on_down(&mut self) {}
-
     /// Reads, and does not act on, what this process's next callback will
     /// touch: its own hot fields, and rows of shared tables it indexes. The
     /// kernel calls this for the target of every timer and delivery in a
@@ -81,19 +73,14 @@ pub trait Process<M> {
     /// run. Pass what is read through [`std::hint::black_box`], or the
     /// compiler drops the loads. The default does nothing.
     fn prefetch(&self) {}
-
-    /// A short, human-readable name used in panics and traces.
-    fn name(&self) -> &str {
-        "process"
-    }
 }
 
 /// The kernel handle passed to every [`Process`] callback.
 ///
 /// `Ctx` is the *only* channel through which a process can affect the world:
 /// it can read the virtual clock, draw randomness, send messages (routed
-/// through the run's [`Medium`](crate::Medium)), schedule and cancel timers,
-/// and record metrics and trace annotations.
+/// through the run's [`Medium`](crate::Medium)), schedule timers, and record
+/// metrics and trace annotations.
 pub struct Ctx<'a, M> {
     pub(crate) kernel: &'a mut crate::kernel::Kernel<M>,
     pub(crate) id: ProcessId,
@@ -119,15 +106,11 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
     }
 
     /// Schedules a timer to fire on this process after `delay`, carrying
-    /// `tag`. Returns a [`TimerId`] usable with [`Ctx::cancel_timer`].
-    pub fn schedule(&mut self, delay: crate::time::SimDuration, tag: u64) -> TimerId {
-        self.kernel.schedule_timer(self.id, delay, tag)
-    }
-
-    /// Cancels a previously scheduled timer. Cancelling an already-fired or
-    /// already-cancelled timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.kernel.cancel_timer(id);
+    /// `tag`. A timer cannot be cancelled: a handler that no longer wants
+    /// it ignores it by `tag`, and a restart discards every timer of the
+    /// previous life.
+    pub fn schedule(&mut self, delay: crate::time::SimDuration, tag: u64) {
+        self.kernel.schedule_timer(self.id, delay, tag);
     }
 
     /// Draws randomness from the run's deterministic stream.
@@ -184,11 +167,6 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
     #[inline]
     pub fn wants(&self, mask: crate::observer::EventMask) -> bool {
         self.kernel.interest.intersects(mask)
-    }
-
-    /// `true` if the given process is currently up.
-    pub fn is_up(&self, id: ProcessId) -> bool {
-        self.kernel.is_up(id)
     }
 
     /// Number of processes spawned in this simulation.

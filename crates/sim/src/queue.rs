@@ -13,9 +13,9 @@
 //!   (the **late** heap); a pop takes the earlier of the run's last event
 //!   and the heap's top.
 //! * **ring** — the next 2047 slots, each an unordered, intrusive singly
-//!   linked list of nine-event chunks through one slab. A push is a write
-//!   into the slot's first chunk — it reads no chunk — and nothing is
-//!   compared until the cursor reaches the slot.
+//!   linked list of nine-event chunks, seven cache lines each, through one
+//!   slab. A push is a write into the slot's first chunk — it reads no
+//!   chunk — and nothing is compared until the cursor reaches the slot.
 //! * **far** — a binary heap of everything beyond the ring, drained into the
 //!   ring as the cursor advances.
 //!
@@ -40,8 +40,9 @@ const RING_SLOTS: u64 = 2048;
 const RING_WORDS: usize = (RING_SLOTS / 64) as usize;
 /// End of a chunk list.
 const NIL: u32 = u32::MAX;
-/// Events a chunk holds: 8 + 56 K bytes is a whole number of cache lines
-/// only for K ≡ 1 (mod 8), and K = 1 is one dependent load per event.
+/// Events a chunk holds: 8 + 48 K bytes never fills whole cache lines, and
+/// leaves the fewest idle — eight — for K ≡ 1 (mod 4). K = 1 is one
+/// dependent load per event; nine is 440 bytes padded to seven lines.
 const CHUNK_EVENTS: usize = 9;
 
 fn slot_of(at: SimTime) -> u64 {
@@ -60,7 +61,7 @@ fn order_key(event: &Event, start: u64) -> u64 {
     ((event.at.as_micros() - start) << SEQ_BITS) | event.seq
 }
 
-/// One slab entry, eight whole cache lines. On a slot's list every chunk is
+/// One slab entry, seven whole cache lines. On a slot's list every chunk is
 /// full but the first, whose population is in the slot's [`Head`]; what lies
 /// beyond that, and everything in a chunk on the free list, is a stale copy
 /// nobody reads.
@@ -433,7 +434,7 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::kernel::EventKind;
-    use crate::process::{ProcessId, TimerId};
+    use crate::process::ProcessId;
     use crate::rng::SimRng;
     use crate::time::SimDuration;
 
@@ -478,7 +479,6 @@ mod tests {
                 0 => EventKind::Timer {
                     owner: id,
                     tag: self.seq,
-                    timer: TimerId(self.seq),
                     epoch: 0,
                 },
                 1 => EventKind::Deliver {
@@ -534,11 +534,11 @@ mod tests {
     }
 
     #[test]
-    fn a_ring_chunk_is_eight_whole_cache_lines() {
+    fn a_ring_chunk_is_seven_whole_cache_lines() {
         // A wider `EventKind` variant fails here instead of costing every
-        // sift more bytes and every chunk a ninth line at 10⁵ pending timers.
-        assert!(std::mem::size_of::<Event>() <= 56);
-        assert_eq!(std::mem::size_of::<Chunk>(), 512);
+        // sort more bytes and every chunk an eighth line at 10⁵ pending timers.
+        assert!(std::mem::size_of::<Event>() <= 48);
+        assert_eq!(std::mem::size_of::<Chunk>(), 448);
         assert_eq!(std::mem::align_of::<Chunk>(), 64);
     }
 

@@ -56,7 +56,6 @@ pub struct SimBuilder {
     trace_payloads: bool,
     max_events: u64,
     expected_processes: usize,
-    observers: Vec<Box<dyn AnyObserver>>,
 }
 
 impl fmt::Debug for SimBuilder {
@@ -66,7 +65,6 @@ impl fmt::Debug for SimBuilder {
             .field("trace_payloads", &self.trace_payloads)
             .field("max_events", &self.max_events)
             .field("expected_processes", &self.expected_processes)
-            .field("observers", &self.observers.len())
             .finish()
     }
 }
@@ -79,7 +77,6 @@ impl SimBuilder {
             trace_payloads: false,
             max_events: u64::MAX,
             expected_processes: 0,
-            observers: Vec::new(),
         }
     }
 
@@ -107,15 +104,6 @@ impl SimBuilder {
         self
     }
 
-    /// Registers a [`SimObserver`] on the run's observability bus. Observers
-    /// see every kernel event in virtual-time order, dispatched in
-    /// registration order (see [`crate::observer`] for the determinism
-    /// contract).
-    pub fn observer(mut self, observer: impl SimObserver + Any) -> Self {
-        self.observers.push(Box::new(observer));
-        self
-    }
-
     /// Builds a simulation with the default zero-latency [`IdealMedium`].
     pub fn build<M: fmt::Debug>(self) -> Sim<M> {
         self.build_with_medium(Box::new(IdealMedium::new()))
@@ -125,10 +113,7 @@ impl SimBuilder {
     /// `Network`).
     pub fn build_with_medium<M: fmt::Debug>(self, medium: Box<dyn Medium<M>>) -> Sim<M> {
         let rng = SimRng::seed_from(self.seed);
-        let mut kernel = Kernel::new(medium, rng, self.trace_payloads, self.expected_processes);
-        for observer in self.observers {
-            kernel.add_observer(observer);
-        }
+        let kernel = Kernel::new(medium, rng, self.trace_payloads, self.expected_processes);
         Sim {
             kernel,
             procs: Vec::with_capacity(self.expected_processes),
@@ -237,10 +222,12 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         &mut self.kernel.metrics
     }
 
-    /// Registers an observer on the bus mid-build (same contract as
-    /// [`SimBuilder::observer`]); returns the observer's index for later
-    /// retrieval with [`Sim::observer`]. Register before running — events
-    /// already emitted are not replayed.
+    /// Registers a [`SimObserver`] on the run's observability bus; returns
+    /// the observer's index for later retrieval with [`Sim::observer`].
+    /// Observers see every kernel event in virtual-time order, dispatched in
+    /// registration order (see [`crate::observer`] for the determinism
+    /// contract). Register before running — events already emitted are not
+    /// replayed.
     pub fn add_observer(&mut self, observer: impl SimObserver + Any) -> usize {
         self.kernel.add_observer(Box::new(observer))
     }
@@ -351,9 +338,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.kernel.emit(SimEventKind::ProcessDown { id }, None);
         let key = self.kernel.keys.proc_down;
         self.kernel.metrics.incr_key(key);
-        if let Some(p) = self.procs[id.0].as_mut() {
-            p.on_down();
-        }
     }
 
     /// Brings a process back up immediately and re-runs its `on_start`.
@@ -403,14 +387,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             self.load();
             self.step_one();
         }
-        // Drain invariant: once every queued event has popped, every timer
-        // slot has been retired and reclaimed — nothing leaks across a run.
-        debug_assert!(
-            self.kernel.pending_cancels == 0 && self.kernel.timer_states.is_empty(),
-            "drained queue left {} timer slots ({} cancelled) unreclaimed",
-            self.kernel.timer_states.len(),
-            self.kernel.pending_cancels,
-        );
         self.events_processed - before
     }
 
@@ -418,13 +394,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     /// loaded and staged. Plain counts, identical on every rerun of a run.
     pub fn queue_stats(&self) -> QueueStats {
         self.kernel.queue.stats
-    }
-
-    /// Number of cancelled timers whose events have not yet popped — the
-    /// transient memory the cancellation machinery is holding. Exposed for
-    /// tests and diagnostics; a drained queue always reports zero.
-    pub fn pending_timer_cancellations(&self) -> usize {
-        self.kernel.pending_cancels
     }
 
     /// Processes exactly one event if any is queued; returns `false` when
@@ -525,17 +494,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                     .emit(SimEventKind::Delivered { from, to }, Some(&msg));
                 self.with_proc(to, |p, ctx| p.on_message(ctx, from, msg));
             }
-            EventKind::Timer {
-                owner,
-                tag,
-                timer,
-                epoch,
-            } => {
-                // Each timer id pops exactly once: retire its lifecycle slot
-                // now, whether it fires, was cancelled, or is stale.
-                if self.kernel.retire_timer(timer) {
-                    return;
-                }
+            EventKind::Timer { owner, tag, epoch } => {
                 if !self.kernel.is_up(owner) || self.kernel.epoch[owner.0] != epoch {
                     return;
                 }
@@ -635,17 +594,13 @@ mod tests {
 
     struct TimerProc {
         fired: Vec<(u64, SimTime)>,
-        cancel_second: bool,
     }
 
     impl Process<Msg> for TimerProc {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
             ctx.schedule(SimDuration::from_millis(10), 1);
-            let t2 = ctx.schedule(SimDuration::from_millis(20), 2);
+            ctx.schedule(SimDuration::from_millis(20), 2);
             ctx.schedule(SimDuration::from_millis(30), 3);
-            if self.cancel_second {
-                ctx.cancel_timer(t2);
-            }
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
@@ -654,99 +609,26 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_order_and_cancel_works() {
+    fn timers_fire_in_order() {
         let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let a = sim.add_process(TimerProc {
-            fired: Vec::new(),
-            cancel_second: true,
-        });
+        let a = sim.add_process(TimerProc { fired: Vec::new() });
         sim.run_to_completion();
         let p = sim.process::<TimerProc>(a).unwrap();
         assert_eq!(
             p.fired,
-            vec![(1, SimTime::from_millis(10)), (3, SimTime::from_millis(30))]
+            vec![
+                (1, SimTime::from_millis(10)),
+                (2, SimTime::from_millis(20)),
+                (3, SimTime::from_millis(30))
+            ]
         );
-    }
-
-    #[test]
-    fn cancel_after_fire_is_a_noop_and_leaks_nothing() {
-        // The old tombstone set leaked an entry forever when a timer was
-        // cancelled after it had already fired; the lifecycle window retires
-        // the slot at pop, so a late cancel finds nothing to flip.
-        struct LateCancel {
-            token: Option<crate::process::TimerId>,
-            fired: u32,
-        }
-        impl Process<Msg> for LateCancel {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                self.token = Some(ctx.schedule(SimDuration::from_millis(1), 0));
-                ctx.schedule(SimDuration::from_millis(5), 1);
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
-                self.fired += 1;
-                if tag == 1 {
-                    // Timer 0 fired 4ms ago; cancelling it now must change
-                    // nothing and must not leave state behind.
-                    if let Some(t) = self.token.take() {
-                        ctx.cancel_timer(t);
-                    }
-                }
-            }
-        }
-        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let a = sim.add_process(LateCancel {
-            token: None,
-            fired: 0,
-        });
-        sim.run_to_completion();
-        assert_eq!(sim.process::<LateCancel>(a).unwrap().fired, 2);
-        assert_eq!(sim.pending_timer_cancellations(), 0);
-    }
-
-    #[test]
-    fn cancellation_window_drains_with_the_queue() {
-        // Schedule/cancel churn: every round cancels one of two timers. At
-        // completion the sliding window must be fully reclaimed (the
-        // run_to_completion debug_assert checks the internal window; the
-        // public counter must read zero).
-        struct Churner {
-            rounds: u32,
-        }
-        impl Process<Msg> for Churner {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                ctx.schedule(SimDuration::from_millis(1), 0);
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
-                if self.rounds == 0 {
-                    return;
-                }
-                self.rounds -= 1;
-                ctx.schedule(SimDuration::from_millis(1), 0);
-                let doomed = ctx.schedule(SimDuration::from_millis(2), 1);
-                ctx.cancel_timer(doomed);
-            }
-        }
-        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        sim.add_process(Churner { rounds: 500 });
-        sim.run_until(SimTime::from_millis(250));
-        assert!(
-            sim.pending_timer_cancellations() > 0,
-            "mid-run churn keeps cancellations in flight"
-        );
-        sim.run_to_completion();
-        assert_eq!(sim.pending_timer_cancellations(), 0);
     }
 
     #[test]
     fn expect_processes_changes_nothing_observable() {
         let run = |hint: usize| {
             let mut sim: Sim<Msg> = SimBuilder::new(42).expect_processes(hint).build();
-            let a = sim.add_process(TimerProc {
-                fired: Vec::new(),
-                cancel_second: true,
-            });
+            let a = sim.add_process(TimerProc { fired: Vec::new() });
             sim.send_external(a, Msg::Ping(1));
             sim.run_to_completion();
             (
@@ -768,10 +650,7 @@ mod tests {
     #[test]
     fn down_process_drops_messages_and_timers() {
         let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let a = sim.add_process(TimerProc {
-            fired: Vec::new(),
-            cancel_second: false,
-        });
+        let a = sim.add_process(TimerProc { fired: Vec::new() });
         sim.run_until(SimTime::from_millis(15));
         sim.set_down(a);
         sim.send_external(a, Msg::Ping(1));
@@ -785,10 +664,7 @@ mod tests {
     #[test]
     fn restart_runs_on_start_again_with_fresh_epoch() {
         let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let a = sim.add_process(TimerProc {
-            fired: Vec::new(),
-            cancel_second: false,
-        });
+        let a = sim.add_process(TimerProc { fired: Vec::new() });
         sim.run_until(SimTime::from_millis(5));
         sim.set_down(a);
         sim.set_up(a);
@@ -1134,9 +1010,8 @@ mod tests {
     {
         let run = |reading: bool| {
             let medium = IdealMedium::with_latency(SimDuration::from_millis(3));
-            let mut sim: Sim<Msg> = SimBuilder::new(17)
-                .observer(RingTrace::new(50_000))
-                .build_with_medium(Box::new(medium));
+            let mut sim: Sim<Msg> = SimBuilder::new(17).build_with_medium(Box::new(medium));
+            sim.add_observer(RingTrace::new(50_000));
             for _ in 0..count {
                 if reading {
                     sim.add_process(Reading(proc_));
@@ -1262,10 +1137,8 @@ mod tests {
 
     #[test]
     fn a_delivery_to_a_downed_process_frees_its_slot_and_shows_its_payload() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1)
-            .trace_payloads(true)
-            .observer(RingTrace::new(16))
-            .build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).trace_payloads(true).build();
+        sim.add_observer(RingTrace::new(16));
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(9));
         sim.set_down(a);
@@ -1342,10 +1215,8 @@ mod tests {
 
     #[test]
     fn tracing_records_lifecycle() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1)
-            .trace_payloads(true)
-            .observer(RingTrace::new(16))
-            .build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).trace_payloads(true).build();
+        sim.add_observer(RingTrace::new(16));
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(3));
         sim.run_to_completion();
@@ -1370,10 +1241,9 @@ mod tests {
 
     #[test]
     fn observers_see_the_trace_event_sequence() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1)
-            .observer(Recorder { seen: Vec::new() })
-            .observer(RingTrace::new(64))
-            .build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        sim.add_observer(Recorder { seen: Vec::new() });
+        sim.add_observer(RingTrace::new(64));
         let a = sim.add_process(Counter::new());
         let third = sim.add_observer(Recorder { seen: Vec::new() });
         sim.send_external(a, Msg::Ping(1));
@@ -1394,9 +1264,8 @@ mod tests {
 
     #[test]
     fn observers_work_without_tracing() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1)
-            .observer(Recorder { seen: Vec::new() })
-            .build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        sim.add_observer(Recorder { seen: Vec::new() });
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(1));
         sim.run_to_completion();
@@ -1422,7 +1291,8 @@ mod tests {
                 EventMask::LIFECYCLE
             }
         }
-        let mut sim: Sim<Msg> = SimBuilder::new(1).observer(Lifecycle).build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        sim.add_observer(Lifecycle);
         assert!(sim.wants(EventMask::PROCESS_DOWN));
         assert!(!sim.wants(EventMask::NOTE), "nobody reads notes yet");
         assert!(!sim.wants(EventMask::MEASURE));
@@ -1437,7 +1307,8 @@ mod tests {
 
     #[test]
     fn ring_trace_retains_the_tail_of_the_run() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1).observer(RingTrace::new(4)).build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        sim.add_observer(RingTrace::new(4));
         let a = sim.add_process(Counter::new());
         for i in 0..20 {
             sim.send_external(a, Msg::Ping(i));
@@ -1457,11 +1328,9 @@ mod tests {
                 self.0.push(event.to_json().render());
             }
         }
-        let mut sim: Sim<Msg> = SimBuilder::new(1)
-            .trace_payloads(true)
-            .observer(RingTrace::new(5))
-            .observer(Eager(Vec::new()))
-            .build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).trace_payloads(true).build();
+        sim.add_observer(RingTrace::new(5));
+        sim.add_observer(Eager(Vec::new()));
         let a = sim.add_process(Counter::new());
         for i in 0..12 {
             sim.send_external(a, Msg::Ping(i));
@@ -1489,7 +1358,8 @@ mod tests {
 
     #[test]
     fn external_annotations_reach_the_bus() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1).observer(RingTrace::new(16)).build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        sim.add_observer(RingTrace::new(16));
         sim.add_process(Counter::new());
         sim.annotate("phase=warmup");
         sim.run_to_completion();

@@ -8,9 +8,11 @@
 #
 # The change is the working tree this script lives in; the parent is
 # `git archive <parent-rev>` unpacked under /root/scratch/bench_pairs. With
-# no workload named, all four run. Prints, per workload, the per-seed table
-# and the median [Q1–Q3] / ratio / wins rows in EXPERIMENTS.md's format
-# (quartiles by the benchmark's own rule, stats.rs `exclusive_quantile`).
+# no workload named, every workload BENCHMARK.json lists runs; a name it
+# does not list fails before anything is built. Prints, per workload, the
+# per-seed table and the median [Q1–Q3] / ratio / wins rows in
+# EXPERIMENTS.md's format (quartiles by the benchmark's own rule, stats.rs
+# `exclusive_quantile`).
 set -euo pipefail
 
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
@@ -19,7 +21,7 @@ seeds=(3 7 11 19 23 42 57 101 314 2718)
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
 
 usage() {
-  sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -37,7 +39,17 @@ while (($#)); do
 done
 [[ -n "$parent_rev" ]] || usage
 ((pairs >= 1 && pairs <= ${#seeds[@]})) || { echo "--pairs must be 1..${#seeds[@]}" >&2; exit 2; }
-((${#workloads[@]})) || workloads=(timers_1e5 mesh_1e3 cloud_churn_1e3 fuzz_sweep)
+# The names under BENCHMARK.json's "workloads" array, in file order.
+mapfile -t known < <(sed -n '/"workloads": *\[/,/^ *\]/p' "$root/BENCHMARK.json" |
+  grep -o '"name": *"[^"]*"' | sed 's/.*"\([^"]*\)"$/\1/')
+((${#known[@]})) || { echo "no workloads found in $root/BENCHMARK.json" >&2; exit 2; }
+((${#workloads[@]})) || workloads=("${known[@]}")
+for w in "${workloads[@]}"; do
+  [[ " ${known[*]} " == *" $w "* ]] || {
+    echo "unknown workload '$w' (BENCHMARK.json lists: ${known[*]})" >&2
+    exit 2
+  }
+done
 
 parent_rev="$(git -C "$root" rev-parse --verify "$parent_rev^{commit}")"
 echo "==> parent ${parent_rev:0:7} -> $work/parent"
