@@ -7,33 +7,16 @@
 //! appropriate actions" — with the twist that analysis and planning should
 //! sit on *edge components*, close to the devices they manage.
 //!
-//! * [`KnowledgeBase`] — the models@runtime store: timestamped metrics,
-//!   component lifecycle states and node liveness, with a freshness horizon
-//!   that turns stale knowledge into `Unknown` verdicts (uncertainty as a
-//!   first-class outcome).
-//! * [`Analyzer`] — requirement evaluation plus LTL runtime monitors over a
-//!   propositional abstraction of the model (atoms bound to knowledge-base
-//!   predicates).
-//! * Planners — [`RulePlanner`] (cheap condition→action rules) and
-//!   [`SearchPlanner`] (greedy model-based search against a predictive
-//!   [`ActionModel`], gain-per-cost ranked).
-//! * [`MapeLoop`] — the assembled loop with [`Placement`] (cloud vs edge),
-//!   period, and cycle statistics. Monitoring and execution are the
-//!   caller's boundary, matching Figure 5's placement of sensing and
-//!   actuation at the devices.
+//! [`MapeLoop`] is the Analyze and Plan stages the archetypes run, over a
+//! knowledge base of component lifecycle states: when its scope is not
+//! fully covered, it plans one [`Restart`] per component it believes
+//! failed. Monitoring and execution are the caller's boundary, matching
+//! Figure 5's placement of sensing and actuation at the devices; where the
+//! loop runs (cloud or edge) is the caller's choice too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analyze;
-mod knowledge;
 mod mape;
-mod plan;
 
-pub use analyze::{Analyzer, AtomBinding, Issue, NamedMonitor};
-pub use knowledge::{KnowledgeBase, Observation};
-pub use mape::{CycleRecord, MapeLoop, MapeStats, Placement};
-pub use plan::{
-    ActionModel, AdaptationAction, ControlMode, Plan, Planner, PlanningRule, RulePlanner,
-    SearchPlanner,
-};
+pub use mape::{MapeLoop, MapeStats, Restart};

@@ -164,8 +164,6 @@ fn main() {
     let scenario = Scenario::build(spec);
     let result = scenario.run();
     // Feed the recorded sat.all series into the monitor as a trace.
-    // (In-system deployment would step the monitor inside the MAPE
-    // analyzer; riot-adapt supports exactly that via atom bindings.)
     let trace: Vec<Valuation> = result
         .sat_all_series
         .iter()

@@ -4,14 +4,13 @@
 //! (ML2, where "centralizing control … requires cloud control structures to
 //! be always available", §V-A), and — at ML2/ML3 — hosts the MAPE loop.
 //! Its knowledge is only as fresh as the cloud link: when a partition or
-//! outage cuts it off, telemetry stops arriving, its knowledge base goes
-//! stale, and recovery stalls — the failure mode experiments E4 and E6
+//! outage cuts it off, telemetry stops arriving, every component in scope
+//! falls silent, and recovery stalls — the failure mode experiments E4 and E6
 //! quantify.
 
-use crate::config::ArchitectureConfig;
+use crate::config::{ArchitectureConfig, MapePlacement};
 use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::recovery::MapeHost;
-use riot_adapt::Placement;
 use riot_coord::{CloudRegistry, RegistryConfig};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
@@ -92,7 +91,7 @@ impl CloudProcess {
         };
         let store =
             ReplicatedStore::with_keys(cfg.me.0 as u32, cfg.domain, policy, cfg.keys.clone());
-        let mape = MapeHost::new(&cfg.arch, Placement::Cloud);
+        let mape = MapeHost::new(&cfg.arch, MapePlacement::Cloud);
         CloudProcess {
             cfg,
             keys: None,

@@ -89,8 +89,6 @@ pub struct ArchitectureConfig {
     pub silence_threshold: SimDuration,
     /// Delay for a restart command to take effect at the device.
     pub restart_delay: SimDuration,
-    /// Knowledge-base freshness horizon.
-    pub knowledge_freshness: SimDuration,
     /// SWIM parameters (ML4).
     pub swim: SwimConfig,
     /// Election parameters (ML4).
@@ -154,7 +152,6 @@ impl ArchitectureConfig {
             mape_period: SimDuration::from_millis(1_000),
             silence_threshold: SimDuration::from_millis(3_000),
             restart_delay: SimDuration::from_millis(500),
-            knowledge_freshness: SimDuration::from_secs(10),
             swim: SwimConfig::default(),
             election: ElectionConfig::default(),
             coord_tick: SimDuration::from_millis(200),

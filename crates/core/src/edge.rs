@@ -10,7 +10,6 @@
 use crate::config::{ArchitectureConfig, MapePlacement, ReplicationMode};
 use crate::msg::{AppMsg, Msg, PolicyUpdate, ReadingPayload};
 use crate::recovery::MapeHost;
-use riot_adapt::Placement;
 use riot_coord::{Election, ElectionOutput, Gossip, GossipConfig, MemberState, Swim, SwimOutput};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
@@ -123,7 +122,7 @@ impl EdgeProcess {
         } else {
             (None, None, None)
         };
-        let mape = MapeHost::new(&cfg.arch, Placement::Edge);
+        let mape = MapeHost::new(&cfg.arch, MapePlacement::Edge);
         EdgeProcess {
             cfg,
             keys: None,
@@ -224,11 +223,9 @@ impl EdgeProcess {
         for o in outputs {
             match o {
                 SwimOutput::Send { to, msg } => ctx.send(to, Msg::Swim(msg)),
-                SwimOutput::StateChange { node, to, .. } => {
+                SwimOutput::StateChange { .. } => {
                     let key = self.hot_keys(ctx).swim_state_change;
                     ctx.metrics().incr_key(key);
-                    self.mape
-                        .observe_node(node, to == MemberState::Alive, ctx.now());
                 }
             }
         }
@@ -666,38 +663,117 @@ mod tests {
             ProcessId(0),
         )));
         // A device "reports once and goes silent".
-        #[derive(Default)]
-        struct Dev {
-            restarts: u32,
-        }
-        impl Process<Msg> for Dev {
-            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
-                if matches!(msg, Msg::App(AppMsg::Restart { .. })) {
-                    self.restarts += 1;
-                }
-            }
-        }
-        let dev = sim.add_process(Dev::default());
-        sim.send_external(
-            me,
-            Msg::App(AppMsg::Reading(ReadingPayload {
-                key: edge_key(&sim, me, "d/reading"),
-                value: 1.0,
-                meta: riot_data::DataMeta::operational(DomainId(0), SimTime::ZERO),
-                component: ComponentId(1),
-                state: ComponentState::Running,
-                device: dev,
-            })),
-        );
+        let dev = sim.add_process(RestartLog::default());
+        sim.send_external(me, report(&sim, me, dev, 1));
         // Silence threshold is 3s; run well past it.
         sim.run_until(SimTime::from_secs(10));
         assert!(
-            sim.process::<Dev>(dev).unwrap().restarts >= 1,
+            !sim.process::<RestartLog>(dev).unwrap().got.is_empty(),
             "edge MAPE detected silence and sent a restart"
         );
         assert!(sim.metrics().counter("mape.restart_sent") >= 1);
         let edge = sim.process::<EdgeProcess>(me).unwrap();
         assert!(edge.mape_stats().unwrap().cycles > 5);
+    }
+
+    /// A device that logs every restart command it receives.
+    #[derive(Default)]
+    struct RestartLog {
+        got: Vec<(ComponentId, SimTime)>,
+    }
+
+    impl Process<Msg> for RestartLog {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
+            if let Msg::App(AppMsg::Restart { component }) = msg {
+                self.got.push((component, ctx.now()));
+            }
+        }
+    }
+
+    fn report(sim: &Sim<Msg>, edge: ProcessId, device: ProcessId, component: u32) -> Msg {
+        Msg::App(AppMsg::Reading(ReadingPayload {
+            key: edge_key(sim, edge, "d/reading"),
+            value: 1.0,
+            meta: riot_data::DataMeta::operational(DomainId(0), sim.now()),
+            component: ComponentId(component),
+            state: ComponentState::Running,
+            device,
+        }))
+    }
+
+    #[test]
+    fn ml4_edge_mape_repeats_a_restart_only_after_the_cooldown() {
+        let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let _cloud = sim.add_process(Sink::default());
+        let me = ProcessId(1);
+        sim.add_process(EdgeProcess::new(edge_cfg(
+            MaturityLevel::Ml4,
+            me,
+            vec![],
+            ProcessId(0),
+        )));
+        let dev = sim.add_process(RestartLog::default());
+        // The device reports once and never again.
+        sim.send_external(me, report(&sim, me, dev, 1));
+        sim.run_until(SimTime::from_secs(12));
+        let got = &sim.process::<RestartLog>(dev).unwrap().got;
+        assert!(got.len() >= 2, "the restart is repeated: {got:?}");
+        let cooldown = ArchitectureConfig::for_level(MaturityLevel::Ml4).silence_threshold;
+        for pair in got.windows(2) {
+            assert!(
+                pair[1].1.saturating_since(pair[0].1) >= cooldown,
+                "restarts closer than the cooldown: {got:?}"
+            );
+        }
+        let sent = sim.metrics().counter("mape.restart_sent");
+        assert_eq!(sent, got.len() as u64);
+        let edge = sim.process::<EdgeProcess>(me).unwrap();
+        assert!(edge.mape_stats().unwrap().actions_planned >= sent);
+    }
+
+    /// Pins what an edge restart keeps: the telemetry and the cooldowns
+    /// go, the loop's knowledge of component states stays.
+    #[test]
+    fn mape_knowledge_survives_an_edge_restart() {
+        let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let _cloud = sim.add_process(Sink::default());
+        let me = ProcessId(1);
+        sim.add_process(EdgeProcess::new(edge_cfg(
+            MaturityLevel::Ml4,
+            me,
+            vec![],
+            ProcessId(0),
+        )));
+        let dev = sim.add_process(RestartLog::default());
+        // Component 1 reports once and falls silent: held failed.
+        sim.send_external(me, report(&sim, me, dev, 1));
+        sim.run_until(SimTime::from_millis(4_500));
+        // Component 2 reports just before the crash: held running.
+        sim.send_external(me, report(&sim, me, dev, 2));
+        sim.run_until(SimTime::from_secs(5));
+        let crash = sim.now();
+        sim.set_down(me);
+        sim.set_up(me);
+        // Component 3 reports once after the restart and falls silent.
+        sim.send_external(me, report(&sim, me, dev, 3));
+        sim.run_until(SimTime::from_secs(15));
+        let after: Vec<ComponentId> = sim
+            .process::<RestartLog>(dev)
+            .unwrap()
+            .got
+            .iter()
+            .filter(|(_, at)| *at > crash)
+            .map(|(c, _)| *c)
+            .collect();
+        assert!(
+            after.contains(&ComponentId(1)),
+            "a component held failed before the crash is restarted again: {after:?}"
+        );
+        assert!(after.contains(&ComponentId(3)), "{after:?}");
+        assert!(
+            !after.contains(&ComponentId(2)),
+            "a component held running before the crash is not reconsidered: {after:?}"
+        );
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub use observe::{
     MonitorError, MonitorOutcome, MonitorSpec, ObserverSpec, StreamQuantiles, StreamSpec,
     StreamStats, StreamSummary, SAT_LABEL, VALUATION_ATOMS,
 };
-pub use recovery::RecoveryPlanner;
 pub use report::{pct, resilience_table, secs, Stats, Table};
 pub use resilience::{
     outcome_from_series, standard_goal_model, standard_requirements, time_weighted_mean,

@@ -1,65 +1,33 @@
-//! The recovery planner used by the archetype MAPE loops, and the host
-//! that runs such a loop inside a cloud or edge process.
+//! The host that runs an archetype's MAPE loop inside a cloud or edge
+//! process.
 //!
-//! The scenarios' self-healing need is concrete: every component the
-//! knowledge base believes failed should be restarted on its host.
-//! [`RecoveryPlanner`] plans exactly that — one `RestartComponent` per
-//! failed component per cycle — which keeps experiment results easy to
-//! reason about (recovery time = detection time + one cycle + restart
-//! delay + transport). [`MapeHost`] is the part both placements share:
-//! failure detection by silence, and execution with a restart cooldown.
+//! The scenarios' self-healing need is concrete: every component believed
+//! failed should be restarted on its host. [`riot_adapt::MapeLoop`] plans
+//! exactly that — one restart per failed component per cycle — which keeps
+//! experiment results easy to reason about: recovery time is detection time
+//! plus one cycle, the restart delay and transport. [`MapeHost`] is the part
+//! both placements share: failure detection by silence (Monitor), and
+//! execution with a restart cooldown (Execute).
 
 use crate::config::{ArchitectureConfig, MapePlacement};
 use crate::msg::{AppMsg, Msg};
-use riot_adapt::{
-    AdaptationAction, Issue, KnowledgeBase, MapeLoop, MapeStats, Placement, Plan, Planner,
-};
-use riot_model::{
-    ComponentId, ComponentState, Predicate, Requirement, RequirementId, RequirementKind,
-    RequirementSet,
-};
+use riot_adapt::{MapeLoop, MapeStats, Restart};
+use riot_model::{ComponentId, ComponentState};
 use riot_sim::{Ctx, MetricKey, ProcessId, SimDuration, SimTime};
 use std::collections::BTreeMap;
-
-/// The requirement the archetype MAPE loops maintain: full component
-/// coverage in their scope. A silent/failed component drops the
-/// `scope.coverage` metric below 1, raising the issue that triggers
-/// planning.
-pub fn scope_requirements() -> RequirementSet {
-    vec![Requirement::new(
-        RequirementId(0),
-        "all scope components alive",
-        RequirementKind::Coverage,
-        "scope.coverage",
-        Predicate::AtLeast(1.0),
-    )]
-    .into_iter()
-    .collect()
-}
-
-/// Plans a restart for every failed component in the knowledge base.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoveryPlanner;
-
-impl Planner for RecoveryPlanner {
-    fn plan(&mut self, _issues: &[Issue], kb: &KnowledgeBase) -> Plan {
-        let mut plan = Plan::empty();
-        for (component, host) in kb.components_in_state(ComponentState::Failed) {
-            plan.actions
-                .push(AdaptationAction::RestartComponent { component, host });
-            plan.rationale
-                .push(format!("component {component} on {host} believed failed"));
-        }
-        plan
-    }
-}
 
 /// The MAPE side of a cloud or edge process: the component telemetry it
 /// has heard, the loop itself when the architecture places one here, and
 /// the execute stage's restart cooldowns.
+///
+/// A host restart ([`MapeHost::clear`]) forgets the telemetry and the
+/// cooldowns but not the loop's knowledge. After a crash, a component the
+/// loop last held failed is restarted again at the next uncovered cycle,
+/// even if it is never heard from again; one last held running is not
+/// reconsidered until it reports again.
 pub(crate) struct MapeHost {
     /// The loop, when this node hosts one.
-    mape: Option<MapeLoop<RecoveryPlanner>>,
+    mape: Option<MapeLoop>,
     /// A component silent for this long is believed failed; also how long
     /// a restart command is given to act before it is repeated.
     silence: SimDuration,
@@ -70,23 +38,11 @@ pub(crate) struct MapeHost {
 }
 
 impl MapeHost {
-    /// A host at `placement`; it runs a loop only when the architecture
-    /// places MAPE there.
-    pub(crate) fn new(arch: &ArchitectureConfig, placement: Placement) -> Self {
-        let hosted = matches!(
-            (arch.mape, placement),
-            (MapePlacement::Cloud, Placement::Cloud) | (MapePlacement::Edge, Placement::Edge)
-        );
+    /// A host at `here`; it runs a loop only when the architecture places
+    /// MAPE there.
+    pub(crate) fn new(arch: &ArchitectureConfig, here: MapePlacement) -> Self {
         MapeHost {
-            mape: hosted.then(|| {
-                MapeLoop::new(
-                    scope_requirements(),
-                    RecoveryPlanner,
-                    placement,
-                    arch.mape_period,
-                    arch.knowledge_freshness,
-                )
-            }),
+            mape: (arch.mape == here).then(MapeLoop::new),
             silence: arch.silence_threshold,
             last_seen: BTreeMap::new(),
             restart_sent_at: BTreeMap::new(),
@@ -96,13 +52,6 @@ impl MapeHost {
     /// `true` when this node runs a loop and needs its timer.
     pub(crate) fn hosted(&self) -> bool {
         self.mape.is_some()
-    }
-
-    /// Membership reported `node` alive or dead.
-    pub(crate) fn observe_node(&mut self, node: ProcessId, alive: bool, now: SimTime) {
-        if let Some(mape) = self.mape.as_mut() {
-            mape.observe_node(node, alive, now);
-        }
     }
 
     /// Telemetry from `component` on `device` arrived.
@@ -115,7 +64,7 @@ impl MapeHost {
     ) {
         self.last_seen.insert(component, (device, now));
         if let Some(mape) = self.mape.as_mut() {
-            mape.observe_component(component, state, device, now);
+            mape.observe_component(component, state, device);
         }
     }
 
@@ -135,32 +84,26 @@ impl MapeHost {
             } else {
                 ComponentState::Failed
             };
-            mape.observe_component(*component, state, *device, now);
+            mape.observe_component(*component, state, *device);
         }
-        let coverage = if self.last_seen.is_empty() {
-            1.0
-        } else {
-            fresh as f64 / self.last_seen.len() as f64
-        };
-        mape.observe_metric("scope.coverage", coverage, now);
-        let (_, plan) = mape.cycle(now);
         // Execute with a per-component cooldown: a restart command is given
         // time to act (and to traverse a possibly degraded network) before
         // being repeated.
-        for action in plan.actions {
-            if let AdaptationAction::RestartComponent { component, host } = action {
+        mape.cycle(
+            fresh == self.last_seen.len(),
+            |Restart { component, host }| {
                 let recently = self
                     .restart_sent_at
                     .get(&component)
                     .is_some_and(|at| now.saturating_since(*at) < self.silence);
                 if recently {
-                    continue;
+                    return;
                 }
                 self.restart_sent_at.insert(component, now);
                 ctx.metrics().incr_key(restart_sent);
                 ctx.send(host, Msg::App(AppMsg::Restart { component }));
-            }
-        }
+            },
+        );
     }
 
     /// Forgets the telemetry and the pending cooldowns: the host crashed
@@ -179,49 +122,91 @@ impl MapeHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riot_model::MaturityLevel;
+    use riot_sim::{Process, Sim, SimBuilder};
 
-    #[test]
-    fn restarts_every_failed_component() {
-        let mut kb = KnowledgeBase::new(SimDuration::from_secs(10));
-        kb.set_component(
-            ComponentId(1),
-            ComponentState::Failed,
-            ProcessId(5),
-            SimTime::ZERO,
-        );
-        kb.set_component(
-            ComponentId(2),
-            ComponentState::Running,
-            ProcessId(6),
-            SimTime::ZERO,
-        );
-        kb.set_component(
-            ComponentId(3),
-            ComponentState::Failed,
-            ProcessId(7),
-            SimTime::ZERO,
-        );
-        let plan = RecoveryPlanner.plan(&[], &kb);
-        assert_eq!(plan.len(), 2);
-        assert!(plan.actions.contains(&AdaptationAction::RestartComponent {
-            component: ComponentId(1),
-            host: ProcessId(5)
-        }));
-        assert!(plan.actions.contains(&AdaptationAction::RestartComponent {
-            component: ComponentId(3),
-            host: ProcessId(7)
-        }));
+    /// A cloud-placed host that hears `components` (all running, hosted
+    /// on the sink) at start and runs one cycle at `cycle_at`.
+    struct Host {
+        host: MapeHost,
+        components: Vec<ComponentId>,
+        sink: ProcessId,
+        cycle_at: SimDuration,
+    }
+
+    impl Process<Msg> for Host {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            for &c in &self.components {
+                self.host
+                    .heard(c, ComponentState::Running, self.sink, ctx.now());
+            }
+            ctx.schedule(self.cycle_at, 0);
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {}
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
+            let restart_sent = ctx.metrics().intern("mape.restart_sent");
+            self.host.run(ctx, restart_sent);
+        }
+    }
+
+    /// Counts the restart commands it receives.
+    #[derive(Default)]
+    struct Sink {
+        restarts: Vec<ComponentId>,
+    }
+
+    impl Process<Msg> for Sink {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
+            if let Msg::App(AppMsg::Restart { component }) = msg {
+                self.restarts.push(component);
+            }
+        }
+    }
+
+    /// Runs one host cycle `cycle_at` after two components were heard.
+    fn one_cycle(cycle_at: SimDuration) -> (Sim<Msg>, ProcessId, ProcessId) {
+        let arch = ArchitectureConfig::for_level(MaturityLevel::Ml2);
+        assert_eq!(arch.mape, MapePlacement::Cloud);
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        let sink = sim.add_process(Sink::default());
+        let host = sim.add_process(Host {
+            host: MapeHost::new(&arch, MapePlacement::Cloud),
+            components: vec![ComponentId(1), ComponentId(2)],
+            sink,
+            cycle_at,
+        });
+        sim.run_until(SimTime::ZERO + cycle_at + SimDuration::from_secs(1));
+        (sim, host, sink)
     }
 
     #[test]
     fn healthy_model_plans_nothing() {
-        let mut kb = KnowledgeBase::new(SimDuration::from_secs(10));
-        kb.set_component(
-            ComponentId(1),
-            ComponentState::Running,
-            ProcessId(5),
-            SimTime::ZERO,
+        let (sim, host, sink) = one_cycle(SimDuration::from_millis(500));
+        let stats = sim.process::<Host>(host).unwrap().host.stats().unwrap();
+        assert_eq!(
+            stats,
+            MapeStats {
+                cycles: 1,
+                issues_found: 0,
+                actions_planned: 0
+            }
         );
-        assert!(RecoveryPlanner.plan(&[], &kb).is_empty());
+        assert!(sim.process::<Sink>(sink).unwrap().restarts.is_empty());
+        assert_eq!(sim.metrics().counter("mape.restart_sent"), 0);
+    }
+
+    #[test]
+    fn silent_components_are_restarted_on_their_host() {
+        let (sim, host, sink) = one_cycle(SimDuration::from_secs(10));
+        let stats = sim.process::<Host>(host).unwrap().host.stats().unwrap();
+        assert_eq!(stats.issues_found, 1);
+        assert_eq!(stats.actions_planned, 2);
+        assert_eq!(
+            sim.process::<Sink>(sink).unwrap().restarts,
+            vec![ComponentId(1), ComponentId(2)]
+        );
+        assert_eq!(sim.metrics().counter("mape.restart_sent"), 2);
     }
 }

@@ -5,8 +5,8 @@
 //! and validation)" applied to IoT. A [`GoalModel`] is an arena-allocated
 //! AND/OR tree whose leaves reference [`Requirement`]s
 //! (`riot_model::Requirement`); evaluation propagates three-valued verdicts
-//! up the tree and also produces a quantitative satisfaction score used by
-//! planners to compare candidate adaptations.
+//! up the tree and also produces a quantitative satisfaction score, the
+//! fraction of leaf requirements satisfied.
 
 use crate::requirement::{RequirementId, RequirementSet, Telemetry, Verdict};
 use std::fmt;

@@ -62,17 +62,6 @@ impl Predicate {
             Predicate::Zero => value == 0.0,
         }
     }
-
-    /// Signed margin by which the predicate holds (positive) or fails
-    /// (negative); used by planners to rank violations by severity.
-    pub fn margin(&self, value: f64) -> f64 {
-        match *self {
-            Predicate::AtMost(b) => b - value,
-            Predicate::AtLeast(b) => value - b,
-            Predicate::Between(lo, hi) => (value - lo).min(hi - value),
-            Predicate::Zero => -value.abs(),
-        }
-    }
 }
 
 /// Three-valued requirement outcome.
@@ -116,8 +105,8 @@ impl Verdict {
 
 /// A source of runtime measurements, keyed by metric name.
 ///
-/// The runtime model in `riot-adapt` implements this over its knowledge
-/// base; tests can use a plain `BTreeMap`.
+/// The scenario runner implements this over each sample's measurements;
+/// tests can use a plain `BTreeMap`.
 pub trait Telemetry {
     /// The current value of a metric, or `None` if unobservable.
     fn value(&self, metric: &str) -> Option<f64>;
@@ -190,13 +179,6 @@ impl Requirement {
             None => Verdict::Unknown,
         }
     }
-
-    /// Signed satisfaction margin, or `None` when unobservable.
-    pub fn margin(&self, telemetry: &impl Telemetry) -> Option<f64> {
-        telemetry
-            .value(&self.metric)
-            .map(|v| self.predicate.margin(v))
-    }
 }
 
 /// An ordered collection of requirements.
@@ -234,14 +216,6 @@ impl RequirementSet {
     /// Iterates in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Requirement> {
         self.reqs.values()
-    }
-
-    /// Evaluates every requirement, returning verdicts in id order.
-    pub fn evaluate_all(&self, telemetry: &impl Telemetry) -> Vec<(RequirementId, Verdict)> {
-        self.reqs
-            .values()
-            .map(|r| (r.id, r.evaluate(telemetry)))
-            .collect()
     }
 
     /// Fraction of requirements currently satisfied (unknown counts as not
@@ -286,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn predicates_hold_and_margin() {
+    fn predicates_hold() {
         assert!(Predicate::AtMost(5.0).holds(5.0));
         assert!(!Predicate::AtMost(5.0).holds(5.1));
         assert!(Predicate::AtLeast(0.9).holds(0.95));
@@ -294,11 +268,6 @@ mod tests {
         assert!(!Predicate::Between(1.0, 2.0).holds(2.5));
         assert!(Predicate::Zero.holds(0.0));
         assert!(!Predicate::Zero.holds(0.001));
-
-        assert_eq!(Predicate::AtMost(5.0).margin(3.0), 2.0);
-        assert_eq!(Predicate::AtLeast(5.0).margin(3.0), -2.0);
-        assert_eq!(Predicate::Between(0.0, 10.0).margin(2.0), 2.0);
-        assert_eq!(Predicate::Zero.margin(-3.0), -3.0);
     }
 
     #[test]
@@ -332,8 +301,6 @@ mod tests {
             Verdict::Violated
         );
         assert_eq!(r.evaluate(&telemetry(&[])), Verdict::Unknown);
-        assert_eq!(r.margin(&telemetry(&[("staleness_s", 3.0)])), Some(7.0));
-        assert_eq!(r.margin(&telemetry(&[])), None);
     }
 
     #[test]
@@ -366,10 +333,11 @@ mod tests {
         let t = telemetry(&[("m0", 0.5), ("m1", 0.5)]);
         // m0 satisfied, m1 violated, m2 unknown.
         assert_eq!(set.satisfaction_fraction(&t), 1.0 / 3.0);
-        let verdicts = set.evaluate_all(&t);
-        assert_eq!(verdicts[0].1, Verdict::Satisfied);
-        assert_eq!(verdicts[1].1, Verdict::Violated);
-        assert_eq!(verdicts[2].1, Verdict::Unknown);
+        let verdicts: Vec<Verdict> = set.iter().map(|r| r.evaluate(&t)).collect();
+        assert_eq!(
+            verdicts,
+            [Verdict::Satisfied, Verdict::Violated, Verdict::Unknown]
+        );
     }
 
     #[test]

@@ -46,23 +46,6 @@ fn kleene_laws() {
     }
 }
 
-/// Predicate margins agree with the boolean: margin >= 0 ⟺ holds.
-#[test]
-fn margin_sign_matches_predicate() {
-    let mut rng = SimRng::seed_from(0x60A1_0002);
-    for _ in 0..CASES {
-        let value = rng.range_f64(-1_000.0, 1_000.0);
-        let bound = rng.range_f64(-500.0, 500.0);
-        for pred in [Predicate::AtMost(bound), Predicate::AtLeast(bound)] {
-            let holds = pred.holds(value);
-            let margin = pred.margin(value);
-            assert_eq!(holds, margin >= 0.0, "{pred:?} on {value}");
-        }
-        let zero = Predicate::Zero;
-        assert_eq!(zero.holds(value), zero.margin(value) >= 0.0);
-    }
-}
-
 /// An AND goal over N leaves is satisfied iff the satisfaction fraction
 /// is 1.0; an OR goal is violated iff the fraction is 0.0 (given no
 /// unknowns).
