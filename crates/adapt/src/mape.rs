@@ -11,7 +11,6 @@
 
 use riot_model::{ComponentId, ComponentState};
 use riot_sim::ProcessId;
-use std::collections::BTreeMap;
 
 /// The one adaptation the loop plans: restart a component on its host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +36,12 @@ pub struct MapeStats {
 #[derive(Debug, Clone, Default)]
 pub struct MapeLoop {
     /// The knowledge (the K in MAPE-K): each component's last reported
-    /// lifecycle state and host.
-    components: BTreeMap<ComponentId, (ComponentState, ProcessId)>,
+    /// lifecycle state and host, one entry per component observed, sorted
+    /// by id.
+    components: Vec<(ComponentId, ComponentState, ProcessId)>,
+    /// The entry after the last one observed: where an ascending pass over
+    /// the scope finds its next component without a search.
+    next: usize,
     stats: MapeStats,
 }
 
@@ -55,7 +58,23 @@ impl MapeLoop {
 
     /// Monitor boundary: `id`, hosted on `host`, is in `state`.
     pub fn observe_component(&mut self, id: ComponentId, state: ComponentState, host: ProcessId) {
-        self.components.insert(id, (state, host));
+        let slot = match self.components.get(self.next) {
+            Some(&(next, _, _)) if next == id => Ok(self.next),
+            _ => self.components.binary_search_by_key(&id, |&(c, _, _)| c),
+        };
+        let at = match slot {
+            Ok(at) => {
+                if let Some(entry) = self.components.get_mut(at) {
+                    *entry = (id, state, host);
+                }
+                at
+            }
+            Err(at) => {
+                self.components.insert(at, (id, state, host));
+                at
+            }
+        };
+        self.next = at + 1;
     }
 
     /// Runs one Analyze+Plan cycle. The scope's one requirement is full
@@ -68,7 +87,7 @@ impl MapeLoop {
             return;
         }
         self.stats.issues_found += 1;
-        for (&component, &(state, host)) in &self.components {
+        for &(component, state, host) in &self.components {
             if state == ComponentState::Failed {
                 self.stats.actions_planned += 1;
                 execute(Restart { component, host });
@@ -165,6 +184,44 @@ mod tests {
                 issues_found: 1,
                 actions_planned: 2
             }
+        );
+    }
+
+    #[test]
+    fn sparse_and_descending_ids_restart_in_id_order_from_a_small_table() {
+        let mut m = MapeLoop::new();
+        m.observe_component(ComponentId(u32::MAX), ComponentState::Failed, ProcessId(9));
+        m.observe_component(ComponentId(0), ComponentState::Failed, ProcessId(1));
+        for id in (1..=5u32).rev() {
+            let state = if id % 2 == 0 {
+                ComponentState::Running
+            } else {
+                ComponentState::Failed
+            };
+            m.observe_component(ComponentId(id * 1_000), state, ProcessId(id as usize));
+        }
+        // An ascending pass over the whole scope, as the host makes one
+        // every cycle, changes one verdict and adds nothing.
+        for &(id, state, host) in &[
+            (0, ComponentState::Failed, 1),
+            (1_000, ComponentState::Failed, 1),
+            (2_000, ComponentState::Running, 2),
+            (3_000, ComponentState::Running, 3),
+            (4_000, ComponentState::Running, 4),
+            (5_000, ComponentState::Failed, 5),
+            (u32::MAX, ComponentState::Failed, 9),
+        ] {
+            m.observe_component(ComponentId(id), state, ProcessId(host));
+        }
+        let restarted: Vec<u32> = planned(&mut m, false)
+            .iter()
+            .map(|r| r.component.0)
+            .collect();
+        assert_eq!(restarted, vec![0, 1_000, 5_000, u32::MAX]);
+        assert_eq!(m.components.len(), 7);
+        assert!(
+            m.components.capacity() < 64,
+            "knowledge grows with the components observed, not the largest id"
         );
     }
 

@@ -14,7 +14,27 @@ use crate::msg::{AppMsg, Msg};
 use riot_adapt::{MapeLoop, MapeStats, Restart};
 use riot_model::{ComponentId, ComponentState};
 use riot_sim::{Ctx, MetricKey, ProcessId, SimDuration, SimTime};
-use std::collections::BTreeMap;
+
+/// `MapeHost::row_of` for a component with no row.
+const NO_ROW: u32 = u32::MAX;
+
+/// What a host knows of one component it has heard from.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    component: ComponentId,
+    /// The device hosting it, as of its last report.
+    device: ProcessId,
+    /// When it was last heard; `None` after a host restart until it
+    /// reports again.
+    heard_at: Option<SimTime>,
+    /// When a restart was last commanded for it (the execute stage's
+    /// cooldown); `None` after a host restart.
+    restart_sent_at: Option<SimTime>,
+    /// The state it last reported.
+    reported: ComponentState,
+    /// It reported since the loop last looked at this row.
+    unseen: bool,
+}
 
 /// The MAPE side of a cloud or edge process: the component telemetry it
 /// has heard, the loop itself when the architecture places one here, and
@@ -26,15 +46,19 @@ use std::collections::BTreeMap;
 /// even if it is never heard from again; one last held running is not
 /// reconsidered until it reports again.
 pub(crate) struct MapeHost {
-    /// The loop, when this node hosts one.
+    /// The loop, when this node hosts one. A host without one keeps no
+    /// telemetry: nothing would read it.
     mape: Option<MapeLoop>,
     /// A component silent for this long is believed failed; also how long
     /// a restart command is given to act before it is repeated.
     silence: SimDuration,
-    /// Component telemetry: component → (hosting device, last heard).
-    last_seen: BTreeMap<ComponentId, (ProcessId, SimTime)>,
-    /// Execute-stage dedup: component → when we last commanded a restart.
-    restart_sent_at: BTreeMap<ComponentId, SimTime>,
+    /// One row per component heard, in id order: the order the loop plans
+    /// restarts in, and so the order their commands are sent.
+    rows: Vec<Row>,
+    /// Component id → position of its row in `rows` (`NO_ROW`: never
+    /// heard). Component ids are the scenario's dense device indices, so
+    /// this is four bytes per device up to the largest id heard.
+    row_of: Vec<u32>,
 }
 
 impl MapeHost {
@@ -44,8 +68,8 @@ impl MapeHost {
         MapeHost {
             mape: (arch.mape == here).then(MapeLoop::new),
             silence: arch.silence_threshold,
-            last_seen: BTreeMap::new(),
-            restart_sent_at: BTreeMap::new(),
+            rows: Vec::new(),
+            row_of: Vec::new(),
         }
     }
 
@@ -54,7 +78,8 @@ impl MapeHost {
         self.mape.is_some()
     }
 
-    /// Telemetry from `component` on `device` arrived.
+    /// Telemetry from `component` on `device` arrived: one write to its
+    /// row. The loop sees it at the next cycle, or at [`MapeHost::clear`].
     pub(crate) fn heard(
         &mut self,
         component: ComponentId,
@@ -62,55 +87,126 @@ impl MapeHost {
         device: ProcessId,
         now: SimTime,
     ) {
-        self.last_seen.insert(component, (device, now));
-        if let Some(mape) = self.mape.as_mut() {
-            mape.observe_component(component, state, device);
+        if self.mape.is_none() {
+            return;
         }
+        let at = match self.row_index(component) {
+            Some(at) => at,
+            None => self.add_row(component),
+        };
+        if let Some(row) = self.rows.get_mut(at) {
+            row.device = device;
+            row.heard_at = Some(now);
+            row.reported = state;
+            row.unseen = true;
+        }
+    }
+
+    /// The position of `component`'s row, if it has one.
+    fn row_index(&self, component: ComponentId) -> Option<usize> {
+        let at = *self.row_of.get(component.0 as usize)? as usize;
+        (at < self.rows.len()).then_some(at)
+    }
+
+    /// Gives a first-heard `component` a row in id order and returns its
+    /// position; the rows after it move up one.
+    fn add_row(&mut self, component: ComponentId) -> usize {
+        let at = self.rows.partition_point(|r| r.component < component);
+        // riot-lint: allow(A1, reason = "one row per component, grown when the component is first heard and never again; steady-state readings find their row")
+        self.rows.insert(
+            at,
+            Row {
+                component,
+                device: ProcessId(0),
+                heard_at: None,
+                restart_sent_at: None,
+                reported: ComponentState::Running,
+                unseen: false,
+            },
+        );
+        let id = component.0 as usize;
+        if self.row_of.len() <= id {
+            // riot-lint: allow(A1, reason = "the index grows to the largest component id heard (the scenario's device count) and then never again")
+            self.row_of.resize(id + 1, NO_ROW);
+        }
+        for (moved, row) in self.rows.iter().enumerate().skip(at) {
+            if let Some(slot) = self.row_of.get_mut(row.component.0 as usize) {
+                *slot = moved as u32;
+            }
+        }
+        at
     }
 
     /// One MAPE cycle, counting each restart command under `restart_sent`.
     pub(crate) fn run(&mut self, ctx: &mut Ctx<'_, Msg>, restart_sent: MetricKey) {
+        let now = ctx.now();
+        self.cycle(now, |Restart { component, host }| {
+            ctx.metrics().incr_key(restart_sent);
+            ctx.send(host, Msg::App(AppMsg::Restart { component }));
+        });
+    }
+
+    /// One MAPE cycle at `now`: `send` receives each restart command the
+    /// cooldown lets through, in component id order.
+    fn cycle(&mut self, now: SimTime, mut send: impl FnMut(Restart)) {
         let Some(mape) = self.mape.as_mut() else {
             return;
         };
-        let now = ctx.now();
         // Failure detection by silence: a component not heard from within
         // the threshold is believed failed (Figure 5's Monitor activity).
-        let mut fresh = 0usize;
-        for (component, (device, seen)) in &self.last_seen {
-            let state = if now.saturating_since(*seen) < self.silence {
+        let (mut heard, mut fresh) = (0usize, 0usize);
+        for row in &mut self.rows {
+            let Some(seen) = row.heard_at else {
+                continue;
+            };
+            heard += 1;
+            let state = if now.saturating_since(seen) < self.silence {
                 fresh += 1;
                 ComponentState::Running
             } else {
                 ComponentState::Failed
             };
-            mape.observe_component(*component, state, *device);
+            row.unseen = false;
+            mape.observe_component(row.component, state, row.device);
         }
         // Execute with a per-component cooldown: a restart command is given
         // time to act (and to traverse a possibly degraded network) before
         // being repeated.
-        mape.cycle(
-            fresh == self.last_seen.len(),
-            |Restart { component, host }| {
-                let recently = self
-                    .restart_sent_at
-                    .get(&component)
-                    .is_some_and(|at| now.saturating_since(*at) < self.silence);
-                if recently {
-                    return;
-                }
-                self.restart_sent_at.insert(component, now);
-                ctx.metrics().incr_key(restart_sent);
-                ctx.send(host, Msg::App(AppMsg::Restart { component }));
-            },
-        );
+        mape.cycle(fresh == heard, |restart| {
+            let Some(row) = self
+                .row_of
+                .get(restart.component.0 as usize)
+                .and_then(|&at| self.rows.get_mut(at as usize))
+            else {
+                return; // unreachable: the loop knows only what a row told it
+            };
+            if row
+                .restart_sent_at
+                .is_some_and(|at| now.saturating_since(at) < self.silence)
+            {
+                return;
+            }
+            row.restart_sent_at = Some(now);
+            send(restart);
+        });
     }
 
     /// Forgets the telemetry and the pending cooldowns: the host crashed
-    /// and both lived in volatile memory.
+    /// and both lived in volatile memory. The loop's knowledge survives, so
+    /// it first learns every report it has not yet seen: it holds each
+    /// component's last report or last cycle's verdict, whichever is newer.
     pub(crate) fn clear(&mut self) {
-        self.last_seen.clear();
-        self.restart_sent_at.clear();
+        let Some(mape) = self.mape.as_mut() else {
+            return; // no loop, no rows
+        };
+        for row in &mut self.rows {
+            if row.unseen {
+                mape.observe_component(row.component, row.reported, row.device);
+            }
+            row.unseen = false;
+            row.heard_at = None;
+            row.restart_sent_at = None;
+        }
     }
 
     /// The loop's statistics, when this node hosts one.
@@ -123,7 +219,8 @@ impl MapeHost {
 mod tests {
     use super::*;
     use riot_model::MaturityLevel;
-    use riot_sim::{Process, Sim, SimBuilder};
+    use riot_sim::{Process, Sim, SimBuilder, SimRng};
+    use std::collections::BTreeMap;
 
     /// A cloud-placed host that hears `components` (all running, hosted
     /// on the sink) at start and runs one cycle at `cycle_at`.
@@ -208,5 +305,129 @@ mod tests {
             vec![ComponentId(1), ComponentId(2)]
         );
         assert_eq!(sim.metrics().counter("mape.restart_sent"), 2);
+    }
+
+    /// The host as it was before its rows, kept as the reference: ordered
+    /// maps for the telemetry, the cooldowns and the loop's knowledge, and
+    /// the loop's planning inline.
+    struct MapModel {
+        silence: SimDuration,
+        last_seen: BTreeMap<ComponentId, (ProcessId, SimTime)>,
+        restart_sent_at: BTreeMap<ComponentId, SimTime>,
+        knowledge: BTreeMap<ComponentId, (ComponentState, ProcessId)>,
+        stats: MapeStats,
+    }
+
+    impl MapModel {
+        fn heard(
+            &mut self,
+            c: ComponentId,
+            state: ComponentState,
+            device: ProcessId,
+            now: SimTime,
+        ) {
+            self.last_seen.insert(c, (device, now));
+            self.knowledge.insert(c, (state, device));
+        }
+
+        fn cycle(&mut self, now: SimTime, sent: &mut Vec<(ComponentId, ProcessId, SimTime)>) {
+            let mut fresh = 0usize;
+            for (c, (device, seen)) in &self.last_seen {
+                let state = if now.saturating_since(*seen) < self.silence {
+                    fresh += 1;
+                    ComponentState::Running
+                } else {
+                    ComponentState::Failed
+                };
+                self.knowledge.insert(*c, (state, *device));
+            }
+            self.stats.cycles += 1;
+            if fresh == self.last_seen.len() {
+                return;
+            }
+            self.stats.issues_found += 1;
+            for (&c, &(state, host)) in &self.knowledge {
+                if state != ComponentState::Failed {
+                    continue;
+                }
+                self.stats.actions_planned += 1;
+                let recently = self
+                    .restart_sent_at
+                    .get(&c)
+                    .is_some_and(|at| now.saturating_since(*at) < self.silence);
+                if !recently {
+                    self.restart_sent_at.insert(c, now);
+                    sent.push((c, host, now));
+                }
+            }
+        }
+
+        fn clear(&mut self) {
+            self.last_seen.clear();
+            self.restart_sent_at.clear();
+        }
+    }
+
+    #[test]
+    fn rows_send_what_the_ordered_maps_sent() {
+        let arch = ArchitectureConfig::for_level(MaturityLevel::Ml2);
+        // Sparse ids, first heard out of order.
+        let ids = [7u32, 3, 1_024, 0, 65, 4_000, 12, 999, 2];
+        for seed in 0..32 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut host = MapeHost::new(&arch, MapePlacement::Cloud);
+            let mut model = MapModel {
+                silence: arch.silence_threshold,
+                last_seen: BTreeMap::new(),
+                restart_sent_at: BTreeMap::new(),
+                knowledge: BTreeMap::new(),
+                stats: MapeStats::default(),
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            for _ in 0..400 {
+                now += SimDuration::from_millis(rng.range_u64(0, 2_000));
+                let op = rng.unit();
+                if op < 0.7 {
+                    let c = ComponentId(*rng.pick(&ids).unwrap());
+                    let state = if rng.chance(0.3) {
+                        ComponentState::Failed
+                    } else {
+                        ComponentState::Running
+                    };
+                    let device = ProcessId(rng.range_u64(0, 4) as usize);
+                    host.heard(c, state, device, now);
+                    model.heard(c, state, device, now);
+                } else if op < 0.95 {
+                    host.cycle(now, |r| got.push((r.component, r.host, now)));
+                    model.cycle(now, &mut want);
+                    assert_eq!(got, want, "seed {seed}");
+                    assert_eq!(host.stats(), Some(model.stats), "seed {seed}");
+                } else {
+                    host.clear();
+                    model.clear();
+                }
+            }
+            assert!(
+                model.stats.actions_planned > 0,
+                "seed {seed} restarts nothing"
+            );
+            assert_eq!(got.len(), want.len(), "restart_sent, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_host_without_a_loop_keeps_no_telemetry() {
+        let arch = ArchitectureConfig::for_level(MaturityLevel::Ml3);
+        let mut host = MapeHost::new(&arch, MapePlacement::Edge);
+        assert!(!host.hosted());
+        host.heard(
+            ComponentId(5),
+            ComponentState::Running,
+            ProcessId(5),
+            SimTime::ZERO,
+        );
+        assert!(host.rows.is_empty() && host.row_of.is_empty());
+        assert_eq!(host.stats(), None);
     }
 }

@@ -31,7 +31,7 @@ fn workspace_has_no_violations() {
         graph.fns_indexed
     );
     assert_eq!(
-        graph.hot_roots, 30,
+        graph.hot_roots, 31,
         "hot roots declared in lint-hotpaths.toml"
     );
     // Nine since `formal::parse_ltl` and `formal::parse_ctl` joined

@@ -34,7 +34,6 @@ use std::fmt;
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples: Vec<f64>,
-    sorted: bool,
 }
 
 impl Histogram {
@@ -47,7 +46,6 @@ impl Histogram {
     pub fn record(&mut self, value: f64) {
         if value.is_finite() {
             self.samples.push(value);
-            self.sorted = false;
         }
     }
 
@@ -97,22 +95,26 @@ impl Histogram {
     /// Exact `q`-quantile (`0.0 ..= 1.0`) using the nearest-rank method, or
     /// `0.0` if empty.
     ///
+    /// Selects the rank in place rather than sorting: under the total order
+    /// the `k`-th smallest sample is one fixed value, so the result is the
+    /// sorted lookup's, bit for bit. It reorders the samples, which moves
+    /// the last bits of a later [`mean`](Histogram::mean) or
+    /// [`std_dev`](Histogram::std_dev); read those first.
+    ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&mut self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0,1]");
-        if self.samples.is_empty() {
+        let n = self.samples.len();
+        if n == 0 {
             return 0.0;
         }
-        if !self.sorted {
-            self.samples.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let n = self.samples.len();
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        // riot-lint: allow(P1, reason = "rank is clamped to 1..=n and samples is non-empty, checked above")
-        self.samples[rank - 1]
+        *self
+            .samples
+            .select_nth_unstable_by(rank - 1, f64::total_cmp)
+            .1
     }
 
     /// Sample standard deviation, or `0.0` with fewer than two samples.
@@ -126,8 +128,8 @@ impl Histogram {
         var.sqrt()
     }
 
-    /// A borrowed view of the raw samples (unsorted unless a quantile was
-    /// queried).
+    /// A borrowed view of the raw samples: in recording order until a
+    /// quantile is queried, in no particular order after.
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
@@ -310,6 +312,38 @@ mod tests {
         m.incr_key(x);
         m.incr_by_key(x, 4);
         assert_eq!(m.counter("x"), 5);
+    }
+
+    #[test]
+    fn selected_quantiles_are_the_sorted_ones_bit_for_bit() {
+        let mut rng = crate::SimRng::seed_from(35);
+        let qs = [0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 1.0];
+        for n in [1usize, 2, 3, 7, 64, 257] {
+            // Few distinct values (duplicates), both zeros, negatives.
+            let pool = [-0.0, 0.0, -1.5, 2.25, 1e-300, -7.0, 1e9, 0.1];
+            let samples: Vec<f64> = (0..n)
+                .map(|_| *rng.pick(&pool).unwrap() * if rng.chance(0.5) { 1.0 } else { 3.0 })
+                .collect();
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            let mut h = Histogram::new();
+            for &x in &samples {
+                h.record(x);
+            }
+            // Queried in a scrambled order, so each selection starts from
+            // what the last one left.
+            let mut order = qs;
+            rng.shuffle(&mut order);
+            for q in order {
+                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+                assert_eq!(
+                    h.quantile(q).to_bits(),
+                    sorted[rank - 1].to_bits(),
+                    "n {n}, q {q}"
+                );
+            }
+            assert_eq!(h.count(), n);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 # time sits, by function and by source line. Evidence for an issue, not a
 # gate — scripts/check.sh does not run it.
 #
-#   scripts/profile.sh <workload> [--seed N] [--seconds N]
+#   scripts/profile.sh <workload> [--seed N] [--seconds N] [--under REGEX]
 #
 # Builds the benchmark package (crates/bench/src/bin/benchmark/Cargo.toml)
 # with CARGO_PROFILE_RELEASE_DEBUG=true into its own target directory under
@@ -17,7 +17,14 @@
 #                      the function the code was emitted in
 #   flat by line       the same frame, by the source line of its innermost
 #                      inlined call that is not in core/alloc/std
-#   inclusive          every function on the sample's stack, once a sample
+#   inclusive          every function on the sample's stack, once a sample:
+#                      the functions code was emitted in, and the ones
+#                      inlined into them outside core/alloc/std
+#
+# Each table shows its top 25 rows. --under REGEX adds a fourth table: the
+# inclusive one over only the samples whose stack holds a function (emitted
+# or inlined) matching the awk regex, with shares of those samples —
+# `--under 'Scenario>::run$'` sizes a layer within the run.
 #
 # A sample taken inside libc (memcpy, malloc) counts for its nearest caller
 # in the binary. Needs cc and addr2line; without them it says so and exits 0.
@@ -35,10 +42,12 @@ usage() {
 workload=""
 seed=11
 seconds=12
+under=""
 while (($#)); do
   case "$1" in
     --seed) seed="${2:?--seed needs a value}"; shift 2 ;;
     --seconds) seconds="${2:?--seconds needs a value}"; shift 2 ;;
+    --under) under="${2:?--under needs a regex}"; shift 2 ;;
     -*) usage ;;
     *) [[ -z "$workload" ]] || usage; workload="$1"; shift ;;
   esac
@@ -92,21 +101,23 @@ awk -v bin="$bin" '
 tr ' ' '\n' <"$work/$workload.stacks" | sort -u >"$work/$workload.addrs"
 addr2line -a -f -i -C -e "$bin" <"$work/$workload.addrs" >"$work/$workload.sym"
 
-# Pass 2: the three tables.
-awk -v total="$(grep -c '^S' "$raw")" '
+# Pass 2: the tables. The regex comes through the environment, which keeps
+# awk from reading escapes in it.
+UNDER="$under" awk -v total="$(grep -c '^S' "$raw")"'
   function clean(fn) { sub(/::h[0-9a-f]{16}$/, "", fn); return fn }
   function own(fn) { return fn !~ /^<?(core|alloc|std)::/ && fn !~ / as (core|alloc|std)::/ }
-  function table(title, count,   k, cmd) {
+  function table(title, count, of,   k, cmd) {
     print ""
     print title
     cmd = "sort -t\"\t\" -k1,1nr | head -n 25"
-    for (k in count) printf "%d\t%5.1f %%\t%s\n", count[k], 100 * count[k] / samples, k | cmd
+    for (k in count) printf "%d\t%5.1f %%\t%s\n", count[k], 100 * count[k] / of, k | cmd
     close(cmd)
   }
+  BEGIN { under = ENVIRON["UNDER"] }
   # addr2line -a: the address, then (function, file:line) innermost first.
   FNR == NR {
     if ($0 ~ /^0x[0-9a-f]+$/) { addr = $0; sub(/^0x0*/, "0x", addr); want = 0; next }
-    if (want == 0) { fn = clean($0); want = 1; next }
+    if (want == 0) { fn = clean($0); if (own(fn)) inlined[addr] = inlined[addr] "\t" fn; want = 1; next }
     want = 0
     loc = $0; sub(/ \(discriminator [0-9]+\)$/, "", loc); sub(/^.*\/crates\//, "", loc); sub(/^.*\/library\//, "", loc)
     physical[addr] = fn
@@ -118,12 +129,29 @@ awk -v total="$(grep -c '^S' "$raw")" '
     flat_fn[physical[$1]]++
     flat_line[($1 in line) ? line[$1] : "?? " physical[$1]]++
     delete seen
-    for (f = 1; f <= NF; f++) if (!(physical[$f] in seen)) { seen[physical[$f]] = 1; incl[physical[$f]]++ }
+    for (f = 1; f <= NF; f++) {
+      seen[physical[$f]] = 1
+      n = split(inlined[$f], names, "\t")
+      for (i = 2; i <= n; i++) seen[names[i]] = 1
+    }
+    hit = 0
+    for (fn in seen) {
+      incl[fn]++
+      if (under != "" && fn ~ under) hit = 1
+    }
+    if (hit) {
+      inside++
+      for (fn in seen) incl_under[fn]++
+    }
   }
   END {
     printf "%d samples, %d with a frame inside the binary\n", total, samples
-    table("flat, by function (samples, share, function)", flat_fn)
-    table("flat, by source line of the innermost frame outside core/alloc/std", flat_line)
-    table("inclusive, by function", incl)
+    table("flat, by function (samples, share, function)", flat_fn, samples)
+    table("flat, by source line of the innermost frame outside core/alloc/std", flat_line, samples)
+    table("inclusive, by function", incl, samples)
+    if (under != "") {
+      printf "\n%d samples (%.1f %%) have a function matching /%s/\n", inside, 100 * inside / samples, under
+      if (inside) table("inclusive over those samples, by function", incl_under, inside)
+    }
   }
 ' "$work/$workload.sym" "$work/$workload.stacks"
