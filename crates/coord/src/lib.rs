@@ -14,10 +14,9 @@
 //!   configurable fanout (the `O(log n)` spread measured by ablation A1).
 //! * [`Election`] — term-based bully-flavored leader election for an edge
 //!   scope, with heartbeats, vetoes and stale-term immunity.
-//! * [`ControlPattern`] — the catalogue of decentralized MAPE-control
-//!   patterns (centralized, master/slave, regional planning, information
-//!   sharing, hierarchical) with placement profiles and the static
-//!   "survives coordinator loss?" query.
+//! * [`ControlPattern`] — the two decentralized MAPE-control patterns a
+//!   maturity level realizes (master/slave, regional planning) with the
+//!   static "survives coordinator loss?" query.
 //! * [`CloudRegistry`] — the centralized device-cloud baseline the paper
 //!   says today's systems use: heartbeats to the cloud, coordinator
 //!   appointment by the registry. Experiment E4 runs this against the
@@ -40,6 +39,6 @@ mod swim;
 pub use election::{Election, ElectionConfig, ElectionMsg, ElectionOutput};
 pub use gossip::{Entry, Gossip, GossipConfig, GossipMsg};
 pub use member::{MemberInfo, MemberState, MembershipView, Update};
-pub use pattern::{ActivityPlacement, ControlPattern, PatternProfile};
+pub use pattern::ControlPattern;
 pub use registry::{CloudRegistry, RegistryConfig, RegistryMsg};
 pub use swim::{Swim, SwimConfig, SwimMsg, SwimOutput};

@@ -138,15 +138,6 @@ impl MembershipView {
             .collect()
     }
 
-    /// Peers in a given state, in id order.
-    pub fn in_state(&self, state: MemberState) -> Vec<ProcessId> {
-        self.members
-            .iter()
-            .filter(|(_, i)| i.state == state)
-            .map(|(p, _)| *p)
-            .collect()
-    }
-
     /// All `(peer, info)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &MemberInfo)> {
         self.members.iter().map(|(p, i)| (*p, i))
@@ -256,7 +247,6 @@ mod tests {
         let view = MembershipView::seeded([ProcessId(1), ProcessId(2), ProcessId(3)], T0);
         assert_eq!(view.len(), 3);
         assert_eq!(view.alive(), vec![ProcessId(1), ProcessId(2), ProcessId(3)]);
-        assert!(view.in_state(MemberState::Suspect).is_empty());
         assert_eq!(view.get(ProcessId(1)).unwrap().incarnation, 0);
     }
 

@@ -3,147 +3,36 @@
 //! §V cites the self-adaptive-systems literature on *decentralizing MAPE
 //! loops*: "information sharing patterns where each entity self-adapts
 //! locally by implementing its own MAPE-K loop, using information from
-//! other entities in the system". This module encodes the canonical
-//! pattern catalogue (after Weyns et al., "On Patterns for Decentralized
-//! Control in Self-Adaptive Systems") as analyzable data: which MAPE
-//! activities are centralized vs replicated, what coordination traffic the
-//! pattern requires, and which single points of failure remain.
+//! other entities in the system". Of the canonical pattern catalogue
+//! (after Weyns et al., "On Patterns for Decentralized Control in
+//! Self-Adaptive Systems") this module names the two a maturity level can
+//! realize: master/slave (a cloud-placed loop) and regional planning
+//! (edge-placed loops).
 //!
-//! The registry is used two ways: descriptively (reports name the pattern
-//! each maturity level realizes) and analytically — [`ControlPattern::
-//! tolerates_coordinator_loss`] is the static answer to "does this control
-//! organization survive losing its central element?", which experiments E4
-//! and E6 then confirm dynamically.
+//! Reports name the pattern each maturity level realizes, and
+//! [`ControlPattern::tolerates_coordinator_loss`] is the static answer to
+//! "does this control organization survive losing its central element?",
+//! which experiments E4 and E6 then confirm dynamically.
 
 use std::fmt;
 
-/// Where one MAPE activity runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ActivityPlacement {
-    /// One instance for the whole system (a central point of failure).
-    Centralized,
-    /// One instance per region/scope, coordinating with peers.
-    Regional,
-    /// One instance per managed element, fully replicated.
-    Local,
-}
-
-impl ActivityPlacement {
-    /// `true` when losing any single host cannot disable the activity
-    /// system-wide.
-    pub fn survives_single_loss(self) -> bool {
-        self != ActivityPlacement::Centralized
-    }
-}
-
-/// The canonical decentralized-control patterns.
+/// The decentralized-control patterns a maturity level can realize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControlPattern {
-    /// Everything in one loop on one host — today's IoT-cloud archetype.
-    CentralizedControl,
     /// Local monitoring/execution, central analysis and planning
     /// (master/slave).
     MasterSlave,
     /// Full loops per region; regional planners coordinate peer-to-peer.
     RegionalPlanning,
-    /// Full loops per element; only monitoring information is shared.
-    InformationSharing,
-    /// Layered loops: local fast loops supervised by a slower upper loop.
-    Hierarchical,
-}
-
-/// The placement profile of a pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PatternProfile {
-    /// Monitor placement.
-    pub monitor: ActivityPlacement,
-    /// Analyze placement.
-    pub analyze: ActivityPlacement,
-    /// Plan placement.
-    pub plan: ActivityPlacement,
-    /// Execute placement.
-    pub execute: ActivityPlacement,
-    /// Whether peers must exchange coordination traffic.
-    pub peer_coordination: bool,
 }
 
 impl ControlPattern {
-    /// All patterns, in catalogue order.
-    pub const ALL: [ControlPattern; 5] = [
-        ControlPattern::CentralizedControl,
-        ControlPattern::MasterSlave,
-        ControlPattern::RegionalPlanning,
-        ControlPattern::InformationSharing,
-        ControlPattern::Hierarchical,
-    ];
-
-    /// The pattern's placement profile.
-    pub fn profile(self) -> PatternProfile {
-        use ActivityPlacement::*;
-        match self {
-            ControlPattern::CentralizedControl => PatternProfile {
-                monitor: Centralized,
-                analyze: Centralized,
-                plan: Centralized,
-                execute: Centralized,
-                peer_coordination: false,
-            },
-            ControlPattern::MasterSlave => PatternProfile {
-                monitor: Local,
-                analyze: Centralized,
-                plan: Centralized,
-                execute: Local,
-                peer_coordination: false,
-            },
-            ControlPattern::RegionalPlanning => PatternProfile {
-                monitor: Regional,
-                analyze: Regional,
-                plan: Regional,
-                execute: Local,
-                peer_coordination: true,
-            },
-            ControlPattern::InformationSharing => PatternProfile {
-                monitor: Local,
-                analyze: Local,
-                plan: Local,
-                execute: Local,
-                peer_coordination: true,
-            },
-            ControlPattern::Hierarchical => PatternProfile {
-                monitor: Local,
-                analyze: Regional,
-                plan: Regional,
-                execute: Local,
-                peer_coordination: true,
-            },
-        }
-    }
-
     /// `true` when no single host loss can disable analysis+planning —
     /// the static resilience answer that E6 confirms dynamically.
     pub fn tolerates_coordinator_loss(self) -> bool {
-        let p = self.profile();
-        p.analyze.survives_single_loss() && p.plan.survives_single_loss()
-    }
-
-    /// Human-readable description.
-    pub fn description(self) -> &'static str {
         match self {
-            ControlPattern::CentralizedControl => {
-                "one MAPE loop on one host manages everything (the IoT-cloud archetype)"
-            }
-            ControlPattern::MasterSlave => {
-                "devices sense and actuate; a central master analyzes and plans"
-            }
-            ControlPattern::RegionalPlanning => {
-                "each region runs a full loop; regional planners coordinate peer-to-peer"
-            }
-            ControlPattern::InformationSharing => {
-                "every element runs its own loop and shares only monitoring data"
-            }
-            ControlPattern::Hierarchical => {
-                "fast local loops are supervised by slower higher-level loops"
-            }
+            ControlPattern::MasterSlave => false,
+            ControlPattern::RegionalPlanning => true,
         }
     }
 }
@@ -151,11 +40,8 @@ impl ControlPattern {
 impl fmt::Display for ControlPattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            ControlPattern::CentralizedControl => "centralized control",
             ControlPattern::MasterSlave => "master/slave",
             ControlPattern::RegionalPlanning => "regional planning",
-            ControlPattern::InformationSharing => "information sharing",
-            ControlPattern::Hierarchical => "hierarchical control",
         };
         f.write_str(name)
     }
@@ -166,35 +52,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn catalogue_is_complete_and_described() {
-        assert_eq!(ControlPattern::ALL.len(), 5);
-        for p in ControlPattern::ALL {
-            assert!(!p.description().is_empty());
-            assert!(!p.to_string().is_empty());
-        }
+    fn display_names_are_pinned() {
+        assert_eq!(ControlPattern::MasterSlave.to_string(), "master/slave");
+        assert_eq!(
+            ControlPattern::RegionalPlanning.to_string(),
+            "regional planning"
+        );
     }
 
     #[test]
     fn only_centralized_patterns_fail_on_coordinator_loss() {
-        assert!(!ControlPattern::CentralizedControl.tolerates_coordinator_loss());
         assert!(!ControlPattern::MasterSlave.tolerates_coordinator_loss());
         assert!(ControlPattern::RegionalPlanning.tolerates_coordinator_loss());
-        assert!(ControlPattern::InformationSharing.tolerates_coordinator_loss());
-        assert!(ControlPattern::Hierarchical.tolerates_coordinator_loss());
-    }
-
-    #[test]
-    fn profiles_match_the_catalogue() {
-        let ms = ControlPattern::MasterSlave.profile();
-        assert_eq!(ms.monitor, ActivityPlacement::Local);
-        assert_eq!(ms.analyze, ActivityPlacement::Centralized);
-        assert!(!ms.peer_coordination);
-
-        let rp = ControlPattern::RegionalPlanning.profile();
-        assert_eq!(rp.plan, ActivityPlacement::Regional);
-        assert!(rp.peer_coordination);
-
-        assert!(ActivityPlacement::Local.survives_single_loss());
-        assert!(!ActivityPlacement::Centralized.survives_single_loss());
     }
 }

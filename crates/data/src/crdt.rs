@@ -6,13 +6,14 @@
 //! components need: replicas mutate locally and [`Crdt::merge`] makes any
 //! two replicas converge regardless of message order, duplication or delay.
 //!
-//! Implemented types: [`GCounter`], [`PnCounter`], [`LwwRegister`],
-//! [`MvRegister`] and [`OrSet`]. The join-semilattice laws (commutativity,
-//! associativity, idempotence) are property-tested in the crate's proptest
-//! suite.
+//! Implemented types: [`GCounter`], [`PnCounter`], [`LwwRegister`] and
+//! [`OrSet`]. The join-semilattice laws (commutativity, associativity,
+//! idempotence) are property-tested in the crate's proptest suite.
 
-use crate::vclock::{Causality, ReplicaId, VClock};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Identifies a replica (usually the hosting node's process index).
+pub type ReplicaId = u32;
 
 /// A state-based (convergent) replicated data type.
 pub trait Crdt {
@@ -155,74 +156,6 @@ impl<T: Clone> Crdt for LwwRegister<T> {
             self.timestamp = other.timestamp;
             self.replica = other.replica;
         }
-    }
-}
-
-/// A multi-value register: keeps *all* causally-concurrent writes, exposing
-/// conflicts to the application instead of silently dropping one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MvRegister<T> {
-    /// Concurrent versions: each value with the clock of its write.
-    versions: Vec<(T, VClock)>,
-}
-
-impl<T> Default for MvRegister<T> {
-    fn default() -> Self {
-        MvRegister {
-            versions: Vec::new(),
-        }
-    }
-}
-
-impl<T: Clone + Eq> MvRegister<T> {
-    /// An empty register.
-    pub fn new() -> Self {
-        MvRegister {
-            versions: Vec::new(),
-        }
-    }
-
-    /// Writes a value at `replica`: supersedes every version the writer has
-    /// seen (their clocks are merged into the new write's clock).
-    pub fn set(&mut self, value: T, replica: ReplicaId) {
-        let mut clock = VClock::new();
-        for (_, c) in &self.versions {
-            clock.merge(c);
-        }
-        clock.tick(replica);
-        self.versions = vec![(value, clock)];
-    }
-
-    /// The current values: one if writes are ordered, several on conflict.
-    pub fn get(&self) -> Vec<&T> {
-        self.versions.iter().map(|(v, _)| v).collect()
-    }
-
-    /// `true` when concurrent writes are pending resolution.
-    pub fn is_conflicted(&self) -> bool {
-        self.versions.len() > 1
-    }
-}
-
-impl<T: Clone + Eq> Crdt for MvRegister<T> {
-    fn merge(&mut self, other: &Self) {
-        let mut merged: Vec<(T, VClock)> = Vec::new();
-        let all = self.versions.iter().chain(other.versions.iter());
-        for (v, c) in all {
-            // Drop versions dominated by any other version.
-            let dominated = self
-                .versions
-                .iter()
-                .chain(other.versions.iter())
-                .any(|(_, c2)| c2.compare(c) == Causality::After);
-            if dominated {
-                continue;
-            }
-            if !merged.iter().any(|(v2, c2)| v2 == v && c2 == c) {
-                merged.push((v.clone(), c.clone()));
-            }
-        }
-        self.versions = merged;
     }
 }
 
@@ -371,36 +304,6 @@ mod tests {
         b.set(9, 20, 0);
         a.merge(&b);
         assert_eq!(*a.get(), 9);
-    }
-
-    #[test]
-    fn mv_register_exposes_conflicts() {
-        let mut a = MvRegister::new();
-        let mut b = MvRegister::new();
-        a.set("alpha", 0);
-        b.set("beta", 1);
-        a.merge(&b);
-        assert!(a.is_conflicted());
-        let mut vals = a.get();
-        vals.sort();
-        assert_eq!(vals, vec![&"alpha", &"beta"]);
-        // A subsequent write resolves the conflict.
-        a.set("resolved", 0);
-        assert!(!a.is_conflicted());
-        // And dominates both branches after merge back.
-        b.merge(&a);
-        assert_eq!(b.get(), vec![&"resolved"]);
-    }
-
-    #[test]
-    fn mv_register_ordered_writes_do_not_conflict() {
-        let mut a = MvRegister::new();
-        a.set(1u32, 0);
-        let mut b = a.clone();
-        b.set(2u32, 1);
-        a.merge(&b);
-        assert!(!a.is_conflicted());
-        assert_eq!(a.get(), vec![&2]);
     }
 
     #[test]

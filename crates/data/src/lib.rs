@@ -6,20 +6,15 @@
 //! and different levels of trust". This crate is the data plane that makes
 //! those flows resilient and governed:
 //!
-//! * **Causality** — [`VClock`] vector clocks with the
-//!   before/after/concurrent partial order.
 //! * **Convergence** — state-based CRDTs ([`GCounter`], [`PnCounter`],
-//!   [`LwwRegister`], [`MvRegister`], [`OrSet`]) whose join-semilattice
-//!   laws are property-tested.
+//!   [`LwwRegister`], [`OrSet`]) whose join-semilattice laws are
+//!   property-tested.
 //! * **Classification** — [`DataMeta`]: sensitivity (GDPR-style
 //!   personal/special categories), purposes, origin domain, age.
 //! * **Governance** — [`PolicyEngine`]: ordered first-match rules over
 //!   flows (allow / deny / redact), with the paper's ML4 posture available
 //!   as [`PolicyEngine::governed`] and the legacy posture as
 //!   [`PolicyEngine::permissive`].
-//! * **Provenance** — [`LineageGraph`]: an append-only DAG answering
-//!   sensitivity-taint and domains-traversed audit queries (§VI-B's "follow
-//!   the data lineage").
 //! * **Replication** — [`ReplicatedStore`]: LWW anti-entropy sync with
 //!   policy enforced at both egress and ingress, staleness queries, and the
 //!   privacy-violation audit used by experiment E5.
@@ -30,15 +25,11 @@
 mod crdt;
 mod item;
 mod keyspace;
-mod lineage;
 mod policy;
 mod store;
-mod vclock;
 
-pub use crdt::{Crdt, GCounter, LwwRegister, MvRegister, OrSet, PnCounter};
+pub use crdt::{Crdt, GCounter, LwwRegister, OrSet, PnCounter, ReplicaId};
 pub use item::{DataMeta, DataRecord, Purpose, PurposeSet, Sensitivity};
 pub use keyspace::{DataKey, KeySpace};
-pub use lineage::{LineageGraph, LineageId, LineageNode, Operation};
 pub use policy::{FlowContext, PolicyAction, PolicyEngine, PolicyRule};
 pub use store::{ReplicatedStore, StoreEntry, StoreProbe, StoreStats, SyncMsg};
-pub use vclock::{Causality, ReplicaId, VClock};

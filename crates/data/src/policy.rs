@@ -190,11 +190,6 @@ impl PolicyEngine {
         }
         (self.default_action, "default")
     }
-
-    /// Number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +237,6 @@ mod tests {
             to: DomainId(2),
         };
         assert_eq!(engine.decide(&ctx, &reg), (PolicyAction::Allow, "default"));
-        assert_eq!(engine.rule_count(), 0);
     }
 
     #[test]

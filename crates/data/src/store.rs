@@ -34,10 +34,10 @@
 //! its slot, and only an entry that wins is copied out (DESIGN.md §9,
 //! "Data plane").
 
+use crate::crdt::ReplicaId;
 use crate::item::{DataMeta, DataRecord, PurposeSet, Sensitivity};
 use crate::keyspace::{DataKey, KeySpace};
 use crate::policy::{FlowContext, PolicyAction, PolicyEngine};
-use crate::vclock::ReplicaId;
 use riot_model::{DomainId, DomainRegistry, TrustLevel};
 use riot_sim::SimTime;
 use std::rc::Rc;

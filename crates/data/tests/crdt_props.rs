@@ -1,11 +1,11 @@
-//! Property tests: the CRDT join-semilattice laws and vector-clock order
-//! axioms that make the decentralized data plane safe.
+//! Property tests: the CRDT join-semilattice laws that make the
+//! decentralized data plane safe.
 //!
 //! Randomized inputs are drawn from the workspace's own seeded [`SimRng`]
 //! rather than `proptest`, so every run explores the same cases — test
 //! determinism is part of the determinism policy (`DESIGN.md`).
 
-use riot_data::{Causality, Crdt, GCounter, LwwRegister, MvRegister, OrSet, PnCounter, VClock};
+use riot_data::{Crdt, GCounter, LwwRegister, OrSet, PnCounter};
 use riot_sim::SimRng;
 
 const CASES: usize = 300;
@@ -176,35 +176,6 @@ fn lww_register_is_a_semilattice() {
 }
 
 #[test]
-fn mv_register_merge_commutes() {
-    let mut rng = SimRng::seed_from(0xDA7A_0005);
-    for _ in 0..CASES {
-        let seq = |rng: &mut SimRng| -> Vec<u32> {
-            let n = rng.range_u64(0, 6) as usize;
-            (0..n).map(|_| rng.range_u64(0, 10) as u32).collect()
-        };
-        let (seq_a, seq_b) = (seq(&mut rng), seq(&mut rng));
-        let mut a = MvRegister::new();
-        for v in &seq_a {
-            a.set(*v, 0);
-        }
-        let mut b = MvRegister::new();
-        for v in &seq_b {
-            b.set(*v, 1);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        let mut va: Vec<&u32> = ab.get();
-        let mut vb: Vec<&u32> = ba.get();
-        va.sort();
-        vb.sort();
-        assert_eq!(va, vb);
-    }
-}
-
-#[test]
 fn gcounter_merge_is_an_upper_bound() {
     let mut rng = SimRng::seed_from(0xDA7A_0006);
     for _ in 0..CASES {
@@ -239,67 +210,5 @@ fn orset_observed_remove_semantics() {
         b.add(concurrent_add, 1);
         a.merge(&b);
         assert!(a.contains(&concurrent_add), "concurrent add must win");
-    }
-}
-
-// ---------- vector clocks ----------
-
-fn ticks(rng: &mut SimRng, lo: usize, hi: usize) -> Vec<u32> {
-    let n = rng.range_u64(lo as u64, hi as u64) as usize;
-    (0..n).map(|_| rng.range_u64(0, 5) as u32).collect()
-}
-
-#[test]
-fn vclock_compare_is_antisymmetric_and_merge_is_lub() {
-    let mut rng = SimRng::seed_from(0xDA7A_0008);
-    for _ in 0..CASES {
-        let (ta, tb) = (ticks(&mut rng, 0, 30), ticks(&mut rng, 0, 30));
-        let mut a = VClock::new();
-        for r in &ta {
-            a.tick(*r);
-        }
-        let mut b = VClock::new();
-        for r in &tb {
-            b.tick(*r);
-        }
-        // Antisymmetry of the reported relation.
-        match a.compare(&b) {
-            Causality::Before => assert_eq!(b.compare(&a), Causality::After),
-            Causality::After => assert_eq!(b.compare(&a), Causality::Before),
-            Causality::Equal => assert_eq!(b.compare(&a), Causality::Equal),
-            Causality::Concurrent => assert_eq!(b.compare(&a), Causality::Concurrent),
-        }
-        // Merge is the least upper bound: dominates both and equals the
-        // pointwise max (checked through dominance of any other bound).
-        let mut m = a.clone();
-        m.merge(&b);
-        assert!(m.dominates(&a));
-        assert!(m.dominates(&b));
-        // Tick after merge strictly dominates both inputs.
-        let mut m2 = m.clone();
-        m2.tick(0);
-        assert_eq!(
-            m2.compare(&a),
-            if a == m2 {
-                Causality::Equal
-            } else {
-                Causality::After
-            }
-        );
-    }
-}
-
-#[test]
-fn vclock_tick_orders_history() {
-    let mut rng = SimRng::seed_from(0xDA7A_0009);
-    for _ in 0..CASES {
-        let ticks = ticks(&mut rng, 1, 30);
-        let mut clock = VClock::new();
-        let mut prev = clock.clone();
-        for r in ticks {
-            clock.tick(r);
-            assert_eq!(prev.compare(&clock), Causality::Before);
-            prev = clock.clone();
-        }
     }
 }

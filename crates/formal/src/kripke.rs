@@ -156,16 +156,6 @@ impl Kripke {
         Ok(())
     }
 
-    /// Makes the transition relation total by adding a self-loop to every
-    /// deadlocked state (the standard stutter completion).
-    pub fn complete_with_self_loops(&mut self) {
-        for i in 0..self.labels.len() {
-            if self.successors[i].is_empty() {
-                self.successors[i].push(StateId(i as u32));
-            }
-        }
-    }
-
     /// Generates a pseudo-random structure with `n` states, out-degree
     /// `degree`, and each atom of `atom_count` true with probability 1/2 —
     /// the workload generator for verification benchmarks (experiment E3).
@@ -250,10 +240,11 @@ mod tests {
         let s0 = k.add_state(Valuation::EMPTY);
         assert_eq!(k.validate(), Err(KripkeDefect::NoInitialState));
         k.add_initial(s0);
-        assert_eq!(k.validate(), Err(KripkeDefect::Deadlock(s0)));
-        k.complete_with_self_loops();
+        let deadlock = k.validate().unwrap_err();
+        assert_eq!(deadlock, KripkeDefect::Deadlock(s0));
+        assert_eq!(deadlock.to_string(), "state s0 has no successor");
+        k.add_transition(s0, s0);
         assert!(k.validate().is_ok());
-        assert_eq!(k.successors(s0), &[s0]);
     }
 
     #[test]

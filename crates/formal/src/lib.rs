@@ -9,8 +9,7 @@
 //! * **Vocabulary** — interned atomic propositions ([`Atoms`]) and bitmask
 //!   state [`Valuation`]s.
 //! * **Computational models** — explicit-state [`Kripke`] structures with
-//!   validation, stutter-completion and a seeded random generator for
-//!   benchmark workloads.
+//!   validation and a seeded random generator for benchmark workloads.
 //! * **Qualitative model checking** — a full [`Ctl`] checker
 //!   ([`CtlChecker`]) with the textbook fixpoint algorithms, used for
 //!   design-time verification (Figure 2): e.g. `AG EF up` — "recovery is
@@ -21,14 +20,12 @@
 //!   [`OnlineMonitor`] bank is stepped by its owner *during* a run (a
 //!   `riot-core` scenario does so once per sample) with O(formula) memory,
 //!   timestamping violations the instant they become definite.
-//! * **Bounded exploration** — [`bounded_search`]/[`check_invariant`] over
-//!   implicit [`TransitionSystem`]s, with shortest counterexample paths.
 //! * **Probabilistic model checking** — [`Dtmc`] Markov chains with
-//!   bounded/unbounded reachability and stationary distributions (PCTL-style
+//!   bounded reachability and stationary distributions (PCTL-style
 //!   availability queries).
 //! * **Uncertainty quantification** — statistical model checking:
-//!   [`estimate_probability`] with Wilson intervals, [`hoeffding_samples`],
-//!   and Wald's [`Sprt`] for threshold queries.
+//!   [`estimate_probability`] with Wilson intervals and Wald's [`Sprt`] for
+//!   threshold queries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +38,6 @@ mod online;
 mod parse;
 mod prob;
 mod prop;
-mod reach;
 mod stat;
 
 pub use ctl::{Ctl, CtlChecker, SatSet};
@@ -52,5 +48,4 @@ pub use online::{OnlineMonitor, OnlineProperty};
 pub use parse::{parse_ctl, parse_ltl, ParseError};
 pub use prob::{Dtmc, DtmcDefect};
 pub use prop::{AtomId, Atoms, Valuation, MAX_ATOMS};
-pub use reach::{bounded_search, check_invariant, SearchResult, TransitionSystem};
-pub use stat::{estimate_probability, hoeffding_samples, wilson, Estimate, Sprt, SprtDecision};
+pub use stat::{estimate_probability, wilson, Estimate, Sprt, SprtDecision};

@@ -9,8 +9,6 @@
 //!
 //! * [`Dtmc::reach_within`] — `P(reach T within k steps)` per state, by
 //!   backward value iteration;
-//! * [`Dtmc::reach_unbounded`] — `P(eventually reach T)` by iteration to a
-//!   fixpoint;
 //! * [`Dtmc::stationary`] — the long-run state distribution by power
 //!   iteration (the fraction of time a component spends failed).
 //!
@@ -37,8 +35,8 @@ use std::fmt;
 /// m.set_transition(down, down, 0.4);
 /// m.validate().unwrap();
 ///
-/// // Recovery is almost sure.
-/// let p = m.reach_unbounded(&[up]);
+/// // Recovery within 20 steps is almost sure (1 - 0.4^20).
+/// let p = m.reach_within(&[up], 20);
 /// assert!(p[down.index()] > 0.999);
 /// // Long-run availability ≈ 0.857.
 /// let pi = m.stationary(10_000);
@@ -173,33 +171,6 @@ impl Dtmc {
         v
     }
 
-    /// `P(eventually reach any state in `targets`)`, per start state, by
-    /// iterating the bounded operator to convergence (tolerance 1e-12,
-    /// capped at 100 000 sweeps).
-    pub fn reach_unbounded(&self, targets: &[StateId]) -> Vec<f64> {
-        let mut v = vec![0.0f64; self.n];
-        for t in targets {
-            v[t.index()] = 1.0;
-        }
-        for _ in 0..100_000 {
-            let mut next = v.clone();
-            let mut delta = 0.0f64;
-            for (i, next_i) in next.iter_mut().enumerate() {
-                if targets.iter().any(|t| t.index() == i) {
-                    continue;
-                }
-                let x: f64 = self.rows[i].iter().map(|(j, p)| p * v[*j]).sum();
-                delta = delta.max((x - *next_i).abs());
-                *next_i = x;
-            }
-            v = next;
-            if delta < 1e-12 {
-                break;
-            }
-        }
-        v
-    }
-
     /// The long-run distribution by power iteration from the uniform
     /// distribution, `sweeps` steps. For irreducible aperiodic chains this
     /// converges to the stationary distribution.
@@ -216,26 +187,6 @@ impl Dtmc {
         }
         pi
     }
-
-    /// Builds the classic two-state availability model: failure probability
-    /// `p_fail` and repair probability `p_repair` per step. State 0 is up,
-    /// state 1 is down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability is outside `[0, 1]`.
-    pub fn availability_model(p_fail: f64, p_repair: f64) -> Dtmc {
-        assert!(
-            (0.0..=1.0).contains(&p_fail) && (0.0..=1.0).contains(&p_repair),
-            "bad probabilities"
-        );
-        let mut m = Dtmc::new(2);
-        m.set_transition(StateId(0), StateId(1), p_fail);
-        m.set_transition(StateId(0), StateId(0), 1.0 - p_fail);
-        m.set_transition(StateId(1), StateId(0), p_repair);
-        m.set_transition(StateId(1), StateId(1), 1.0 - p_repair);
-        m
-    }
 }
 
 #[cfg(test)]
@@ -244,6 +195,18 @@ mod tests {
 
     fn s(i: u32) -> StateId {
         StateId(i)
+    }
+
+    /// The classic two-state availability model: failure probability
+    /// `p_fail` and repair probability `p_repair` per step. State 0 is up,
+    /// state 1 is down.
+    fn availability_model(p_fail: f64, p_repair: f64) -> Dtmc {
+        let mut m = Dtmc::new(2);
+        m.set_transition(s(0), s(1), p_fail);
+        m.set_transition(s(0), s(0), 1.0 - p_fail);
+        m.set_transition(s(1), s(0), p_repair);
+        m.set_transition(s(1), s(1), 1.0 - p_repair);
+        m
     }
 
     #[test]
@@ -268,7 +231,7 @@ mod tests {
 
     #[test]
     fn bounded_reachability_of_availability_model() {
-        let m = Dtmc::availability_model(0.1, 0.6);
+        let m = availability_model(0.1, 0.6);
         m.validate().unwrap();
         // From down, P(up within 1 step) = 0.6.
         let p1 = m.reach_within(&[s(0)], 1);
@@ -284,21 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_reachability_is_almost_sure_with_repair() {
-        let m = Dtmc::availability_model(0.1, 0.6);
-        let p = m.reach_unbounded(&[s(0)]);
-        assert!(p[1] > 1.0 - 1e-9);
-        // Without repair, recovery never happens.
-        let dead = Dtmc::availability_model(0.1, 0.0);
-        let p = dead.reach_unbounded(&[s(0)]);
-        assert_eq!(p[1], 0.0);
-    }
-
-    #[test]
     fn stationary_availability_matches_formula() {
         // π_up = q / (p + q) for fail prob p, repair prob q.
         for (p, q) in [(0.1, 0.6), (0.01, 0.3), (0.5, 0.5)] {
-            let m = Dtmc::availability_model(p, q);
+            let m = availability_model(p, q);
             let pi = m.stationary(20_000);
             let expected = q / (p + q);
             assert!(
@@ -326,8 +278,8 @@ mod tests {
         let p = m.reach_within(&[s(2)], 1);
         assert_eq!(p[0], 0.0, "cannot fail directly from up");
         assert!((p[1] - 0.3).abs() < 1e-12);
-        // Eventually, failure is almost sure (recurrent chain).
-        let p = m.reach_unbounded(&[s(2)]);
+        // Over a long horizon, failure is almost sure (recurrent chain).
+        let p = m.reach_within(&[s(2)], 1_000);
         assert!(p[0] > 1.0 - 1e-6);
         // Long-run: mostly up.
         let pi = m.stationary(50_000);
@@ -337,15 +289,15 @@ mod tests {
 
     #[test]
     fn bounded_probability_is_monotone_in_k() {
-        let m = Dtmc::availability_model(0.2, 0.3);
+        let m = availability_model(0.2, 0.3);
         let mut last = 0.0;
         for k in 0..20 {
             let p = m.reach_within(&[s(0)], k)[1];
             assert!(p >= last - 1e-15, "monotone in horizon");
             last = p;
         }
-        let unbounded = m.reach_unbounded(&[s(0)])[1];
-        assert!(last <= unbounded + 1e-12);
+        let long_run = m.reach_within(&[s(0)], 1_000)[1];
+        assert!(last <= long_run + 1e-12);
     }
 
     #[test]

@@ -133,18 +133,6 @@ pub fn wilson(successes: usize, n: usize, confidence: f64) -> Estimate {
     }
 }
 
-/// The number of samples Hoeffding's inequality requires so that the point
-/// estimate is within `epsilon` of the truth with probability `1 - delta`.
-///
-/// # Panics
-///
-/// Panics unless `epsilon` and `delta` are in `(0, 1)`.
-pub fn hoeffding_samples(epsilon: f64, delta: f64) -> usize {
-    assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon out of range");
-    assert!(delta > 0.0 && delta < 1.0, "delta out of range");
-    ((2.0f64 / delta).ln() / (2.0 * epsilon * epsilon)).ceil() as usize
-}
-
 /// Outcome of a sequential probability ratio test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SprtDecision {
@@ -296,14 +284,6 @@ mod tests {
         // Custom confidence goes through the approximation.
         let e = wilson(50, 100, 0.975);
         assert!(e.lo < 0.5 && e.hi > 0.5);
-    }
-
-    #[test]
-    fn hoeffding_bounds_grow_with_precision() {
-        let loose = hoeffding_samples(0.1, 0.05);
-        let tight = hoeffding_samples(0.01, 0.05);
-        assert!(tight > loose * 50);
-        assert_eq!(loose, 185);
     }
 
     #[test]

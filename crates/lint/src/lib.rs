@@ -251,7 +251,7 @@ fn parse_directive_body(rest: &str) -> Result<Directive, String> {
         .ok_or("missing `, reason = \"...\"` after the rule id")?;
     let rule = RuleId::parse(rule_s.trim()).ok_or_else(|| {
         format!(
-            "unknown rule id `{}` (want D1, D2, D3 or P1)",
+            "unknown rule id `{}` (want D1, D2, D3, P1, A1 or P2)",
             rule_s.trim()
         )
     })?;

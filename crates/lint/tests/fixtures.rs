@@ -3,7 +3,7 @@
 //! rule id and line number both — with zero false positives on the clean
 //! (allow-annotated) fixture.
 
-use riot_lint::{lint_source, FileClass, RuleId};
+use riot_lint::{lint_source, parse_directive, FileClass, RuleId};
 
 fn scan(fixture: &str) -> Vec<(usize, RuleId)> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -80,6 +80,16 @@ fn malformed_directives_reported_and_void() {
             (15, RuleId::Lint),
         ]
     );
+}
+
+#[test]
+fn unknown_rule_error_names_every_rule() {
+    let why = parse_directive("// riot-lint: allow(X9, reason = \"r\")")
+        .expect("is a directive attempt")
+        .expect_err("X9 is no rule");
+    for id in ["D1", "D2", "D3", "P1", "A1", "P2"] {
+        assert!(why.contains(id), "{why:?} does not name {id}");
+    }
 }
 
 #[test]

@@ -4,13 +4,13 @@
 //! affects system requirements" (§I). This module enumerates the concrete
 //! change events the paper names — internal faults, connectivity changes,
 //! non-persistent control structures, administrative-domain transfers,
-//! mobility — and provides deterministic and stochastic schedules of them.
+//! mobility — and provides time-ordered schedules of them.
 //! `riot-core` turns each scheduled [`Disruption`] into a simulator
 //! injection.
 
 use crate::domain::DomainId;
 use crate::entity::ComponentId;
-use riot_sim::{ProcessId, SimDuration, SimRng, SimTime};
+use riot_sim::{ProcessId, SimDuration, SimTime};
 
 /// One adverse change event.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,38 +80,6 @@ pub enum Disruption {
     },
 }
 
-/// Coarse categories used to group disruptions into experiment suites
-/// (experiment E1 runs one suite per disruption vector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DisruptionCategory {
-    /// Node/infrastructure loss.
-    Infrastructure,
-    /// Component/service failure.
-    Service,
-    /// Network connectivity (cuts, outages, partitions).
-    Connectivity,
-    /// Administrative/governance change.
-    Governance,
-    /// Physical mobility.
-    Mobility,
-}
-
-impl Disruption {
-    /// The category this disruption belongs to.
-    pub fn category(&self) -> DisruptionCategory {
-        match self {
-            Disruption::NodeCrash { .. } => DisruptionCategory::Infrastructure,
-            Disruption::ComponentFault { .. } => DisruptionCategory::Service,
-            Disruption::LinkDegradation { .. }
-            | Disruption::LinkCut { .. }
-            | Disruption::CloudOutage { .. }
-            | Disruption::Partition { .. } => DisruptionCategory::Connectivity,
-            Disruption::DomainTransfer { .. } => DisruptionCategory::Governance,
-            Disruption::Mobility { .. } => DisruptionCategory::Mobility,
-        }
-    }
-}
-
 /// A disruption at a virtual time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DisruptionEvent {
@@ -164,33 +132,6 @@ impl DisruptionSchedule {
         self.events.insert(idx, DisruptionEvent { at, disruption });
     }
 
-    /// Appends a Poisson process of disruptions over `[from, to)` with the
-    /// given mean rate (events per second); each event is drawn by
-    /// `generate`. Deterministic for a given `rng` state.
-    pub fn poisson(
-        &mut self,
-        from: SimTime,
-        to: SimTime,
-        rate_per_sec: f64,
-        rng: &mut SimRng,
-        mut generate: impl FnMut(&mut SimRng) -> Disruption,
-    ) {
-        if rate_per_sec <= 0.0 || to <= from {
-            return;
-        }
-        let mean_gap = 1.0 / rate_per_sec;
-        let mut t = from;
-        loop {
-            let gap = SimDuration::from_secs_f64(rng.exponential(mean_gap).max(1e-6));
-            t += gap;
-            if t >= to {
-                break;
-            }
-            let d = generate(rng);
-            self.push(t, d);
-        }
-    }
-
     /// The events in time order.
     pub fn events(&self) -> &[DisruptionEvent] {
         &self.events
@@ -237,13 +178,6 @@ impl DisruptionSchedule {
     pub fn last_at(&self) -> Option<SimTime> {
         self.events.last().map(|e| e.at)
     }
-
-    /// Iterates over events within a category.
-    pub fn in_category(&self, cat: DisruptionCategory) -> impl Iterator<Item = &DisruptionEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.disruption.category() == cat)
-    }
 }
 
 impl IntoIterator for DisruptionSchedule {
@@ -257,53 +191,6 @@ impl IntoIterator for DisruptionSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn categories_cover_taxonomy() {
-        let crash = Disruption::NodeCrash {
-            node: ProcessId(1),
-            recover_after: None,
-        };
-        let fault = Disruption::ComponentFault {
-            node: ProcessId(1),
-            component: ComponentId(0),
-        };
-        let cut = Disruption::LinkCut {
-            a: ProcessId(0),
-            b: ProcessId(1),
-            heal_after: None,
-        };
-        let degraded = Disruption::LinkDegradation {
-            a: ProcessId(0),
-            b: ProcessId(1),
-            factor: 8.0,
-            heal_after: None,
-        };
-        assert_eq!(degraded.category(), DisruptionCategory::Connectivity);
-        let outage = Disruption::CloudOutage {
-            cloud: ProcessId(0),
-            heal_after: None,
-        };
-        let part = Disruption::Partition {
-            groups: vec![],
-            heal_after: None,
-        };
-        let xfer = Disruption::DomainTransfer {
-            entity: 1,
-            to: DomainId(2),
-        };
-        let mob = Disruption::Mobility {
-            device: ProcessId(5),
-            new_parent: ProcessId(2),
-        };
-        assert_eq!(crash.category(), DisruptionCategory::Infrastructure);
-        assert_eq!(fault.category(), DisruptionCategory::Service);
-        assert_eq!(cut.category(), DisruptionCategory::Connectivity);
-        assert_eq!(outage.category(), DisruptionCategory::Connectivity);
-        assert_eq!(part.category(), DisruptionCategory::Connectivity);
-        assert_eq!(xfer.category(), DisruptionCategory::Governance);
-        assert_eq!(mob.category(), DisruptionCategory::Mobility);
-    }
 
     #[test]
     fn schedule_keeps_time_order_with_stable_ties() {
@@ -419,63 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn poisson_generates_deterministically_within_window() {
-        let mut rng1 = SimRng::seed_from(5);
-        let mut s1 = DisruptionSchedule::new();
-        s1.poisson(
-            SimTime::from_secs(0),
-            SimTime::from_secs(100),
-            0.5,
-            &mut rng1,
-            |_| Disruption::CloudOutage {
-                cloud: ProcessId(0),
-                heal_after: None,
-            },
-        );
-        let mut rng2 = SimRng::seed_from(5);
-        let mut s2 = DisruptionSchedule::new();
-        s2.poisson(
-            SimTime::from_secs(0),
-            SimTime::from_secs(100),
-            0.5,
-            &mut rng2,
-            |_| Disruption::CloudOutage {
-                cloud: ProcessId(0),
-                heal_after: None,
-            },
-        );
-        assert_eq!(s1, s2);
-        assert!(!s1.is_empty());
-        // ~50 expected; loose bounds.
-        assert!((20..100).contains(&s1.len()), "got {}", s1.len());
-        assert!(s1.events().iter().all(|e| e.at < SimTime::from_secs(100)));
-    }
-
-    #[test]
-    fn poisson_degenerate_inputs_are_noops() {
-        let mut rng = SimRng::seed_from(1);
-        let mut s = DisruptionSchedule::new();
-        s.poisson(
-            SimTime::from_secs(10),
-            SimTime::from_secs(10),
-            1.0,
-            &mut rng,
-            |_| Disruption::CloudOutage {
-                cloud: ProcessId(0),
-                heal_after: None,
-            },
-        );
-        s.poisson(SimTime::ZERO, SimTime::from_secs(10), 0.0, &mut rng, |_| {
-            Disruption::CloudOutage {
-                cloud: ProcessId(0),
-                heal_after: None,
-            }
-        });
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn merge_and_category_filter() {
+    fn merge_keeps_time_order() {
         let a = DisruptionSchedule::new().at(
             SimTime::from_secs(1),
             Disruption::DomainTransfer {
@@ -492,8 +323,10 @@ mod tests {
         );
         b.merge(a);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.in_category(DisruptionCategory::Governance).count(), 1);
-        assert_eq!(b.in_category(DisruptionCategory::Mobility).count(), 1);
         assert_eq!(b.events()[0].at, SimTime::from_secs(1));
+        assert!(matches!(
+            b.events()[0].disruption,
+            Disruption::DomainTransfer { entity: 3, .. }
+        ));
     }
 }

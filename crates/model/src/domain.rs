@@ -4,8 +4,8 @@
 //! administrative domains" and "different legal jurisdictions" (§I, §VI) as
 //! what makes IoT unlike classical distributed systems. This module models
 //! domains as first-class entities with a legal jurisdiction and a mutual
-//! trust relation, plus the *domain transfer* change event (a device or
-//! component changing hands at runtime).
+//! trust relation; the *domain transfer* change event (a device changing
+//! hands at runtime) is a [`crate::Disruption`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -167,77 +167,6 @@ impl DomainRegistry {
     }
 }
 
-/// Records which domain currently owns each entity, and supports the
-/// *domain transfer* disruption (§II: "transfer of administrative domains
-/// may occur").
-#[derive(Debug, Clone, Default)]
-pub struct OwnershipMap {
-    owners: BTreeMap<u64, DomainId>,
-}
-
-impl OwnershipMap {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        OwnershipMap::default()
-    }
-
-    /// Assigns `entity` (any model-level id hashed to u64 by the caller) to
-    /// `domain`, returning the previous owner, if any.
-    pub fn assign(&mut self, entity: u64, domain: DomainId) -> Option<DomainId> {
-        self.owners.insert(entity, domain)
-    }
-
-    /// The current owner of `entity`.
-    pub fn owner(&self, entity: u64) -> Option<DomainId> {
-        self.owners.get(&entity).copied()
-    }
-
-    /// Transfers `entity` to `new_domain`; returns the old owner.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if the entity has no current owner (transfers require
-    /// provenance).
-    pub fn transfer(
-        &mut self,
-        entity: u64,
-        new_domain: DomainId,
-    ) -> Result<DomainId, UnownedEntityError> {
-        match self.owners.get_mut(&entity) {
-            Some(cur) => {
-                let old = *cur;
-                *cur = new_domain;
-                Ok(old)
-            }
-            None => Err(UnownedEntityError { entity }),
-        }
-    }
-
-    /// All entities owned by `domain`.
-    pub fn owned_by(&self, domain: DomainId) -> Vec<u64> {
-        self.owners
-            .iter()
-            .filter(|(_, d)| **d == domain)
-            .map(|(e, _)| *e)
-            .collect()
-    }
-}
-
-/// Error: a transfer was requested for an entity with no recorded owner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnownedEntityError {
-    /// The entity that had no owner.
-    pub entity: u64,
-}
-
-impl fmt::Display for UnownedEntityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "entity {} has no recorded owner", self.entity)
-    }
-}
-
-impl std::error::Error for UnownedEntityError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,29 +231,6 @@ mod tests {
         };
         reg.register(d.clone());
         reg.register(d);
-    }
-
-    #[test]
-    fn ownership_transfer_round_trip() {
-        let (_, a, b) = two_domains();
-        let mut own = OwnershipMap::new();
-        assert_eq!(own.owner(42), None);
-        own.assign(42, a);
-        assert_eq!(own.owner(42), Some(a));
-        let old = own.transfer(42, b).unwrap();
-        assert_eq!(old, a);
-        assert_eq!(own.owner(42), Some(b));
-        assert_eq!(own.owned_by(b), vec![42]);
-        assert!(own.owned_by(a).is_empty());
-    }
-
-    #[test]
-    fn transfer_of_unowned_fails() {
-        let (_, a, _) = two_domains();
-        let mut own = OwnershipMap::new();
-        let err = own.transfer(7, a).unwrap_err();
-        assert_eq!(err.entity, 7);
-        assert!(err.to_string().contains("no recorded owner"));
     }
 
     #[test]

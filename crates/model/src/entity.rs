@@ -5,8 +5,8 @@
 //! on heterogeneous devices "from microcontrollers to mobile phones and
 //! micro-clouds" (§I). This module gives those notions first-class,
 //! analyzable representations: a [`Device`] has a hardware class, resource
-//! [`Capabilities`] and a [`SoftwareStack`]; a [`SoftwareComponent`] is a
-//! unit of deployable function with a lifecycle.
+//! [`Capabilities`] and a [`SoftwareStack`]; a component, named by a
+//! [`ComponentId`], moves through a [`ComponentState`] lifecycle.
 
 use std::fmt;
 
@@ -48,28 +48,6 @@ pub enum DeviceClass {
     Cloudlet,
     /// A full cloud server.
     CloudServer,
-}
-
-impl DeviceClass {
-    /// Rough compute capability rank, used by placement heuristics: higher
-    /// is more capable.
-    pub fn capability_rank(self) -> u8 {
-        match self {
-            DeviceClass::Microcontroller => 0,
-            DeviceClass::SensorNode => 1,
-            DeviceClass::ActuatorNode => 1,
-            DeviceClass::Gateway => 3,
-            DeviceClass::Mobile => 4,
-            DeviceClass::Cloudlet => 5,
-            DeviceClass::CloudServer => 6,
-        }
-    }
-
-    /// `true` for classes able to host nontrivial analysis/planning logic —
-    /// the paper's *edge components* plus the cloud.
-    pub fn can_host_control(self) -> bool {
-        self.capability_rank() >= 3
-    }
 }
 
 /// Resource capabilities of a device (the "technical specification and
@@ -134,24 +112,6 @@ impl Capabilities {
             },
         }
     }
-
-    /// `true` if these capabilities cover a demand.
-    pub fn covers(&self, demand: &ResourceDemand) -> bool {
-        self.cpu_mips >= demand.cpu_mips
-            && self.mem_kib >= demand.mem_kib
-            && self.storage_kib >= demand.storage_kib
-    }
-}
-
-/// Resources a component needs from its host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResourceDemand {
-    /// Required CPU, in abstract MIPS.
-    pub cpu_mips: u32,
-    /// Required memory in KiB.
-    pub mem_kib: u32,
-    /// Required storage in KiB.
-    pub storage_kib: u32,
 }
 
 /// Operating-system families found across IoT stacks.
@@ -330,23 +290,6 @@ impl Device {
     }
 }
 
-/// Functional roles of software components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComponentKind {
-    /// Produces observations of the physical environment.
-    Sensing,
-    /// Operates on the physical environment under command.
-    Actuation,
-    /// Transforms or aggregates data.
-    Processing,
-    /// Stores and serves data.
-    Storage,
-    /// Makes control decisions.
-    Control,
-    /// Bridges networks or protocols.
-    GatewayService,
-}
-
 /// Lifecycle states of a deployed component (the paper's "independent
 /// software components with different lifespans").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -368,70 +311,9 @@ impl ComponentState {
     }
 }
 
-/// A deployable unit of software function.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoftwareComponent {
-    /// Model-wide identity.
-    pub id: ComponentId,
-    /// Human-readable name.
-    pub name: String,
-    /// Functional role.
-    pub kind: ComponentKind,
-    /// Semantic version, as `(major, minor, patch)`.
-    pub version: (u16, u16, u16),
-    /// Vendor / maintaining team (components "developed and maintained by
-    /// different teams", §I).
-    pub vendor: String,
-    /// Host resources required.
-    pub demand: ResourceDemand,
-}
-
-impl SoftwareComponent {
-    /// Creates a component with zero resource demand (adjust via the public
-    /// field for placement experiments).
-    pub fn new(id: ComponentId, name: impl Into<String>, kind: ComponentKind) -> Self {
-        SoftwareComponent {
-            id,
-            name: name.into(),
-            kind,
-            version: (0, 1, 0),
-            vendor: "unknown".to_owned(),
-            demand: ResourceDemand::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn capability_rank_orders_classes() {
-        assert!(
-            DeviceClass::CloudServer.capability_rank() > DeviceClass::Cloudlet.capability_rank()
-        );
-        assert!(DeviceClass::Cloudlet.capability_rank() > DeviceClass::Gateway.capability_rank());
-        assert!(DeviceClass::Gateway.capability_rank() > DeviceClass::SensorNode.capability_rank());
-        assert!(DeviceClass::Gateway.can_host_control());
-        assert!(!DeviceClass::SensorNode.can_host_control());
-    }
-
-    #[test]
-    fn capabilities_cover_demand() {
-        let caps = Capabilities::typical(DeviceClass::Gateway);
-        let small = ResourceDemand {
-            cpu_mips: 100,
-            mem_kib: 1_024,
-            storage_kib: 10,
-        };
-        let huge = ResourceDemand {
-            cpu_mips: 1_000_000,
-            mem_kib: 1,
-            storage_kib: 1,
-        };
-        assert!(caps.covers(&small));
-        assert!(!caps.covers(&huge));
-    }
 
     #[test]
     fn microcontroller_cannot_interoperate_with_cloud_directly() {
@@ -493,13 +375,6 @@ mod tests {
         assert!(ComponentState::Degraded.provides_service());
         assert!(!ComponentState::Failed.provides_service());
         assert!(!ComponentState::Stopped.provides_service());
-    }
-
-    #[test]
-    fn component_constructor_defaults() {
-        let c = SoftwareComponent::new(ComponentId(3), "ctl", ComponentKind::Control);
-        assert_eq!(c.version, (0, 1, 0));
-        assert_eq!(c.demand, ResourceDemand::default());
-        assert_eq!(c.id.to_string(), "cmp3");
+        assert_eq!(ComponentId(3).to_string(), "cmp3");
     }
 }

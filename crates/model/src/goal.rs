@@ -175,17 +175,6 @@ impl GoalModel {
         self.nodes.is_empty()
     }
 
-    /// All requirement ids referenced by leaves, in tree order.
-    pub fn referenced_requirements(&self) -> Vec<RequirementId> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n.op {
-                GoalOp::Leaf(r) => Some(r),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Evaluates the tree bottom-up. Leaves referencing requirements missing
     /// from `reqs` evaluate to [`Verdict::Unknown`]. An empty or rootless
     /// model evaluates to a vacuous satisfied root with score 1.0.
@@ -336,17 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn referenced_requirements_in_order() {
+    fn nodes_are_indexed_in_build_order() {
         let mut g = GoalModel::new();
         let a = g.leaf("a", RequirementId(5));
         let b = g.leaf("b", RequirementId(3));
         let _root = g.and("r", vec![a, b]);
-        assert_eq!(
-            g.referenced_requirements(),
-            vec![RequirementId(5), RequirementId(3)]
-        );
         assert_eq!(g.len(), 3);
         assert_eq!(g.node(a).unwrap().name, "a");
+        assert_eq!(g.node(b).unwrap().op, GoalOp::Leaf(RequirementId(3)));
     }
 
     #[test]

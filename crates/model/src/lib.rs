@@ -7,17 +7,16 @@
 //!
 //! * **Entities** — heterogeneous [`Device`]s (microcontroller → cloud
 //!   server) with resource [`Capabilities`] and [`SoftwareStack`]s, plus
-//!   deployable [`SoftwareComponent`]s with lifecycles.
+//!   the [`ComponentState`] lifecycle of deployed components.
 //! * **Domains** — [`Domain`]s with [`Jurisdiction`]s (GDPR/CCPA) and a
-//!   pairwise [`TrustLevel`] relation; [`OwnershipMap`] supports runtime
-//!   *domain transfer*.
-//! * **Space** — [`Location`]/[`Region`]/[`SpatialIndex`]: locality as a
-//!   first-class contextual characteristic.
+//!   pairwise [`TrustLevel`] relation.
+//! * **Space** — [`Location`]/[`SpatialIndex`]: locality as a first-class
+//!   contextual characteristic.
 //! * **Requirements & goals** — measurable [`Requirement`]s with three-
 //!   valued verdicts, composed into AND/OR [`GoalModel`]s. Resilience is
 //!   *persistence of requirement satisfaction* and is computed from these.
 //! * **Disruptions** — the taxonomy of adverse change ([`Disruption`]) with
-//!   deterministic and Poisson [`DisruptionSchedule`]s.
+//!   time-ordered [`DisruptionSchedule`]s.
 //! * **Maturity** — Tables 1 & 2 as data: [`MaturityLevel`] ×
 //!   [`DisruptionVector`] with the [`LevelCapabilities`] switches the
 //!   architecture archetypes are assembled from.
@@ -37,18 +36,15 @@ mod maturity;
 mod requirement;
 mod space;
 
-pub use disruption::{Disruption, DisruptionCategory, DisruptionEvent, DisruptionSchedule};
-pub use domain::{
-    Domain, DomainId, DomainRegistry, Jurisdiction, OwnershipMap, TrustLevel, UnownedEntityError,
-};
+pub use disruption::{Disruption, DisruptionEvent, DisruptionSchedule};
+pub use domain::{Domain, DomainId, DomainRegistry, Jurisdiction, TrustLevel};
 pub use entity::{
-    interoperability, Capabilities, ComponentId, ComponentKind, ComponentState, Device,
-    DeviceClass, DeviceId, OsKind, ProtocolKind, ResourceDemand, RuntimeKind, SoftwareComponent,
-    SoftwareStack,
+    interoperability, Capabilities, ComponentId, ComponentState, Device, DeviceClass, DeviceId,
+    OsKind, ProtocolKind, RuntimeKind, SoftwareStack,
 };
 pub use goal::{GoalEvaluation, GoalId, GoalModel, GoalNode, GoalOp};
 pub use maturity::{cell, DisruptionVector, LevelCapabilities, MaturityLevel};
 pub use requirement::{
     Predicate, Requirement, RequirementId, RequirementKind, RequirementSet, Telemetry, Verdict,
 };
-pub use space::{Location, Region, SpatialIndex};
+pub use space::{Location, SpatialIndex};

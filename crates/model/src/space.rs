@@ -2,8 +2,7 @@
 //!
 //! "Locality emerges as a key contextual characteristic" (§I, §VII). The
 //! model is a flat 2-D plane with metric distance — enough to express
-//! privacy scopes with spatial extent, edge coverage radii, and device
-//! mobility, without importing a GIS.
+//! device mobility between edges, without importing a GIS.
 
 use std::collections::BTreeMap;
 
@@ -28,51 +27,18 @@ impl Location {
     }
 }
 
-/// A circular region of the plane: the spatial footprint of an edge
-/// component's scope, a jurisdiction, or a sensing field.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Region {
-    /// Center of the region.
-    pub center: Location,
-    /// Radius in abstract meters.
-    pub radius: f64,
-}
-
-impl Region {
-    /// Creates a region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is negative or not finite.
-    pub fn new(center: Location, radius: f64) -> Self {
-        assert!(radius.is_finite() && radius >= 0.0, "bad radius {radius}");
-        Region { center, radius }
-    }
-
-    /// `true` if the point lies inside (or on the boundary of) the region.
-    pub fn contains(&self, p: &Location) -> bool {
-        self.center.distance_to(p) <= self.radius
-    }
-
-    /// `true` if the two regions intersect.
-    pub fn intersects(&self, other: &Region) -> bool {
-        self.center.distance_to(&other.center) <= self.radius + other.radius
-    }
-}
-
 /// Tracks the location of every placed entity (keyed by an opaque entity id
 /// chosen by the caller, typically a `ProcessId` index).
 ///
 /// # Examples
 ///
 /// ```
-/// use riot_model::{Location, Region, SpatialIndex};
+/// use riot_model::{Location, SpatialIndex};
 ///
 /// let mut idx = SpatialIndex::new();
 /// idx.place(1, Location::new(0.0, 0.0));
 /// idx.place(2, Location::new(100.0, 0.0));
-/// let near_origin = Region::new(Location::new(0.0, 0.0), 10.0);
-/// assert_eq!(idx.within(&near_origin), vec![1]);
+/// assert_eq!(idx.nearest(&Location::new(10.0, 0.0)), Some(1));
 /// assert_eq!(idx.nearest(&Location::new(90.0, 0.0)), Some(2));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -91,35 +57,6 @@ impl SpatialIndex {
         self.positions.insert(entity, at);
     }
 
-    /// Removes an entity; returns its last location.
-    pub fn remove(&mut self, entity: u64) -> Option<Location> {
-        self.positions.remove(&entity)
-    }
-
-    /// Where an entity currently is.
-    pub fn location_of(&self, entity: u64) -> Option<Location> {
-        self.positions.get(&entity).copied()
-    }
-
-    /// Number of placed entities.
-    pub fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// `true` when nothing is placed.
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
-    /// All entities inside a region, in id order.
-    pub fn within(&self, region: &Region) -> Vec<u64> {
-        self.positions
-            .iter()
-            .filter(|(_, loc)| region.contains(loc))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     /// The entity nearest to a point (ties broken by lowest id), or `None`
     /// when the index is empty.
     pub fn nearest(&self, to: &Location) -> Option<u64> {
@@ -131,14 +68,6 @@ impl SpatialIndex {
                     .then(ia.cmp(ib))
             })
             .map(|(id, _)| *id)
-    }
-
-    /// Moves an entity by a delta; no-op if the entity is unknown.
-    pub fn translate(&mut self, entity: u64, dx: f64, dy: f64) {
-        if let Some(loc) = self.positions.get_mut(&entity) {
-            loc.x += dx;
-            loc.y += dy;
-        }
     }
 }
 
@@ -156,54 +85,14 @@ mod tests {
     }
 
     #[test]
-    fn region_containment_and_intersection() {
-        let r1 = Region::new(Location::new(0.0, 0.0), 5.0);
-        let r2 = Region::new(Location::new(8.0, 0.0), 4.0);
-        let r3 = Region::new(Location::new(20.0, 0.0), 1.0);
-        assert!(
-            r1.contains(&Location::new(3.0, 4.0)),
-            "boundary point contained"
-        );
-        assert!(!r1.contains(&Location::new(3.1, 4.1)));
-        assert!(r1.intersects(&r2));
-        assert!(!r1.intersects(&r3));
-    }
-
-    #[test]
-    #[should_panic(expected = "bad radius")]
-    fn negative_radius_panics() {
-        let _ = Region::new(Location::default(), -1.0);
-    }
-
-    #[test]
-    fn index_place_move_remove() {
-        let mut idx = SpatialIndex::new();
-        assert!(idx.is_empty());
-        idx.place(7, Location::new(1.0, 1.0));
-        idx.translate(7, 2.0, -1.0);
-        assert_eq!(idx.location_of(7), Some(Location::new(3.0, 0.0)));
-        idx.translate(99, 1.0, 1.0); // unknown: no-op
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx.remove(7), Some(Location::new(3.0, 0.0)));
-        assert!(idx.location_of(7).is_none());
-    }
-
-    #[test]
-    fn within_returns_sorted_ids() {
-        let mut idx = SpatialIndex::new();
-        idx.place(5, Location::new(1.0, 0.0));
-        idx.place(2, Location::new(0.0, 1.0));
-        idx.place(9, Location::new(100.0, 0.0));
-        let r = Region::new(Location::default(), 2.0);
-        assert_eq!(idx.within(&r), vec![2, 5]);
-    }
-
-    #[test]
     fn nearest_breaks_ties_by_id() {
         let mut idx = SpatialIndex::new();
         idx.place(4, Location::new(1.0, 0.0));
         idx.place(3, Location::new(-1.0, 0.0));
         assert_eq!(idx.nearest(&Location::default()), Some(3));
+        // Placing again moves the entity.
+        idx.place(3, Location::new(-5.0, 0.0));
+        assert_eq!(idx.nearest(&Location::default()), Some(4));
         assert_eq!(SpatialIndex::new().nearest(&Location::default()), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Design-time verification walkthrough (§IV / Figure 2): before deploying
 //! a single device, check the *models* — qualitatively (CTL on a Kripke
-//! structure of the failover protocol), exhaustively (invariant checking on
-//! the configuration space) and quantitatively (DTMC availability).
+//! structure of the failover protocol) and quantitatively (DTMC
+//! availability).
 //!
 //! Run with:
 //!
@@ -9,15 +9,11 @@
 //! cargo run -p riot-core --example design_verification
 //! ```
 
-use riot_formal::{
-    bounded_search, check_invariant, Atoms, Ctl, CtlChecker, Dtmc, Kripke, SearchResult, StateId,
-    TransitionSystem, Valuation,
-};
+use riot_formal::{Atoms, Ctl, CtlChecker, Dtmc, Kripke, StateId, Valuation};
 
 fn main() {
     println!("Design-time verification of the riot edge-failover design.\n");
     qualitative_model_checking();
-    configuration_space_exploration();
     quantitative_availability();
 }
 
@@ -71,59 +67,7 @@ fn qualitative_model_checking() {
     assert!(!checker.holds_initially(&always_served));
 }
 
-/// 2. The configuration space of component placements: `n` components over
-///    `h` hosts, moving one at a time. Invariant: the migration protocol
-///    can never exceed any host's capacity; and a concrete bad placement is
-///    unreachable (with a shortest witness when it *is* reachable).
-fn configuration_space_exploration() {
-    /// State: how many components each of 3 hosts runs (4 components).
-    #[derive(Debug)]
-    struct Placements {
-        capacity: u8,
-    }
-    impl TransitionSystem for Placements {
-        type State = [u8; 3];
-        fn initial(&self) -> Vec<[u8; 3]> {
-            vec![[2, 2, 0]]
-        }
-        fn successors(&self, s: &[u8; 3]) -> Vec<[u8; 3]> {
-            // A migration moves one component to a host with spare capacity.
-            let mut next = Vec::new();
-            for from in 0..3 {
-                for to in 0..3 {
-                    if from != to && s[from] > 0 && s[to] < self.capacity {
-                        let mut t = *s;
-                        t[from] -= 1;
-                        t[to] += 1;
-                        next.push(t);
-                    }
-                }
-            }
-            if next.is_empty() {
-                next.push(*s);
-            }
-            next
-        }
-    }
-
-    let sys = Placements { capacity: 3 };
-    let (explored, complete) =
-        check_invariant(&sys, 64, |s| s.iter().all(|c| *c <= 3)).expect("capacity invariant holds");
-    println!(
-        "  configuration space: {explored} reachable placements explored (complete = {complete});\n\
-         \x20 capacity invariant holds in every reachable configuration"
-    );
-    // A total pile-up on host 0 IS reachable — get the witness migration plan.
-    match bounded_search(&sys, 64, |s| *s == [3, 1, 0]) {
-        SearchResult::Found { path } => {
-            println!("  witness migration plan to [3,1,0]: {path:?}\n");
-            assert_eq!(path.first(), Some(&[2, 2, 0]));
-        }
-        other => panic!("expected a witness, got {other:?}"),
-    }
-}
-
-/// 3. Quantitative availability of a device behind an edge with known
+/// 2. Quantitative availability of a device behind an edge with known
 ///    failure/repair rates — the number a requirements engineer compares
 ///    against the availability threshold before choosing hardware.
 fn quantitative_availability() {

@@ -1,11 +1,8 @@
 //! Data governance end-to-end (§VI / Figure 4): flows between domains are
-//! policed at egress and ingress, taint follows lineage, and domain
-//! transfers trigger purges.
+//! policed at egress and ingress, and domain transfers trigger purges.
 
 use riot_core::{standard_domains, Scenario, ScenarioSpec};
-use riot_data::{
-    DataMeta, LineageGraph, Operation, PolicyAction, PolicyEngine, ReplicatedStore, Sensitivity,
-};
+use riot_data::{DataMeta, PolicyAction, PolicyEngine, ReplicatedStore, Sensitivity};
 use riot_model::{Disruption, DisruptionSchedule, DomainId, MaturityLevel};
 use riot_sim::{SimDuration, SimTime};
 
@@ -118,70 +115,6 @@ fn redaction_keeps_aggregates_flowing() {
         0,
         "redacted data is not a violation"
     );
-}
-
-#[test]
-fn lineage_taint_survives_multi_domain_derivations() {
-    let mut g = LineageGraph::new();
-    let hr = g.record(
-        "hr",
-        Operation::Sensed,
-        DomainId(0),
-        SimTime::ZERO,
-        true,
-        &[],
-    );
-    let tmp = g.record(
-        "temp",
-        Operation::Sensed,
-        DomainId(0),
-        SimTime::ZERO,
-        false,
-        &[],
-    );
-    let score = g.record(
-        "wellness",
-        Operation::Derived,
-        DomainId(0),
-        SimTime::from_secs(1),
-        false,
-        &[hr, tmp],
-    );
-    let replicated = g.record(
-        "wellness",
-        Operation::Replicated,
-        DomainId(1),
-        SimTime::from_secs(2),
-        false,
-        &[score],
-    );
-    assert!(
-        g.derives_from_sensitive(replicated),
-        "aggregate carries the taint across domains"
-    );
-    assert_eq!(
-        g.domains_traversed(replicated),
-        vec![DomainId(0), DomainId(1)]
-    );
-
-    // Redaction at the boundary launders the taint legitimately.
-    let redacted = g.record(
-        "wellness-red",
-        Operation::Redacted,
-        DomainId(0),
-        SimTime::from_secs(3),
-        false,
-        &[score],
-    );
-    let exported = g.record(
-        "wellness-red",
-        Operation::Replicated,
-        DomainId(1),
-        SimTime::from_secs(4),
-        false,
-        &[redacted],
-    );
-    assert!(!g.derives_from_sensitive(exported));
 }
 
 #[test]
