@@ -9,36 +9,16 @@
 //! quantify.
 
 use crate::config::{ArchitectureConfig, MapePlacement};
+use crate::keys::MetricKeys;
 use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::recovery::MapeHost;
 use riot_coord::{CloudRegistry, RegistryConfig};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
-use riot_sim::{Ctx, MetricKey, Metrics, Process, ProcessId, SimTime};
+use riot_sim::{Ctx, Process, ProcessId, SimTime};
 
 const TAG_MAPE: u64 = 1;
 const TAG_SYNC: u64 = 2;
-
-/// Pre-interned keys for the cloud's metric names: minted on the first
-/// callback, allocation-free thereafter.
-#[derive(Debug, Clone, Copy)]
-struct CloudKeys {
-    ingest_denied: MetricKey,
-    ingest_latency_ms: MetricKey,
-    restart_sent: MetricKey,
-    sync_applied: MetricKey,
-}
-
-impl CloudKeys {
-    fn new(m: &mut Metrics) -> Self {
-        CloudKeys {
-            ingest_denied: m.intern("cloud.ingest.denied"),
-            ingest_latency_ms: m.intern("cloud.ingest.latency_ms"),
-            restart_sent: m.intern("mape.restart_sent"),
-            sync_applied: m.intern("cloud.sync.applied"),
-        }
-    }
-}
 
 /// Static configuration of the cloud node.
 #[derive(Debug, Clone)]
@@ -60,12 +40,13 @@ pub struct CloudConfig {
     pub domain_of: std::rc::Rc<[DomainId]>,
     /// The run-wide data-key space shared with the edges and devices.
     pub keys: KeySpace,
+    /// The run's metric keys.
+    pub metrics: MetricKeys,
 }
 
 /// The cloud process.
 pub struct CloudProcess {
     cfg: CloudConfig,
-    keys: Option<CloudKeys>,
     store: ReplicatedStore,
     registry_service: CloudRegistry,
     mape: MapeHost,
@@ -94,7 +75,6 @@ impl CloudProcess {
         let mape = MapeHost::new(&cfg.arch, MapePlacement::Cloud);
         CloudProcess {
             cfg,
-            keys: None,
             store,
             registry_service: CloudRegistry::new(RegistryConfig::default()),
             mape,
@@ -123,13 +103,6 @@ impl CloudProcess {
         self.mape.stats()
     }
 
-    /// The interned metric keys, minting them on first use.
-    fn hot_keys(&mut self, ctx: &mut Ctx<'_, Msg>) -> CloudKeys {
-        *self
-            .keys
-            .get_or_insert_with(|| CloudKeys::new(ctx.metrics()))
-    }
-
     fn ingest_telemetry(&mut self, ctx: &mut Ctx<'_, Msg>, reading: ReadingPayload) {
         let ReadingPayload {
             key,
@@ -145,26 +118,23 @@ impl CloudProcess {
             .store
             .ingest_key(key, value, meta, &self.cfg.registry, now);
         if action == riot_data::PolicyAction::Deny {
-            let key = self.hot_keys(ctx).ingest_denied;
-            ctx.metrics().incr_key(key);
+            ctx.metrics().incr_key(self.cfg.metrics.cloud_ingest_denied);
         } else {
             // Virtual age of the reading at accept time, for streaming
             // ingest-latency consumers; one branch when nobody listens.
-            let lat_key = self.hot_keys(ctx).ingest_latency_ms;
-            ctx.measure(lat_key, now.saturating_since(produced_at).as_millis_f64());
+            let age_ms = now.saturating_since(produced_at).as_millis_f64();
+            ctx.measure(self.cfg.metrics.cloud_ingest_latency_ms, age_ms);
         }
         self.mape.heard(component, state, device, now);
     }
 
     fn run_mape(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let restart_sent = self.hot_keys(ctx).restart_sent;
-        self.mape.run(ctx, restart_sent);
+        self.mape.run(ctx, self.cfg.metrics.mape_restart_sent);
     }
 }
 
 impl Process<Msg> for CloudProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.hot_keys(ctx);
         if self.mape.hosted() {
             ctx.schedule(self.cfg.arch.mape_period, TAG_MAPE);
         }
@@ -186,7 +156,7 @@ impl Process<Msg> for CloudProcess {
             }
             Msg::Sync(m) => {
                 let changed = self.store.on_sync(m, &self.cfg.registry, ctx.now());
-                let key = self.hot_keys(ctx).sync_applied;
+                let key = self.cfg.metrics.cloud_sync_applied;
                 ctx.metrics().incr_by_key(key, changed as u64);
             }
             Msg::Registry(m) => {
@@ -229,7 +199,7 @@ mod tests {
     use riot_model::{ComponentId, ComponentState, Domain, Jurisdiction, MaturityLevel};
     use riot_sim::{Sim, SimBuilder};
 
-    fn cloud_cfg(level: MaturityLevel, me: ProcessId) -> CloudConfig {
+    fn cloud_cfg(sim: &mut Sim<Msg>, level: MaturityLevel, me: ProcessId) -> CloudConfig {
         let mut registry = DomainRegistry::new();
         registry.register(Domain {
             id: DomainId(0),
@@ -244,6 +214,7 @@ mod tests {
             subscribers: Vec::new(),
             domain_of: std::rc::Rc::from([]),
             keys: KeySpace::new(),
+            metrics: MetricKeys::mint(sim.metrics_mut()),
         }
     }
 
@@ -283,10 +254,8 @@ mod tests {
     #[test]
     fn cloud_serves_control_and_stores_data() {
         let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let cloud = sim.add_process(CloudProcess::new(cloud_cfg(
-            MaturityLevel::Ml2,
-            ProcessId(0),
-        )));
+        let cfg = cloud_cfg(&mut sim, MaturityLevel::Ml2, ProcessId(0));
+        let cloud = sim.add_process(CloudProcess::new(cfg));
         let dev = sim.add_process(Dev::default());
         let key = cloud_key(&sim, cloud, "dev1/reading");
         sim.send_external(cloud, reading(dev, key, ComponentState::Running));
@@ -306,10 +275,8 @@ mod tests {
     #[test]
     fn cloud_mape_restarts_silent_components_at_ml2() {
         let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let cloud = sim.add_process(CloudProcess::new(cloud_cfg(
-            MaturityLevel::Ml2,
-            ProcessId(0),
-        )));
+        let cfg = cloud_cfg(&mut sim, MaturityLevel::Ml2, ProcessId(0));
+        let cloud = sim.add_process(CloudProcess::new(cfg));
         let dev = sim.add_process(Dev::default());
         let key = cloud_key(&sim, cloud, "dev1/reading");
         sim.send_external(cloud, reading(dev, key, ComponentState::Running));
@@ -331,10 +298,8 @@ mod tests {
     #[test]
     fn ml4_cloud_hosts_no_mape() {
         let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let cloud = sim.add_process(CloudProcess::new(cloud_cfg(
-            MaturityLevel::Ml4,
-            ProcessId(0),
-        )));
+        let cfg = cloud_cfg(&mut sim, MaturityLevel::Ml4, ProcessId(0));
+        let cloud = sim.add_process(CloudProcess::new(cfg));
         let dev = sim.add_process(Dev::default());
         let key = cloud_key(&sim, cloud, "dev1/reading");
         sim.send_external(cloud, reading(dev, key, ComponentState::Running));
@@ -371,10 +336,8 @@ mod tests {
             }
         }
         let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        sim.add_process(CloudProcess::new(cloud_cfg(
-            MaturityLevel::Ml2,
-            ProcessId(0),
-        )));
+        let cfg = cloud_cfg(&mut sim, MaturityLevel::Ml2, ProcessId(0));
+        sim.add_process(CloudProcess::new(cfg));
         let client = sim.add_process(Client::default());
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(

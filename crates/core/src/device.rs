@@ -12,11 +12,12 @@
 //! consecutive control timeouts make it re-home to a backup edge.
 
 use crate::config::{ArchitectureConfig, ControlPlacement};
+use crate::keys::MetricKeys;
 use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::state::NodeSlab;
 use riot_data::{DataKey, DataMeta, PurposeSet, Sensitivity};
 use riot_model::{ComponentId, ComponentState, DomainId};
-use riot_sim::{Ctx, EventMask, MetricKey, Metrics, Process, ProcessId, SimTime};
+use riot_sim::{Ctx, EventMask, Process, ProcessId, SimTime};
 use std::rc::Rc;
 
 const TAG_SENSE: u64 = 1;
@@ -35,23 +36,22 @@ pub struct DeviceGroup {
     pub backup_edges: Vec<ProcessId>,
     /// The cloud node.
     pub cloud: ProcessId,
-    keys: DeviceKeys,
+    keys: MetricKeys,
 }
 
 impl DeviceGroup {
-    /// Builds one group's shared configuration, interning the devices'
-    /// metric names in the run's `metrics`.
+    /// Builds one group's shared configuration over the run's metric keys.
     pub fn new(
         arch: ArchitectureConfig,
         backup_edges: Vec<ProcessId>,
         cloud: ProcessId,
-        metrics: &mut Metrics,
+        keys: MetricKeys,
     ) -> Rc<Self> {
         Rc::new(DeviceGroup {
             arch,
             backup_edges,
             cloud,
-            keys: DeviceKeys::new(metrics),
+            keys,
         })
     }
 }
@@ -106,31 +106,6 @@ impl DeviceWindow {
             None
         } else {
             Some(self.latency_sum_ms / self.latency_count as f64)
-        }
-    }
-}
-
-/// Pre-interned keys for the device's metric names, minted once per
-/// [`DeviceGroup`] — the control loop's metric writes never allocate.
-#[derive(Debug, Clone, Copy)]
-struct DeviceKeys {
-    rehome: MetricKey,
-    control_timeout: MetricKey,
-    failover: MetricKey,
-    ml3_fallback: MetricKey,
-    control_latency_ms: MetricKey,
-    component_restarted: MetricKey,
-}
-
-impl DeviceKeys {
-    fn new(m: &mut Metrics) -> Self {
-        DeviceKeys {
-            rehome: m.intern("device.rehome"),
-            control_timeout: m.intern("device.control.timeout"),
-            failover: m.intern("device.failover"),
-            ml3_fallback: m.intern("device.ml3_fallback"),
-            control_latency_ms: m.intern("device.control.latency_ms"),
-            component_restarted: m.intern("device.component.restarted"),
         }
     }
 }
@@ -349,7 +324,7 @@ impl DeviceProcess {
                 self.controller_idx = 0;
                 self.on_backup_since = None;
                 self.consecutive_timeouts = 0;
-                ctx.metrics().incr_key(self.group.keys.rehome);
+                ctx.metrics().incr_key(self.group.keys.device_rehome);
             }
         }
         match self.controller() {
@@ -381,7 +356,8 @@ impl DeviceProcess {
             return; // reply beat the deadline
         }
         self.note_control_timeout();
-        ctx.metrics().incr_key(self.group.keys.control_timeout);
+        ctx.metrics()
+            .incr_key(self.group.keys.device_control_timeout);
         self.consecutive_timeouts += 1;
         match self.group.arch.control {
             ControlPlacement::EdgeWithFailover
@@ -397,7 +373,7 @@ impl DeviceProcess {
                 };
                 self.consecutive_timeouts = 0;
                 self.failovers += 1;
-                ctx.metrics().incr_key(self.group.keys.failover);
+                ctx.metrics().incr_key(self.group.keys.device_failover);
                 if ctx.wants(EventMask::NOTE) {
                     ctx.annotate(format!("failover to {}", self.current_edge()));
                 }
@@ -413,7 +389,7 @@ impl DeviceProcess {
                 };
                 self.consecutive_timeouts = 0;
                 self.failovers += 1;
-                ctx.metrics().incr_key(self.group.keys.ml3_fallback);
+                ctx.metrics().incr_key(self.group.keys.device_ml3_fallback);
             }
             _ => {}
         }
@@ -443,7 +419,7 @@ impl Process<Msg> for DeviceProcess {
                 let latency_ms = (ctx.now() - issued_at).as_millis_f64();
                 self.note_control_ok(latency_ms);
                 self.consecutive_timeouts = 0;
-                let key = self.group.keys.control_latency_ms;
+                let key = self.group.keys.device_control_latency_ms;
                 ctx.metrics().observe_key(key, latency_ms);
                 // Same value onto the observability bus for streaming
                 // consumers; one branch when nobody listens.
@@ -473,7 +449,8 @@ impl Process<Msg> for DeviceProcess {
                 if let Some((slab, slot)) = &self.slab {
                     slab.set_serving(*slot, true);
                 }
-                ctx.metrics().incr_key(self.group.keys.component_restarted);
+                ctx.metrics()
+                    .incr_key(self.group.keys.device_component_restarted);
             }
             t if t >= TAG_TIMEOUT_BASE => {
                 self.on_control_timeout(ctx, t - TAG_TIMEOUT_BASE);
@@ -498,7 +475,7 @@ impl Process<Msg> for DeviceProcess {
 mod tests {
     use super::*;
     use riot_model::MaturityLevel;
-    use riot_sim::{Sim, SimBuilder};
+    use riot_sim::{Metrics, Sim, SimBuilder};
 
     fn device_cfg(level: MaturityLevel, metrics: &mut Metrics) -> DeviceConfig {
         DeviceConfig {
@@ -506,7 +483,7 @@ mod tests {
                 ArchitectureConfig::for_level(level),
                 vec![ProcessId(1)],
                 ProcessId(2),
-                metrics,
+                MetricKeys::mint(metrics),
             ),
             primary_edge: ProcessId(0),
             component: ComponentId(0),

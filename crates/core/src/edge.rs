@@ -8,45 +8,17 @@
 //! silent components and restarts them.
 
 use crate::config::{ArchitectureConfig, MapePlacement, ReplicationMode};
+use crate::keys::MetricKeys;
 use crate::msg::{AppMsg, Msg, PolicyUpdate, ReadingPayload};
 use crate::recovery::MapeHost;
 use riot_coord::{Election, ElectionOutput, Gossip, GossipConfig, MemberState, Swim, SwimOutput};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
-use riot_sim::{Ctx, EventMask, MetricKey, Metrics, Process, ProcessId, SimTime};
+use riot_sim::{Ctx, EventMask, Process, ProcessId, SimTime};
 
 const TAG_COORD: u64 = 1;
 const TAG_SYNC: u64 = 2;
 const TAG_MAPE: u64 = 3;
-
-/// Pre-interned keys for the edge's metric names: minted on the first
-/// callback, allocation-free thereafter.
-#[derive(Debug, Clone, Copy)]
-struct EdgeKeys {
-    swim_state_change: MetricKey,
-    election_leader_change: MetricKey,
-    ingest_denied: MetricKey,
-    ingest_latency_ms: MetricKey,
-    restart_sent: MetricKey,
-    restarted: MetricKey,
-    sync_applied: MetricKey,
-    policy_updated: MetricKey,
-}
-
-impl EdgeKeys {
-    fn new(m: &mut Metrics) -> Self {
-        EdgeKeys {
-            swim_state_change: m.intern("edge.swim.state_change"),
-            election_leader_change: m.intern("edge.election.leader_change"),
-            ingest_denied: m.intern("edge.ingest.denied"),
-            ingest_latency_ms: m.intern("edge.ingest.latency_ms"),
-            restart_sent: m.intern("mape.restart_sent"),
-            restarted: m.intern("edge.restarted"),
-            sync_applied: m.intern("edge.sync.applied"),
-            policy_updated: m.intern("edge.policy.updated"),
-        }
-    }
-}
 
 /// Static configuration of one edge node.
 #[derive(Debug, Clone)]
@@ -72,6 +44,8 @@ pub struct EdgeConfig {
     pub scope: u32,
     /// The run's shared data-key space (all stores speak the same ids).
     pub keys: KeySpace,
+    /// The run's metric keys.
+    pub metrics: MetricKeys,
 }
 
 /// The gossip key under which the governance posture is disseminated.
@@ -80,7 +54,6 @@ const POLICY_GOSSIP_KEY: u64 = 1;
 /// The edge process.
 pub struct EdgeProcess {
     cfg: EdgeConfig,
-    keys: Option<EdgeKeys>,
     swim: Option<Swim>,
     election: Option<Election>,
     gossip: Option<Gossip<PolicyUpdate>>,
@@ -125,7 +98,6 @@ impl EdgeProcess {
         let mape = MapeHost::new(&cfg.arch, MapePlacement::Edge);
         EdgeProcess {
             cfg,
-            keys: None,
             swim,
             election,
             gossip,
@@ -212,20 +184,13 @@ impl EdgeProcess {
         self.mape.stats()
     }
 
-    /// The interned metric keys, minting them on first use.
-    fn hot_keys(&mut self, ctx: &mut Ctx<'_, Msg>) -> EdgeKeys {
-        *self
-            .keys
-            .get_or_insert_with(|| EdgeKeys::new(ctx.metrics()))
-    }
-
     fn dispatch_swim(&mut self, ctx: &mut Ctx<'_, Msg>, outputs: Vec<SwimOutput>) {
         for o in outputs {
             match o {
                 SwimOutput::Send { to, msg } => ctx.send(to, Msg::Swim(msg)),
                 SwimOutput::StateChange { .. } => {
-                    let key = self.hot_keys(ctx).swim_state_change;
-                    ctx.metrics().incr_key(key);
+                    ctx.metrics()
+                        .incr_key(self.cfg.metrics.edge_swim_state_change);
                 }
             }
         }
@@ -236,7 +201,7 @@ impl EdgeProcess {
             match o {
                 ElectionOutput::Send { to, msg } => ctx.send(to, Msg::Election(msg)),
                 ElectionOutput::LeaderChanged { leader, .. } => {
-                    let key = self.hot_keys(ctx).election_leader_change;
+                    let key = self.cfg.metrics.edge_election_leader_change;
                     ctx.metrics().incr_key(key);
                     if ctx.wants(EventMask::NOTE) {
                         ctx.annotate(format!("scope {} leader: {:?}", self.cfg.scope, leader));
@@ -303,14 +268,12 @@ impl EdgeProcess {
             .store
             .ingest_key(key, value, meta, &self.cfg.registry, now);
         if action == riot_data::PolicyAction::Deny {
-            let key = self.hot_keys(ctx).ingest_denied;
-            ctx.metrics().incr_key(key);
+            ctx.metrics().incr_key(self.cfg.metrics.edge_ingest_denied);
         } else {
             // Virtual age of the reading at accept time, for streaming
             // ingest-latency consumers; one branch when nobody listens.
-            let lat_key = self.hot_keys(ctx).ingest_latency_ms;
             ctx.measure(
-                lat_key,
+                self.cfg.metrics.edge_ingest_latency_ms,
                 now.saturating_since(meta.produced_at).as_millis_f64(),
             );
         }
@@ -323,8 +286,7 @@ impl EdgeProcess {
     }
 
     fn run_mape(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let restart_sent = self.hot_keys(ctx).restart_sent;
-        self.mape.run(ctx, restart_sent);
+        self.mape.run(ctx, self.cfg.metrics.mape_restart_sent);
     }
 }
 
@@ -336,10 +298,8 @@ impl Process<Msg> for EdgeProcess {
             // void. Peers (or the devices themselves) repopulate us.
             self.store.clear();
             self.mape.clear();
-            let key = self.hot_keys(ctx).restarted;
-            ctx.metrics().incr_key(key);
+            ctx.metrics().incr_key(self.cfg.metrics.edge_restarted);
         }
-        self.hot_keys(ctx);
         self.started = true;
         if self.cfg.arch.decentralized_coordination {
             ctx.schedule(self.cfg.arch.coord_tick, TAG_COORD);
@@ -381,7 +341,7 @@ impl Process<Msg> for EdgeProcess {
             }
             Msg::Sync(m) => {
                 let changed = self.store.on_sync(m, &self.cfg.registry, ctx.now());
-                let key = self.hot_keys(ctx).sync_applied;
+                let key = self.cfg.metrics.edge_sync_applied;
                 ctx.metrics().incr_by_key(key, changed as u64);
             }
             Msg::Gossip(m) => {
@@ -391,8 +351,7 @@ impl Process<Msg> for EdgeProcess {
                         // riot-lint: allow(P1, reason = "changed contains the key, so the merged table holds it")
                         let posture = *gossip.get(POLICY_GOSSIP_KEY).expect("just merged");
                         self.apply_posture(posture);
-                        let key = self.hot_keys(ctx).policy_updated;
-                        ctx.metrics().incr_key(key);
+                        ctx.metrics().incr_key(self.cfg.metrics.edge_policy_updated);
                     }
                 }
             }
@@ -476,7 +435,22 @@ mod tests {
         reg
     }
 
+    /// What every edge of one test run shares: the data-key space and the
+    /// metric keys minted in the run's recorder.
+    struct Shared {
+        keys: KeySpace,
+        metrics: MetricKeys,
+    }
+
+    fn shared(sim: &mut Sim<Msg>) -> Shared {
+        Shared {
+            keys: KeySpace::new(),
+            metrics: MetricKeys::mint(sim.metrics_mut()),
+        }
+    }
+
     fn edge_cfg(
+        run: &Shared,
         level: MaturityLevel,
         me: ProcessId,
         peers: Vec<ProcessId>,
@@ -493,7 +467,8 @@ mod tests {
             domain_of: domain_of.into(),
             registry: registry(),
             scope: 0,
-            keys: KeySpace::new(),
+            keys: run.keys.clone(),
+            metrics: run.metrics,
         }
     }
 
@@ -538,12 +513,14 @@ mod tests {
     #[test]
     fn ml4_edges_elect_a_leader_and_stay_alive() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let cloud = sim.add_process(Sink::default());
         let e0 = ProcessId(1);
         let e1 = ProcessId(2);
         let e2 = ProcessId(3);
         for (me, peers) in [(e0, vec![e1, e2]), (e1, vec![e0, e2]), (e2, vec![e0, e1])] {
             sim.add_process(EdgeProcess::new(edge_cfg(
+                &run,
                 MaturityLevel::Ml4,
                 me,
                 peers,
@@ -561,12 +538,14 @@ mod tests {
     #[test]
     fn ml4_edge_failure_triggers_releader() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let cloud = sim.add_process(Sink::default());
         let e0 = ProcessId(1);
         let e1 = ProcessId(2);
         let e2 = ProcessId(3);
         for (me, peers) in [(e0, vec![e1, e2]), (e1, vec![e0, e2]), (e2, vec![e0, e1])] {
             sim.add_process(EdgeProcess::new(edge_cfg(
+                &run,
                 MaturityLevel::Ml4,
                 me,
                 peers,
@@ -587,12 +566,14 @@ mod tests {
     #[test]
     fn recovered_edge_rejoins_membership_and_a_single_leader_stands() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let cloud = sim.add_process(Sink::default());
         let e0 = ProcessId(1);
         let e1 = ProcessId(2);
         let e2 = ProcessId(3);
         for (me, peers) in [(e0, vec![e1, e2]), (e1, vec![e0, e2]), (e2, vec![e0, e1])] {
             sim.add_process(EdgeProcess::new(edge_cfg(
+                &run,
                 MaturityLevel::Ml4,
                 me,
                 peers,
@@ -631,9 +612,11 @@ mod tests {
     #[test]
     fn ml3_edge_relays_telemetry_and_syncs_to_cloud() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let cloud = sim.add_process(Sink::default());
         let me = ProcessId(1);
         sim.add_process(EdgeProcess::new(edge_cfg(
+            &run,
             MaturityLevel::Ml3,
             me,
             vec![],
@@ -648,15 +631,22 @@ mod tests {
         assert!(sink.relays >= 1, "telemetry relayed to cloud MAPE");
         assert!(sink.syncs >= 3, "store synced to cloud periodically");
         let edge = sim.process::<EdgeProcess>(me).unwrap();
-        assert_eq!(edge.store().get("dev9/reading").map(|r| r.value), Some(1.0));
+        assert_eq!(
+            edge.store()
+                .get_key(run.keys.intern("dev9/reading"))
+                .map(|r| r.value),
+            Some(1.0)
+        );
     }
 
     #[test]
     fn ml4_edge_mape_restarts_silent_component() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let _cloud = sim.add_process(Sink::default());
         let me = ProcessId(1);
         sim.add_process(EdgeProcess::new(edge_cfg(
+            &run,
             MaturityLevel::Ml4,
             me,
             vec![],
@@ -704,9 +694,11 @@ mod tests {
     #[test]
     fn ml4_edge_mape_repeats_a_restart_only_after_the_cooldown() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let _cloud = sim.add_process(Sink::default());
         let me = ProcessId(1);
         sim.add_process(EdgeProcess::new(edge_cfg(
+            &run,
             MaturityLevel::Ml4,
             me,
             vec![],
@@ -736,9 +728,11 @@ mod tests {
     #[test]
     fn mape_knowledge_survives_an_edge_restart() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let _cloud = sim.add_process(Sink::default());
         let me = ProcessId(1);
         sim.add_process(EdgeProcess::new(edge_cfg(
+            &run,
             MaturityLevel::Ml4,
             me,
             vec![],
@@ -779,16 +773,19 @@ mod tests {
     #[test]
     fn restart_loses_volatile_store_and_anti_entropy_restores_it() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let cloud = sim.add_process(Sink::default());
         let e0 = ProcessId(1);
         let e1 = ProcessId(2);
         sim.add_process(EdgeProcess::new(edge_cfg(
+            &run,
             MaturityLevel::Ml4,
             e0,
             vec![e1],
             cloud,
         )));
         sim.add_process(EdgeProcess::new(edge_cfg(
+            &run,
             MaturityLevel::Ml4,
             e1,
             vec![e0],
@@ -802,7 +799,7 @@ mod tests {
             .process::<EdgeProcess>(e1)
             .unwrap()
             .store()
-            .get("dev9/reading")
+            .get_key(run.keys.intern("dev9/reading"))
             .is_some());
         // Edge 1 crashes and restarts: volatile store gone…
         sim.set_down(e1);
@@ -817,7 +814,7 @@ mod tests {
             sim.process::<EdgeProcess>(e1)
                 .unwrap()
                 .store()
-                .get("dev9/reading")
+                .get_key(run.keys.intern("dev9/reading"))
                 .map(|r| r.value),
             Some(1.0),
             "anti-entropy restored the lost state"
@@ -828,6 +825,7 @@ mod tests {
     #[test]
     fn policy_posture_spreads_by_gossip_and_purges_on_tighten() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let cloud = sim.add_process(Sink::default());
         let e0 = ProcessId(1);
         let e1 = ProcessId(2);
@@ -837,7 +835,7 @@ mod tests {
         let mut arch = ArchitectureConfig::for_level(MaturityLevel::Ml4);
         arch.governed_data = false;
         for (me, peers) in [(e0, vec![e1, e2]), (e1, vec![e0, e2]), (e2, vec![e0, e1])] {
-            let mut cfg = edge_cfg(MaturityLevel::Ml4, me, peers, cloud);
+            let mut cfg = edge_cfg(&run, MaturityLevel::Ml4, me, peers, cloud);
             cfg.arch = arch.clone();
             // Edge 1 lives in the vendor domain so personal data resting
             // there is a violation.
@@ -895,9 +893,11 @@ mod tests {
     #[test]
     fn control_requests_are_served() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let cloud = sim.add_process(Sink::default());
         let me = ProcessId(1);
         sim.add_process(EdgeProcess::new(edge_cfg(
+            &run,
             MaturityLevel::Ml3,
             me,
             vec![],
@@ -917,9 +917,11 @@ mod tests {
     #[test]
     fn ml2_edge_is_passive() {
         let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let run = shared(&mut sim);
         let cloud = sim.add_process(Sink::default());
         let me = ProcessId(1);
         sim.add_process(EdgeProcess::new(edge_cfg(
+            &run,
             MaturityLevel::Ml2,
             me,
             vec![],

@@ -55,6 +55,7 @@ mod cloud;
 mod config;
 mod device;
 mod edge;
+mod keys;
 mod mobility;
 mod msg;
 mod observe;
@@ -68,6 +69,7 @@ pub use cloud::{CloudConfig, CloudProcess};
 pub use config::{ArchitectureConfig, ControlPlacement, MapePlacement, ReplicationMode};
 pub use device::{DeviceConfig, DeviceGroup, DeviceProcess, DeviceWindow};
 pub use edge::{EdgeConfig, EdgeProcess};
+pub use keys::MetricKeys;
 pub use mobility::{roaming_schedule, Layout, MobilitySpec};
 pub use msg::{AppMsg, Msg, PolicyUpdate, ReadingPayload};
 pub use observe::{

@@ -243,8 +243,8 @@ mod tests {
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, _msg: Msg) {}
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
-            let restart_sent = ctx.metrics().intern("mape.restart_sent");
-            self.host.run(ctx, restart_sent);
+            let keys = crate::keys::MetricKeys::mint(ctx.metrics());
+            self.host.run(ctx, keys.mape_restart_sent);
         }
     }
 

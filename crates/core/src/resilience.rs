@@ -44,43 +44,39 @@ impl Default for Thresholds {
 }
 
 /// The five standard scenario requirements (the paper's recurring concerns:
-/// latency, availability, coverage, timeliness/freshness, privacy), wired
-/// to the telemetry keys the runner publishes.
+/// latency, availability, coverage, timeliness/freshness, privacy), one
+/// per [`RequirementKind`]: the runner's sample telemetry reports each the
+/// column of its kind.
 pub fn standard_requirements(t: Thresholds) -> RequirementSet {
     vec![
         Requirement::new(
             RequirementId(0),
             "control loop reacts in time",
             RequirementKind::Latency,
-            "ctl.latency_ms",
             Predicate::AtMost(t.latency_ms),
         ),
         Requirement::new(
             RequirementId(1),
             "control plane available",
             RequirementKind::Availability,
-            "ctl.availability",
             Predicate::AtLeast(t.availability),
         ),
         Requirement::new(
             RequirementId(2),
             "sensing coverage maintained",
             RequirementKind::Coverage,
-            "coverage",
             Predicate::AtLeast(t.coverage),
         ),
         Requirement::new(
             RequirementId(3),
             "shared data stays fresh",
             RequirementKind::Freshness,
-            "freshness_s",
             Predicate::AtMost(t.freshness_s),
         ),
         Requirement::new(
             RequirementId(4),
             "no privacy violations at rest",
             RequirementKind::Privacy,
-            "privacy.violations",
             Predicate::Zero,
         ),
     ]
@@ -355,16 +351,14 @@ mod tests {
         use std::collections::BTreeMap;
         let reqs = standard_requirements(Thresholds::default());
         let goals = standard_goal_model();
-        let telemetry = |lat: f64, fresh: f64| -> BTreeMap<String, f64> {
-            [
-                ("ctl.latency_ms".to_owned(), lat),
-                ("ctl.availability".to_owned(), 1.0),
-                ("coverage".to_owned(), 1.0),
-                ("freshness_s".to_owned(), fresh),
-                ("privacy.violations".to_owned(), 0.0),
-            ]
-            .into_iter()
-            .collect()
+        // Values by requirement id: latency, availability, coverage,
+        // freshness, privacy violations.
+        let telemetry = |lat: f64, fresh: f64| -> BTreeMap<RequirementId, f64> {
+            [lat, 1.0, 1.0, fresh, 0.0]
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| (RequirementId(i as u32), v))
+                .collect()
         };
         // Freshness fails, latency holds: still acceptable (the ML1 shape).
         assert_eq!(
@@ -383,7 +377,7 @@ mod tests {
         );
         // Privacy failing is never acceptable.
         let mut t = telemetry(10.0, 1.0);
-        t.insert("privacy.violations".into(), 3.0);
+        t.insert(RequirementId(4), 3.0);
         assert_eq!(goals.evaluate(&reqs, &t).root, Verdict::Violated);
     }
 

@@ -7,8 +7,8 @@ use crate::cloud::{CloudConfig, CloudProcess};
 use crate::config::ReplicationMode;
 use crate::device::{DeviceConfig, DeviceGroup, DeviceProcess};
 use crate::edge::{EdgeConfig, EdgeProcess};
+use crate::keys::MetricKeys;
 use crate::msg::Msg;
-use crate::observe::PROBE_ROWS;
 use crate::resilience::{standard_goal_model, standard_requirements, SampleLog};
 use crate::state::{ConsumerMirror, NodeSlab, SlabLiveness};
 use riot_data::{KeySpace, Sensitivity};
@@ -125,6 +125,9 @@ impl Scenario {
             spec.device_count(),
         ));
 
+        // -- Every metric key a process records, minted once.
+        let metric_keys = MetricKeys::mint(sim.metrics_mut());
+
         // -- Observability bus. Registration order is fixed and documented
         // (crate::observe): slab liveness mirror (runtime-internal),
         // forensic ring, stream pipeline, then user factories. Observers
@@ -140,8 +143,7 @@ impl Scenario {
             // Operators 0..3, one latency probe per row: the control round
             // trip, then one per ingesting tier (both read the same virtual
             // reading age published at accept time).
-            for name in PROBE_ROWS {
-                let key = sim.metrics_mut().intern(name);
+            for key in metric_keys.probes() {
                 pipeline.push(MeasureProbe::new(
                     key,
                     QuantileSketch::for_latency_ms(),
@@ -187,9 +189,8 @@ impl Scenario {
         }
 
         // -- One run-wide data-key space. Every store (cloud, every edge)
-        // shares it, so data-plane sync moves dense ids with zero
-        // translation (`SyncMsg` carries the space; `same_as` short-cuts
-        // the name round-trip) and devices send `DataKey`s, not strings.
+        // shares it, so data-plane sync moves dense ids and devices send
+        // `DataKey`s, not strings.
         let keys = KeySpace::new();
 
         let subscribers = vendor_idx
@@ -204,6 +205,7 @@ impl Scenario {
             subscribers,
             domain_of: domain_of.clone(),
             keys: keys.clone(),
+            metrics: metric_keys,
         }));
         debug_assert_eq!(cloud_id, hierarchy.cloud);
 
@@ -225,6 +227,7 @@ impl Scenario {
                 registry: registry.clone(),
                 scope: i as u32,
                 keys: keys.clone(),
+                metrics: metric_keys,
             }));
             debug_assert_eq!(id, e);
         }
@@ -238,7 +241,7 @@ impl Scenario {
                     // riot-lint: allow(P1, reason = "hierarchy.edges has exactly spec.edges entries; the index is reduced mod spec.edges")
                     .map(|k| hierarchy.edges[(e + k) % spec.edges])
                     .collect();
-                DeviceGroup::new(arch.clone(), backups, hierarchy.cloud, sim.metrics_mut())
+                DeviceGroup::new(arch.clone(), backups, hierarchy.cloud, metric_keys)
             })
             .collect();
 
@@ -312,6 +315,7 @@ impl Scenario {
             sim,
             hierarchy,
             keys,
+            metric_keys,
             devices,
             registry,
             requirements,

@@ -36,6 +36,7 @@ pub use build::standard_domains;
 pub use result::ScenarioResult;
 pub use spec::{ScenarioSpec, SpecError, MAX_TRACE_TAIL};
 
+use crate::keys::MetricKeys;
 use crate::msg::Msg;
 use crate::observe::PROBE_ROWS;
 use crate::resilience::SampleLog;
@@ -67,6 +68,8 @@ pub struct Scenario {
     hierarchy: Hierarchy,
     /// The run-wide data-key space every store shares.
     keys: KeySpace,
+    /// The run's metric keys, minted once at build.
+    metric_keys: MetricKeys,
     devices: Vec<DeviceInfo>,
     registry: DomainRegistry,
     requirements: RequirementSet,

@@ -194,17 +194,18 @@ impl Scenario {
         let spec = self.spec.clone();
         let end = SimTime::ZERO + spec.duration;
         let split = SimTime::ZERO + spec.warmup;
-        let failovers = self.sim.metrics().counter("device.failover");
-        let restarts = self.sim.metrics().counter("device.component.restarted");
-        let restart_commands = self.sim.metrics().counter("mape.restart_sent");
-        let ingest_denied = self.sim.metrics().counter("edge.ingest.denied")
-            + self.sim.metrics().counter("cloud.ingest.denied");
-        let msgs_sent = self.sim.metrics().counter("sim.msg.sent");
-        let msgs_dropped = self.sim.metrics().counter("sim.msg.dropped");
+        let keys = self.metric_keys;
+        let counter = |key| self.sim.metrics().counter_key(key);
+        let failovers = counter(keys.device_failover);
+        let restarts = counter(keys.device_component_restarted);
+        let restart_commands = counter(keys.mape_restart_sent);
+        let ingest_denied = counter(keys.edge_ingest_denied) + counter(keys.cloud_ingest_denied);
+        let msgs_sent = counter(keys.sim_msg_sent);
+        let msgs_dropped = counter(keys.sim_msg_dropped);
         let latency = self
             .sim
             .metrics_mut()
-            .summarize("device.control.latency_ms");
+            .summarize(keys.device_control_latency_ms);
         let report = ResilienceReport::from_log(&self.log, SimTime::ZERO, split, end);
         let in_secs = |series: &[(SimTime, f64)]| -> Vec<(f64, f64)> {
             series.iter().map(|(t, v)| (t.as_secs_f64(), *v)).collect()

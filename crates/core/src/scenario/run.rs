@@ -10,7 +10,7 @@ use crate::observe::{SAT_LABEL, VALUATION_ATOMS};
 use crate::resilience::SampleLog;
 use crate::state::SampleFold;
 use riot_formal::{OnlineMonitor, Valuation};
-use riot_model::{GoalModel, Requirement, Telemetry, Verdict};
+use riot_model::{GoalModel, Requirement, RequirementKind, Telemetry, Verdict};
 use riot_sim::{EventMask, SimTime};
 use std::fmt::Write as _;
 
@@ -19,8 +19,8 @@ use std::fmt::Write as _;
 pub(super) const NEVER_SEEN_STALENESS_S: f64 = 1.0e6;
 
 /// One sample tick's telemetry valuation, a fixed field per series.
-/// Requirements and the goal model read it through the [`Telemetry`] trait
-/// by metric name.
+/// Requirements and the goal model read it through the [`Telemetry`] trait:
+/// each requirement reads the field of its [`RequirementKind`].
 struct SampleTelemetry {
     /// `ctl.availability`, when any control round completed this window.
     availability: Option<f64>,
@@ -35,14 +35,14 @@ struct SampleTelemetry {
 }
 
 impl Telemetry for SampleTelemetry {
-    fn value(&self, metric: &str) -> Option<f64> {
-        match metric {
-            "ctl.availability" => self.availability,
-            "ctl.latency_ms" => self.latency_ms,
-            "coverage" => Some(self.coverage),
-            "freshness_s" => self.freshness_s,
-            "privacy.violations" => Some(self.privacy_violations),
-            _ => None,
+    fn value(&self, req: &Requirement) -> Option<f64> {
+        match req.kind {
+            RequirementKind::Availability => self.availability,
+            RequirementKind::Latency => self.latency_ms,
+            RequirementKind::Coverage => Some(self.coverage),
+            RequirementKind::Freshness => self.freshness_s,
+            RequirementKind::Privacy => Some(self.privacy_violations),
+            RequirementKind::Custom => None,
         }
     }
 }
@@ -180,6 +180,70 @@ impl Scenario {
                 let _ = write!(note, " {name}={bit}");
             }
             self.sim.annotate(note);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SampleTelemetry;
+    use crate::resilience::{standard_requirements, Thresholds};
+    use riot_model::{Requirement, Verdict};
+
+    /// Each standard requirement reads the column of its own kind: moving
+    /// one column across its threshold flips that requirement's verdict and
+    /// no other.
+    #[test]
+    fn each_standard_requirement_reads_its_own_column() {
+        let t = Thresholds::default();
+        let reqs = standard_requirements(t);
+        let verdicts = |telemetry: &SampleTelemetry| -> Vec<Verdict> {
+            reqs.iter()
+                .map(|r| Requirement::evaluate(r, telemetry))
+                .collect()
+        };
+        let healthy = SampleTelemetry {
+            availability: Some(1.0),
+            latency_ms: Some(t.latency_ms / 2.0),
+            coverage: 1.0,
+            freshness_s: Some(t.freshness_s / 2.0),
+            privacy_violations: 0.0,
+        };
+        assert_eq!(verdicts(&healthy), [Verdict::Satisfied; 5]);
+        // One column past its threshold each, in requirement id order.
+        let broken = [
+            SampleTelemetry {
+                latency_ms: Some(t.latency_ms * 2.0),
+                ..healthy
+            },
+            SampleTelemetry {
+                availability: Some(t.availability / 2.0),
+                ..healthy
+            },
+            SampleTelemetry {
+                coverage: t.coverage / 2.0,
+                ..healthy
+            },
+            SampleTelemetry {
+                freshness_s: Some(t.freshness_s * 2.0),
+                ..healthy
+            },
+            SampleTelemetry {
+                privacy_violations: 1.0,
+                ..healthy
+            },
+        ];
+        for (moved, telemetry) in broken.iter().enumerate() {
+            let want: Vec<Verdict> = (0..reqs.len())
+                .map(|i| {
+                    if i == moved {
+                        Verdict::Violated
+                    } else {
+                        Verdict::Satisfied
+                    }
+                })
+                .collect();
+            assert_eq!(verdicts(telemetry), want, "column {moved} moved");
         }
     }
 }

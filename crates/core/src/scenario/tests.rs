@@ -803,3 +803,88 @@ fn a_campaigns_device_churn_forgets_only_the_routes_it_touches() {
     assert!(3 * end.cold < end.held * end.epochs, "{end:?}");
     assert_eq!(end.searches > 0, end.settled > 0);
 }
+
+/// Message flow is conserved at every sample tick, on every level, under a
+/// crash, a cut, a partition and a flap: each message sent was delivered,
+/// was dropped (a message to a downed node is dropped when it arrives), or
+/// is still in flight.
+#[test]
+fn every_message_sent_is_delivered_dropped_or_in_flight_at_every_sample() {
+    for level in MaturityLevel::ALL {
+        let mut spec = small(level);
+        spec.edges = 3;
+        spec.devices_per_edge = 3;
+        let secs = SimDuration::from_secs;
+        let flapping = (spec.device_id(2, 0), spec.edge_id(2));
+        let mut schedule = DisruptionSchedule::new()
+            .at(
+                SimTime::from_secs(8),
+                Disruption::NodeCrash {
+                    node: spec.edge_id(0),
+                    recover_after: Some(secs(4)),
+                },
+            )
+            .at(
+                SimTime::from_secs(13),
+                Disruption::LinkCut {
+                    a: spec.edge_id(1),
+                    b: spec.cloud_id(),
+                    heal_after: Some(secs(4)),
+                },
+            )
+            .at(
+                SimTime::from_secs(18),
+                Disruption::Partition {
+                    groups: vec![
+                        vec![spec.edge_id(0)],
+                        vec![spec.edge_id(1), spec.edge_id(2)],
+                    ],
+                    heal_after: Some(secs(4)),
+                },
+            );
+        for k in 0..6 {
+            schedule.push(
+                SimTime::from_millis(23_000 + 700 * k),
+                Disruption::LinkCut {
+                    a: flapping.0,
+                    b: flapping.1,
+                    heal_after: Some(SimDuration::from_millis(300)),
+                },
+            );
+        }
+        spec.disruptions = schedule;
+        let ticks = spec.duration.as_micros() / 1_000_000;
+        let mut scenario = Scenario::build(spec);
+        let mut peak_in_flight = 0;
+        for t in 1..=ticks {
+            scenario.advance_to(SimTime::from_secs(t));
+            let m = scenario.sim.metrics();
+            let (sent, delivered, dropped) = (
+                m.counter("sim.msg.sent"),
+                m.counter("sim.msg.delivered"),
+                m.counter("sim.msg.dropped"),
+            );
+            let in_flight = scenario.sim.in_flight();
+            assert_eq!(
+                sent,
+                delivered + dropped + in_flight as u64,
+                "{level:?} at {t} s: {sent} sent, {delivered} delivered, \
+                 {dropped} dropped, {in_flight} in flight"
+            );
+            peak_in_flight = peak_in_flight.max(in_flight);
+        }
+        let m = scenario.sim.metrics();
+        if level == MaturityLevel::Ml1 {
+            assert_eq!(m.counter("sim.msg.sent"), 0, "ML1's silos send nothing");
+        } else {
+            assert!(
+                peak_in_flight > 0,
+                "{level:?}: no tick caught a message in flight"
+            );
+            assert!(
+                m.counter("sim.msg.dropped") > 0,
+                "{level:?}: nothing was dropped"
+            );
+        }
+    }
+}

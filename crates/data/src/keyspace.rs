@@ -12,10 +12,9 @@
 //! A `KeySpace` is a cheap clonable handle (`Rc<RefCell<SymbolTable>>`):
 //! the scenario builder creates one per run and hands clones to every
 //! device, edge and cloud process, so all of them speak the same dense
-//! id namespace and sync messages need no translation. Two stores built
-//! over *different* key spaces can still sync: [`SyncMsg`] carries the
-//! sender's key space and the receiver re-interns by name (the compat
-//! path exercised by the standalone store tests).
+//! id namespace. Stores that sync must share one space: a [`SyncMsg`]
+//! carries ids, never names, and its receiver debug-asserts that the
+//! sender's space is its own.
 //!
 //! [`SyncMsg`]: crate::SyncMsg
 
@@ -73,21 +72,10 @@ impl KeySpace {
         self.table.borrow().get(name).map(DataKey)
     }
 
-    /// The name a key denotes, as an owned `String` (cold path: tests,
-    /// serialization, cross-space translation).
+    /// The name a key denotes, as an owned `String` (cold path: tests and
+    /// serialization).
     pub fn resolve(&self, key: DataKey) -> String {
         self.table.borrow().name(key.0).to_owned()
-    }
-
-    /// This space's key for the name `key` denotes in `from` — a different
-    /// space — minting on first sight: how a store with a private space
-    /// reads a foreign [`SyncMsg`](crate::SyncMsg).
-    pub(crate) fn translate(&self, from: &KeySpace, key: DataKey) -> DataKey {
-        DataKey(
-            self.table
-                .borrow_mut()
-                .intern(from.table.borrow().name(key.0)),
-        )
     }
 
     /// Number of interned keys.

@@ -16,12 +16,12 @@
 //! ## Layout
 //!
 //! Entries live in a slab (`Vec<Option<StoreEntry>>`) indexed by the dense
-//! [`DataKey`] ids of the store's [`KeySpace`] — every hot operation is a
-//! direct slot probe. The string-keyed API remains as a thin compat
-//! layer that interns through the key space. A [`SyncMsg`] carries its
-//! sender's key space: receivers sharing the same space (the scenario
-//! configuration) apply raw ids with zero translation, while standalone
-//! stores with private spaces re-intern entries by name.
+//! [`DataKey`] ids of the store's [`KeySpace`] — every operation is a
+//! direct slot probe, and no method takes a key name: callers intern names
+//! through the space once. All stores of a run are built over one space
+//! ([`ReplicatedStore::with_keys`]), so a [`SyncMsg`]'s ids are the
+//! receiver's ids; the message carries the sender's space only for the
+//! receiver to debug-assert that.
 //!
 //! ## One snapshot per round
 //!
@@ -139,9 +139,8 @@ pub struct StoreEntry {
 pub struct SyncMsg {
     /// Domain of the sending store (receivers re-check policy against it).
     pub from_domain: DomainId,
-    /// The sender's key space: entry keys are ids in this space. A
-    /// receiver over the same space applies them directly; otherwise it
-    /// translates by name.
+    /// The sender's key space: entry keys are ids in this space, which
+    /// must be the receiver's (debug builds assert it).
     pub keys: KeySpace,
     /// The pushed entries, immutable from the moment the push was built.
     pub entries: Rc<[StoreEntry]>,
@@ -184,7 +183,7 @@ pub struct StoreStats {
 /// # Examples
 ///
 /// ```
-/// use riot_data::{DataMeta, PolicyEngine, ReplicatedStore};
+/// use riot_data::{DataMeta, KeySpace, PolicyEngine, ReplicatedStore};
 /// use riot_model::{Domain, DomainId, DomainRegistry, Jurisdiction, TrustLevel};
 /// use riot_sim::SimTime;
 ///
@@ -193,13 +192,16 @@ pub struct StoreStats {
 /// reg.register(Domain { id: DomainId(1), name: "b".into(), jurisdiction: Jurisdiction::EuGdpr });
 /// reg.set_trust(DomainId(0), DomainId(1), TrustLevel::Trusted);
 ///
-/// let mut src = ReplicatedStore::new(0, DomainId(0), PolicyEngine::governed());
-/// let mut dst = ReplicatedStore::new(1, DomainId(1), PolicyEngine::governed());
-/// src.put("zone/occupancy", 17.0, DataMeta::operational(DomainId(0), SimTime::ZERO), SimTime::ZERO);
+/// let keys = KeySpace::new();
+/// let occupancy = keys.intern("zone/occupancy");
+/// let mut src = ReplicatedStore::with_keys(0, DomainId(0), PolicyEngine::governed(), keys.clone());
+/// let mut dst = ReplicatedStore::with_keys(1, DomainId(1), PolicyEngine::governed(), keys);
+/// let meta = DataMeta::operational(DomainId(0), SimTime::ZERO);
+/// src.put_key(occupancy, 17.0, meta, SimTime::ZERO);
 ///
 /// let msg = src.sync_out(DomainId(1), &reg, SimTime::ZERO);
 /// dst.on_sync(msg, &reg, SimTime::from_millis(5));
-/// assert_eq!(dst.get("zone/occupancy").map(|r| r.value), Some(17.0));
+/// assert_eq!(dst.get_key(occupancy).map(|r| r.value), Some(17.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplicatedStore {
@@ -229,13 +231,8 @@ fn is_violation_candidate(record: &DataRecord) -> bool {
 }
 
 impl ReplicatedStore {
-    /// Creates an empty store owned by `domain`, with a private key space.
-    pub fn new(replica: ReplicaId, domain: DomainId, policy: PolicyEngine) -> Self {
-        ReplicatedStore::with_keys(replica, domain, policy, KeySpace::new())
-    }
-
-    /// Creates an empty store over a shared key space — the scenario path:
-    /// every store in a run shares one space, so sync never translates.
+    /// Creates an empty store owned by `domain` over the run's key space.
+    /// Every store that syncs with this one must share `keys`.
     pub fn with_keys(
         replica: ReplicaId,
         domain: DomainId,
@@ -321,19 +318,6 @@ impl ReplicatedStore {
     /// This is the paper's "the edge can manage a local privacy scope"
     /// (§VI-B): a governed edge refuses or redacts out-of-scope personal
     /// data at the door, while a permissive store accepts it verbatim.
-    pub fn ingest(
-        &mut self,
-        key: impl AsRef<str>,
-        value: f64,
-        meta: DataMeta,
-        registry: &DomainRegistry,
-        now: SimTime,
-    ) -> PolicyAction {
-        let key = self.keys.intern(key.as_ref());
-        self.ingest_key(key, value, meta, registry, now)
-    }
-
-    /// [`ReplicatedStore::ingest`] for a pre-interned key — the hot path.
     pub fn ingest_key(
         &mut self,
         key: DataKey,
@@ -366,14 +350,7 @@ impl ReplicatedStore {
         action
     }
 
-    /// Writes a record locally (string compat: interns through the store's
-    /// key space).
-    pub fn put(&mut self, key: impl AsRef<str>, value: f64, meta: DataMeta, now: SimTime) {
-        let key = self.keys.intern(key.as_ref());
-        self.put_key(key, value, meta, now);
-    }
-
-    /// Writes a record locally under a pre-interned key — the hot path.
+    /// Writes a record locally.
     pub fn put_key(&mut self, key: DataKey, value: f64, meta: DataMeta, now: SimTime) {
         self.stats.local_writes += 1;
         let entry = StoreEntry {
@@ -384,13 +361,7 @@ impl ReplicatedStore {
         self.apply(entry);
     }
 
-    /// Reads a record by name (compat path: resolves through the key
-    /// space, no minting).
-    pub fn get(&self, key: &str) -> Option<&DataRecord> {
-        self.keys.get(key).and_then(|k| self.get_key(k))
-    }
-
-    /// Reads a record by pre-interned key — a direct slot probe.
+    /// Reads a record — a direct slot probe.
     pub fn get_key(&self, key: DataKey) -> Option<&DataRecord> {
         self.slots
             .get(key.index())
@@ -399,11 +370,6 @@ impl ReplicatedStore {
     }
 
     /// Seconds since the record was produced, or `None` when absent.
-    pub fn staleness_secs(&self, key: &str, now: SimTime) -> Option<f64> {
-        self.get(key).map(|r| r.meta.age_secs(now))
-    }
-
-    /// [`ReplicatedStore::staleness_secs`] for a pre-interned key.
     pub fn staleness_secs_key(&self, key: DataKey, now: SimTime) -> Option<f64> {
         self.get_key(key).map(|r| r.meta.age_secs(now))
     }
@@ -424,11 +390,11 @@ impl ReplicatedStore {
         self.slots.iter().flatten().map(|e| (e.record.key, e))
     }
 
-    /// `true` when the slot of `key` already holds `offered`'s version or a
-    /// later one — merging `offered` would change nothing.
-    fn holds_version_of(&self, key: DataKey, offered: &StoreEntry) -> bool {
+    /// `true` when `offered`'s slot already holds its version or a later
+    /// one — merging `offered` would change nothing.
+    fn holds_version_of(&self, offered: &StoreEntry) -> bool {
         matches!(
-            self.slots.get(key.index()),
+            self.slots.get(offered.record.key.index()),
             Some(Some(held))
                 if (held.written_at, held.writer) >= (offered.written_at, offered.writer)
         )
@@ -437,7 +403,7 @@ impl ReplicatedStore {
     /// LWW-merges `entry` into its slot. Returns `true` when local state
     /// changed.
     fn apply(&mut self, entry: StoreEntry) -> bool {
-        if self.holds_version_of(entry.record.key, &entry) {
+        if self.holds_version_of(&entry) {
             return false;
         }
         self.install(entry);
@@ -588,22 +554,17 @@ impl ReplicatedStore {
     }
 
     /// Merges a received push, applying ingress policy per entry. Returns
-    /// the number of entries that changed local state.
-    ///
-    /// When the message's key space is this store's own (the scenario
-    /// configuration), entry keys are applied verbatim; otherwise each key
-    /// is translated by name into this store's space.
+    /// the number of entries that changed local state. The sender must
+    /// share this store's key space (debug builds assert it).
     pub fn on_sync(&mut self, msg: SyncMsg, registry: &DomainRegistry, _now: SimTime) -> usize {
-        let shared = msg.keys.same_as(&self.keys);
+        debug_assert!(
+            msg.keys.same_as(&self.keys),
+            "SyncMsg from a store over another key space"
+        );
         let mut changed = 0;
         let mut memo = DecisionMemo::new();
         self.stats.offered += msg.entries.len() as u64;
         for offered in msg.entries.iter() {
-            let key = if shared {
-                offered.record.key
-            } else {
-                self.keys.translate(&msg.keys, offered.record.key)
-            };
             let action = memo.decide(
                 &self.policy,
                 &offered.record.meta,
@@ -617,15 +578,14 @@ impl ReplicatedStore {
             }
             // Most of a whole-store push is what the last one already
             // brought: settle that on the versions, before copying anything.
-            if self.holds_version_of(key, offered) {
+            if self.holds_version_of(offered) {
                 continue;
             }
-            let mut record = if action == PolicyAction::Redact {
+            let record = if action == PolicyAction::Redact {
                 offered.record.redacted()
             } else {
                 offered.record
             };
-            record.key = key;
             self.install(StoreEntry {
                 record,
                 written_at: offered.written_at,
@@ -678,18 +638,14 @@ impl ReplicatedStore {
         }
     }
 
-    /// The per-entry merge `on_sync` was: copy, translate, rule walk, then
-    /// the LWW compare inside [`ReplicatedStore::apply_oracle`] — the
-    /// oracle for [`ReplicatedStore::on_sync`].
+    /// The per-entry merge `on_sync` was: copy, rule walk, then the LWW
+    /// compare inside [`ReplicatedStore::apply_oracle`] — the oracle for
+    /// [`ReplicatedStore::on_sync`].
     #[cfg(test)]
     fn on_sync_oracle(&mut self, msg: SyncMsg, registry: &DomainRegistry) -> usize {
-        let shared = msg.keys.same_as(&self.keys);
         let mut changed = 0;
         self.stats.offered += msg.entries.len() as u64;
         for mut entry in msg.entries.iter().copied() {
-            if !shared {
-                entry.record.key = self.keys.intern(&msg.keys.resolve(entry.record.key));
-            }
             let ctx = FlowContext {
                 meta: &entry.record.meta,
                 from: msg.from_domain,
@@ -855,62 +811,51 @@ mod tests {
         reg
     }
 
-    /// Resolves a sync message's entries to (name, entry) pairs in name
-    /// order — lets tests over separate key spaces compare contents.
-    fn named(msg: &SyncMsg) -> Vec<(String, StoreEntry)> {
-        let mut out: Vec<(String, StoreEntry)> = msg
-            .entries
-            .iter()
-            .map(|e| (msg.keys.resolve(e.record.key), *e))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// A store over `keys`: every store of a test shares one space, as
+    /// every store of a run does.
+    fn store(
+        keys: &KeySpace,
+        replica: ReplicaId,
+        domain: u32,
+        policy: PolicyEngine,
+    ) -> ReplicatedStore {
+        ReplicatedStore::with_keys(replica, DomainId(domain), policy, keys.clone())
     }
 
     #[test]
     fn local_write_and_read() {
-        let mut s = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        s.put(
-            "k",
+        let keys = KeySpace::new();
+        let (k, missing) = (keys.intern("k"), keys.intern("missing"));
+        let mut s = store(&keys, 0, 0, PolicyEngine::permissive());
+        s.put_key(
+            k,
             1.5,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
         );
-        assert_eq!(s.get("k").unwrap().value, 1.5);
+        assert_eq!(s.get_key(k).unwrap().value, 1.5);
         assert_eq!(s.len(), 1);
         assert_eq!(s.stats().local_writes, 1);
-        assert_eq!(s.staleness_secs("k", SimTime::from_secs(4)), Some(4.0));
-        assert_eq!(s.staleness_secs("missing", SimTime::ZERO), None);
-    }
-
-    #[test]
-    fn key_api_matches_string_api() {
-        let mut s = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        let k = s.keys().intern("k");
-        s.put_key(
-            k,
-            2.5,
-            DataMeta::operational(DomainId(0), SimTime::ZERO),
-            SimTime::ZERO,
-        );
-        assert_eq!(s.get("k").map(|r| r.value), Some(2.5));
-        assert_eq!(s.get_key(k).map(|r| r.value), Some(2.5));
-        assert_eq!(s.staleness_secs_key(k, SimTime::from_secs(3)), Some(3.0));
+        assert_eq!(s.staleness_secs_key(k, SimTime::from_secs(4)), Some(4.0));
+        assert_eq!(s.staleness_secs_key(missing, SimTime::ZERO), None);
+        assert!(s.get_key(missing).is_none());
     }
 
     #[test]
     fn lww_merge_keeps_freshest() {
         let reg = registry();
-        let mut a = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        let mut b = ReplicatedStore::new(1, DomainId(0), PolicyEngine::permissive());
-        a.put(
-            "k",
+        let keys = KeySpace::new();
+        let k = keys.intern("k");
+        let mut a = store(&keys, 0, 0, PolicyEngine::permissive());
+        let mut b = store(&keys, 1, 0, PolicyEngine::permissive());
+        a.put_key(
+            k,
             1.0,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::from_secs(1),
         );
-        b.put(
-            "k",
+        b.put_key(
+            k,
             2.0,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::from_secs(2),
@@ -918,27 +863,28 @@ mod tests {
         // Push the older into the newer: no change.
         let msg = a.sync_out(DomainId(0), &reg, SimTime::ZERO);
         assert_eq!(b.on_sync(msg, &reg, SimTime::from_secs(3)), 0);
-        assert_eq!(b.get("k").unwrap().value, 2.0);
+        assert_eq!(b.get_key(k).unwrap().value, 2.0);
         // Push the newer into the older: replaced.
         let msg = b.sync_out(DomainId(0), &reg, SimTime::ZERO);
         assert_eq!(a.on_sync(msg, &reg, SimTime::from_secs(3)), 1);
-        assert_eq!(a.get("k").unwrap().value, 2.0);
+        assert_eq!(a.get_key(k).unwrap().value, 2.0);
     }
 
     #[test]
     fn bidirectional_sync_converges() {
         let reg = registry();
-        let mut a = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        let mut b = ReplicatedStore::new(1, DomainId(0), PolicyEngine::permissive());
+        let keys = KeySpace::new();
+        let mut a = store(&keys, 0, 0, PolicyEngine::permissive());
+        let mut b = store(&keys, 1, 0, PolicyEngine::permissive());
         for i in 0..10 {
-            a.put(
-                format!("a/{i}"),
+            a.put_key(
+                keys.intern(&format!("a/{i}")),
                 i as f64,
                 DataMeta::operational(DomainId(0), SimTime::ZERO),
                 SimTime::from_secs(i),
             );
-            b.put(
-                format!("b/{i}"),
+            b.put_key(
+                keys.intern(&format!("b/{i}")),
                 i as f64,
                 DataMeta::operational(DomainId(0), SimTime::ZERO),
                 SimTime::from_secs(i),
@@ -950,49 +896,42 @@ mod tests {
         a.on_sync(m2, &reg, SimTime::from_secs(20));
         assert_eq!(a.len(), 20);
         assert_eq!(b.len(), 20);
-        // The two stores have different key spaces (independent `new`
-        // calls), so compare by resolved name and entry contents.
-        let ma = a.sync_out(DomainId(0), &reg, SimTime::ZERO);
-        let mb = b.sync_out(DomainId(0), &reg, SimTime::ZERO);
-        let (na, nb) = (named(&ma), named(&mb));
-        assert_eq!(na.len(), 20);
-        for ((ka, ea), (kb, eb)) in na.iter().zip(nb.iter()) {
-            assert_eq!(ka, kb, "same key sets");
-            assert_eq!(ea.written_at, eb.written_at);
-            assert_eq!(ea.writer, eb.writer);
-            assert_eq!(ea.record.value, eb.record.value);
-        }
+        let entries = |s: &ReplicatedStore| s.iter().map(|(_, e)| *e).collect::<Vec<_>>();
+        assert_eq!(entries(&a), entries(&b), "same keys, same versions");
     }
 
     #[test]
     fn egress_policy_blocks_personal_data() {
         let reg = registry();
-        let mut src = ReplicatedStore::new(0, DomainId(0), PolicyEngine::governed());
-        src.put(
-            "hr",
+        let keys = KeySpace::new();
+        let (hr, temp) = (keys.intern("hr"), keys.intern("temp"));
+        let mut src = store(&keys, 0, 0, PolicyEngine::governed());
+        src.put_key(
+            hr,
             70.0,
             DataMeta::personal(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
         );
-        src.put(
-            "temp",
+        src.put_key(
+            temp,
             21.0,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
         );
         let msg = src.sync_out(DomainId(1), &reg, SimTime::ZERO);
         assert_eq!(msg.entries.len(), 1, "only the operational record flows");
-        assert_eq!(named(&msg)[0].0, "temp");
+        assert_eq!(msg.entries[0].record.key, temp);
         assert_eq!(src.stats().egress_denied, 1);
     }
 
     #[test]
     fn ingress_policy_is_defense_in_depth() {
         let reg = registry();
+        let keys = KeySpace::new();
         // The sender is ungoverned and leaks personal data…
-        let mut src = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        src.put(
-            "hr",
+        let mut src = store(&keys, 0, 0, PolicyEngine::permissive());
+        src.put_key(
+            keys.intern("hr"),
             70.0,
             DataMeta::personal(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
@@ -1000,12 +939,12 @@ mod tests {
         let msg = src.sync_out(DomainId(1), &reg, SimTime::ZERO);
         assert_eq!(msg.entries.len(), 1, "permissive egress leaks");
         // …but a governed receiver refuses it.
-        let mut dst = ReplicatedStore::new(1, DomainId(1), PolicyEngine::governed());
+        let mut dst = store(&keys, 1, 1, PolicyEngine::governed());
         assert_eq!(dst.on_sync(msg.clone(), &reg, SimTime::ZERO), 0);
         assert_eq!(dst.stats().ingress_denied, 1);
         assert_eq!(dst.privacy_violations(&reg), 0);
         // An ungoverned receiver accepts it: that *is* the violation E5 counts.
-        let mut leaky = ReplicatedStore::new(2, DomainId(1), PolicyEngine::permissive());
+        let mut leaky = store(&keys, 2, 1, PolicyEngine::permissive());
         assert_eq!(leaky.on_sync(msg, &reg, SimTime::ZERO), 1);
         assert_eq!(leaky.privacy_violations(&reg), 1);
     }
@@ -1013,19 +952,20 @@ mod tests {
     #[test]
     fn redaction_flows_and_does_not_count_as_violation() {
         let reg = registry();
-        let mut src = ReplicatedStore::new(0, DomainId(0), PolicyEngine::governed());
+        let keys = KeySpace::new();
+        let mut src = store(&keys, 0, 0, PolicyEngine::governed());
         let meta = DataMeta {
             sensitivity: Sensitivity::Special,
             purposes: PurposeSet::EMPTY,
             origin: DomainId(0),
             produced_at: SimTime::ZERO,
         };
-        src.put("dna", 1.0, meta, SimTime::ZERO);
+        src.put_key(keys.intern("dna"), 1.0, meta, SimTime::ZERO);
         let msg = src.sync_out(DomainId(1), &reg, SimTime::ZERO);
         assert_eq!(msg.entries.len(), 1);
         assert!(msg.entries[0].record.is_redacted());
         assert_eq!(src.stats().egress_redacted, 1);
-        let mut dst = ReplicatedStore::new(1, DomainId(1), PolicyEngine::permissive());
+        let mut dst = store(&keys, 1, 1, PolicyEngine::permissive());
         dst.on_sync(msg, &reg, SimTime::ZERO);
         assert_eq!(
             dst.privacy_violations(&reg),
@@ -1037,22 +977,24 @@ mod tests {
     #[test]
     fn delta_sync_respects_since() {
         let reg = registry();
-        let mut s = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        s.put(
-            "old",
+        let keys = KeySpace::new();
+        let (old, new) = (keys.intern("old"), keys.intern("new"));
+        let mut s = store(&keys, 0, 0, PolicyEngine::permissive());
+        s.put_key(
+            old,
             1.0,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::from_secs(1),
         );
-        s.put(
-            "new",
+        s.put_key(
+            new,
             2.0,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::from_secs(5),
         );
         let msg = s.sync_out(DomainId(0), &reg, SimTime::from_secs(3));
         assert_eq!(msg.entries.len(), 1);
-        assert_eq!(named(&msg)[0].0, "new");
+        assert_eq!(msg.entries[0].record.key, new);
         let full = s.sync_out(DomainId(0), &reg, SimTime::ZERO);
         assert_eq!(full.entries.len(), 2);
     }
@@ -1061,10 +1003,8 @@ mod tests {
     fn shared_keyspace_sync_needs_no_translation() {
         let reg = registry();
         let keys = KeySpace::new();
-        let mut a =
-            ReplicatedStore::with_keys(0, DomainId(0), PolicyEngine::permissive(), keys.clone());
-        let mut b =
-            ReplicatedStore::with_keys(1, DomainId(0), PolicyEngine::permissive(), keys.clone());
+        let mut a = store(&keys, 0, 0, PolicyEngine::permissive());
+        let mut b = store(&keys, 1, 0, PolicyEngine::permissive());
         let k = keys.intern("shared/k");
         a.put_key(
             k,
@@ -1079,14 +1019,35 @@ mod tests {
         assert_eq!(keys.len(), 1, "no re-interning happened");
     }
 
+    /// A push between stores over two key spaces would merge one name's
+    /// record under another name's slot: debug builds refuse it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another key space")]
+    fn a_push_from_a_foreign_key_space_trips_the_assertion() {
+        let reg = registry();
+        let (ours, theirs) = (KeySpace::new(), KeySpace::new());
+        let mut src = store(&theirs, 0, 0, PolicyEngine::permissive());
+        src.put_key(
+            theirs.intern("k"),
+            1.0,
+            DataMeta::operational(DomainId(0), SimTime::ZERO),
+            SimTime::from_secs(1),
+        );
+        let msg = src.sync_out(DomainId(0), &reg, SimTime::ZERO);
+        store(&ours, 1, 0, PolicyEngine::permissive()).on_sync(msg, &reg, SimTime::ZERO);
+    }
+
     #[test]
     fn ingest_applies_policy_at_the_door() {
         let reg = registry();
+        let keys = KeySpace::new();
+        let (hr, temp) = (keys.intern("hr"), keys.intern("temp"));
         // A governed vendor-domain store refuses personal data originating
         // in the city domain, even on a direct device push.
-        let mut governed = ReplicatedStore::new(0, DomainId(1), PolicyEngine::governed());
-        let action = governed.ingest(
-            "hr",
+        let mut governed = store(&keys, 0, 1, PolicyEngine::governed());
+        let action = governed.ingest_key(
+            hr,
             70.0,
             DataMeta::personal(DomainId(0), SimTime::ZERO),
             &reg,
@@ -1096,8 +1057,8 @@ mod tests {
         assert!(governed.is_empty());
         assert_eq!(governed.stats().ingress_denied, 1);
         // Operational data is ingested normally.
-        let action = governed.ingest(
-            "temp",
+        let action = governed.ingest_key(
+            temp,
             20.0,
             DataMeta::operational(DomainId(1), SimTime::ZERO),
             &reg,
@@ -1106,9 +1067,9 @@ mod tests {
         assert_eq!(action, PolicyAction::Allow);
         assert_eq!(governed.len(), 1);
         // A permissive store accepts the personal push: the E5 violation.
-        let mut leaky = ReplicatedStore::new(1, DomainId(1), PolicyEngine::permissive());
-        leaky.ingest(
-            "hr",
+        let mut leaky = store(&keys, 1, 1, PolicyEngine::permissive());
+        leaky.ingest_key(
+            hr,
             70.0,
             DataMeta::personal(DomainId(0), SimTime::ZERO),
             &reg,
@@ -1120,25 +1081,28 @@ mod tests {
     #[test]
     fn ingest_redacts_special_category() {
         let reg = registry();
-        let mut s = ReplicatedStore::new(0, DomainId(1), PolicyEngine::governed());
+        let keys = KeySpace::new();
+        let dna = keys.intern("dna");
+        let mut s = store(&keys, 0, 1, PolicyEngine::governed());
         let meta = DataMeta {
             sensitivity: Sensitivity::Special,
             purposes: PurposeSet::EMPTY,
             origin: DomainId(0),
             produced_at: SimTime::ZERO,
         };
-        let action = s.ingest("dna", 1.0, meta, &reg, SimTime::ZERO);
+        let action = s.ingest_key(dna, 1.0, meta, &reg, SimTime::ZERO);
         assert_eq!(action, PolicyAction::Redact);
-        assert!(s.get("dna").unwrap().is_redacted());
+        assert!(s.get_key(dna).unwrap().is_redacted());
         assert_eq!(s.privacy_violations(&reg), 0);
     }
 
     #[test]
     fn domain_transfer_changes_audit_result() {
         let reg = registry();
-        let mut s = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        s.put(
-            "hr",
+        let keys = KeySpace::new();
+        let mut s = store(&keys, 0, 0, PolicyEngine::permissive());
+        s.put_key(
+            keys.intern("hr"),
             70.0,
             DataMeta::personal(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
@@ -1157,18 +1121,20 @@ mod tests {
     #[test]
     fn violation_counters_track_overwrites() {
         let reg = registry();
-        let mut s = ReplicatedStore::new(0, DomainId(1), PolicyEngine::permissive());
+        let keys = KeySpace::new();
+        let k = keys.intern("k");
+        let mut s = store(&keys, 0, 1, PolicyEngine::permissive());
         // A personal record from the city domain: one violation.
-        s.put(
-            "k",
+        s.put_key(
+            k,
             1.0,
             DataMeta::personal(DomainId(0), SimTime::ZERO),
             SimTime::from_secs(1),
         );
         assert_eq!(s.privacy_violations(&reg), 1);
         // Overwritten by an operational record: the violation is gone.
-        s.put(
-            "k",
+        s.put_key(
+            k,
             2.0,
             DataMeta::operational(DomainId(1), SimTime::from_secs(2)),
             SimTime::from_secs(2),
@@ -1176,8 +1142,8 @@ mod tests {
         assert_eq!(s.privacy_violations(&reg), 0);
         assert_eq!(s.len(), 1, "overwrite, not insert");
         // And back: counted again.
-        s.put(
-            "k",
+        s.put_key(
+            k,
             3.0,
             DataMeta::personal(DomainId(0), SimTime::from_secs(3)),
             SimTime::from_secs(3),
@@ -1190,10 +1156,12 @@ mod tests {
     #[test]
     fn clear_models_volatile_restart() {
         let reg = registry();
-        let mut a = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        let mut b = ReplicatedStore::new(1, DomainId(0), PolicyEngine::permissive());
-        a.put(
-            "k",
+        let keys = KeySpace::new();
+        let k = keys.intern("k");
+        let mut a = store(&keys, 0, 0, PolicyEngine::permissive());
+        let mut b = store(&keys, 1, 0, PolicyEngine::permissive());
+        a.put_key(
+            k,
             5.0,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::from_secs(1),
@@ -1207,26 +1175,30 @@ mod tests {
         // …and the next anti-entropy round restores it.
         let msg = a.sync_out(DomainId(0), &reg, SimTime::ZERO);
         b.on_sync(msg, &reg, SimTime::from_secs(3));
-        assert_eq!(b.get("k").map(|r| r.value), Some(5.0));
+        assert_eq!(b.get_key(k).map(|r| r.value), Some(5.0));
     }
 
     #[test]
     fn retention_evicts_per_sensitivity_class() {
-        let mut s = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        s.put(
-            "old-personal",
+        let keys = KeySpace::new();
+        let old_personal = keys.intern("old-personal");
+        let new_personal = keys.intern("new-personal");
+        let old_operational = keys.intern("old-operational");
+        let mut s = store(&keys, 0, 0, PolicyEngine::permissive());
+        s.put_key(
+            old_personal,
             1.0,
             DataMeta::personal(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
         );
-        s.put(
-            "new-personal",
+        s.put_key(
+            new_personal,
             2.0,
             DataMeta::personal(DomainId(0), SimTime::from_secs(95)),
             SimTime::from_secs(95),
         );
-        s.put(
-            "old-operational",
+        s.put_key(
+            old_operational,
             3.0,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
@@ -1236,25 +1208,33 @@ mod tests {
             s.enforce_retention(&[(Sensitivity::Personal, 30.0)], SimTime::from_secs(100));
         assert_eq!(evicted, 1);
         assert!(
-            s.get("old-personal").is_none(),
+            s.get_key(old_personal).is_none(),
             "expired personal data gone"
         );
-        assert!(s.get("new-personal").is_some(), "fresh personal data kept");
-        assert!(s.get("old-operational").is_some(), "no policy, no eviction");
+        assert!(
+            s.get_key(new_personal).is_some(),
+            "fresh personal data kept"
+        );
+        assert!(
+            s.get_key(old_operational).is_some(),
+            "no policy, no eviction"
+        );
     }
 
     #[test]
     fn purge_evicts_exactly_the_violations() {
         let reg = registry();
-        let mut s = ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive());
-        s.put(
-            "hr",
+        let keys = KeySpace::new();
+        let (hr, temp) = (keys.intern("hr"), keys.intern("temp"));
+        let mut s = store(&keys, 0, 0, PolicyEngine::permissive());
+        s.put_key(
+            hr,
             70.0,
             DataMeta::personal(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
         );
-        s.put(
-            "temp",
+        s.put_key(
+            temp,
             20.0,
             DataMeta::operational(DomainId(0), SimTime::ZERO),
             SimTime::ZERO,
@@ -1267,8 +1247,8 @@ mod tests {
             "personal record evicted after transfer"
         );
         assert_eq!(s.privacy_violations(&reg), 0);
-        assert!(s.get("temp").is_some(), "operational data survives");
-        assert!(s.get("hr").is_none());
+        assert!(s.get_key(temp).is_some(), "operational data survives");
+        assert!(s.get_key(hr).is_none());
     }
 
     /// Everything of an entry that can differ, with the value by bit
@@ -1390,6 +1370,7 @@ mod tests {
     /// driven either through the shipped sync path or through the oracles.
     struct World {
         oracle: bool,
+        keys: KeySpace,
         stores: Vec<ReplicatedStore>,
         probes: Vec<Rc<Recorder>>,
         in_flight: Vec<(usize, SyncMsg)>,
@@ -1399,21 +1380,14 @@ mod tests {
     }
 
     impl World {
-        /// All stores but the last share one key space; the last has its
-        /// own, so pushes to and from it translate by name.
         fn new(oracle: bool, governed: &[bool]) -> World {
-            let shared = KeySpace::new();
+            let keys = KeySpace::new();
             let mut probes = Vec::new();
             let stores = governed
                 .iter()
                 .enumerate()
                 .map(|(i, g)| {
-                    let (replica, domain) = (i as ReplicaId, DomainId(i as u32 % 2));
-                    let mut store = if i + 1 == governed.len() {
-                        ReplicatedStore::new(replica, domain, engine(*g))
-                    } else {
-                        ReplicatedStore::with_keys(replica, domain, engine(*g), shared.clone())
-                    };
+                    let mut store = store(&keys, i as ReplicaId, i as u32 % 2, engine(*g));
                     let probe = Rc::new(Recorder::default());
                     store.set_probe(probe.clone());
                     probes.push(probe);
@@ -1422,6 +1396,7 @@ mod tests {
                 .collect();
             World {
                 oracle,
+                keys,
                 stores,
                 probes,
                 in_flight: Vec::new(),
@@ -1444,12 +1419,12 @@ mod tests {
             };
             match op {
                 Op::Ingest(s, key, sensitivity, origin) => {
-                    let name = format!("k{key}");
-                    self.stores[s].ingest(name, key as f64, meta(sensitivity, origin), reg, now);
+                    let k = self.keys.intern(&format!("k{key}"));
+                    self.stores[s].ingest_key(k, key as f64, meta(sensitivity, origin), reg, now);
                 }
                 Op::Put(s, key, sensitivity, origin) => {
-                    let name = format!("k{key}");
-                    self.stores[s].put(name, now.as_secs_f64(), meta(sensitivity, origin), now);
+                    let k = self.keys.intern(&format!("k{key}"));
+                    self.stores[s].put_key(k, now.as_secs_f64(), meta(sensitivity, origin), now);
                 }
                 Op::Push(from, to, since) => {
                     let (domain, since) = (self.stores[to].domain(), SimTime::from_secs(since));
@@ -1564,7 +1539,6 @@ mod tests {
                     assert_eq!(flows(a.stats()), flows(b.stats()), "stats, {at}");
                     let walks = (a.stats().snapshots, b.stats().snapshots);
                     assert!(walks.0 <= walks.1, "slab walks {walks:?}, {at}");
-                    assert_eq!(a.keys().len(), b.keys().len(), "keys minted, {at}");
                     assert_eq!(
                         a.privacy_violations(&reg),
                         b.privacy_violations(&reg),
@@ -1584,7 +1558,8 @@ mod tests {
     fn a_full_memo_still_decides_every_class() {
         use crate::item::Purpose::{Analytics, Marketing, Operations, Research};
         let reg = registry();
-        let mut src = ReplicatedStore::new(0, DomainId(0), PolicyEngine::governed());
+        let keys = KeySpace::new();
+        let mut src = store(&keys, 0, 0, PolicyEngine::governed());
         // 16 purpose sets x 2 sensitivities, neighbours never of one class.
         for i in 0..64u8 {
             let purposes = [Operations, Analytics, Research, Marketing]
@@ -1602,7 +1577,8 @@ mod tests {
                 origin: DomainId(0),
                 produced_at: SimTime::ZERO,
             };
-            src.put(format!("k{i}"), i as f64, meta, SimTime::from_secs(1));
+            let k = keys.intern(&format!("k{i}"));
+            src.put_key(k, i as f64, meta, SimTime::from_secs(1));
         }
         let mut twin = src.clone();
         let msg = src.sync_out(DomainId(1), &reg, SimTime::ZERO);
@@ -1618,7 +1594,8 @@ mod tests {
     #[test]
     fn a_round_builds_one_snapshot_per_peer_domain() {
         let reg = registry();
-        let mut src = ReplicatedStore::new(0, DomainId(0), PolicyEngine::governed());
+        let keys = KeySpace::new();
+        let mut src = store(&keys, 0, 0, PolicyEngine::governed());
         for i in 0..30u8 {
             let mut meta = DataMeta::operational(DomainId(0), SimTime::ZERO);
             meta.sensitivity = match i % 3 {
@@ -1626,7 +1603,8 @@ mod tests {
                 1 => Sensitivity::Personal,
                 _ => Sensitivity::Special,
             };
-            src.put(format!("k{i}"), i as f64, meta, SimTime::from_secs(1));
+            let k = keys.intern(&format!("k{i}"));
+            src.put_key(k, i as f64, meta, SimTime::from_secs(1));
         }
         let targets: Vec<(usize, DomainId)> =
             (0..10).map(|t| (t, DomainId(t as u32 % 2))).collect();
@@ -1666,28 +1644,22 @@ mod tests {
     fn a_held_message_is_not_changed_by_later_writes() {
         let reg = registry();
         let keys = KeySpace::new();
-        let store = |replica| {
-            ReplicatedStore::with_keys(
-                replica,
-                DomainId(0),
-                PolicyEngine::permissive(),
-                keys.clone(),
-            )
-        };
-        let mut src = store(0);
+        let k: Vec<DataKey> = (0..8).map(|i| keys.intern(&format!("k{i}"))).collect();
+        let k_new = keys.intern("k-new");
+        let mut src = store(&keys, 0, 0, PolicyEngine::permissive());
         let meta = DataMeta::operational(DomainId(0), SimTime::ZERO);
-        for i in 0..8u8 {
-            src.put(format!("k{i}"), i as f64, meta, SimTime::from_secs(1));
+        for (i, &k) in k.iter().enumerate() {
+            src.put_key(k, i as f64, meta, SimTime::from_secs(1));
         }
         let mut held = Vec::new();
         let targets = [(1, DomainId(0)), (2, DomainId(0))];
         src.sync_round(targets, &reg, SimTime::ZERO, |_, msg| held.push(msg));
         let sent = prints(&held[0].entries);
 
-        for i in 0..8u8 {
-            src.put(format!("k{i}"), 100.0, meta, SimTime::from_secs(2));
+        for &k in &k {
+            src.put_key(k, 100.0, meta, SimTime::from_secs(2));
         }
-        src.put("k-new", 1.0, meta, SimTime::from_secs(2));
+        src.put_key(k_new, 1.0, meta, SimTime::from_secs(2));
         let later = src.sync_out(DomainId(0), &reg, SimTime::ZERO);
         src.clear();
 
@@ -1695,10 +1667,10 @@ mod tests {
         for msg in &held {
             assert_eq!(prints(&msg.entries), sent);
         }
-        let mut dst = store(1);
+        let mut dst = store(&keys, 1, 0, PolicyEngine::permissive());
         assert_eq!(dst.on_sync(held.remove(0), &reg, SimTime::from_secs(3)), 8);
-        assert_eq!(dst.get("k3").map(|r| r.value), Some(3.0));
-        assert_eq!(dst.get("k-new"), None);
+        assert_eq!(dst.get_key(k[3]).map(|r| r.value), Some(3.0));
+        assert_eq!(dst.get_key(k_new), None);
         // The second copy offers the same eight entries, all already held.
         assert_eq!(dst.on_sync(held.remove(0), &reg, SimTime::from_secs(3)), 0);
         let stats = dst.stats();

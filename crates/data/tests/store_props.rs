@@ -6,7 +6,7 @@
 //! rather than `proptest`, so every run explores the same cases — test
 //! determinism is part of the determinism policy (`DESIGN.md`).
 
-use riot_data::{DataMeta, PolicyEngine, ReplicatedStore, Sensitivity};
+use riot_data::{DataKey, DataMeta, KeySpace, PolicyEngine, ReplicatedStore, Sensitivity};
 use riot_model::{Domain, DomainId, DomainRegistry, Jurisdiction, TrustLevel};
 use riot_sim::{SimRng, SimTime};
 
@@ -56,15 +56,19 @@ fn ops(rng: &mut SimRng, replicas: usize) -> Vec<Op> {
         .collect()
 }
 
-fn fingerprint(store: &ReplicatedStore) -> Vec<(String, u64, u32)> {
-    let mut out: Vec<(String, u64, u32)> = store
+/// The six keys the scripts write, `k0`…`k5`, in the one key space every
+/// replica shares.
+fn keys() -> (KeySpace, Vec<DataKey>) {
+    let space = KeySpace::new();
+    let keys = (0..6).map(|k| space.intern(&format!("k{k}"))).collect();
+    (space, keys)
+}
+
+fn fingerprint(store: &ReplicatedStore) -> Vec<(DataKey, u64, u32)> {
+    store
         .iter()
-        .map(|(k, e)| (store.keys().resolve(k), e.written_at.as_micros(), e.writer))
-        .collect();
-    // Each store has its own key space, so dense-id order differs between
-    // replicas; compare in name order.
-    out.sort();
-    out
+        .map(|(k, e)| (k, e.written_at.as_micros(), e.writer))
+        .collect()
 }
 
 /// After any interleaving of writes and one-way syncs, a final round of
@@ -76,8 +80,12 @@ fn stores_converge_after_full_exchange() {
     for _ in 0..CASES {
         let script = ops(&mut rng, 4);
         let reg = registry();
+        let (space, keys) = keys();
         let mut stores: Vec<ReplicatedStore> = (0..4)
-            .map(|i| ReplicatedStore::new(i as u32, DomainId(0), PolicyEngine::permissive()))
+            .map(|i| {
+                let policy = PolicyEngine::permissive();
+                ReplicatedStore::with_keys(i as u32, DomainId(0), policy, space.clone())
+            })
             .collect();
         let mut clock = 1u64;
         for op in &script {
@@ -85,8 +93,8 @@ fn stores_converge_after_full_exchange() {
             match op {
                 Op::Put(r, k, v) => {
                     let meta = DataMeta::operational(DomainId(0), SimTime::from_micros(clock));
-                    stores[*r].put(
-                        format!("k{k}"),
+                    stores[*r].put_key(
+                        keys[*k as usize],
                         *v as f64,
                         meta,
                         SimTime::from_micros(clock),
@@ -129,10 +137,14 @@ fn governed_store_never_rests_on_violations() {
         let reg = registry();
         // Store 0 and 1 are permissive city stores; store 2 is a governed
         // vendor store receiving whatever the others push.
+        let (space, keys) = keys();
+        let store = |replica, domain, policy| {
+            ReplicatedStore::with_keys(replica, DomainId(domain), policy, space.clone())
+        };
         let mut stores = [
-            ReplicatedStore::new(0, DomainId(0), PolicyEngine::permissive()),
-            ReplicatedStore::new(1, DomainId(0), PolicyEngine::permissive()),
-            ReplicatedStore::new(2, DomainId(1), PolicyEngine::governed()),
+            store(0, 0, PolicyEngine::permissive()),
+            store(1, 0, PolicyEngine::permissive()),
+            store(2, 1, PolicyEngine::governed()),
         ];
         let mut clock = 1u64;
         for op in &script {
@@ -151,8 +163,8 @@ fn governed_store_never_rests_on_violations() {
                         produced_at: SimTime::from_micros(clock),
                     };
                     let r = r % 3;
-                    stores[r].ingest(
-                        format!("k{k}"),
+                    stores[r].ingest_key(
+                        keys[*k as usize],
                         *v as f64,
                         meta,
                         &reg,

@@ -64,10 +64,10 @@ pub struct GoalEvaluation {
 ///
 /// let mut reqs = RequirementSet::new();
 /// reqs.insert(Requirement::new(
-///     RequirementId(0), "low latency", RequirementKind::Latency, "lat", Predicate::AtMost(100.0),
+///     RequirementId(0), "low latency", RequirementKind::Latency, Predicate::AtMost(100.0),
 /// ));
 /// reqs.insert(Requirement::new(
-///     RequirementId(1), "available", RequirementKind::Availability, "avail", Predicate::AtLeast(0.9),
+///     RequirementId(1), "available", RequirementKind::Availability, Predicate::AtLeast(0.9),
 /// ));
 ///
 /// let mut goals = GoalModel::new();
@@ -77,8 +77,8 @@ pub struct GoalEvaluation {
 /// goals.set_root(root);
 ///
 /// let mut t = BTreeMap::new();
-/// t.insert("lat".to_owned(), 50.0);
-/// t.insert("avail".to_owned(), 0.99);
+/// t.insert(RequirementId(0), 50.0);
+/// t.insert(RequirementId(1), 0.99);
 /// let eval = goals.evaluate(&reqs, &t);
 /// assert_eq!(eval.root, Verdict::Satisfied);
 /// assert_eq!(eval.leaf_score, 1.0);
@@ -241,21 +241,18 @@ mod tests {
                 RequirementId(0),
                 "lat",
                 RequirementKind::Latency,
-                "lat",
                 Predicate::AtMost(100.0),
             ),
             Requirement::new(
                 RequirementId(1),
                 "avail",
                 RequirementKind::Availability,
-                "avail",
                 Predicate::AtLeast(0.9),
             ),
             Requirement::new(
                 RequirementId(2),
                 "priv",
                 RequirementKind::Privacy,
-                "leaks",
                 Predicate::Zero,
             ),
         ]
@@ -263,8 +260,10 @@ mod tests {
         .collect()
     }
 
-    fn telemetry(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    /// Values of the three requirements of [`reqs`]: latency, availability
+    /// and privacy leaks.
+    fn telemetry(pairs: &[(u32, f64)]) -> BTreeMap<RequirementId, f64> {
+        pairs.iter().map(|(k, v)| (RequirementId(*k), *v)).collect()
     }
 
     #[test]
@@ -280,13 +279,13 @@ mod tests {
         g.set_root(root);
 
         // lat violated, avail satisfied, priv satisfied → root satisfied.
-        let t = telemetry(&[("lat", 500.0), ("avail", 0.95), ("leaks", 0.0)]);
+        let t = telemetry(&[(0, 500.0), (1, 0.95), (2, 0.0)]);
         let e = g.evaluate(&r, &t);
         assert_eq!(e.root, Verdict::Satisfied);
         assert!((e.leaf_score - 2.0 / 3.0).abs() < 1e-12);
 
         // privacy violated → root violated despite OR satisfied.
-        let t = telemetry(&[("lat", 50.0), ("avail", 0.95), ("leaks", 2.0)]);
+        let t = telemetry(&[(0, 50.0), (1, 0.95), (2, 2.0)]);
         assert_eq!(g.evaluate(&r, &t).root, Verdict::Violated);
     }
 
@@ -299,10 +298,10 @@ mod tests {
         let root = g.and("root", vec![lat, avail]);
         g.set_root(root);
         // avail unobservable, lat satisfied → unknown root.
-        let t = telemetry(&[("lat", 10.0)]);
+        let t = telemetry(&[(0, 10.0)]);
         assert_eq!(g.evaluate(&r, &t).root, Verdict::Unknown);
         // avail unobservable but lat violated → violated root (Kleene AND).
-        let t = telemetry(&[("lat", 1000.0)]);
+        let t = telemetry(&[(0, 1000.0)]);
         assert_eq!(g.evaluate(&r, &t).root, Verdict::Violated);
     }
 

@@ -2,11 +2,11 @@
 //!
 //! The framework adopts the paper's working definition — resilience is "the
 //! persistence of reliable requirements satisfaction when facing change" —
-//! so a requirement must be *measurable at runtime*. A [`Requirement`] names
-//! a telemetry metric and a [`Predicate`] over it; evaluation yields a
-//! three-valued [`Verdict`] (satisfied / violated / unknown), where unknown
-//! captures the paper's environment uncertainty: the metric may be
-//! unobservable during a disruption.
+//! so a requirement must be *measurable at runtime*. A [`Requirement`] is a
+//! [`Predicate`] over the value a [`Telemetry`] source reports for it;
+//! evaluation yields a three-valued [`Verdict`] (satisfied / violated /
+//! unknown), where unknown captures the paper's environment uncertainty:
+//! the value may be unobservable during a disruption.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -103,18 +103,19 @@ impl Verdict {
     }
 }
 
-/// A source of runtime measurements, keyed by metric name.
+/// A source of runtime measurements: the value each requirement reads.
 ///
-/// The scenario runner implements this over each sample's measurements;
-/// tests can use a plain `BTreeMap`.
+/// The scenario runner implements this over each sample's measurements,
+/// one per [`RequirementKind`]; tests can use a plain `BTreeMap` from
+/// requirement id to value.
 pub trait Telemetry {
-    /// The current value of a metric, or `None` if unobservable.
-    fn value(&self, metric: &str) -> Option<f64>;
+    /// The current value `req` reads, or `None` if unobservable.
+    fn value(&self, req: &Requirement) -> Option<f64>;
 }
 
-impl Telemetry for BTreeMap<String, f64> {
-    fn value(&self, metric: &str) -> Option<f64> {
-        self.get(metric).copied()
+impl Telemetry for BTreeMap<RequirementId, f64> {
+    fn value(&self, req: &Requirement) -> Option<f64> {
+        self.get(&req.id).copied()
     }
 }
 
@@ -130,13 +131,12 @@ impl Telemetry for BTreeMap<String, f64> {
 ///     RequirementId(0),
 ///     "street lights react within 200ms",
 ///     RequirementKind::Latency,
-///     "control.loop_ms",
 ///     Predicate::AtMost(200.0),
 /// );
 /// let mut t = BTreeMap::new();
-/// t.insert("control.loop_ms".to_owned(), 120.0);
+/// t.insert(req.id, 120.0);
 /// assert_eq!(req.evaluate(&t), Verdict::Satisfied);
-/// t.insert("control.loop_ms".to_owned(), 500.0);
+/// t.insert(req.id, 500.0);
 /// assert_eq!(req.evaluate(&t), Verdict::Violated);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -147,9 +147,8 @@ pub struct Requirement {
     pub name: String,
     /// Concern category.
     pub kind: RequirementKind,
-    /// Telemetry metric the predicate reads.
-    pub metric: String,
-    /// The predicate.
+    /// The predicate over the value [`Telemetry`] reports for this
+    /// requirement.
     pub predicate: Predicate,
 }
 
@@ -159,21 +158,19 @@ impl Requirement {
         id: RequirementId,
         name: impl Into<String>,
         kind: RequirementKind,
-        metric: impl Into<String>,
         predicate: Predicate,
     ) -> Self {
         Requirement {
             id,
             name: name.into(),
             kind,
-            metric: metric.into(),
             predicate,
         }
     }
 
     /// Evaluates against a telemetry source.
     pub fn evaluate(&self, telemetry: &impl Telemetry) -> Verdict {
-        match telemetry.value(&self.metric) {
+        match telemetry.value(self) {
             Some(v) if self.predicate.holds(v) => Verdict::Satisfied,
             Some(_) => Verdict::Violated,
             None => Verdict::Unknown,
@@ -255,8 +252,8 @@ impl Extend<Requirement> for RequirementSet {
 mod tests {
     use super::*;
 
-    fn telemetry(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    fn telemetry(pairs: &[(u32, f64)]) -> BTreeMap<RequirementId, f64> {
+        pairs.iter().map(|(k, v)| (RequirementId(*k), *v)).collect()
     }
 
     #[test]
@@ -289,17 +286,11 @@ mod tests {
             RequirementId(1),
             "fresh data",
             RequirementKind::Freshness,
-            "staleness_s",
             Predicate::AtMost(10.0),
         );
-        assert_eq!(
-            r.evaluate(&telemetry(&[("staleness_s", 3.0)])),
-            Verdict::Satisfied
-        );
-        assert_eq!(
-            r.evaluate(&telemetry(&[("staleness_s", 30.0)])),
-            Verdict::Violated
-        );
+        assert_eq!(r.evaluate(&telemetry(&[(1, 3.0)])), Verdict::Satisfied);
+        assert_eq!(r.evaluate(&telemetry(&[(1, 30.0)])), Verdict::Violated);
+        assert_eq!(r.evaluate(&telemetry(&[(0, 3.0)])), Verdict::Unknown);
         assert_eq!(r.evaluate(&telemetry(&[])), Verdict::Unknown);
     }
 
@@ -310,28 +301,25 @@ mod tests {
                 RequirementId(0),
                 "a",
                 RequirementKind::Latency,
-                "m0",
                 Predicate::AtMost(1.0),
             ),
             Requirement::new(
                 RequirementId(1),
                 "b",
                 RequirementKind::Availability,
-                "m1",
                 Predicate::AtLeast(0.9),
             ),
             Requirement::new(
                 RequirementId(2),
                 "c",
                 RequirementKind::Privacy,
-                "m2",
                 Predicate::Zero,
             ),
         ]
         .into_iter()
         .collect();
-        let t = telemetry(&[("m0", 0.5), ("m1", 0.5)]);
-        // m0 satisfied, m1 violated, m2 unknown.
+        let t = telemetry(&[(0, 0.5), (1, 0.5)]);
+        // req0 satisfied, req1 violated, req2 unknown.
         assert_eq!(set.satisfaction_fraction(&t), 1.0 / 3.0);
         let verdicts: Vec<Verdict> = set.iter().map(|r| r.evaluate(&t)).collect();
         assert_eq!(
@@ -354,14 +342,12 @@ mod tests {
             RequirementId(0),
             "v1",
             RequirementKind::Custom,
-            "m",
             Predicate::Zero,
         ));
         set.insert(Requirement::new(
             RequirementId(0),
             "v2",
             RequirementKind::Custom,
-            "m",
             Predicate::Zero,
         ));
         assert_eq!(set.len(), 1);

@@ -56,20 +56,18 @@ fn and_or_tree_agrees_with_fraction() {
         let n = rng.range_u64(1, 10) as usize;
         let values: Vec<f64> = (0..n).map(|_| rng.range_f64(0.0, 10.0)).collect();
         let mut reqs = RequirementSet::new();
-        let mut telemetry: BTreeMap<String, f64> = BTreeMap::new();
+        let mut telemetry: BTreeMap<RequirementId, f64> = BTreeMap::new();
         let mut goals = GoalModel::new();
         let mut leaves = Vec::new();
         for (i, v) in values.iter().enumerate() {
             let id = RequirementId(i as u32);
-            let metric = format!("m{i}");
             reqs.insert(Requirement::new(
                 id,
                 format!("r{i}"),
                 RequirementKind::Custom,
-                &metric,
                 Predicate::AtMost(5.0),
             ));
-            telemetry.insert(metric, *v);
+            telemetry.insert(id, *v);
             leaves.push(goals.leaf(format!("leaf{i}"), id));
         }
         let and_root = goals.and("all", leaves.clone());
@@ -102,12 +100,11 @@ fn missing_metrics_are_unknown() {
             RequirementId(0),
             "probe",
             RequirementKind::Custom,
-            "m",
             Predicate::AtMost(5.0),
         );
-        let mut telemetry: BTreeMap<String, f64> = BTreeMap::new();
+        let mut telemetry: BTreeMap<RequirementId, f64> = BTreeMap::new();
         if present {
-            telemetry.insert("m".into(), value);
+            telemetry.insert(req.id, value);
         }
         let verdict = req.evaluate(&telemetry);
         if present {

@@ -127,7 +127,6 @@ impl SymbolTable {
     fn grow(&mut self) {
         let len = (self.slots.len() * 2).max(8);
         let mask = len - 1;
-        // riot-lint: allow(A1, reason = "the index grows O(log names) times over a table's life; interning a name seen before never reaches here")
         let mut slots = vec![0u32; len];
         for id in 0..self.ends.len() {
             let mut at = fnv1a(self.name_of_id(id as u32)) as usize & mask;

@@ -183,9 +183,9 @@ impl fmt::Display for HistogramSummary {
 /// Writers [`intern`](Metrics::intern) their names once and update through
 /// the `*_key` methods: a counter increment through a [`MetricKey`] is a
 /// bounds-checked `Vec` write — no allocation, no tree walk. Reads by name
-/// ([`counter`](Metrics::counter), [`histogram`](Metrics::histogram),
-/// [`summarize`](Metrics::summarize)) cost one hash probe of the name
-/// and are meant for after the run.
+/// ([`counter`](Metrics::counter), [`histogram`](Metrics::histogram)) cost
+/// one hash probe of the name and are meant for after the run;
+/// [`summarize`](Metrics::summarize) reads by key.
 ///
 /// # Examples
 ///
@@ -284,9 +284,9 @@ impl Metrics {
             .and_then(Option::as_ref)
     }
 
-    /// Summarizes a histogram (count, mean, quantiles), if present.
-    pub fn summarize(&mut self, name: &str) -> Option<HistogramSummary> {
-        let key = self.lookup(name)?;
+    /// Summarizes the histogram behind `key` (count, mean, quantiles), if
+    /// any sample was recorded.
+    pub fn summarize(&mut self, key: MetricKey) -> Option<HistogramSummary> {
         let h = self.histograms.get_mut(key.index())?.as_mut()?;
         Some(HistogramSummary {
             count: h.count(),
@@ -388,12 +388,13 @@ mod tests {
         for x in [1.0, 2.0, 3.0, 4.0] {
             m.observe_key(h, x);
         }
-        let s = m.summarize("h").unwrap();
+        let s = m.summarize(h).unwrap();
         assert_eq!(s.count, 4);
         assert_eq!(s.mean, 2.5);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
-        assert!(m.summarize("missing").is_none());
+        let missing = m.intern("missing");
+        assert!(m.summarize(missing).is_none());
         assert!(!s.to_string().is_empty());
     }
 
@@ -422,13 +423,13 @@ mod tests {
         // A registered-but-never-written name must stay invisible, so that
         // eager pre-interning at startup cannot change what a reader sees.
         let mut m = Metrics::new();
-        m.intern("ghost");
+        let ghost = m.intern("ghost");
         let real = m.intern("real");
         m.incr_key(real);
         assert_eq!(m.counter("real"), 1);
         assert_eq!(m.counter("ghost"), 0);
         assert!(m.histogram("ghost").is_none());
-        assert!(m.summarize("ghost").is_none());
+        assert!(m.summarize(ghost).is_none());
     }
 
     #[test]

@@ -212,18 +212,6 @@ impl SimRng {
         lo + self.unit() * (hi - lo)
     }
 
-    /// Draws from an exponential distribution with the given mean.
-    ///
-    /// Used for Poisson-process inter-arrival times (e.g. stochastic fault
-    /// injection). Returns `0.0` when `mean <= 0`.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let u: f64 = 1.0 - self.unit(); // in (0, 1]
-        -mean * u.ln()
-    }
-
     /// Draws from a normal distribution via the Box–Muller transform.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         let u1: f64 = 1.0 - self.unit(); // in (0, 1]
@@ -319,17 +307,6 @@ mod tests {
         let mut r = SimRng::seed_from(5);
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((2_700..3_300).contains(&hits), "got {hits} hits for p=0.3");
-    }
-
-    #[test]
-    fn exponential_mean_is_roughly_right() {
-        let mut r = SimRng::seed_from(9);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(5.0)).sum();
-        let mean = sum / n as f64;
-        assert!((4.7..5.3).contains(&mean), "mean {mean}");
-        assert_eq!(r.exponential(0.0), 0.0);
-        assert_eq!(r.exponential(-1.0), 0.0);
     }
 
     #[test]

@@ -291,6 +291,13 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.events_processed
     }
 
+    /// Messages sent and neither delivered nor dropped yet: each holds a
+    /// payload slot until its delivery event pops. Between steps,
+    /// `sim.msg.sent == sim.msg.delivered + sim.msg.dropped + in_flight()`.
+    pub fn in_flight(&self) -> usize {
+        self.kernel.payloads.occupied()
+    }
+
     /// `true` if the given process is currently up.
     pub fn is_up(&self, id: ProcessId) -> bool {
         self.kernel.is_up(id)
@@ -1100,7 +1107,7 @@ mod tests {
                 let mut script = SimRng::seed_from(seed ^ 0xA11CE);
                 let mut peak = 0;
                 let mut observe = |sim: &Sim<Msg>| {
-                    let (occupied, _) = sim.kernel.payloads.census();
+                    let occupied = sim.in_flight();
                     peak = peak.max(occupied);
                 };
                 for _ in 0..400 {
@@ -1121,7 +1128,7 @@ mod tests {
                 sim.run_to_completion();
                 assert!(peak > 1, "seed {seed}: the script kept messages in flight");
                 assert_eq!(
-                    sim.kernel.payloads.census(),
+                    (sim.in_flight(), sim.kernel.payloads.peak()),
                     (0, peak),
                     "seed {seed} lossy {lossy}: (occupied, slab length)"
                 );
@@ -1142,9 +1149,17 @@ mod tests {
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(9));
         sim.set_down(a);
-        assert_eq!(sim.kernel.payloads.census(), (1, 1), "body waits queued");
+        assert_eq!(
+            (sim.in_flight(), sim.kernel.payloads.peak()),
+            (1, 1),
+            "body waits queued"
+        );
         assert!(sim.step());
-        assert_eq!(sim.kernel.payloads.census(), (0, 1), "slot returned");
+        assert_eq!(
+            (sim.in_flight(), sim.kernel.payloads.peak()),
+            (0, 1),
+            "slot returned"
+        );
         assert!(sim
             .observer::<RingTrace>(0)
             .unwrap()
@@ -1155,7 +1170,7 @@ mod tests {
         // The freed slot is the next one used.
         sim.set_up(a);
         sim.send_external(a, Msg::Ping(10));
-        assert_eq!(sim.kernel.payloads.census(), (1, 1));
+        assert_eq!((sim.in_flight(), sim.kernel.payloads.peak()), (1, 1));
         sim.run_to_completion();
         assert_eq!(sim.process::<Counter>(a).unwrap().received.len(), 1);
     }
@@ -1190,7 +1205,7 @@ mod tests {
         // with their event.
         assert!(sim.step() && sim.step());
         assert_eq!(drops.get(), 2);
-        assert_eq!(sim.kernel.payloads.census(), (6, 8));
+        assert_eq!((sim.in_flight(), sim.kernel.payloads.peak()), (6, 8));
         drop(sim);
         assert_eq!(drops.get(), 8, "six queued bodies, each dropped once");
     }

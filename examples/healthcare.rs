@@ -12,7 +12,7 @@
 //! ```
 
 use riot_core::{Scenario, ScenarioSpec, Table};
-use riot_data::{DataMeta, PolicyEngine, ReplicatedStore, Sensitivity};
+use riot_data::{DataMeta, KeySpace, PolicyEngine, ReplicatedStore, Sensitivity};
 use riot_model::{Disruption, DisruptionSchedule, DomainId, MaturityLevel};
 use riot_sim::SimTime;
 
@@ -22,14 +22,16 @@ fn main() {
     // -- The micro-level story first: what the governed data plane does
     //    with one special-category record.
     let registry = riot_core::standard_domains();
-    let mut ward_store = ReplicatedStore::new(1, DomainId(0), PolicyEngine::governed());
+    let keys = KeySpace::new();
+    let ecg = keys.intern("ward3/patient17/ecg");
+    let mut ward_store = ReplicatedStore::with_keys(1, DomainId(0), PolicyEngine::governed(), keys);
     let meta = DataMeta {
         sensitivity: Sensitivity::Special,
         purposes: riot_data::PurposeSet::only(riot_data::Purpose::Operations),
         origin: DomainId(0),
         produced_at: SimTime::ZERO,
     };
-    ward_store.put("ward3/patient17/ecg", 0.82, meta, SimTime::ZERO);
+    ward_store.put_key(ecg, 0.82, meta, SimTime::ZERO);
     let outbound = ward_store.sync_out(DomainId(1), &registry, SimTime::ZERO);
     println!(
         "A special-category ECG record leaving the hospital scope is redacted: \

@@ -2,7 +2,7 @@
 //! policed at egress and ingress, and domain transfers trigger purges.
 
 use riot_core::{standard_domains, Scenario, ScenarioSpec};
-use riot_data::{DataMeta, PolicyAction, PolicyEngine, ReplicatedStore, Sensitivity};
+use riot_data::{DataMeta, KeySpace, PolicyAction, PolicyEngine, ReplicatedStore, Sensitivity};
 use riot_model::{Disruption, DisruptionSchedule, DomainId, MaturityLevel};
 use riot_sim::{SimDuration, SimTime};
 
@@ -76,16 +76,19 @@ fn domain_transfer_leaks_without_governance_purges_with() {
 #[test]
 fn redaction_keeps_aggregates_flowing() {
     let registry = standard_domains();
-    let mut hospital = ReplicatedStore::new(0, DomainId(0), PolicyEngine::governed());
+    let keys = KeySpace::new();
+    let (icu_key, temp_key) = (keys.intern("icu/load"), keys.intern("lobby/temp"));
+    let mut hospital =
+        ReplicatedStore::with_keys(0, DomainId(0), PolicyEngine::governed(), keys.clone());
     let special = DataMeta {
         sensitivity: Sensitivity::Special,
         purposes: riot_data::PurposeSet::only(riot_data::Purpose::Analytics),
         origin: DomainId(0),
         produced_at: SimTime::ZERO,
     };
-    hospital.put("icu/load", 0.7, special, SimTime::ZERO);
-    hospital.put(
-        "lobby/temp",
+    hospital.put_key(icu_key, 0.7, special, SimTime::ZERO);
+    hospital.put_key(
+        temp_key,
         21.5,
         DataMeta::operational(DomainId(0), SimTime::ZERO),
         SimTime::ZERO,
@@ -93,8 +96,6 @@ fn redaction_keeps_aggregates_flowing() {
 
     let outbound = hospital.sync_out(DomainId(1), &registry, SimTime::ZERO);
     assert_eq!(outbound.entries.len(), 2, "both records flow in some form");
-    let icu_key = hospital.keys().get("icu/load").unwrap();
-    let temp_key = hospital.keys().get("lobby/temp").unwrap();
     let icu = outbound
         .entries
         .iter()
@@ -108,7 +109,7 @@ fn redaction_keeps_aggregates_flowing() {
     assert!(icu.record.is_redacted(), "special-category value blanked");
     assert!(!temp.record.is_redacted(), "operational value intact");
 
-    let mut vendor = ReplicatedStore::new(1, DomainId(1), PolicyEngine::permissive());
+    let mut vendor = ReplicatedStore::with_keys(1, DomainId(1), PolicyEngine::permissive(), keys);
     vendor.on_sync(outbound, &registry, SimTime::ZERO);
     assert_eq!(
         vendor.privacy_violations(&registry),

@@ -123,7 +123,10 @@ fn sketch_percentiles_match_post_hoc_percentiles_within_alpha() {
     type Draw = fn(&mut SimRng) -> f64;
     let distributions: [(&str, Draw); 3] = [
         ("uniform", |rng| rng.range_f64(0.1, 500.0)),
-        ("exponential", |rng| rng.exponential(25.0) + 0.01),
+        // Inverse CDF of the exponential with mean 25, from a draw in (0, 1].
+        ("exponential", |rng| {
+            -25.0 * (1.0 - rng.range_f64(0.0, 1.0)).ln() + 0.01
+        }),
         ("log-uniform", |rng| f64::exp2(rng.range_f64(-3.0, 13.0))),
     ];
     for (name, draw) in distributions {
