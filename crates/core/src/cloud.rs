@@ -155,9 +155,7 @@ impl Process<Msg> for CloudProcess {
                 ctx.send(from, Msg::App(AppMsg::ControlReply { req_id, issued_at }));
             }
             Msg::Sync(m) => {
-                let changed = self.store.on_sync(m, &self.cfg.registry, ctx.now());
-                let key = self.cfg.metrics.cloud_sync_applied;
-                ctx.metrics().incr_by_key(key, changed as u64);
+                self.store.on_sync(m, &self.cfg.registry, ctx.now());
             }
             Msg::Registry(m) => {
                 if let Some(reply) = self.registry_service.on_message(ctx.now(), from, m) {

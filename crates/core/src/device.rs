@@ -324,7 +324,6 @@ impl DeviceProcess {
                 self.controller_idx = 0;
                 self.on_backup_since = None;
                 self.consecutive_timeouts = 0;
-                ctx.metrics().incr_key(self.group.keys.device_rehome);
             }
         }
         match self.controller() {

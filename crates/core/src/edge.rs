@@ -188,10 +188,7 @@ impl EdgeProcess {
         for o in outputs {
             match o {
                 SwimOutput::Send { to, msg } => ctx.send(to, Msg::Swim(msg)),
-                SwimOutput::StateChange { .. } => {
-                    ctx.metrics()
-                        .incr_key(self.cfg.metrics.edge_swim_state_change);
-                }
+                SwimOutput::StateChange { .. } => {}
             }
         }
     }
@@ -201,8 +198,6 @@ impl EdgeProcess {
             match o {
                 ElectionOutput::Send { to, msg } => ctx.send(to, Msg::Election(msg)),
                 ElectionOutput::LeaderChanged { leader, .. } => {
-                    let key = self.cfg.metrics.edge_election_leader_change;
-                    ctx.metrics().incr_key(key);
                     if ctx.wants(EventMask::NOTE) {
                         ctx.annotate(format!("scope {} leader: {:?}", self.cfg.scope, leader));
                     }
@@ -340,9 +335,7 @@ impl Process<Msg> for EdgeProcess {
                 }
             }
             Msg::Sync(m) => {
-                let changed = self.store.on_sync(m, &self.cfg.registry, ctx.now());
-                let key = self.cfg.metrics.edge_sync_applied;
-                ctx.metrics().incr_by_key(key, changed as u64);
+                self.store.on_sync(m, &self.cfg.registry, ctx.now());
             }
             Msg::Gossip(m) => {
                 if let Some(gossip) = self.gossip.as_mut() {

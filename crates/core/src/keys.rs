@@ -11,24 +11,19 @@ use riot_sim::{MetricKey, Metrics};
 #[derive(Debug, Clone, Copy)]
 pub struct MetricKeys {
     // Written by devices.
-    pub(crate) device_rehome: MetricKey,
     pub(crate) device_control_timeout: MetricKey,
     pub(crate) device_failover: MetricKey,
     pub(crate) device_ml3_fallback: MetricKey,
     pub(crate) device_control_latency_ms: MetricKey,
     pub(crate) device_component_restarted: MetricKey,
     // Written by edges.
-    pub(crate) edge_swim_state_change: MetricKey,
-    pub(crate) edge_election_leader_change: MetricKey,
     pub(crate) edge_ingest_denied: MetricKey,
     pub(crate) edge_ingest_latency_ms: MetricKey,
     pub(crate) edge_restarted: MetricKey,
-    pub(crate) edge_sync_applied: MetricKey,
     pub(crate) edge_policy_updated: MetricKey,
     // Written by the cloud.
     pub(crate) cloud_ingest_denied: MetricKey,
     pub(crate) cloud_ingest_latency_ms: MetricKey,
-    pub(crate) cloud_sync_applied: MetricKey,
     /// Written by whichever edge or cloud hosts a MAPE loop.
     pub(crate) mape_restart_sent: MetricKey,
     // The kernel's message counters, read into the result.
@@ -43,22 +38,17 @@ impl MetricKeys {
         let [device_control_latency_ms, edge_ingest_latency_ms, cloud_ingest_latency_ms] =
             PROBE_ROWS.map(|name| metrics.intern(name));
         MetricKeys {
-            device_rehome: metrics.intern("device.rehome"),
             device_control_timeout: metrics.intern("device.control.timeout"),
             device_failover: metrics.intern("device.failover"),
             device_ml3_fallback: metrics.intern("device.ml3_fallback"),
             device_control_latency_ms,
             device_component_restarted: metrics.intern("device.component.restarted"),
-            edge_swim_state_change: metrics.intern("edge.swim.state_change"),
-            edge_election_leader_change: metrics.intern("edge.election.leader_change"),
             edge_ingest_denied: metrics.intern("edge.ingest.denied"),
             edge_ingest_latency_ms,
             edge_restarted: metrics.intern("edge.restarted"),
-            edge_sync_applied: metrics.intern("edge.sync.applied"),
             edge_policy_updated: metrics.intern("edge.policy.updated"),
             cloud_ingest_denied: metrics.intern("cloud.ingest.denied"),
             cloud_ingest_latency_ms,
-            cloud_sync_applied: metrics.intern("cloud.sync.applied"),
             mape_restart_sent: metrics.intern("mape.restart_sent"),
             sim_msg_sent: metrics.intern("sim.msg.sent"),
             sim_msg_dropped: metrics.intern("sim.msg.dropped"),

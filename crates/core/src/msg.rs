@@ -27,7 +27,7 @@ pub enum PolicyUpdate {
 /// ingestion path takes it — and a relay forwards it — as one value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReadingPayload {
-    /// Data key (the run's interned id for `"dev<id>/reading"`).
+    /// Data key (the reporting device's id in the run's key space).
     pub key: DataKey,
     /// Observed value.
     pub value: f64,

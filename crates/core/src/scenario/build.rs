@@ -18,7 +18,6 @@ use riot_sim::{
     ActivityTracker, FlowAccounting, MeasureProbe, MetricKey, ProcessId, QuantileSketch, RingTrace,
     Sim, SimBuilder, SimTime, StreamPipeline,
 };
-use std::fmt::Write as _;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -247,14 +246,11 @@ impl Scenario {
 
         let mut devices = Vec::with_capacity(spec.device_count());
         let mut global_idx = 0usize;
-        let mut name = String::new();
         for (e, (devs, group)) in hierarchy.devices.iter().zip(&group_of_edge).enumerate() {
             for &d in devs {
                 let personal =
                     spec.personal_every > 0 && global_idx.is_multiple_of(spec.personal_every);
-                name.clear();
-                let _ = write!(name, "dev{}/reading", d.0);
-                let key = keys.intern(&name);
+                let key = keys.mint();
                 let mut dev = DeviceProcess::new(DeviceConfig {
                     group: group.clone(),
                     // riot-lint: allow(P1, reason = "e enumerates hierarchy.devices, built with one entry per edge")

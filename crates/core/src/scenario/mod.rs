@@ -54,8 +54,8 @@ pub struct DeviceInfo {
     pub id: ProcessId,
     /// Index of its primary edge.
     pub edge_index: usize,
-    /// Its data key (interned in the scenario's run-wide key space; resolve
-    /// through any store's [`riot_data::KeySpace`] for the display name).
+    /// Its data key, minted unnamed in the scenario's run-wide key space:
+    /// device `i` in build order holds key index `i`.
     pub key: DataKey,
     /// `true` when it produces personal data.
     pub personal: bool,
@@ -129,7 +129,7 @@ impl Scenario {
         &self.devices
     }
 
-    /// The run-wide data-key space (resolves [`DeviceInfo::key`] to names).
+    /// The run-wide data-key space every store shares.
     pub fn keys(&self) -> &KeySpace {
         &self.keys
     }

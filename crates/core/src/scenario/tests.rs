@@ -888,3 +888,22 @@ fn every_message_sent_is_delivered_dropped_or_in_flight_at_every_sample() {
         }
     }
 }
+
+/// The run's random-stream position is part of its determinism: two runs of
+/// one spec draw the same number of words, and a run draws at all.
+#[test]
+fn two_runs_of_one_scenario_draw_the_same_words() {
+    let words = |seed: u64| {
+        let mut spec = small(MaturityLevel::Ml4);
+        spec.seed = seed;
+        let end = SimTime::ZERO + spec.duration;
+        let mut scenario = Scenario::build(spec);
+        assert_eq!(scenario.sim.rng_words(), 0, "the build draws nothing");
+        scenario.advance_to(end);
+        scenario.sim.rng_words()
+    };
+    let first = words(42);
+    assert!(first > 0, "an ML4 run draws");
+    assert_eq!(words(42), first);
+    assert_ne!(words(43), first, "another seed, another run");
+}

@@ -1,11 +1,14 @@
-//! Per-run data-key interning: dense [`DataKey`] ids over a shared
-//! [`KeySpace`], the data-plane analogue of riot-sim's metric interner.
+//! Per-run data-key ids: dense [`DataKey`]s over a shared [`KeySpace`],
+//! the data-plane analogue of riot-sim's metric interner.
 //!
 //! Every reading used to carry its key as a `String`, cloned at the
 //! device, cloned again at edge ingest, and cloned once more per sync
 //! target — with a `BTreeMap<String, _>` walk on every store operation.
-//! A [`KeySpace`] mints one dense id per distinct key name; after that
-//! the hot path moves `Copy` ids and indexes slabs directly.
+//! A [`KeySpace`] hands out dense ids from one registration-order
+//! sequence: [`KeySpace::mint`] takes the next with no name (the scenario's
+//! device keys, `0..N` in device order), [`KeySpace::intern`] one per
+//! distinct name. After that the hot path moves `Copy` ids and indexes
+//! slabs directly; nothing maps an id back to a name.
 //!
 //! ## Sharing model
 //!
@@ -23,9 +26,9 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// A dense id for one data-key name, minted by [`KeySpace::intern`].
-/// `Copy`; only meaningful to the key space (or clones of the handle)
-/// that minted it.
+/// A dense id for one data key, from [`KeySpace::mint`] or
+/// [`KeySpace::intern`]. `Copy`; only meaningful to the key space (or
+/// clones of the handle) that minted it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataKey(Symbol);
 
@@ -44,12 +47,12 @@ impl fmt::Debug for DataKey {
     }
 }
 
-/// A shared, deterministic name ↔ [`DataKey`] table. Clones are handles
-/// to the same table ([`KeySpace::same_as`] tells two handles apart).
+/// A shared, deterministic source of [`DataKey`]s. Clones are handles to
+/// the same table ([`KeySpace::same_as`] tells two handles apart).
 ///
-/// Ids follow registration order. Nothing iterates the table: names
-/// leave it one key at a time through [`KeySpace::resolve`], so neither
-/// registration order nor the index's layout reaches an artifact.
+/// Ids follow registration order, minted and interned alike. No name
+/// leaves the table, so neither the names nor the index's layout reaches
+/// an artifact.
 #[derive(Clone, Default)]
 pub struct KeySpace {
     table: Rc<RefCell<SymbolTable>>,
@@ -61,29 +64,24 @@ impl KeySpace {
         KeySpace::default()
     }
 
+    /// Returns the next dense id, with no name: no formatting, hashing or
+    /// probing. [`KeySpace::intern`] never returns it.
+    pub fn mint(&self) -> DataKey {
+        DataKey(self.table.borrow_mut().push_unnamed())
+    }
+
     /// Returns the key for `name`, minting a fresh dense id on first
     /// sight.
     pub fn intern(&self, name: &str) -> DataKey {
         DataKey(self.table.borrow_mut().intern(name))
     }
 
-    /// Returns the key for `name` if it was ever interned — no minting.
-    pub fn get(&self, name: &str) -> Option<DataKey> {
-        self.table.borrow().get(name).map(DataKey)
-    }
-
-    /// The name a key denotes, as an owned `String` (cold path: tests and
-    /// serialization).
-    pub fn resolve(&self, key: DataKey) -> String {
-        self.table.borrow().name(key.0).to_owned()
-    }
-
-    /// Number of interned keys.
+    /// Number of keys, minted and interned.
     pub fn len(&self) -> usize {
         self.table.borrow().len()
     }
 
-    /// `true` when nothing has been interned.
+    /// `true` when no key has been minted or interned.
     pub fn is_empty(&self) -> bool {
         self.table.borrow().is_empty()
     }
@@ -117,11 +115,50 @@ mod tests {
         let b = ks.intern("b");
         let a = ks.intern("a");
         assert_eq!(ks.intern("b"), b);
+        assert_eq!(ks.intern("a"), a);
         assert_eq!(b.index(), 0, "ids follow registration order");
         assert_eq!(a.index(), 1);
         assert_eq!(ks.len(), 2);
-        assert_eq!(ks.resolve(a), "a");
-        assert_eq!(ks.get("zzz"), None, "lookup does not mint");
+    }
+
+    #[test]
+    fn minted_and_interned_keys_share_one_dense_sequence() {
+        let ks = KeySpace::new();
+        let m0 = ks.mint();
+        let a = ks.intern("a");
+        let m2 = ks.mint();
+        let m3 = ks.mint();
+        let b = ks.intern("b");
+        assert_eq!(
+            [m0, a, m2, m3, b].map(DataKey::index),
+            [0, 1, 2, 3, 4],
+            "one registration order for both"
+        );
+        assert_eq!(ks.len(), 5);
+        assert_eq!(ks.intern("a"), a, "intern stays idempotent after mints");
+        assert_eq!(ks.intern("b"), b);
+        assert_ne!(ks.mint(), m3, "every mint is fresh");
+        assert_eq!(ks.len(), 6);
+    }
+
+    #[test]
+    fn intern_never_returns_a_minted_id() {
+        let ks = KeySpace::new();
+        let minted: Vec<DataKey> = (0..100).map(|_| ks.mint()).collect();
+        // Names through several growths of the index, including the empty
+        // name and the names the scenario's device keys once had.
+        for i in 0..300 {
+            let named = [
+                ks.intern(&format!("dev{i}/reading")),
+                ks.intern(""),
+                ks.intern(&i.to_string()),
+            ];
+            for key in named {
+                assert!(key.index() >= minted.len(), "{key:?} was minted");
+                assert!(!minted.contains(&key));
+            }
+        }
+        assert_eq!(ks.len(), minted.len() + 2 * 300 + 1);
     }
 
     #[test]
@@ -129,8 +166,12 @@ mod tests {
         let ks = KeySpace::new();
         let other = ks.clone();
         let k = other.intern("shared");
+        let m = other.mint();
         assert!(ks.same_as(&other));
-        assert_eq!(ks.get("shared"), Some(k));
+        assert_eq!(ks.intern("shared"), k, "a clone sees the name");
+        assert_eq!(ks.mint().index(), m.index() + 1, "and the sequence");
+        assert_eq!(ks.len(), 3);
         assert!(!ks.same_as(&KeySpace::new()));
+        assert_eq!(ks, other.clone());
     }
 }

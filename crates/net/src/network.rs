@@ -254,7 +254,9 @@ impl Network {
         self.nodes.push(kind);
         self.adjacency.push(Vec::new());
         // Searches hold per-node vectors sized when they started.
-        self.searches.clear();
+        if !self.searches.is_empty() {
+            self.searches.clear();
+        }
         id
     }
 
@@ -522,7 +524,9 @@ impl Network {
             self.routed_at_change = self.stats.routed;
             self.stats.epochs += 1;
         }
-        self.searches.clear();
+        if !self.searches.is_empty() {
+            self.searches.clear();
+        }
         self.clock
     }
 

@@ -11,8 +11,8 @@
 //! * Ids are assigned in **registration order** — first `intern` wins the
 //!   next id. The name→id index is an open-addressing table probed by a
 //!   fixed FNV-1a hash of the name's bytes: no seeded hashing (riot-lint
-//!   rules D1 and D3 apply to this module), and nothing iterates the
-//!   table, so its layout can reach no output.
+//!   rules D1 and D3 apply to this module), and nothing but its own
+//!   growth walks the table, so its layout can reach no output.
 //! * Registration order is *not* part of any observable output: results
 //!   name their metrics, so two runs that intern the same names in
 //!   different orders still render byte-identical output.
@@ -44,7 +44,7 @@ impl fmt::Debug for MetricKey {
 /// A dense id for one interned string in a [`SymbolTable`]. `Copy`, and
 /// only meaningful to the table (or clones of the table) that minted it.
 /// Other crates layer domain-specific key types over this (riot-data's
-/// `DataKey` is a `Symbol` in a shared per-run table).
+/// `DataKey`: a `Symbol`, named or not, in a shared per-run table).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
@@ -78,14 +78,14 @@ fn fnv1a(name: &str) -> u64 {
 
 /// A deterministic string interner: name ↔ id table where the names sit
 /// back to back in one arena, in id (registration) order, and an
-/// open-addressing index over the same ids is placed by a fixed FNV-1a
-/// hash of the name and probed linearly. The index is only ever probed,
-/// never iterated.
+/// open-addressing index over the named ids is placed by a fixed FNV-1a
+/// hash of the name and probed linearly. The index is probed, and walked
+/// only to re-place its own entries when it grows.
 ///
 /// This is the generic table under the metrics interner; it is public
 /// so other layers (the data plane's key space) can intern their own
 /// namespaces with the same determinism contract: registration order
-/// mints dense ids.
+/// mints dense ids, named or not ([`SymbolTable::push_unnamed`]).
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     /// Every name, back to back in registration order.
@@ -93,10 +93,12 @@ pub struct SymbolTable {
     /// `ends[id]`: where name `id` ends in `text` (it starts where name
     /// `id - 1` ends).
     ends: Vec<usize>,
-    /// `id + 1` per occupied slot, 0 for an empty one. Its length is zero
-    /// or a power of two at least twice `ends.len()`, so a probe always
-    /// meets an empty slot.
+    /// `id + 1` per occupied slot, 0 for an empty one. Only named ids are
+    /// entered. Its length is zero or a power of two at least twice
+    /// `named`, so a probe always meets an empty slot.
     slots: Vec<u32>,
+    /// The ids `intern` minted: the entries of `slots`.
+    named: usize,
 }
 
 impl SymbolTable {
@@ -123,18 +125,19 @@ impl SymbolTable {
         }
     }
 
-    /// Doubles the index (to 8 slots when empty) and re-places every id.
+    /// Doubles the index (to 8 slots when empty) and re-places every id
+    /// it holds.
     fn grow(&mut self) {
         let len = (self.slots.len() * 2).max(8);
         let mask = len - 1;
         let mut slots = vec![0u32; len];
-        for id in 0..self.ends.len() {
-            let mut at = fnv1a(self.name_of_id(id as u32)) as usize & mask;
-            while slots.get(at).is_some_and(|&tagged| tagged != 0) {
+        for &tagged in self.slots.iter().filter(|&&tagged| tagged != 0) {
+            let mut at = fnv1a(self.name_of_id(tagged - 1)) as usize & mask;
+            while slots.get(at).is_some_and(|&taken| taken != 0) {
                 at = (at + 1) & mask;
             }
             if let Some(slot) = slots.get_mut(at) {
-                *slot = id as u32 + 1;
+                *slot = tagged;
             }
         }
         self.slots = slots;
@@ -158,16 +161,25 @@ impl SymbolTable {
         if let Some(id) = found {
             return Symbol(id);
         }
-        if (self.ends.len() + 1) * 2 > self.slots.len() {
+        if (self.named + 1) * 2 > self.slots.len() {
             self.grow();
             at = self.probe(name).0;
         }
         let id = self.ends.len() as u32;
         self.text.push_str(name);
         self.ends.push(self.text.len());
+        self.named += 1;
         if let Some(slot) = self.slots.get_mut(at) {
             *slot = id + 1;
         }
+        Symbol(id)
+    }
+
+    /// Mints the next dense id with no name: no hash, no probe, and no
+    /// `intern` or `get` ever returns it.
+    pub fn push_unnamed(&mut self) -> Symbol {
+        let id = self.ends.len() as u32;
+        self.ends.push(self.text.len());
         Symbol(id)
     }
 
@@ -177,18 +189,12 @@ impl SymbolTable {
         self.probe(name).1.map(Symbol)
     }
 
-    /// The name a symbol denotes (empty for foreign symbols, which cannot
-    /// occur through the public API).
-    pub fn name(&self, sym: Symbol) -> &str {
-        self.name_of_id(sym.0)
-    }
-
-    /// Number of interned names.
+    /// Number of ids minted, named or not.
     pub fn len(&self) -> usize {
         self.ends.len()
     }
 
-    /// `true` when nothing has been interned.
+    /// `true` when no id has been minted.
     pub fn is_empty(&self) -> bool {
         self.ends.is_empty()
     }
@@ -255,8 +261,40 @@ mod tests {
         assert_eq!(a.index(), 1);
         assert_eq!(t.get("a"), Some(a));
         assert_eq!(t.get("zzz"), None, "lookup does not mint");
-        assert_eq!(t.name(a), "a");
+        assert_eq!(t.name_of_id(a.0), "a");
         assert_eq!(t.len(), 2);
+    }
+
+    /// Unnamed ids take their place in the one registration-order
+    /// sequence, and no lookup finds them — not the empty name, not after
+    /// the index has grown around them.
+    #[test]
+    fn unnamed_ids_share_the_sequence_and_stay_out_of_the_index() {
+        let mut t = SymbolTable::new();
+        assert_eq!(t.push_unnamed().index(), 0);
+        let a = t.intern("a");
+        assert_eq!(a.index(), 1);
+        assert_eq!(t.push_unnamed().index(), 2);
+        assert_eq!(t.get(""), None, "an unnamed id is not the empty name");
+        let empty = t.intern("");
+        assert_eq!(empty.index(), 3, "the empty name mints a fresh id");
+        for i in 4..1_000 {
+            let sym = if i % 3 == 0 {
+                t.intern(&format!("k{i}"))
+            } else {
+                t.push_unnamed()
+            };
+            assert_eq!(sym.index(), i);
+        }
+        assert_eq!(t.len(), 1_000);
+        assert_eq!(t.named, 2 + (4..1_000).filter(|i| i % 3 == 0).count());
+        assert!(t.slots.len() >= 2 * t.named && t.slots.len() < 4 * t.named);
+        assert_eq!(
+            (t.get("a"), t.get(""), t.get("k999")),
+            (Some(a), Some(empty), Some(Symbol(999)))
+        );
+        assert_eq!(t.get("k998"), None, "998 was minted unnamed");
+        assert_eq!(t.name_of_id(999), "k999");
     }
 
     /// Scrambled names with repeats, through several growths of the index,
@@ -288,7 +326,7 @@ mod tests {
             let next = oracle.len() as u32;
             let id = *oracle.entry(name.clone()).or_insert(next);
             assert_eq!(t.intern(&name).0, id, "intern: {name}");
-            assert_eq!(t.name(Symbol(id)), name);
+            assert_eq!(t.name_of_id(id), name);
             assert!(t.slots.len() >= 2 * t.len(), "load stays at most one half");
         }
         assert_eq!(t.len(), oracle.len());

@@ -153,6 +153,13 @@ impl SimRng {
         word
     }
 
+    /// 32-bit words handed out since seeding or forking (a `u64` takes
+    /// two): the blocks generated less the last one's unread words, so
+    /// drawing pays nothing for the count.
+    pub fn words_used(&self) -> u64 {
+        self.counter * 16 + self.cursor as u64 - 16
+    }
+
     /// Draws the next raw 64-bit value of the stream.
     pub fn next_u64(&mut self) -> u64 {
         let lo = self.next_u32() as u64;
@@ -291,6 +298,55 @@ mod tests {
         root.next_u64();
         let after = root.fork(10).next_u64();
         assert_eq!(before, after, "fork must be a pure function of the key");
+    }
+
+    #[test]
+    fn words_used_counts_every_word_across_refills() {
+        let mut r = SimRng::seed_from(23);
+        assert_eq!(r.words_used(), 0);
+        r.next_u64();
+        assert_eq!(r.words_used(), 2);
+        // A power-of-two span takes one `u64`, whatever it draws.
+        r.range_u64(0, 1 << 20);
+        assert_eq!(r.words_used(), 4);
+        // `chance` draws only strictly inside (0, 1).
+        assert!(!r.chance(0.0) && r.chance(1.0));
+        assert_eq!(r.words_used(), 4);
+        r.chance(0.5);
+        assert_eq!(r.words_used(), 6);
+        // Five more `u64`s cross the first block's 16 words.
+        for _ in 0..5 {
+            r.next_u64();
+        }
+        assert_eq!(r.words_used(), 16);
+        r.next_u64();
+        assert_eq!(r.words_used(), 18, "the refill is counted once");
+        for _ in 0..100 {
+            r.next_u64();
+        }
+        assert_eq!(r.words_used(), 218);
+        // Rejection sampling: a span just over half the range rejects about
+        // half its draws, and each try is counted.
+        let before = r.words_used();
+        let mut calls = 0;
+        while r.words_used() - before < 2 * 64 {
+            r.range_u64(0, (1 << 63) + 1);
+            calls += 1;
+        }
+        assert_eq!((r.words_used() - before) % 2, 0);
+        assert!(calls < 64, "{calls} calls took 64 draws: none rejected");
+    }
+
+    #[test]
+    fn a_fork_starts_at_zero_words() {
+        let mut root = SimRng::seed_from(29);
+        for _ in 0..20 {
+            root.next_u64();
+        }
+        let mut child = root.fork(3);
+        assert_eq!((root.words_used(), child.words_used()), (40, 0));
+        child.next_u64();
+        assert_eq!((root.words_used(), child.words_used()), (40, 2));
     }
 
     #[test]

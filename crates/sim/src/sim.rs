@@ -298,6 +298,11 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.kernel.payloads.occupied()
     }
 
+    /// Words the processes and the medium drew from the run's random stream.
+    pub fn rng_words(&self) -> u64 {
+        self.kernel.rng.words_used()
+    }
+
     /// `true` if the given process is currently up.
     pub fn is_up(&self, id: ProcessId) -> bool {
         self.kernel.is_up(id)

@@ -2,7 +2,7 @@
 # The full local gate: everything CI (and the tier-1 driver) checks, in the
 # order that fails fastest. Run from anywhere inside the repository.
 #
-#   scripts/check.sh           # fmt + clippy + riot-lint + doc + tests + benchmark package build + three smokes
+#   scripts/check.sh           # fmt + clippy + riot-lint + doc + tests + benchmark package build + four smokes
 #   scripts/check.sh --quick   # skip the tests, that build and the smokes (style + lint + doc only)
 #
 # Not here because they need a parent commit to compare with:
@@ -59,6 +59,9 @@ if [[ "$quick" == "0" ]]; then
 
   echo "==> campaign fuzz smoke (committed reproducers reproduce + minimal; seeded sweep finds & shrinks)"
   cargo run --quiet -p riot-bench --bin riot -- campaign fuzz --smoke > /dev/null
+
+  echo "==> profile smoke (one second of fuzz_sweep sampled and tabled; skips itself without cc/addr2line)"
+  scripts/profile.sh fuzz_sweep --seconds 1 > /dev/null
 fi
 
 echo "OK: fmt, clippy, riot-lint$([[ "$quick" == "0" ]] && echo ", tests") all clean"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # A sampled profile of one benchmark workload: where the untraced run's CPU
 # time sits, by function and by source line. Evidence for an issue, not a
-# gate — scripts/check.sh does not run it.
+# gate — scripts/check.sh runs it once on one second of fuzz_sweep only so
+# that a broken table pass fails there.
 #
 #   scripts/profile.sh <workload> [--seed N] [--seconds N] [--under REGEX]
 #
@@ -103,7 +104,7 @@ addr2line -a -f -i -C -e "$bin" <"$work/$workload.addrs" >"$work/$workload.sym"
 
 # Pass 2: the tables. The regex comes through the environment, which keeps
 # awk from reading escapes in it.
-UNDER="$under" awk -v total="$(grep -c '^S' "$raw")"'
+UNDER="$under" awk -v total="$(grep -c '^S' "$raw")" '
   function clean(fn) { sub(/::h[0-9a-f]{16}$/, "", fn); return fn }
   function own(fn) { return fn !~ /^<?(core|alloc|std)::/ && fn !~ / as (core|alloc|std)::/ }
   function table(title, count, of,   k, cmd) {

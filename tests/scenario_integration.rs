@@ -109,7 +109,11 @@ fn devices_and_layout_agree() {
         let d = i % spec.devices_per_edge;
         assert_eq!(info.id, spec.device_id(e, d));
         assert_eq!(info.edge_index, e);
-        let name = scenario.keys().resolve(info.key);
-        assert!(name.contains(&format!("dev{}", info.id.0)));
+        assert_eq!(
+            info.key.index(),
+            i,
+            "device keys are minted in device order"
+        );
     }
+    assert_eq!(scenario.keys().len(), spec.device_count());
 }
