@@ -99,21 +99,6 @@ impl<T: Clone> Gossip<T> {
         self.store.get(&key).map(|e| &e.value)
     }
 
-    /// The freshest known version for `key` (0 when unknown).
-    pub fn version(&self, key: u64) -> u64 {
-        self.store.get(&key).map(|e| e.version).unwrap_or(0)
-    }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// `true` when the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
     /// One gossip round: returns `(peer, message)` sends for `fanout`
     /// random peers, carrying the hot entries. No-op when nothing is hot or
     /// `peers` is empty.
@@ -179,11 +164,10 @@ mod tests {
     #[test]
     fn publish_bumps_versions() {
         let mut g: Gossip<u32> = Gossip::new(GossipConfig::default());
-        assert_eq!(g.version(9), 0);
+        assert_eq!(g.get(9), None);
         assert_eq!(g.publish(9, 10), 1);
         assert_eq!(g.publish(9, 11), 2);
         assert_eq!(g.get(9), Some(&11));
-        assert_eq!(g.len(), 1);
     }
 
     #[test]

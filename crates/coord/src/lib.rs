@@ -3,9 +3,12 @@
 //! §V of the paper argues that "for resilient IoT, coordination presupposes
 //! a general absence of centralized control, instead leveraging cooperation
 //! between software components, in a peer-to-peer fashion". This crate
-//! provides both sides of that comparison as **sans-I/O state machines** —
-//! pure `(now, event) → actions` cores that the simulator glue (or any
-//! transport) drives:
+//! provides that decentralized side as **sans-I/O state machines** — pure
+//! `(now, event) → actions` cores that the simulator glue (or any
+//! transport) drives. The centralized side it is compared with is no
+//! protocol of its own: it is riot-core's cloud-placed control
+//! (`ControlPlacement::Cloud`), which experiment E4 runs against these
+//! machines under partitions.
 //!
 //! * [`Swim`] — SWIM-style failure detection and membership: round-robin
 //!   probing, indirect probes through intermediaries, suspicion with
@@ -17,10 +20,6 @@
 //! * [`ControlPattern`] — the two decentralized MAPE-control patterns a
 //!   maturity level realizes (master/slave, regional planning) with the
 //!   static "survives coordinator loss?" query.
-//! * [`CloudRegistry`] — the centralized device-cloud baseline the paper
-//!   says today's systems use: heartbeats to the cloud, coordinator
-//!   appointment by the registry. Experiment E4 runs this against the
-//!   decentralized stack under partitions.
 //!
 //! Because the machines are sans-I/O, their unit tests drive whole clusters
 //! synchronously with zero-latency harnesses — see the module tests — while
@@ -33,12 +32,10 @@ mod election;
 mod gossip;
 mod member;
 mod pattern;
-mod registry;
 mod swim;
 
 pub use election::{Election, ElectionConfig, ElectionMsg, ElectionOutput};
 pub use gossip::{Entry, Gossip, GossipConfig, GossipMsg};
 pub use member::{MemberInfo, MemberState, MembershipView, Update};
 pub use pattern::ControlPattern;
-pub use registry::{CloudRegistry, RegistryConfig, RegistryMsg};
 pub use swim::{Swim, SwimConfig, SwimMsg, SwimOutput};

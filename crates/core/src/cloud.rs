@@ -12,7 +12,6 @@ use crate::config::{ArchitectureConfig, MapePlacement};
 use crate::keys::MetricKeys;
 use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::recovery::MapeHost;
-use riot_coord::{CloudRegistry, RegistryConfig};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
 use riot_sim::{Ctx, Process, ProcessId, SimTime};
@@ -48,16 +47,13 @@ pub struct CloudConfig {
 pub struct CloudProcess {
     cfg: CloudConfig,
     store: ReplicatedStore,
-    registry_service: CloudRegistry,
     mape: MapeHost,
-    control_served: u64,
 }
 
 impl std::fmt::Debug for CloudProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CloudProcess")
             .field("me", &self.cfg.me)
-            .field("control_served", &self.control_served)
             .finish()
     }
 }
@@ -73,13 +69,7 @@ impl CloudProcess {
         let store =
             ReplicatedStore::with_keys(cfg.me.0 as u32, cfg.domain, policy, cfg.keys.clone());
         let mape = MapeHost::new(&cfg.arch, MapePlacement::Cloud);
-        CloudProcess {
-            cfg,
-            store,
-            registry_service: CloudRegistry::new(RegistryConfig::default()),
-            mape,
-            control_served: 0,
-        }
+        CloudProcess { cfg, store, mape }
     }
 
     /// The cloud's replicated store.
@@ -91,11 +81,6 @@ impl CloudProcess {
     /// scenario runner's consumer-freshness mirror).
     pub(crate) fn set_store_probe(&mut self, probe: std::rc::Rc<dyn riot_data::StoreProbe>) {
         self.store.set_probe(probe);
-    }
-
-    /// Control requests served so far.
-    pub fn control_served(&self) -> u64 {
-        self.control_served
     }
 
     /// MAPE statistics, when the cloud hosts the loop.
@@ -151,16 +136,10 @@ impl Process<Msg> for CloudProcess {
                 self.ingest_telemetry(ctx, reading);
             }
             Msg::App(AppMsg::ControlRequest { req_id, issued_at }) => {
-                self.control_served += 1;
                 ctx.send(from, Msg::App(AppMsg::ControlReply { req_id, issued_at }));
             }
             Msg::Sync(m) => {
                 self.store.on_sync(m, &self.cfg.registry, ctx.now());
-            }
-            Msg::Registry(m) => {
-                if let Some(reply) = self.registry_service.on_message(ctx.now(), from, m) {
-                    ctx.send(from, Msg::Registry(reply));
-                }
             }
             _ => {}
         }
@@ -193,7 +172,6 @@ impl Process<Msg> for CloudProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use riot_coord::RegistryMsg;
     use riot_model::{ComponentId, ComponentState, Domain, Jurisdiction, MaturityLevel};
     use riot_sim::{Sim, SimBuilder};
 
@@ -237,14 +215,30 @@ mod tests {
         }))
     }
 
+    /// A device stand-in: asks the cloud for one control decision when it
+    /// starts, and counts the replies and restart commands it gets.
     #[derive(Default)]
     struct Dev {
+        replies: u32,
         restarts: u32,
     }
     impl Process<Msg> for Dev {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            let issued_at = ctx.now();
+            ctx.send(
+                ProcessId(0),
+                Msg::App(AppMsg::ControlRequest {
+                    req_id: 1,
+                    issued_at,
+                }),
+            );
+        }
+
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
-            if matches!(msg, Msg::App(AppMsg::Restart { .. })) {
-                self.restarts += 1;
+            match msg {
+                Msg::App(AppMsg::ControlReply { .. }) => self.replies += 1,
+                Msg::App(AppMsg::Restart { .. }) => self.restarts += 1,
+                _ => {}
             }
         }
     }
@@ -257,16 +251,9 @@ mod tests {
         let dev = sim.add_process(Dev::default());
         let key = cloud_key(&sim, cloud, "dev1/reading");
         sim.send_external(cloud, reading(dev, key, ComponentState::Running));
-        sim.send_external(
-            cloud,
-            Msg::App(AppMsg::ControlRequest {
-                req_id: 1,
-                issued_at: SimTime::ZERO,
-            }),
-        );
         sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.process::<Dev>(dev).unwrap().replies, 1);
         let c = sim.process::<CloudProcess>(cloud).unwrap();
-        assert_eq!(c.control_served(), 1);
         assert_eq!(c.store().len(), 1);
     }
 
@@ -308,42 +295,5 @@ mod tests {
             .unwrap()
             .mape_stats()
             .is_none());
-    }
-
-    #[test]
-    fn registry_round_trip_via_cloud() {
-        #[derive(Default)]
-        struct Client {
-            answer: Option<RegistryMsg>,
-        }
-        impl Process<Msg> for Client {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                ctx.send(
-                    ProcessId(0),
-                    Msg::Registry(RegistryMsg::Heartbeat { scope: 2 }),
-                );
-                ctx.send(
-                    ProcessId(0),
-                    Msg::Registry(RegistryMsg::WhoCoordinates { scope: 2 }),
-                );
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
-                if let Msg::Registry(r) = msg {
-                    self.answer = Some(r);
-                }
-            }
-        }
-        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let cfg = cloud_cfg(&mut sim, MaturityLevel::Ml2, ProcessId(0));
-        sim.add_process(CloudProcess::new(cfg));
-        let client = sim.add_process(Client::default());
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(
-            sim.process::<Client>(client).unwrap().answer,
-            Some(RegistryMsg::Coordinator {
-                scope: 2,
-                node: Some(client)
-            })
-        );
     }
 }

@@ -9,9 +9,9 @@
 
 use crate::config::{ArchitectureConfig, MapePlacement, ReplicationMode};
 use crate::keys::MetricKeys;
-use crate::msg::{AppMsg, Msg, PolicyUpdate, ReadingPayload};
+use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::recovery::MapeHost;
-use riot_coord::{Election, ElectionOutput, Gossip, GossipConfig, MemberState, Swim, SwimOutput};
+use riot_coord::{Election, ElectionOutput, MemberState, Swim, SwimOutput};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
 use riot_sim::{Ctx, EventMask, Process, ProcessId, SimTime};
@@ -48,18 +48,13 @@ pub struct EdgeConfig {
     pub metrics: MetricKeys,
 }
 
-/// The gossip key under which the governance posture is disseminated.
-const POLICY_GOSSIP_KEY: u64 = 1;
-
 /// The edge process.
 pub struct EdgeProcess {
     cfg: EdgeConfig,
     swim: Option<Swim>,
     election: Option<Election>,
-    gossip: Option<Gossip<PolicyUpdate>>,
     store: ReplicatedStore,
     mape: MapeHost,
-    control_served: u64,
     /// Set once the process has started; a second `on_start` is a restart
     /// after a crash, which loses volatile state.
     started: bool,
@@ -70,7 +65,6 @@ impl std::fmt::Debug for EdgeProcess {
         f.debug_struct("EdgeProcess")
             .field("me", &self.cfg.me)
             .field("scope", &self.cfg.scope)
-            .field("control_served", &self.control_served)
             .finish()
     }
 }
@@ -85,25 +79,22 @@ impl EdgeProcess {
         };
         let store =
             ReplicatedStore::with_keys(cfg.me.0 as u32, cfg.domain, policy, cfg.keys.clone());
-        let (swim, election, gossip) = if cfg.arch.decentralized_coordination {
+        let (swim, election) = if cfg.arch.decentralized_coordination {
             let members: Vec<ProcessId> = cfg.peer_edges.iter().copied().chain([cfg.me]).collect();
             (
                 Some(Swim::new(cfg.me, members, cfg.arch.swim, SimTime::ZERO)),
                 Some(Election::new(cfg.me, cfg.arch.election, SimTime::ZERO)),
-                Some(Gossip::new(GossipConfig::default())),
             )
         } else {
-            (None, None, None)
+            (None, None)
         };
         let mape = MapeHost::new(&cfg.arch, MapePlacement::Edge);
         EdgeProcess {
             cfg,
             swim,
             election,
-            gossip,
             store,
             mape,
-            control_served: 0,
             started: false,
         }
     }
@@ -130,41 +121,6 @@ impl EdgeProcess {
             .as_ref()
             .map(|s| s.alive_peers())
             .unwrap_or_default()
-    }
-
-    /// Control requests served so far.
-    pub fn control_served(&self) -> u64 {
-        self.control_served
-    }
-
-    /// Publishes a new governance posture into the edge gossip mesh (a
-    /// no-op below ML4, where there is no gossip layer). The posture takes
-    /// effect locally at once and spreads epidemically to peers.
-    pub fn publish_policy(&mut self, posture: PolicyUpdate) {
-        if let Some(g) = self.gossip.as_mut() {
-            g.publish(POLICY_GOSSIP_KEY, posture);
-            self.apply_posture(posture);
-        }
-    }
-
-    /// The posture this edge currently enforces, per its gossip view
-    /// (`None` below ML4 or before any update circulated).
-    pub fn gossiped_posture(&self) -> Option<PolicyUpdate> {
-        self.gossip
-            .as_ref()
-            .and_then(|g| g.get(POLICY_GOSSIP_KEY))
-            .copied()
-    }
-
-    fn apply_posture(&mut self, posture: PolicyUpdate) {
-        match posture {
-            PolicyUpdate::Permissive => self.store.set_policy(PolicyEngine::permissive()),
-            PolicyUpdate::Governed => {
-                self.store.set_policy(PolicyEngine::governed());
-                // Tightening the posture re-audits resting data.
-                self.store.purge_violations(&self.cfg.registry);
-            }
-        }
     }
 
     /// Transfers this edge (and its store) to another administrative
@@ -337,20 +293,8 @@ impl Process<Msg> for EdgeProcess {
             Msg::Sync(m) => {
                 self.store.on_sync(m, &self.cfg.registry, ctx.now());
             }
-            Msg::Gossip(m) => {
-                if let Some(gossip) = self.gossip.as_mut() {
-                    let changed = gossip.on_message(m);
-                    if changed.contains(&POLICY_GOSSIP_KEY) {
-                        // riot-lint: allow(P1, reason = "changed contains the key, so the merged table holds it")
-                        let posture = *gossip.get(POLICY_GOSSIP_KEY).expect("just merged");
-                        self.apply_posture(posture);
-                        ctx.metrics().incr_key(self.cfg.metrics.edge_policy_updated);
-                    }
-                }
-            }
             Msg::App(AppMsg::Reading(reading)) => self.ingest_reading(ctx, reading),
             Msg::App(AppMsg::ControlRequest { req_id, issued_at }) => {
-                self.control_served += 1;
                 ctx.send(from, Msg::App(AppMsg::ControlReply { req_id, issued_at }));
             }
             _ => {}
@@ -370,14 +314,6 @@ impl Process<Msg> for EdgeProcess {
                     let outputs = election.tick(ctx.now(), &peers);
                     self.election = Some(election);
                     self.dispatch_election(ctx, outputs);
-                }
-                if let Some(mut gossip) = self.gossip.take() {
-                    let peers = self.election_peers();
-                    let sends = gossip.tick(&peers, ctx.rng());
-                    self.gossip = Some(gossip);
-                    for (to, msg) in sends {
-                        ctx.send(to, Msg::Gossip(msg));
-                    }
                 }
                 ctx.schedule(self.cfg.arch.coord_tick, TAG_COORD);
             }
@@ -414,16 +350,6 @@ mod tests {
             id: DomainId(0),
             name: "city".into(),
             jurisdiction: Jurisdiction::EuGdpr,
-        });
-        reg
-    }
-
-    fn registry_with_vendor() -> DomainRegistry {
-        let mut reg = registry();
-        reg.register(Domain {
-            id: DomainId(1),
-            name: "vendor".into(),
-            jurisdiction: Jurisdiction::UsCcpa,
         });
         reg
     }
@@ -815,72 +741,30 @@ mod tests {
         assert!(sim.metrics().counter("edge.restarted") >= 1);
     }
 
-    #[test]
-    fn policy_posture_spreads_by_gossip_and_purges_on_tighten() {
-        let mut sim: Sim<Msg> = SimBuilder::new(3).build();
-        let run = shared(&mut sim);
-        let cloud = sim.add_process(Sink::default());
-        let e0 = ProcessId(1);
-        let e1 = ProcessId(2);
-        let e2 = ProcessId(3);
-        // ML4 connectivity, but start every store permissive (a brownfield
-        // fleet about to receive governance over the air).
-        let mut arch = ArchitectureConfig::for_level(MaturityLevel::Ml4);
-        arch.governed_data = false;
-        for (me, peers) in [(e0, vec![e1, e2]), (e1, vec![e0, e2]), (e2, vec![e0, e1])] {
-            let mut cfg = edge_cfg(&run, MaturityLevel::Ml4, me, peers, cloud);
-            cfg.arch = arch.clone();
-            // Edge 1 lives in the vendor domain so personal data resting
-            // there is a violation.
-            if me == e1 {
-                cfg.domain = riot_model::DomainId(1);
-            }
-            sim.add_process(EdgeProcess::new(cfg));
-        }
-        let dev = sim.add_process(Sink::default());
-        // A personal reading lands on the vendor edge: a violation at rest.
-        sim.send_external(
-            e1,
-            Msg::App(AppMsg::Reading(ReadingPayload {
-                key: edge_key(&sim, e1, "wearable/hr"),
-                value: 70.0,
-                meta: riot_data::DataMeta::personal(DomainId(0), SimTime::ZERO),
-                component: ComponentId(9),
-                state: ComponentState::Running,
-                device: dev,
-            })),
-        );
-        sim.run_until(SimTime::from_secs(2));
-        let reg = registry_with_vendor();
-        assert_eq!(
-            sim.process::<EdgeProcess>(e1)
-                .unwrap()
-                .store()
-                .privacy_violations(&reg),
-            1,
-            "permissive vendor edge keeps the personal record"
-        );
-        // Edge 0 publishes the governed posture; gossip spreads it.
-        sim.process_mut::<EdgeProcess>(e0)
-            .unwrap()
-            .publish_policy(PolicyUpdate::Governed);
-        sim.run_until(SimTime::from_secs(8));
-        for e in [e0, e1, e2] {
-            assert_eq!(
-                sim.process::<EdgeProcess>(e).unwrap().gossiped_posture(),
-                Some(PolicyUpdate::Governed),
-                "{e} converged on the new posture"
+    /// A device stand-in that asks `controller` for one decision when it
+    /// starts and keeps the correlation ids of the replies it gets.
+    struct Asker {
+        controller: ProcessId,
+        replies: Vec<u64>,
+    }
+
+    impl Process<Msg> for Asker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            let issued_at = ctx.now();
+            ctx.send(
+                self.controller,
+                Msg::App(AppMsg::ControlRequest {
+                    req_id: 4,
+                    issued_at,
+                }),
             );
         }
-        assert_eq!(
-            sim.process::<EdgeProcess>(e1)
-                .unwrap()
-                .store()
-                .privacy_violations(&reg),
-            0,
-            "tightening purged the resting violation"
-        );
-        assert!(sim.metrics().counter("edge.policy.updated") >= 2);
+
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
+            if let Msg::App(AppMsg::ControlReply { req_id, .. }) = msg {
+                self.replies.push(req_id);
+            }
+        }
     }
 
     #[test]
@@ -896,15 +780,12 @@ mod tests {
             vec![],
             cloud,
         )));
-        sim.send_external(
-            me,
-            Msg::App(AppMsg::ControlRequest {
-                req_id: 4,
-                issued_at: SimTime::ZERO,
-            }),
-        );
+        let asker = sim.add_process(Asker {
+            controller: me,
+            replies: Vec::new(),
+        });
         sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(sim.process::<EdgeProcess>(me).unwrap().control_served(), 1);
+        assert_eq!(sim.process::<Asker>(asker).unwrap().replies, [4]);
     }
 
     #[test]

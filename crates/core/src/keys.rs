@@ -20,7 +20,6 @@ pub struct MetricKeys {
     pub(crate) edge_ingest_denied: MetricKey,
     pub(crate) edge_ingest_latency_ms: MetricKey,
     pub(crate) edge_restarted: MetricKey,
-    pub(crate) edge_policy_updated: MetricKey,
     // Written by the cloud.
     pub(crate) cloud_ingest_denied: MetricKey,
     pub(crate) cloud_ingest_latency_ms: MetricKey,
@@ -46,7 +45,6 @@ impl MetricKeys {
             edge_ingest_denied: metrics.intern("edge.ingest.denied"),
             edge_ingest_latency_ms,
             edge_restarted: metrics.intern("edge.restarted"),
-            edge_policy_updated: metrics.intern("edge.policy.updated"),
             cloud_ingest_denied: metrics.intern("cloud.ingest.denied"),
             cloud_ingest_latency_ms,
             mape_restart_sent: metrics.intern("mape.restart_sent"),

@@ -71,7 +71,7 @@ pub use device::{DeviceConfig, DeviceGroup, DeviceProcess, DeviceWindow};
 pub use edge::{EdgeConfig, EdgeProcess};
 pub use keys::MetricKeys;
 pub use mobility::{roaming_schedule, Layout, MobilitySpec};
-pub use msg::{AppMsg, Msg, PolicyUpdate, ReadingPayload};
+pub use msg::{AppMsg, Msg, ReadingPayload};
 pub use observe::{
     MonitorError, MonitorOutcome, MonitorSpec, ObserverSpec, StreamQuantiles, StreamSpec,
     StreamStats, StreamSummary, SAT_LABEL, VALUATION_ATOMS,

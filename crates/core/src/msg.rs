@@ -4,23 +4,10 @@
 //! (plus the application-level IoT traffic) into the single type the
 //! simulator routes; each process matches on the variants it hosts.
 
-use riot_coord::{ElectionMsg, GossipMsg, RegistryMsg, SwimMsg};
+use riot_coord::{ElectionMsg, SwimMsg};
 use riot_data::{DataKey, DataMeta, SyncMsg};
 use riot_model::{ComponentId, ComponentState};
 use riot_sim::{ProcessId, SimTime};
-
-/// A governance posture disseminated between edges by gossip — the
-/// decentralized path for "governance among administrative domains"
-/// (Table 2, data-flows column): no broker pushes policy; edges converge
-/// on the freshest version epidemically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyUpdate {
-    /// Everything flows (the legacy posture).
-    Permissive,
-    /// The ML4 governed posture (personal data denied egress, special
-    /// categories redacted).
-    Governed,
-}
 
 /// One sensor reading with the reporting device's component telemetry: what
 /// [`AppMsg::Reading`] and [`AppMsg::RelayedReading`] both carry, so an
@@ -76,12 +63,8 @@ pub enum AppMsg {
 pub enum Msg {
     /// SWIM membership traffic (edges, ML4).
     Swim(SwimMsg),
-    /// Epidemic dissemination of governance posture (edges, ML4).
-    Gossip(GossipMsg<PolicyUpdate>),
     /// Leader election traffic (edges, ML4).
     Election(ElectionMsg),
-    /// Centralized registry traffic (cloud baseline).
-    Registry(RegistryMsg),
     /// Data-plane anti-entropy.
     Sync(SyncMsg),
     /// Application traffic.

@@ -136,11 +136,6 @@ impl Stats {
     pub fn display3(&self) -> String {
         format!("{:.3} ±{:.3}", self.mean, self.ci95)
     }
-
-    /// `mean ±ci95` as percentages with two decimals.
-    pub fn display_pct(&self) -> String {
-        format!("{:.2}% ±{:.2}%", self.mean * 100.0, self.ci95 * 100.0)
-    }
 }
 
 riot_sim::impl_to_json_struct!(Stats {

@@ -54,20 +54,6 @@ pub struct PolicyRule {
 }
 
 impl PolicyRule {
-    /// A rule matching everything, with the given action — useful as an
-    /// explicit terminal rule.
-    pub fn catch_all(name: impl Into<String>, action: PolicyAction) -> Self {
-        PolicyRule {
-            name: name.into(),
-            min_sensitivity: None,
-            max_dest_trust: None,
-            cross_jurisdiction_only: false,
-            leaving_origin_only: false,
-            purposes: None,
-            action,
-        }
-    }
-
     /// The GDPR-style core rule: personal data must not leave its origin
     /// domain towards less-than-trusted destinations.
     pub fn gdpr_personal_data(action: PolicyAction) -> Self {
@@ -308,6 +294,19 @@ mod tests {
         assert_eq!(engine.decide(&ctx, &reg).0, PolicyAction::Deny);
     }
 
+    /// A rule matching every flow, allowing it.
+    fn allow_all() -> PolicyRule {
+        PolicyRule {
+            name: "allow-all".into(),
+            min_sensitivity: None,
+            max_dest_trust: None,
+            cross_jurisdiction_only: false,
+            leaving_origin_only: false,
+            purposes: None,
+            action: PolicyAction::Allow,
+        }
+    }
+
     #[test]
     fn rule_order_matters() {
         let reg = registry();
@@ -319,7 +318,7 @@ mod tests {
         };
         let allow_first = PolicyEngine::new(
             vec![
-                PolicyRule::catch_all("allow-all", PolicyAction::Allow),
+                allow_all(),
                 PolicyRule::gdpr_personal_data(PolicyAction::Deny),
             ],
             PolicyAction::Deny,
@@ -331,7 +330,7 @@ mod tests {
         let deny_first = PolicyEngine::new(
             vec![
                 PolicyRule::gdpr_personal_data(PolicyAction::Deny),
-                PolicyRule::catch_all("allow-all", PolicyAction::Allow),
+                allow_all(),
             ],
             PolicyAction::Allow,
         );

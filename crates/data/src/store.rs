@@ -56,7 +56,7 @@ pub trait StoreProbe {
     /// new record's production timestamp — exactly what
     /// [`ReplicatedStore::staleness_secs_key`] ages against.
     fn on_record(&self, key: DataKey, produced_at: SimTime);
-    /// The record under `key` was evicted (retention, violation purge).
+    /// The record under `key` was evicted (a violation purge).
     fn on_evict(&self, key: DataKey);
     /// The store dropped every entry (volatile-memory loss on restart).
     fn on_clear(&self);
@@ -277,11 +277,6 @@ impl ReplicatedStore {
     /// Governance counters.
     pub fn stats(&self) -> StoreStats {
         self.stats
-    }
-
-    /// Replaces the policy (a domain-transfer disruption may require it).
-    pub fn set_policy(&mut self, policy: PolicyEngine) {
-        self.policy = policy;
     }
 
     /// Moves the store to a new domain (the domain-transfer disruption).
@@ -725,29 +720,6 @@ impl ReplicatedStore {
         }
     }
 
-    /// Evicts records older than the retention window for their
-    /// sensitivity class — the GDPR storage-limitation principle: personal
-    /// data is kept no longer than needed. Returns how many were evicted.
-    ///
-    /// `retention` maps a sensitivity class to a maximum age in seconds;
-    /// classes without an entry are retained indefinitely.
-    pub fn enforce_retention(&mut self, retention: &[(Sensitivity, f64)], now: SimTime) -> usize {
-        let mut evicted = 0;
-        for idx in 0..self.slots.len() {
-            let Some(entry) = self.slots.get(idx).and_then(|s| s.as_ref()) else {
-                continue;
-            };
-            let expired = retention
-                .iter()
-                .find(|(s, _)| *s == entry.record.meta.sensitivity)
-                .is_some_and(|(_, max_age)| entry.record.meta.age_secs(now) > *max_age);
-            if expired && self.evict(idx).is_some() {
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-
     /// Evicts every resting record that currently constitutes a privacy
     /// violation (see [`ReplicatedStore::privacy_violations`]) and returns
     /// how many were purged. A governed component calls this after a
@@ -1179,49 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn retention_evicts_per_sensitivity_class() {
-        let keys = KeySpace::new();
-        let old_personal = keys.intern("old-personal");
-        let new_personal = keys.intern("new-personal");
-        let old_operational = keys.intern("old-operational");
-        let mut s = store(&keys, 0, 0, PolicyEngine::permissive());
-        s.put_key(
-            old_personal,
-            1.0,
-            DataMeta::personal(DomainId(0), SimTime::ZERO),
-            SimTime::ZERO,
-        );
-        s.put_key(
-            new_personal,
-            2.0,
-            DataMeta::personal(DomainId(0), SimTime::from_secs(95)),
-            SimTime::from_secs(95),
-        );
-        s.put_key(
-            old_operational,
-            3.0,
-            DataMeta::operational(DomainId(0), SimTime::ZERO),
-            SimTime::ZERO,
-        );
-        // Personal data: 30 s retention. Operational: unlimited.
-        let evicted =
-            s.enforce_retention(&[(Sensitivity::Personal, 30.0)], SimTime::from_secs(100));
-        assert_eq!(evicted, 1);
-        assert!(
-            s.get_key(old_personal).is_none(),
-            "expired personal data gone"
-        );
-        assert!(
-            s.get_key(new_personal).is_some(),
-            "fresh personal data kept"
-        );
-        assert!(
-            s.get_key(old_operational).is_some(),
-            "no policy, no eviction"
-        );
-    }
-
-    #[test]
     fn purge_evicts_exactly_the_violations() {
         let reg = registry();
         let keys = KeySpace::new();
@@ -1318,10 +1247,7 @@ mod tests {
         /// Loses the picked message in flight.
         Lose(usize),
         Clear(usize),
-        /// (store, governed)
-        SetPolicy(usize, bool),
         SetDomain(usize, DomainId),
-        Retention(usize),
         Purge(usize),
     }
 
@@ -1351,9 +1277,7 @@ mod tests {
             60..=81 => Op::Deliver(pick, rng.chance(0.25)),
             82..=85 => Op::Lose(pick),
             86..=87 => Op::Clear(store),
-            88..=91 => Op::SetPolicy(store, rng.chance(0.5)),
-            92..=94 => Op::SetDomain(store, domain),
-            95..=97 => Op::Retention(store),
+            88..=94 => Op::SetDomain(store, domain),
             _ => Op::Purge(store),
         }
     }
@@ -1483,12 +1407,7 @@ mod tests {
                     }
                 }
                 Op::Clear(s) => self.stores[s].clear(),
-                Op::SetPolicy(s, governed) => self.stores[s].set_policy(engine(governed)),
                 Op::SetDomain(s, domain) => self.stores[s].set_domain(domain),
-                Op::Retention(s) => {
-                    let limits = [(Sensitivity::Personal, 6.0), (Sensitivity::Special, 3.0)];
-                    self.stores[s].enforce_retention(&limits, now);
-                }
                 Op::Purge(s) => {
                     self.stores[s].purge_violations(reg);
                 }

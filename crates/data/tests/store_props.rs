@@ -191,3 +191,60 @@ fn governed_store_never_rests_on_violations() {
         }
     }
 }
+
+/// Duplicate delivery is harmless: a retried push changes nothing. Over the
+/// seeded scripts, every `SyncMsg` is delivered twice in a row; the second
+/// `on_sync` installs no entry and leaves the receiver's fingerprint as the
+/// first left it — the idempotence a retry-on-timeout transport with LWW
+/// merge relies on. Stores span two domains and both postures, so denied
+/// and redacted entries are redelivered too.
+#[test]
+fn a_redelivered_push_installs_nothing() {
+    let mut rng = SimRng::seed_from(0x570E_0003);
+    let mut installed = 0;
+    for _ in 0..CASES {
+        let script = ops(&mut rng, 3);
+        let reg = registry();
+        let (space, keys) = keys();
+        let store = |replica, domain, policy| {
+            ReplicatedStore::with_keys(replica, DomainId(domain), policy, space.clone())
+        };
+        let mut stores = [
+            store(0, 0, PolicyEngine::permissive()),
+            store(1, 0, PolicyEngine::governed()),
+            store(2, 1, PolicyEngine::governed()),
+        ];
+        let mut clock = 1u64;
+        for op in &script {
+            clock += 1;
+            let now = SimTime::from_micros(clock);
+            match op {
+                Op::Put(r, k, v) => {
+                    let sensitivity = if k % 2 == 0 {
+                        Sensitivity::Personal
+                    } else {
+                        Sensitivity::Internal
+                    };
+                    let meta = DataMeta {
+                        sensitivity,
+                        purposes: riot_data::PurposeSet::only(riot_data::Purpose::Operations),
+                        origin: DomainId((*k % 2) as u32),
+                        produced_at: now,
+                    };
+                    stores[r % 3].put_key(keys[*k as usize], *v as f64, meta, now);
+                }
+                Op::Sync(a, b) if a % 3 != b % 3 => {
+                    let (a, b) = (a % 3, b % 3);
+                    let to_domain = stores[b].domain();
+                    let msg = stores[a].sync_out(to_domain, &reg, SimTime::ZERO);
+                    installed += stores[b].on_sync(msg.clone(), &reg, now);
+                    let once = fingerprint(&stores[b]);
+                    assert_eq!(stores[b].on_sync(msg, &reg, now), 0, "second delivery");
+                    assert_eq!(fingerprint(&stores[b]), once, "second delivery");
+                }
+                Op::Sync(..) => {}
+            }
+        }
+    }
+    assert!(installed > 0, "the scripts must install something once");
+}

@@ -279,15 +279,6 @@ impl Monitor {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Resets the monitor to its initial obligation. The automaton built so
-    /// far is kept: it depends on the property alone.
-    pub fn reset(&mut self) {
-        self.position = Position::Interned(0);
-        self.verdict = verdict_of(self.residual());
-        self.steps = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -379,18 +370,6 @@ mod tests {
         assert!(!m.finish(), "pending obligation fails at trace end");
         m.step(v(false, true, p, q)); // response
         assert!(m.finish(), "obligation discharged");
-    }
-
-    #[test]
-    fn reset_restores_initial_obligation() {
-        let (_, p, q) = atoms2();
-        let mut m = Monitor::new(Ltl::atom(p).globally());
-        m.step(v(false, false, p, q));
-        assert_eq!(m.verdict(), Verdict3::Violated);
-        m.reset();
-        assert_eq!(m.verdict(), Verdict3::Inconclusive);
-        assert_eq!(m.steps(), 0);
-        assert_eq!(m.residual(), m.property());
     }
 
     #[test]
@@ -584,15 +563,6 @@ mod tests {
             }
             assert_eq!(m.finish(), phi.evaluate(&trace, 0), "case {case}");
             spilled += usize::from(matches!(m.position, Position::Detached(_)));
-            // A reset monitor is back on the table and replays identically.
-            let verdict = m.verdict();
-            m.reset();
-            assert_eq!((m.steps(), m.misses()), (0, 0));
-            assert_eq!(m.residual(), &simplify(phi.clone()));
-            for s in &trace {
-                m.step(*s);
-            }
-            assert_eq!(m.verdict(), verdict);
         }
         assert!(spilled > 0, "the property must overflow the table");
     }

@@ -15,7 +15,6 @@
 //! is detectable (the vocabulary grew). `riot_core::Scenario` owns one bank
 //! and steps it once per requirement sample; an atom never set reads false.
 
-use crate::ltl::Ltl;
 use crate::monitor::{Monitor, Verdict3};
 use crate::parse::{parse_ltl, ParseError};
 use crate::prop::{Atoms, Valuation};
@@ -128,19 +127,6 @@ impl OnlineMonitor {
         Ok(())
     }
 
-    /// Watches an already-built formula under `name`. The formula must have
-    /// been built against [`OnlineMonitor::atoms_mut`] of *this* bank.
-    pub fn watch_ltl(&mut self, name: impl Into<String>, phi: Ltl) {
-        let source = phi.render(&self.atoms);
-        self.props.push(OnlineProperty {
-            name: name.into(),
-            source,
-            monitor: Monitor::new(phi),
-            first_violation: None,
-            first_satisfaction: None,
-        });
-    }
-
     /// The bank's display name, as given to [`OnlineMonitor::new`].
     pub fn label(&self) -> &str {
         &self.label
@@ -151,8 +137,8 @@ impl OnlineMonitor {
         &self.atoms
     }
 
-    /// Mutable vocabulary access, for building formulas with [`Ltl`]
-    /// combinators instead of the parser.
+    /// Mutable vocabulary access, for interning the atoms a caller can
+    /// value before it watches a formula.
     pub fn atoms_mut(&mut self) -> &mut Atoms {
         &mut self.atoms
     }
@@ -170,12 +156,6 @@ impl OnlineMonitor {
     /// Number of trace states consumed.
     pub fn samples(&self) -> usize {
         self.samples
-    }
-
-    /// `true` if any watched property is currently [`Verdict3::Violated`] —
-    /// the cheap poll a MAPE-K planner would issue between events.
-    pub fn any_violated(&self) -> bool {
-        self.props.iter().any(|p| p.verdict() == Verdict3::Violated)
     }
 
     /// Feeds one trace state, observed at virtual time `at`: every watched
@@ -234,7 +214,6 @@ mod tests {
         let p = &om.properties()[0];
         assert_eq!(p.verdict(), Verdict3::Violated);
         assert_eq!(p.first_violation(), Some(SimTime::from_secs(3)));
-        assert!(om.any_violated());
         assert!(!p.finish());
     }
 
@@ -286,7 +265,8 @@ mod tests {
     fn watch_ltl_uses_the_shared_vocabulary() {
         let mut om = OnlineMonitor::new("sat");
         let p = om.atoms_mut().intern("p");
-        om.watch_ltl("direct", Ltl::atom(p).globally());
+        om.watch("direct", "G p").unwrap();
+        assert_eq!(om.atoms().lookup("p"), Some(p), "no second atom");
         step(&mut om, 1, &[]);
         assert_eq!(om.properties()[0].verdict(), Verdict3::Violated);
         assert_eq!(om.properties()[0].source(), "G p");

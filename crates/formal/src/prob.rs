@@ -121,15 +121,6 @@ impl Dtmc {
         }
     }
 
-    /// The probability of `from → to` (0 when absent).
-    pub fn transition(&self, from: StateId, to: StateId) -> f64 {
-        self.rows[from.index()]
-            .iter()
-            .find(|(j, _)| *j == to.index())
-            .map(|(_, p)| *p)
-            .unwrap_or(0.0)
-    }
-
     /// Checks stochasticity: every row sums to 1 and is non-negative.
     ///
     /// # Errors
@@ -305,8 +296,8 @@ mod tests {
         let mut m = Dtmc::new(2);
         m.set_transition(s(0), s(1), 0.3);
         m.set_transition(s(0), s(1), 0.7);
-        assert_eq!(m.transition(s(0), s(1)), 0.7);
-        assert_eq!(m.transition(s(1), s(0)), 0.0);
+        assert_eq!(m.reach_within(&[s(1)], 1)[0], 0.7);
+        assert_eq!(m.reach_within(&[s(0)], 1)[1], 0.0);
         assert_eq!(m.state_count(), 2);
     }
 }

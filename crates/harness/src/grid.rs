@@ -83,24 +83,6 @@ impl<T> Grid<T> {
         self
     }
 
-    /// Appends one cell per seed, with `seed` appended to the id and bound
-    /// as a parameter — the common shape of multi-seed sweeps.
-    pub fn cells_per_seed(
-        &mut self,
-        id: impl AsRef<str>,
-        seeds: impl IntoIterator<Item = u64>,
-        make: impl Fn(u64) -> Cell<T>,
-    ) -> &mut Grid<T> {
-        let id = id.as_ref();
-        for seed in seeds {
-            let mut cell = make(seed);
-            cell.id = format!("{id}/s{seed}");
-            cell.seed = seed;
-            self.cells.push(cell);
-        }
-        self
-    }
-
     /// Number of cells declared.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -207,11 +189,6 @@ impl<T> GridReport<T> {
         self.cells.iter().filter(|c| c.outcome.is_err())
     }
 
-    /// Number of cells that completed.
-    pub fn ok_count(&self) -> usize {
-        self.cells.len() - self.error_count()
-    }
-
     /// Number of cells that panicked.
     pub fn error_count(&self) -> usize {
         self.failed().count()
@@ -228,19 +205,6 @@ impl<T> GridReport<T> {
                 );
             }
         }
-    }
-
-    /// Groups records by a caller-derived key, preserving grid order
-    /// within each group — the substrate for per-level / per-suite tables.
-    pub fn group_by<K: Ord>(
-        &self,
-        key: impl Fn(&CellRecord<T>) -> K,
-    ) -> BTreeMap<K, Vec<&CellRecord<T>>> {
-        let mut groups: BTreeMap<K, Vec<&CellRecord<T>>> = BTreeMap::new();
-        for rec in &self.cells {
-            groups.entry(key(rec)).or_default().push(rec);
-        }
-        groups
     }
 
     /// First-class multi-seed aggregation: groups the *successful* cells
@@ -335,7 +299,7 @@ mod tests {
         }));
         grid.cell(Cell::new("ok-3", 3, || 3u32));
         let report = run_quiet(grid, 2);
-        assert_eq!(report.ok_count(), 2);
+        assert_eq!(report.values().count(), 2);
         assert_eq!(report.error_count(), 1);
         let failed: Vec<&str> = report.failed().map(|r| r.id.as_str()).collect();
         assert_eq!(failed, vec!["boom"]);
@@ -376,23 +340,10 @@ mod tests {
             }
         }
         let report = run_quiet(grid, 3);
-        let by_level = report.group_by(|r| r.params.clone());
-        assert_eq!(by_level.len(), 2);
         let stats = report.seed_stats(|r| r.id.split('/').next().unwrap_or("").to_owned(), |v| *v);
         let a = stats.get("a").copied().unwrap_or(Stats::from_samples(&[]));
         assert_eq!(a.n, 3);
         assert!((a.mean - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cells_per_seed_names_and_seeds_cells() {
-        let mut grid = Grid::new();
-        grid.cells_per_seed("lvl", [7u64, 8], |seed| Cell::new("", 0, move || seed));
-        assert_eq!(grid.len(), 2);
-        let report = run_quiet(grid, 1);
-        assert_eq!(report.cells[0].id, "lvl/s7");
-        assert_eq!(report.cells[0].seed, 7);
-        assert_eq!(report.cells[1].id, "lvl/s8");
     }
 
     #[test]

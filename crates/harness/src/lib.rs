@@ -26,11 +26,10 @@
 //!    ETA) exist only on the progress channel and in [`CellRecord::wall`];
 //!    they are never serialized.
 //!
-//! Multi-seed aggregation is first-class: [`GridReport::group_by`] and
-//! [`GridReport::seed_stats`] fold same-parameter cells across seeds into
-//! [`riot_core::Stats`] (mean / stddev / 95% confidence interval),
-//! replacing the ad-hoc per-binary averaging the experiment binaries used
-//! to carry.
+//! Multi-seed aggregation is first-class: [`GridReport::seed_stats`] folds
+//! same-parameter cells across seeds into [`riot_core::Stats`] (mean /
+//! stddev / 95% confidence interval), replacing the ad-hoc per-binary
+//! averaging the experiment binaries used to carry.
 //!
 //! ```
 //! use riot_harness::{Cell, Grid, HarnessConfig};

@@ -59,7 +59,7 @@ fn panicking_cell_yields_error_row_and_the_rest_complete() {
     }));
     let report = grid.run(&config(4));
 
-    assert_eq!(report.ok_count(), 6);
+    assert_eq!(report.values().count(), 6);
     assert_eq!(report.error_count(), 1);
     let failed: Vec<_> = report.failed().collect();
     assert_eq!(failed.len(), 1);
@@ -104,7 +104,7 @@ fn crashing_cell_ships_its_ring_trace_tail() {
     // stale-forensics clearing between cells.
     let report = grid.run(&config(1));
 
-    assert_eq!(report.ok_count(), 1);
+    assert_eq!(report.values().count(), 1);
     let failed: Vec<_> = report.failed().collect();
     let err = failed[0].outcome.as_ref().unwrap_err();
     assert!(err.panic.contains("crash after annotating"));

@@ -214,20 +214,6 @@ impl RequirementSet {
     pub fn iter(&self) -> impl Iterator<Item = &Requirement> {
         self.reqs.values()
     }
-
-    /// Fraction of requirements currently satisfied (unknown counts as not
-    /// satisfied — conservative, as the paper's adversarial framing wants).
-    pub fn satisfaction_fraction(&self, telemetry: &impl Telemetry) -> f64 {
-        if self.reqs.is_empty() {
-            return 1.0;
-        }
-        let sat = self
-            .reqs
-            .values()
-            .filter(|r| r.evaluate(telemetry).is_satisfied())
-            .count();
-        sat as f64 / self.reqs.len() as f64
-    }
 }
 
 impl FromIterator<Requirement> for RequirementSet {
@@ -320,19 +306,21 @@ mod tests {
         .collect();
         let t = telemetry(&[(0, 0.5), (1, 0.5)]);
         // req0 satisfied, req1 violated, req2 unknown.
-        assert_eq!(set.satisfaction_fraction(&t), 1.0 / 3.0);
         let verdicts: Vec<Verdict> = set.iter().map(|r| r.evaluate(&t)).collect();
         assert_eq!(
             verdicts,
             [Verdict::Satisfied, Verdict::Violated, Verdict::Unknown]
         );
+        let satisfied = verdicts.iter().filter(|v| v.is_satisfied()).count();
+        assert_eq!(satisfied, 1, "unknown is not satisfied");
     }
 
     #[test]
     fn empty_set_is_vacuously_satisfied() {
         let set = RequirementSet::new();
         assert!(set.is_empty());
-        assert_eq!(set.satisfaction_fraction(&telemetry(&[])), 1.0);
+        let t = telemetry(&[]);
+        assert!(set.iter().all(|r| r.evaluate(&t).is_satisfied()));
     }
 
     #[test]

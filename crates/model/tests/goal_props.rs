@@ -73,7 +73,11 @@ fn and_or_tree_agrees_with_fraction() {
         let and_root = goals.and("all", leaves.clone());
         goals.set_root(and_root);
         let eval = goals.evaluate(&reqs, &telemetry);
-        let frac = reqs.satisfaction_fraction(&telemetry);
+        let satisfied = reqs
+            .iter()
+            .filter(|r| r.evaluate(&telemetry).is_satisfied())
+            .count();
+        let frac = satisfied as f64 / n as f64;
         assert_eq!(eval.root == Verdict::Satisfied, (frac - 1.0).abs() < 1e-12);
         assert!((eval.leaf_score - frac).abs() < 1e-12);
 

@@ -18,10 +18,10 @@
 //! use riot_net::{Hierarchy, HierarchySpec};
 //!
 //! let (mut net, h) = Hierarchy::build(&HierarchySpec::default());
-//! assert!(net.reachable(h.devices[0][0], h.cloud));
+//! assert!(net.path(h.devices[0][0], h.cloud).is_some());
 //! net.isolate(h.cloud);
 //! // The edge mesh keeps the neighbourhood alive without the cloud.
-//! assert!(net.reachable(h.devices[0][0], h.devices[1][0]));
+//! assert!(net.path(h.devices[0][0], h.devices[1][0]).is_some());
 //! ```
 
 #![forbid(unsafe_code)]

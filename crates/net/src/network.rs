@@ -310,8 +310,8 @@ impl Network {
         self.forgot(local);
     }
 
-    /// Removes a link entirely (distinct from cutting, which is reversible
-    /// via [`Network::heal_all`]).
+    /// Removes a link entirely (distinct from cutting, which
+    /// [`Network::restore_link`] reverses).
     pub fn remove_link(&mut self, a: ProcessId, b: ProcessId) {
         let now = self.tick();
         if let Some(id) = self.link_id(a, b) {
@@ -339,14 +339,6 @@ impl Network {
             .iter()
             .enumerate()
             .map(|(i, &kind)| (ProcessId(i), kind))
-    }
-
-    /// All node ids of a given kind.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> Vec<ProcessId> {
-        self.nodes()
-            .filter(|&(_, k)| k == kind)
-            .map(|(id, _)| id)
-            .collect()
     }
 
     /// Cuts one link (both directions). Cut links drop every message until
@@ -386,20 +378,6 @@ impl Network {
         newly_cut
     }
 
-    /// Restores every link adjacent to `n`.
-    pub fn rejoin(&mut self, n: ProcessId) {
-        self.tick();
-        let mut local = true;
-        for i in 0..self.adjacency[n.0].len() {
-            let (_, id) = self.adjacency[n.0][i];
-            if std::mem::take(&mut self.links[id as usize].cut) {
-                // Each heal is judged with the ones before it in place.
-                local &= self.heal_is_local(id);
-            }
-        }
-        self.forgot(local);
-    }
-
     /// Partitions the network into the given groups: every link whose
     /// endpoints fall in different groups is cut. Nodes not mentioned keep
     /// all their links. Returns the links that were newly cut, so a healer
@@ -428,14 +406,6 @@ impl Network {
         newly_cut
     }
 
-    /// Heals every cut link.
-    pub fn heal_all(&mut self) {
-        for slot in &mut self.links {
-            slot.cut = false;
-        }
-        self.invalidate();
-    }
-
     /// Degrades a link: every message over it takes `factor` times its
     /// sampled latency (congestion or radio interference, §II's adverse
     /// environments). Factors below 1 are clamped to 1. Routing weights
@@ -455,19 +425,6 @@ impl Network {
         }
     }
 
-    /// The current degradation factor of a link (1.0 when healthy).
-    pub fn degradation(&self, a: ProcessId, b: ProcessId) -> f64 {
-        self.link_id(a, b)
-            .and_then(|id| self.links[id as usize].factor)
-            .unwrap_or(1.0)
-    }
-
-    /// `true` if a usable (existing and not cut) link joins `a` and `b`.
-    pub fn link_usable(&self, a: ProcessId, b: ProcessId) -> bool {
-        self.link_id(a, b)
-            .is_some_and(|id| !self.links[id as usize].cut)
-    }
-
     /// Moves a device to a new parent: all current links of `dev` are
     /// removed and a single new link to `parent` is added — the mobility
     /// primitive (a phone roaming between gateways, a vehicle between road-
@@ -485,11 +442,6 @@ impl Network {
     pub fn path(&mut self, from: ProcessId, to: ProcessId) -> Option<Vec<ProcessId>> {
         self.path_indices(from.0, to.0)
             .map(|p| p.into_iter().map(ProcessId).collect())
-    }
-
-    /// `true` if `from` can currently reach `to`.
-    pub fn reachable(&mut self, from: ProcessId, to: ProcessId) -> bool {
-        from == to || self.path_indices(from.0, to.0).is_some()
     }
 
     /// What routing has cost so far.
@@ -748,26 +700,30 @@ mod tests {
     #[test]
     fn partition_drops_and_heal_restores() {
         let (mut net, a, b, c) = line3();
-        net.partition(&[vec![a, b], vec![c]]);
+        let cut = net.partition(&[vec![a, b], vec![c]]);
         let mut rng = SimRng::seed_from(0);
         assert_eq!(
             Medium::<u32>::route(&mut net, SimTime::ZERO, a, c, &0, &mut rng),
             Delivery::Drop("partition")
         );
-        assert!(net.reachable(a, b));
-        assert!(!net.reachable(a, c));
-        net.heal_all();
-        assert!(net.reachable(a, c));
+        assert!(net.path(a, b).is_some());
+        assert!(net.path(a, c).is_none());
+        for (x, y) in cut {
+            net.restore_link(x, y);
+        }
+        assert!(net.path(a, c).is_some());
     }
 
     #[test]
     fn isolate_and_rejoin() {
         let (mut net, a, b, c) = line3();
-        net.isolate(b);
-        assert!(!net.reachable(a, b));
-        assert!(!net.reachable(a, c));
-        net.rejoin(b);
-        assert!(net.reachable(a, c));
+        let cut = net.isolate(b);
+        assert!(net.path(a, b).is_none());
+        assert!(net.path(a, c).is_none());
+        for (x, y) in cut {
+            net.restore_link(x, y);
+        }
+        assert_eq!(net.path(a, c).unwrap(), vec![a, b, c]);
     }
 
     #[test]
@@ -833,9 +789,16 @@ mod tests {
     #[test]
     fn nodes_of_kind_filters() {
         let (net, a, b, c) = line3();
-        assert_eq!(net.nodes_of_kind(NodeKind::Device), vec![a]);
-        assert_eq!(net.nodes_of_kind(NodeKind::Edge), vec![b]);
-        assert_eq!(net.nodes_of_kind(NodeKind::Cloud), vec![c]);
+        let of_kind = |kind| -> Vec<ProcessId> {
+            net.nodes()
+                .filter(|&(_, k)| k == kind)
+                .map(|(id, _)| id)
+                .collect()
+        };
+        assert_eq!(of_kind(NodeKind::Device), vec![a]);
+        assert_eq!(of_kind(NodeKind::Edge), vec![b]);
+        assert_eq!(of_kind(NodeKind::Cloud), vec![c]);
+        assert_eq!(net.node(c), Some(NodeKind::Cloud));
         assert_eq!(net.node_count(), 3);
     }
 
@@ -843,9 +806,9 @@ mod tests {
     fn remove_link_is_permanent_across_heal() {
         let (mut net, a, b, c) = line3();
         net.remove_link(b, c);
-        net.heal_all();
-        assert!(!net.reachable(a, c));
-        assert!(net.reachable(a, b));
+        net.restore_link(b, c);
+        assert!(net.path(a, c).is_none());
+        assert!(net.path(a, b).is_some());
     }
 
     #[test]
@@ -860,36 +823,38 @@ mod tests {
     fn degradation_multiplies_latency_without_rerouting() {
         let (mut net, a, b, c) = line3();
         let mut rng = SimRng::seed_from(0);
+        let ms = SimDuration::from_millis;
         net.degrade_link(a, b, 10.0);
-        assert_eq!(net.degradation(a, b), 10.0);
-        match Medium::<u32>::route(&mut net, SimTime::ZERO, a, c, &0, &mut rng) {
-            Delivery::After(d) => assert_eq!(d, SimDuration::from_millis(20), "1ms*10 + 10ms"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            deliver(&mut net, a, c, &mut rng),
+            Delivery::After(ms(20)),
+            "1ms*10 + 10ms"
+        );
         // Path unchanged: degradation is invisible to routing.
         assert_eq!(net.path(a, c).unwrap(), vec![a, b, c]);
         net.restore_link_quality(a, b);
-        assert_eq!(net.degradation(a, b), 1.0);
-        match Medium::<u32>::route(&mut net, SimTime::ZERO, a, c, &0, &mut rng) {
-            Delivery::After(d) => assert_eq!(d, SimDuration::from_millis(11)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(deliver(&mut net, a, c, &mut rng), Delivery::After(ms(11)));
         // Sub-unity factors clamp to 1 (degradation never speeds links up).
         net.degrade_link(a, b, 0.1);
-        assert_eq!(net.degradation(a, b), 1.0);
+        assert_eq!(deliver(&mut net, a, b, &mut rng), Delivery::After(ms(1)));
         // Unknown links are ignored.
         net.degrade_link(a, c, 5.0);
-        assert_eq!(net.degradation(a, c), 1.0);
+        assert_eq!(deliver(&mut net, a, c, &mut rng), Delivery::After(ms(11)));
     }
 
     #[test]
     fn link_usable_reflects_cuts() {
         let (mut net, a, b, _) = line3();
-        assert!(net.link_usable(a, b));
+        let mut rng = SimRng::seed_from(0);
+        let one_hop = Delivery::After(SimDuration::from_millis(1));
+        assert_eq!(deliver(&mut net, a, b, &mut rng), one_hop);
         net.cut_link(a, b);
-        assert!(!net.link_usable(a, b));
+        assert_eq!(
+            deliver(&mut net, a, b, &mut rng),
+            Delivery::Drop("partition")
+        );
         net.restore_link(a, b);
-        assert!(net.link_usable(a, b));
+        assert_eq!(deliver(&mut net, a, b, &mut rng), one_hop);
     }
 
     // -- Shared resumable searches (`dijkstra`) against the per-pair oracle.
@@ -993,7 +958,7 @@ mod tests {
     }
 
     fn random_topology_change(net: &mut Network, rng: &mut SimRng) {
-        match rng.range_u64(0, 12) {
+        match rng.range_u64(0, 11) {
             0 | 1 => {
                 if let Some((a, b)) = random_link(net, rng) {
                     net.cut_link(a, b);
@@ -1037,10 +1002,6 @@ mod tests {
                 }
             }
             8 => {
-                let n = random_node(net, rng);
-                net.rejoin(n);
-            }
-            9 => {
                 // A link taken away and put back, as it was or heavier.
                 if let Some((a, b)) = random_link(net, rng) {
                     let id = net.link_id(a, b).unwrap();
@@ -1052,7 +1013,7 @@ mod tests {
                     net.add_link(a, b, link);
                 }
             }
-            10 => {
+            9 => {
                 // A crashed node recovers link by link, as `restore_after`
                 // in riot-core brings one back.
                 let n = random_node(net, rng);
@@ -1062,7 +1023,11 @@ mod tests {
                     }
                 }
             }
-            _ => net.heal_all(),
+            _ => {
+                for (a, b) in links_of(net, true) {
+                    net.restore_link(a, b);
+                }
+            }
         }
     }
 
@@ -1169,11 +1134,11 @@ mod tests {
         });
         for (e, devs) in h.devices.iter().enumerate() {
             for &d in devs {
-                assert!(net.reachable(d, h.edges[e]));
-                assert!(net.reachable(d, h.cloud));
+                assert!(net.path(d, h.edges[e]).is_some());
+                assert!(net.path(d, h.cloud).is_some());
             }
         }
-        assert!(net.reachable(h.devices[0][0], h.devices[1][0]));
+        assert!(net.path(h.devices[0][0], h.devices[1][0]).is_some());
         assert!(net.searches.len() <= h.edges.len() + 1);
         assert!(net
             .searches
@@ -1234,10 +1199,8 @@ mod tests {
             Delivery::After(SimDuration::from_millis(20))
         );
         net.remove_link(a, b);
-        assert_eq!(net.degradation(a, b), 1.0);
         // A roamer returns to its gateway: a new link, not the congested one.
         net.add_link(a, b, Link::lossless(LatencyModel::fixed_ms(1)));
-        assert_eq!(net.degradation(a, b), 1.0);
         assert_eq!(
             deliver(&mut net, a, c, &mut rng),
             Delivery::After(SimDuration::from_millis(11))

@@ -222,7 +222,7 @@ mod tests {
         assert_eq!(h.all_devices().len(), 12);
         // Every device reaches the cloud through its edge.
         for &d in &h.all_devices() {
-            assert!(net.reachable(d, h.cloud));
+            assert!(net.path(d, h.cloud).is_some());
         }
         assert_eq!(h.edge_of(h.devices[1][0]), Some(h.edges[1]));
         assert_eq!(h.edge_of(h.cloud), None);
@@ -238,9 +238,9 @@ mod tests {
         };
         let (mut net, h) = Hierarchy::build(&spec);
         // Edges only talk via the cloud; isolating the cloud separates them.
-        assert!(net.reachable(h.edges[0], h.edges[1]));
+        assert!(net.path(h.edges[0], h.edges[1]).is_some());
         net.isolate(h.cloud);
-        assert!(!net.reachable(h.edges[0], h.edges[1]));
+        assert!(net.path(h.edges[0], h.edges[1]).is_none());
     }
 
     #[test]
@@ -253,11 +253,11 @@ mod tests {
         let (mut net, h) = Hierarchy::build(&spec);
         net.isolate(h.cloud);
         assert!(
-            net.reachable(h.edges[0], h.edges[1]),
+            net.path(h.edges[0], h.edges[1]).is_some(),
             "mesh keeps edges connected"
         );
         assert!(
-            net.reachable(h.devices[0][0], h.devices[1][0]),
+            net.path(h.devices[0][0], h.devices[1][0]).is_some(),
             "devices reach across edges without the cloud"
         );
     }
@@ -266,7 +266,7 @@ mod tests {
     fn star_line_ring_mesh_shapes() {
         let (mut snet, hub, leaves) = star(NodeKind::Edge, NodeKind::Device, 5, presets::lan());
         assert_eq!(leaves.len(), 5);
-        assert!(snet.reachable(leaves[0], leaves[4]));
+        assert!(snet.path(leaves[0], leaves[4]).is_some());
         assert_eq!(snet.path(leaves[0], leaves[4]).unwrap().len(), 3);
         let _ = hub;
 

@@ -95,8 +95,7 @@ pub enum SimEventKind {
     /// A numeric measurement ([`Ctx::measure`](crate::Ctx::measure)): the
     /// typed, allocation-free channel that feeds streaming telemetry
     /// operators ([`crate::stream`]). The value travels as raw bits so the
-    /// event type stays `Eq`/`Hash`; read it back with
-    /// [`SimEventKind::measure_value`].
+    /// event type stays `Eq`/`Hash`; read it back with `f64::from_bits`.
     Measure {
         /// Measuring process.
         id: ProcessId,
@@ -196,15 +195,6 @@ impl SimEventKind {
             SimEventKind::ProcessUp { .. } => "up",
             SimEventKind::Note { .. } => "note",
             SimEventKind::Measure { .. } => "measure",
-        }
-    }
-
-    /// The measured value of a [`SimEventKind::Measure`] event; `None` for
-    /// every other kind.
-    pub fn measure_value(&self) -> Option<f64> {
-        match self {
-            SimEventKind::Measure { value_bits, .. } => Some(f64::from_bits(*value_bits)),
-            _ => None,
         }
     }
 }

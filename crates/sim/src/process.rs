@@ -168,11 +168,6 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
     pub fn wants(&self, mask: crate::observer::EventMask) -> bool {
         self.kernel.interest.intersects(mask)
     }
-
-    /// Number of processes spawned in this simulation.
-    pub fn process_count(&self) -> usize {
-        self.kernel.live.len()
-    }
 }
 
 #[cfg(test)]

@@ -237,11 +237,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.kernel.add_observer(observer)
     }
 
-    /// Number of registered observers.
-    pub fn observer_count(&self) -> usize {
-        self.kernel.observers.len()
-    }
-
     /// `true` if some registered observer subscribed to a kind in `mask`.
     /// Call sites that format a text for [`Sim::annotate`] ask
     /// `wants(EventMask::NOTE)` first.
@@ -839,22 +834,23 @@ mod tests {
         );
     }
 
-    /// Forwards what reaches it to random peers while its budget lasts, and
-    /// keeps a timer or two running beside the messages.
+    /// Forwards what reaches it to random peers (ids below `peers`) while
+    /// its budget lasts, and keeps a timer or two running beside the
+    /// messages.
     #[derive(Clone, Copy)]
     struct Chatter {
         budget: u32,
+        peers: u64,
     }
 
     impl Chatter {
         fn chat(&mut self, ctx: &mut Ctx<'_, Msg>) {
-            let peers = ctx.process_count();
             for _ in 0..ctx.rng().range_u64(0, 3) {
                 if self.budget == 0 {
                     return;
                 }
                 self.budget -= 1;
-                let to = ProcessId(ctx.rng().range_u64(0, peers as u64) as usize);
+                let to = ProcessId(ctx.rng().range_u64(0, self.peers) as usize);
                 ctx.send(to, Msg::Ping(self.budget));
             }
             if self.budget > 0 && ctx.rng().chance(0.3) {
@@ -1052,7 +1048,11 @@ mod tests {
         // 400 chatters 3 ms apart: every wave of messages is one slot of a
         // few hundred deliveries and timers, some for processes that went
         // down after the message was sent.
-        same_run_with_and_without_prefetch(Chatter { budget: 60 }, 400, |sim| {
+        let chatter = Chatter {
+            budget: 60,
+            peers: 400,
+        };
+        same_run_with_and_without_prefetch(chatter, 400, |sim| {
             let mut staged = 0;
             for round in 0..200 {
                 sim.run_for(SimDuration::from_millis(1));
@@ -1074,7 +1074,10 @@ mod tests {
             let medium = IdealMedium::with_latency(SimDuration::from_millis(3));
             let mut sim: Sim<Msg> = SimBuilder::new(29).build_with_medium(Box::new(medium));
             for _ in 0..400 {
-                sim.add_process(Chatter { budget: 60 });
+                sim.add_process(Chatter {
+                    budget: 60,
+                    peers: 400,
+                });
             }
             sim.run_to_completion();
             (sim.queue_stats(), sim.events_processed())
@@ -1104,7 +1107,10 @@ mod tests {
                     builder.build()
                 };
                 for _ in 0..PROCESSES {
-                    sim.add_process(Chatter { budget: 40 });
+                    sim.add_process(Chatter {
+                        budget: 40,
+                        peers: PROCESSES,
+                    });
                 }
                 // Occupancy only falls at the top of a step (the release) and
                 // only rises after it, so reading it after every step and
@@ -1297,7 +1303,6 @@ mod tests {
     fn nobody_listening_means_not_observing() {
         let sim: Sim<Msg> = SimBuilder::new(1).build();
         assert!(!sim.wants(EventMask::ALL));
-        assert_eq!(sim.observer_count(), 0);
     }
 
     #[test]

@@ -119,15 +119,6 @@ impl SimDuration {
         SimDuration((s * 1_000_000.0).round() as u64)
     }
 
-    /// Creates a duration from a float number of milliseconds, rounding to
-    /// the nearest microsecond and saturating below zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        if ms <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((ms * 1_000.0).round() as u64)
-    }
-
     /// Microseconds in this duration.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -141,11 +132,6 @@ impl SimDuration {
     /// Seconds in this duration, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// `true` if this is the zero-length duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Multiplies by a float factor, rounding to the nearest microsecond.
@@ -249,7 +235,6 @@ mod tests {
         assert_eq!(SimTime::from_secs(2).as_millis_f64(), 2_000.0);
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
         assert_eq!(SimDuration::from_secs_f64(0.0015).as_micros(), 1_500);
-        assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1_500);
     }
 
     #[test]
@@ -282,7 +267,6 @@ mod tests {
     #[test]
     fn negative_float_durations_clamp_to_zero() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_millis_f64(-0.1), SimDuration::ZERO);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 #   scripts/bench_pairs.sh <parent-rev> [workload…] [--seconds N] [--pairs N]
 #
 # The change is the working tree this script lives in; the parent is
-# `git archive <parent-rev>` unpacked under /root/scratch/bench_pairs. With
+# `git archive <parent-rev>` unpacked under the repository's
+# target/bench_pairs (beside every build and output of the run). With
 # no workload named, every workload BENCHMARK.json lists runs; a name it
 # does not list fails before anything is built. Prints, per workload, the
 # per-seed table and the median [Q1–Q3] / ratio / wins rows in
@@ -16,12 +17,12 @@
 set -euo pipefail
 
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
-work=/root/scratch/bench_pairs
+work="$root/target/bench_pairs"
 seeds=(3 7 11 19 23 42 57 101 314 2718)
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
 
 usage() {
-  sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 

@@ -6,7 +6,7 @@
 #   scripts/parity.sh <parent-rev>
 #
 # The change is the working tree this script lives in; the parent is
-# `git archive <parent-rev>` unpacked under /root/scratch/parity (as
+# `git archive <parent-rev>` unpacked under the repository's target/parity (as
 # scripts/bench_pairs.sh does). Both sides build `riot` and the examples in
 # release mode into their own target directory, each runs the fixed command
 # list below (four `riot` commands, then every example the parent also has)
@@ -17,7 +17,7 @@
 set -euo pipefail
 
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
-work=/root/scratch/parity
+work="$root/target/parity"
 [[ $# -eq 1 ]] || { sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 
 parent_rev="$(git -C "$root" rev-parse --verify "$1^{commit}")"

@@ -8,10 +8,10 @@
 #
 # Builds the benchmark package (crates/bench/src/bin/benchmark/Cargo.toml)
 # with CARGO_PROFILE_RELEASE_DEBUG=true into its own target directory under
-# /root/scratch/profile — debug info changes no generated code — and runs
-# the untraced workload under scripts/sigprof.c: SIGPROF on a 1 ms CPU-time
-# timer (the kernel delivers it at its own tick, 4 ms at HZ=250), the raw
-# stack kept at each. Addresses are symbolised with `addr2line -f -i -C`,
+# the repository's target/profile — debug info changes no generated code —
+# and runs the untraced workload under scripts/sigprof.c: SIGPROF on a 1 ms
+# CPU-time timer (the kernel delivers it at its own tick, 4 ms at HZ=250),
+# the raw stack kept at each. Addresses are symbolised with `addr2line -f -i -C`,
 # return addresses minus one. Three tables:
 #
 #   flat by function   the sample's innermost frame inside the binary, by
@@ -32,7 +32,7 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
-work=/root/scratch/profile
+work="$root/target/profile"
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
 
 usage() {

@@ -1,7 +1,13 @@
 #!/usr/bin/env bash
-# Inventory of exported names nothing outside their own crate runs: for each
-# library crate's `pub use` names, the ones no program code outside the
-# defining crate and outside `crates/lint` mentions.
+# Inventory of code nothing runs, in two sections:
+#
+#   1. exported names: for each library crate's `pub use` names, the ones no
+#      program code outside the defining crate and outside `crates/lint`
+#      mentions;
+#   2. functions: each `pub`/`pub(..)` fn whose name appears in no program
+#      text except its own definition(s), in any crate. Private fns are
+#      left to the compiler's dead-code lint; trait-impl methods carry no
+#      visibility and are not listed.
 #
 #   scripts/unread_exports.sh
 #
@@ -91,4 +97,35 @@ for my $lib (grep { m{^crates/[^/]+/src/lib\.rs$} } @files) {
     print "riot-$crate\n", join("\n", @rows), "\n";
 }
 print "$total exported name(s) with no program reader outside their crate\n";
+
+# Functions: a `pub` fn is unread when every whole-word mention of its name
+# in program text is one of its definitions.
+my (%defs, %mentions);
+for my $f (@files) {
+    my $p = $text{$f}[0];
+    my $prev = "";
+    for my $l (split /\n/, $p) {
+        # A `#[cfg(test)]` fn is test code already.
+        push @{ $defs{$1} }, $f
+            if $l =~ /^\s*pub(?:\([^)]*\))?\s+(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)/
+            && $prev !~ /^\s*#\[cfg\(test\)\]/;
+        $prev = $l;
+    }
+    $mentions{$_}++ for $p =~ /\b(\w+)\b/g;
+}
+my %all_defs;
+for my $f (@files) {
+    $all_defs{$_}++ for $text{$f}[0] =~ /\bfn\s+(\w+)/g;
+}
+my @fn_rows;
+for my $name (sort keys %defs) {
+    next if $mentions{$name} > $all_defs{$name};
+    my %seen;
+    my @where = grep { !$seen{$_}++ } @{ $defs{$name} };
+    my @test = grep { $text{$_}[1] =~ /\b\Q$name\E\b/ } @files;
+    push @fn_rows, sprintf("  %-24s %s\n  %-24s %s", $name, join(", ", @where), "",
+        @test ? "read by: " . join(", ", @test) : "(no reader)");
+}
+print "\nfunctions\n", join("\n", @fn_rows), "\n" if @fn_rows;
+print scalar(@fn_rows), " pub fn name(s) mentioned by no program text but their definitions\n";
 '
