@@ -53,6 +53,9 @@ const GOSSIP_FANOUTS: [usize; 4] = [1, 2, 3, 5];
 const GOSSIP_SEEDS: [u64; 3] = [17, 18, 19];
 /// `gossip_trial` gives up after this many rounds (rumor went cold).
 const GOSSIP_ROUND_CAP: u32 = 200;
+/// How often each SWIM node's `tick` runs: the coordination tick
+/// riot-core's edges use.
+const SWIM_TICK: SimDuration = SimDuration::from_millis(200);
 
 fn main() {
     banner(
@@ -241,7 +244,6 @@ fn swim_trial(n: usize, probe_ms: u64, susp_ms: u64, seed: u64) -> (f64, u64) {
         probe_period: SimDuration::from_millis(probe_ms),
         suspicion_timeout: SimDuration::from_millis(susp_ms),
         probe_timeout: SimDuration::from_millis(probe_ms / 3),
-        ..SwimConfig::default()
     };
     let ids: Vec<ProcessId> = (0..n).map(ProcessId).collect();
     let mut nodes: Vec<Swim> = ids
@@ -255,7 +257,7 @@ fn swim_trial(n: usize, probe_ms: u64, susp_ms: u64, seed: u64) -> (f64, u64) {
     let crash_at = SimTime::from_secs(5);
     let mut crashed = false;
     loop {
-        now += cfg.tick_every;
+        now += SWIM_TICK;
         if !crashed && now >= crash_at {
             crashed = true;
         }

@@ -7,14 +7,12 @@
 //! arbiter. [`Election`] implements a bully-flavored, term-numbered
 //! protocol:
 //!
-//! * the current leader heartbeats its followers every
-//!   [`ElectionConfig::heartbeat_every`];
-//! * a follower that misses heartbeats for
-//!   [`ElectionConfig::leader_timeout`] starts an election for `term + 1`,
-//!   challenging all *higher-ranked* (larger id) peers;
+//! * the current leader heartbeats its followers every 500 ms;
+//! * a follower that misses heartbeats for 2 s starts an election for
+//!   `term + 1`, challenging all *higher-ranked* (larger id) peers;
 //! * a challenged higher-ranked peer vetoes and takes over the election;
-//! * a challenger with no veto within [`ElectionConfig::election_timeout`]
-//!   wins and broadcasts `Coordinator`.
+//! * a challenger with no veto within 800 ms wins and broadcasts
+//!   `Coordinator`.
 //!
 //! Terms make stale coordinators harmless: messages from older terms are
 //! ignored.
@@ -65,26 +63,12 @@ pub enum ElectionOutput {
     },
 }
 
-/// Timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElectionConfig {
-    /// Leader heartbeat interval.
-    pub heartbeat_every: SimDuration,
-    /// Follower patience before starting an election.
-    pub leader_timeout: SimDuration,
-    /// Challenger patience for vetoes before claiming victory.
-    pub election_timeout: SimDuration,
-}
-
-impl Default for ElectionConfig {
-    fn default() -> Self {
-        ElectionConfig {
-            heartbeat_every: SimDuration::from_millis(500),
-            leader_timeout: SimDuration::from_millis(2_000),
-            election_timeout: SimDuration::from_millis(800),
-        }
-    }
-}
+/// Leader heartbeat interval.
+const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(500);
+/// Follower patience before starting an election.
+const LEADER_TIMEOUT: SimDuration = SimDuration::from_millis(2_000);
+/// Challenger patience for vetoes before claiming victory.
+const ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
@@ -100,7 +84,6 @@ enum Role {
 #[derive(Debug, Clone)]
 pub struct Election {
     me: ProcessId,
-    cfg: ElectionConfig,
     term: u64,
     role: Role,
     leader: Option<ProcessId>,
@@ -110,10 +93,9 @@ pub struct Election {
 
 impl Election {
     /// Creates a follower with no known leader.
-    pub fn new(me: ProcessId, cfg: ElectionConfig, now: SimTime) -> Self {
+    pub fn new(me: ProcessId, now: SimTime) -> Self {
         Election {
             me,
-            cfg,
             term: 0,
             role: Role::Follower,
             leader: None,
@@ -189,7 +171,7 @@ impl Election {
         let peers: Vec<ProcessId> = peers.iter().copied().filter(|p| *p != self.me).collect();
         match self.role {
             Role::Leader => {
-                if now.saturating_since(self.last_heartbeat_sent) >= self.cfg.heartbeat_every {
+                if now.saturating_since(self.last_heartbeat_sent) >= HEARTBEAT_EVERY {
                     self.last_heartbeat_sent = now;
                     for p in &peers {
                         out.push(ElectionOutput::Send {
@@ -200,12 +182,12 @@ impl Election {
                 }
             }
             Role::Candidate { since } => {
-                if now.saturating_since(since) >= self.cfg.election_timeout {
+                if now.saturating_since(since) >= ELECTION_TIMEOUT {
                     self.win(now, &peers, &mut out);
                 }
             }
             Role::Follower => {
-                if now.saturating_since(self.last_heartbeat_seen) >= self.cfg.leader_timeout {
+                if now.saturating_since(self.last_heartbeat_seen) >= LEADER_TIMEOUT {
                     self.start_election(now, &peers, &mut out);
                 }
             }
@@ -296,10 +278,9 @@ mod tests {
 
     impl Harness {
         fn new(n: usize) -> Self {
-            let cfg = ElectionConfig::default();
             Harness {
                 nodes: (0..n)
-                    .map(|i| Election::new(ProcessId(i), cfg, SimTime::ZERO))
+                    .map(|i| Election::new(ProcessId(i), SimTime::ZERO))
                     .collect(),
                 now: SimTime::ZERO,
                 down: vec![false; n],
@@ -412,8 +393,7 @@ mod tests {
 
     #[test]
     fn stale_messages_are_ignored() {
-        let cfg = ElectionConfig::default();
-        let mut n = Election::new(ProcessId(5), cfg, SimTime::ZERO);
+        let mut n = Election::new(ProcessId(5), SimTime::ZERO);
         let peers = [ProcessId(1), ProcessId(5)];
         // Bring node to term 3 leadership.
         n.term = 3;
@@ -439,8 +419,7 @@ mod tests {
 
     #[test]
     fn higher_term_heartbeat_deposes_leader() {
-        let cfg = ElectionConfig::default();
-        let mut n = Election::new(ProcessId(5), cfg, SimTime::ZERO);
+        let mut n = Election::new(ProcessId(5), SimTime::ZERO);
         n.term = 3;
         n.role = Role::Leader;
         n.leader = Some(ProcessId(5));

@@ -34,7 +34,7 @@ mod member;
 mod pattern;
 mod swim;
 
-pub use election::{Election, ElectionConfig, ElectionMsg, ElectionOutput};
+pub use election::{Election, ElectionMsg, ElectionOutput};
 pub use gossip::{Entry, Gossip, GossipConfig, GossipMsg};
 pub use member::{MemberInfo, MemberState, MembershipView, Update};
 pub use pattern::ControlPattern;

@@ -11,9 +11,10 @@
 //!   suspicion raises its incarnation and gossips `Alive`,
 //! * **piggybacked dissemination** of membership updates on every message.
 //!
-//! Drive the machine by calling [`Swim::tick`] every
-//! [`SwimConfig::tick_every`] and [`Swim::on_message`] for each delivered
-//! message; both return [`SwimOutput`] actions for the caller to execute.
+//! Drive the machine by calling [`Swim::tick`] at a fixed period finer than
+//! [`SwimConfig::probe_timeout`] and [`Swim::on_message`] for each
+//! delivered message; both return [`SwimOutput`] actions for the caller to
+//! execute.
 
 use crate::member::{MemberState, MembershipView, Update};
 use riot_sim::{ProcessId, SimDuration, SimRng, SimTime};
@@ -77,35 +78,30 @@ pub enum SwimOutput {
     },
 }
 
-/// Protocol timing and fan-out parameters.
+/// Number of intermediaries asked on a probe timeout.
+const INDIRECT_PROBES: usize = 3;
+/// Maximum updates piggybacked per message.
+const PIGGYBACK_LIMIT: usize = 6;
+/// Times each local update is retransmitted before retiring.
+const RETRANSMIT: u32 = 8;
+
+/// Protocol timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwimConfig {
-    /// How often the caller must invoke [`Swim::tick`].
-    pub tick_every: SimDuration,
     /// Gap between successive probe rounds.
     pub probe_period: SimDuration,
     /// Wait before resorting to indirect probes.
     pub probe_timeout: SimDuration,
-    /// Number of intermediaries asked on a probe timeout.
-    pub indirect_probes: usize,
     /// How long a suspect may refute before being declared dead.
     pub suspicion_timeout: SimDuration,
-    /// Maximum updates piggybacked per message.
-    pub piggyback_limit: usize,
-    /// Times each local update is retransmitted before retiring.
-    pub retransmit: u32,
 }
 
 impl Default for SwimConfig {
     fn default() -> Self {
         SwimConfig {
-            tick_every: SimDuration::from_millis(200),
             probe_period: SimDuration::from_millis(1_000),
             probe_timeout: SimDuration::from_millis(300),
-            indirect_probes: 3,
             suspicion_timeout: SimDuration::from_millis(3_000),
-            piggyback_limit: 6,
-            retransmit: 8,
         }
     }
 }
@@ -186,7 +182,7 @@ impl Swim {
     fn take_piggyback(&mut self) -> Vec<Update> {
         let mut out = Vec::new();
         for (u, remaining) in self.queue.iter_mut() {
-            if out.len() >= self.cfg.piggyback_limit {
+            if out.len() >= PIGGYBACK_LIMIT {
                 break;
             }
             if *remaining > 0 {
@@ -201,7 +197,7 @@ impl Swim {
     fn enqueue(&mut self, update: Update) {
         // Replace any queued assertion about the same node.
         self.queue.retain(|(u, _)| u.node != update.node);
-        self.queue.push((update, self.cfg.retransmit));
+        self.queue.push((update, RETRANSMIT));
     }
 
     fn apply_update(&mut self, update: Update, now: SimTime, out: &mut Vec<SwimOutput>) {
@@ -270,7 +266,8 @@ impl Swim {
         }
     }
 
-    /// Periodic driver; call every [`SwimConfig::tick_every`].
+    /// Periodic step; call at a fixed period finer than
+    /// [`SwimConfig::probe_timeout`].
     pub fn tick(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<SwimOutput> {
         let mut out = Vec::new();
 
@@ -291,17 +288,14 @@ impl Swim {
         // 2. Probe lifecycle.
         if let Some(probe) = self.probe.clone() {
             let elapsed = now.saturating_since(probe.started);
-            if elapsed >= self.cfg.probe_timeout
-                && !probe.indirect_sent
-                && self.cfg.indirect_probes > 0
-            {
+            if elapsed >= self.cfg.probe_timeout && !probe.indirect_sent {
                 let mut candidates: Vec<ProcessId> = self
                     .alive_peers()
                     .into_iter()
                     .filter(|p| *p != probe.target)
                     .collect();
                 rng.shuffle(&mut candidates);
-                for relay in candidates.into_iter().take(self.cfg.indirect_probes) {
+                for relay in candidates.into_iter().take(INDIRECT_PROBES) {
                     let updates = self.take_piggyback();
                     out.push(SwimOutput::Send {
                         to: relay,
@@ -465,6 +459,9 @@ impl Swim {
 mod tests {
     use super::*;
 
+    /// How often the tests drive [`Swim::tick`].
+    const TICK: SimDuration = SimDuration::from_millis(200);
+
     /// A tiny synchronous harness: perfect instant network between machines.
     struct Harness {
         nodes: Vec<Swim>,
@@ -510,9 +507,8 @@ mod tests {
         }
 
         fn run(&mut self, ticks: usize) {
-            let step = self.nodes[0].cfg.tick_every;
             for _ in 0..ticks {
-                self.now += step;
+                self.now += TICK;
                 for i in 0..self.nodes.len() {
                     if self.down[i] {
                         continue;
@@ -648,7 +644,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut suspected = false;
         for _ in 0..200 {
-            now += cfg.tick_every;
+            now += TICK;
             let outs = n0.tick(now, &mut rng);
             let mut pending: Vec<(ProcessId, ProcessId, SwimMsg)> = Vec::new();
             for o in outs {

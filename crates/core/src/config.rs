@@ -5,10 +5,37 @@
 //! node processes consult: where control requests go, where MAPE analysis
 //! and planning run, whether edges run the decentralized coordination
 //! stack, how data replicates, and which governance posture stores enforce.
+//! The timings no architecture varies are the constants below.
 
-use riot_coord::{ControlPattern, ElectionConfig, SwimConfig};
+use riot_coord::ControlPattern;
 use riot_model::MaturityLevel;
 use riot_sim::SimDuration;
+
+/// Device sensing period.
+pub(crate) const SENSE_PERIOD: SimDuration = SimDuration::from_millis(1_000);
+/// Device control-loop period.
+pub(crate) const CONTROL_PERIOD: SimDuration = SimDuration::from_millis(500);
+/// Control round-trip deadline before a timeout is counted.
+pub(crate) const CONTROL_DEADLINE: SimDuration = SimDuration::from_millis(250);
+/// Consecutive control timeouts before an ML4 device fails over.
+pub(crate) const FAILOVER_AFTER_TIMEOUTS: u32 = 2;
+/// Consecutive control timeouts before an ML3 device is manually
+/// redirected to the cloud (Table 1: "manual interactions still needed,
+/// but mainly handled remotely" — slow, but it happens).
+pub(crate) const ML3_FALLBACK_TIMEOUTS: u32 = 12;
+/// Time an ML4 device stays on a backup edge before re-probing its
+/// primary.
+pub(crate) const REHOME_AFTER: SimDuration = SimDuration::from_secs(10);
+/// MAPE cycle period.
+pub(crate) const MAPE_PERIOD: SimDuration = SimDuration::from_millis(1_000);
+/// A component silent for this long is considered failed by MAPE
+/// monitoring; also how long a restart command is given to act before it
+/// is repeated.
+pub(crate) const SILENCE_THRESHOLD: SimDuration = SimDuration::from_millis(3_000);
+/// Delay for a restart command to take effect at the device.
+pub(crate) const RESTART_DELAY: SimDuration = SimDuration::from_millis(500);
+/// Period on which the edges step SWIM and election.
+pub(crate) const COORD_TICK: SimDuration = SimDuration::from_millis(200);
 
 /// Where a device's control requests are served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +76,12 @@ pub enum ReplicationMode {
     EdgeMesh,
 }
 
-/// The full configuration of one scenario's architecture.
+/// The switches of one scenario's architecture.
 #[derive(Debug, Clone)]
 pub struct ArchitectureConfig {
-    /// The maturity level this configuration realizes.
+    /// The maturity level this configuration realizes; it also places
+    /// control (see [`ArchitectureConfig::control`]).
     pub level: MaturityLevel,
-    /// Control placement.
-    pub control: ControlPlacement,
     /// MAPE placement.
     pub mape: MapePlacement,
     /// Replication mode.
@@ -65,39 +91,21 @@ pub struct ArchitectureConfig {
     pub governed_data: bool,
     /// `true` when edges run SWIM + election (ML4).
     pub decentralized_coordination: bool,
-    /// Device sensing period.
-    pub sense_period: SimDuration,
-    /// Device control-loop period.
-    pub control_period: SimDuration,
-    /// Control round-trip deadline before a timeout is counted.
-    pub control_deadline: SimDuration,
-    /// Consecutive control timeouts before an ML4 device fails over.
-    pub failover_after_timeouts: u32,
-    /// Consecutive control timeouts before an ML3 device is manually
-    /// redirected to the cloud (Table 1: "manual interactions still
-    /// needed, but mainly handled remotely" — slow, but it happens).
-    pub ml3_fallback_timeouts: u32,
-    /// Time an ML4 device stays on a backup edge before re-probing its
-    /// primary.
-    pub rehome_after: SimDuration,
     /// Data-plane anti-entropy period.
     pub sync_period: SimDuration,
-    /// MAPE cycle period.
-    pub mape_period: SimDuration,
-    /// A component silent for this long is considered failed by MAPE
-    /// monitoring.
-    pub silence_threshold: SimDuration,
-    /// Delay for a restart command to take effect at the device.
-    pub restart_delay: SimDuration,
-    /// SWIM parameters (ML4).
-    pub swim: SwimConfig,
-    /// Election parameters (ML4).
-    pub election: ElectionConfig,
-    /// Coordination tick for SWIM/election/gossip drivers.
-    pub coord_tick: SimDuration,
 }
 
 impl ArchitectureConfig {
+    /// Where devices' control requests are served: fixed by the level.
+    pub fn control(&self) -> ControlPlacement {
+        match self.level {
+            MaturityLevel::Ml1 => ControlPlacement::LocalOnly,
+            MaturityLevel::Ml2 => ControlPlacement::Cloud,
+            MaturityLevel::Ml3 => ControlPlacement::Edge,
+            MaturityLevel::Ml4 => ControlPlacement::EdgeWithFailover,
+        }
+    }
+
     /// The decentralized-control pattern this architecture realizes (see
     /// [`riot_coord::ControlPattern`]), or `None` when no self-adaptation
     /// runs at all (ML1).
@@ -116,12 +124,6 @@ impl ArchitectureConfig {
     /// The canonical configuration for a maturity level.
     pub fn for_level(level: MaturityLevel) -> Self {
         let caps = level.capabilities();
-        let control = match level {
-            MaturityLevel::Ml1 => ControlPlacement::LocalOnly,
-            MaturityLevel::Ml2 => ControlPlacement::Cloud,
-            MaturityLevel::Ml3 => ControlPlacement::Edge,
-            MaturityLevel::Ml4 => ControlPlacement::EdgeWithFailover,
-        };
         let mape = if !caps.self_adaptation {
             MapePlacement::None
         } else if caps.adaptation_at_edge {
@@ -137,24 +139,11 @@ impl ArchitectureConfig {
         };
         ArchitectureConfig {
             level,
-            control,
             mape,
             replication,
             governed_data: caps.full_governance,
             decentralized_coordination: caps.decentralized_coordination,
-            sense_period: SimDuration::from_millis(1_000),
-            control_period: SimDuration::from_millis(500),
-            control_deadline: SimDuration::from_millis(250),
-            failover_after_timeouts: 2,
-            ml3_fallback_timeouts: 12,
-            rehome_after: SimDuration::from_secs(10),
             sync_period: SimDuration::from_millis(1_000),
-            mape_period: SimDuration::from_millis(1_000),
-            silence_threshold: SimDuration::from_millis(3_000),
-            restart_delay: SimDuration::from_millis(500),
-            swim: SwimConfig::default(),
-            election: ElectionConfig::default(),
-            coord_tick: SimDuration::from_millis(200),
         }
     }
 }
@@ -166,23 +155,23 @@ mod tests {
     #[test]
     fn levels_map_to_expected_placements() {
         let ml1 = ArchitectureConfig::for_level(MaturityLevel::Ml1);
-        assert_eq!(ml1.control, ControlPlacement::LocalOnly);
+        assert_eq!(ml1.control(), ControlPlacement::LocalOnly);
         assert_eq!(ml1.mape, MapePlacement::None);
         assert_eq!(ml1.replication, ReplicationMode::None);
         assert!(!ml1.governed_data && !ml1.decentralized_coordination);
 
         let ml2 = ArchitectureConfig::for_level(MaturityLevel::Ml2);
-        assert_eq!(ml2.control, ControlPlacement::Cloud);
+        assert_eq!(ml2.control(), ControlPlacement::Cloud);
         assert_eq!(ml2.mape, MapePlacement::Cloud);
         assert_eq!(ml2.replication, ReplicationMode::CloudOnly);
 
         let ml3 = ArchitectureConfig::for_level(MaturityLevel::Ml3);
-        assert_eq!(ml3.control, ControlPlacement::Edge);
+        assert_eq!(ml3.control(), ControlPlacement::Edge);
         assert_eq!(ml3.mape, MapePlacement::Cloud);
         assert_eq!(ml3.replication, ReplicationMode::EdgeToCloud);
 
         let ml4 = ArchitectureConfig::for_level(MaturityLevel::Ml4);
-        assert_eq!(ml4.control, ControlPlacement::EdgeWithFailover);
+        assert_eq!(ml4.control(), ControlPlacement::EdgeWithFailover);
         assert_eq!(ml4.mape, MapePlacement::Edge);
         assert_eq!(ml4.replication, ReplicationMode::EdgeMesh);
         assert!(ml4.governed_data && ml4.decentralized_coordination);
@@ -211,14 +200,13 @@ mod tests {
 
     #[test]
     fn timing_defaults_are_consistent() {
-        let cfg = ArchitectureConfig::for_level(MaturityLevel::Ml4);
         assert!(
-            cfg.control_deadline < cfg.control_period,
+            CONTROL_DEADLINE < CONTROL_PERIOD,
             "deadline inside the period"
         );
-        assert!(cfg.coord_tick <= cfg.swim.probe_period);
+        assert!(COORD_TICK <= riot_coord::SwimConfig::default().probe_period);
         assert!(
-            cfg.silence_threshold > cfg.sense_period * 2,
+            SILENCE_THRESHOLD > SENSE_PERIOD * 2,
             "tolerate a missed reading"
         );
     }

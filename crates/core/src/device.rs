@@ -11,7 +11,10 @@
 //! implements the paper's decentralization at the *device boundary*:
 //! consecutive control timeouts make it re-home to a backup edge.
 
-use crate::config::{ArchitectureConfig, ControlPlacement};
+use crate::config::{
+    ArchitectureConfig, ControlPlacement, CONTROL_DEADLINE, CONTROL_PERIOD,
+    FAILOVER_AFTER_TIMEOUTS, ML3_FALLBACK_TIMEOUTS, REHOME_AFTER, RESTART_DELAY, SENSE_PERIOD,
+};
 use crate::keys::MetricKeys;
 use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::state::NodeSlab;
@@ -27,7 +30,7 @@ const TAG_TIMEOUT_BASE: u64 = 1 << 32;
 
 /// What every device of one edge group has in common, built once and
 /// shared: a [`DeviceProcess`] carries only what differs between devices
-/// (the architecture alone is 176 bytes).
+/// (the group is 104 bytes; a device, 160).
 #[derive(Debug)]
 pub struct DeviceGroup {
     /// The architecture being realized.
@@ -250,7 +253,7 @@ impl DeviceProcess {
     }
 
     fn controller(&self) -> Option<ProcessId> {
-        match self.group.arch.control {
+        match self.group.arch.control() {
             ControlPlacement::LocalOnly => None,
             ControlPlacement::Cloud => Some(self.group.cloud),
             ControlPlacement::Edge => Some(if self.controller_idx == 0 {
@@ -313,7 +316,7 @@ impl DeviceProcess {
         // A device parked on a backup edge re-probes its primary after a
         // while: backup residency is a refuge, not a new home.
         if let Some(since) = self.on_backup_since {
-            if ctx.now().saturating_since(since) >= self.group.arch.rehome_after {
+            if ctx.now().saturating_since(since) >= REHOME_AFTER {
                 self.controller_idx = 0;
                 self.on_backup_since = None;
                 self.consecutive_timeouts = 0;
@@ -338,7 +341,7 @@ impl DeviceProcess {
                     controller,
                     Msg::App(AppMsg::ControlRequest { req_id, issued_at }),
                 );
-                ctx.schedule(self.group.arch.control_deadline, TAG_TIMEOUT_BASE + req_id);
+                ctx.schedule(CONTROL_DEADLINE, TAG_TIMEOUT_BASE + req_id);
             }
         }
     }
@@ -351,9 +354,9 @@ impl DeviceProcess {
         ctx.metrics()
             .incr_key(self.group.keys.device_control_timeout);
         self.consecutive_timeouts += 1;
-        match self.group.arch.control {
+        match self.group.arch.control() {
             ControlPlacement::EdgeWithFailover
-                if self.consecutive_timeouts >= self.group.arch.failover_after_timeouts
+                if self.consecutive_timeouts >= FAILOVER_AFTER_TIMEOUTS
                     && !self.group.backup_edges.is_empty() =>
             {
                 self.controller_idx =
@@ -369,9 +372,7 @@ impl DeviceProcess {
                     ctx.annotate(format!("failover to {}", self.current_edge()));
                 }
             }
-            ControlPlacement::Edge
-                if self.consecutive_timeouts >= self.group.arch.ml3_fallback_timeouts =>
-            {
+            ControlPlacement::Edge if self.consecutive_timeouts >= ML3_FALLBACK_TIMEOUTS => {
                 self.controller_idx = 1 - self.controller_idx.min(1);
                 self.on_backup_since = if self.controller_idx == 0 {
                     None
@@ -389,11 +390,8 @@ impl DeviceProcess {
 impl Process<Msg> for DeviceProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // Stagger periodic activity so devices do not phase-lock.
-        let arch = &self.group.arch;
-        let sense_jitter = ctx.rng().range_u64(0, arch.sense_period.as_micros().max(1));
-        let control_jitter = ctx
-            .rng()
-            .range_u64(0, arch.control_period.as_micros().max(1));
+        let sense_jitter = ctx.rng().range_u64(0, SENSE_PERIOD.as_micros().max(1));
+        let control_jitter = ctx.rng().range_u64(0, CONTROL_PERIOD.as_micros().max(1));
         ctx.schedule(riot_sim::SimDuration::from_micros(sense_jitter), TAG_SENSE);
         ctx.schedule(
             riot_sim::SimDuration::from_micros(control_jitter),
@@ -418,7 +416,7 @@ impl Process<Msg> for DeviceProcess {
             Msg::App(AppMsg::Restart { component })
                 if component == self.component && self.state == ComponentState::Failed =>
             {
-                ctx.schedule(self.group.arch.restart_delay, TAG_RESTART_DONE);
+                ctx.schedule(RESTART_DELAY, TAG_RESTART_DONE);
             }
             _ => {}
         }
@@ -428,11 +426,11 @@ impl Process<Msg> for DeviceProcess {
         match tag {
             TAG_SENSE => {
                 self.sense(ctx);
-                ctx.schedule(self.group.arch.sense_period, TAG_SENSE);
+                ctx.schedule(SENSE_PERIOD, TAG_SENSE);
             }
             TAG_CONTROL => {
                 self.run_control(ctx);
-                ctx.schedule(self.group.arch.control_period, TAG_CONTROL);
+                ctx.schedule(CONTROL_PERIOD, TAG_CONTROL);
             }
             TAG_RESTART_DONE if self.state == ComponentState::Failed => {
                 self.state = ComponentState::Running;
@@ -608,6 +606,41 @@ mod tests {
         assert_eq!(d.current_edge(), ProcessId(1));
         // Control is succeeding again on the backup edge.
         assert!(sim.metrics().counter("device.control.timeout") > 0);
+    }
+
+    #[test]
+    fn ml4_device_returns_to_its_primary_after_rehome_after() {
+        let (mut sim, primary, _, dev) = world(MaturityLevel::Ml4);
+        sim.run_until(SimTime::from_secs(3));
+        sim.set_down(primary);
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(
+            sim.process::<DeviceProcess>(dev).unwrap().current_edge(),
+            ProcessId(1),
+            "parked on the backup"
+        );
+        // The failover came after two timeouts, no earlier than 3.25 s.
+        sim.set_up(primary);
+        let served_before = sim.process::<EchoController>(primary).unwrap().requests;
+        sim.run_until(SimTime::from_secs(3) + REHOME_AFTER);
+        assert_eq!(
+            sim.process::<DeviceProcess>(dev).unwrap().current_edge(),
+            ProcessId(1),
+            "a backup is left only once REHOME_AFTER has passed"
+        );
+        assert_eq!(
+            sim.process::<EchoController>(primary).unwrap().requests,
+            served_before
+        );
+        sim.run_until(SimTime::from_secs(6) + REHOME_AFTER);
+        assert_eq!(
+            sim.process::<DeviceProcess>(dev).unwrap().current_edge(),
+            primary
+        );
+        assert!(
+            sim.process::<EchoController>(primary).unwrap().requests > served_before,
+            "the primary serves control requests again"
+        );
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! for the neighbourhood scope, and an edge-placed MAPE loop that detects
 //! silent components and restarts them.
 
-use crate::config::{ArchitectureConfig, MapePlacement, ReplicationMode};
+use crate::config::{ArchitectureConfig, MapePlacement, ReplicationMode, COORD_TICK, MAPE_PERIOD};
 use crate::keys::MetricKeys;
 use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::recovery::MapeHost;
-use riot_coord::{Election, ElectionOutput, MemberState, Swim, SwimOutput};
+use riot_coord::{Election, ElectionOutput, MemberState, Swim, SwimConfig, SwimOutput};
 use riot_data::{KeySpace, PolicyEngine, ReplicatedStore};
 use riot_model::{DomainId, DomainRegistry};
 use riot_sim::{Ctx, EventMask, Process, ProcessId, SimTime};
@@ -82,8 +82,13 @@ impl EdgeProcess {
         let (swim, election) = if cfg.arch.decentralized_coordination {
             let members: Vec<ProcessId> = cfg.peer_edges.iter().copied().chain([cfg.me]).collect();
             (
-                Some(Swim::new(cfg.me, members, cfg.arch.swim, SimTime::ZERO)),
-                Some(Election::new(cfg.me, cfg.arch.election, SimTime::ZERO)),
+                Some(Swim::new(
+                    cfg.me,
+                    members,
+                    SwimConfig::default(),
+                    SimTime::ZERO,
+                )),
+                Some(Election::new(cfg.me, SimTime::ZERO)),
             )
         } else {
             (None, None)
@@ -133,11 +138,6 @@ impl EdgeProcess {
             // that was in scope for the old domain may not be for the new.
             self.store.purge_violations(&self.cfg.registry);
         }
-    }
-
-    /// MAPE statistics, when this edge hosts a loop.
-    pub fn mape_stats(&self) -> Option<riot_adapt::MapeStats> {
-        self.mape.stats()
     }
 
     fn dispatch_swim(&mut self, ctx: &mut Ctx<'_, Msg>, outputs: Vec<SwimOutput>) {
@@ -253,7 +253,7 @@ impl Process<Msg> for EdgeProcess {
         }
         self.started = true;
         if self.cfg.arch.decentralized_coordination {
-            ctx.schedule(self.cfg.arch.coord_tick, TAG_COORD);
+            ctx.schedule(COORD_TICK, TAG_COORD);
         }
         if !matches!(
             self.cfg.arch.replication,
@@ -266,9 +266,7 @@ impl Process<Msg> for EdgeProcess {
             ctx.schedule(riot_sim::SimDuration::from_micros(jitter), TAG_SYNC);
         }
         if self.mape.hosted() {
-            let jitter = ctx
-                .rng()
-                .range_u64(0, self.cfg.arch.mape_period.as_micros().max(1));
+            let jitter = ctx.rng().range_u64(0, MAPE_PERIOD.as_micros().max(1));
             ctx.schedule(riot_sim::SimDuration::from_micros(jitter), TAG_MAPE);
         }
     }
@@ -315,7 +313,7 @@ impl Process<Msg> for EdgeProcess {
                     self.election = Some(election);
                     self.dispatch_election(ctx, outputs);
                 }
-                ctx.schedule(self.cfg.arch.coord_tick, TAG_COORD);
+                ctx.schedule(COORD_TICK, TAG_COORD);
             }
             TAG_SYNC => {
                 let EdgeProcess {
@@ -331,7 +329,7 @@ impl Process<Msg> for EdgeProcess {
             }
             TAG_MAPE => {
                 self.run_mape(ctx);
-                ctx.schedule(self.cfg.arch.mape_period, TAG_MAPE);
+                ctx.schedule(MAPE_PERIOD, TAG_MAPE);
             }
             _ => {}
         }
@@ -581,8 +579,6 @@ mod tests {
             "edge MAPE detected silence and sent a restart"
         );
         assert!(sim.metrics().counter("mape.restart_sent") >= 1);
-        let edge = sim.process::<EdgeProcess>(me).unwrap();
-        assert!(edge.mape_stats().unwrap().cycles > 5);
     }
 
     /// A device that logs every restart command it receives.
@@ -629,17 +625,13 @@ mod tests {
         sim.run_until(SimTime::from_secs(12));
         let got = &sim.process::<RestartLog>(dev).unwrap().got;
         assert!(got.len() >= 2, "the restart is repeated: {got:?}");
-        let cooldown = ArchitectureConfig::for_level(MaturityLevel::Ml4).silence_threshold;
         for pair in got.windows(2) {
             assert!(
-                pair[1].1.saturating_since(pair[0].1) >= cooldown,
+                pair[1].1.saturating_since(pair[0].1) >= crate::config::SILENCE_THRESHOLD,
                 "restarts closer than the cooldown: {got:?}"
             );
         }
-        let sent = sim.metrics().counter("mape.restart_sent");
-        assert_eq!(sent, got.len() as u64);
-        let edge = sim.process::<EdgeProcess>(me).unwrap();
-        assert!(edge.mape_stats().unwrap().actions_planned >= sent);
+        assert_eq!(sim.metrics().counter("mape.restart_sent"), got.len() as u64);
     }
 
     /// Pins what an edge restart keeps: the telemetry and the cooldowns
@@ -804,11 +796,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(10));
         // No coordination, no sync, no MAPE: the ML2 edge is a dumb pipe.
         assert_eq!(sim.process::<Sink>(cloud).unwrap().syncs, 0);
-        assert!(sim
-            .process::<EdgeProcess>(me)
-            .unwrap()
-            .mape_stats()
-            .is_none());
+        assert!(!sim.process::<EdgeProcess>(me).unwrap().mape.hosted());
         assert!(sim.process::<EdgeProcess>(me).unwrap().leader().is_none());
     }
 }

@@ -3,15 +3,17 @@
 //! The facade of the `riot` framework: it wires the substrates —
 //! simulation kernel (`riot-sim`), network (`riot-net`), system model
 //! (`riot-model`), formal methods (`riot-formal`), decentralized
-//! coordination (`riot-coord`), governed data plane (`riot-data`) and
-//! MAPE-K self-adaptation (`riot-adapt`) — into the four architecture
+//! coordination (`riot-coord`) and governed data plane (`riot-data`) —
+//! with its own MAPE-K self-adaptation loop into the four architecture
 //! archetypes of the paper's maturity ladder (Tables 1 & 2) and runs them
 //! as measurable scenarios.
 //!
-//! * [`ArchitectureConfig`] expands a `MaturityLevel` into concrete
-//!   switches: control placement (local / cloud / edge / edge+failover),
-//!   MAPE placement (none / cloud / edge), replication mode, governance
-//!   posture, coordination stack.
+//! * [`ArchitectureConfig`] expands a `MaturityLevel` into the six
+//!   switches a run turns: the level (which places control: local / cloud
+//!   / edge / edge+failover), MAPE placement (none / cloud / edge),
+//!   replication mode, governance posture, coordination stack and the
+//!   anti-entropy period. The timings no architecture varies are
+//!   constants.
 //! * [`DeviceProcess`], [`EdgeProcess`] and [`CloudProcess`] are the three
 //!   node types of Figure 1's landscape.
 //! * [`ScenarioSpec`] / [`Scenario`] build and run a deployment under a

@@ -1,19 +1,21 @@
-//! The host that runs an archetype's MAPE loop inside a cloud or edge
-//! process.
+//! The MAPE loop an archetype runs inside a cloud or edge process.
 //!
-//! The scenarios' self-healing need is concrete: every component believed
-//! failed should be restarted on its host. [`riot_adapt::MapeLoop`] plans
-//! exactly that — one restart per failed component per cycle — which keeps
-//! experiment results easy to reason about: recovery time is detection time
-//! plus one cycle, the restart delay and transport. [`MapeHost`] is the part
-//! both placements share: failure detection by silence (Monitor), and
-//! execution with a restart cooldown (Execute).
+//! §VII of the paper brings the self-adaptive-systems playbook to IoT: a
+//! MAPE loop — Monitor, Analyze, Plan, Execute over Knowledge — whose
+//! analysis and planning sit on edge components (or, in the legacy
+//! archetypes, the cloud). The scenarios' self-healing need is concrete:
+//! every component believed failed should be restarted on its host.
+//! [`MapeHost`] is that loop for both placements: failure detection by
+//! silence (Monitor), one requirement — full coverage — checked per cycle
+//! (Analyze), one restart per component believed failed when it is unmet
+//! (Plan), and execution with a restart cooldown (Execute). Recovery time
+//! is therefore detection time plus one cycle, the restart delay and
+//! transport.
 
-use crate::config::{ArchitectureConfig, MapePlacement};
+use crate::config::{ArchitectureConfig, MapePlacement, SILENCE_THRESHOLD};
 use crate::msg::{AppMsg, Msg};
-use riot_adapt::{MapeLoop, MapeStats, Restart};
 use riot_model::{ComponentId, ComponentState};
-use riot_sim::{Ctx, MetricKey, ProcessId, SimDuration, SimTime};
+use riot_sim::{Ctx, MetricKey, ProcessId, SimTime};
 
 /// `MapeHost::row_of` for a component with no row.
 const NO_ROW: u32 = u32::MAX;
@@ -34,26 +36,26 @@ struct Row {
     reported: ComponentState,
     /// It reported since the loop last looked at this row.
     unseen: bool,
+    /// The state the loop believes it in (the K of MAPE-K): last cycle's
+    /// verdict, or the report a host restart took in.
+    believed: ComponentState,
 }
 
-/// The MAPE side of a cloud or edge process: the component telemetry it
-/// has heard, the loop itself when the architecture places one here, and
-/// the execute stage's restart cooldowns.
+/// The MAPE loop of a cloud or edge process, when the architecture places
+/// one there: one row per component heard, holding its telemetry, the
+/// loop's belief about it and the execute stage's restart cooldown.
 ///
 /// A host restart ([`MapeHost::clear`]) forgets the telemetry and the
-/// cooldowns but not the loop's knowledge. After a crash, a component the
-/// loop last held failed is restarted again at the next uncovered cycle,
-/// even if it is never heard from again; one last held running is not
+/// cooldowns but not the beliefs. After a crash, a component the loop
+/// last believed failed is restarted again at the next uncovered cycle,
+/// even if it is never heard from again; one last believed running is not
 /// reconsidered until it reports again.
 pub(crate) struct MapeHost {
-    /// The loop, when this node hosts one. A host without one keeps no
-    /// telemetry: nothing would read it.
-    mape: Option<MapeLoop>,
-    /// A component silent for this long is believed failed; also how long
-    /// a restart command is given to act before it is repeated.
-    silence: SimDuration,
-    /// One row per component heard, in id order: the order the loop plans
-    /// restarts in, and so the order their commands are sent.
+    /// This node runs the loop. A host without one keeps no rows: nothing
+    /// would read them.
+    hosted: bool,
+    /// One row per component heard, in id order: the order restarts are
+    /// planned in, and so the order their commands are sent.
     rows: Vec<Row>,
     /// Component id → position of its row in `rows` (`NO_ROW`: never
     /// heard). Component ids are the scenario's dense device indices, so
@@ -66,8 +68,7 @@ impl MapeHost {
     /// MAPE there.
     pub(crate) fn new(arch: &ArchitectureConfig, here: MapePlacement) -> Self {
         MapeHost {
-            mape: (arch.mape == here).then(MapeLoop::new),
-            silence: arch.silence_threshold,
+            hosted: arch.mape == here,
             rows: Vec::new(),
             row_of: Vec::new(),
         }
@@ -75,7 +76,7 @@ impl MapeHost {
 
     /// `true` when this node runs a loop and needs its timer.
     pub(crate) fn hosted(&self) -> bool {
-        self.mape.is_some()
+        self.hosted
     }
 
     /// Telemetry from `component` on `device` arrived: one write to its
@@ -87,7 +88,7 @@ impl MapeHost {
         device: ProcessId,
         now: SimTime,
     ) {
-        if self.mape.is_none() {
+        if !self.hosted {
             return;
         }
         let at = match self.row_index(component) {
@@ -122,6 +123,7 @@ impl MapeHost {
                 restart_sent_at: None,
                 reported: ComponentState::Running,
                 unseen: false,
+                believed: ComponentState::Running,
             },
         );
         let id = component.0 as usize;
@@ -140,78 +142,66 @@ impl MapeHost {
     /// One MAPE cycle, counting each restart command under `restart_sent`.
     pub(crate) fn run(&mut self, ctx: &mut Ctx<'_, Msg>, restart_sent: MetricKey) {
         let now = ctx.now();
-        self.cycle(now, |Restart { component, host }| {
+        self.cycle(now, |component, device| {
             ctx.metrics().incr_key(restart_sent);
-            ctx.send(host, Msg::App(AppMsg::Restart { component }));
+            ctx.send(device, Msg::App(AppMsg::Restart { component }));
         });
     }
 
-    /// One MAPE cycle at `now`: `send` receives each restart command the
-    /// cooldown lets through, in component id order.
-    fn cycle(&mut self, now: SimTime, mut send: impl FnMut(Restart)) {
-        let Some(mape) = self.mape.as_mut() else {
-            return;
-        };
-        // Failure detection by silence: a component not heard from within
-        // the threshold is believed failed (Figure 5's Monitor activity).
+    /// One MAPE cycle at `now`: `send` receives each component to restart
+    /// and its device, as the cooldown lets them through, in id order.
+    fn cycle(&mut self, now: SimTime, mut send: impl FnMut(ComponentId, ProcessId)) {
+        // Monitor: failure detection by silence. A component not heard
+        // from within the threshold is believed failed (Figure 5's Monitor
+        // activity); one unheard since a host restart keeps its belief.
         let (mut heard, mut fresh) = (0usize, 0usize);
         for row in &mut self.rows {
             let Some(seen) = row.heard_at else {
                 continue;
             };
             heard += 1;
-            let state = if now.saturating_since(seen) < self.silence {
+            row.believed = if now.saturating_since(seen) < SILENCE_THRESHOLD {
                 fresh += 1;
                 ComponentState::Running
             } else {
                 ComponentState::Failed
             };
             row.unseen = false;
-            mape.observe_component(row.component, state, row.device);
         }
-        // Execute with a per-component cooldown: a restart command is given
-        // time to act (and to traverse a possibly degraded network) before
-        // being repeated.
-        mape.cycle(fresh == heard, |restart| {
-            let Some(row) = self
-                .row_of
-                .get(restart.component.0 as usize)
-                .and_then(|&at| self.rows.get_mut(at as usize))
-            else {
-                return; // unreachable: the loop knows only what a row told it
-            };
-            if row
-                .restart_sent_at
-                .is_some_and(|at| now.saturating_since(at) < self.silence)
+        // Analyze: the scope's one requirement is full coverage.
+        if fresh == heard {
+            return;
+        }
+        // Plan and Execute: restart every component believed failed, with a
+        // per-component cooldown: a restart command is given time to act
+        // (and to traverse a possibly degraded network) before it is
+        // repeated.
+        for row in &mut self.rows {
+            if row.believed != ComponentState::Failed
+                || row
+                    .restart_sent_at
+                    .is_some_and(|at| now.saturating_since(at) < SILENCE_THRESHOLD)
             {
-                return;
+                continue;
             }
             row.restart_sent_at = Some(now);
-            send(restart);
-        });
+            send(row.component, row.device);
+        }
     }
 
     /// Forgets the telemetry and the pending cooldowns: the host crashed
-    /// and both lived in volatile memory. The loop's knowledge survives, so
-    /// it first learns every report it has not yet seen: it holds each
+    /// and both lived in volatile memory. The beliefs survive, so the loop
+    /// first takes in every report it has not yet seen: it holds each
     /// component's last report or last cycle's verdict, whichever is newer.
     pub(crate) fn clear(&mut self) {
-        let Some(mape) = self.mape.as_mut() else {
-            return; // no loop, no rows
-        };
         for row in &mut self.rows {
             if row.unseen {
-                mape.observe_component(row.component, row.reported, row.device);
+                row.believed = row.reported;
             }
             row.unseen = false;
             row.heard_at = None;
             row.restart_sent_at = None;
         }
-    }
-
-    /// The loop's statistics, when this node hosts one.
-    pub(crate) fn stats(&self) -> Option<MapeStats> {
-        self.mape.as_ref().map(|m| m.stats())
     }
 }
 
@@ -219,7 +209,7 @@ impl MapeHost {
 mod tests {
     use super::*;
     use riot_model::MaturityLevel;
-    use riot_sim::{Process, Sim, SimBuilder, SimRng};
+    use riot_sim::{Process, Sim, SimBuilder, SimDuration, SimRng};
     use std::collections::BTreeMap;
 
     /// A cloud-placed host that hears `components` (all running, hosted
@@ -263,43 +253,31 @@ mod tests {
     }
 
     /// Runs one host cycle `cycle_at` after two components were heard.
-    fn one_cycle(cycle_at: SimDuration) -> (Sim<Msg>, ProcessId, ProcessId) {
+    fn one_cycle(cycle_at: SimDuration) -> (Sim<Msg>, ProcessId) {
         let arch = ArchitectureConfig::for_level(MaturityLevel::Ml2);
         assert_eq!(arch.mape, MapePlacement::Cloud);
         let mut sim: Sim<Msg> = SimBuilder::new(1).build();
         let sink = sim.add_process(Sink::default());
-        let host = sim.add_process(Host {
+        sim.add_process(Host {
             host: MapeHost::new(&arch, MapePlacement::Cloud),
             components: vec![ComponentId(1), ComponentId(2)],
             sink,
             cycle_at,
         });
         sim.run_until(SimTime::ZERO + cycle_at + SimDuration::from_secs(1));
-        (sim, host, sink)
+        (sim, sink)
     }
 
     #[test]
     fn healthy_model_plans_nothing() {
-        let (sim, host, sink) = one_cycle(SimDuration::from_millis(500));
-        let stats = sim.process::<Host>(host).unwrap().host.stats().unwrap();
-        assert_eq!(
-            stats,
-            MapeStats {
-                cycles: 1,
-                issues_found: 0,
-                actions_planned: 0
-            }
-        );
+        let (sim, sink) = one_cycle(SimDuration::from_millis(500));
         assert!(sim.process::<Sink>(sink).unwrap().restarts.is_empty());
         assert_eq!(sim.metrics().counter("mape.restart_sent"), 0);
     }
 
     #[test]
     fn silent_components_are_restarted_on_their_host() {
-        let (sim, host, sink) = one_cycle(SimDuration::from_secs(10));
-        let stats = sim.process::<Host>(host).unwrap().host.stats().unwrap();
-        assert_eq!(stats.issues_found, 1);
-        assert_eq!(stats.actions_planned, 2);
+        let (sim, sink) = one_cycle(SimDuration::from_secs(10));
         assert_eq!(
             sim.process::<Sink>(sink).unwrap().restarts,
             vec![ComponentId(1), ComponentId(2)]
@@ -315,7 +293,6 @@ mod tests {
         last_seen: BTreeMap<ComponentId, (ProcessId, SimTime)>,
         restart_sent_at: BTreeMap<ComponentId, SimTime>,
         knowledge: BTreeMap<ComponentId, (ComponentState, ProcessId)>,
-        stats: MapeStats,
     }
 
     impl MapModel {
@@ -341,16 +318,13 @@ mod tests {
                 };
                 self.knowledge.insert(*c, (state, *device));
             }
-            self.stats.cycles += 1;
             if fresh == self.last_seen.len() {
                 return;
             }
-            self.stats.issues_found += 1;
             for (&c, &(state, host)) in &self.knowledge {
                 if state != ComponentState::Failed {
                     continue;
                 }
-                self.stats.actions_planned += 1;
                 let recently = self
                     .restart_sent_at
                     .get(&c)
@@ -377,11 +351,10 @@ mod tests {
             let mut rng = SimRng::seed_from(seed);
             let mut host = MapeHost::new(&arch, MapePlacement::Cloud);
             let mut model = MapModel {
-                silence: arch.silence_threshold,
+                silence: SILENCE_THRESHOLD,
                 last_seen: BTreeMap::new(),
                 restart_sent_at: BTreeMap::new(),
                 knowledge: BTreeMap::new(),
-                stats: MapeStats::default(),
             };
             let (mut got, mut want) = (Vec::new(), Vec::new());
             let mut now = SimTime::ZERO;
@@ -399,19 +372,15 @@ mod tests {
                     host.heard(c, state, device, now);
                     model.heard(c, state, device, now);
                 } else if op < 0.95 {
-                    host.cycle(now, |r| got.push((r.component, r.host, now)));
+                    host.cycle(now, |component, device| got.push((component, device, now)));
                     model.cycle(now, &mut want);
                     assert_eq!(got, want, "seed {seed}");
-                    assert_eq!(host.stats(), Some(model.stats), "seed {seed}");
                 } else {
                     host.clear();
                     model.clear();
                 }
             }
-            assert!(
-                model.stats.actions_planned > 0,
-                "seed {seed} restarts nothing"
-            );
+            assert!(!want.is_empty(), "seed {seed} restarts nothing");
             assert_eq!(got.len(), want.len(), "restart_sent, seed {seed}");
         }
     }
@@ -428,6 +397,5 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(host.rows.is_empty() && host.row_of.is_empty());
-        assert_eq!(host.stats(), None);
     }
 }

@@ -116,7 +116,7 @@ impl Scenario {
         let personal: Vec<bool> = (0..spec.device_count())
             .map(|i| spec.personal_every > 0 && i.is_multiple_of(spec.personal_every))
             .collect();
-        let slab = NodeSlab::new(arch.sense_period * 3, personal);
+        let slab = NodeSlab::new(crate::config::SENSE_PERIOD * 3, personal);
         // Devices occupy the contiguous id range after cloud + edges.
         sim.add_observer(SlabLiveness::new(
             slab.clone(),

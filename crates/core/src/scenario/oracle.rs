@@ -98,8 +98,8 @@ impl Scenario {
         let mut covered = 0usize;
         let mut staleness_sum = 0.0;
         let mut staleness_n = 0usize;
-        let arch = self.spec.architecture();
-        let fresh_horizon = arch.sense_period * 3;
+        let replication = self.spec.architecture().replication;
+        let fresh_horizon = crate::config::SENSE_PERIOD * 3;
         for info in &self.devices {
             let up = self.device_is_up(info.id);
             let dev = self
@@ -124,7 +124,7 @@ impl Scenario {
                 staleness_sum += Self::consumer_staleness(
                     &self.sim,
                     &self.hierarchy,
-                    arch.replication,
+                    replication,
                     self.spec.edges,
                     info,
                     now,

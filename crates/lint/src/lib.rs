@@ -90,7 +90,7 @@ use std::path::{Path, PathBuf};
 /// Crates whose state feeds simulation results: a stray source of
 /// nondeterminism in any of these shows up as a diverging event trace.
 pub const SIM_VISIBLE_CRATES: &[&str] = &[
-    "sim", "net", "coord", "adapt", "data", "formal", "core", "model", "harness", "campaign",
+    "sim", "net", "coord", "data", "formal", "core", "model", "harness", "campaign",
 ];
 
 /// The rule identifiers. `Lint` flags problems with the directives

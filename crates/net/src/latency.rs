@@ -2,7 +2,7 @@
 //!
 //! Each link in a topology carries a [`LatencyModel`] that is sampled per
 //! message. Models cover the regimes the paper's landscape (§II) implies:
-//! stable local links (fixed), jittery wireless hops (uniform/normal), and
+//! stable local links (fixed), jittery wireless hops (uniform), and
 //! wide-area cloud links with occasional congestion spikes.
 
 use riot_sim::{SimDuration, SimRng};
@@ -14,16 +14,6 @@ pub enum LatencyModel {
     Fixed(SimDuration),
     /// Uniform between the two bounds (inclusive low, exclusive high).
     Uniform(SimDuration, SimDuration),
-    /// Normally distributed around `mean` with `std_dev`, truncated below at
-    /// `floor` (network latency cannot be negative or below propagation).
-    Normal {
-        /// Mean latency.
-        mean: SimDuration,
-        /// Standard deviation.
-        std_dev: SimDuration,
-        /// Hard lower bound after truncation.
-        floor: SimDuration,
-    },
     /// A base latency that, with probability `spike_prob`, is multiplied by
     /// `spike_factor` — a coarse model of congestion or radio interference.
     Spiky {
@@ -67,15 +57,6 @@ impl LatencyModel {
                     SimDuration::from_micros(rng.range_u64(lo.as_micros(), hi.as_micros()))
                 }
             }
-            LatencyModel::Normal {
-                mean,
-                std_dev,
-                floor,
-            } => {
-                let sample = rng.normal(mean.as_secs_f64(), std_dev.as_secs_f64());
-                let floored = sample.max(floor.as_secs_f64());
-                SimDuration::from_secs_f64(floored)
-            }
             LatencyModel::Spiky {
                 base,
                 spike_prob,
@@ -95,13 +76,6 @@ impl LatencyModel {
         match *self {
             LatencyModel::Fixed(d) => d,
             LatencyModel::Uniform(lo, hi) => (lo + hi) / 2,
-            LatencyModel::Normal { mean, floor, .. } => {
-                if mean < floor {
-                    floor
-                } else {
-                    mean
-                }
-            }
             LatencyModel::Spiky {
                 base,
                 spike_prob,
@@ -155,26 +129,6 @@ mod tests {
         let m = LatencyModel::Uniform(SimDuration::from_millis(3), SimDuration::from_millis(3));
         let mut rng = SimRng::seed_from(2);
         assert_eq!(m.sample(&mut rng), SimDuration::from_millis(3));
-    }
-
-    #[test]
-    fn normal_respects_floor() {
-        let m = LatencyModel::Normal {
-            mean: SimDuration::from_millis(5),
-            std_dev: SimDuration::from_millis(10),
-            floor: SimDuration::from_millis(1),
-        };
-        let mut rng = SimRng::seed_from(3);
-        for _ in 0..5_000 {
-            assert!(m.sample(&mut rng) >= SimDuration::from_millis(1));
-        }
-        assert_eq!(m.mean(), SimDuration::from_millis(5));
-        let below = LatencyModel::Normal {
-            mean: SimDuration::from_millis(1),
-            std_dev: SimDuration::ZERO,
-            floor: SimDuration::from_millis(2),
-        };
-        assert_eq!(below.mean(), SimDuration::from_millis(2));
     }
 
     #[test]

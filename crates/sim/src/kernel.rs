@@ -176,16 +176,10 @@ pub struct Kernel<M> {
     pub(crate) epoch: Vec<u64>,
     /// Pre-interned keys for the kernel's own hot-path counters.
     pub(crate) keys: KernelKeys,
-    pub(crate) trace_payloads: bool,
 }
 
 impl<M: fmt::Debug> Kernel<M> {
-    pub(crate) fn new(
-        medium: Box<dyn Medium<M>>,
-        rng: SimRng,
-        trace_payloads: bool,
-        expected_processes: usize,
-    ) -> Self {
+    pub(crate) fn new(medium: Box<dyn Medium<M>>, rng: SimRng, expected_processes: usize) -> Self {
         let mut metrics = Metrics::new();
         let keys = KernelKeys::new(&mut metrics);
         Kernel {
@@ -204,7 +198,6 @@ impl<M: fmt::Debug> Kernel<M> {
             live: Vec::with_capacity(expected_processes),
             epoch: Vec::with_capacity(expected_processes),
             keys,
-            trace_payloads,
         }
     }
 
@@ -231,24 +224,17 @@ impl<M: fmt::Debug> Kernel<M> {
 
     /// Emits one event to the bus: every interested observer, in
     /// registration order. Kinds outside the combined interest mask return
-    /// at the first branch, before the event is constructed. The payload
-    /// `Debug` rendering is lazy — it only happens when `trace_payloads`
-    /// was requested.
+    /// at the first branch, before the event is constructed.
     #[inline]
-    pub(crate) fn emit(&mut self, kind: SimEventKind, payload: Option<&M>) {
+    pub(crate) fn emit(&mut self, kind: SimEventKind) {
         let bit = kind.mask();
         if !self.interest.intersects(bit) {
             return;
         }
-        let detail = match payload {
-            // riot-lint: allow(A1, reason = "payload render is gated by trace_payloads, which benchmarked hot runs leave off")
-            Some(msg) if self.trace_payloads => format!("{msg:?}"),
-            _ => String::new(),
-        };
         let event = SimEvent {
             at: self.clock,
             kind,
-            detail,
+            detail: String::new(),
         };
         for (mask, observer) in &mut self.observers {
             if mask.intersects(bit) {
@@ -267,7 +253,7 @@ impl<M: fmt::Debug> Kernel<M> {
         }
         assert!(to.0 < self.live.len(), "send to unknown process {to}");
         self.metrics.incr_key(self.keys.msg_sent);
-        self.emit(SimEventKind::Sent { from, to }, Some(&msg));
+        self.emit(SimEventKind::Sent { from, to });
         match self.medium.route(self.clock, from, to, &msg, &mut self.rng) {
             Delivery::After(latency) => {
                 let at = self.clock + latency;
@@ -276,7 +262,7 @@ impl<M: fmt::Debug> Kernel<M> {
             }
             Delivery::Drop(reason) => {
                 self.metrics.incr_key(self.keys.msg_dropped);
-                self.emit(SimEventKind::Dropped { from, to, reason }, Some(&msg));
+                self.emit(SimEventKind::Dropped { from, to, reason });
             }
         }
     }

@@ -28,9 +28,7 @@
 //! 4. The union of the registered [`SimObserver::interest`] masks is the one
 //!    gate on the emit path: a kind nobody subscribed to returns at a single
 //!    branch and allocates nothing, and call sites that format a text ask
-//!    [`Ctx::wants`](crate::Ctx::wants) first. `SimEvent::detail` carries a
-//!    `Debug` rendering of the message payload only when `trace_payloads` is
-//!    enabled.
+//!    [`Ctx::wants`](crate::Ctx::wants) first.
 
 use crate::intern::MetricKey;
 use crate::json::{Json, ToJson};
@@ -206,8 +204,9 @@ pub struct SimEvent {
     pub at: SimTime,
     /// What happened.
     pub kind: SimEventKind,
-    /// `Debug` rendering of the payload when `trace_payloads` is enabled and
-    /// the event carries one; empty otherwise.
+    /// Always empty from the kernel; kept so that code building a
+    /// `SimEvent` literal (a trace test, a hand-fed observer) still
+    /// compiles.
     pub detail: String,
 }
 

@@ -131,13 +131,10 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
             return;
         }
         let id = self.id;
-        self.kernel.emit(
-            crate::observer::SimEventKind::Note {
-                id,
-                text: text.into(),
-            },
-            None,
-        );
+        self.kernel.emit(crate::observer::SimEventKind::Note {
+            id,
+            text: text.into(),
+        });
     }
 
     /// Publishes a numeric measurement on the observability bus, keyed by an
@@ -151,14 +148,11 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
             return;
         }
         let id = self.id;
-        self.kernel.emit(
-            crate::observer::SimEventKind::Measure {
-                id,
-                key,
-                value_bits: value.to_bits(),
-            },
-            None,
-        );
+        self.kernel.emit(crate::observer::SimEventKind::Measure {
+            id,
+            key,
+            value_bits: value.to_bits(),
+        });
     }
 
     /// `true` if some registered observer subscribed to a kind in `mask`.

@@ -219,14 +219,6 @@ impl SimRng {
         lo + self.unit() * (hi - lo)
     }
 
-    /// Draws from a normal distribution via the Box–Muller transform.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1: f64 = 1.0 - self.unit(); // in (0, 1]
-        let u2: f64 = self.unit();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Picks a uniformly random element of a slice, or `None` if empty.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
@@ -363,17 +355,6 @@ mod tests {
         let mut r = SimRng::seed_from(5);
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((2_700..3_300).contains(&hits), "got {hits} hits for p=0.3");
-    }
-
-    #[test]
-    fn normal_moments_are_roughly_right() {
-        let mut r = SimRng::seed_from(11);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((9.9..10.1).contains(&mean), "mean {mean}");
-        assert!((3.6..4.4).contains(&var), "var {var}");
     }
 
     #[test]

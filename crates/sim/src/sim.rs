@@ -53,7 +53,6 @@ const STAGE_MIN: usize = 32;
 /// ```
 pub struct SimBuilder {
     seed: u64,
-    trace_payloads: bool,
     max_events: u64,
     expected_processes: usize,
 }
@@ -62,7 +61,6 @@ impl fmt::Debug for SimBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimBuilder")
             .field("seed", &self.seed)
-            .field("trace_payloads", &self.trace_payloads)
             .field("max_events", &self.max_events)
             .field("expected_processes", &self.expected_processes)
             .finish()
@@ -74,7 +72,6 @@ impl SimBuilder {
     pub fn new(seed: u64) -> Self {
         SimBuilder {
             seed,
-            trace_payloads: false,
             max_events: u64::MAX,
             expected_processes: 0,
         }
@@ -86,14 +83,6 @@ impl SimBuilder {
     /// anything, and has no observable effect on results.
     pub fn expect_processes(mut self, n: usize) -> Self {
         self.expected_processes = n;
-        self
-    }
-
-    /// Also put a `Debug` rendering of each message payload on the events
-    /// observers see ([`SimEvent::detail`](crate::SimEvent::detail); costly
-    /// on large runs, and nothing without an observer).
-    pub fn trace_payloads(mut self, on: bool) -> Self {
-        self.trace_payloads = on;
         self
     }
 
@@ -113,7 +102,7 @@ impl SimBuilder {
     /// `Network`).
     pub fn build_with_medium<M: fmt::Debug>(self, medium: Box<dyn Medium<M>>) -> Sim<M> {
         let rng = SimRng::seed_from(self.seed);
-        let kernel = Kernel::new(medium, rng, self.trace_payloads, self.expected_processes);
+        let kernel = Kernel::new(medium, rng, self.expected_processes);
         Sim {
             kernel,
             procs: Vec::with_capacity(self.expected_processes),
@@ -272,13 +261,10 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         if !self.wants(EventMask::NOTE) {
             return;
         }
-        self.kernel.emit(
-            SimEventKind::Note {
-                id: ProcessId(usize::MAX),
-                text: text.into(),
-            },
-            None,
-        );
+        self.kernel.emit(SimEventKind::Note {
+            id: ProcessId(usize::MAX),
+            text: text.into(),
+        });
     }
 
     /// Number of events processed so far.
@@ -342,7 +328,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         }
         self.kernel.live[id.0] = false;
         self.kernel.epoch[id.0] += 1;
-        self.kernel.emit(SimEventKind::ProcessDown { id }, None);
+        self.kernel.emit(SimEventKind::ProcessDown { id });
         let key = self.kernel.keys.proc_down;
         self.kernel.metrics.incr_key(key);
     }
@@ -354,7 +340,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         }
         self.kernel.live[id.0] = true;
         self.kernel.epoch[id.0] += 1;
-        self.kernel.emit(SimEventKind::ProcessUp { id }, None);
+        self.kernel.emit(SimEventKind::ProcessUp { id });
         let key = self.kernel.keys.proc_up;
         self.kernel.metrics.incr_key(key);
         self.with_proc(id, |p, ctx| p.on_start(ctx));
@@ -485,28 +471,23 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                 if !self.kernel.is_up(to) {
                     let key = self.kernel.keys.msg_dropped;
                     self.kernel.metrics.incr_key(key);
-                    self.kernel.emit(
-                        SimEventKind::Dropped {
-                            from,
-                            to,
-                            reason: "down",
-                        },
-                        Some(&msg),
-                    );
+                    self.kernel.emit(SimEventKind::Dropped {
+                        from,
+                        to,
+                        reason: "down",
+                    });
                     return;
                 }
                 let key = self.kernel.keys.msg_delivered;
                 self.kernel.metrics.incr_key(key);
-                self.kernel
-                    .emit(SimEventKind::Delivered { from, to }, Some(&msg));
+                self.kernel.emit(SimEventKind::Delivered { from, to });
                 self.with_proc(to, |p, ctx| p.on_message(ctx, from, msg));
             }
             EventKind::Timer { owner, tag, epoch } => {
                 if !self.kernel.is_up(owner) || self.kernel.epoch[owner.0] != epoch {
                     return;
                 }
-                self.kernel
-                    .emit(SimEventKind::TimerFired { owner, tag }, None);
+                self.kernel.emit(SimEventKind::TimerFired { owner, tag });
                 self.with_proc(owner, |p, ctx| p.on_timer(ctx, tag));
             }
             EventKind::Injection { idx } => {
@@ -1154,8 +1135,8 @@ mod tests {
     }
 
     #[test]
-    fn a_delivery_to_a_downed_process_frees_its_slot_and_shows_its_payload() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1).trace_payloads(true).build();
+    fn a_delivery_to_a_downed_process_frees_its_slot_and_is_traced_as_dropped() {
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
         sim.add_observer(RingTrace::new(16));
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(9));
@@ -1171,12 +1152,9 @@ mod tests {
             (0, 1),
             "slot returned"
         );
-        assert!(sim
-            .observer::<RingTrace>(0)
-            .unwrap()
-            .tail()
-            .filter(|e| matches!(e.kind, SimEventKind::Dropped { reason: "down", .. }))
-            .any(|e| e.detail.contains("Ping(9)")));
+        assert!(sim.observer::<RingTrace>(0).unwrap().tail().any(
+            |e| matches!(e.kind, SimEventKind::Dropped { to, reason: "down", .. } if to == a)
+        ));
         assert_eq!(sim.metrics().counter("sim.msg.dropped"), 1);
         // The freed slot is the next one used.
         sim.set_up(a);
@@ -1241,7 +1219,7 @@ mod tests {
 
     #[test]
     fn tracing_records_lifecycle() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1).trace_payloads(true).build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
         sim.add_observer(RingTrace::new(16));
         let a = sim.add_process(Counter::new());
         sim.send_external(a, Msg::Ping(3));
@@ -1250,8 +1228,7 @@ mod tests {
         assert!(ring.len() >= 2);
         assert!(ring
             .tail()
-            .filter(|e| matches!(e.kind, SimEventKind::Delivered { .. }))
-            .any(|e| e.detail.contains("Ping(3)")));
+            .any(|e| matches!(e.kind, SimEventKind::Delivered { to, .. } if to == a)));
     }
 
     /// Records the rendered form of every event it sees.
@@ -1353,7 +1330,7 @@ mod tests {
                 self.0.push(event.to_json().render());
             }
         }
-        let mut sim: Sim<Msg> = SimBuilder::new(1).trace_payloads(true).build();
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
         sim.add_observer(RingTrace::new(5));
         sim.add_observer(Eager(Vec::new()));
         let a = sim.add_process(Counter::new());
@@ -1365,13 +1342,13 @@ mod tests {
         let eager = sim.observer::<Eager>(1).unwrap().0.clone();
         let last = &eager[eager.len() - 5..];
         assert!(
-            last.iter().any(|l| l.contains(r#""detail":"Ping("#)),
+            last.iter().any(|l| l.contains(r#""kind":"delivered""#)),
             "{last:?}"
         );
         assert!(eager.iter().any(|l| l.contains(r#""text":"phase=11""#)));
         // Slots were overwritten in place many times over, by notes and by
-        // payload-carrying deliveries alike; the tail reads as if each line
-        // had been rendered when its event happened.
+        // deliveries alike; the tail reads as if each line had been
+        // rendered when its event happened.
         assert_eq!(
             sim.observer::<RingTrace>(0).unwrap().tail_json_lines(),
             last

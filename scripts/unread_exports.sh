@@ -12,15 +12,17 @@
 #   scripts/unread_exports.sh
 #
 # Program code is every `crates/*/src/**.rs` up to its `#[cfg(test)] mod`,
-# minus comment lines and other crates' `pub use` lists. The frozen
+# minus `#[cfg(test)] impl` blocks, comment lines and other crates' `pub use`
+# lists. The frozen
 # benchmark package (`crates/bench/src/bin/benchmark/`) is program code for
 # every crate, `riot-bench` included. Test code (`tests/`, `examples/`,
-# `crates/*/tests/`, `tests.rs` files, `#[cfg(test)]` modules) is not a
-# reader: the report names it beside each unread export, so a name read only
-# by a test or an example shows up with that file. A match is a whole-word
-# match, so a common name can hide behind an unrelated word — the list is a
-# lower bound. Report only: it prints the inventory and exits 0; it is not a
-# gate in scripts/check.sh.
+# `crates/*/tests/`, `tests.rs` files, `#[cfg(test)]` modules and impl
+# blocks) is not a reader: the report names it beside each unread export, so
+# a name read only by a test or an example shows up with that file. A match
+# is a whole-word match, so a common name can hide behind an unrelated word —
+# the list is a lower bound. Report only: it prints the inventory and exits
+# 0. scripts/check.sh runs it (output discarded) so that a report that no
+# longer runs fails the gate; what it lists fails nothing.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -40,13 +42,17 @@ find({ no_chdir => 1, wanted => sub {
 # Split each file into (program, test) text.
 for my $f (@files) {
     open my $fh, "<", $f or die "$f: $!";
-    my ($prog, $test, $in_test, $cfg_test) = ("", "", 0, 0);
+    my ($prog, $test, $in_test, $cfg_test, $test_impl) = ("", "", 0, 0, undef);
     $in_test = 1 if $f =~ m{^(tests|examples)/|^crates/[^/]+/tests/|/tests\.rs$};
     while (my $line = <$fh>) {
         $in_test = 1 if $cfg_test && $line =~ /^\s*(pub\s+)?mod\b/;
+        # A `#[cfg(test)] impl` block is test code up to the brace that
+        # closes it at the indentation it opened with.
+        $test_impl = $1 if $cfg_test && !defined $test_impl && $line =~ /^(\s*)impl\b/;
         $cfg_test = $line =~ /^\s*#\[cfg\(test\)\]/;
         next if $line =~ m{^\s*//};
-        if ($in_test) { $test .= $line } else { $prog .= $line }
+        if ($in_test || defined $test_impl) { $test .= $line } else { $prog .= $line }
+        $test_impl = undef if defined $test_impl && $line =~ /^\Q$test_impl\E\}/;
     }
     $prog =~ s/\bpub use\b[^;]*;//gs if $f =~ m{/src/lib\.rs$};
     $text{$f} = [$prog, $test];
