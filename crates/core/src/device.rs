@@ -30,7 +30,7 @@ const TAG_TIMEOUT_BASE: u64 = 1 << 32;
 
 /// What every device of one edge group has in common, built once and
 /// shared: a [`DeviceProcess`] carries only what differs between devices
-/// (the group is 104 bytes; a device, 160).
+/// (the group is 104 bytes; a device, 120).
 #[derive(Debug)]
 pub struct DeviceGroup {
     /// The architecture being realized.
@@ -118,15 +118,15 @@ impl DeviceWindow {
 /// `repr(C)` pins the declared order: the fields a sense or control tick
 /// reads and writes come first and fill the first 64 bytes, `group` — the
 /// one other thing such a tick follows — starts the next, and what only
-/// message handling, failover or the rescan oracle touches sits behind
-/// (DESIGN.md §9, "Per-event memory"; pinned by `layout_keeps_a_tick_…`).
+/// message handling or failover touches sits behind (DESIGN.md §9,
+/// "Per-event memory"; pinned by `layout_keeps_a_tick_…`).
 #[derive(Debug)]
 #[repr(C)]
 pub struct DeviceProcess {
-    /// Scenario node-state slab and this device's slot in it. When
-    /// attached, the sampling window and the last-sense instant live in
-    /// the slab row and nowhere else.
-    slab: Option<(NodeSlab, u32)>,
+    /// Scenario node-state slab and this device's slot in it: the sampling
+    /// window and the last-sense instant live in the slab row and nowhere
+    /// else.
+    slab: (NodeSlab, u32),
     on_backup_since: Option<SimTime>,
     /// 0 = primary edge; `i > 0` = `backup_edges[i - 1]`.
     controller_idx: usize,
@@ -144,19 +144,14 @@ pub struct DeviceProcess {
     /// at most a handful of requests are ever in flight (the control period
     /// exceeds the deadline), and a short `Vec` beats a tree here.
     pending: Vec<(u64, SimTime)>,
-    /// The sampling window and last-sense instant of a device *without* a
-    /// slab (the `#[cfg(test)]` rescan oracle and bare-`Sim` tests); never
-    /// written once a slab is attached, so the oracle reads state the slab
-    /// path has no hand in.
-    window: DeviceWindow,
-    last_reading_at: Option<SimTime>,
 }
 
 impl DeviceProcess {
-    /// Creates a device with its component running.
-    pub fn new(cfg: DeviceConfig) -> Self {
+    /// Creates a device with its component running, writing its sampling
+    /// inputs to row `slot` of `slab`.
+    pub(crate) fn new(cfg: DeviceConfig, slab: NodeSlab, slot: u32) -> Self {
         DeviceProcess {
-            slab: None,
+            slab: (slab, slot),
             on_backup_since: None,
             controller_idx: 0,
             reading_seq: 0,
@@ -170,20 +165,14 @@ impl DeviceProcess {
             domain: cfg.domain,
             sensitivity: cfg.sensitivity,
             pending: Vec::new(),
-            window: DeviceWindow::default(),
-            last_reading_at: None,
         }
     }
 
-    /// Connects this device to the scenario's node-state slab at `slot`.
-    pub(crate) fn attach_slab(&mut self, slab: NodeSlab, slot: u32) {
-        self.slab = Some((slab, slot));
-    }
-
-    /// Back to a bare device, for the `#[cfg(test)]` rescan oracle.
+    /// Moves this device to row `slot` of another slab — the `#[cfg(test)]`
+    /// rescan oracle's own, whose raw rows it gathers from.
     #[cfg(test)]
-    pub(crate) fn detach_slab(&mut self) {
-        self.slab = None;
+    pub(crate) fn attach_slab(&mut self, slab: NodeSlab, slot: u32) {
+        self.slab = (slab, slot);
     }
 
     /// The component's current lifecycle state.
@@ -194,23 +183,8 @@ impl DeviceProcess {
     /// Injects a component fault (used by disruption schedules).
     pub fn fail_component(&mut self) {
         self.state = ComponentState::Failed;
-        if let Some((slab, slot)) = &self.slab {
-            slab.set_serving(*slot, false);
-        }
-    }
-
-    /// Drains and resets the local sampling window — empty when a slab is
-    /// attached, which then holds the window.
-    #[cfg(test)]
-    pub(crate) fn take_window(&mut self) -> DeviceWindow {
-        std::mem::take(&mut self.window)
-    }
-
-    /// When the device last produced a reading — `None` when a slab is
-    /// attached, which then holds the instant.
-    #[cfg(test)]
-    pub(crate) fn last_reading_at(&self) -> Option<SimTime> {
-        self.last_reading_at
+        let (slab, slot) = &self.slab;
+        slab.set_serving(*slot, false);
     }
 
     /// Re-homes the device to a new primary edge (the mobility disruption:
@@ -233,23 +207,15 @@ impl DeviceProcess {
     }
 
     /// Counts one control round-trip into the sampling window.
-    fn note_control_ok(&mut self, latency_ms: f64) {
-        match &self.slab {
-            Some((slab, slot)) => slab.note_control_ok(*slot, latency_ms),
-            None => {
-                self.window.control_ok += 1;
-                self.window.latency_sum_ms += latency_ms;
-                self.window.latency_count += 1;
-            }
-        }
+    fn note_control_ok(&self, latency_ms: f64) {
+        let (slab, slot) = &self.slab;
+        slab.note_control_ok(*slot, latency_ms);
     }
 
     /// Counts one timed-out control request into the sampling window.
-    fn note_control_timeout(&mut self) {
-        match &self.slab {
-            Some((slab, slot)) => slab.note_control_timeout(*slot),
-            None => self.window.control_timeout += 1,
-        }
+    fn note_control_timeout(&self) {
+        let (slab, slot) = &self.slab;
+        slab.note_control_timeout(*slot);
     }
 
     fn controller(&self) -> Option<ProcessId> {
@@ -291,10 +257,8 @@ impl DeviceProcess {
         }
         self.reading_seq += 1;
         let now = ctx.now();
-        match &self.slab {
-            Some((slab, slot)) => slab.note_sense(*slot, now),
-            None => self.last_reading_at = Some(now),
-        }
+        let (slab, slot) = &self.slab;
+        slab.note_sense(*slot, now);
         let value = 20.0 + (self.reading_seq % 10) as f64 + ctx.rng().unit();
         if let Some(host) = self.data_host() {
             let meta = self.meta(now);
@@ -434,9 +398,8 @@ impl Process<Msg> for DeviceProcess {
             }
             TAG_RESTART_DONE if self.state == ComponentState::Failed => {
                 self.state = ComponentState::Running;
-                if let Some((slab, slot)) = &self.slab {
-                    slab.set_serving(*slot, true);
-                }
+                let (slab, slot) = &self.slab;
+                slab.set_serving(*slot, true);
                 ctx.metrics()
                     .incr_key(self.group.keys.device_component_restarted);
             }
@@ -452,9 +415,8 @@ impl Process<Msg> for DeviceProcess {
     /// slab row behind the first: everything a sense or control tick misses
     /// on at 10⁵ devices.
     fn prefetch(&self) {
-        if let Some((slab, slot)) = &self.slab {
-            slab.prefetch(*slot);
-        }
+        let (slab, slot) = &self.slab;
+        slab.prefetch(*slot);
         std::hint::black_box(Rc::as_ptr(&self.group));
     }
 }
@@ -479,6 +441,17 @@ mod tests {
             sensitivity: Sensitivity::Internal,
             domain: DomainId(0),
         }
+    }
+
+    /// A one-row slab, for a device outside a scenario.
+    fn one_row() -> NodeSlab {
+        NodeSlab::new(riot_sim::SimDuration::from_secs(3), vec![false])
+    }
+
+    /// Drains the control window from `dev`'s slab row.
+    fn drain(sim: &Sim<Msg>, dev: ProcessId) -> DeviceWindow {
+        let (slab, _) = &sim.process::<DeviceProcess>(dev).unwrap().slab;
+        slab.sample_fold(sim.now(), 1.0e6).window
     }
 
     /// A controller stub that answers every request instantly.
@@ -515,7 +488,7 @@ mod tests {
             readings: 0,
         });
         let cfg = device_cfg(level, sim.metrics_mut());
-        let dev = sim.add_process(DeviceProcess::new(cfg));
+        let dev = sim.add_process(DeviceProcess::new(cfg, one_row(), 0));
         (sim, primary, cloud, dev)
     }
 
@@ -531,14 +504,11 @@ mod tests {
         );
         assert!(edge.readings >= 8, "readings pushed: {}", edge.readings);
         assert_eq!(sim.process::<EchoController>(cloud).unwrap().requests, 0);
-        let d = sim.process::<DeviceProcess>(dev).unwrap();
-        assert!(d.window.control_ok >= 15);
-        assert_eq!(d.window.control_timeout, 0);
-        assert!(d.window.availability().unwrap() == 1.0);
-        assert!(
-            d.window.mean_latency_ms().unwrap() < 1.0,
-            "ideal medium: ~0ms"
-        );
+        let w = drain(&sim, dev);
+        assert!(w.control_ok >= 15);
+        assert_eq!(w.control_timeout, 0);
+        assert!(w.availability().unwrap() == 1.0);
+        assert!(w.mean_latency_ms().unwrap() < 1.0, "ideal medium: ~0ms");
     }
 
     #[test]
@@ -555,8 +525,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.process::<EchoController>(primary).unwrap().requests, 0);
         assert_eq!(sim.process::<EchoController>(cloud).unwrap().requests, 0);
-        let d = sim.process::<DeviceProcess>(dev).unwrap();
-        assert!(d.window.control_ok > 0, "local control succeeds");
+        assert!(drain(&sim, dev).control_ok > 0, "local control succeeds");
         assert_eq!(
             sim.metrics().counter("sim.msg.sent"),
             0,
@@ -572,12 +541,12 @@ mod tests {
             .unwrap()
             .fail_component();
         sim.run_until(SimTime::from_secs(6));
-        {
-            let d = sim.process_mut::<DeviceProcess>(dev).unwrap();
-            assert_eq!(d.component_state(), ComponentState::Failed);
-            let w = d.take_window();
-            assert!(w.control_timeout > 0, "local control fails while down");
-        }
+        assert_eq!(
+            sim.process::<DeviceProcess>(dev).unwrap().component_state(),
+            ComponentState::Failed
+        );
+        let w = drain(&sim, dev);
+        assert!(w.control_timeout > 0, "local control fails while down");
         sim.send_external(
             dev,
             Msg::App(AppMsg::Restart {
@@ -684,7 +653,7 @@ mod tests {
         cfg.primary_edge = host;
         cfg.sensitivity = Sensitivity::Personal;
         cfg.domain = DomainId(9);
-        sim.add_process(DeviceProcess::new(cfg));
+        sim.add_process(DeviceProcess::new(cfg, one_row(), 0));
         sim.run_until(SimTime::from_secs(3));
         let meta = sim.process::<Inspect>(host).unwrap().seen.unwrap();
         assert_eq!(meta.sensitivity, Sensitivity::Personal);
@@ -698,7 +667,7 @@ mod tests {
         // What an ML1 sense or control tick reads or writes: the first 64
         // bytes, and the shared-config pointer right behind them.
         for hot in [
-            offset_of!(DeviceProcess, slab) + size_of::<Option<(NodeSlab, u32)>>(),
+            offset_of!(DeviceProcess, slab) + size_of::<(NodeSlab, u32)>(),
             offset_of!(DeviceProcess, on_backup_since) + size_of::<Option<SimTime>>(),
             offset_of!(DeviceProcess, controller_idx) + size_of::<usize>(),
             offset_of!(DeviceProcess, reading_seq) + size_of::<u64>(),
@@ -709,9 +678,6 @@ mod tests {
             assert!(hot <= 64, "a hot field ends at byte {hot}");
         }
         assert!(offset_of!(DeviceProcess, group) + size_of::<Rc<DeviceGroup>>() <= 128);
-        // The no-slab window is the one thing a slab-attached tick never
-        // touches; it may sit anywhere behind.
-        assert!(offset_of!(DeviceProcess, window) >= 64);
     }
 
     #[test]
@@ -743,17 +709,25 @@ mod tests {
         }
     }
 
+    /// The budget that keeps 10⁵ devices' boxes in 12 MB: a field added
+    /// here shows up in review.
+    #[test]
+    fn a_device_is_at_most_120_bytes() {
+        assert!(size_of::<DeviceProcess>() <= 120);
+    }
+
     #[test]
     fn window_and_last_sense_live_in_the_slab_row_when_one_is_attached() {
         let (mut sim, _, _, dev) = world(MaturityLevel::Ml3);
-        let slab = NodeSlab::new(riot_sim::SimDuration::from_secs(3), vec![false]);
+        let (first, _) = sim.process::<DeviceProcess>(dev).unwrap().slab.clone();
+        let slab = one_row();
         sim.process_mut::<DeviceProcess>(dev)
             .unwrap()
             .attach_slab(slab.clone(), 0);
         sim.run_until(SimTime::from_secs(5));
-        let d = sim.process_mut::<DeviceProcess>(dev).unwrap();
-        assert_eq!(d.take_window(), DeviceWindow::default(), "no second copy");
-        assert_eq!(d.last_reading_at(), None, "no second copy");
+        let left = first.sample_fold(SimTime::from_secs(5), 1.0e6);
+        assert_eq!(left.window, DeviceWindow::default(), "the row moved");
+        assert_eq!(left.covered, 0, "the row moved");
         let fold = slab.sample_fold(SimTime::from_secs(5), 1.0e6);
         assert!(fold.window.control_ok >= 8, "{:?}", fold.window);
         assert_eq!(fold.window.latency_count, fold.window.control_ok);
@@ -764,9 +738,9 @@ mod tests {
     fn window_drain_resets() {
         let (mut sim, _, _, dev) = world(MaturityLevel::Ml3);
         sim.run_until(SimTime::from_secs(5));
-        let w = sim.process_mut::<DeviceProcess>(dev).unwrap().take_window();
+        let w = drain(&sim, dev);
         assert!(w.control_ok > 0);
-        let w2 = sim.process_mut::<DeviceProcess>(dev).unwrap().take_window();
+        let w2 = drain(&sim, dev);
         assert_eq!(w2, DeviceWindow::default());
         assert_eq!(w2.availability(), None);
         assert_eq!(w2.mean_latency_ms(), None);

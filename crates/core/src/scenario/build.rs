@@ -251,20 +251,23 @@ impl Scenario {
                 let personal =
                     spec.personal_every > 0 && global_idx.is_multiple_of(spec.personal_every);
                 let key = keys.mint();
-                let mut dev = DeviceProcess::new(DeviceConfig {
-                    group: group.clone(),
-                    // riot-lint: allow(P1, reason = "e enumerates hierarchy.devices, built with one entry per edge")
-                    primary_edge: hierarchy.edges[e],
-                    component: riot_model::ComponentId(d.0 as u32),
-                    data_key: key,
-                    sensitivity: if personal {
-                        Sensitivity::Personal
-                    } else {
-                        Sensitivity::Internal
+                let dev = DeviceProcess::new(
+                    DeviceConfig {
+                        group: group.clone(),
+                        // riot-lint: allow(P1, reason = "e enumerates hierarchy.devices, built with one entry per edge")
+                        primary_edge: hierarchy.edges[e],
+                        component: riot_model::ComponentId(d.0 as u32),
+                        data_key: key,
+                        sensitivity: if personal {
+                            Sensitivity::Personal
+                        } else {
+                            Sensitivity::Internal
+                        },
+                        domain: DomainId(0),
                     },
-                    domain: DomainId(0),
-                });
-                dev.attach_slab(slab.clone(), global_idx as u32);
+                    slab.clone(),
+                    global_idx as u32,
+                );
                 let id = sim.add_process(dev);
                 debug_assert_eq!(id, d);
                 devices.push(DeviceInfo {

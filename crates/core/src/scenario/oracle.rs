@@ -13,7 +13,7 @@ use crate::config::ReplicationMode;
 use crate::device::DeviceProcess;
 use crate::edge::EdgeProcess;
 use crate::msg::Msg;
-use crate::state::SampleFold;
+use crate::state::{NodeSlab, SampleFold};
 use riot_net::Hierarchy;
 use riot_sim::{ProcessId, Sim, SimTime, StreamPipeline};
 
@@ -62,24 +62,27 @@ impl Scenario {
     }
 
     /// The rescan oracle: [`Self::build`] and [`Self::run`] with every
-    /// device detached from the slab and each sample gathered by
-    /// [`Self::rescan`] instead of the slab fold. The liveness mirror and
-    /// the store probes stay registered and write rows nothing reads.
+    /// device moved to a slab of the oracle's own and each sample gathered
+    /// by [`Self::rescan`] instead of the slab fold. The liveness mirror and
+    /// the store probes stay on the scenario's slab and write rows nothing
+    /// reads.
     pub(super) fn run_rescan_oracle(spec: ScenarioSpec) -> ScenarioResult {
         let mut scenario = Scenario::build(spec);
-        for info in &scenario.devices {
+        let personal = scenario.devices.iter().map(|info| info.personal).collect();
+        let rows = NodeSlab::unsensed(crate::config::SENSE_PERIOD * 3, personal);
+        for (slot, info) in scenario.devices.iter().enumerate() {
             scenario
                 .sim
                 .process_mut::<DeviceProcess>(info.id)
                 .expect("device process")
-                .detach_slab();
+                .attach_slab(rows.clone(), slot as u32);
         }
         let mut t = SimTime::ZERO;
         let end = SimTime::ZERO + scenario.spec.duration;
         while t < end {
             t = (t + scenario.spec.sample_every).min(end);
             scenario.sim.run_until(t);
-            let fold = scenario.rescan(t);
+            let fold = scenario.rescan(t, &rows);
             scenario.publish_sample(t, &fold);
         }
         scenario.finish()
@@ -87,32 +90,32 @@ impl Scenario {
 
     /// The oracle's gather: one O(devices) pass over the device index —
     /// control-loop window, coverage, and consumer-store freshness
-    /// together, read from the process table and the stores. Keeping the
+    /// together, read from the raw fields of the oracle's slab `rows`, the
+    /// process table and the stores. Keeping the
     /// staleness accumulation in device-index order pins the floating-point
     /// sum — and therefore the recorded freshness series — bit-for-bit;
     /// the slab fold replays the identical addition sequence (its slot
     /// order *is* device-index order), which is what lets the oracle test
     /// demand byte-identical results.
-    fn rescan(&mut self, now: SimTime) -> SampleFold {
+    fn rescan(&mut self, now: SimTime, rows: &NodeSlab) -> SampleFold {
         let mut window = crate::device::DeviceWindow::default();
         let mut covered = 0usize;
         let mut staleness_sum = 0.0;
         let mut staleness_n = 0usize;
         let replication = self.spec.architecture().replication;
         let fresh_horizon = crate::config::SENSE_PERIOD * 3;
-        for info in &self.devices {
+        for (slot, info) in self.devices.iter().enumerate() {
             let up = self.device_is_up(info.id);
             let dev = self
                 .sim
-                .process_mut::<DeviceProcess>(info.id)
+                .process::<DeviceProcess>(info.id)
                 .expect("device process");
-            let w = dev.take_window();
+            let (w, last_sense) = rows.take_raw_row(slot as u32);
             window.control_ok += w.control_ok;
             window.control_timeout += w.control_timeout;
             window.latency_sum_ms += w.latency_sum_ms;
             window.latency_count += w.latency_count;
-            let reporting = dev
-                .last_reading_at()
+            let reporting = last_sense
                 .map(|at| now.saturating_since(at) <= fresh_horizon)
                 .unwrap_or(false);
             if up && dev.component_state().provides_service() && reporting {

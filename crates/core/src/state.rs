@@ -213,6 +213,41 @@ impl NodeSlab {
         }
     }
 
+    /// A slab for the `#[cfg(test)]` rescan oracle: as [`Self::new`], but
+    /// every row's `last_sense` starts at [`SimTime::MAX`], which no sense
+    /// writes, so [`Self::take_raw_row`] can tell a device that never
+    /// sensed without reading a flag.
+    #[cfg(test)]
+    pub(crate) fn unsensed(horizon: SimDuration, personal: Vec<bool>) -> NodeSlab {
+        let slab = Self::new(horizon, personal);
+        for row in &mut slab.inner.borrow_mut().rows {
+            row.last_sense = SimTime::MAX;
+        }
+        slab
+    }
+
+    /// Drains row `slot`'s control window and reads its last sense (`None`
+    /// before the first) straight from the row's own fields — none of the
+    /// flags, dirty bits, covered count or wheel the fold keeps — for the
+    /// `#[cfg(test)]` rescan oracle, over a slab made by [`Self::unsensed`].
+    #[cfg(test)]
+    pub(crate) fn take_raw_row(&self, slot: u32) -> (DeviceWindow, Option<SimTime>) {
+        let mut s = self.inner.borrow_mut();
+        let Some(row) = s.rows.get_mut(slot as usize) else {
+            return (DeviceWindow::default(), None);
+        };
+        let window = DeviceWindow {
+            control_ok: std::mem::take(&mut row.win_ok),
+            control_timeout: std::mem::take(&mut row.win_timeout),
+            latency_sum_ms: std::mem::take(&mut row.win_lat_sum),
+            latency_count: std::mem::take(&mut row.win_lat_n),
+        };
+        (
+            window,
+            (row.last_sense != SimTime::MAX).then_some(row.last_sense),
+        )
+    }
+
     /// Reads the row a device event of `slot` will write, for
     /// [`riot_sim::Process::prefetch`]; changes nothing.
     pub(crate) fn prefetch(&self, slot: u32) {

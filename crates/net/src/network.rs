@@ -12,16 +12,22 @@
 //! (the `riot-core` scenario builder enforces this).
 //!
 //! **Layout.** A link is one slot of a dense table, named by its index (its
-//! id); a node's adjacency list holds `(neighbour, link id)`. A resolved
-//! route is the ids of the links it crosses, kept in its sender's
-//! [`RouteTable`], and the per-message walk reads loss, latency and
-//! degradation from the slots — so degrading a link writes one slot and no
-//! route. A topology change advances a clock and stamps what it touched; a
-//! route remembers the clock it was resolved at and is stale once anything
-//! it depends on carries a later stamp (DESIGN.md §9, "Routing", has the
-//! argument for what each kind of change may leave standing).
+//! id). What links share lives once: a slot names its parameters' class
+//! (`Network::classes`, each distinct [`Link`] with its routing weight), and
+//! keeps only its endpoints, its cut flag, its change stamp and its
+//! degradation factor. A node's adjacency is threaded through the table: the
+//! node holds its first and last link id, and each slot the next link at
+//! either end, so a list keeps insertion order and costs no allocation of
+//! its own. A resolved route is the ids of the links it crosses, kept in its
+//! sender's [`RouteTable`], and the per-message walk reads loss and latency
+//! from the class and the degradation from the slot — so degrading a link
+//! writes one slot and no route. A topology change advances a clock and
+//! stamps what it touched; a route remembers the clock it was resolved at
+//! and is stale once anything it depends on carries a later stamp (DESIGN.md
+//! §9, "Routing", has the argument for what each kind of change may leave
+//! standing).
 //!
-//! riot-lint: allow-file(P1, reason = "dense ProcessId-indexed adjacency/dist vectors and the link table are indexed under the identity convention above; every node id is minted by add_node and every link id by add_link in this module")
+//! riot-lint: allow-file(P1, reason = "dense ProcessId-indexed adjacency/dist vectors, the link table and the class table are indexed under the identity convention above; every node id is minted by add_node, every link id by add_link and every class id by class_of in this module")
 
 use crate::latency::LatencyModel;
 use resolve::Search;
@@ -58,26 +64,53 @@ impl Link {
     }
 }
 
-/// Everything the network holds about one link: one slot of
-/// `Network::links`, indexed by the link's id.
+/// The link id that ends an adjacency list; never a slot's index, since
+/// `add_link` keeps link ids below `u32::MAX`.
+const NONE: u32 = u32::MAX;
+
+/// The bits a link class is told apart by: the latency model's tag and
+/// parameters, then the loss. Bits, not `f64` `==`, which would merge
+/// `0.0` with `-0.0` and never match a `NaN`.
+fn class_key(link: &Link) -> [u64; 5] {
+    let [tag, x, y, z] = match link.latency {
+        LatencyModel::Fixed(d) => [0, d.as_micros(), 0, 0],
+        LatencyModel::Uniform(lo, hi) => [1, lo.as_micros(), hi.as_micros(), 0],
+        LatencyModel::Spiky {
+            base,
+            spike_prob,
+            spike_factor,
+        } => [
+            2,
+            base.as_micros(),
+            spike_prob.to_bits(),
+            spike_factor.to_bits(),
+        ],
+    };
+    [tag, x, y, z, link.loss.to_bits()]
+}
+
+/// Everything the network holds about one link that is its own: one slot
+/// of `Network::links`, indexed by the link's id (40 bytes, pinned by
+/// `a_link_slot_is_40_bytes`).
 #[derive(Debug, Clone, Copy)]
 struct LinkSlot {
     /// The two endpoints' node indices.
     ends: [u32; 2],
-    link: Link,
-    /// Routing weight: the mean latency in µs, at least 1, worked out when
-    /// the link is set.
-    weight: u64,
-    /// Latency multiplier while the link is degraded (congestion,
-    /// interference); `None` when it is not — applying a 1.0 factor is not a
-    /// bit-exact identity through `f64` seconds.
-    factor: Option<f64>,
+    /// `next[i]`: the link after this one in `ends[i]`'s adjacency list, or
+    /// `NONE` at the list's end.
+    next: [u32; 2],
+    /// The link's parameters and routing weight: `Network::classes[class]`.
+    class: u32,
     cut: bool,
     /// `Network::clock` when the link was last cut, removed or created: a
     /// route resolved before then that names this slot is stale. (A cut and
     /// a restore between two uses of a route leave the link up and the route
     /// stale all the same; so does a removed link's slot taken by a new one.)
     changed_at: u64,
+    /// Latency multiplier while the link is degraded (congestion,
+    /// interference), at least 1; `0.0` when it is not — applying a 1.0
+    /// factor is not a bit-exact identity through `f64` seconds.
+    factor: f64,
 }
 
 impl LinkSlot {
@@ -85,6 +118,11 @@ impl LinkSlot {
     fn other(&self, n: usize) -> usize {
         let [a, b] = self.ends;
         (if a as usize == n { b } else { a }) as usize
+    }
+
+    /// Which of `ends` is `n`: the index of `n`'s list in `next`.
+    fn end(&self, n: usize) -> usize {
+        usize::from(self.ends[1] as usize == n)
     }
 
     /// Cuts the link at clock `now`; `false` if it was cut already.
@@ -95,6 +133,25 @@ impl LinkSlot {
         self.cut = true;
         self.changed_at = now;
         true
+    }
+}
+
+/// A place in one node's adjacency list, stepped over the link table it
+/// threads through; holds no borrow between steps, so the caller may write
+/// the slots it visits.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    node: usize,
+    at: u32,
+}
+
+impl Cursor {
+    /// The next `(neighbour, link id)` of the list, in insertion order.
+    fn step(&mut self, links: &[LinkSlot]) -> Option<(usize, u32)> {
+        let id = self.at;
+        let slot = links.get(id as usize)?;
+        self.at = slot.next[slot.end(self.node)];
+        Some((slot.other(self.node), id))
     }
 }
 
@@ -194,12 +251,21 @@ pub struct Network {
     /// Each node's role, by node id.
     nodes: Vec<NodeKind>,
     /// The link table. There is no index from an endpoint pair to an id: the
-    /// by-endpoint API scans the shorter adjacency list ([`Self::link_id`]).
+    /// by-endpoint API walks the two endpoints' adjacency lists in lockstep
+    /// ([`Self::link_id`]).
     links: Vec<LinkSlot>,
     /// Slots of removed links, taken again by the next new link.
     retired: Vec<u32>,
-    /// `adjacency[u]` is `(neighbour, link id)` for each link at `u`.
-    adjacency: Vec<Vec<(u32, u32)>>,
+    /// The link classes: each distinct [`Link`] a link was ever set to, with
+    /// its routing weight (the mean latency in µs, at least 1), worked out
+    /// once. Never freed, so bounded by the number of distinct parameter
+    /// sets — four in a scenario run.
+    classes: Vec<(Link, u64)>,
+    /// The class of each entry of `classes`, by [`class_key`].
+    class_index: BTreeMap<[u64; 5], u32>,
+    /// `adjacency[u]`: the first and last link id of `u`'s list, which goes
+    /// on through the slots' `next`; `NONE` for both when `u` has no link.
+    adjacency: Vec<[u32; 2]>,
     external_latency: SimDuration,
     /// `routes[from]`: the one route cache. Sized, with `touched_at`, on
     /// the first lookup, so a network that never routes pays for neither.
@@ -232,6 +298,8 @@ impl Network {
             nodes: Vec::new(),
             links: Vec::new(),
             retired: Vec::new(),
+            classes: Vec::new(),
+            class_index: BTreeMap::new(),
             adjacency: Vec::new(),
             external_latency: SimDuration::ZERO,
             routes: Vec::new(),
@@ -252,7 +320,7 @@ impl Network {
         let id = ProcessId(self.nodes.len());
         assert!(id.0 < u32::MAX as usize, "node indices are kept as u32");
         self.nodes.push(kind);
-        self.adjacency.push(Vec::new());
+        self.adjacency.push([NONE; 2]);
         // Searches hold per-node vectors sized when they started.
         if !self.searches.is_empty() {
             self.searches.clear();
@@ -271,24 +339,22 @@ impl Network {
             a.0 < self.nodes.len() && b.0 < self.nodes.len(),
             "unknown endpoint"
         );
-        let weight = link.latency.mean().as_micros().max(1);
+        let class = self.class_of(link);
         if let Some(id) = self.link_id(a, b) {
             // Replaced in place, keeping its cut and its degradation; a new
             // weight can move any route.
-            let slot = &mut self.links[id as usize];
-            slot.link = link;
-            slot.weight = weight;
+            self.links[id as usize].class = class;
             self.invalidate();
             return;
         }
         let now = self.tick();
         let slot = LinkSlot {
             ends: [a.0 as u32, b.0 as u32],
-            link,
-            weight,
-            factor: None,
+            next: [NONE; 2],
+            class,
             cut: false,
             changed_at: now,
+            factor: 0.0,
         };
         let id = match self.retired.pop() {
             Some(id) => {
@@ -304,8 +370,8 @@ impl Network {
                 (self.links.len() - 1) as u32
             }
         };
-        self.adjacency[a.0].push((b.0 as u32, id));
-        self.adjacency[b.0].push((a.0 as u32, id));
+        self.append(a.0, id);
+        self.append(b.0, id);
         let local = self.heal_is_local(id);
         self.forgot(local);
     }
@@ -315,8 +381,8 @@ impl Network {
     pub fn remove_link(&mut self, a: ProcessId, b: ProcessId) {
         let now = self.tick();
         if let Some(id) = self.link_id(a, b) {
-            self.adjacency[a.0].retain(|&(_, l)| l != id);
-            self.adjacency[b.0].retain(|&(_, l)| l != id);
+            self.unlink(a.0, id);
+            self.unlink(b.0, id);
             self.links[id as usize].changed_at = now;
             self.retired.push(id);
         }
@@ -369,9 +435,10 @@ impl Network {
     pub fn isolate(&mut self, n: ProcessId) -> Vec<(ProcessId, ProcessId)> {
         let now = self.tick();
         let mut newly_cut = Vec::new();
-        for &(m, id) in &self.adjacency[n.0] {
+        let mut at = self.cursor(n.0);
+        while let Some((m, id)) = at.step(&self.links) {
             if self.links[id as usize].cut_at(now) {
-                newly_cut.push((n, ProcessId(m as usize)));
+                newly_cut.push((n, ProcessId(m)));
             }
         }
         self.forgot(true);
@@ -392,8 +459,8 @@ impl Network {
         let now = self.tick();
         let mut newly_cut = Vec::new();
         for (&a, ga) in &group_of {
-            for &(b, id) in self.adjacency.get(a).into_iter().flatten() {
-                let b = b as usize;
+            let mut at = self.cursor(a);
+            while let Some((b, id)) = at.step(&self.links) {
                 if a < b
                     && group_of.get(&b).is_some_and(|gb| gb != ga)
                     && self.links[id as usize].cut_at(now)
@@ -414,14 +481,14 @@ impl Network {
     /// message reads the factor from the link's slot.
     pub fn degrade_link(&mut self, a: ProcessId, b: ProcessId, factor: f64) {
         if let Some(id) = self.link_id(a, b) {
-            self.links[id as usize].factor = Some(factor.max(1.0));
+            self.links[id as usize].factor = factor.max(1.0);
         }
     }
 
     /// Removes any degradation from a link.
     pub fn restore_link_quality(&mut self, a: ProcessId, b: ProcessId) {
         if let Some(id) = self.link_id(a, b) {
-            self.links[id as usize].factor = None;
+            self.links[id as usize].factor = 0.0;
         }
     }
 
@@ -430,8 +497,8 @@ impl Network {
     /// primitive (a phone roaming between gateways, a vehicle between road-
     /// side units).
     pub fn reattach(&mut self, dev: ProcessId, parent: ProcessId, link: Link) {
-        while let Some(&(m, _)) = self.adjacency[dev.0].last() {
-            self.remove_link(dev, ProcessId(m as usize));
+        while let Some(last) = self.links.get(self.adjacency[dev.0][1] as usize) {
+            self.remove_link(dev, ProcessId(last.other(dev.0)));
         }
         self.add_link(dev, parent, link);
     }
@@ -453,18 +520,97 @@ impl Network {
         }
     }
 
-    /// The id of the link joining `a` and `b`, if there is one: a scan of
-    /// the shorter of their adjacency lists.
+    /// The id of the link joining `a` and `b`, if there is one: their two
+    /// adjacency lists walked in lockstep, so O(the smaller degree) — the
+    /// link is in both, and the end of either proves it absent.
     fn link_id(&self, a: ProcessId, b: ProcessId) -> Option<u32> {
-        let (at_a, at_b) = (self.adjacency.get(a.0)?, self.adjacency.get(b.0)?);
-        let (list, other) = if at_a.len() <= at_b.len() {
-            (at_a, b.0)
-        } else {
-            (at_b, a.0)
-        };
-        list.iter()
-            .find(|&&(n, _)| n as usize == other)
-            .map(|&(_, id)| id)
+        if a.0 >= self.nodes.len() || b.0 >= self.nodes.len() {
+            return None;
+        }
+        let (mut at_a, mut at_b) = (self.links_at(a.0), self.links_at(b.0));
+        loop {
+            match (at_a.next(), at_b.next()) {
+                (Some((n, id)), _) if n == b.0 => return Some(id),
+                (_, Some((n, id))) if n == a.0 => return Some(id),
+                (None, _) | (_, None) => return None,
+                _ => {}
+            }
+        }
+    }
+
+    /// Whether `a` has no more links than `b`: their lists walked in
+    /// lockstep, O(the smaller degree).
+    fn fewer_links(&self, a: usize, b: usize) -> bool {
+        let mut at_b = self.links_at(b);
+        self.links_at(a).all(|_| at_b.next().is_some())
+    }
+
+    /// The start of `n`'s adjacency list (an empty one past the nodes).
+    fn cursor(&self, n: usize) -> Cursor {
+        let at = self.adjacency.get(n).map_or(NONE, |&[first, _]| first);
+        Cursor { node: n, at }
+    }
+
+    /// `n`'s links as `(neighbour, link id)`, in insertion order.
+    fn links_at(&self, n: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let mut at = self.cursor(n);
+        std::iter::from_fn(move || at.step(&self.links))
+    }
+
+    /// Appends link `id` to the end of `n`'s list.
+    fn append(&mut self, n: usize, id: u32) {
+        let [first, last] = &mut self.adjacency[n];
+        match self.links.get_mut(*last as usize) {
+            Some(tail) => tail.next[tail.end(n)] = id,
+            None => *first = id,
+        }
+        *last = id;
+    }
+
+    /// Takes link `id` out of `n`'s list, where it is: O(degree), the walk
+    /// to the link before it.
+    fn unlink(&mut self, n: usize, id: u32) {
+        let before = self
+            .links_at(n)
+            .map(|(_, l)| l)
+            .take_while(|&l| l != id)
+            .last();
+        let slot = &self.links[id as usize];
+        let after = slot.next[slot.end(n)];
+        match before {
+            Some(before) => {
+                let before = &mut self.links[before as usize];
+                before.next[before.end(n)] = after;
+            }
+            None => self.adjacency[n][0] = after,
+        }
+        if self.adjacency[n][1] == id {
+            self.adjacency[n][1] = before.unwrap_or(NONE);
+        }
+    }
+
+    /// The class of `link`, added if it is new: the last class is tried
+    /// first — a build adds runs of equal links — then the index.
+    fn class_of(&mut self, link: Link) -> u32 {
+        let key = class_key(&link);
+        if let Some(last) = self.classes.len().checked_sub(1) {
+            if class_key(&self.classes[last].0) == key {
+                return last as u32;
+            }
+        }
+        if let Some(&class) = self.class_index.get(&key) {
+            return class;
+        }
+        let class = self.classes.len() as u32;
+        self.classes
+            .push((link, link.latency.mean().as_micros().max(1)));
+        self.class_index.insert(key, class);
+        class
+    }
+
+    /// Link `id`'s routing weight.
+    fn weight(&self, id: u32) -> u64 {
+        self.classes[self.links[id as usize].class as usize].1
     }
 
     /// Begins a topology change: the clock advances, which alone forgets
@@ -516,25 +662,24 @@ impl Network {
             // Nothing was ever resolved: nothing to forget, nothing to scan.
             return true;
         }
-        let slot = &self.links[id as usize];
-        let ([a, b], ab) = (slot.ends, slot.weight);
-        let (a, b) = if self.adjacency[a as usize].len() <= self.adjacency[b as usize].len() {
+        let ([a, b], ab) = (self.links[id as usize].ends, self.weight(id));
+        let (a, b) = (a as usize, b as usize);
+        let (a, b) = if self.fewer_links(a, b) {
             (a, b)
         } else {
             (b, a)
         };
-        let local = self.adjacency[a as usize].iter().all(|&(x, ax)| {
-            let ax = &self.links[ax as usize];
+        let local = self.links_at(a).all(|(x, ax)| {
             x == b
-                || ax.cut
-                || self
-                    .link_id(ProcessId(x as usize), ProcessId(b as usize))
-                    .map(|xb| &self.links[xb as usize])
-                    .is_some_and(|xb| !xb.cut && xb.weight < ax.weight.saturating_add(ab))
+                || self.links[ax as usize].cut
+                || self.link_id(ProcessId(x), ProcessId(b)).is_some_and(|xb| {
+                    !self.links[xb as usize].cut
+                        && self.weight(xb) < self.weight(ax).saturating_add(ab)
+                })
         });
         if local {
             // A node past the tables' end is newer than every route.
-            if let Some(touched) = self.touched_at.get_mut(a as usize) {
+            if let Some(touched) = self.touched_at.get_mut(a) {
                 *touched = self.clock;
             }
         }
@@ -633,12 +778,13 @@ impl<M> Medium<M> for Network {
         let mut total = SimDuration::ZERO;
         for &id in self.routes[from.0].hops(&route) {
             let hop = &self.links[id as usize];
-            if rng.chance(hop.link.loss) {
+            let link = &self.classes[hop.class as usize].0;
+            if rng.chance(link.loss) {
                 return Delivery::Drop("loss");
             }
-            let mut d = hop.link.latency.sample(rng);
-            if let Some(factor) = hop.factor {
-                d = d.mul_f64(factor);
+            let mut d = link.latency.sample(rng);
+            if hop.factor != 0.0 {
+                d = d.mul_f64(hop.factor);
             }
             total += d;
         }
@@ -943,10 +1089,10 @@ mod tests {
     /// Every link, or every cut one, as its endpoints (lower index first).
     fn links_of(net: &Network, only_cut: bool) -> Vec<(ProcessId, ProcessId)> {
         let mut found = Vec::new();
-        for (a, list) in net.adjacency.iter().enumerate() {
-            for &(b, id) in list {
-                if a < b as usize && (!only_cut || net.links[id as usize].cut) {
-                    found.push((ProcessId(a), ProcessId(b as usize)));
+        for a in 0..net.node_count() {
+            for (b, id) in net.links_at(a) {
+                if a < b && (!only_cut || net.links[id as usize].cut) {
+                    found.push((ProcessId(a), ProcessId(b)));
                 }
             }
         }
@@ -1005,7 +1151,7 @@ mod tests {
                 // A link taken away and put back, as it was or heavier.
                 if let Some((a, b)) = random_link(net, rng) {
                     let id = net.link_id(a, b).unwrap();
-                    let mut link = net.links[id as usize].link;
+                    let mut link = net.classes[net.links[id as usize].class as usize].0;
                     net.remove_link(a, b);
                     if rng.chance(0.5) {
                         link = fixed_us(1_500);
@@ -1383,5 +1529,146 @@ mod tests {
         // spared resolutions the oracle had to make.
         assert!(scoped_changes > 500, "scoped changes {scoped_changes}");
         assert!(kept > 5_000, "resolutions spared {kept}");
+    }
+
+    // -- The class table and the threaded adjacency lists.
+
+    #[test]
+    fn a_link_slot_is_40_bytes() {
+        assert!(std::mem::size_of::<LinkSlot>() <= 40);
+    }
+
+    #[test]
+    fn equal_links_share_a_class_and_bit_different_ones_do_not() {
+        let mut net = Network::new();
+        let n: Vec<ProcessId> = (0..6).map(|_| net.add_node(NodeKind::Edge)).collect();
+        let zero = Link::lossless(LatencyModel::fixed_ms(1));
+        let negative_zero = Link { loss: -0.0, ..zero };
+        let nan = Link {
+            loss: f64::NAN,
+            ..zero
+        };
+        assert_eq!(zero, negative_zero, "`==` cannot tell them apart");
+        // Each class is met again after another one, so the index finds it.
+        for (a, b, link) in [
+            (0, 1, zero),
+            (1, 2, negative_zero),
+            (2, 3, zero),
+            (3, 4, nan),
+            (4, 5, negative_zero),
+            (5, 0, nan),
+        ] {
+            net.add_link(n[a], n[b], link);
+        }
+        assert_eq!(net.classes.len(), 3);
+        let class = |a: usize, b: usize| net.links[net.link_id(n[a], n[b]).unwrap() as usize].class;
+        assert_eq!(class(0, 1), class(2, 3));
+        assert_eq!(class(1, 2), class(4, 5));
+        assert_eq!(class(3, 4), class(5, 0));
+        assert_ne!(class(0, 1), class(1, 2));
+        assert_eq!(net.class_index.len(), net.classes.len());
+    }
+
+    #[test]
+    fn a_replaced_link_routes_by_its_new_weight() {
+        let mut net = Network::new();
+        let a = net.add_node(NodeKind::Device);
+        let b = net.add_node(NodeKind::Edge);
+        let c = net.add_node(NodeKind::Cloud);
+        net.add_link(a, c, Link::lossless(LatencyModel::fixed_ms(10)));
+        net.add_link(a, b, Link::lossless(LatencyModel::fixed_ms(3)));
+        net.add_link(b, c, Link::lossless(LatencyModel::fixed_ms(3)));
+        let mut rng = SimRng::seed_from(0);
+        let ms = SimDuration::from_millis;
+        assert_eq!(net.path(a, c).unwrap(), vec![a, b, c]);
+        assert_eq!(deliver(&mut net, a, c, &mut rng), Delivery::After(ms(6)));
+        let before = net.route_stats();
+        net.add_link(a, c, Link::lossless(LatencyModel::fixed_ms(2)));
+        assert_eq!(net.route_stats().forgot_all, before.forgot_all + 1);
+        assert_eq!(net.path(a, c).unwrap(), vec![a, c]);
+        assert_eq!(deliver(&mut net, a, c, &mut rng), Delivery::After(ms(2)));
+        // Put back as it was: the old class, and the old route.
+        net.add_link(a, c, Link::lossless(LatencyModel::fixed_ms(10)));
+        assert_eq!(net.classes.len(), 3);
+        assert_eq!(net.path(a, c).unwrap(), vec![a, b, c]);
+    }
+
+    #[test]
+    fn a_factor_of_one_is_a_degradation_and_its_restore_is_none() {
+        // Two networks drawing from equal streams: one never degraded, one
+        // degraded by 1.0 and restored. Every delivery must match.
+        let line = || {
+            let mut net = Network::new();
+            let a = net.add_node(NodeKind::Device);
+            let b = net.add_node(NodeKind::Edge);
+            let c = net.add_node(NodeKind::Cloud);
+            net.add_link(a, b, crate::topology::presets::device_edge());
+            net.add_link(b, c, crate::topology::presets::edge_cloud());
+            (net, a, b, c)
+        };
+        let (mut plain, a, _, c) = line();
+        let (mut restored, _, b, _) = line();
+        restored.degrade_link(a, b, 1.0);
+        restored.restore_link_quality(a, b);
+        let (mut r1, mut r2) = (SimRng::seed_from(5), SimRng::seed_from(5));
+        for _ in 0..500 {
+            assert_eq!(
+                deliver(&mut plain, a, c, &mut r1),
+                deliver(&mut restored, a, c, &mut r2)
+            );
+        }
+        // Where `mul_f64(1.0)` is not the identity, a 1.0 degradation shows.
+        let far = SimDuration::from_micros((1 << 53) + 1);
+        assert_ne!(far.mul_f64(1.0), far);
+        let mut net = Network::new();
+        let (x, y) = (net.add_node(NodeKind::Edge), net.add_node(NodeKind::Edge));
+        net.add_link(x, y, Link::lossless(LatencyModel::Fixed(far)));
+        let mut rng = SimRng::seed_from(0);
+        assert_eq!(deliver(&mut net, x, y, &mut rng), Delivery::After(far));
+        net.degrade_link(x, y, 1.0);
+        assert_eq!(
+            deliver(&mut net, x, y, &mut rng),
+            Delivery::After(far.mul_f64(1.0))
+        );
+        net.restore_link_quality(x, y);
+        assert_eq!(deliver(&mut net, x, y, &mut rng), Delivery::After(far));
+    }
+
+    #[test]
+    fn adjacency_keeps_insertion_order_across_removal_and_reattach() {
+        let mut net = Network::new();
+        let hub = net.add_node(NodeKind::Edge);
+        let n: Vec<ProcessId> = (0..8).map(|_| net.add_node(NodeKind::Device)).collect();
+        let lan = crate::topology::presets::lan();
+        for &m in &n[..6] {
+            net.add_link(hub, m, lan);
+        }
+        net.remove_link(hub, n[0]); // the list's head
+        net.remove_link(n[5], hub); // its tail, named from the far end
+        net.reattach(n[3], n[4], lan); // the middle
+        net.add_link(hub, n[0], lan); // back, at the end
+        net.add_link(n[6], hub, lan);
+        let neighbours = |net: &Network, at: ProcessId| -> Vec<usize> {
+            net.links_at(at.0).map(|(m, _)| m).collect()
+        };
+        let ids = |at: &[ProcessId]| -> Vec<usize> { at.iter().map(|p| p.0).collect() };
+        assert_eq!(neighbours(&net, hub), ids(&[n[1], n[2], n[4], n[0], n[6]]));
+        assert_eq!(neighbours(&net, n[4]), ids(&[hub, n[3]]));
+        assert_eq!(neighbours(&net, n[3]), ids(&[n[4]]));
+        assert!(neighbours(&net, n[5]).is_empty());
+        assert_eq!(net.link_id(n[5], hub), None);
+        assert_eq!(net.link_id(n[7], n[5]), None, "two empty lists");
+        let cut: Vec<ProcessId> = net.isolate(hub).into_iter().map(|(_, m)| m).collect();
+        assert_eq!(cut, vec![n[1], n[2], n[4], n[0], n[6]]);
+        // Emptied and refilled: the head and the tail start over.
+        for m in cut {
+            net.remove_link(hub, m);
+        }
+        assert!(neighbours(&net, hub).is_empty());
+        net.add_link(hub, n[7], lan);
+        net.add_link(n[5], hub, lan);
+        assert_eq!(neighbours(&net, hub), ids(&[n[7], n[5]]));
+        assert!(net.fewer_links(n[4].0, hub.0) && !net.fewer_links(hub.0, n[4].0));
+        assert!(net.fewer_links(n[4].0, n[3].0), "one each");
     }
 }

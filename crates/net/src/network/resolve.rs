@@ -21,7 +21,7 @@
 //! either end, in any ask order — is ever kept across one.
 //!
 //! riot-lint: allow-file(A1, reason = "reached from Network::route only when a lookup finds no fresh route, once per pair and change that could alter it; the per-message path is the lookup and the hop walk in network.rs")
-//! riot-lint: allow-file(P1, reason = "per-node vectors are sized to the node count when a search starts and indexed by node ids minted by Network::add_node, which drops every search; link ids come from the adjacency lists")
+//! riot-lint: allow-file(P1, reason = "per-node vectors are sized to the node count when a search starts and indexed by node ids minted by Network::add_node, which drops every search; link ids come from the adjacency lists and class ids from the slots")
 
 use super::{Network, NodeKind, Route, RouteTable};
 use std::cmp::Reverse;
@@ -156,10 +156,9 @@ impl Network {
     /// The neighbours of `u` over links that are not cut, each with the
     /// link's routing weight and id.
     fn usable_links(&self, u: usize) -> impl Iterator<Item = (usize, u64, u32)> + '_ {
-        self.adjacency[u].iter().filter_map(move |&(v, id)| {
-            let slot = &self.links[id as usize];
-            (!slot.cut).then_some((v as usize, slot.weight, id))
-        })
+        self.links_at(u)
+            .filter(|&(_, id)| !self.links[id as usize].cut)
+            .map(|(v, id)| (v, self.weight(id), id))
     }
 
     /// The per-pair search `search` replaced, kept as the tests' oracle: a
@@ -179,12 +178,13 @@ impl Network {
             if d > dist[u] {
                 continue;
             }
-            for &(v, id) in &self.adjacency[u] {
-                let (v, slot) = (v as usize, &self.links[id as usize]);
+            for (v, id) in self.links_at(u) {
+                let slot = &self.links[id as usize];
                 if slot.cut {
                     continue;
                 }
-                let w = slot.link.latency.mean().as_micros().max(1);
+                let link = &self.classes[slot.class as usize].0;
+                let w = link.latency.mean().as_micros().max(1);
                 let nd = d.saturating_add(w);
                 if nd < dist[v] {
                     dist[v] = nd;

@@ -98,8 +98,7 @@ impl Histogram {
     /// Selects the rank in place rather than sorting: under the total order
     /// the `k`-th smallest sample is one fixed value, so the result is the
     /// sorted lookup's, bit for bit. It reorders the samples, which moves
-    /// the last bits of a later [`mean`](Histogram::mean) or
-    /// [`std_dev`](Histogram::std_dev); read those first.
+    /// the last bits of a later [`mean`](Histogram::mean); read it first.
     ///
     /// # Panics
     ///
@@ -115,17 +114,6 @@ impl Histogram {
             .samples
             .select_nth_unstable_by(rank - 1, f64::total_cmp)
             .1
-    }
-
-    /// Sample standard deviation, or `0.0` with fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self.samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
     }
 
     /// A borrowed view of the raw samples: in recording order until a
@@ -358,7 +346,6 @@ mod tests {
         assert_eq!(h.quantile(1.0), 100.0);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 100.0);
-        assert!((h.std_dev() - 29.011).abs() < 0.01);
     }
 
     #[test]
@@ -378,7 +365,6 @@ mod tests {
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.std_dev(), 0.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 # into their own target directory, run alternately over the fixed seeds,
 # then one traced pair per workload through `benchmark --compare`.
 #
-#   scripts/bench_pairs.sh <parent-rev> [workload…] [--seconds N] [--pairs N]
+#   scripts/bench_pairs.sh <parent-rev> [workload…] [--seconds N] [--pairs N] [--record N]
 #
 # The change is the working tree this script lives in; the parent is
 # `git archive <parent-rev>` unpacked under the repository's
@@ -13,8 +13,28 @@
 # does not list fails before anything is built. Prints, per workload, the
 # per-seed table and the median [Q1–Q3] / ratio / wins rows in
 # EXPERIMENTS.md's format (quartiles by the benchmark's own rule, stats.rs
-# `exclusive_quantile`).
+# `exclusive_quantile`). --record N also writes the run to BENCH_<N>.json
+# at the repository's root (schema below).
 set -euo pipefail
+
+# BENCH_<N>.json, schema 1 (numbers as the runs printed them):
+#   { "schema": 1,
+#     "parent": "<sha>", "change": "<sha of HEAD>[-dirty]",
+#     "seconds": S, "pairs": P, "seeds": [the P seeds run],
+#     "host": { "cpu_model": "<first model name in /proc/cpuinfo>",
+#               "nproc": <processor lines in /proc/cpuinfo> },
+#     "workloads": { "<workload>": {
+#       "ref_ns_per_op": { "parent": x, "change": x },  # 1e9 / the median
+#                                # of every reference measurement of its runs
+#       "compare_ok": true|false,  # the traced pair's `benchmark --compare`
+#       "metrics": { "<metric>": {
+#         "parent": { "median": x, "q1": x, "q3": x, "iqr": x },
+#         "change": { "median": x, "q1": x, "q3": x, "iqr": x },
+#         "ratio": change median / parent median,
+#         "wins": pairs in which the change was better (by BENCHMARK.json's
+#                 direction: higher for throughput, lower for RSS and setup),
+#         "ranges": the comparison in words, as the printed table has it
+#       } … } } … } }
 
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 work="$root/target/bench_pairs"
@@ -22,7 +42,7 @@ seeds=(3 7 11 19 23 42 57 101 314 2718)
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
 
 usage() {
-  sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -30,16 +50,19 @@ parent_rev=""
 workloads=()
 seconds=26
 pairs=${#seeds[@]}
+record=""
 while (($#)); do
   case "$1" in
     --seconds) seconds="${2:?--seconds needs a value}"; shift 2 ;;
     --pairs) pairs="${2:?--pairs needs a value}"; shift 2 ;;
+    --record) record="${2:?--record needs a value}"; shift 2 ;;
     -*) usage ;;
     *) if [[ -z "$parent_rev" ]]; then parent_rev="$1"; else workloads+=("$1"); fi; shift ;;
   esac
 done
 [[ -n "$parent_rev" ]] || usage
 ((pairs >= 1 && pairs <= ${#seeds[@]})) || { echo "--pairs must be 1..${#seeds[@]}" >&2; exit 2; }
+[[ -z "$record" || "$record" =~ ^[0-9]+$ ]] || { echo "--record needs a number" >&2; exit 2; }
 # The names under BENCHMARK.json's "workloads" array, in file order.
 mapfile -t known < <(sed -n '/"workloads": *\[/,/^ *\]/p' "$root/BENCHMARK.json" |
   grep -o '"name": *"[^"]*"' | sed 's/.*"\([^"]*\)"$/\1/')
@@ -81,9 +104,14 @@ field() {
   grep -o "\"$2\":{\"value\":[^,]*" <<<"$1" | sed 's/.*"value"://'
 }
 
+# refs <result file>: the reference measurements of one run, one a line.
+refs() {
+  tr -d ' \n' <"$1" | grep -o '"ref_ops_per_s":\[[^]]*\]' | sed 's/.*\[//; s/\]//' | tr ',' '\n'
+}
+
 for w in "${workloads[@]}"; do
   rows="$work/out/$w.rows"
-  : >"$rows"
+  : >"$rows" >"$work/out/$w.parent.refs" >"$work/out/$w.change.refs"
   for ((i = 0; i < pairs; i++)); do
     seed=${seeds[i]}
     if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
@@ -95,6 +123,7 @@ for w in "${workloads[@]}"; do
         echo "error: $w seed $seed $side did not run clean: ${line[$side]}" >&2
         exit 1
       }
+      refs "$work/out/$side-trace0/${w}_seed${seed}_trace0.json" >>"$work/out/$w.$side.refs"
     done
     {
       printf '%s %s' "$seed" "${order[0]}"
@@ -108,7 +137,7 @@ for w in "${workloads[@]}"; do
   echo
   echo "**\`$w\`, $pairs pairs at \`--seconds $seconds\`:**"
   echo
-  awk '
+  awk -v json="$work/out/$w.metrics.json" '
     function grp(x,   s, out) {            # 1234567.8 -> "1 234 568"
       s = sprintf("%.0f", x); out = ""
       while (length(s) > 3) { out = " " substr(s, length(s) - 2) out; s = substr(s, 1, length(s) - 3) }
@@ -150,18 +179,52 @@ for w in "${workloads[@]}"; do
         else if (C["q1"] > P["q3"] || C["q3"] < P["q1"]) ranges = "inter-quartile ranges apart"
         else ranges = "inter-quartile ranges overlap"
         printf "| `%s` | %s [%s–%s] | %s [%s–%s] | %.3f | %d/%d | %s |\n", name[m], fmt(m, P["med"]), fmt(m, P["q1"]), fmt(m, P["q3"]), fmt(m, C["med"]), fmt(m, C["q1"]), fmt(m, C["q3"]), C["med"] / P["med"], wins, NR, ranges
+        printf "%s\"%s\": {\"parent\": {\"median\": %.10g, \"q1\": %.10g, \"q3\": %.10g, \"iqr\": %.10g}, \"change\": {\"median\": %.10g, \"q1\": %.10g, \"q3\": %.10g, \"iqr\": %.10g}, \"ratio\": %.6f, \"wins\": %d, \"ranges\": \"%s\"}", (m > 1 ? ",\n        " : ""), name[m], P["med"], P["q1"], P["q3"], P["q3"] - P["q1"], C["med"], C["q1"], C["q3"], C["q3"] - C["q1"], C["med"] / P["med"], wins, ranges > json
       }
     }
   ' "$rows"
 done
 
 status=0
+declare -A compare_ok=()
 for w in "${workloads[@]}"; do
   echo
   echo "==> traced pair, $w seed 11"
   for side in parent change; do run "$side" "$w" 11 1 >/dev/null; done
+  compare_ok[$w]=true
   (cd "$root" && "$work/change-target/release/benchmark" --compare \
     "$work/out/parent-trace1/${w}_seed11_trace1.json" \
-    "$work/out/change-trace1/${w}_seed11_trace1.json") || status=1
+    "$work/out/change-trace1/${w}_seed11_trace1.json") || { status=1; compare_ok[$w]=false; }
 done
+
+# ns_per_op <refs file>: 1e9 over the median reference measurement.
+ns_per_op() {
+  sort -g "$1" | awk '{ v[NR] = $1 } END { m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2; printf "%.4f", 1e9 / m }'
+}
+
+if [[ -n "$record" ]]; then
+  out="$root/BENCH_$record.json"
+  cpu="$(grep -m1 '^model name' /proc/cpuinfo | sed 's/^[^:]*: *//; s/["\\]//g')"
+  {
+    printf '{\n  "schema": 1,\n'
+    printf '  "parent": "%s",\n' "$parent_rev"
+    printf '  "change": "%s",\n' "$(git -C "$root" describe --always --dirty --abbrev=40)"
+    printf '  "seconds": %s,\n  "pairs": %s,\n' "$seconds" "$pairs"
+    printf '  "seeds": [%s],\n' "$(IFS=,; echo "${seeds[*]:0:pairs}" | sed 's/,/, /g')"
+    printf '  "host": {"cpu_model": "%s", "nproc": %s},\n' "$cpu" "$(grep -c '^processor' /proc/cpuinfo)"
+    printf '  "workloads": {'
+    sep=""
+    for w in "${workloads[@]}"; do
+      printf '%s\n    "%s": {\n' "$sep" "$w"
+      printf '      "ref_ns_per_op": {"parent": %s, "change": %s},\n' \
+        "$(ns_per_op "$work/out/$w.parent.refs")" "$(ns_per_op "$work/out/$w.change.refs")"
+      printf '      "compare_ok": %s,\n' "${compare_ok[$w]}"
+      printf '      "metrics": {\n        %s\n      }\n    }' "$(cat "$work/out/$w.metrics.json")"
+      sep=","
+    done
+    printf '\n  }\n}\n'
+  } >"$out"
+  echo
+  echo "==> wrote $out"
+fi
 exit $status
