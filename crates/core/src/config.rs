@@ -204,7 +204,12 @@ mod tests {
             CONTROL_DEADLINE < CONTROL_PERIOD,
             "deadline inside the period"
         );
-        assert!(COORD_TICK <= riot_coord::SwimConfig::default().probe_period);
+        let swim = riot_coord::SwimConfig::default();
+        assert!(COORD_TICK <= swim.probe_period);
+        assert!(
+            COORD_TICK < swim.probe_timeout,
+            "`Swim::tick` runs finer than the probe timeout"
+        );
         assert!(
             SILENCE_THRESHOLD > SENSE_PERIOD * 2,
             "tolerate a missed reading"

@@ -1,14 +1,14 @@
 //! [`Scenario::build`]: a spec becomes a network, a domain registry, node
 //! processes, the observers on the bus and the scheduled disruptions.
 
-use super::disrupt::apply_disruption;
+use super::disrupt::Injection;
+use super::world::{Node, ScenarioSim};
 use super::{DeviceInfo, Scenario, ScenarioSpec, StreamIdx, ACTIVITY_OP, FLOWS_OP};
 use crate::cloud::{CloudConfig, CloudProcess};
 use crate::config::ReplicationMode;
 use crate::device::{DeviceConfig, DeviceGroup, DeviceProcess};
 use crate::edge::{EdgeConfig, EdgeProcess};
 use crate::keys::MetricKeys;
-use crate::msg::Msg;
 use crate::resilience::{standard_goal_model, standard_requirements, SampleLog};
 use crate::state::{ConsumerMirror, NodeSlab, SlabLiveness};
 use riot_data::{KeySpace, Sensitivity};
@@ -16,7 +16,7 @@ use riot_model::{Domain, DomainId, DomainRegistry, Jurisdiction, TrustLevel};
 use riot_net::{presets, Hierarchy, HierarchySpec, LatencyModel, Link};
 use riot_sim::{
     ActivityTracker, FlowAccounting, MeasureProbe, MetricKey, ProcessId, QuantileSketch, RingTrace,
-    Sim, SimBuilder, SimTime, StreamPipeline,
+    SimBuilder, SimTime, StreamPipeline,
 };
 use std::ops::Range;
 use std::rc::Rc;
@@ -103,11 +103,11 @@ impl Scenario {
         let domain_of: Rc<[DomainId]> = domain_of.into();
 
         // -- Simulation and processes (spawn order must match node ids).
-        let mut sim: Sim<Msg> = SimBuilder::new(spec.seed)
+        let mut sim: ScenarioSim = SimBuilder::new(spec.seed)
             .max_events(2_000_000_000)
             // Cloud + edges + devices, known before a single spawn.
             .expect_processes(n)
-            .build_with_medium(Box::new(net));
+            .build_world(net);
 
         // -- Node-state slab (the sampler's backbone; see crate::state).
         // Built before the bus registrations so its liveness mirror is the
@@ -196,7 +196,7 @@ impl Scenario {
             // riot-lint: allow(P1, reason = "vendor_edge_index() only ever returns Some(spec.edges - 1)")
             .map(|i| vec![hierarchy.edges[i]])
             .unwrap_or_default();
-        let cloud_id = sim.add_process(CloudProcess::new(CloudConfig {
+        let cloud_id = sim.add_node(Node::Cloud(Box::new(CloudProcess::new(CloudConfig {
             arch: arch.clone(),
             me: hierarchy.cloud,
             domain: DomainId(0),
@@ -205,7 +205,7 @@ impl Scenario {
             domain_of: domain_of.clone(),
             keys: keys.clone(),
             metrics: metric_keys,
-        }));
+        }))));
         debug_assert_eq!(cloud_id, hierarchy.cloud);
 
         for (i, &e) in hierarchy.edges.iter().enumerate() {
@@ -215,7 +215,7 @@ impl Scenario {
                 .copied()
                 .filter(|p| *p != e)
                 .collect();
-            let id = sim.add_process(EdgeProcess::new(EdgeConfig {
+            let id = sim.add_node(Node::Edge(Box::new(EdgeProcess::new(EdgeConfig {
                 arch: arch.clone(),
                 me: e,
                 cloud: hierarchy.cloud,
@@ -227,7 +227,7 @@ impl Scenario {
                 scope: i as u32,
                 keys: keys.clone(),
                 metrics: metric_keys,
-            }));
+            }))));
             debug_assert_eq!(id, e);
         }
 
@@ -268,7 +268,7 @@ impl Scenario {
                     slab.clone(),
                     global_idx as u32,
                 );
-                let id = sim.add_process(dev);
+                let id = sim.add_node(Node::Device(dev));
                 debug_assert_eq!(id, d);
                 devices.push(DeviceInfo {
                     id: d,
@@ -292,19 +292,16 @@ impl Scenario {
             &slab,
         ) {
             let probe = Rc::new(mirror);
-            if consumer == hierarchy.cloud {
-                if let Some(cloud) = sim.process_mut::<CloudProcess>(consumer) {
-                    cloud.set_store_probe(probe);
-                }
-            } else if let Some(edge) = sim.process_mut::<EdgeProcess>(consumer) {
-                edge.set_store_probe(probe);
+            match sim.node_mut(consumer) {
+                Some(Node::Cloud(cloud)) => cloud.set_store_probe(probe),
+                Some(Node::Edge(edge)) => edge.set_store_probe(probe),
+                _ => {}
             }
         }
 
         // -- Disruptions become injections.
-        for ev in spec.disruptions.clone() {
-            let disruption = ev.disruption.clone();
-            sim.schedule_injection(ev.at, move |sim| apply_disruption(sim, disruption));
+        for ev in spec.disruptions.events() {
+            sim.inject_at(ev.at, Injection::Disrupt(ev.disruption.clone()));
         }
 
         let requirements = standard_requirements(spec.thresholds);

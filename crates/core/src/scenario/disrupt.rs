@@ -1,44 +1,58 @@
 //! Disruption injection: what one [`Disruption`] of the schedule does to the
-//! running simulation, inside the injection `Scenario::build` scheduled for
-//! it.
+//! running simulation, and the heals it schedules, each applied when the
+//! [`Injection`] `Scenario::build` or an earlier injection scheduled pops.
 
-use crate::device::DeviceProcess;
-use crate::edge::EdgeProcess;
-use crate::msg::Msg;
+use super::world::{Node, ScenarioSim};
 use riot_model::Disruption;
-use riot_net::{presets, Network};
-use riot_sim::{ProcessId, Sim, SimDuration};
+use riot_net::presets;
+use riot_sim::{ProcessId, SimDuration};
 
-/// The network under a scenario's simulation.
-fn network(sim: &mut Sim<Msg>) -> &mut Network {
-    let net = sim.medium_mut::<Network>();
-    // riot-lint: allow(P1, reason = "Scenario::build hands the kernel a Network and nothing replaces a medium; this runs only inside injections that build scheduled")
-    net.expect("a scenario's medium is the Network it was built with")
+/// A mutation of the scenario's world at a scheduled instant.
+pub(crate) enum Injection {
+    /// One disruption of the spec's schedule.
+    Disrupt(Disruption),
+    /// The one heal of an outage: the crashed node `revive`, if any, comes
+    /// back up, then every link in `cut` is restored.
+    Restore {
+        cut: Vec<(ProcessId, ProcessId)>,
+        revive: Option<ProcessId>,
+    },
+    /// A degraded link gets its quality back.
+    RestoreQuality(ProcessId, ProcessId),
+    /// A cut link is restored.
+    RestoreLink(ProcessId, ProcessId),
 }
 
-/// Schedules, `delay` from now, the one injection that undoes an outage: the
-/// crashed node `revive`, if any, comes back up, then every link in `cut`
-/// is restored.
-fn restore_after(
-    sim: &mut Sim<Msg>,
-    delay: SimDuration,
-    cut: Vec<(ProcessId, ProcessId)>,
-    revive: Option<ProcessId>,
-) {
-    let at = sim.now() + delay;
-    sim.schedule_injection(at, move |sim| {
-        if let Some(node) = revive {
-            sim.set_up(node);
+/// Applies one injection.
+pub(super) fn inject(sim: &mut ScenarioSim, injection: Injection) {
+    match injection {
+        Injection::Disrupt(disruption) => apply_disruption(sim, disruption),
+        Injection::Restore { cut, revive } => {
+            if let Some(node) = revive {
+                sim.set_up(node);
+            }
+            let net = sim.medium_mut();
+            for (a, b) in cut {
+                net.restore_link(a, b);
+            }
         }
-        let net = network(sim);
-        for (a, b) in cut {
-            net.restore_link(a, b);
-        }
-    });
+        Injection::RestoreQuality(a, b) => sim.medium_mut().restore_link_quality(a, b),
+        Injection::RestoreLink(a, b) => sim.medium_mut().restore_link(a, b),
+    }
 }
 
-/// Applies one disruption inside an injection.
-pub(super) fn apply_disruption(sim: &mut Sim<Msg>, disruption: Disruption) {
+/// Schedules `heal`, `after` from now, when the disruption heals at all.
+fn heal_after(sim: &mut ScenarioSim, after: Option<SimDuration>, heal: Injection) {
+    if let Some(delay) = after {
+        let at = sim.now() + delay;
+        sim.inject_at(at, heal);
+    }
+}
+
+/// Applies one disruption. A disruption aimed at a node of the wrong kind
+/// (a component fault at an edge, a domain transfer to a device) does
+/// nothing.
+fn apply_disruption(sim: &mut ScenarioSim, disruption: Disruption) {
     match disruption {
         Disruption::NodeCrash {
             node,
@@ -46,13 +60,12 @@ pub(super) fn apply_disruption(sim: &mut Sim<Msg>, disruption: Disruption) {
         } => {
             sim.set_down(node);
             // Dead hardware neither hosts software nor relays traffic.
-            let cut = network(sim).isolate(node);
-            if let Some(delay) = recover_after {
-                restore_after(sim, delay, cut, Some(node));
-            }
+            let cut = sim.medium_mut().isolate(node);
+            let revive = Some(node);
+            heal_after(sim, recover_after, Injection::Restore { cut, revive });
         }
         Disruption::ComponentFault { node, .. } => {
-            if let Some(dev) = sim.process_mut::<DeviceProcess>(node) {
+            if let Some(Node::Device(dev)) = sim.node_mut(node) {
                 dev.fail_component();
             }
         }
@@ -60,42 +73,43 @@ pub(super) fn apply_disruption(sim: &mut Sim<Msg>, disruption: Disruption) {
             a,
             b,
             factor,
-            heal_after,
+            heal_after: after,
         } => {
-            network(sim).degrade_link(a, b, factor);
-            if let Some(delay) = heal_after {
-                let at = sim.now() + delay;
-                sim.schedule_injection(at, move |sim| network(sim).restore_link_quality(a, b));
-            }
+            sim.medium_mut().degrade_link(a, b, factor);
+            heal_after(sim, after, Injection::RestoreQuality(a, b));
         }
-        Disruption::LinkCut { a, b, heal_after } => {
-            network(sim).cut_link(a, b);
-            if let Some(delay) = heal_after {
-                let at = sim.now() + delay;
-                sim.schedule_injection(at, move |sim| network(sim).restore_link(a, b));
-            }
+        Disruption::LinkCut {
+            a,
+            b,
+            heal_after: after,
+        } => {
+            sim.medium_mut().cut_link(a, b);
+            heal_after(sim, after, Injection::RestoreLink(a, b));
         }
-        Disruption::CloudOutage { cloud, heal_after } => {
-            let cut = network(sim).isolate(cloud);
-            if let Some(delay) = heal_after {
-                restore_after(sim, delay, cut, None);
-            }
+        Disruption::CloudOutage {
+            cloud,
+            heal_after: after,
+        } => {
+            let cut = sim.medium_mut().isolate(cloud);
+            heal_after(sim, after, Injection::Restore { cut, revive: None });
         }
-        Disruption::Partition { groups, heal_after } => {
-            let cut = network(sim).partition(&groups);
-            if let Some(delay) = heal_after {
-                restore_after(sim, delay, cut, None);
-            }
+        Disruption::Partition {
+            groups,
+            heal_after: after,
+        } => {
+            let cut = sim.medium_mut().partition(&groups);
+            heal_after(sim, after, Injection::Restore { cut, revive: None });
         }
         Disruption::DomainTransfer { entity, to } => {
             let node = ProcessId(entity as usize);
-            if let Some(edge) = sim.process_mut::<EdgeProcess>(node) {
+            if let Some(Node::Edge(edge)) = sim.node_mut(node) {
                 edge.transfer_domain(to);
             }
         }
         Disruption::Mobility { device, new_parent } => {
-            network(sim).reattach(device, new_parent, presets::device_edge());
-            if let Some(dev) = sim.process_mut::<DeviceProcess>(device) {
+            sim.medium_mut()
+                .reattach(device, new_parent, presets::device_edge());
+            if let Some(Node::Device(dev)) = sim.node_mut(device) {
                 dev.rehome(new_parent);
             }
         }

@@ -19,7 +19,8 @@
 //!
 //! One job each: `spec` (the [`ScenarioSpec`], its checks and the id
 //! layout), `build` ([`Scenario::build`]), `run` (the run loop and the
-//! sample tick), `disrupt` (a disruption's injection), `result`
+//! sample tick), `world` (the kernel's closed world: the node enum, the
+//! `Network`, the injection enum), `disrupt` (what an injection does), `result`
 //! ([`ScenarioResult`] and its harvest) and, compiled for tests only,
 //! `oracle` (the full-rescan sampler the slab fold is checked against) and
 //! `tests`.
@@ -31,13 +32,13 @@ mod result;
 mod run;
 mod spec;
 mod tests;
+mod world;
 
 pub use build::standard_domains;
 pub use result::ScenarioResult;
 pub use spec::{ScenarioSpec, SpecError, MAX_TRACE_TAIL};
 
 use crate::keys::MetricKeys;
-use crate::msg::Msg;
 use crate::observe::PROBE_ROWS;
 use crate::resilience::SampleLog;
 use crate::state::NodeSlab;
@@ -45,7 +46,8 @@ use riot_data::{DataKey, KeySpace};
 use riot_formal::OnlineMonitor;
 use riot_model::{DomainRegistry, GoalModel, RequirementSet};
 use riot_net::Hierarchy;
-use riot_sim::{MetricKey, ProcessId, Sim, SimTime};
+use riot_sim::{MetricKey, ProcessId, SimTime};
+use world::ScenarioSim;
 
 /// Static facts about one device of a built scenario.
 #[derive(Debug, Clone)]
@@ -64,7 +66,7 @@ pub struct DeviceInfo {
 /// A built, ready-to-run scenario.
 pub struct Scenario {
     spec: ScenarioSpec,
-    sim: Sim<Msg>,
+    sim: ScenarioSim,
     hierarchy: Hierarchy,
     /// The run-wide data-key space every store shares.
     keys: KeySpace,

@@ -7,22 +7,19 @@
 #![cfg(test)]
 
 use super::run::NEVER_SEEN_STALENESS_S;
+use super::world::{Node, ScenarioSim};
 use super::{DeviceInfo, Scenario, ScenarioResult, ScenarioSpec, ACTIVITY_OP};
-use crate::cloud::CloudProcess;
 use crate::config::ReplicationMode;
-use crate::device::DeviceProcess;
-use crate::edge::EdgeProcess;
-use crate::msg::Msg;
 use crate::state::{NodeSlab, SampleFold};
 use riot_net::Hierarchy;
-use riot_sim::{ProcessId, Sim, SimTime, StreamPipeline};
+use riot_sim::{ProcessId, SimTime, StreamPipeline};
 
 impl Scenario {
     /// Staleness of `info`'s key at its consuming store, for the rescan
     /// oracle. An associated function over disjoint borrows: [`Self::rescan`]
     /// holds `&self.devices` while probing `self.sim`.
     fn consumer_staleness(
-        sim: &Sim<Msg>,
+        sim: &ScenarioSim,
         hierarchy: &Hierarchy,
         replication: ReplicationMode,
         edges: usize,
@@ -31,15 +28,20 @@ impl Scenario {
     ) -> f64 {
         match replication {
             ReplicationMode::None => NEVER_SEEN_STALENESS_S,
-            ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => sim
-                .process::<CloudProcess>(hierarchy.cloud)
-                .and_then(|c| c.store().staleness_secs_key(info.key, now))
-                .unwrap_or(NEVER_SEEN_STALENESS_S),
+            ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => {
+                match sim.node(hierarchy.cloud) {
+                    Some(Node::Cloud(c)) => c.store().staleness_secs_key(info.key, now),
+                    _ => None,
+                }
+                .unwrap_or(NEVER_SEEN_STALENESS_S)
+            }
             ReplicationMode::EdgeMesh => {
                 let consumer = hierarchy.edges[(info.edge_index + 1) % edges];
-                sim.process::<EdgeProcess>(consumer)
-                    .and_then(|e| e.store().staleness_secs_key(info.key, now))
-                    .unwrap_or(NEVER_SEEN_STALENESS_S)
+                match sim.node(consumer) {
+                    Some(Node::Edge(e)) => e.store().staleness_secs_key(info.key, now),
+                    _ => None,
+                }
+                .unwrap_or(NEVER_SEEN_STALENESS_S)
             }
         }
     }
@@ -71,11 +73,10 @@ impl Scenario {
         let personal = scenario.devices.iter().map(|info| info.personal).collect();
         let rows = NodeSlab::unsensed(crate::config::SENSE_PERIOD * 3, personal);
         for (slot, info) in scenario.devices.iter().enumerate() {
-            scenario
-                .sim
-                .process_mut::<DeviceProcess>(info.id)
-                .expect("device process")
-                .attach_slab(rows.clone(), slot as u32);
+            let Some(Node::Device(dev)) = scenario.sim.node_mut(info.id) else {
+                panic!("device process");
+            };
+            dev.attach_slab(rows.clone(), slot as u32);
         }
         let mut t = SimTime::ZERO;
         let end = SimTime::ZERO + scenario.spec.duration;
@@ -106,10 +107,9 @@ impl Scenario {
         let fresh_horizon = crate::config::SENSE_PERIOD * 3;
         for (slot, info) in self.devices.iter().enumerate() {
             let up = self.device_is_up(info.id);
-            let dev = self
-                .sim
-                .process::<DeviceProcess>(info.id)
-                .expect("device process");
+            let Some(Node::Device(dev)) = self.sim.node(info.id) else {
+                panic!("device process");
+            };
             let (w, last_sense) = rows.take_raw_row(slot as u32);
             window.control_ok += w.control_ok;
             window.control_timeout += w.control_timeout;

@@ -2,9 +2,8 @@
 //! the node-state slab into verdicts, [`SampleLog`]
 //! points, a monitor step and a trace note.
 
+use super::world::Node;
 use super::{Scenario, ScenarioResult};
-use crate::cloud::CloudProcess;
-use crate::edge::EdgeProcess;
 use crate::observe::{SAT_LABEL, VALUATION_ATOMS};
 #[cfg(doc)]
 use crate::resilience::SampleLog;
@@ -102,11 +101,11 @@ impl Scenario {
         let staleness_n = fold.staleness_n;
         // -- Privacy audit across all stores.
         let mut violations = 0usize;
-        if let Some(c) = self.sim.process::<CloudProcess>(self.hierarchy.cloud) {
+        if let Some(Node::Cloud(c)) = self.sim.node(self.hierarchy.cloud) {
             violations += c.store().privacy_violations(&self.registry);
         }
         for &e in &self.hierarchy.edges {
-            if let Some(edge) = self.sim.process::<EdgeProcess>(e) {
+            if let Some(Node::Edge(edge)) = self.sim.node(e) {
                 violations += edge.store().privacy_violations(&self.registry);
             }
         }

@@ -8,7 +8,6 @@ use crate::config::ReplicationMode;
 use crate::observe::{MonitorError, MonitorSpec, StreamSpec};
 use riot_formal::Verdict3;
 use riot_model::{Disruption, DisruptionSchedule, MaturityLevel};
-use riot_net::Network;
 use riot_sim::{SimDuration, SimEvent, ToJson};
 
 fn small(level: MaturityLevel) -> ScenarioSpec {
@@ -783,8 +782,7 @@ fn a_campaigns_device_churn_forgets_only_the_routes_it_touches() {
     let mut scenario = Scenario::build(spec);
     let stats_at = |scenario: &mut Scenario, t: SimTime| {
         scenario.advance_to(t);
-        let net = scenario.sim.medium_mut::<Network>();
-        net.expect("the medium is the network").route_stats()
+        scenario.sim.medium_mut().route_stats()
     };
     let before_wave = stats_at(&mut scenario, wave - SimDuration::from_secs(1));
     let end = stats_at(&mut scenario, SimTime::from_secs(190));
@@ -906,4 +904,57 @@ fn two_runs_of_one_scenario_draw_the_same_words() {
     assert!(first > 0, "an ML4 run draws");
     assert_eq!(words(42), first);
     assert_ne!(words(43), first, "another seed, another run");
+}
+
+/// A disruption aimed at a node of the wrong kind does nothing: a component
+/// fault at an edge or at the cloud, a domain transfer to a device. The run
+/// samples, counts and draws exactly what the same run without them does;
+/// only the kernel's event count sees the three injections.
+#[test]
+fn mis_targeted_disruptions_change_nothing() {
+    for level in MaturityLevel::ALL {
+        let spec = small(level);
+        let mut aimed = spec.clone();
+        let component = riot_model::ComponentId(0);
+        aimed.disruptions = DisruptionSchedule::new()
+            .at(
+                SimTime::from_secs(11),
+                Disruption::ComponentFault {
+                    node: spec.edge_id(0),
+                    component,
+                },
+            )
+            .at(
+                SimTime::from_secs(12),
+                Disruption::ComponentFault {
+                    node: spec.cloud_id(),
+                    component,
+                },
+            )
+            .at(
+                SimTime::from_secs(13),
+                Disruption::DomainTransfer {
+                    entity: spec.device_id(1, 0).index() as u64,
+                    to: riot_model::DomainId(1),
+                },
+            );
+        let run = |spec: ScenarioSpec| {
+            let end = SimTime::ZERO + spec.duration;
+            let mut scenario = Scenario::build(spec);
+            scenario.advance_to(end);
+            let sim = &scenario.sim;
+            let seen = (
+                format!("{:?}", scenario.log),
+                format!("{:?}", sim.metrics()),
+                sim.rng_words(),
+                sim.in_flight(),
+            );
+            (seen, sim.events_processed())
+        };
+        let (calm, calm_events) = run(spec);
+        let (hit, hit_events) = run(aimed);
+        assert!(calm.1.contains("sim.msg.sent"), "{level:?}");
+        assert_eq!(hit, calm, "{level:?}");
+        assert_eq!(hit_events, calm_events + 3, "{level:?}: the injections");
+    }
 }

@@ -9,8 +9,9 @@
 //! The disruption vocabulary of the paper — connectivity changes,
 //! non-persistent cloud control structures, adverse environments — maps to
 //! concrete operations here: [`Network::cut_link`], [`Network::partition`],
-//! [`Network::isolate`], [`Network::reattach`], all injectable mid-run via
-//! [`riot_sim::Sim::schedule_injection`].
+//! [`Network::isolate`], [`Network::reattach`], all injectable mid-run
+//! from a world's [`riot_sim::World::inject`], which reaches the network
+//! through [`riot_sim::Sim::medium_mut`].
 //!
 //! ## Example
 //!

@@ -32,7 +32,6 @@
 use crate::latency::LatencyModel;
 use resolve::Search;
 use riot_sim::{Delivery, Medium, ProcessId, SimDuration, SimRng, SimTime};
-use std::any::Any;
 use std::collections::BTreeMap;
 
 mod resolve;
@@ -789,10 +788,6 @@ impl<M> Medium<M> for Network {
             total += d;
         }
         Delivery::After(total)
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,10 +1,10 @@
 //! Kernel internals: the event type and the state shared with [`Ctx`]; the
 //! queue the events wait in is `queue.rs`.
 //!
-//! Everything a process may touch during a callback lives in [`Kernel`]; the
-//! process table itself lives one level up in [`Sim`](crate::Sim) so that a
-//! running handler can borrow the kernel mutably while it is itself borrowed
-//! out of the table.
+//! Everything a process may touch during a callback lives in [`Kernel`],
+//! bar the medium; the process table and the medium live one level up in
+//! [`Sim`](crate::Sim), so that a running handler, borrowed in its table
+//! entry, can borrow the kernel and the medium beside it.
 
 use crate::intern::MetricKey;
 use crate::medium::{Delivery, Medium};
@@ -35,7 +35,7 @@ pub(crate) enum EventKind {
         tag: u64,
         epoch: u64,
     },
-    /// A scheduled mutation of the world: index into `Sim::injections`.
+    /// A scheduled injection: index into `Sim::injections`.
     Injection { idx: usize },
 }
 
@@ -159,7 +159,6 @@ pub struct Kernel<M> {
     pub(crate) queue: EventQueue,
     /// The bodies of the queued `Deliver` events.
     pub(crate) payloads: PayloadSlab<M>,
-    pub(crate) medium: Box<dyn Medium<M>>,
     pub(crate) rng: SimRng,
     pub(crate) metrics: Metrics,
     /// Registered observers with their interest masks (sampled once at
@@ -179,7 +178,7 @@ pub struct Kernel<M> {
 }
 
 impl<M: fmt::Debug> Kernel<M> {
-    pub(crate) fn new(medium: Box<dyn Medium<M>>, rng: SimRng, expected_processes: usize) -> Self {
+    pub(crate) fn new(rng: SimRng, expected_processes: usize) -> Self {
         let mut metrics = Metrics::new();
         let keys = KernelKeys::new(&mut metrics);
         Kernel {
@@ -190,7 +189,6 @@ impl<M: fmt::Debug> Kernel<M> {
             // doubling cascade during the start-up burst.
             queue: EventQueue::with_capacity((expected_processes * 4).max(16)),
             payloads: PayloadSlab::new(),
-            medium,
             rng,
             metrics,
             observers: Vec::new(),
@@ -243,9 +241,15 @@ impl<M: fmt::Debug> Kernel<M> {
         }
     }
 
-    /// Routes a message through the medium and schedules delivery or records
+    /// Routes a message through `medium` and schedules delivery or records
     /// the drop.
-    pub(crate) fn submit_message(&mut self, from: ProcessId, to: ProcessId, msg: M) {
+    pub(crate) fn submit_message(
+        &mut self,
+        medium: &mut dyn Medium<M>,
+        from: ProcessId,
+        to: ProcessId,
+        msg: M,
+    ) {
         if to.0 == usize::MAX {
             // A reply to an external sender: swallowed by the outside world.
             self.metrics.incr_key(self.keys.msg_external);
@@ -254,7 +258,7 @@ impl<M: fmt::Debug> Kernel<M> {
         assert!(to.0 < self.live.len(), "send to unknown process {to}");
         self.metrics.incr_key(self.keys.msg_sent);
         self.emit(SimEventKind::Sent { from, to });
-        match self.medium.route(self.clock, from, to, &msg, &mut self.rng) {
+        match medium.route(self.clock, from, to, &msg, &mut self.rng) {
             Delivery::After(latency) => {
                 let at = self.clock + latency;
                 let payload = self.payloads.hold(msg);

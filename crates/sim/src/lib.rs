@@ -15,6 +15,14 @@
 //! * **The medium** ([`Medium`]) decides latency and loss for every message;
 //!   `riot-net` provides a full IoT topology medium, and [`IdealMedium`] /
 //!   [`LossyMedium`] serve protocol tests.
+//! * **Worlds** ([`World`]): one kernel, generic over what it runs — the
+//!   type of a process-table entry, the medium and the injection type. A
+//!   closed world (riot-core's scenario: an enum of its node types, its
+//!   network by value, an enum of its disruptions) dispatches by `match`
+//!   and reads its nodes back by pattern. `Sim<M>` is the kernel over the
+//!   boxed world, [`DynWorld`]: any process and any medium behind a box,
+//!   closures as injections, and the only world that reads a process back
+//!   by type.
 //! * **Determinism**: one seeded ChaCha stream ([`SimRng`]) per run and
 //!   stable tie-breaking in the event queue mean the same seed reproduces the
 //!   same run bit-for-bit.
@@ -29,9 +37,9 @@
 //!   What a scenario samples per tick is its own record, not a fourth
 //!   store here (`riot_core::SampleLog`).
 //! * **Disruption**: processes can be crashed and restarted (with timer
-//!   epochs so stale timers die), and arbitrary scheduled *injections* can
-//!   mutate the world mid-run — the hook used for partitions, churn and
-//!   domain transfers.
+//!   epochs so stale timers die), and scheduled *injections*
+//!   ([`Sim::inject_at`], applied by [`World::inject`]) mutate the world
+//!   mid-run — the hook used for partitions, churn and domain transfers.
 //!
 //! ## Example
 //!
@@ -73,6 +81,7 @@ mod rng;
 mod sim;
 pub mod stream;
 mod time;
+mod world;
 
 pub use intern::{MetricKey, Symbol, SymbolTable};
 pub use json::{Json, ToJson};
@@ -84,9 +93,10 @@ pub use observer::{
 pub use process::{Ctx, Process, ProcessId};
 pub use queue::QueueStats;
 pub use rng::SimRng;
-pub use sim::{AnyProcess, Sim, SimBuilder};
+pub use sim::{Sim, SimBuilder};
 pub use stream::{
     ActivityTracker, CountByKey, FlowAccounting, MeasureProbe, OnlineStats, QuantileSketch,
     StreamOp, StreamPipeline, TumblingWindow,
 };
 pub use time::{SimDuration, SimTime};
+pub use world::{AnyProcess, DynWorld, World};

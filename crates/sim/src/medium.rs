@@ -1,15 +1,14 @@
 //! The communication medium: where network semantics live.
 //!
 //! The kernel itself knows nothing about topology, latency or partitions; it
-//! delegates every send to a [`Medium`], which decides if and when the
-//! message arrives. `riot-net` provides the full IoT network substrate; this
+//! delegates every send to its world's [`Medium`], which decides if and when
+//! the message arrives. `riot-net` provides the full IoT network substrate; this
 //! module ships two simple media ([`IdealMedium`], [`LossyMedium`]) that are
 //! handy for protocol unit tests.
 
 use crate::process::ProcessId;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use std::any::Any;
 
 /// The routing decision for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +24,10 @@ pub enum Delivery {
 ///
 /// Implementations may be stateful (partitions that open and close, links
 /// that degrade). The `route` call must not have side effects on processes —
-/// it only shapes delivery.
+/// it only shapes delivery. A [`World`](crate::World) holds its medium by
+/// value and hands it to a [`Ctx`](crate::Ctx) as `&mut dyn Medium`; its
+/// injections reach the concrete type through
+/// [`Sim::medium_mut`](crate::Sim::medium_mut).
 pub trait Medium<M> {
     /// Routes one message: given the current time, endpoints and payload,
     /// decide latency or drop. `rng` is the run's deterministic stream.
@@ -37,10 +39,6 @@ pub trait Medium<M> {
         msg: &M,
         rng: &mut SimRng,
     ) -> Delivery;
-
-    /// Upcast for callers that need to reach the concrete medium (e.g. a
-    /// disruption injector flipping partitions on `riot-net`'s `Network`).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A medium that delivers everything after a constant latency.
@@ -91,10 +89,6 @@ impl<M> Medium<M> for IdealMedium {
     ) -> Delivery {
         Delivery::After(self.latency)
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A medium with constant latency and i.i.d. loss, for protocol tests that
@@ -130,10 +124,6 @@ impl<M> Medium<M> for LossyMedium {
         } else {
             Delivery::After(self.latency)
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

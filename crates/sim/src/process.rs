@@ -31,7 +31,10 @@ impl fmt::Display for ProcessId {
 ///
 /// Implementations should be pure with respect to the kernel: all effects go
 /// through [`Ctx`]. The kernel guarantees that at most one handler runs at a
-/// time and that handlers observe a consistent virtual clock.
+/// time and that handlers observe a consistent virtual clock. A world's
+/// node type is a `Process` ([`World::Node`](crate::World::Node)): a closed
+/// world's enum implements it by `match`, and a boxed one forwards to what
+/// the box holds.
 ///
 /// # Examples
 ///
@@ -79,10 +82,13 @@ pub trait Process<M> {
 ///
 /// `Ctx` is the *only* channel through which a process can affect the world:
 /// it can read the virtual clock, draw randomness, send messages (routed
-/// through the run's [`Medium`](crate::Medium)), schedule timers, and record
-/// metrics and trace annotations.
+/// through the run's [`Medium`](crate::Medium), borrowed from the world for
+/// the length of the callback), schedule timers, and record metrics and
+/// trace annotations.
 pub struct Ctx<'a, M> {
     pub(crate) kernel: &'a mut crate::kernel::Kernel<M>,
+    /// The world's medium, borrowed for the length of the callback.
+    pub(crate) medium: &'a mut dyn crate::medium::Medium<M>,
     pub(crate) id: ProcessId,
 }
 
@@ -102,7 +108,7 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
     /// `Dropped` event; protocols are expected to tolerate loss.
     pub fn send(&mut self, to: ProcessId, msg: M) {
         let from = self.id;
-        self.kernel.submit_message(from, to, msg);
+        self.kernel.submit_message(self.medium, from, to, msg);
     }
 
     /// Schedules a timer to fire on this process after `delay`, carrying

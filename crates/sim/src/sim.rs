@@ -10,28 +10,9 @@ use crate::process::{Ctx, Process, ProcessId};
 use crate::queue::{EventQueue, QueueStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use crate::world::{DynWorld, World};
 use std::any::Any;
 use std::fmt;
-
-/// Object-safe super-trait that adds downcasting to [`Process`]; blanket
-/// implemented for every `'static` process, so user code never sees it.
-pub trait AnyProcess<M>: Process<M> {
-    /// Upcast to [`Any`] for post-run inspection.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable upcast to [`Any`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<M, T: Process<M> + Any> AnyProcess<M> for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-type Injection<M> = Box<dyn FnOnce(&mut Sim<M>)>;
 
 /// Fewest events a freshly loaded queue slot must hold for the kernel to
 /// walk it once calling [`Process::prefetch`] before the first pops. The
@@ -94,18 +75,24 @@ impl SimBuilder {
     }
 
     /// Builds a simulation with the default zero-latency [`IdealMedium`].
-    pub fn build<M: fmt::Debug>(self) -> Sim<M> {
+    pub fn build<M: fmt::Debug + 'static>(self) -> Sim<M> {
         self.build_with_medium(Box::new(IdealMedium::new()))
     }
 
-    /// Builds a simulation with an explicit medium (e.g. `riot-net`'s
+    /// Builds a simulation of the boxed world with an explicit medium.
+    pub fn build_with_medium<M: fmt::Debug + 'static>(self, medium: Box<dyn Medium<M>>) -> Sim<M> {
+        self.build_world(medium)
+    }
+
+    /// Builds a simulation of world `W` around its medium (e.g. `riot-net`'s
     /// `Network`).
-    pub fn build_with_medium<M: fmt::Debug>(self, medium: Box<dyn Medium<M>>) -> Sim<M> {
+    pub fn build_world<M: fmt::Debug, W: World<M>>(self, medium: W::Medium) -> Sim<M, W> {
         let rng = SimRng::seed_from(self.seed);
-        let kernel = Kernel::new(medium, rng, self.expected_processes);
+        let kernel = Kernel::new(rng, self.expected_processes);
         Sim {
             kernel,
-            procs: Vec::with_capacity(self.expected_processes),
+            nodes: Vec::with_capacity(self.expected_processes),
+            medium,
             injections: Vec::new(),
             events_processed: 0,
             max_events: self.max_events,
@@ -115,7 +102,8 @@ impl SimBuilder {
 }
 
 /// A deterministic discrete-event simulation: a set of [`Process`]es, a
-/// [`Medium`], and an event queue ordered by virtual time.
+/// [`Medium`], and an event queue ordered by virtual time — the one kernel
+/// over any [`World`]. `Sim<M>` is the boxed world, [`DynWorld`].
 ///
 /// # Examples
 ///
@@ -153,21 +141,25 @@ impl SimBuilder {
 /// sim.run_until(SimTime::from_secs(1));
 /// assert_eq!(sim.metrics().counter("sim.msg.sent"), 12);
 /// ```
-pub struct Sim<M> {
+pub struct Sim<M, W: World<M> = DynWorld<M>> {
     kernel: Kernel<M>,
-    procs: Vec<Option<Box<dyn AnyProcess<M>>>>,
-    injections: Vec<Option<Injection<M>>>,
+    /// The process table, by id.
+    pub(crate) nodes: Vec<W::Node>,
+    medium: W::Medium,
+    /// Scheduled injections, by the index their queued event carries; each
+    /// is taken when it fires.
+    injections: Vec<Option<W::Injection>>,
     events_processed: u64,
     max_events: u64,
     started: bool,
 }
 
-impl<M: fmt::Debug + 'static> Sim<M> {
-    /// Adds a process; it will receive `on_start` when the run begins (or
-    /// immediately if the run has already begun).
-    pub fn add_process(&mut self, proc_: impl Process<M> + 'static) -> ProcessId {
-        let id = ProcessId(self.procs.len());
-        self.procs.push(Some(Box::new(proc_)));
+impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
+    /// Adds a node to the process table; it will receive `on_start` when
+    /// the run begins (or immediately if the run has already begun).
+    pub fn add_node(&mut self, node: W::Node) -> ProcessId {
+        let id = ProcessId(self.nodes.len());
+        self.nodes.push(node);
         self.kernel.live.push(true);
         self.kernel.epoch.push(0);
         if self.started {
@@ -176,24 +168,26 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         id
     }
 
-    /// Schedules an arbitrary mutation of the simulation at a future instant
-    /// — the hook used by disruption injectors (partitions, crashes, domain
-    /// transfers).
+    /// Schedules a mutation of the world at a future instant — the hook
+    /// used by disruption injectors (partitions, crashes, domain
+    /// transfers). [`World::inject`] applies it when it pops.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_injection(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<M>) + 'static) {
+    pub fn inject_at(&mut self, at: SimTime, injection: W::Injection) {
         assert!(at >= self.kernel.clock, "injection scheduled into the past");
         let idx = self.injections.len();
-        self.injections.push(Some(Box::new(f)));
+        self.injections.push(Some(injection));
         self.kernel.push(at, EventKind::Injection { idx });
     }
 
     /// Sends a message into the simulation from the outside world at the
     /// current instant (delivered through the medium).
     pub fn send_external(&mut self, to: ProcessId, msg: M) {
-        self.kernel.submit_message(ProcessId(usize::MAX), to, msg);
+        let medium = W::medium(&mut self.medium);
+        self.kernel
+            .submit_message(medium, ProcessId(usize::MAX), to, msg);
     }
 
     /// Current virtual time.
@@ -289,35 +283,20 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.kernel.is_up(id)
     }
 
-    /// Downcasts the medium to its concrete type, for disruption injectors.
-    pub fn medium_mut<T: 'static>(&mut self) -> Option<&mut T> {
-        self.kernel.medium.as_any_mut().downcast_mut::<T>()
+    /// The world's medium, for disruption injectors.
+    pub fn medium_mut(&mut self) -> &mut W::Medium {
+        &mut self.medium
     }
 
-    /// Borrows a process for inspection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or the process is currently executing.
-    pub fn process<T: 'static>(&self, id: ProcessId) -> Option<&T> {
-        self.procs[id.0]
-            .as_ref()
-            .expect("process is executing")
-            .as_any()
-            .downcast_ref::<T>()
+    /// The node at `id`; `None` if there is none.
+    pub fn node(&self, id: ProcessId) -> Option<&W::Node> {
+        self.nodes.get(id.0)
     }
 
-    /// Mutably borrows a process for inspection or surgery between events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or the process is currently executing.
-    pub fn process_mut<T: 'static>(&mut self, id: ProcessId) -> Option<&mut T> {
-        self.procs[id.0]
-            .as_mut()
-            .expect("process is executing")
-            .as_any_mut()
-            .downcast_mut::<T>()
+    /// The node at `id`, for surgery between events; `None` if there is
+    /// none.
+    pub fn node_mut(&mut self, id: ProcessId) -> Option<&mut W::Node> {
+        self.nodes.get_mut(id.0)
     }
 
     /// Takes a process down immediately: its timers die with it and messages
@@ -406,7 +385,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             return;
         }
         self.started = true;
-        for i in 0..self.procs.len() {
+        for i in 0..self.nodes.len() {
             let id = ProcessId(i);
             if self.kernel.is_up(id) {
                 self.with_proc(id, |p, ctx| p.on_start(ctx));
@@ -443,7 +422,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                 EventKind::Deliver { to, .. } => to,
                 _ => continue,
             };
-            if let Some(Some(target)) = self.procs.get(id.0) {
+            if let Some(target) = self.nodes.get(id.0) {
                 target.prefetch();
             }
         }
@@ -491,36 +470,29 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                 self.with_proc(owner, |p, ctx| p.on_timer(ctx, tag));
             }
             EventKind::Injection { idx } => {
-                let f = self.injections[idx].take().expect("injection fires once");
-                f(self);
+                let injection = self.injections[idx].take().expect("injection fires once");
+                W::inject(self, injection);
             }
         }
     }
 
-    fn with_proc(
-        &mut self,
-        id: ProcessId,
-        f: impl FnOnce(&mut dyn AnyProcess<M>, &mut Ctx<'_, M>),
-    ) {
-        let mut boxed = self.procs[id.0].take().unwrap_or_else(|| {
-            panic!("re-entrant call into process {id}");
-        });
-        {
-            let mut ctx = Ctx {
-                kernel: &mut self.kernel,
-                id,
-            };
-            f(boxed.as_mut(), &mut ctx);
-        }
-        self.procs[id.0] = Some(boxed);
+    /// Runs `f` on node `id` with a [`Ctx`] over the kernel and the medium:
+    /// three disjoint fields, so the node stays in its table entry.
+    fn with_proc(&mut self, id: ProcessId, f: impl FnOnce(&mut W::Node, &mut Ctx<'_, M>)) {
+        let mut ctx = Ctx {
+            kernel: &mut self.kernel,
+            medium: W::medium(&mut self.medium),
+            id,
+        };
+        f(&mut self.nodes[id.0], &mut ctx);
     }
 }
 
-impl<M: fmt::Debug> fmt::Debug for Sim<M> {
+impl<M: fmt::Debug, W: World<M>> fmt::Debug for Sim<M, W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.kernel.clock)
-            .field("processes", &self.procs.len())
+            .field("processes", &self.nodes.len())
             .field("queued", &self.kernel.queue.len())
             .field("events_processed", &self.events_processed)
             .finish()
@@ -533,6 +505,7 @@ mod tests {
     use crate::json::ToJson;
     use crate::medium::LossyMedium;
     use crate::observer::{RingTrace, SimEvent};
+    use crate::world::AnyProcess;
 
     #[derive(Debug)]
     enum Msg {
@@ -663,13 +636,169 @@ mod tests {
         assert_eq!(p.fired[0].1, SimTime::from_millis(15));
     }
 
+    /// Returns every volley until `rounds`, and serves a fresh ball every
+    /// 7 ms in case the last one was lost.
+    #[derive(Clone, Copy)]
+    struct Pinger {
+        peer: ProcessId,
+        rounds: u32,
+    }
+
+    impl Process<u32> for Pinger {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            self.on_timer(ctx, 0);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: ProcessId, n: u32) {
+            if n < self.rounds {
+                ctx.send(from, n + 1);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _tag: u64) {
+            ctx.send(self.peer, 0);
+            ctx.schedule(SimDuration::from_millis(7), 0);
+        }
+    }
+
+    /// Returns every volley.
+    #[derive(Clone, Copy)]
+    struct Ponger;
+
+    impl Process<u32> for Ponger {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: ProcessId, n: u32) {
+            ctx.send(from, n + 1);
+        }
+    }
+
+    /// A closed world's node: one of two processes, dispatched by `match`.
+    #[derive(Clone, Copy)]
+    enum Player {
+        Pinger(Pinger),
+        Ponger(Ponger),
+    }
+
+    impl Process<u32> for Player {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            match self {
+                Player::Pinger(p) => p.on_start(ctx),
+                Player::Ponger(p) => p.on_start(ctx),
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: ProcessId, n: u32) {
+            match self {
+                Player::Pinger(p) => p.on_message(ctx, from, n),
+                Player::Ponger(p) => p.on_message(ctx, from, n),
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, tag: u64) {
+            match self {
+                Player::Pinger(p) => p.on_timer(ctx, tag),
+                Player::Ponger(p) => p.on_timer(ctx, tag),
+            }
+        }
+    }
+
+    /// A closed world's injection.
+    #[derive(Clone, Copy)]
+    enum Referee {
+        Crash(ProcessId),
+        Revive(ProcessId),
+    }
+
+    /// The closed test world: [`Player`]s, a [`LossyMedium`] held by value,
+    /// [`Referee`] calls.
+    enum Court {}
+
+    impl World<u32> for Court {
+        type Node = Player;
+        type Medium = LossyMedium;
+        type Injection = Referee;
+
+        fn inject(sim: &mut Sim<u32, Court>, call: Referee) {
+            match call {
+                Referee::Crash(id) => sim.set_down(id),
+                Referee::Revive(id) => sim.set_up(id),
+            }
+        }
+
+        fn medium(medium: &mut LossyMedium) -> &mut dyn Medium<u32> {
+            medium
+        }
+    }
+
+    fn court_medium() -> LossyMedium {
+        LossyMedium::new(SimDuration::from_millis(2), 0.2)
+    }
+
+    /// A lossy ping-pong with both players crashed and revived once, played
+    /// for 300 ms in `sim`; `node` and `call` put a [`Player`] and a
+    /// [`Referee`] call in the world's own terms. Returns the metrics, the
+    /// words drawn, the messages in flight, the trace tail and the events.
+    fn play<W: World<u32>>(
+        mut sim: Sim<u32, W>,
+        node: impl Fn(Player) -> W::Node,
+        call: impl Fn(Referee) -> W::Injection,
+    ) -> (String, u64, usize, Vec<String>, u64) {
+        let ring = sim.add_observer(RingTrace::new(64));
+        let ponger = sim.add_node(node(Player::Ponger(Ponger)));
+        let pinger = sim.add_node(node(Player::Pinger(Pinger {
+            peer: ponger,
+            rounds: 40,
+        })));
+        for (ms, id, call_) in [
+            (50, ponger, Referee::Crash as fn(ProcessId) -> Referee),
+            (80, ponger, Referee::Revive),
+            (120, pinger, Referee::Crash),
+            (130, pinger, Referee::Revive),
+        ] {
+            sim.inject_at(SimTime::from_millis(ms), call(call_(id)));
+        }
+        sim.run_until(SimTime::from_millis(300));
+        let tail = sim.observer::<RingTrace>(ring).unwrap().tail_json_lines();
+        (
+            format!("{:?}", sim.metrics()),
+            sim.rng_words(),
+            sim.in_flight(),
+            tail,
+            sim.events_processed(),
+        )
+    }
+
+    #[test]
+    fn a_closed_world_and_the_boxed_world_run_one_kernel_path() {
+        let closed = play(
+            SimBuilder::new(9).build_world::<u32, Court>(court_medium()),
+            |player| player,
+            |call| call,
+        );
+        let boxed = play(
+            SimBuilder::new(9).build_with_medium(Box::new(court_medium())),
+            |player| -> Box<dyn AnyProcess<u32>> {
+                match player {
+                    Player::Pinger(p) => Box::new(p),
+                    Player::Ponger(p) => Box::new(p),
+                }
+            },
+            |call| -> <DynWorld<u32> as World<u32>>::Injection {
+                match call {
+                    Referee::Crash(id) => Box::new(move |sim| sim.set_down(id)),
+                    Referee::Revive(id) => Box::new(move |sim| sim.set_up(id)),
+                }
+            },
+        );
+        let (metrics, words, _, tail, events) = &closed;
+        assert!(
+            metrics.contains("sim.proc.up") && *words > 100 && tail.len() == 64 && *events > 100,
+            "{closed:?}"
+        );
+        assert!(tail.iter().any(|l| l.contains(r#""reason":"loss""#)));
+        assert_eq!(closed, boxed);
+    }
+
     #[test]
     fn injections_run_at_their_time() {
-        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
-        let a = sim.add_process(Counter::new());
-        sim.schedule_injection(SimTime::from_secs(1), move |sim| {
-            sim.set_down(a);
-        });
+        let mut sim = SimBuilder::new(1).build_world::<u32, Court>(court_medium());
+        let a = sim.add_node(Player::Ponger(Ponger));
+        sim.inject_at(SimTime::from_secs(1), Referee::Crash(a));
         sim.run_until(SimTime::from_millis(500));
         assert!(sim.is_up(a));
         sim.run_until(SimTime::from_secs(2));
@@ -925,7 +1054,7 @@ mod tests {
     type Drive = fn(&mut Sim<Msg>);
 
     fn prefetch_calls(sim: &Sim<Msg>) -> Vec<u64> {
-        (0..sim.procs.len())
+        (0..sim.nodes.len())
             .map(|i| sim.process::<Probe>(ProcessId(i)).unwrap().prefetched.get())
             .collect()
     }
