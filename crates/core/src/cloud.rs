@@ -77,12 +77,6 @@ impl CloudProcess {
         &self.store
     }
 
-    /// Installs a [`riot_data::StoreProbe`] on the cloud store (the
-    /// scenario runner's consumer-freshness mirror).
-    pub(crate) fn set_store_probe(&mut self, probe: std::rc::Rc<dyn riot_data::StoreProbe>) {
-        self.store.set_probe(probe);
-    }
-
     fn ingest_telemetry(&mut self, ctx: &mut Ctx<'_, Msg>, reading: ReadingPayload) {
         let ReadingPayload {
             key,

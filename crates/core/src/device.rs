@@ -445,13 +445,13 @@ mod tests {
 
     /// A one-row slab, for a device outside a scenario.
     fn one_row() -> NodeSlab {
-        NodeSlab::new(riot_sim::SimDuration::from_secs(3), vec![false])
+        NodeSlab::new(riot_sim::SimDuration::from_secs(3), 1)
     }
 
     /// Drains the control window from `dev`'s slab row.
     fn drain(sim: &Sim<Msg>, dev: ProcessId) -> DeviceWindow {
         let (slab, _) = &sim.process::<DeviceProcess>(dev).unwrap().slab;
-        slab.sample_fold(sim.now(), 1.0e6).window
+        slab.sample_fold(sim.now()).window
     }
 
     /// A controller stub that answers every request instantly.
@@ -725,10 +725,10 @@ mod tests {
             .unwrap()
             .attach_slab(slab.clone(), 0);
         sim.run_until(SimTime::from_secs(5));
-        let left = first.sample_fold(SimTime::from_secs(5), 1.0e6);
+        let left = first.sample_fold(SimTime::from_secs(5));
         assert_eq!(left.window, DeviceWindow::default(), "the row moved");
         assert_eq!(left.covered, 0, "the row moved");
-        let fold = slab.sample_fold(SimTime::from_secs(5), 1.0e6);
+        let fold = slab.sample_fold(SimTime::from_secs(5));
         assert!(fold.window.control_ok >= 8, "{:?}", fold.window);
         assert_eq!(fold.window.latency_count, fold.window.control_ok);
         assert_eq!(fold.covered, 1, "the row saw the senses");

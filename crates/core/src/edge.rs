@@ -109,12 +109,6 @@ impl EdgeProcess {
         &self.store
     }
 
-    /// Installs a [`riot_data::StoreProbe`] on this edge's store (the
-    /// scenario runner's consumer-freshness mirror).
-    pub(crate) fn set_store_probe(&mut self, probe: std::rc::Rc<dyn riot_data::StoreProbe>) {
-        self.store.set_probe(probe);
-    }
-
     /// The locally believed scope leader (ML4 only).
     pub fn leader(&self) -> Option<ProcessId> {
         self.election.as_ref().and_then(|e| e.leader())

@@ -10,7 +10,7 @@ use crate::device::{DeviceConfig, DeviceGroup, DeviceProcess};
 use crate::edge::{EdgeConfig, EdgeProcess};
 use crate::keys::MetricKeys;
 use crate::resilience::{standard_goal_model, standard_requirements, SampleLog};
-use crate::state::{ConsumerMirror, NodeSlab, SlabLiveness};
+use crate::state::{NodeSlab, SlabLiveness};
 use riot_data::{KeySpace, Sensitivity};
 use riot_model::{Domain, DomainId, DomainRegistry, Jurisdiction, TrustLevel};
 use riot_net::{presets, Hierarchy, HierarchySpec, LatencyModel, Link};
@@ -18,7 +18,6 @@ use riot_sim::{
     ActivityTracker, FlowAccounting, MeasureProbe, MetricKey, ProcessId, QuantileSketch, RingTrace,
     SimBuilder, SimTime, StreamPipeline,
 };
-use std::ops::Range;
 use std::rc::Rc;
 
 /// Stable wire label for a jurisdiction (flow-accounting row names).
@@ -113,10 +112,7 @@ impl Scenario {
         // Built before the bus registrations so its liveness mirror is the
         // first observer: by the time any user observer sees a lifecycle
         // event, the slab already reflects it.
-        let personal: Vec<bool> = (0..spec.device_count())
-            .map(|i| spec.personal_every > 0 && i.is_multiple_of(spec.personal_every))
-            .collect();
-        let slab = NodeSlab::new(crate::config::SENSE_PERIOD * 3, personal);
+        let slab = NodeSlab::new(crate::config::SENSE_PERIOD * 3, spec.device_count());
         // Devices occupy the contiguous id range after cloud + edges.
         sim.add_observer(SlabLiveness::new(
             slab.clone(),
@@ -280,24 +276,21 @@ impl Scenario {
             }
         }
 
-        // -- Consumer-freshness mirrors: a store probe on each consuming
-        // store writes record arrivals/evictions straight into the slab, so
-        // the freshness fold never touches the stores.
-        for (consumer, mirror) in consumer_mirrors(
-            arch.replication,
-            &hierarchy,
-            &devices,
-            spec.devices_per_edge,
-            keys.len(),
-            &slab,
-        ) {
-            let probe = Rc::new(mirror);
-            match sim.node_mut(consumer) {
-                Some(Node::Cloud(cloud)) => cloud.set_store_probe(probe),
-                Some(Node::Edge(edge)) => edge.set_store_probe(probe),
-                _ => {}
+        // -- Each home edge's consuming store: the cloud, or under
+        // `EdgeMesh` the next edge. Static — a device's consumer follows its
+        // *home* edge, which neither mobility nor failover rewrites — and
+        // empty when nothing replicates.
+        let consumer_of_edge = match arch.replication {
+            ReplicationMode::None => Vec::new(),
+            ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => {
+                vec![hierarchy.cloud; spec.edges]
             }
-        }
+            ReplicationMode::EdgeMesh => {
+                let next = hierarchy.edges.iter().skip(1);
+                next.chain(hierarchy.edges.first()).copied().collect()
+            }
+        };
+        let operational = devices.iter().filter(|info| !info.personal).count();
 
         // -- Disruptions become injections.
         for ev in spec.disruptions.events() {
@@ -321,59 +314,9 @@ impl Scenario {
             streams,
             log: SampleLog::default(),
             slab,
+            consumer_of_edge,
+            operational,
             sampled_to: SimTime::ZERO,
         }
     }
-}
-
-/// The consumer-freshness mirror of every consuming store, with the store's
-/// process. The consumer mapping is static — a device's designated consumer
-/// follows from its *home* edge index, which neither mobility nor failover
-/// rewrites — and is the one the `#[cfg(test)]` rescan oracle's
-/// `consumer_staleness` walks. Device keys were minted in device order and
-/// an edge's devices occupy one contiguous slot range, so every mirror
-/// shares one key → device-slot table and holds only its range.
-pub(super) fn consumer_mirrors(
-    replication: ReplicationMode,
-    hierarchy: &Hierarchy,
-    devices: &[DeviceInfo],
-    devices_per_edge: usize,
-    key_count: usize,
-    slab: &NodeSlab,
-) -> Vec<(ProcessId, ConsumerMirror)> {
-    let edges = hierarchy.edges.len();
-    let per_edge = devices_per_edge as u32;
-    let consumers: Vec<(ProcessId, Range<u32>)> = match replication {
-        // No replication: nothing ever lands anywhere; the mirror stays
-        // unwritten and every key reads never-seen.
-        ReplicationMode::None => return Vec::new(),
-        ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => {
-            vec![(hierarchy.cloud, 0..devices.len() as u32)]
-        }
-        // Edge j consumes the devices homed on the previous edge (whose
-        // consumer is `(edge_index + 1) % edges`).
-        ReplicationMode::EdgeMesh => hierarchy
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(j, &e)| {
-                let producer = ((j + edges - 1) % edges) as u32;
-                (e, producer * per_edge..(producer + 1) * per_edge)
-            })
-            .collect(),
-    };
-    let mut slot_of: Vec<Option<u32>> = vec![None; key_count];
-    for (slot, info) in devices.iter().enumerate() {
-        if let Some(s) = slot_of.get_mut(info.key.index()) {
-            *s = Some(slot as u32);
-        }
-    }
-    let slot_of: Rc<[Option<u32>]> = slot_of.into();
-    consumers
-        .into_iter()
-        .map(|(consumer, consumed)| {
-            let mirror = ConsumerMirror::new(slab.clone(), slot_of.clone(), consumed);
-            (consumer, mirror)
-        })
-        .collect()
 }

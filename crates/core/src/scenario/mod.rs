@@ -88,6 +88,11 @@ pub struct Scenario {
     log: SampleLog,
     /// The node-state slab every sample tick folds (`crate::state`).
     slab: NodeSlab,
+    /// The consuming store's process per home-edge index, read by every
+    /// sample tick's freshness scan; empty when nothing replicates.
+    consumer_of_edge: Vec<ProcessId>,
+    /// How many devices are not personal: the freshness scan's domain.
+    operational: usize,
     /// The last sample tick taken (`SimTime::ZERO` before the first).
     sampled_to: SimTime,
 }

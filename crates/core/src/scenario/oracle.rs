@@ -1,8 +1,8 @@
 //! The rescan oracle: the sampler as it was before the node-state slab —
 //! one O(devices) pass over the process table and the stores per tick —
 //! kept as the reference `incremental_sampling_equals_full_rescan_on_every_level`
-//! compares the slab fold against. Its run loop is its own, independent of
-//! the production loop it checks.
+//! compares the slab fold and the freshness scan against. Its run loop is
+//! its own, independent of the production loop it checks.
 
 #![cfg(test)]
 
@@ -65,13 +65,12 @@ impl Scenario {
 
     /// The rescan oracle: [`Self::build`] and [`Self::run`] with every
     /// device moved to a slab of the oracle's own and each sample gathered
-    /// by [`Self::rescan`] instead of the slab fold. The liveness mirror and
-    /// the store probes stay on the scenario's slab and write rows nothing
-    /// reads.
+    /// by [`Self::rescan`] instead of the slab fold and the freshness scan.
+    /// The liveness mirror stays on the scenario's slab and writes rows
+    /// nothing reads.
     pub(super) fn run_rescan_oracle(spec: ScenarioSpec) -> ScenarioResult {
         let mut scenario = Scenario::build(spec);
-        let personal = scenario.devices.iter().map(|info| info.personal).collect();
-        let rows = NodeSlab::unsensed(crate::config::SENSE_PERIOD * 3, personal);
+        let rows = NodeSlab::unsensed(crate::config::SENSE_PERIOD * 3, scenario.devices.len());
         for (slot, info) in scenario.devices.iter().enumerate() {
             let Some(Node::Device(dev)) = scenario.sim.node_mut(info.id) else {
                 panic!("device process");
@@ -83,8 +82,8 @@ impl Scenario {
         while t < end {
             t = (t + scenario.spec.sample_every).min(end);
             scenario.sim.run_until(t);
-            let fold = scenario.rescan(t, &rows);
-            scenario.publish_sample(t, &fold);
+            let (fold, staleness_sum, staleness_n) = scenario.rescan(t, &rows);
+            scenario.publish_sample(t, &fold, staleness_sum, staleness_n);
         }
         scenario.finish()
     }
@@ -95,10 +94,10 @@ impl Scenario {
     /// process table and the stores. Keeping the
     /// staleness accumulation in device-index order pins the floating-point
     /// sum — and therefore the recorded freshness series — bit-for-bit;
-    /// the slab fold replays the identical addition sequence (its slot
-    /// order *is* device-index order), which is what lets the oracle test
-    /// demand byte-identical results.
-    fn rescan(&mut self, now: SimTime, rows: &NodeSlab) -> SampleFold {
+    /// the shipped freshness scan and the slab's window drain replay the
+    /// identical addition sequences (both walk device-index order), which
+    /// is what lets the oracle test demand byte-identical results.
+    fn rescan(&mut self, now: SimTime, rows: &NodeSlab) -> (SampleFold, f64, usize) {
         let mut window = crate::device::DeviceWindow::default();
         let mut covered = 0usize;
         let mut staleness_sum = 0.0;
@@ -136,11 +135,6 @@ impl Scenario {
                 staleness_n += 1;
             }
         }
-        SampleFold {
-            window,
-            covered,
-            staleness_sum,
-            staleness_n,
-        }
+        (SampleFold { window, covered }, staleness_sum, staleness_n)
     }
 }

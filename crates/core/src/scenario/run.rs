@@ -1,6 +1,6 @@
 //! Running a built scenario: the run loop, and the sample tick that turns
-//! the node-state slab into verdicts, [`SampleLog`]
-//! points, a monitor step and a trace note.
+//! the node-state slab and the consuming stores into verdicts,
+//! [`SampleLog`] points, a monitor step and a trace note.
 
 use super::world::Node;
 use super::{Scenario, ScenarioResult};
@@ -8,6 +8,7 @@ use crate::observe::{SAT_LABEL, VALUATION_ATOMS};
 #[cfg(doc)]
 use crate::resilience::SampleLog;
 use crate::state::SampleFold;
+use riot_data::ReplicatedStore;
 use riot_formal::{OnlineMonitor, Valuation};
 use riot_model::{GoalModel, Requirement, RequirementKind, Telemetry, Verdict};
 use riot_sim::{EventMask, SimTime};
@@ -83,22 +84,64 @@ impl Scenario {
     /// lint's call graph gets precise edges (DESIGN.md §10).
     fn sample(&mut self, now: SimTime) {
         // O(changed): fold the node-state slab's flat arrays. Devices
-        // pushed their deltas as they happened; nothing here touches the
-        // process table or the stores.
-        let fold = self.slab.sample_fold(now, NEVER_SEEN_STALENESS_S);
-        self.publish_sample(now, &fold);
+        // pushed their deltas as they happened.
+        let fold = self.slab.sample_fold(now);
+        let (staleness_sum, staleness_n) = self.freshness(now);
+        self.publish_sample(now, &fold, staleness_sum, staleness_n);
+    }
+
+    /// Freshness at the consuming stores: the sum of each operational
+    /// (non-personal) device's staleness at its home edge's consumer,
+    /// capped at [`NEVER_SEEN_STALENESS_S`], and how many devices
+    /// contributed (every operational one). The terms age with `now`, so this is a scan in
+    /// device-index order, the order that pins the floating-point sum.
+    fn freshness(&self, now: SimTime) -> (f64, usize) {
+        let c = NEVER_SEEN_STALENESS_S;
+        let n = self.operational;
+        // With no replication every term is the never-seen constant, and
+        // the scan's repeated addition equals one multiplication *exactly*:
+        // with the constant a non-negative integer and the total below
+        // 2^53, every partial sum `k·c` is an exactly-representable
+        // integer, so each addition is exact. (Both hold for 1.0e6 at any
+        // feasible device count; the guard falls through to the scan
+        // otherwise.)
+        let exact_batch = c >= 0.0 && c.fract() == 0.0 && c * (n as f64) < 9.0e15;
+        if self.consumer_of_edge.is_empty() && exact_batch {
+            return (c * n as f64, n);
+        }
+        let mut sum = 0.0;
+        for info in self.devices.iter().filter(|info| !info.personal) {
+            let store = match self
+                .consumer_of_edge
+                .get(info.edge_index)
+                .and_then(|&id| self.sim.node(id))
+            {
+                Some(Node::Cloud(cloud)) => Some(cloud.store()),
+                Some(Node::Edge(edge)) => Some(edge.store()),
+                _ => None,
+            };
+            let staleness = store
+                .and_then(|store| ReplicatedStore::staleness_secs_key(store, info.key, now))
+                .unwrap_or(c);
+            sum += staleness.min(c);
+        }
+        (sum, n)
     }
 
     /// The tail of a sample tick: privacy audit, telemetry valuation,
     /// verdicts, one point per [`SampleLog`] column, the
     /// monitor step and the trace note. The `#[cfg(test)]` rescan oracle
-    /// feeds its own [`SampleFold`] through here, so its result can only
-    /// differ from the slab's if the gathered numbers do.
-    pub(super) fn publish_sample(&mut self, now: SimTime, fold: &SampleFold) {
+    /// feeds its own gather through here, so its result can only differ
+    /// from the shipped sampler's if the gathered numbers do.
+    pub(super) fn publish_sample(
+        &mut self,
+        now: SimTime,
+        fold: &SampleFold,
+        staleness_sum: f64,
+        staleness_n: usize,
+    ) {
         let window = &fold.window;
         let covered = fold.covered;
-        let staleness_sum = fold.staleness_sum;
-        let staleness_n = fold.staleness_n;
         // -- Privacy audit across all stores.
         let mut violations = 0usize;
         if let Some(Node::Cloud(c)) = self.sim.node(self.hierarchy.cloud) {

@@ -4,7 +4,6 @@
 #![cfg(test)]
 
 use super::*;
-use crate::config::ReplicationMode;
 use crate::observe::{MonitorError, MonitorSpec, StreamSpec};
 use riot_formal::Verdict3;
 use riot_model::{Disruption, DisruptionSchedule, MaturityLevel};
@@ -47,65 +46,6 @@ fn build_matches_layout() {
         "device 0 is personal at every=4"
     );
     assert!(!scenario.devices()[1].personal);
-}
-
-/// Every ML4 edge mirrors exactly the devices homed on its producer edge —
-/// the per-edge maps the builder once made by walking the whole fleet per
-/// edge — and the cloud mirror of the other replication modes covers the
-/// fleet.
-#[test]
-fn consumer_mirrors_map_each_edge_to_its_producer() {
-    let mut spec = small(MaturityLevel::Ml4);
-    spec.edges = 4;
-    spec.devices_per_edge = 3;
-    let edges = spec.edges;
-    let scenario = Scenario::build(spec.clone());
-    assert_eq!(
-        scenario.spec.architecture().replication,
-        ReplicationMode::EdgeMesh
-    );
-    // A key no device produces, interned after the build.
-    let stray = scenario.keys.intern("not/a/device");
-    let mirrors = build::consumer_mirrors(
-        ReplicationMode::EdgeMesh,
-        &scenario.hierarchy,
-        &scenario.devices,
-        spec.devices_per_edge,
-        scenario.keys.len(),
-        &scenario.slab,
-    );
-    assert_eq!(mirrors.len(), edges);
-    for (j, (consumer, mirror)) in mirrors.iter().enumerate() {
-        assert_eq!(*consumer, scenario.hierarchy.edges[j]);
-        let producer_edge = (j + edges - 1) % edges;
-        let mut want: Vec<Option<u32>> = vec![None; scenario.keys.len()];
-        for (slot, info) in scenario.devices.iter().enumerate() {
-            if info.edge_index == producer_edge {
-                want[info.key.index()] = Some(slot as u32);
-            }
-        }
-        for info in &scenario.devices {
-            assert_eq!(mirror.slot(info.key), want[info.key.index()], "edge {j}");
-        }
-        assert_eq!(mirror.slot(stray), None);
-        assert_eq!(want.iter().flatten().count(), spec.devices_per_edge);
-    }
-    for mode in [ReplicationMode::CloudOnly, ReplicationMode::EdgeToCloud] {
-        let mirrors = build::consumer_mirrors(
-            mode,
-            &scenario.hierarchy,
-            &scenario.devices,
-            spec.devices_per_edge,
-            scenario.keys.len(),
-            &scenario.slab,
-        );
-        assert_eq!(mirrors.len(), 1);
-        let (consumer, mirror) = &mirrors[0];
-        assert_eq!(*consumer, scenario.hierarchy.cloud);
-        for (slot, info) in scenario.devices.iter().enumerate() {
-            assert_eq!(mirror.slot(info.key), Some(slot as u32));
-        }
-    }
 }
 
 #[test]

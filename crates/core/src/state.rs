@@ -10,12 +10,12 @@
 //!
 //! What a *device* event writes — the control window, the coverage inputs
 //! and the last-sense instant — is one 32-byte [`Row`] per device, so a
-//! control or sense tick dirties one slab line, not one per column. What
-//! store probes write (the consumer-freshness mirror) and what only the
-//! fold reads (`personal`) stay as columns: the freshness fold scans them
-//! densely and never looks at a row.
+//! control or sense tick dirties one slab line, not one per column.
+//! Consumer freshness — a record's age at its consuming store — is not
+//! here: the sampler reads it from the stores themselves, where the
+//! records live.
 //!
-//! Three mechanisms keep the per-tick cost proportional to what actually
+//! Two mechanisms keep the per-tick cost proportional to what actually
 //! changed while staying bit-for-bit identical to the full rescan (the
 //! `#[cfg(test)]` rescan oracle in `scenario/oracle.rs`, pinned by a property
 //! test):
@@ -35,29 +35,17 @@
 //!   passing — is handled by a wheel of `(sense_at + horizon, slot)`
 //!   entries; senses arrive in virtual-time order, so the wheel is a
 //!   monotone queue and each entry is pushed and popped exactly once.
-//! - **Consumer freshness mirror.** Each device's staleness-at-consumer is
-//!   mirrored from the consuming store through a
-//!   [`riot_data::StoreProbe`], so the per-tick freshness fold is a flat
-//!   scan over two columns. The terms themselves change every tick (they
-//!   age with `now`), so this fold is O(operational devices) by nature —
-//!   but it is pure arithmetic over contiguous memory, not a slot probe
-//!   through the process table per device. When *no* record has ever been
-//!   mirrored (local-control architectures with no replication), the fold
-//!   collapses to a closed form that is provably bit-identical to the
-//!   scan (see `sample_fold`).
 
 use crate::device::DeviceWindow;
-use riot_data::{DataKey, StoreProbe};
 use riot_sim::{EventMask, ProcessId, SimDuration, SimEvent, SimEventKind, SimObserver, SimTime};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::rc::Rc;
 
 /// Shared handle to the scenario's node-state slab. Cloned into every
-/// device process, the liveness observer and the consumer mirrors; all of
-/// them run on the single simulation thread, so a `Rc<RefCell<…>>` is the
-/// right ownership shape (borrows are short and never reentrant: processes
+/// device process and the liveness observer; all of them run on the
+/// single simulation thread, so a `Rc<RefCell<…>>` is the right ownership
+/// shape (borrows are short and never reentrant: processes
 /// write during event dispatch, the sampler folds between events).
 #[derive(Clone)]
 pub(crate) struct NodeSlab {
@@ -114,16 +102,6 @@ struct SlabInner {
     covered_count: usize,
     /// Monotone queue of `(expiry instant, slot)` freshness deadlines.
     wheel: VecDeque<(SimTime, u32)>,
-    // -- Consumer freshness mirror (valid where `cons_seen`).
-    cons_produced: Vec<SimTime>,
-    cons_seen: Vec<bool>,
-    /// Population count of `cons_seen` — gates the freshness fast path.
-    cons_seen_count: usize,
-    /// `true` for devices producing personal data (excluded from the
-    /// freshness fold: governed architectures rightfully keep them home).
-    personal: Vec<bool>,
-    /// How many devices are *not* personal (the freshness fold's domain).
-    nonpersonal: usize,
 }
 
 impl SlabInner {
@@ -169,24 +147,18 @@ impl SlabInner {
     }
 }
 
-/// What one incremental sample fold yields: the drained control window,
-/// the covered-device count, and the freshness accumulation over
-/// operational devices (sum of per-device staleness seconds, and how many
-/// devices contributed).
+/// What one sample fold yields: the drained control window and the
+/// covered-device count.
 pub(crate) struct SampleFold {
     pub window: DeviceWindow,
     pub covered: usize,
-    pub staleness_sum: f64,
-    pub staleness_n: usize,
 }
 
 impl NodeSlab {
-    /// Builds a slab for `personal.len()` devices, in device-index order.
-    /// Every device starts up, serving and unreported (fresh only after
-    /// its first sense) — matching the process table at spawn time.
-    pub(crate) fn new(horizon: SimDuration, personal: Vec<bool>) -> NodeSlab {
-        let n = personal.len();
-        let nonpersonal = personal.iter().filter(|p| !**p).count();
+    /// Builds a slab for `n` devices, in device-index order. Every device
+    /// starts up, serving and unreported (fresh only after its first
+    /// sense) — matching the process table at spawn time.
+    pub(crate) fn new(horizon: SimDuration, n: usize) -> NodeSlab {
         let unreported = Row {
             win_ok: 0,
             win_timeout: 0,
@@ -204,11 +176,6 @@ impl NodeSlab {
                 // At most ⌈horizon / sense_period⌉ = 3 deadlines are ever
                 // outstanding per device; one extra slot of headroom.
                 wheel: VecDeque::with_capacity(n.saturating_mul(4)),
-                cons_produced: vec![SimTime::ZERO; n],
-                cons_seen: vec![false; n],
-                cons_seen_count: 0,
-                personal,
-                nonpersonal,
             })),
         }
     }
@@ -218,8 +185,8 @@ impl NodeSlab {
     /// writes, so [`Self::take_raw_row`] can tell a device that never
     /// sensed without reading a flag.
     #[cfg(test)]
-    pub(crate) fn unsensed(horizon: SimDuration, personal: Vec<bool>) -> NodeSlab {
-        let slab = Self::new(horizon, personal);
+    pub(crate) fn unsensed(horizon: SimDuration, n: usize) -> NodeSlab {
+        let slab = Self::new(horizon, n);
         for row in &mut slab.inner.borrow_mut().rows {
             row.last_sense = SimTime::MAX;
         }
@@ -307,38 +274,11 @@ impl NodeSlab {
         s.set_flag(slot as usize, UP, up);
     }
 
-    /// Mirrors a record landing in a consumer store.
-    pub(crate) fn set_consumer_produced(&self, slot: u32, produced_at: SimTime) {
-        let mut s = self.inner.borrow_mut();
-        let i = slot as usize;
-        if let Some(at) = s.cons_produced.get_mut(i) {
-            *at = produced_at;
-        }
-        if let Some(b) = s.cons_seen.get_mut(i) {
-            if !*b {
-                *b = true;
-                s.cons_seen_count += 1;
-            }
-        }
-    }
-
-    /// Mirrors the eviction (or loss) of a consumer-store record.
-    pub(crate) fn clear_consumer(&self, slot: u32) {
-        let mut s = self.inner.borrow_mut();
-        if let Some(b) = s.cons_seen.get_mut(slot as usize) {
-            if *b {
-                *b = false;
-                s.cons_seen_count = s.cons_seen_count.saturating_sub(1);
-            }
-        }
-    }
-
-    /// One sample tick's fold: retire passed freshness deadlines, drain
-    /// the dirty window bitset in index order, and fold the freshness
-    /// mirror. Declared a hot root in `lint-hotpaths.toml` (rule A1):
-    /// the bitset walk and the folds only read and clear in place —
-    /// nothing here may allocate.
-    pub(crate) fn sample_fold(&self, now: SimTime, never_seen_staleness_s: f64) -> SampleFold {
+    /// One sample tick's fold: retire passed freshness deadlines and drain
+    /// the dirty window bitset in index order. Declared a hot root in
+    /// `lint-hotpaths.toml` (rule A1): the bitset walk only reads and
+    /// clears in place — nothing here may allocate.
+    pub(crate) fn sample_fold(&self, now: SimTime) -> SampleFold {
         let mut guard = self.inner.borrow_mut();
         let s = &mut *guard;
         s.expire(now);
@@ -363,52 +303,9 @@ impl NodeSlab {
             }
         }
 
-        // Freshness fold over operational devices, in index order. Fast
-        // path: when no consumer record was ever mirrored, every term is
-        // the never-seen constant, and the scan's repeated addition equals
-        // one multiplication *exactly* — provided the constant is a
-        // non-negative integer and the total stays below 2^53, every
-        // partial sum `k·c` is an exactly-representable integer, so each
-        // addition is exact. (Both hold for the scenario's 1.0e6 constant
-        // at any feasible device count; the guard falls through to the
-        // scan otherwise.)
-        let staleness_sum;
-        let staleness_n;
-        let c = never_seen_staleness_s;
-        let exact_batch = c >= 0.0 && c.fract() == 0.0 && c * (s.nonpersonal as f64) < 9.0e15;
-        if s.cons_seen_count == 0 && exact_batch {
-            staleness_sum = c * s.nonpersonal as f64;
-            staleness_n = s.nonpersonal;
-        } else {
-            // General scan: each term ages with `now`, so every term is
-            // live every tick; the win over the rescan is arithmetic over
-            // contiguous arrays instead of a process-table probe per
-            // device.
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for ((personal, seen), produced) in
-                s.personal.iter().zip(&s.cons_seen).zip(&s.cons_produced)
-            {
-                if *personal {
-                    continue;
-                }
-                let staleness = if *seen {
-                    now.saturating_since(*produced).as_secs_f64()
-                } else {
-                    c
-                };
-                sum += staleness.min(c);
-                n += 1;
-            }
-            staleness_sum = sum;
-            staleness_n = n;
-        }
-
         SampleFold {
             window,
             covered: s.covered_count,
-            staleness_sum,
-            staleness_n,
         }
     }
 }
@@ -464,65 +361,12 @@ impl SimObserver for SlabLiveness {
     }
 }
 
-/// A [`StoreProbe`] that mirrors one consumer store's records into the
-/// slab's freshness arrays. `slot_of` maps the run's dense data keys to
-/// device slots and is shared by every mirror of a run; `consumed` is the
-/// slot range this store is the designated consumer of. Keys outside it
-/// (other edges' devices, keys no device produces) fall through.
-pub(crate) struct ConsumerMirror {
-    slab: NodeSlab,
-    /// Device slot per `DataKey::index()`, for every device of the run.
-    slot_of: Rc<[Option<u32>]>,
-    /// The device slots this store consumes: one edge's devices, which
-    /// occupy a contiguous range, or the whole fleet.
-    consumed: Range<u32>,
-}
-
-impl ConsumerMirror {
-    pub(crate) fn new(slab: NodeSlab, slot_of: Rc<[Option<u32>]>, consumed: Range<u32>) -> Self {
-        ConsumerMirror {
-            slab,
-            slot_of,
-            consumed,
-        }
-    }
-
-    /// The device slot `key` mirrors into, when this store consumes it.
-    #[inline]
-    pub(crate) fn slot(&self, key: DataKey) -> Option<u32> {
-        match self.slot_of.get(key.index()) {
-            Some(&Some(slot)) if self.consumed.contains(&slot) => Some(slot),
-            _ => None,
-        }
-    }
-}
-
-impl StoreProbe for ConsumerMirror {
-    fn on_record(&self, key: DataKey, produced_at: SimTime) {
-        if let Some(slot) = self.slot(key) {
-            self.slab.set_consumer_produced(slot, produced_at);
-        }
-    }
-
-    fn on_evict(&self, key: DataKey) {
-        if let Some(slot) = self.slot(key) {
-            self.slab.clear_consumer(slot);
-        }
-    }
-
-    fn on_clear(&self) {
-        for slot in self.consumed.start..self.consumed.end {
-            self.slab.clear_consumer(slot);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn slab(n: usize) -> NodeSlab {
-        NodeSlab::new(SimDuration::from_secs(3), vec![false; n])
+        NodeSlab::new(SimDuration::from_secs(3), n)
     }
 
     #[test]
@@ -531,35 +375,35 @@ mod tests {
         s.note_control_ok(2, 5.0);
         s.note_control_ok(0, 1.0);
         s.note_control_timeout(2);
-        let fold = s.sample_fold(SimTime::from_secs(1), 1.0e6);
+        let fold = s.sample_fold(SimTime::from_secs(1));
         assert_eq!(fold.window.control_ok, 2);
         assert_eq!(fold.window.control_timeout, 1);
         assert!((fold.window.latency_sum_ms - 6.0).abs() < f64::EPSILON);
         assert_eq!(fold.window.latency_count, 2);
-        let again = s.sample_fold(SimTime::from_secs(2), 1.0e6);
+        let again = s.sample_fold(SimTime::from_secs(2));
         assert_eq!(again.window, DeviceWindow::default());
     }
 
     #[test]
     fn coverage_counts_up_serving_fresh_devices_and_expires() {
         let s = slab(2);
-        assert_eq!(s.sample_fold(SimTime::ZERO, 1.0e6).covered, 0, "unsensed");
+        assert_eq!(s.sample_fold(SimTime::ZERO).covered, 0, "unsensed");
         s.note_sense(0, SimTime::from_secs(1));
         s.note_sense(1, SimTime::from_secs(1));
-        assert_eq!(s.sample_fold(SimTime::from_secs(2), 1.0e6).covered, 2);
+        assert_eq!(s.sample_fold(SimTime::from_secs(2)).covered, 2);
         s.set_up(1, false);
-        assert_eq!(s.sample_fold(SimTime::from_secs(2), 1.0e6).covered, 1);
+        assert_eq!(s.sample_fold(SimTime::from_secs(2)).covered, 1);
         s.set_up(1, true);
         s.set_serving(0, false);
-        assert_eq!(s.sample_fold(SimTime::from_secs(2), 1.0e6).covered, 1);
+        assert_eq!(s.sample_fold(SimTime::from_secs(2)).covered, 1);
         s.set_serving(0, true);
         // Horizon is 3 s: at t=4 a t=1 sense is exactly on the boundary
         // (still fresh); at t=5 it has expired.
-        assert_eq!(s.sample_fold(SimTime::from_secs(4), 1.0e6).covered, 2);
-        assert_eq!(s.sample_fold(SimTime::from_secs(5), 1.0e6).covered, 0);
+        assert_eq!(s.sample_fold(SimTime::from_secs(4)).covered, 2);
+        assert_eq!(s.sample_fold(SimTime::from_secs(5)).covered, 0);
         // A later sense supersedes the expired deadline.
         s.note_sense(0, SimTime::from_secs(5));
-        assert_eq!(s.sample_fold(SimTime::from_secs(6), 1.0e6).covered, 1);
+        assert_eq!(s.sample_fold(SimTime::from_secs(6)).covered, 1);
     }
 
     #[test]
@@ -591,12 +435,12 @@ mod tests {
                     apply(b, start & b != 0);
                 }
                 let covered = |flags: u8| 1 + usize::from(flags == COVERED);
-                let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
+                let fold = s.sample_fold(SimTime::from_secs(2));
                 assert_eq!(fold.covered, covered(start), "state {start:03b}");
                 apply(bit, on);
                 let after = if on { start | bit } else { start & !bit };
                 assert_eq!(s.inner.borrow().rows[0].flags, after);
-                let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
+                let fold = s.sample_fold(SimTime::from_secs(2));
                 assert_eq!(
                     fold.covered,
                     covered(after),
@@ -615,13 +459,13 @@ mod tests {
         // t = 5: both t = 1 deadlines (4 s) have passed. Device 1's is its
         // latest and expires it; device 0's row says it sensed at 3 s, so
         // its popped deadline is stale and must not clear `FRESH`.
-        let fold = s.sample_fold(SimTime::from_secs(5), 1.0e6);
+        let fold = s.sample_fold(SimTime::from_secs(5));
         assert_eq!(fold.covered, 1);
         assert_eq!(s.inner.borrow().rows[0].flags, COVERED);
         assert_eq!(s.inner.borrow().rows[1].flags, UP | SERVING);
         assert_eq!(s.inner.borrow().wheel.len(), 1, "the 6 s deadline waits");
         // ... and that one is the latest: it expires on time.
-        assert_eq!(s.sample_fold(SimTime::from_secs(7), 1.0e6).covered, 0);
+        assert_eq!(s.sample_fold(SimTime::from_secs(7)).covered, 0);
     }
 
     #[test]
@@ -630,20 +474,6 @@ mod tests {
         assert_eq!(format!("{s:?}"), "NodeSlab { devices: 3 }");
         let _writing = s.inner.borrow_mut();
         assert!(format!("{s:?}").contains("being written"));
-    }
-
-    #[test]
-    fn freshness_fold_ages_mirrored_records_and_clears() {
-        let s = NodeSlab::new(SimDuration::from_secs(3), vec![false, true, false]);
-        let fold = s.sample_fold(SimTime::from_secs(1), 1.0e6);
-        assert_eq!(fold.staleness_n, 2, "personal devices excluded");
-        assert!((fold.staleness_sum - 2.0e6).abs() < 1e-6, "never seen");
-        s.set_consumer_produced(0, SimTime::from_secs(1));
-        let fold = s.sample_fold(SimTime::from_secs(4), 1.0e6);
-        assert!((fold.staleness_sum - (3.0 + 1.0e6)).abs() < 1e-6);
-        s.clear_consumer(0);
-        let fold = s.sample_fold(SimTime::from_secs(4), 1.0e6);
-        assert!((fold.staleness_sum - 2.0e6).abs() < 1e-6);
     }
 
     #[test]
@@ -660,30 +490,7 @@ mod tests {
         obs.on_event(&down(0)); // cloud: below the device range, ignored
         obs.on_event(&down(5)); // past the device range, ignored
         obs.on_event(&down(3)); // device slot 0
-        assert_eq!(s.sample_fold(SimTime::from_secs(2), 1.0e6).covered, 1);
+        assert_eq!(s.sample_fold(SimTime::from_secs(2)).covered, 1);
         assert_eq!(obs.interest(), EventMask::LIFECYCLE);
-    }
-
-    #[test]
-    fn consumer_mirror_routes_keys_to_slots() {
-        let s = slab(2);
-        let slot_of: Rc<[Option<u32>]> = vec![None, Some(1), Some(0)].into();
-        let mirror = ConsumerMirror::new(s.clone(), slot_of, 1..2);
-        let space = riot_data::KeySpace::new();
-        let k0 = space.intern("a");
-        let k1 = space.intern("b");
-        let k2 = space.intern("c");
-        mirror.on_record(k0, SimTime::from_secs(1)); // no device's key
-        mirror.on_record(k2, SimTime::from_secs(1)); // slot 0: another consumer's
-        mirror.on_record(k1, SimTime::from_secs(1)); // device slot 1
-        let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
-        assert!((fold.staleness_sum - (1.0e6 + 1.0)).abs() < 1e-6);
-        mirror.on_evict(k1);
-        let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
-        assert!((fold.staleness_sum - 2.0e6).abs() < 1e-6); // evicted = unseen
-        mirror.on_record(k1, SimTime::from_secs(1));
-        mirror.on_clear();
-        let fold = s.sample_fold(SimTime::from_secs(2), 1.0e6);
-        assert!((fold.staleness_sum - 2.0e6).abs() < 1e-6);
     }
 }

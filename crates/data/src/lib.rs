@@ -32,4 +32,4 @@ pub use crdt::{Crdt, GCounter, LwwRegister, OrSet, PnCounter, ReplicaId};
 pub use item::{DataMeta, DataRecord, Purpose, PurposeSet, Sensitivity};
 pub use keyspace::{DataKey, KeySpace};
 pub use policy::{FlowContext, PolicyAction, PolicyEngine, PolicyRule};
-pub use store::{ReplicatedStore, StoreEntry, StoreProbe, StoreStats, SyncMsg};
+pub use store::{ReplicatedStore, StoreEntry, StoreStats, SyncMsg};

@@ -42,37 +42,6 @@ use riot_model::{DomainId, DomainRegistry, TrustLevel};
 use riot_sim::SimTime;
 use std::rc::Rc;
 
-/// A passive mirror of a store's resting contents, notified on every
-/// content transition. The scenario layer attaches one per consumer store
-/// to maintain a struct-of-arrays freshness mirror, so per-sample staleness
-/// reads become flat array loads instead of per-device slot probes through
-/// the process table.
-///
-/// Probes observe; they must not feed back into the store (the store is
-/// borrowed mutably while a probe runs). All callbacks take `&self`:
-/// implementations use interior mutability.
-pub trait StoreProbe {
-    /// A record landed (or was replaced) under `key`; `produced_at` is the
-    /// new record's production timestamp — exactly what
-    /// [`ReplicatedStore::staleness_secs_key`] ages against.
-    fn on_record(&self, key: DataKey, produced_at: SimTime);
-    /// The record under `key` was evicted (a violation purge).
-    fn on_evict(&self, key: DataKey);
-    /// The store dropped every entry (volatile-memory loss on restart).
-    fn on_clear(&self);
-}
-
-/// Cloneable handle to an attached [`StoreProbe`]; wraps the trait object
-/// so the store can keep deriving `Clone` and render under `Debug`.
-#[derive(Clone)]
-struct ProbeHandle(Rc<dyn StoreProbe>);
-
-impl std::fmt::Debug for ProbeHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("StoreProbe")
-    }
-}
-
 /// What [`PolicyEngine::decide`] reads of a datum once `(from, to,
 /// registry)` are fixed.
 type FlowClass = (Sensitivity, PurposeSet, DomainId);
@@ -220,8 +189,6 @@ pub struct ReplicatedStore {
     /// candidate (see [`is_violation_candidate`]) with `origin == d`.
     personal_by_origin: Vec<(DomainId, u32)>,
     stats: StoreStats,
-    /// Content-transition mirror, when the owner attached one.
-    probe: Option<ProbeHandle>,
 }
 
 /// `true` when a resting record would count as a privacy violation in any
@@ -248,15 +215,7 @@ impl ReplicatedStore {
             live: 0,
             personal_by_origin: Vec::new(),
             stats: StoreStats::default(),
-            probe: None,
         }
-    }
-
-    /// Attaches a content mirror; every subsequent record transition
-    /// (apply, evict, clear) is reported to it. Purely observational — the
-    /// store's behaviour is unchanged.
-    pub fn set_probe(&mut self, probe: Rc<dyn StoreProbe>) {
-        self.probe = Some(ProbeHandle(probe));
     }
 
     /// This store's replica id.
@@ -406,7 +365,7 @@ impl ReplicatedStore {
     }
 
     /// Puts `entry` into its slot over whatever is there, maintaining the
-    /// live count, the per-origin personal counters and the probe.
+    /// live count and the per-origin personal counters.
     fn install(&mut self, entry: StoreEntry) {
         let idx = entry.record.key.index();
         if self.slots.len() <= idx {
@@ -427,11 +386,6 @@ impl ReplicatedStore {
         if is_violation_candidate(&entry.record) {
             self.personal_add(entry.record.meta.origin);
         }
-        if let Some(probe) = &self.probe {
-            probe
-                .0
-                .on_record(entry.record.key, entry.record.meta.produced_at);
-        }
     }
 
     /// Empties slot `idx`, maintaining the counters. Returns the evicted
@@ -441,9 +395,6 @@ impl ReplicatedStore {
         self.live -= 1;
         if is_violation_candidate(&old.record) {
             self.personal_remove(old.record.meta.origin);
-        }
-        if let Some(probe) = &self.probe {
-            probe.0.on_evict(old.record.key);
         }
         Some(old)
     }
@@ -683,8 +634,6 @@ impl ReplicatedStore {
                 false
             }
             _ => {
-                let key = entry.record.key;
-                let produced_at = entry.record.meta.produced_at;
                 let evicted = slot.replace(entry);
                 match evicted {
                     Some(old) => {
@@ -696,9 +645,6 @@ impl ReplicatedStore {
                 }
                 if is_violation_candidate(&entry.record) {
                     self.personal_add(entry.record.meta.origin);
-                }
-                if let Some(probe) = &self.probe {
-                    probe.0.on_record(key, produced_at);
                 }
                 true
             }
@@ -715,9 +661,6 @@ impl ReplicatedStore {
         }
         self.live = 0;
         self.personal_by_origin.clear();
-        if let Some(probe) = &self.probe {
-            probe.0.on_clear();
-        }
     }
 
     /// Evicts every resting record that currently constitutes a privacy
@@ -1208,29 +1151,6 @@ mod tests {
         }
     }
 
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum ProbeCall {
-        Record(usize, SimTime),
-        Evict(usize),
-        Clear,
-    }
-
-    #[derive(Default)]
-    struct Recorder(std::cell::RefCell<Vec<ProbeCall>>);
-
-    impl StoreProbe for Recorder {
-        fn on_record(&self, key: DataKey, produced_at: SimTime) {
-            let call = ProbeCall::Record(key.index(), produced_at);
-            self.0.borrow_mut().push(call);
-        }
-        fn on_evict(&self, key: DataKey) {
-            self.0.borrow_mut().push(ProbeCall::Evict(key.index()));
-        }
-        fn on_clear(&self) {
-            self.0.borrow_mut().push(ProbeCall::Clear);
-        }
-    }
-
     #[derive(Debug, Clone, Copy)]
     enum Op {
         /// (store, key, sensitivity, origin): a device push through the door.
@@ -1296,7 +1216,6 @@ mod tests {
         oracle: bool,
         keys: KeySpace,
         stores: Vec<ReplicatedStore>,
-        probes: Vec<Rc<Recorder>>,
         in_flight: Vec<(usize, SyncMsg)>,
         /// Every message built and every `on_sync` return value, in order.
         built: Vec<(DomainId, Vec<EntryPrint>)>,
@@ -1306,23 +1225,15 @@ mod tests {
     impl World {
         fn new(oracle: bool, governed: &[bool]) -> World {
             let keys = KeySpace::new();
-            let mut probes = Vec::new();
             let stores = governed
                 .iter()
                 .enumerate()
-                .map(|(i, g)| {
-                    let mut store = store(&keys, i as ReplicaId, i as u32 % 2, engine(*g));
-                    let probe = Rc::new(Recorder::default());
-                    store.set_probe(probe.clone());
-                    probes.push(probe);
-                    store
-                })
+                .map(|(i, g)| store(&keys, i as ReplicaId, i as u32 % 2, engine(*g)))
                 .collect();
             World {
                 oracle,
                 keys,
                 stores,
-                probes,
                 in_flight: Vec::new(),
                 built: Vec::new(),
                 merged: Vec::new(),
@@ -1419,7 +1330,7 @@ mod tests {
     /// entries, version-first merge, inline memo — against the per-target
     /// build and per-entry merge it replaced, over random histories with
     /// lost, repeated and reordered messages: same messages, same slots,
-    /// same stats, same return values, same probe calls.
+    /// same stats, same return values.
     #[test]
     fn shared_pushes_and_version_first_merges_match_the_oracle() {
         let reg = registry();
@@ -1463,9 +1374,6 @@ mod tests {
                         b.privacy_violations(&reg),
                         "audit, {at}"
                     );
-                }
-                for (a, b) in shipped.probes.iter().zip(&oracle.probes) {
-                    assert_eq!(*a.0.borrow(), *b.0.borrow(), "probe calls, {at}");
                 }
             }
         }
