@@ -126,6 +126,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.warmup_s >= args.duration_s {
         return Err("--warmup must be shorter than --duration".into());
     }
+    // The warmup is shorter, so it fits the clock when the duration does.
+    if SimDuration::checked_from_secs(args.duration_s).is_none() {
+        return Err("--duration does not fit the simulation clock".into());
+    }
     if args.seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
@@ -476,6 +480,21 @@ mod tests {
         assert!(parse_args(&argv("--threads 0")).is_err());
         assert!(parse_args(&argv("--trace-tail 0")).is_err());
         assert!(parse_args(&argv("--trace-tail")).is_err());
+    }
+
+    #[test]
+    fn seconds_past_the_clock_are_rejected_and_the_last_that_fit_build() {
+        let last = u64::MAX / 1_000_000;
+        for duration in [u64::MAX, last + 1] {
+            let err = parse_args(&argv(&format!("--duration {duration}"))).unwrap_err();
+            assert!(err.contains("simulation clock"), "{err}");
+        }
+        let err = parse_args(&argv(&format!("--warmup {} --duration 100", u64::MAX)));
+        assert!(err.is_err());
+        let a = parse_args(&argv(&format!("--duration {last} --warmup {}", last - 1))).unwrap();
+        let spec = build_spec(&a, MaturityLevel::Ml4, a.seed).unwrap();
+        assert_eq!(spec.duration, SimDuration::from_secs(last));
+        assert_eq!(spec.warmup, SimDuration::from_secs(last - 1));
     }
 
     #[test]

@@ -32,6 +32,69 @@ fn heal(secs: u64) -> Option<SimDuration> {
     }
 }
 
+/// The last instant, in whole seconds of the run, that compiling `v` for
+/// `edges` × `devices_per_edge` devices reaches: its last event plus that
+/// event's heal. `None` when the sum overflows a `u64` — [`compile`]'s
+/// arithmetic mirrored with checked operations, so that
+/// [`CampaignProgram::validate`](crate::CampaignProgram::validate) can
+/// reject a program whose schedule would not fit the clock.
+///
+/// [`compile`]: Campaign::compile
+pub(crate) fn reach_secs(v: &CampaignVector, edges: usize, devices_per_edge: usize) -> Option<u64> {
+    let devices = edges.checked_mul(devices_per_edge)? as u64;
+    // (index of the last event, seconds between events, heal after it)
+    let (last, spacing, heal) = match *v {
+        CampaignVector::Cascade {
+            count,
+            spacing,
+            recover,
+            ..
+        } => (count.saturating_sub(1), spacing, recover),
+        CampaignVector::FirmwareWave {
+            batch,
+            spacing,
+            outage,
+            ..
+        } => (devices.saturating_sub(1) / batch.max(1), spacing, outage),
+        CampaignVector::FaultStorm {
+            spacing,
+            per_edge,
+            stride,
+            offset,
+            ..
+        } => {
+            let room = (devices_per_edge as u64).saturating_sub(offset);
+            let per = per_edge.min(room.div_ceil(stride.max(1)));
+            (
+                (edges as u64).checked_mul(per)?.saturating_sub(1),
+                spacing,
+                0,
+            )
+        }
+        CampaignVector::MobilityBurst {
+            roamers, spacing, ..
+        } => (roamers.saturating_sub(1), spacing, 0),
+        CampaignVector::JurisdictionFlip { .. } => (0, 0, 0),
+        CampaignVector::CloudBlackout { heal, .. } | CampaignVector::SplitBrain { heal, .. } => {
+            (0, 0, heal)
+        }
+        CampaignVector::Adversary {
+            mode: AdversaryMode::Flap,
+            factor,
+            duration,
+            ..
+        } => {
+            let cycles = factor.clamp(1, 8);
+            let period = (duration / cycles).max(2);
+            (cycles - 1, period, (period / 2).max(1))
+        }
+        CampaignVector::Adversary { duration, .. } => (0, 0, duration),
+    };
+    v.onset()
+        .checked_add(last.checked_mul(spacing)?)?
+        .checked_add(heal)
+}
+
 /// An ordered, composable disruption campaign.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Campaign {

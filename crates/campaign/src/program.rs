@@ -20,7 +20,7 @@
 //! `parse(render(p)) == p` for every valid program, which the tier-1
 //! regression suite pins.
 
-use crate::compile::Campaign;
+use crate::compile::{reach_secs, Campaign};
 use crate::vector::{AdversaryMode, CampaignVector, Dim};
 use riot_core::{MonitorSpec, ScenarioSpec};
 use riot_model::MaturityLevel;
@@ -481,6 +481,25 @@ impl CampaignProgram {
         if self.scenario.warmup_s >= self.scenario.duration_s {
             return err(0, "scenario warmup must be shorter than the duration");
         }
+        // Every instant the run and its schedule name must fit the clock:
+        // the duration (the warmup is shorter), and each vector's last
+        // event plus its heal.
+        let fits = |secs: u64| SimDuration::checked_from_secs(secs).is_some();
+        if !fits(self.scenario.duration_s) {
+            return err(0, "scenario duration does not fit the simulation clock");
+        }
+        let (edges, devices) = (self.scenario.edges, self.scenario.devices_per_edge);
+        for v in self.campaign.vectors() {
+            if !reach_secs(v, edges, devices).is_some_and(fits) {
+                return err(
+                    0,
+                    format!(
+                        "vector {}: its schedule runs past the simulation clock",
+                        v.kind_name()
+                    ),
+                );
+            }
+        }
         for e in &self.expect {
             if let Expectation::Violated { monitor } = e {
                 if !self.oracles.iter().any(|m| &m.name == monitor) {
@@ -721,8 +740,8 @@ expect violated coverage_safe
 
     /// Hostile input: seeded byte mutants of the committed reproducers and
     /// the example never panic the parser. Each parses to a program that
-    /// round-trips through `render`, or fails with an error on a line the
-    /// text has (0 for whole-program checks).
+    /// round-trips through `render` and compiles without a panic, or fails
+    /// with an error on a line the text has (0 for whole-program checks).
     #[test]
     fn mutated_programs_parse_or_fail_on_a_line() {
         let corpus = [
@@ -744,6 +763,14 @@ expect violated coverage_safe
                     Ok(p) => {
                         let back = CampaignProgram::parse(&p.render());
                         assert_eq!(back.as_ref(), Ok(&p), "seed {seed} mutant {i}: {text:?}");
+                        let compiled = std::panic::catch_unwind(|| {
+                            let spec = p.spec();
+                            p.campaign.compile(&spec)
+                        });
+                        assert!(
+                            compiled.is_ok(),
+                            "seed {seed} mutant {i} panics compile: {text:?}"
+                        );
                         parsed += 1;
                     }
                     Err(e) => {
@@ -758,6 +785,45 @@ expect violated coverage_safe
             parsed > 100 && failed > 100,
             "{parsed} parsed, {failed} failed"
         );
+    }
+
+    /// Hostile input: a number of seconds that the clock cannot hold — on
+    /// its own or with the offsets compiling adds — is a validation error,
+    /// not an overflow in `spec()`; the largest accepted values compile.
+    #[test]
+    fn seconds_past_the_clock_are_rejected_and_the_last_that_fit_compile() {
+        let last = u64::MAX / 1_000_000;
+        let half = last / 2;
+        let max = u64::MAX;
+        let program = |body: &str| format!("campaign \"clock\"\n{body}");
+        for body in [
+            format!("scenario duration={max}"),
+            format!("scenario duration={}", last + 1),
+            format!("vector cloud-blackout onset={max} heal=0"),
+            format!("vector cloud-blackout onset={last} heal=1"),
+            format!("vector split-brain onset=1 heal={max}"),
+            format!(
+                "vector cascade onset=1 count=3 spacing={} recover=0",
+                half + 1
+            ),
+            format!("vector fault-storm onset=0 spacing={max} per-edge=2 stride=1 offset=0"),
+            format!("vector firmware-wave onset=0 batch=1 spacing={last} outage=0"),
+            format!("vector adversary onset=0 mode=flap factor=4 duration={max} links=1"),
+        ] {
+            let e = CampaignProgram::parse(&program(&body)).expect_err(&body);
+            assert!(e.to_string().contains("simulation clock"), "{body}: {e}");
+        }
+        for body in [
+            format!("scenario duration={last} warmup={}", last - 1),
+            format!("vector cloud-blackout onset={last} heal=0"),
+            format!("vector cloud-blackout onset=30 heal={}", last - 30),
+            format!("vector cascade onset=1 count=3 spacing={half} recover=0"),
+            format!("vector adversary onset=0 mode=drop factor=2 duration={last} links=1"),
+        ] {
+            let p = CampaignProgram::parse(&program(&body)).expect(&body);
+            let spec = p.spec();
+            p.campaign.compile(&spec);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::msg::{AppMsg, Msg, ReadingPayload};
 use crate::state::NodeSlab;
 use riot_data::{DataKey, DataMeta, PurposeSet, Sensitivity};
 use riot_model::{ComponentId, ComponentState, DomainId};
-use riot_sim::{Ctx, EventMask, Process, ProcessId, SimTime};
+use riot_sim::{Ctx, EventMask, ProcessId, SimTime};
 use std::rc::Rc;
 
 const TAG_SENSE: u64 = 1;
@@ -113,26 +113,27 @@ impl DeviceWindow {
     }
 }
 
-/// The device process.
+/// The device process. Its handlers take the scenario's node-state slab,
+/// which the world lends to each callback: the sampling window, the
+/// coverage inputs and the last-sense instant live in the device's slab
+/// row and nowhere else.
 ///
 /// `repr(C)` pins the declared order: the fields a sense or control tick
-/// reads and writes come first and fill the first 64 bytes, `group` — the
-/// one other thing such a tick follows — starts the next, and what only
-/// message handling or failover touches sits behind (DESIGN.md §9,
-/// "Per-event memory"; pinned by `layout_keeps_a_tick_…`).
+/// reads and writes come first, then `group` — the one other thing such a
+/// tick follows — and what only message handling or failover touches sits
+/// behind (DESIGN.md §9, "Per-event memory"; pinned by
+/// `layout_keeps_a_tick_…`).
 #[derive(Debug)]
 #[repr(C)]
 pub struct DeviceProcess {
-    /// Scenario node-state slab and this device's slot in it: the sampling
-    /// window and the last-sense instant live in the slab row and nowhere
-    /// else.
-    slab: (NodeSlab, u32),
+    /// This device's row in the slab.
+    pub(crate) slot: u32,
+    consecutive_timeouts: u32,
     on_backup_since: Option<SimTime>,
     /// 0 = primary edge; `i > 0` = `backup_edges[i - 1]`.
     controller_idx: usize,
     reading_seq: u64,
     next_req: u64,
-    consecutive_timeouts: u32,
     state: ComponentState,
     group: Rc<DeviceGroup>,
     primary_edge: ProcessId,
@@ -148,15 +149,15 @@ pub struct DeviceProcess {
 
 impl DeviceProcess {
     /// Creates a device with its component running, writing its sampling
-    /// inputs to row `slot` of `slab`.
-    pub(crate) fn new(cfg: DeviceConfig, slab: NodeSlab, slot: u32) -> Self {
+    /// inputs to row `slot` of the slab its callbacks are lent.
+    pub(crate) fn new(cfg: DeviceConfig, slot: u32) -> Self {
         DeviceProcess {
-            slab: (slab, slot),
+            slot,
+            consecutive_timeouts: 0,
             on_backup_since: None,
             controller_idx: 0,
             reading_seq: 0,
             next_req: 0,
-            consecutive_timeouts: 0,
             state: ComponentState::Running,
             group: cfg.group,
             primary_edge: cfg.primary_edge,
@@ -168,23 +169,16 @@ impl DeviceProcess {
         }
     }
 
-    /// Moves this device to row `slot` of another slab — the `#[cfg(test)]`
-    /// rescan oracle's own, whose raw rows it gathers from.
-    #[cfg(test)]
-    pub(crate) fn attach_slab(&mut self, slab: NodeSlab, slot: u32) {
-        self.slab = (slab, slot);
-    }
-
     /// The component's current lifecycle state.
     pub fn component_state(&self) -> ComponentState {
         self.state
     }
 
-    /// Injects a component fault (used by disruption schedules).
+    /// Injects a component fault (used by disruption schedules). The
+    /// injector clears the `SERVING` input of the device's slab row
+    /// (`scenario/disrupt.rs`); the device sets it again when it restarts.
     pub fn fail_component(&mut self) {
         self.state = ComponentState::Failed;
-        let (slab, slot) = &self.slab;
-        slab.set_serving(*slot, false);
     }
 
     /// Re-homes the device to a new primary edge (the mobility disruption:
@@ -204,18 +198,6 @@ impl DeviceProcess {
             // riot-lint: allow(P1, reason = "controller_idx wraps mod backup_edges.len() + 1 on failover")
             self.group.backup_edges[self.controller_idx - 1]
         }
-    }
-
-    /// Counts one control round-trip into the sampling window.
-    fn note_control_ok(&self, latency_ms: f64) {
-        let (slab, slot) = &self.slab;
-        slab.note_control_ok(*slot, latency_ms);
-    }
-
-    /// Counts one timed-out control request into the sampling window.
-    fn note_control_timeout(&self) {
-        let (slab, slot) = &self.slab;
-        slab.note_control_timeout(*slot);
     }
 
     fn controller(&self) -> Option<ProcessId> {
@@ -251,14 +233,13 @@ impl DeviceProcess {
         Some(self.pending.swap_remove(pos).1)
     }
 
-    fn sense(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn sense(&mut self, slab: &mut NodeSlab, ctx: &mut Ctx<'_, Msg>) {
         if !self.state.provides_service() {
             return;
         }
         self.reading_seq += 1;
         let now = ctx.now();
-        let (slab, slot) = &self.slab;
-        slab.note_sense(*slot, now);
+        slab.note_sense(self.slot, now);
         let value = 20.0 + (self.reading_seq % 10) as f64 + ctx.rng().unit();
         if let Some(host) = self.data_host() {
             let meta = self.meta(now);
@@ -276,7 +257,7 @@ impl DeviceProcess {
         }
     }
 
-    fn run_control(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn run_control(&mut self, slab: &mut NodeSlab, ctx: &mut Ctx<'_, Msg>) {
         // A device parked on a backup edge re-probes its primary after a
         // while: backup residency is a refuge, not a new home.
         if let Some(since) = self.on_backup_since {
@@ -291,9 +272,9 @@ impl DeviceProcess {
                 // ML1: the bundled local controller decides. It works iff
                 // the component is alive — and there is nobody to fix it.
                 if self.state.provides_service() {
-                    self.note_control_ok(1.0);
+                    slab.note_control_ok(self.slot, 1.0);
                 } else {
-                    self.note_control_timeout();
+                    slab.note_control_timeout(self.slot);
                 }
             }
             Some(controller) => {
@@ -310,11 +291,11 @@ impl DeviceProcess {
         }
     }
 
-    fn on_control_timeout(&mut self, ctx: &mut Ctx<'_, Msg>, req_id: u64) {
+    fn on_control_timeout(&mut self, slab: &mut NodeSlab, ctx: &mut Ctx<'_, Msg>, req_id: u64) {
         if self.take_pending(req_id).is_none() {
             return; // reply beat the deadline
         }
-        self.note_control_timeout();
+        slab.note_control_timeout(self.slot);
         ctx.metrics()
             .incr_key(self.group.keys.device_control_timeout);
         self.consecutive_timeouts += 1;
@@ -351,8 +332,11 @@ impl DeviceProcess {
     }
 }
 
-impl Process<Msg> for DeviceProcess {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+/// The device's callbacks: [`riot_sim::Process`]'s, with the slab lent
+/// beside the [`Ctx`].
+impl DeviceProcess {
+    /// Staggers the first sense and control tick.
+    pub(crate) fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // Stagger periodic activity so devices do not phase-lock.
         let sense_jitter = ctx.rng().range_u64(0, SENSE_PERIOD.as_micros().max(1));
         let control_jitter = ctx.rng().range_u64(0, CONTROL_PERIOD.as_micros().max(1));
@@ -363,13 +347,20 @@ impl Process<Msg> for DeviceProcess {
         );
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ProcessId, msg: Msg) {
+    /// Handles a control reply or a restart command.
+    pub(crate) fn on_message(
+        &mut self,
+        slab: &mut NodeSlab,
+        ctx: &mut Ctx<'_, Msg>,
+        _from: ProcessId,
+        msg: Msg,
+    ) {
         match msg {
             Msg::App(AppMsg::ControlReply { req_id, issued_at })
                 if self.take_pending(req_id).is_some() =>
             {
                 let latency_ms = (ctx.now() - issued_at).as_millis_f64();
-                self.note_control_ok(latency_ms);
+                slab.note_control_ok(self.slot, latency_ms);
                 self.consecutive_timeouts = 0;
                 let key = self.group.keys.device_control_latency_ms;
                 ctx.metrics().observe_key(key, latency_ms);
@@ -386,37 +377,36 @@ impl Process<Msg> for DeviceProcess {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+    /// Fires a sense, control, restart or control-deadline timer.
+    pub(crate) fn on_timer(&mut self, slab: &mut NodeSlab, ctx: &mut Ctx<'_, Msg>, tag: u64) {
         match tag {
             TAG_SENSE => {
-                self.sense(ctx);
+                self.sense(slab, ctx);
                 ctx.schedule(SENSE_PERIOD, TAG_SENSE);
             }
             TAG_CONTROL => {
-                self.run_control(ctx);
+                self.run_control(slab, ctx);
                 ctx.schedule(CONTROL_PERIOD, TAG_CONTROL);
             }
             TAG_RESTART_DONE if self.state == ComponentState::Failed => {
                 self.state = ComponentState::Running;
-                let (slab, slot) = &self.slab;
-                slab.set_serving(*slot, true);
+                slab.set_serving(self.slot, true);
                 ctx.metrics()
                     .incr_key(self.group.keys.device_component_restarted);
             }
             t if t >= TAG_TIMEOUT_BASE => {
-                self.on_control_timeout(ctx, t - TAG_TIMEOUT_BASE);
+                self.on_control_timeout(slab, ctx, t - TAG_TIMEOUT_BASE);
             }
             _ => {}
         }
     }
 
-    /// One load in each line of the hot prefix — `slab` opens the first,
-    /// `group` the second (pinned by `prefetch_reads_every_line_…`) — and the
-    /// slab row behind the first: everything a sense or control tick misses
-    /// on at 10⁵ devices.
-    fn prefetch(&self) {
-        let (slab, slot) = &self.slab;
-        slab.prefetch(*slot);
+    /// One load in each line of the hot prefix — `slot` opens it, `group`
+    /// closes it (pinned by `prefetch_reads_every_line_…`) — and the slab
+    /// row `slot` names: everything a sense or control tick misses on at
+    /// 10⁵ devices.
+    pub(crate) fn prefetch(&self, slab: &NodeSlab) {
+        slab.prefetch(self.slot);
         std::hint::black_box(Rc::as_ptr(&self.group));
     }
 }
@@ -425,7 +415,7 @@ impl Process<Msg> for DeviceProcess {
 mod tests {
     use super::*;
     use riot_model::MaturityLevel;
-    use riot_sim::{Metrics, Sim, SimBuilder};
+    use riot_sim::{Metrics, Process, Sim, SimBuilder};
 
     fn device_cfg(level: MaturityLevel, metrics: &mut Metrics) -> DeviceConfig {
         DeviceConfig {
@@ -448,10 +438,42 @@ mod tests {
         NodeSlab::new(riot_sim::SimDuration::from_secs(3), 1)
     }
 
+    /// A device outside a scenario, as a process of the boxed world: it owns
+    /// the one-row slab the scenario's world would lend its callbacks.
+    struct Solo {
+        dev: DeviceProcess,
+        slab: NodeSlab,
+    }
+
+    impl Process<Msg> for Solo {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            self.dev.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, msg: Msg) {
+            self.dev.on_message(&mut self.slab, ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            self.dev.on_timer(&mut self.slab, ctx, tag);
+        }
+    }
+
+    fn solo(cfg: DeviceConfig) -> Solo {
+        Solo {
+            dev: DeviceProcess::new(cfg, 0),
+            slab: one_row(),
+        }
+    }
+
+    /// The device of the [`Solo`] at `id`.
+    fn device(sim: &Sim<Msg>, id: ProcessId) -> &DeviceProcess {
+        &sim.process::<Solo>(id).unwrap().dev
+    }
+
     /// Drains the control window from `dev`'s slab row.
-    fn drain(sim: &Sim<Msg>, dev: ProcessId) -> DeviceWindow {
-        let (slab, _) = &sim.process::<DeviceProcess>(dev).unwrap().slab;
-        slab.sample_fold(sim.now()).window
+    fn drain(sim: &mut Sim<Msg>, dev: ProcessId) -> DeviceWindow {
+        let now = sim.now();
+        let solo = sim.process_mut::<Solo>(dev).unwrap();
+        solo.slab.sample_fold(now).window
     }
 
     /// A controller stub that answers every request instantly.
@@ -488,7 +510,7 @@ mod tests {
             readings: 0,
         });
         let cfg = device_cfg(level, sim.metrics_mut());
-        let dev = sim.add_process(DeviceProcess::new(cfg, one_row(), 0));
+        let dev = sim.add_process(solo(cfg));
         (sim, primary, cloud, dev)
     }
 
@@ -504,7 +526,7 @@ mod tests {
         );
         assert!(edge.readings >= 8, "readings pushed: {}", edge.readings);
         assert_eq!(sim.process::<EchoController>(cloud).unwrap().requests, 0);
-        let w = drain(&sim, dev);
+        let w = drain(&mut sim, dev);
         assert!(w.control_ok >= 15);
         assert_eq!(w.control_timeout, 0);
         assert!(w.availability().unwrap() == 1.0);
@@ -525,7 +547,10 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.process::<EchoController>(primary).unwrap().requests, 0);
         assert_eq!(sim.process::<EchoController>(cloud).unwrap().requests, 0);
-        assert!(drain(&sim, dev).control_ok > 0, "local control succeeds");
+        assert!(
+            drain(&mut sim, dev).control_ok > 0,
+            "local control succeeds"
+        );
         assert_eq!(
             sim.metrics().counter("sim.msg.sent"),
             0,
@@ -537,15 +562,10 @@ mod tests {
     fn failed_component_times_out_locally_and_restarts_on_command() {
         let (mut sim, _, _, dev) = world(MaturityLevel::Ml1);
         sim.run_until(SimTime::from_secs(2));
-        sim.process_mut::<DeviceProcess>(dev)
-            .unwrap()
-            .fail_component();
+        sim.process_mut::<Solo>(dev).unwrap().dev.fail_component();
         sim.run_until(SimTime::from_secs(6));
-        assert_eq!(
-            sim.process::<DeviceProcess>(dev).unwrap().component_state(),
-            ComponentState::Failed
-        );
-        let w = drain(&sim, dev);
+        assert_eq!(device(&sim, dev).component_state(), ComponentState::Failed);
+        let w = drain(&mut sim, dev);
         assert!(w.control_timeout > 0, "local control fails while down");
         sim.send_external(
             dev,
@@ -554,10 +574,7 @@ mod tests {
             }),
         );
         sim.run_until(SimTime::from_secs(8));
-        assert_eq!(
-            sim.process::<DeviceProcess>(dev).unwrap().component_state(),
-            ComponentState::Running
-        );
+        assert_eq!(device(&sim, dev).component_state(), ComponentState::Running);
         assert_eq!(sim.metrics().counter("device.component.restarted"), 1);
     }
 
@@ -571,7 +588,7 @@ mod tests {
             sim.metrics().counter("device.failover") >= 1,
             "device re-homed"
         );
-        let d = sim.process::<DeviceProcess>(dev).unwrap();
+        let d = device(&sim, dev);
         assert_eq!(d.current_edge(), ProcessId(1));
         // Control is succeeding again on the backup edge.
         assert!(sim.metrics().counter("device.control.timeout") > 0);
@@ -584,7 +601,7 @@ mod tests {
         sim.set_down(primary);
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(
-            sim.process::<DeviceProcess>(dev).unwrap().current_edge(),
+            device(&sim, dev).current_edge(),
             ProcessId(1),
             "parked on the backup"
         );
@@ -593,7 +610,7 @@ mod tests {
         let served_before = sim.process::<EchoController>(primary).unwrap().requests;
         sim.run_until(SimTime::from_secs(3) + REHOME_AFTER);
         assert_eq!(
-            sim.process::<DeviceProcess>(dev).unwrap().current_edge(),
+            device(&sim, dev).current_edge(),
             ProcessId(1),
             "a backup is left only once REHOME_AFTER has passed"
         );
@@ -602,10 +619,7 @@ mod tests {
             served_before
         );
         sim.run_until(SimTime::from_secs(6) + REHOME_AFTER);
-        assert_eq!(
-            sim.process::<DeviceProcess>(dev).unwrap().current_edge(),
-            primary
-        );
+        assert_eq!(device(&sim, dev).current_edge(), primary);
         assert!(
             sim.process::<EchoController>(primary).unwrap().requests > served_before,
             "the primary serves control requests again"
@@ -653,7 +667,7 @@ mod tests {
         cfg.primary_edge = host;
         cfg.sensitivity = Sensitivity::Personal;
         cfg.domain = DomainId(9);
-        sim.add_process(DeviceProcess::new(cfg, one_row(), 0));
+        sim.add_process(solo(cfg));
         sim.run_until(SimTime::from_secs(3));
         let meta = sim.process::<Inspect>(host).unwrap().seen.unwrap();
         assert_eq!(meta.sensitivity, Sensitivity::Personal);
@@ -667,7 +681,7 @@ mod tests {
         // What an ML1 sense or control tick reads or writes: the first 64
         // bytes, and the shared-config pointer right behind them.
         for hot in [
-            offset_of!(DeviceProcess, slab) + size_of::<(NodeSlab, u32)>(),
+            offset_of!(DeviceProcess, slot) + size_of::<u32>(),
             offset_of!(DeviceProcess, on_backup_since) + size_of::<Option<SimTime>>(),
             offset_of!(DeviceProcess, controller_idx) + size_of::<usize>(),
             offset_of!(DeviceProcess, reading_seq) + size_of::<u64>(),
@@ -695,7 +709,7 @@ mod tests {
         // leaves a line of the prefix without one fails here instead of
         // silently un-staging that line.
         let read = [
-            offset_of!(DeviceProcess, slab),
+            offset_of!(DeviceProcess, slot),
             offset_of!(DeviceProcess, group),
         ];
         let hot_end = offset_of!(DeviceProcess, group) + size_of::<Rc<DeviceGroup>>();
@@ -719,15 +733,14 @@ mod tests {
     #[test]
     fn window_and_last_sense_live_in_the_slab_row_when_one_is_attached() {
         let (mut sim, _, _, dev) = world(MaturityLevel::Ml3);
-        let (first, _) = sim.process::<DeviceProcess>(dev).unwrap().slab.clone();
-        let slab = one_row();
-        sim.process_mut::<DeviceProcess>(dev)
-            .unwrap()
-            .attach_slab(slab.clone(), 0);
+        // The slab the device's callbacks are lent from here on is another.
+        let mut first =
+            std::mem::replace(&mut sim.process_mut::<Solo>(dev).unwrap().slab, one_row());
         sim.run_until(SimTime::from_secs(5));
         let left = first.sample_fold(SimTime::from_secs(5));
         assert_eq!(left.window, DeviceWindow::default(), "the row moved");
         assert_eq!(left.covered, 0, "the row moved");
+        let slab = &mut sim.process_mut::<Solo>(dev).unwrap().slab;
         let fold = slab.sample_fold(SimTime::from_secs(5));
         assert!(fold.window.control_ok >= 8, "{:?}", fold.window);
         assert_eq!(fold.window.latency_count, fold.window.control_ok);
@@ -738,9 +751,9 @@ mod tests {
     fn window_drain_resets() {
         let (mut sim, _, _, dev) = world(MaturityLevel::Ml3);
         sim.run_until(SimTime::from_secs(5));
-        let w = drain(&sim, dev);
+        let w = drain(&mut sim, dev);
         assert!(w.control_ok > 0);
-        let w2 = drain(&sim, dev);
+        let w2 = drain(&mut sim, dev);
         assert_eq!(w2, DeviceWindow::default());
         assert_eq!(w2.availability(), None);
         assert_eq!(w2.mean_latency_ms(), None);

@@ -45,15 +45,16 @@
 //! ## Registration order (determinism contract)
 //!
 //! Observers cannot perturb a run (they only read events), but *reported*
-//! artifacts must be reproducible, so `Scenario::build` registers observers
-//! in a fixed, documented order:
+//! artifacts must be reproducible, so `Scenario::build` registers three
+//! taps in a fixed, documented order:
 //!
-//! 1. the runtime-internal node-slab liveness mirror, so the slab
-//!    reflects a lifecycle event before any user observer sees it,
-//! 2. the forensic `RingTrace` from `ScenarioSpec::trace_tail` (if any),
-//! 3. the streaming-telemetry pipeline from `ScenarioSpec::streams` (if
+//! 1. the forensic `RingTrace` from `ScenarioSpec::trace_tail` (if any),
+//! 2. the streaming-telemetry pipeline from `ScenarioSpec::streams` (if
 //!    on; see [`StreamSpec`]),
-//! 4. each [`ObserverSpec`] factory, in registration order.
+//! 3. each [`ObserverSpec`] factory, in registration order.
+//!
+//! Nothing the run reads is an observer: the node-state slab learns a
+//! device's liveness from the injection that crashed or revived it.
 
 use riot_formal::{OnlineMonitor, ParseError, Verdict3};
 use riot_sim::{AnyObserver, Json, SimObserver, ToJson};

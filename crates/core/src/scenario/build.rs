@@ -10,7 +10,7 @@ use crate::device::{DeviceConfig, DeviceGroup, DeviceProcess};
 use crate::edge::{EdgeConfig, EdgeProcess};
 use crate::keys::MetricKeys;
 use crate::resilience::{standard_goal_model, standard_requirements, SampleLog};
-use crate::state::{NodeSlab, SlabLiveness};
+use crate::state::NodeSlab;
 use riot_data::{KeySpace, Sensitivity};
 use riot_model::{Domain, DomainId, DomainRegistry, Jurisdiction, TrustLevel};
 use riot_net::{presets, Hierarchy, HierarchySpec, LatencyModel, Link};
@@ -101,33 +101,23 @@ impl Scenario {
         }
         let domain_of: Rc<[DomainId]> = domain_of.into();
 
-        // -- Simulation and processes (spawn order must match node ids).
+        // -- Simulation and processes (spawn order must match node ids),
+        // with the node-state slab the world lends each device callback
+        // (the sampler's backbone; see crate::state).
+        let slab = NodeSlab::new(crate::config::SENSE_PERIOD * 3, spec.device_count());
         let mut sim: ScenarioSim = SimBuilder::new(spec.seed)
             .max_events(2_000_000_000)
             // Cloud + edges + devices, known before a single spawn.
             .expect_processes(n)
-            .build_world(net);
-
-        // -- Node-state slab (the sampler's backbone; see crate::state).
-        // Built before the bus registrations so its liveness mirror is the
-        // first observer: by the time any user observer sees a lifecycle
-        // event, the slab already reflects it.
-        let slab = NodeSlab::new(crate::config::SENSE_PERIOD * 3, spec.device_count());
-        // Devices occupy the contiguous id range after cloud + edges.
-        sim.add_observer(SlabLiveness::new(
-            slab.clone(),
-            1 + spec.edges,
-            spec.device_count(),
-        ));
+            .build_world(net, slab);
 
         // -- Every metric key a process records, minted once.
         let metric_keys = MetricKeys::mint(sim.metrics_mut());
 
         // -- Observability bus. Registration order is fixed and documented
-        // (crate::observe): slab liveness mirror (runtime-internal),
-        // forensic ring, stream pipeline, then user factories. Observers
-        // only read events, so this cannot change the run itself — only
-        // what gets reported.
+        // (crate::observe): forensic ring, stream pipeline, then user
+        // factories. Observers only read events, so this cannot change the
+        // run itself — only what gets reported.
         let ring_idx = spec
             .trace_tail
             .map(|cap| sim.add_observer(RingTrace::forensics(cap)));
@@ -261,7 +251,6 @@ impl Scenario {
                         },
                         domain: DomainId(0),
                     },
-                    slab.clone(),
                     global_idx as u32,
                 );
                 let id = sim.add_node(Node::Device(dev));
@@ -313,7 +302,6 @@ impl Scenario {
             ring_idx,
             streams,
             log: SampleLog::default(),
-            slab,
             consumer_of_edge,
             operational,
             sampled_to: SimTime::ZERO,

@@ -1,6 +1,9 @@
 //! Disruption injection: what one [`Disruption`] of the schedule does to the
 //! running simulation, and the heals it schedules, each applied when the
 //! [`Injection`] `Scenario::build` or an earlier injection scheduled pops.
+//! What a crash, a revive or a component fault changes of a device's
+//! coverage inputs is written to its node-state slab row here, by the
+//! injection that made the change.
 
 use super::world::{Node, ScenarioSim};
 use riot_model::Disruption;
@@ -30,6 +33,7 @@ pub(super) fn inject(sim: &mut ScenarioSim, injection: Injection) {
         Injection::Restore { cut, revive } => {
             if let Some(node) = revive {
                 sim.set_up(node);
+                note_liveness(sim, node);
             }
             let net = sim.medium_mut();
             for (a, b) in cut {
@@ -38,6 +42,17 @@ pub(super) fn inject(sim: &mut ScenarioSim, injection: Injection) {
         }
         Injection::RestoreQuality(a, b) => sim.medium_mut().restore_link_quality(a, b),
         Injection::RestoreLink(a, b) => sim.medium_mut().restore_link(a, b),
+    }
+}
+
+/// Writes device `node`'s `UP` input from the kernel's liveness table, right
+/// after a crash or a revive: crashing a down node or reviving an up one
+/// changes nothing, so the row holds what the kernel did, not what was
+/// asked. An edge or the cloud has no row.
+fn note_liveness(sim: &mut ScenarioSim, node: ProcessId) {
+    if let Some(Node::Device(dev)) = sim.node(node) {
+        let (slot, up) = (dev.slot, sim.is_up(node));
+        sim.shared_mut().set_up(slot, up);
     }
 }
 
@@ -59,6 +74,7 @@ fn apply_disruption(sim: &mut ScenarioSim, disruption: Disruption) {
             recover_after,
         } => {
             sim.set_down(node);
+            note_liveness(sim, node);
             // Dead hardware neither hosts software nor relays traffic.
             let cut = sim.medium_mut().isolate(node);
             let revive = Some(node);
@@ -67,6 +83,8 @@ fn apply_disruption(sim: &mut ScenarioSim, disruption: Disruption) {
         Disruption::ComponentFault { node, .. } => {
             if let Some(Node::Device(dev)) = sim.node_mut(node) {
                 dev.fail_component();
+                let slot = dev.slot;
+                sim.shared_mut().set_serving(slot, false);
             }
         }
         Disruption::LinkDegradation {

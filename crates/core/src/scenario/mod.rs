@@ -20,10 +20,10 @@
 //! One job each: `spec` (the [`ScenarioSpec`], its checks and the id
 //! layout), `build` ([`Scenario::build`]), `run` (the run loop and the
 //! sample tick), `world` (the kernel's closed world: the node enum, the
-//! `Network`, the injection enum), `disrupt` (what an injection does), `result`
-//! ([`ScenarioResult`] and its harvest) and, compiled for tests only,
-//! `oracle` (the full-rescan sampler the slab fold is checked against) and
-//! `tests`.
+//! `Network`, the injection enum, the node-state slab it lends devices),
+//! `disrupt` (what an injection does), `result` ([`ScenarioResult`] and
+//! its harvest) and, compiled for tests only, `oracle` (the full-rescan
+//! sampler the slab fold is checked against) and `tests`.
 
 mod build;
 mod disrupt;
@@ -41,7 +41,6 @@ pub use spec::{ScenarioSpec, SpecError, MAX_TRACE_TAIL};
 use crate::keys::MetricKeys;
 use crate::observe::PROBE_ROWS;
 use crate::resilience::SampleLog;
-use crate::state::NodeSlab;
 use riot_data::{DataKey, KeySpace};
 use riot_formal::OnlineMonitor;
 use riot_model::{DomainRegistry, GoalModel, RequirementSet};
@@ -86,8 +85,6 @@ pub struct Scenario {
     streams: Option<StreamIdx>,
     /// What every sample tick recorded; the result is computed from it.
     log: SampleLog,
-    /// The node-state slab every sample tick folds (`crate::state`).
-    slab: NodeSlab,
     /// The consuming store's process per home-edge index, read by every
     /// sample tick's freshness scan; empty when nothing replicates.
     consumer_of_edge: Vec<ProcessId>,

@@ -8,11 +8,11 @@
 
 use super::run::NEVER_SEEN_STALENESS_S;
 use super::world::{Node, ScenarioSim};
-use super::{DeviceInfo, Scenario, ScenarioResult, ScenarioSpec, ACTIVITY_OP};
+use super::{DeviceInfo, Scenario, ScenarioResult, ScenarioSpec};
 use crate::config::ReplicationMode;
 use crate::state::{NodeSlab, SampleFold};
 use riot_net::Hierarchy;
-use riot_sim::{ProcessId, SimTime, StreamPipeline};
+use riot_sim::SimTime;
 
 impl Scenario {
     /// Staleness of `info`'s key at its consuming store, for the rescan
@@ -46,43 +46,19 @@ impl Scenario {
         }
     }
 
-    /// Whether a device is currently up, for the rescan oracle. When the
-    /// stream pipeline is on this reads its liveness mirror, with the
-    /// kernel's own table as the fallback. The two agree by construction
-    /// (the tracker replays the same `ProcessDown`/`ProcessUp` events the
-    /// kernel emitted).
-    fn device_is_up(&self, id: ProcessId) -> bool {
-        let tracker = self.streams.as_ref().and_then(|s| {
-            self.sim
-                .observer::<StreamPipeline>(s.pipeline)?
-                .activity_tracker(ACTIVITY_OP)
-        });
-        match tracker {
-            Some(tracker) => tracker.is_up(id),
-            None => self.sim.is_up(id),
-        }
-    }
-
-    /// The rescan oracle: [`Self::build`] and [`Self::run`] with every
-    /// device moved to a slab of the oracle's own and each sample gathered
-    /// by [`Self::rescan`] instead of the slab fold and the freshness scan.
-    /// The liveness mirror stays on the scenario's slab and writes rows
-    /// nothing reads.
+    /// The rescan oracle: [`Self::build`] and [`Self::run`] with a slab of
+    /// the oracle's own in the world and each sample gathered by
+    /// [`Self::rescan`] instead of the slab fold and the freshness scan.
     pub(super) fn run_rescan_oracle(spec: ScenarioSpec) -> ScenarioResult {
         let mut scenario = Scenario::build(spec);
-        let rows = NodeSlab::unsensed(crate::config::SENSE_PERIOD * 3, scenario.devices.len());
-        for (slot, info) in scenario.devices.iter().enumerate() {
-            let Some(Node::Device(dev)) = scenario.sim.node_mut(info.id) else {
-                panic!("device process");
-            };
-            dev.attach_slab(rows.clone(), slot as u32);
-        }
+        let n = scenario.devices.len();
+        *scenario.sim.shared_mut() = NodeSlab::unsensed(crate::config::SENSE_PERIOD * 3, n);
         let mut t = SimTime::ZERO;
         let end = SimTime::ZERO + scenario.spec.duration;
         while t < end {
             t = (t + scenario.spec.sample_every).min(end);
             scenario.sim.run_until(t);
-            let (fold, staleness_sum, staleness_n) = scenario.rescan(t, &rows);
+            let (fold, staleness_sum, staleness_n) = scenario.rescan(t);
             scenario.publish_sample(t, &fold, staleness_sum, staleness_n);
         }
         scenario.finish()
@@ -90,14 +66,14 @@ impl Scenario {
 
     /// The oracle's gather: one O(devices) pass over the device index —
     /// control-loop window, coverage, and consumer-store freshness
-    /// together, read from the raw fields of the oracle's slab `rows`, the
-    /// process table and the stores. Keeping the
+    /// together, read from the raw fields of the oracle's slab rows, the
+    /// kernel's liveness table, the process table and the stores. Keeping the
     /// staleness accumulation in device-index order pins the floating-point
     /// sum — and therefore the recorded freshness series — bit-for-bit;
     /// the shipped freshness scan and the slab's window drain replay the
     /// identical addition sequences (both walk device-index order), which
     /// is what lets the oracle test demand byte-identical results.
-    fn rescan(&mut self, now: SimTime, rows: &NodeSlab) -> (SampleFold, f64, usize) {
+    fn rescan(&mut self, now: SimTime) -> (SampleFold, f64, usize) {
         let mut window = crate::device::DeviceWindow::default();
         let mut covered = 0usize;
         let mut staleness_sum = 0.0;
@@ -105,11 +81,11 @@ impl Scenario {
         let replication = self.spec.architecture().replication;
         let fresh_horizon = crate::config::SENSE_PERIOD * 3;
         for (slot, info) in self.devices.iter().enumerate() {
-            let up = self.device_is_up(info.id);
+            let (w, last_sense) = self.sim.shared_mut().take_raw_row(slot as u32);
+            let up = self.sim.is_up(info.id);
             let Some(Node::Device(dev)) = self.sim.node(info.id) else {
                 panic!("device process");
             };
-            let (w, last_sense) = rows.take_raw_row(slot as u32);
             window.control_ok += w.control_ok;
             window.control_timeout += w.control_timeout;
             window.latency_sum_ms += w.latency_sum_ms;

@@ -83,9 +83,9 @@ impl Scenario {
     /// guarantee. Calls into other crates use qualified-call syntax so the
     /// lint's call graph gets precise edges (DESIGN.md §10).
     fn sample(&mut self, now: SimTime) {
-        // O(changed): fold the node-state slab's flat arrays. Devices
-        // pushed their deltas as they happened.
-        let fold = self.slab.sample_fold(now);
+        // O(changed): fold the node-state slab's flat arrays, which the
+        // world holds. Devices pushed their deltas as they happened.
+        let fold = self.sim.shared_mut().sample_fold(now);
         let (staleness_sum, staleness_n) = self.freshness(now);
         self.publish_sample(now, &fold, staleness_sum, staleness_n);
     }

@@ -1,12 +1,15 @@
 //! The scenario's closed world: the kernel runs over riot-core's own node
-//! enum, the `Network` held by value, and the disruption injections of
-//! `disrupt`, with no downcast anywhere.
+//! enum, the `Network` held by value, the disruption injections of
+//! `disrupt` and the node-state slab, with no downcast anywhere. The `Sim`
+//! holds the slab beside the medium and lends it to the device each
+//! callback runs on; edges and the cloud are not lent it.
 
 use super::disrupt::{self, Injection};
 use crate::cloud::CloudProcess;
 use crate::device::DeviceProcess;
 use crate::edge::EdgeProcess;
 use crate::msg::Msg;
+use crate::state::NodeSlab;
 use riot_net::Network;
 use riot_sim::{Ctx, Medium, Process, ProcessId, Sim, World};
 
@@ -19,41 +22,8 @@ pub(crate) enum Node {
     Cloud(Box<CloudProcess>),
 }
 
-impl Process<Msg> for Node {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        match self {
-            Node::Device(d) => d.on_start(ctx),
-            Node::Edge(e) => e.on_start(ctx),
-            Node::Cloud(c) => c.on_start(ctx),
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, msg: Msg) {
-        match self {
-            Node::Device(d) => d.on_message(ctx, from, msg),
-            Node::Edge(e) => e.on_message(ctx, from, msg),
-            Node::Cloud(c) => c.on_message(ctx, from, msg),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
-        match self {
-            Node::Device(d) => d.on_timer(ctx, tag),
-            Node::Edge(e) => e.on_timer(ctx, tag),
-            Node::Cloud(c) => c.on_timer(ctx, tag),
-        }
-    }
-
-    fn prefetch(&self) {
-        match self {
-            Node::Device(d) => d.prefetch(),
-            Node::Edge(e) => e.prefetch(),
-            Node::Cloud(c) => c.prefetch(),
-        }
-    }
-}
-
-/// The scenario's [`World`]: [`Node`]s, the `Network`, and [`Injection`]s.
+/// The scenario's [`World`]: [`Node`]s, the `Network`, [`Injection`]s and
+/// the [`NodeSlab`].
 pub(crate) enum ScenarioWorld {}
 
 /// The kernel over the scenario's closed world.
@@ -63,6 +33,7 @@ impl World<Msg> for ScenarioWorld {
     type Node = Node;
     type Medium = Network;
     type Injection = Injection;
+    type Shared = NodeSlab;
 
     fn inject(sim: &mut ScenarioSim, injection: Injection) {
         disrupt::inject(sim, injection);
@@ -70,6 +41,44 @@ impl World<Msg> for ScenarioWorld {
 
     fn medium(net: &mut Network) -> &mut dyn Medium<Msg> {
         net
+    }
+
+    fn on_start(node: &mut Node, _: &mut NodeSlab, ctx: &mut Ctx<'_, Msg>) {
+        match node {
+            Node::Device(d) => d.on_start(ctx),
+            Node::Edge(e) => e.on_start(ctx),
+            Node::Cloud(c) => c.on_start(ctx),
+        }
+    }
+
+    fn on_message(
+        node: &mut Node,
+        slab: &mut NodeSlab,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ProcessId,
+        msg: Msg,
+    ) {
+        match node {
+            Node::Device(d) => d.on_message(slab, ctx, from, msg),
+            Node::Edge(e) => e.on_message(ctx, from, msg),
+            Node::Cloud(c) => c.on_message(ctx, from, msg),
+        }
+    }
+
+    fn on_timer(node: &mut Node, slab: &mut NodeSlab, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+        match node {
+            Node::Device(d) => d.on_timer(slab, ctx, tag),
+            Node::Edge(e) => e.on_timer(ctx, tag),
+            Node::Cloud(c) => c.on_timer(ctx, tag),
+        }
+    }
+
+    fn prefetch(node: &Node, slab: &NodeSlab) {
+        match node {
+            Node::Device(d) => d.prefetch(slab),
+            Node::Edge(e) => e.prefetch(),
+            Node::Cloud(c) => c.prefetch(),
+        }
     }
 }
 

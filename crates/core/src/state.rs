@@ -8,6 +8,12 @@
 //! they change, and [`Scenario::sample`](crate::Scenario) folds over those
 //! tables instead of the process table.
 //!
+//! The slab is the world's, not the devices': the scenario's `Sim` holds it
+//! by value beside the medium and lends it to the device each callback runs
+//! on (`scenario/world.rs`), the injector writes what a crash, a revive or
+//! a component fault changes (`scenario/disrupt.rs`), and the sample tick
+//! folds it between events. No device and no observer holds a handle to it.
+//!
 //! What a *device* event writes — the control window, the coverage inputs
 //! and the last-sense instant — is one 32-byte [`Row`] per device, so a
 //! control or sense tick dirties one slab line, not one per column.
@@ -30,39 +36,20 @@
 //! - **Coverage counter + monotone expiry wheel.** The covered predicate
 //!   (`up ∧ serving ∧ reported within the freshness horizon`) is kept as
 //!   three per-device flag bits plus a population count, updated on the
-//!   transitions (liveness events from the observer bus, component state
-//!   changes, senses). Passive expiry — a device becoming stale purely by time
+//!   transitions (crashes and revives, component state changes, senses). Passive expiry — a device becoming stale purely by time
 //!   passing — is handled by a wheel of `(sense_at + horizon, slot)`
 //!   entries; senses arrive in virtual-time order, so the wheel is a
 //!   monotone queue and each entry is pushed and popped exactly once.
 
 use crate::device::DeviceWindow;
-use riot_sim::{EventMask, ProcessId, SimDuration, SimEvent, SimEventKind, SimObserver, SimTime};
-use std::cell::RefCell;
+use riot_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::rc::Rc;
 
-/// Shared handle to the scenario's node-state slab. Cloned into every
-/// device process and the liveness observer; all of them run on the
-/// single simulation thread, so a `Rc<RefCell<…>>` is the right ownership
-/// shape (borrows are short and never reentrant: processes
-/// write during event dispatch, the sampler folds between events).
-#[derive(Clone)]
-pub(crate) struct NodeSlab {
-    inner: Rc<RefCell<SlabInner>>,
-}
-
-impl std::fmt::Debug for NodeSlab {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = f.debug_struct("NodeSlab");
-        // A device may be printed from inside a slab write (a panic message
-        // under `note_*`, say): report that instead of a second panic.
-        match self.inner.try_borrow() {
-            Ok(inner) => out.field("devices", &inner.rows.len()),
-            Err(_) => out.field("devices", &"<being written>"),
-        };
-        out.finish()
-    }
+/// What one sample fold yields: the drained control window and the
+/// covered-device count.
+pub(crate) struct SampleFold {
+    pub window: DeviceWindow,
+    pub covered: usize,
 }
 
 /// [`Row::flags`] bits: the three inputs of the covered predicate. A device
@@ -87,9 +74,12 @@ struct Row {
     last_sense: SimTime,
 }
 
-/// The per-device tables, indexed by device slot (0..device_count, in
-/// device-index order — the same order `Scenario::devices()` lists).
-struct SlabInner {
+/// The scenario's node-state slab: per-device tables, indexed by device
+/// slot (0..device_count, in device-index order — the same order
+/// `Scenario::devices()` lists). The scenario's world holds it beside the
+/// medium and lends it to each device callback
+/// (`scenario/world.rs`); the sampler folds it between events.
+pub(crate) struct NodeSlab {
     /// Freshness horizon: a device "reports" while its last sense is at
     /// most this old (`sense_period * 3`, resolved at build time).
     horizon: SimDuration,
@@ -104,7 +94,7 @@ struct SlabInner {
     wheel: VecDeque<(SimTime, u32)>,
 }
 
-impl SlabInner {
+impl NodeSlab {
     /// Sets or clears one covered-predicate input of a device, keeping the
     /// population count of covered devices in step.
     fn set_flag(&mut self, slot: usize, bit: u8, on: bool) {
@@ -145,16 +135,7 @@ impl SlabInner {
             }
         }
     }
-}
 
-/// What one sample fold yields: the drained control window and the
-/// covered-device count.
-pub(crate) struct SampleFold {
-    pub window: DeviceWindow,
-    pub covered: usize,
-}
-
-impl NodeSlab {
     /// Builds a slab for `n` devices, in device-index order. Every device
     /// starts up, serving and unreported (fresh only after its first
     /// sense) — matching the process table at spawn time.
@@ -168,15 +149,13 @@ impl NodeSlab {
             last_sense: SimTime::ZERO,
         };
         NodeSlab {
-            inner: Rc::new(RefCell::new(SlabInner {
-                horizon,
-                rows: vec![unreported; n],
-                dirty_words: vec![0; n.div_ceil(64)],
-                covered_count: 0,
-                // At most ⌈horizon / sense_period⌉ = 3 deadlines are ever
-                // outstanding per device; one extra slot of headroom.
-                wheel: VecDeque::with_capacity(n.saturating_mul(4)),
-            })),
+            horizon,
+            rows: vec![unreported; n],
+            dirty_words: vec![0; n.div_ceil(64)],
+            covered_count: 0,
+            // At most ⌈horizon / sense_period⌉ = 3 deadlines are ever
+            // outstanding per device; one extra slot of headroom.
+            wheel: VecDeque::with_capacity(n.saturating_mul(4)),
         }
     }
 
@@ -186,8 +165,8 @@ impl NodeSlab {
     /// sensed without reading a flag.
     #[cfg(test)]
     pub(crate) fn unsensed(horizon: SimDuration, n: usize) -> NodeSlab {
-        let slab = Self::new(horizon, n);
-        for row in &mut slab.inner.borrow_mut().rows {
+        let mut slab = Self::new(horizon, n);
+        for row in &mut slab.rows {
             row.last_sense = SimTime::MAX;
         }
         slab
@@ -198,9 +177,8 @@ impl NodeSlab {
     /// flags, dirty bits, covered count or wheel the fold keeps — for the
     /// `#[cfg(test)]` rescan oracle, over a slab made by [`Self::unsensed`].
     #[cfg(test)]
-    pub(crate) fn take_raw_row(&self, slot: u32) -> (DeviceWindow, Option<SimTime>) {
-        let mut s = self.inner.borrow_mut();
-        let Some(row) = s.rows.get_mut(slot as usize) else {
+    pub(crate) fn take_raw_row(&mut self, slot: u32) -> (DeviceWindow, Option<SimTime>) {
+        let Some(row) = self.rows.get_mut(slot as usize) else {
             return (DeviceWindow::default(), None);
         };
         let window = DeviceWindow {
@@ -218,32 +196,29 @@ impl NodeSlab {
     /// Reads the row a device event of `slot` will write, for
     /// [`riot_sim::Process::prefetch`]; changes nothing.
     pub(crate) fn prefetch(&self, slot: u32) {
-        let s = self.inner.borrow();
-        std::hint::black_box(s.rows.get(slot as usize).map(|row| row.flags));
+        std::hint::black_box(self.rows.get(slot as usize).map(|row| row.flags));
     }
 
     /// Records a successful control round-trip with its observed latency.
-    pub(crate) fn note_control_ok(&self, slot: u32, latency_ms: f64) {
-        let mut s = self.inner.borrow_mut();
-        if let Some(row) = s.rows.get_mut(slot as usize) {
+    pub(crate) fn note_control_ok(&mut self, slot: u32, latency_ms: f64) {
+        if let Some(row) = self.rows.get_mut(slot as usize) {
             row.win_ok += 1;
             row.win_lat_sum += latency_ms;
             row.win_lat_n += 1;
         }
-        Self::mark_dirty(&mut s, slot);
+        self.mark_dirty(slot);
     }
 
     /// Records a timed-out control request.
-    pub(crate) fn note_control_timeout(&self, slot: u32) {
-        let mut s = self.inner.borrow_mut();
-        if let Some(row) = s.rows.get_mut(slot as usize) {
+    pub(crate) fn note_control_timeout(&mut self, slot: u32) {
+        if let Some(row) = self.rows.get_mut(slot as usize) {
             row.win_timeout += 1;
         }
-        Self::mark_dirty(&mut s, slot);
+        self.mark_dirty(slot);
     }
 
-    fn mark_dirty(s: &mut SlabInner, slot: u32) {
-        if let Some(word) = s.dirty_words.get_mut(slot as usize / 64) {
+    fn mark_dirty(&mut self, slot: u32) {
+        if let Some(word) = self.dirty_words.get_mut(slot as usize / 64) {
             *word |= 1u64 << (slot % 64);
         }
     }
@@ -251,37 +226,31 @@ impl NodeSlab {
     /// Records a sense: the device reported at `now`, refreshing its
     /// coverage deadline. Senses arrive in virtual-time order, so the
     /// wheel push keeps the queue monotone.
-    pub(crate) fn note_sense(&self, slot: u32, now: SimTime) {
-        let mut s = self.inner.borrow_mut();
+    pub(crate) fn note_sense(&mut self, slot: u32, now: SimTime) {
         let i = slot as usize;
-        if let Some(row) = s.rows.get_mut(i) {
+        if let Some(row) = self.rows.get_mut(i) {
             row.last_sense = now;
         }
-        let deadline = now + s.horizon;
-        s.wheel.push_back((deadline, slot));
-        s.set_flag(i, FRESH, true);
+        self.wheel.push_back((now + self.horizon, slot));
+        self.set_flag(i, FRESH, true);
     }
 
     /// Mirrors a component-state transition (fault injection, restart).
-    pub(crate) fn set_serving(&self, slot: u32, serving: bool) {
-        let mut s = self.inner.borrow_mut();
-        s.set_flag(slot as usize, SERVING, serving);
+    pub(crate) fn set_serving(&mut self, slot: u32, serving: bool) {
+        self.set_flag(slot as usize, SERVING, serving);
     }
 
-    /// Mirrors a process liveness transition (from the observer bus).
-    pub(crate) fn set_up(&self, slot: u32, up: bool) {
-        let mut s = self.inner.borrow_mut();
-        s.set_flag(slot as usize, UP, up);
+    /// Mirrors a process liveness transition (a crash or a revive).
+    pub(crate) fn set_up(&mut self, slot: u32, up: bool) {
+        self.set_flag(slot as usize, UP, up);
     }
 
     /// One sample tick's fold: retire passed freshness deadlines and drain
     /// the dirty window bitset in index order. Declared a hot root in
     /// `lint-hotpaths.toml` (rule A1): the bitset walk only reads and
     /// clears in place — nothing here may allocate.
-    pub(crate) fn sample_fold(&self, now: SimTime) -> SampleFold {
-        let mut guard = self.inner.borrow_mut();
-        let s = &mut *guard;
-        s.expire(now);
+    pub(crate) fn sample_fold(&mut self, now: SimTime) -> SampleFold {
+        self.expire(now);
 
         // Window drain. Walking the bitset words in order visits dirty
         // rows in device-index order, which keeps the floating-point
@@ -289,12 +258,12 @@ impl NodeSlab {
         // (clean devices contribute +0.0 — the IEEE identity on this
         // non-negative running sum).
         let mut window = DeviceWindow::default();
-        for w in 0..s.dirty_words.len() {
-            let mut word = s.dirty_words.get_mut(w).map_or(0, std::mem::take);
+        for w in 0..self.dirty_words.len() {
+            let mut word = self.dirty_words.get_mut(w).map_or(0, std::mem::take);
             while word != 0 {
                 let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                if let Some(row) = s.rows.get_mut(i) {
+                if let Some(row) = self.rows.get_mut(i) {
                     window.control_ok += std::mem::take(&mut row.win_ok);
                     window.control_timeout += std::mem::take(&mut row.win_timeout);
                     window.latency_sum_ms += std::mem::take(&mut row.win_lat_sum);
@@ -305,59 +274,8 @@ impl NodeSlab {
 
         SampleFold {
             window,
-            covered: s.covered_count,
+            covered: self.covered_count,
         }
-    }
-}
-
-/// Observer-bus mirror of device liveness into the slab: replays the same
-/// `ProcessDown`/`ProcessUp` events the kernel emitted, subscribing to
-/// nothing else — every other event kind is dropped before dispatch.
-pub(crate) struct SlabLiveness {
-    slab: NodeSlab,
-    /// Process id of device slot 0 (devices occupy a contiguous id range).
-    first_device: usize,
-    device_count: usize,
-}
-
-impl SlabLiveness {
-    pub(crate) fn new(slab: NodeSlab, first_device: usize, device_count: usize) -> Self {
-        SlabLiveness {
-            slab,
-            first_device,
-            device_count,
-        }
-    }
-
-    fn slot_of(&self, id: ProcessId) -> Option<u32> {
-        let slot = id.0.checked_sub(self.first_device)?;
-        (slot < self.device_count).then_some(slot as u32)
-    }
-}
-
-impl SimObserver for SlabLiveness {
-    fn on_event(&mut self, event: &SimEvent) {
-        match event.kind {
-            SimEventKind::ProcessDown { id } => {
-                if let Some(slot) = self.slot_of(id) {
-                    self.slab.set_up(slot, false);
-                }
-            }
-            SimEventKind::ProcessUp { id } => {
-                if let Some(slot) = self.slot_of(id) {
-                    self.slab.set_up(slot, true);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn interest(&self) -> EventMask {
-        EventMask::LIFECYCLE
-    }
-
-    fn name(&self) -> &str {
-        "node-slab-liveness"
     }
 }
 
@@ -371,7 +289,7 @@ mod tests {
 
     #[test]
     fn window_drain_is_index_ordered_and_resets() {
-        let s = slab(3);
+        let mut s = slab(3);
         s.note_control_ok(2, 5.0);
         s.note_control_ok(0, 1.0);
         s.note_control_timeout(2);
@@ -386,7 +304,7 @@ mod tests {
 
     #[test]
     fn coverage_counts_up_serving_fresh_devices_and_expires() {
-        let s = slab(2);
+        let mut s = slab(2);
         assert_eq!(s.sample_fold(SimTime::ZERO).covered, 0, "unsensed");
         s.note_sense(0, SimTime::from_secs(1));
         s.note_sense(1, SimTime::from_secs(1));
@@ -419,27 +337,24 @@ mod tests {
         let inputs = [UP, SERVING, FRESH];
         for start in 0u8..8 {
             for (bit, on) in inputs.iter().flat_map(|b| [(*b, true), (*b, false)]) {
-                let s = slab(2);
+                let mut s = slab(2);
                 s.note_sense(1, SimTime::from_secs(1));
-                let apply = |bit: u8, on: bool| match bit {
+                let apply = |s: &mut NodeSlab, bit: u8, on: bool| match bit {
                     UP => s.set_up(0, on),
                     SERVING => s.set_serving(0, on),
                     // Only a sense sets `FRESH`; only the expiry clears it.
                     _ if on => s.note_sense(0, SimTime::from_secs(1)),
-                    _ => {
-                        let mut inner = s.inner.borrow_mut();
-                        inner.set_flag(0, FRESH, false);
-                    }
+                    _ => s.set_flag(0, FRESH, false),
                 };
                 for b in inputs {
-                    apply(b, start & b != 0);
+                    apply(&mut s, b, start & b != 0);
                 }
                 let covered = |flags: u8| 1 + usize::from(flags == COVERED);
                 let fold = s.sample_fold(SimTime::from_secs(2));
                 assert_eq!(fold.covered, covered(start), "state {start:03b}");
-                apply(bit, on);
+                apply(&mut s, bit, on);
                 let after = if on { start | bit } else { start & !bit };
-                assert_eq!(s.inner.borrow().rows[0].flags, after);
+                assert_eq!(s.rows[0].flags, after);
                 let fold = s.sample_fold(SimTime::from_secs(2));
                 assert_eq!(
                     fold.covered,
@@ -452,7 +367,7 @@ mod tests {
 
     #[test]
     fn expire_ignores_a_deadline_a_later_sense_superseded() {
-        let s = slab(2);
+        let mut s = slab(2);
         s.note_sense(0, SimTime::from_secs(1));
         s.note_sense(1, SimTime::from_secs(1));
         s.note_sense(0, SimTime::from_secs(3));
@@ -461,36 +376,10 @@ mod tests {
         // its popped deadline is stale and must not clear `FRESH`.
         let fold = s.sample_fold(SimTime::from_secs(5));
         assert_eq!(fold.covered, 1);
-        assert_eq!(s.inner.borrow().rows[0].flags, COVERED);
-        assert_eq!(s.inner.borrow().rows[1].flags, UP | SERVING);
-        assert_eq!(s.inner.borrow().wheel.len(), 1, "the 6 s deadline waits");
+        assert_eq!(s.rows[0].flags, COVERED);
+        assert_eq!(s.rows[1].flags, UP | SERVING);
+        assert_eq!(s.wheel.len(), 1, "the 6 s deadline waits");
         // ... and that one is the latest: it expires on time.
         assert_eq!(s.sample_fold(SimTime::from_secs(7)).covered, 0);
-    }
-
-    #[test]
-    fn debug_of_a_slab_being_written_does_not_panic() {
-        let s = slab(3);
-        assert_eq!(format!("{s:?}"), "NodeSlab { devices: 3 }");
-        let _writing = s.inner.borrow_mut();
-        assert!(format!("{s:?}").contains("being written"));
-    }
-
-    #[test]
-    fn liveness_observer_maps_the_device_id_range() {
-        let s = slab(2);
-        s.note_sense(0, SimTime::from_secs(1));
-        s.note_sense(1, SimTime::from_secs(1));
-        let mut obs = SlabLiveness::new(s.clone(), 3, 2);
-        let down = |id: usize| SimEvent {
-            at: SimTime::from_secs(1),
-            kind: SimEventKind::ProcessDown { id: ProcessId(id) },
-            detail: String::new(),
-        };
-        obs.on_event(&down(0)); // cloud: below the device range, ignored
-        obs.on_event(&down(5)); // past the device range, ignored
-        obs.on_event(&down(3)); // device slot 0
-        assert_eq!(s.sample_fold(SimTime::from_secs(2)).covered, 1);
-        assert_eq!(obs.interest(), EventMask::LIFECYCLE);
     }
 }

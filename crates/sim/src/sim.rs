@@ -6,7 +6,7 @@ use crate::kernel::{EventKind, Kernel};
 use crate::medium::{IdealMedium, Medium};
 use crate::metrics::Metrics;
 use crate::observer::{AnyObserver, EventMask, SimEventKind, SimObserver};
-use crate::process::{Ctx, Process, ProcessId};
+use crate::process::{Ctx, ProcessId};
 use crate::queue::{EventQueue, QueueStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -15,7 +15,7 @@ use std::any::Any;
 use std::fmt;
 
 /// Fewest events a freshly loaded queue slot must hold for the kernel to
-/// walk it once calling [`Process::prefetch`] before the first pops. The
+/// walk it once calling [`World::prefetch`] before the first pops. The
 /// pass pays when there is a batch of independent cache misses to overlap;
 /// on a handful of events it is a virtual call each for nothing.
 const STAGE_MIN: usize = 32;
@@ -81,18 +81,23 @@ impl SimBuilder {
 
     /// Builds a simulation of the boxed world with an explicit medium.
     pub fn build_with_medium<M: fmt::Debug + 'static>(self, medium: Box<dyn Medium<M>>) -> Sim<M> {
-        self.build_world(medium)
+        self.build_world(medium, ())
     }
 
     /// Builds a simulation of world `W` around its medium (e.g. `riot-net`'s
-    /// `Network`).
-    pub fn build_world<M: fmt::Debug, W: World<M>>(self, medium: W::Medium) -> Sim<M, W> {
+    /// `Network`) and the state its nodes share.
+    pub fn build_world<M: fmt::Debug, W: World<M>>(
+        self,
+        medium: W::Medium,
+        shared: W::Shared,
+    ) -> Sim<M, W> {
         let rng = SimRng::seed_from(self.seed);
         let kernel = Kernel::new(rng, self.expected_processes);
         Sim {
             kernel,
             nodes: Vec::with_capacity(self.expected_processes),
             medium,
+            shared,
             injections: Vec::new(),
             events_processed: 0,
             max_events: self.max_events,
@@ -101,7 +106,7 @@ impl SimBuilder {
     }
 }
 
-/// A deterministic discrete-event simulation: a set of [`Process`]es, a
+/// A deterministic discrete-event simulation: a set of [`Process`](crate::Process)es, a
 /// [`Medium`], and an event queue ordered by virtual time — the one kernel
 /// over any [`World`]. `Sim<M>` is the boxed world, [`DynWorld`].
 ///
@@ -146,6 +151,8 @@ pub struct Sim<M, W: World<M> = DynWorld<M>> {
     /// The process table, by id.
     pub(crate) nodes: Vec<W::Node>,
     medium: W::Medium,
+    /// What the nodes share, lent to the node each callback runs on.
+    shared: W::Shared,
     /// Scheduled injections, by the index their queued event carries; each
     /// is taken when it fires.
     injections: Vec<Option<W::Injection>>,
@@ -163,7 +170,7 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
         self.kernel.live.push(true);
         self.kernel.epoch.push(0);
         if self.started {
-            self.with_proc(id, |p, ctx| p.on_start(ctx));
+            self.with_proc(id, W::on_start);
         }
         id
     }
@@ -288,6 +295,17 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
         &mut self.medium
     }
 
+    /// The state the world's nodes share.
+    pub fn shared(&self) -> &W::Shared {
+        &self.shared
+    }
+
+    /// The state the world's nodes share, for the world's own driver
+    /// between events.
+    pub fn shared_mut(&mut self) -> &mut W::Shared {
+        &mut self.shared
+    }
+
     /// The node at `id`; `None` if there is none.
     pub fn node(&self, id: ProcessId) -> Option<&W::Node> {
         self.nodes.get(id.0)
@@ -322,7 +340,7 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
         self.kernel.emit(SimEventKind::ProcessUp { id });
         let key = self.kernel.keys.proc_up;
         self.kernel.metrics.incr_key(key);
-        self.with_proc(id, |p, ctx| p.on_start(ctx));
+        self.with_proc(id, W::on_start);
     }
 
     /// Runs until the queue drains or `deadline` is reached. Returns the
@@ -388,7 +406,7 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
         for i in 0..self.nodes.len() {
             let id = ProcessId(i);
             if self.kernel.is_up(id) {
-                self.with_proc(id, |p, ctx| p.on_start(ctx));
+                self.with_proc(id, W::on_start);
             }
         }
     }
@@ -423,7 +441,7 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
                 _ => continue,
             };
             if let Some(target) = self.nodes.get(id.0) {
-                target.prefetch();
+                W::prefetch(target, &self.shared);
             }
         }
     }
@@ -460,14 +478,14 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
                 let key = self.kernel.keys.msg_delivered;
                 self.kernel.metrics.incr_key(key);
                 self.kernel.emit(SimEventKind::Delivered { from, to });
-                self.with_proc(to, |p, ctx| p.on_message(ctx, from, msg));
+                self.with_proc(to, |p, s, ctx| W::on_message(p, s, ctx, from, msg));
             }
             EventKind::Timer { owner, tag, epoch } => {
                 if !self.kernel.is_up(owner) || self.kernel.epoch[owner.0] != epoch {
                     return;
                 }
                 self.kernel.emit(SimEventKind::TimerFired { owner, tag });
-                self.with_proc(owner, |p, ctx| p.on_timer(ctx, tag));
+                self.with_proc(owner, |p, s, ctx| W::on_timer(p, s, ctx, tag));
             }
             EventKind::Injection { idx } => {
                 let injection = self.injections[idx].take().expect("injection fires once");
@@ -476,15 +494,20 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
         }
     }
 
-    /// Runs `f` on node `id` with a [`Ctx`] over the kernel and the medium:
-    /// three disjoint fields, so the node stays in its table entry.
-    fn with_proc(&mut self, id: ProcessId, f: impl FnOnce(&mut W::Node, &mut Ctx<'_, M>)) {
+    /// Runs `f` on node `id` with the shared state and a [`Ctx`] over the
+    /// kernel and the medium: four disjoint fields, so the node stays in its
+    /// table entry.
+    fn with_proc(
+        &mut self,
+        id: ProcessId,
+        f: impl FnOnce(&mut W::Node, &mut W::Shared, &mut Ctx<'_, M>),
+    ) {
         let mut ctx = Ctx {
             kernel: &mut self.kernel,
             medium: W::medium(&mut self.medium),
             id,
         };
-        f(&mut self.nodes[id.0], &mut ctx);
+        f(&mut self.nodes[id.0], &mut self.shared, &mut ctx);
     }
 }
 
@@ -505,6 +528,7 @@ mod tests {
     use crate::json::ToJson;
     use crate::medium::LossyMedium;
     use crate::observer::{RingTrace, SimEvent};
+    use crate::process::Process;
     use crate::world::AnyProcess;
 
     #[derive(Debug)]
@@ -705,13 +729,15 @@ mod tests {
     }
 
     /// The closed test world: [`Player`]s, a [`LossyMedium`] held by value,
-    /// [`Referee`] calls.
+    /// [`Referee`] calls, and a count of the volleys the players received
+    /// as the state they share.
     enum Court {}
 
     impl World<u32> for Court {
         type Node = Player;
         type Medium = LossyMedium;
         type Injection = Referee;
+        type Shared = u64;
 
         fn inject(sim: &mut Sim<u32, Court>, call: Referee) {
             match call {
@@ -722,6 +748,29 @@ mod tests {
 
         fn medium(medium: &mut LossyMedium) -> &mut dyn Medium<u32> {
             medium
+        }
+
+        fn on_start(player: &mut Player, _: &mut u64, ctx: &mut Ctx<'_, u32>) {
+            player.on_start(ctx);
+        }
+
+        fn on_message(
+            player: &mut Player,
+            volleys: &mut u64,
+            ctx: &mut Ctx<'_, u32>,
+            from: ProcessId,
+            n: u32,
+        ) {
+            *volleys += 1;
+            player.on_message(ctx, from, n);
+        }
+
+        fn on_timer(player: &mut Player, _: &mut u64, ctx: &mut Ctx<'_, u32>, tag: u64) {
+            player.on_timer(ctx, tag);
+        }
+
+        fn prefetch(player: &Player, _: &u64) {
+            player.prefetch();
         }
     }
 
@@ -766,7 +815,7 @@ mod tests {
     #[test]
     fn a_closed_world_and_the_boxed_world_run_one_kernel_path() {
         let closed = play(
-            SimBuilder::new(9).build_world::<u32, Court>(court_medium()),
+            SimBuilder::new(9).build_world::<u32, Court>(court_medium(), 0),
             |player| player,
             |call| call,
         );
@@ -795,8 +844,28 @@ mod tests {
     }
 
     #[test]
+    fn the_shared_state_is_lent_to_every_delivery() {
+        let mut sim = SimBuilder::new(9).build_world::<u32, Court>(court_medium(), 0);
+        let ponger = sim.add_node(Player::Ponger(Ponger));
+        sim.add_node(Player::Pinger(Pinger {
+            peer: ponger,
+            rounds: 40,
+        }));
+        sim.run_until(SimTime::from_millis(300));
+        let delivered = sim.metrics().counter("sim.msg.delivered");
+        assert!(delivered > 100, "{delivered}");
+        assert_eq!(*sim.shared(), delivered);
+        *sim.shared_mut() = 0;
+        sim.run_until(SimTime::from_millis(301));
+        assert_eq!(
+            *sim.shared(),
+            sim.metrics().counter("sim.msg.delivered") - delivered
+        );
+    }
+
+    #[test]
     fn injections_run_at_their_time() {
-        let mut sim = SimBuilder::new(1).build_world::<u32, Court>(court_medium());
+        let mut sim = SimBuilder::new(1).build_world::<u32, Court>(court_medium(), 0);
         let a = sim.add_node(Player::Ponger(Ponger));
         sim.inject_at(SimTime::from_secs(1), Referee::Crash(a));
         sim.run_until(SimTime::from_millis(500));
@@ -1413,8 +1482,8 @@ mod tests {
 
     #[test]
     fn annotations_are_gated_on_note_interest_not_on_any_observer() {
-        /// Subscribes to lifecycle transitions only, as the scenario's
-        /// liveness mirror does.
+        /// Subscribes to lifecycle transitions only, as a stream
+        /// pipeline's liveness operator does.
         struct Lifecycle;
         impl SimObserver for Lifecycle {
             fn on_event(&mut self, _event: &SimEvent) {}

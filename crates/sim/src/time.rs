@@ -110,6 +110,15 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
+    /// Creates a duration from seconds; `None` when that many seconds do
+    /// not fit the clock (more than [`SimTime::MAX`] holds).
+    pub const fn checked_from_secs(s: u64) -> Option<Self> {
+        match s.checked_mul(1_000_000) {
+            Some(us) => Some(SimDuration(us)),
+            None => None,
+        }
+    }
+
     /// Creates a duration from a float number of seconds, rounding to the
     /// nearest microsecond and saturating below zero.
     pub fn from_secs_f64(s: f64) -> Self {
@@ -262,6 +271,17 @@ mod tests {
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX
         );
+    }
+
+    #[test]
+    fn checked_seconds_stop_at_the_last_whole_second_the_clock_holds() {
+        let last = u64::MAX / 1_000_000;
+        assert_eq!(
+            SimDuration::checked_from_secs(last),
+            Some(SimDuration::from_secs(last))
+        );
+        assert_eq!(SimDuration::checked_from_secs(last + 1), None);
+        assert_eq!(SimDuration::checked_from_secs(u64::MAX), None);
     }
 
     #[test]

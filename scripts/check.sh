@@ -22,14 +22,18 @@ echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 echo "==> riot-lint (determinism & panic-safety policy + hot-path call graph)"
-cargo run --quiet -p riot-lint -- --json > /tmp/riot-lint.json || {
+# The report stays in this checkout's target/, so gates run in two checkouts
+# at once do not overwrite each other's.
+mkdir -p target
+report=target/riot-lint.json
+cargo run --quiet -p riot-lint -- --json > "$report" || {
   # Re-run human-readable so the violations are visible, then fail.
   cargo run --quiet -p riot-lint || true
   exit 1
 }
 # The call-graph pass must have run (lint-hotpaths.toml present and parsed):
 # a clean report without graph stats would mean A1/P2 were silently skipped.
-grep -q '"graph"' /tmp/riot-lint.json || {
+grep -q '"graph"' "$report" || {
   echo "error: riot-lint report has no call-graph stats — A1/P2 did not run" >&2
   exit 1
 }
