@@ -229,22 +229,26 @@ fn expand(v: &CampaignVector, spec: &ScenarioSpec, block: &mut DisruptionSchedul
             // One global clock across edges: the storm sweeps the fleet
             // edge by edge, one fault per tick, exactly like the
             // hand-rolled E6 fault schedule it replaces.
+            // The local index grows with `k`, so the first one past the
+            // edge ends that edge's faults: a huge `per_edge` costs no more
+            // than the edge has devices.
             let mut t = 0u64;
             for e in 0..spec.edges {
                 for k in 0..per_edge {
                     let d = offset.saturating_add(k.saturating_mul(stride.max(1))) as usize;
-                    if d < spec.devices_per_edge {
-                        let node = spec.device_id(e, d);
-                        emit(
-                            block,
-                            SimTime::from_secs(t),
-                            Disruption::ComponentFault {
-                                node,
-                                component: ComponentId(node.0 as u32),
-                            },
-                        );
-                        t = t.saturating_add(spacing);
+                    if d >= spec.devices_per_edge {
+                        break;
                     }
+                    let node = spec.device_id(e, d);
+                    emit(
+                        block,
+                        SimTime::from_secs(t),
+                        Disruption::ComponentFault {
+                            node,
+                            component: ComponentId(node.0 as u32),
+                        },
+                    );
+                    t = t.saturating_add(spacing);
                 }
             }
         }
@@ -446,6 +450,25 @@ mod tests {
         let s = c.compile(&spec(2, 3));
         assert_eq!(s.len(), 2);
         assert_eq!(times(&s), vec![62, 63]);
+    }
+
+    #[test]
+    fn a_fault_storm_stops_at_the_last_device_whatever_its_per_edge() {
+        // `per_edge` near 10¹⁸ passes validation; it must compile as fast
+        // as, and to the same schedule as, one fault per device.
+        let storm = |per_edge| {
+            Campaign::single(CampaignVector::FaultStorm {
+                onset: 5,
+                spacing: 0,
+                per_edge,
+                stride: 1,
+                offset: 0,
+            })
+            .compile(&spec(2, 3))
+        };
+        let huge = storm(1_000_000_000_000_000_000);
+        assert_eq!(huge.len(), 6);
+        assert_eq!(huge, storm(3));
     }
 
     #[test]

@@ -33,17 +33,21 @@
 //!   allocation; skipped devices contribute exactly `0`/`0.0`, and
 //!   IEEE-754 addition of `+0.0` to a non-negative running sum is the
 //!   identity, so the skip cannot perturb the recorded series.
-//! - **Coverage counter + monotone expiry wheel.** The covered predicate
-//!   (`up ∧ serving ∧ reported within the freshness horizon`) is kept as
-//!   three per-device flag bits plus a population count, updated on the
-//!   transitions (crashes and revives, component state changes, senses). Passive expiry — a device becoming stale purely by time
-//!   passing — is handled by a wheel of `(sense_at + horizon, slot)`
-//!   entries; senses arrive in virtual-time order, so the wheel is a
-//!   monotone queue and each entry is pushed and popped exactly once.
+//! - **Coverage counter + one armed deadline per fresh device.** The
+//!   covered predicate (`up ∧ serving ∧ reported within the freshness
+//!   horizon`) is kept as three per-device flag bits plus a population
+//!   count, updated on the transitions (crashes and revives, component
+//!   state changes, senses). Passive expiry — a device becoming stale
+//!   purely by time passing — is handled by a ring of 64 buckets of device
+//!   slots, bucketed by deadline. A device has exactly one entry while it
+//!   is fresh: a sense arms one only when it makes the device fresh, and
+//!   the sample fold judges each entry of an elapsed bucket by the row's
+//!   *true* deadline (`last_sense + horizon`), clearing it or moving it
+//!   to that deadline's bucket. A device that keeps sensing costs one
+//!   bucket visit per horizon, not one queued deadline per sense.
 
 use crate::device::DeviceWindow;
 use riot_sim::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// What one sample fold yields: the drained control window and the
 /// covered-device count.
@@ -59,6 +63,16 @@ const UP: u8 = 1;
 const SERVING: u8 = 1 << 1;
 const FRESH: u8 = 1 << 2;
 const COVERED: u8 = UP | SERVING | FRESH;
+
+/// Buckets in the freshness ring. Their width is derived from the horizon
+/// ([`NodeSlab::new`]), so one lap of the ring always spans more than one
+/// horizon and a deadline armed at a sense lands less than a lap ahead.
+const BUCKETS: usize = 64;
+
+/// Where bucket `bucket` (`t >> shift`) sits in the ring.
+fn ring_pos(bucket: u64) -> usize {
+    (bucket % BUCKETS as u64) as usize
+}
 
 /// Everything one device's own events write, in half a cache line.
 #[derive(Debug, Clone, Copy)]
@@ -90,8 +104,18 @@ pub(crate) struct NodeSlab {
     dirty_words: Vec<u64>,
     /// How many rows have all of `COVERED` set.
     covered_count: usize,
-    /// Monotone queue of `(expiry instant, slot)` freshness deadlines.
-    wheel: VecDeque<(SimTime, u32)>,
+    /// A bucket is `1 << shift` µs of virtual time: the smallest power of
+    /// two whose [`BUCKETS`] buckets span more than `horizon`.
+    shift: u32,
+    /// Freshness deadlines by bucket, instant `t` in `(t >> shift) % 64`.
+    /// A row has exactly one entry iff its `FRESH` bit is set. The entry's
+    /// bucket comes no later than the row's true deadline and no earlier
+    /// than `swept`, so the fold reaches it by the time the row expires.
+    buckets: [Vec<u32>; BUCKETS],
+    /// The bucket, as `t >> shift`, that holds the last fold's instant:
+    /// swept then, and swept again by the next fold, since a later
+    /// deadline may still land in it.
+    swept: u64,
 }
 
 impl NodeSlab {
@@ -113,26 +137,68 @@ impl NodeSlab {
         }
     }
 
+    /// The bucket, as `t >> shift`, of instant `t`.
+    fn bucket_of(&self, t: SimTime) -> u64 {
+        t.as_micros() >> self.shift
+    }
+
+    /// Files `slot`'s freshness entry under `deadline`'s bucket.
+    fn arm(&mut self, slot: u32, deadline: SimTime) {
+        let pos = ring_pos(self.bucket_of(deadline));
+        if let Some(bucket) = self.buckets.get_mut(pos) {
+            bucket.push(slot);
+        }
+    }
+
     /// Retires freshness deadlines that have passed. A device is fresh at
-    /// `now` iff `now - sense_at <= horizon`, i.e. expired iff
-    /// `sense_at + horizon < now` — exactly the pop condition, so the
-    /// incremental predicate agrees with the rescan comparison bit for bit.
+    /// `now` iff `now - last_sense <= horizon`, i.e. expired iff
+    /// `last_sense + horizon < now` — the rescan's comparison, bit for bit.
+    /// Sweeps every bucket from the last fold's through `now`'s, each once:
+    /// after a gap of a lap or more that is all 64, and since each entry is
+    /// judged by its row's true deadline, where the lap starts is moot.
     fn expire(&mut self, now: SimTime) {
-        while let Some(&(deadline, slot)) = self.wheel.front() {
-            if deadline >= now {
-                break;
+        let last = self.bucket_of(now);
+        let first = self.swept.max(last.saturating_sub(BUCKETS as u64 - 1));
+        for bucket in first..=last {
+            self.sweep(ring_pos(bucket), now);
+        }
+        self.swept = last;
+    }
+
+    /// Judges every entry of ring position `pos` at `now`: clears `FRESH`
+    /// on rows whose deadline has passed, keeps the entries whose deadline
+    /// maps to this position, and moves the rest to their deadline's.
+    fn sweep(&mut self, pos: usize, now: SimTime) {
+        let Some(bucket) = self.buckets.get_mut(pos) else {
+            return;
+        };
+        let mut entries = std::mem::take(bucket);
+        let (horizon, shift) = (self.horizon, self.shift);
+        let (rows, buckets, covered) = (&mut self.rows, &mut self.buckets, &mut self.covered_count);
+        entries.retain(|&slot| {
+            let Some(row) = rows.get_mut(slot as usize) else {
+                return false;
+            };
+            let deadline = row.last_sense + horizon;
+            if deadline < now {
+                if row.flags == COVERED {
+                    *covered = covered.saturating_sub(1);
+                }
+                row.flags &= !FRESH;
+                return false;
             }
-            self.wheel.pop_front();
-            let slot = slot as usize;
-            // Superseded entries (the device sensed again later) carry an
-            // older deadline than the latest sense would; skip those.
-            let latest = self
-                .rows
-                .get(slot)
-                .is_some_and(|row| row.last_sense + self.horizon == deadline);
-            if latest {
-                self.set_flag(slot, FRESH, false);
+            let to = ring_pos(deadline.as_micros() >> shift);
+            if to == pos {
+                return true;
             }
+            if let Some(later) = buckets.get_mut(to) {
+                // riot-lint: allow(A1, reason = "first-sight growth: a bucket grows to its high-water population of fresh devices, then never again")
+                later.push(slot);
+            }
+            false
+        });
+        if let Some(bucket) = self.buckets.get_mut(pos) {
+            *bucket = entries;
         }
     }
 
@@ -148,14 +214,16 @@ impl NodeSlab {
             win_lat_sum: 0.0,
             last_sense: SimTime::ZERO,
         };
+        // The smallest power of two `w` with `64 w > horizon`.
+        let width = (horizon.as_micros() / BUCKETS as u64 + 1).next_power_of_two();
         NodeSlab {
             horizon,
             rows: vec![unreported; n],
             dirty_words: vec![0; n.div_ceil(64)],
             covered_count: 0,
-            // At most ⌈horizon / sense_period⌉ = 3 deadlines are ever
-            // outstanding per device; one extra slot of headroom.
-            wheel: VecDeque::with_capacity(n.saturating_mul(4)),
+            shift: width.trailing_zeros(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            swept: 0,
         }
     }
 
@@ -174,7 +242,7 @@ impl NodeSlab {
 
     /// Drains row `slot`'s control window and reads its last sense (`None`
     /// before the first) straight from the row's own fields — none of the
-    /// flags, dirty bits, covered count or wheel the fold keeps — for the
+    /// flags, dirty bits, covered count or buckets the fold keeps — for the
     /// `#[cfg(test)]` rescan oracle, over a slab made by [`Self::unsensed`].
     #[cfg(test)]
     pub(crate) fn take_raw_row(&mut self, slot: u32) -> (DeviceWindow, Option<SimTime>) {
@@ -223,16 +291,19 @@ impl NodeSlab {
         }
     }
 
-    /// Records a sense: the device reported at `now`, refreshing its
-    /// coverage deadline. Senses arrive in virtual-time order, so the
-    /// wheel push keeps the queue monotone.
+    /// Records a sense: the device reported at `now`, which moves its
+    /// coverage deadline to `now + horizon`. Only a sense that makes the
+    /// device fresh arms an entry; a later one just moves the deadline the
+    /// armed entry is judged by when the fold reaches it.
     pub(crate) fn note_sense(&mut self, slot: u32, now: SimTime) {
-        let i = slot as usize;
-        if let Some(row) = self.rows.get_mut(i) {
-            row.last_sense = now;
+        let Some(row) = self.rows.get_mut(slot as usize) else {
+            return;
+        };
+        row.last_sense = now;
+        if row.flags & FRESH == 0 {
+            self.arm(slot, now + self.horizon);
+            self.set_flag(slot as usize, FRESH, true);
         }
-        self.wheel.push_back((now + self.horizon, slot));
-        self.set_flag(i, FRESH, true);
     }
 
     /// Mirrors a component-state transition (fault injection, restart).
@@ -329,38 +400,54 @@ mod tests {
         assert_eq!(std::mem::size_of::<Row>(), 32);
     }
 
+    /// Entries in the freshness ring: one per `FRESH` row, by invariant.
+    fn entries(s: &NodeSlab) -> usize {
+        s.buckets.iter().map(Vec::len).sum()
+    }
+
+    fn fresh_rows(s: &NodeSlab) -> usize {
+        s.rows.iter().filter(|row| row.flags & FRESH != 0).count()
+    }
+
     #[test]
     fn every_flag_transition_keeps_the_covered_count() {
         // From each of the eight flag states, set and clear each input —
         // redundant writes included — on one device while its neighbour
         // stays covered; the fold's count must follow the predicate.
         let inputs = [UP, SERVING, FRESH];
+        // Only a sense sets `FRESH`, and only a fold's expiry clears it: a
+        // horizon and a microsecond on, with the neighbour sensing anew.
+        let apply = |s: &mut NodeSlab, now: &mut SimTime, bit: u8, on: bool| match bit {
+            UP => s.set_up(0, on),
+            SERVING => s.set_serving(0, on),
+            _ if on => s.note_sense(0, *now),
+            _ => {
+                *now = *now + s.horizon + SimDuration::from_micros(1);
+                s.note_sense(1, *now);
+                s.sample_fold(*now);
+            }
+        };
         for start in 0u8..8 {
             for (bit, on) in inputs.iter().flat_map(|b| [(*b, true), (*b, false)]) {
                 let mut s = slab(2);
-                s.note_sense(1, SimTime::from_secs(1));
-                let apply = |s: &mut NodeSlab, bit: u8, on: bool| match bit {
-                    UP => s.set_up(0, on),
-                    SERVING => s.set_serving(0, on),
-                    // Only a sense sets `FRESH`; only the expiry clears it.
-                    _ if on => s.note_sense(0, SimTime::from_secs(1)),
-                    _ => s.set_flag(0, FRESH, false),
-                };
+                let mut now = SimTime::from_secs(1);
+                s.note_sense(1, now);
                 for b in inputs {
-                    apply(&mut s, b, start & b != 0);
+                    apply(&mut s, &mut now, b, start & b != 0);
                 }
                 let covered = |flags: u8| 1 + usize::from(flags == COVERED);
-                let fold = s.sample_fold(SimTime::from_secs(2));
+                let fold = s.sample_fold(now);
                 assert_eq!(fold.covered, covered(start), "state {start:03b}");
-                apply(&mut s, bit, on);
+                apply(&mut s, &mut now, bit, on);
                 let after = if on { start | bit } else { start & !bit };
                 assert_eq!(s.rows[0].flags, after);
-                let fold = s.sample_fold(SimTime::from_secs(2));
+                let fold = s.sample_fold(now);
                 assert_eq!(
                     fold.covered,
                     covered(after),
                     "state {start:03b}, bit {bit:03b} -> {on}"
                 );
+                assert_eq!(entries(&s), fresh_rows(&s));
             }
         }
     }
@@ -371,15 +458,100 @@ mod tests {
         s.note_sense(0, SimTime::from_secs(1));
         s.note_sense(1, SimTime::from_secs(1));
         s.note_sense(0, SimTime::from_secs(3));
-        // t = 5: both t = 1 deadlines (4 s) have passed. Device 1's is its
-        // latest and expires it; device 0's row says it sensed at 3 s, so
-        // its popped deadline is stale and must not clear `FRESH`.
+        assert_eq!(entries(&s), 2, "a sense of a fresh device arms nothing");
+        // t = 5: both entries were armed for 4 s. Device 1's true deadline
+        // is 4 s and expires it; device 0's row says it sensed at 3 s, so
+        // its entry moves on to 6 s instead of clearing `FRESH`.
         let fold = s.sample_fold(SimTime::from_secs(5));
         assert_eq!(fold.covered, 1);
         assert_eq!(s.rows[0].flags, COVERED);
         assert_eq!(s.rows[1].flags, UP | SERVING);
-        assert_eq!(s.wheel.len(), 1, "the 6 s deadline waits");
+        assert_eq!(entries(&s), 1, "the 6 s deadline waits");
         // ... and that one is the latest: it expires on time.
         assert_eq!(s.sample_fold(SimTime::from_secs(7)).covered, 0);
+        assert_eq!(entries(&s), 0);
+    }
+
+    #[test]
+    fn a_bucket_is_the_smallest_power_of_two_a_lap_of_which_outlasts_the_horizon() {
+        for (horizon_us, width) in [(0, 1), (7, 1), (63, 1), (64, 2), (127, 2), (128, 4)] {
+            let s = NodeSlab::new(SimDuration::from_micros(horizon_us), 1);
+            assert_eq!(1u64 << s.shift, width, "horizon {horizon_us} µs");
+        }
+        let s = slab(1);
+        assert_eq!(1u64 << s.shift, 1 << 16, "3 s spans 46 buckets of 65.5 ms");
+    }
+
+    #[test]
+    fn folds_at_irregular_instants_count_what_a_row_by_row_scan_counts() {
+        // Horizons either side of the ring's 64 buckets of 1 µs, and a
+        // sense period's. Each script interleaves senses, crashes,
+        // revives and component flips with folds: some exactly on a
+        // device's deadline, some after gaps of several laps, some in the
+        // bucket the last fold swept. After every fold the count must
+        // equal the predicate counted row by row, and the ring must hold
+        // one entry per fresh row.
+        for horizon_us in [1, 5, 63, 64, 65, 1_000, 3_000_000] {
+            let horizon = SimDuration::from_micros(horizon_us);
+            let lap = 64 << NodeSlab::new(horizon, 0).shift;
+            for seed in 0..24 {
+                let mut rng = riot_sim::SimRng::seed_from(seed);
+                let n = rng.range_u64(1, 70) as usize;
+                let mut s = NodeSlab::new(horizon, n);
+                let mut up = vec![true; n];
+                let mut serving = vec![true; n];
+                let mut sensed: Vec<Option<SimTime>> = vec![None; n];
+                let mut now = SimTime::ZERO;
+                for step in 0..600 {
+                    let slot = rng.range_u64(0, n as u64) as usize;
+                    match rng.range_u64(0, 10) {
+                        0..=3 => {
+                            s.note_sense(slot as u32, now);
+                            sensed[slot] = Some(now);
+                        }
+                        4 => {
+                            up[slot] = !up[slot];
+                            s.set_up(slot as u32, up[slot]);
+                        }
+                        5 => {
+                            serving[slot] = !serving[slot];
+                            s.set_serving(slot as u32, serving[slot]);
+                        }
+                        6 => {
+                            // Small steps stay in the swept bucket or the
+                            // next few; large ones cross one or more laps.
+                            let gap = match rng.range_u64(0, 4) {
+                                0 => rng.range_u64(0, 2),
+                                1 => rng.range_u64(0, horizon_us + 2),
+                                2 => rng.range_u64(0, lap),
+                                _ => rng.range_u64(lap, 4 * lap),
+                            };
+                            now += SimDuration::from_micros(gap);
+                        }
+                        _ => {
+                            // Every third fold lands exactly on a deadline
+                            // not yet behind the clock: `==` is still fresh.
+                            if step % 3 == 0 {
+                                if let Some(at) = sensed[slot].map(|t| t + horizon) {
+                                    now = now.max(at);
+                                }
+                            }
+                            let fold = s.sample_fold(now);
+                            let fresh = |t: &Option<SimTime>| t.is_some_and(|t| t + horizon >= now);
+                            let want = (0..n)
+                                .filter(|&i| up[i] && serving[i] && fresh(&sensed[i]))
+                                .count();
+                            assert_eq!(
+                                fold.covered, want,
+                                "horizon {horizon_us}, seed {seed}, step {step}"
+                            );
+                            let fresh_now = sensed.iter().filter(|t| fresh(t)).count();
+                            assert_eq!(fresh_rows(&s), fresh_now);
+                            assert_eq!(entries(&s), fresh_now, "one entry per fresh row");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

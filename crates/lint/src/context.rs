@@ -6,7 +6,29 @@
 //! brace depth, and marks every line that falls inside an item introduced
 //! by a `#[cfg(test)]` or `#[test]` attribute (including the attribute and
 //! signature lines themselves). A file that opens with the inner attribute
-//! `#![cfg(test)]` — an out-of-line test module — is test code throughout.
+//! `#![cfg(test)]` — an out-of-line test module — is test code throughout,
+//! and so is an integration-test file ([`integration_test`]).
+
+/// Is `rel` (workspace-relative, `/`-separated) an integration-test file:
+/// under the `tests/` directory of a crate or of the workspace
+/// (`crates/sim/tests/kernel_props.rs`, `tests/determinism.rs`)? Cargo
+/// builds those only for `cargo test`, so they are no more program code
+/// than a `#[cfg(test)]` module is.
+pub fn integration_test(rel: &str) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .map_or(rel, |(_, in_crate)| in_crate)
+        .starts_with("tests/")
+}
+
+/// [`test_lines`] of the file at `rel`: every line of an integration-test
+/// file is test code.
+pub fn file_test_lines(rel: &str, lines: &[String]) -> Vec<bool> {
+    if integration_test(rel) {
+        return vec![true; lines.len()];
+    }
+    test_lines(lines)
+}
 
 /// Returns, per line, whether that line is inside test-only code.
 pub fn test_lines(lines: &[String]) -> Vec<bool> {
@@ -111,6 +133,30 @@ mod tests {
     fn inner_cfg_test_marks_the_whole_file() {
         let src = "//! An out-of-line test module.\n#![cfg(test)]\nuse super::*;\nfn helper() { x.unwrap() }\n";
         assert_eq!(mark(src), vec![true, true, true, true]);
+    }
+
+    #[test]
+    fn integration_test_files_are_test_code_throughout() {
+        for rel in ["crates/sim/tests/kernel_props.rs", "tests/determinism.rs"] {
+            assert!(integration_test(rel), "{rel}");
+        }
+        for rel in [
+            "crates/sim/src/kernel.rs",
+            "crates/core/src/scenario/tests.rs",
+            "crates/bench/src/bin/e6_mape.rs",
+            "examples/quickstart.rs",
+        ] {
+            assert!(!integration_test(rel), "{rel}");
+        }
+        let lines = vec!["fn helper() { x.unwrap() }".to_string(); 2];
+        assert_eq!(
+            file_test_lines("crates/sim/tests/kernel_props.rs", &lines),
+            vec![true; 2]
+        );
+        assert_eq!(
+            file_test_lines("crates/sim/src/kernel.rs", &lines),
+            vec![false; 2]
+        );
     }
 
     #[test]

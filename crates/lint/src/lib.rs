@@ -324,7 +324,8 @@ pub struct FileAnalysis {
     pub rel: String,
     /// Scrubbed code, one entry per source line.
     pub codes: Vec<String>,
-    /// `in_test[i]`: 0-based line `i` is inside a `#[cfg(test)]` region.
+    /// `in_test[i]`: 0-based line `i` is inside a `#[cfg(test)]` region or
+    /// an integration-test file.
     pub in_test: Vec<bool>,
     file_allows: Vec<RuleId>,
     /// `allowed[i]` = rules excused on 0-based line `i`.
@@ -361,7 +362,7 @@ pub fn analyze_source(
 ) -> (Vec<Diagnostic>, FileAnalysis) {
     let scrubbed = lexer::scrub(source);
     let codes: Vec<String> = scrubbed.lines.iter().map(|l| l.code.clone()).collect();
-    let in_test = context::test_lines(&codes);
+    let in_test = context::file_test_lines(file, &codes);
 
     let mut diags = Vec::new();
     let mut file_allows: Vec<RuleId> = Vec::new();

@@ -12,7 +12,8 @@
 //!
 //! Deliberate limits (the pass is lexical, not a parser):
 //!
-//! - test code is excluded entirely ([`crate::context::test_lines`]);
+//! - test code is excluded entirely ([`crate::context::file_test_lines`]):
+//!   `#[cfg(test)]` regions and integration-test files alike;
 //! - `macro_rules!` bodies are opaque — `fn` fragments inside them are
 //!   not symbols and their lines own no calls;
 //! - bodiless trait method declarations are not symbols (the impls are);
@@ -24,7 +25,7 @@ use crate::context;
 #[derive(Debug, Clone)]
 pub struct FnDef {
     /// Crate the function lives in (`sim`, `core`, … or `root` for the
-    /// workspace-level `tests/` and `examples/` trees).
+    /// workspace-level `examples/` tree).
     pub crate_name: String,
     /// Full path segments: crate, file modules, inline modules, the
     /// `impl`/`trait` type (for methods), then the function name.
@@ -91,12 +92,11 @@ pub fn crate_of(rel: &str) -> String {
 
 /// Module segments implied by the file's location: `crates/sim/src/kernel.rs`
 /// contributes `["kernel"]`, `src/lib.rs` and `src/main.rs` contribute
-/// nothing, `tests/determinism.rs` contributes `["determinism"]`.
+/// nothing, `examples/quickstart.rs` contributes `["quickstart"]`.
 fn file_modules(rel: &str) -> Vec<String> {
     let tail = rel
         .split("/src/")
         .nth(1)
-        .or_else(|| rel.strip_prefix("tests/"))
         .or_else(|| rel.strip_prefix("examples/"))
         .unwrap_or(rel);
     tail.split('/')
@@ -113,7 +113,7 @@ fn file_modules(rel: &str) -> Vec<String> {
 
 /// Extracts the symbol table of one file from its scrubbed lines.
 pub fn extract(rel: &str, codes: &[String]) -> FileSymbols {
-    let in_test = context::test_lines(codes);
+    let in_test = context::file_test_lines(rel, codes);
     let crate_name = crate_of(rel);
     let base_mods = file_modules(rel);
 

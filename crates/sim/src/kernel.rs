@@ -17,26 +17,54 @@ use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::fmt;
 
+/// A process id as a queued event holds it: half the width of
+/// [`ProcessId`]'s `usize`. [`Sim::add_node`](crate::Sim::add_node) keeps
+/// every process index below `u32::MAX`, which stands for the external
+/// sender `ProcessId(usize::MAX)`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pid(u32);
+
+impl Pid {
+    pub(crate) fn of(id: ProcessId) -> Pid {
+        if id.0 == usize::MAX {
+            return Pid(u32::MAX);
+        }
+        debug_assert!(id.0 < u32::MAX as usize, "process {id} outgrew its u32 id");
+        Pid(id.0 as u32)
+    }
+
+    pub(crate) fn process_id(self) -> ProcessId {
+        match self.0 {
+            u32::MAX => ProcessId(usize::MAX),
+            i => ProcessId(i as usize),
+        }
+    }
+}
+
 /// What a queued event does when it pops. Sized by the timer variant: a
 /// message body waits in the kernel's [`PayloadSlab`], so the queue moves
-/// the same few words whatever the message type is (DESIGN.md §9,
-/// "Per-event memory"). Plain words, hence `Copy`: the queue fills a fresh
-/// chunk with copies of its first event and moves a slot out by slice.
+/// the same few words whatever the message type is, and ids, epochs and
+/// injection indices are `u32`s, so an [`Event`] is 40 bytes (DESIGN.md
+/// §9, "Per-event memory"). Plain words, hence `Copy`: the queue fills a
+/// fresh chunk with copies of its first event and moves a slot out by
+/// slice.
 #[derive(Clone, Copy)]
 pub(crate) enum EventKind {
     Deliver {
-        from: ProcessId,
-        to: ProcessId,
+        from: Pid,
+        to: Pid,
         /// Slot of the message body in [`Kernel::payloads`].
         payload: u32,
     },
     Timer {
-        owner: ProcessId,
+        owner: Pid,
+        epoch: u32,
         tag: u64,
-        epoch: u64,
     },
     /// A scheduled injection: index into `Sim::injections`.
-    Injection { idx: usize },
+    Injection {
+        idx: u32,
+    },
 }
 
 #[derive(Clone, Copy)]
@@ -172,7 +200,7 @@ pub struct Kernel<M> {
     /// Liveness flag per process.
     pub(crate) live: Vec<bool>,
     /// Restart epoch per process; timers from a previous life are discarded.
-    pub(crate) epoch: Vec<u64>,
+    pub(crate) epoch: Vec<u32>,
     /// Pre-interned keys for the kernel's own hot-path counters.
     pub(crate) keys: KernelKeys,
 }
@@ -262,6 +290,7 @@ impl<M: fmt::Debug> Kernel<M> {
             Delivery::After(latency) => {
                 let at = self.clock + latency;
                 let payload = self.payloads.hold(msg);
+                let (from, to) = (Pid::of(from), Pid::of(to));
                 self.push(at, EventKind::Deliver { from, to, payload });
             }
             Delivery::Drop(reason) => {
@@ -277,6 +306,20 @@ impl<M: fmt::Debug> Kernel<M> {
         // riot-lint: allow(P1, reason = "owner was spawned by this kernel; epoch is grown in lockstep with the process table")
         let epoch = self.epoch[owner.0];
         let at = self.clock + delay;
-        self.push(at, EventKind::Timer { owner, tag, epoch });
+        let owner = Pid::of(owner);
+        self.push(at, EventKind::Timer { owner, epoch, tag });
+    }
+
+    /// Starts process `id`'s next life: timers of the current one will not
+    /// fire. Panics once a process has had `u32::MAX` lives, as the event
+    /// cap does on a runaway run: a queued timer holds its epoch as a `u32`.
+    pub(crate) fn next_epoch(&mut self, id: ProcessId) {
+        // riot-lint: allow(P1, reason = "id was spawned by this kernel; epoch is grown in lockstep with the process table")
+        let epoch = &mut self.epoch[id.0];
+        assert!(
+            *epoch < u32::MAX,
+            "restart epoch overflowed u32 ({id}): runaway crash/revive loop"
+        );
+        *epoch += 1;
     }
 }

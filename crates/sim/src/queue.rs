@@ -13,7 +13,7 @@
 //!   (the **late** heap); a pop takes the earlier of the run's last event
 //!   and the heap's top.
 //! * **ring** — the next 2047 slots, each an unordered, intrusive singly
-//!   linked list of nine-event chunks, seven cache lines each, through one
+//!   linked list of eleven-event chunks, seven cache lines each, through one
 //!   slab. A push is a write into the slot's first chunk — it reads no
 //!   chunk — and nothing is compared until the cursor reaches the slot.
 //! * **far** — a binary heap of everything beyond the ring, drained into the
@@ -40,10 +40,11 @@ const RING_SLOTS: u64 = 2048;
 const RING_WORDS: usize = (RING_SLOTS / 64) as usize;
 /// End of a chunk list.
 const NIL: u32 = u32::MAX;
-/// Events a chunk holds: 8 + 48 K bytes never fills whole cache lines, and
-/// leaves the fewest idle — eight — for K ≡ 1 (mod 4). K = 1 is one
-/// dependent load per event; nine is 440 bytes padded to seven lines.
-const CHUNK_EVENTS: usize = 9;
+/// Events a chunk holds: 8 + 40 K bytes fills whole cache lines exactly
+/// when K ≡ 3 (mod 8). Three is two lines and one dependent load per three
+/// events; eleven is 448 bytes, seven lines with none idle — the lines a
+/// chunk of nine 48-byte events took, holding two more.
+const CHUNK_EVENTS: usize = 11;
 
 fn slot_of(at: SimTime) -> u64 {
     at.as_micros() >> SLOT_SHIFT
@@ -127,7 +128,7 @@ pub(crate) struct EventQueue {
     /// One bit per ring position: its list is non-empty.
     occupied: [u64; RING_WORDS],
     /// The slab behind every list. Freed chunks are reused last-out-first,
-    /// so its length is at most a ninth of the peak ring population plus
+    /// so its length is at most an eleventh of the peak ring population plus
     /// one part-filled first chunk per occupied slot.
     chunks: Vec<Chunk>,
     free: u32,
@@ -433,7 +434,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::EventKind;
+    use crate::kernel::{EventKind, Pid};
     use crate::process::ProcessId;
     use crate::rng::SimRng;
     use crate::time::SimDuration;
@@ -474,20 +475,20 @@ mod tests {
         /// Timers, deliveries and injections in rotation, each carrying
         /// its `seq` where the variant has room for it.
         fn event(&self, delay_us: u64) -> Event {
-            let id = ProcessId(self.seq as usize % 7);
+            let id = Pid::of(ProcessId(self.seq as usize % 7));
             let kind = match self.seq % 3 {
                 0 => EventKind::Timer {
                     owner: id,
-                    tag: self.seq,
                     epoch: 0,
+                    tag: self.seq,
                 },
                 1 => EventKind::Deliver {
                     from: id,
-                    to: ProcessId(0),
+                    to: Pid::of(ProcessId(0)),
                     payload: self.seq as u32,
                 },
                 _ => EventKind::Injection {
-                    idx: self.seq as usize,
+                    idx: self.seq as u32,
                 },
             };
             Event {
@@ -537,7 +538,7 @@ mod tests {
     fn a_ring_chunk_is_seven_whole_cache_lines() {
         // A wider `EventKind` variant fails here instead of costing every
         // sort more bytes and every chunk an eighth line at 10⁵ pending timers.
-        assert!(std::mem::size_of::<Event>() <= 48);
+        assert_eq!(std::mem::size_of::<Event>(), 40);
         assert_eq!(std::mem::size_of::<Chunk>(), 448);
         assert_eq!(std::mem::align_of::<Chunk>(), 64);
     }
@@ -773,7 +774,7 @@ mod tests {
         // One slot at a time, filled to a population either side of every
         // chunk boundary, on a queue whose clock sits on a slot boundary.
         // Three rounds: from the second on every chunk comes off the free
-        // list carrying the events of its previous life, up to nine of them
+        // list carrying the events of its previous life, up to eleven of them
         // beyond the new `len`.
         let mut rng = SimRng::seed_from(9);
         let mut q = Checked::new();
@@ -781,7 +782,22 @@ mod tests {
         q.pop();
         let mut slab_after_first_round = None;
         for round in 0..3 {
-            for population in [0usize, 1, 8, 9, 10, 18, 19, 10_000, 19, 1, 10, 0, 9] {
+            let k = CHUNK_EVENTS;
+            for population in [
+                0,
+                1,
+                k - 1,
+                k,
+                k + 1,
+                2 * k,
+                2 * k + 1,
+                10_000,
+                2 * k + 1,
+                1,
+                k + 1,
+                0,
+                k,
+            ] {
                 for i in 0..population {
                     // Bursts of up to seven share one `at`.
                     if i % 7 == 0 || rng.chance(0.5) {

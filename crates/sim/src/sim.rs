@@ -164,8 +164,18 @@ pub struct Sim<M, W: World<M> = DynWorld<M>> {
 impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
     /// Adds a node to the process table; it will receive `on_start` when
     /// the run begins (or immediately if the run has already begun).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table already holds `u32::MAX` nodes: a queued event
+    /// carries its process as a `u32`, and `u32::MAX` is the external
+    /// sender's.
     pub fn add_node(&mut self, node: W::Node) -> ProcessId {
         let id = ProcessId(self.nodes.len());
+        assert!(
+            id.0 < u32::MAX as usize,
+            "process table outgrew its u32 ids"
+        );
         self.nodes.push(node);
         self.kernel.live.push(true);
         self.kernel.epoch.push(0);
@@ -181,12 +191,19 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past.
+    /// Panics if `at` is in the past, or if `u32::MAX` injections were
+    /// already scheduled: a queued event carries its injection's index as
+    /// a `u32`.
     pub fn inject_at(&mut self, at: SimTime, injection: W::Injection) {
         assert!(at >= self.kernel.clock, "injection scheduled into the past");
         let idx = self.injections.len();
+        assert!(
+            idx < u32::MAX as usize,
+            "injections outgrew their u32 index"
+        );
         self.injections.push(Some(injection));
-        self.kernel.push(at, EventKind::Injection { idx });
+        self.kernel
+            .push(at, EventKind::Injection { idx: idx as u32 });
     }
 
     /// Sends a message into the simulation from the outside world at the
@@ -324,7 +341,7 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
             return;
         }
         self.kernel.live[id.0] = false;
-        self.kernel.epoch[id.0] += 1;
+        self.kernel.next_epoch(id);
         self.kernel.emit(SimEventKind::ProcessDown { id });
         let key = self.kernel.keys.proc_down;
         self.kernel.metrics.incr_key(key);
@@ -336,7 +353,7 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
             return;
         }
         self.kernel.live[id.0] = true;
-        self.kernel.epoch[id.0] += 1;
+        self.kernel.next_epoch(id);
         self.kernel.emit(SimEventKind::ProcessUp { id });
         let key = self.kernel.keys.proc_up;
         self.kernel.metrics.incr_key(key);
@@ -436,8 +453,8 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
     fn stage(&self) {
         for event in EventQueue::loaded(&self.kernel.queue) {
             let id = match event.kind {
-                EventKind::Timer { owner, .. } => owner,
-                EventKind::Deliver { to, .. } => to,
+                EventKind::Timer { owner, .. } => owner.process_id(),
+                EventKind::Deliver { to, .. } => to.process_id(),
                 _ => continue,
             };
             if let Some(target) = self.nodes.get(id.0) {
@@ -459,6 +476,7 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
         );
         match ev.kind {
             EventKind::Deliver { from, to, payload } => {
+                let (from, to) = (from.process_id(), to.process_id());
                 // The slot is freed before the liveness check, so a delivery
                 // to a downed process returns it too.
                 let Some(msg) = self.kernel.payloads.release(payload) else {
@@ -480,7 +498,8 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
                 self.kernel.emit(SimEventKind::Delivered { from, to });
                 self.with_proc(to, |p, s, ctx| W::on_message(p, s, ctx, from, msg));
             }
-            EventKind::Timer { owner, tag, epoch } => {
+            EventKind::Timer { owner, epoch, tag } => {
+                let owner = owner.process_id();
                 if !self.kernel.is_up(owner) || self.kernel.epoch[owner.0] != epoch {
                     return;
                 }
@@ -488,7 +507,9 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
                 self.with_proc(owner, |p, s, ctx| W::on_timer(p, s, ctx, tag));
             }
             EventKind::Injection { idx } => {
-                let injection = self.injections[idx].take().expect("injection fires once");
+                let injection = self.injections[idx as usize]
+                    .take()
+                    .expect("injection fires once");
                 W::inject(self, injection);
             }
         }
@@ -575,6 +596,23 @@ mod tests {
         assert_eq!(c.received.len(), 1);
         assert_eq!(c.received[0].1, 7);
         assert_eq!(c.start_count, 1);
+    }
+
+    #[test]
+    fn an_external_sender_survives_the_queued_events_u32_ids() {
+        // A queued event holds process ids as `u32`s; the outside world's
+        // `usize::MAX` must come back out of the queue as itself.
+        let outside = ProcessId(usize::MAX);
+        let mut sim: Sim<Msg> = SimBuilder::new(1).build();
+        sim.add_observer(RingTrace::new(16));
+        let a = sim.add_process(Counter::new());
+        sim.send_external(a, Msg::Ping(5));
+        sim.run_to_completion();
+        let c = sim.process::<Counter>(a).unwrap();
+        assert_eq!(c.received, vec![(outside, 5)]);
+        assert!(sim.observer::<RingTrace>(0).unwrap().tail().any(
+            |e| matches!(e.kind, SimEventKind::Delivered { from, to } if from == outside && to == a)
+        ));
     }
 
     struct TimerProc {
