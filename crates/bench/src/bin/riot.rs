@@ -153,6 +153,14 @@ fn build_spec(args: &Args, level: MaturityLevel, seed: u64) -> Result<ScenarioSp
     spec.devices_per_edge = args.devices_per_edge;
     spec.duration = SimDuration::from_secs(args.duration_s);
     spec.warmup = SimDuration::from_secs(args.warmup_s);
+    spec.trace_tail = args.trace_tail;
+    if args.stream_summary {
+        spec.streams = StreamSpec::standard();
+    }
+    // Typed spec validation: report the error instead of letting
+    // Scenario::build panic inside a harness cell. Before the suite and the
+    // roaming schedule, whose size follows the shape validated here.
+    spec.validate().map_err(|e| e.to_string())?;
     if let Some(name) = &args.suite {
         spec.disruptions = suites::all(&spec)
             .into_iter()
@@ -169,13 +177,6 @@ fn build_spec(args: &Args, level: MaturityLevel, seed: u64) -> Result<ScenarioSp
         let (roam, _) = roaming_schedule(&spec, &mobility, &mut rng);
         spec.disruptions.merge(roam);
     }
-    spec.trace_tail = args.trace_tail;
-    if args.stream_summary {
-        spec.streams = StreamSpec::standard();
-    }
-    // Typed spec validation: report the error instead of letting
-    // Scenario::build panic inside a harness cell.
-    spec.validate().map_err(|e| e.to_string())?;
     Ok(spec)
 }
 
@@ -466,6 +467,19 @@ mod tests {
         spec.monitors = vec![riot_core::MonitorSpec::new("typo", "G !covrage")];
         let err = spec.validate().unwrap_err().to_string();
         assert!(err.contains("unknown atom 'covrage'"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_fleet_the_kernel_cannot_number() {
+        // Validated before the suite's schedule, which walks every device.
+        for flags in [
+            "--edges 4294967296 --devices 4294967296",
+            "--edges 65536 --devices 65536 --suite service",
+        ] {
+            let a = parse_args(&argv(flags)).unwrap();
+            let err = build_spec(&a, MaturityLevel::Ml4, a.seed).unwrap_err();
+            assert!(err.contains("u32 process ids"), "{flags}: {err}");
+        }
     }
 
     #[test]

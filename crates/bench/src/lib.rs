@@ -21,6 +21,7 @@
 //! `src/bin/benchmark/README.md`).
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub use riot_harness::HarnessConfig;
@@ -227,7 +228,7 @@ mod tests {
     mod hand_rolled {
         use super::*;
 
-        pub fn connectivity(spec: &ScenarioSpec) -> DisruptionSchedule {
+        pub(super) fn connectivity(spec: &ScenarioSpec) -> DisruptionSchedule {
             let mut s = DisruptionSchedule::new();
             s.push(
                 SimTime::from_secs(40),
@@ -252,7 +253,7 @@ mod tests {
             s
         }
 
-        pub fn governance(spec: &ScenarioSpec) -> DisruptionSchedule {
+        pub(super) fn governance(spec: &ScenarioSpec) -> DisruptionSchedule {
             DisruptionSchedule::new().at(
                 SimTime::from_secs(45),
                 Disruption::DomainTransfer {
@@ -262,7 +263,7 @@ mod tests {
             )
         }
 
-        pub fn mobility(spec: &ScenarioSpec) -> DisruptionSchedule {
+        pub(super) fn mobility(spec: &ScenarioSpec) -> DisruptionSchedule {
             let mut s = DisruptionSchedule::new();
             let mut t = 40u64;
             for e in 0..spec.edges {

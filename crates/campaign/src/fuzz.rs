@@ -102,7 +102,7 @@ pub fn case_program(space: &CampaignSpace, case_seed: u64) -> CampaignProgram {
 /// Runs a program to completion *in this thread* and returns its findings
 /// (monitor failures only — a panic propagates; use [`run_isolated`] to
 /// convert panics into [`Finding::Crash`]).
-pub fn run_program(program: &CampaignProgram) -> Vec<Finding> {
+pub(crate) fn run_program(program: &CampaignProgram) -> Vec<Finding> {
     let result = Scenario::build(program.spec()).run();
     result
         .failed_monitors()

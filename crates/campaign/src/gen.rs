@@ -76,7 +76,7 @@ fn draw_dim(dim: Dim, space: &CampaignSpace, rng: &mut SimRng) -> u64 {
 /// Draws one vector: a uniformly-picked kind with every dimension drawn
 /// from a per-dimension distribution over the space's onset window and
 /// scenario shape.
-pub fn generate_vector(space: &CampaignSpace, rng: &mut SimRng) -> CampaignVector {
+pub(crate) fn generate_vector(space: &CampaignSpace, rng: &mut SimRng) -> CampaignVector {
     let mode = match rng.range_u64(0, 3) {
         0 => AdversaryMode::Delay,
         1 => AdversaryMode::Drop,

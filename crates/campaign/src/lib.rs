@@ -6,17 +6,17 @@
 //! The other crates model single disruptions; this crate makes whole
 //! *campaigns* of them first-class:
 //!
-//! * **Vectors & compilation** ([`vector`], [`compile`]) — composable
+//! * **Vectors & compilation** ([`CampaignVector`], [`Campaign`]) — composable
 //!   disruption vectors (cascading correlated failures, firmware-update
 //!   waves, fault storms, mobility bursts, jurisdiction flips, cloud
 //!   blackouts, split-brain partitions, adversarial link interference)
 //!   with timing/intensity/scope dimensions, compiled deterministically
 //!   into [`riot_model::DisruptionSchedule`]s against a
 //!   [`riot_core::ScenarioSpec`]'s node-id layout.
-//! * **Programs** ([`program`]) — a flat, line-oriented text format binding
+//! * **Programs** ([`CampaignProgram`]) — a flat, line-oriented text format binding
 //!   a scenario shape, LTL monitor oracles, a campaign and its expected
 //!   findings into one reproducible artifact; `parse(render(p)) == p`.
-//! * **Generation & fuzzing** ([`gen`], [`fuzz`]) — seeded property-based
+//! * **Generation & fuzzing** ([`generate`], [`fuzz_space`]) — seeded property-based
 //!   campaign generation and mutation (all entropy through one explicit
 //!   [`riot_sim::SimRng`], lint rule D3) swept through the
 //!   [`riot_harness`] worker grid with `ScenarioSpec::monitors` as
@@ -25,24 +25,25 @@
 //!   minimality lattice (fewest vectors, then smallest intensity, then
 //!   latest onset) to a fixpoint, emitting self-contained regression
 //!   reproducers for `tests/campaigns/`.
-//! * **CLI** ([`cli`]) — the `riot campaign run|fuzz|shrink` surface,
+//! * **CLI** ([`run_cli`]) — the `riot campaign run|fuzz|shrink` surface,
 //!   including the `fuzz --smoke` CI gate.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod cli;
-pub mod compile;
-pub mod fuzz;
-pub mod gen;
-pub mod program;
-pub mod shrink;
-pub mod vector;
+mod cli;
+mod compile;
+mod fuzz;
+mod gen;
+mod program;
+mod shrink;
+mod vector;
 
 pub use cli::{reproducer_dir, run_cli, usage};
 pub use compile::Campaign;
-pub use fuzz::{case_program, fuzz_space, run_isolated, run_program, weakened_space, Finding};
-pub use gen::{generate, generate_vector, mutate_in_place, CampaignSpace};
+pub use fuzz::{case_program, fuzz_space, run_isolated, weakened_space, Finding};
+pub use gen::{generate, mutate_in_place, CampaignSpace};
 pub use program::{CampaignParseError, CampaignProgram, Expectation, ScenarioParams};
 pub use shrink::{shrink, shrink_to, ShrinkOutcome, ShrinkStats};
 pub use vector::{AdversaryMode, CampaignVector, Dim};

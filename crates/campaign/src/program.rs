@@ -488,6 +488,11 @@ impl CampaignProgram {
         if !fits(self.scenario.duration_s) {
             return err(0, "scenario duration does not fit the simulation clock");
         }
+        // The spec's own shape checks (the kernel numbers every node with a
+        // `u32`), once the duration is known to fit the spec's clock.
+        if let Err(e) = self.scenario.to_spec(&self.name).validate() {
+            return err(0, format!("scenario: {e}"));
+        }
         let (edges, devices) = (self.scenario.edges, self.scenario.devices_per_edge);
         for v in self.campaign.vectors() {
             if !reach_secs(v, edges, devices).is_some_and(fits) {
@@ -677,6 +682,10 @@ expect violated coverage_safe
             ("vector cloud-blackout onset=1 heal=0", "missing 'campaign"),
             ("campaign \"x\"\nflux onset=1", "unknown directive"),
             ("campaign \"x\"\nscenario edges=0", "at least one edge"),
+            (
+                "campaign \"x\"\nscenario edges=4294967296 devices=4294967296",
+                "u32 process ids",
+            ),
             (
                 "campaign \"x\"\nvector cascade onset=1 count=0 spacing=1 recover=0",
                 "below the minimum",

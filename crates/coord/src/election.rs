@@ -104,19 +104,9 @@ impl Election {
         }
     }
 
-    /// This node's id.
-    pub fn id(&self) -> ProcessId {
-        self.me
-    }
-
     /// The locally believed leader.
     pub fn leader(&self) -> Option<ProcessId> {
         self.leader
-    }
-
-    /// The current term.
-    pub fn term(&self) -> u64 {
-        self.term
     }
 
     /// `true` if this node currently leads.

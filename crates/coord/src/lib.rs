@@ -26,6 +26,7 @@
 //! `riot-core` wires the same machines into the simulated network.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod election;

@@ -159,11 +159,6 @@ impl Swim {
         }
     }
 
-    /// This node's id.
-    pub fn id(&self) -> ProcessId {
-        self.me
-    }
-
     /// The local membership view.
     pub fn view(&self) -> &MembershipView {
         &self.view

@@ -21,7 +21,7 @@ const TAG_SYNC: u64 = 2;
 
 /// Static configuration of the cloud node.
 #[derive(Debug, Clone)]
-pub struct CloudConfig {
+pub(crate) struct CloudConfig {
     /// The architecture being realized.
     pub arch: ArchitectureConfig,
     /// The cloud's own process id.
@@ -44,7 +44,7 @@ pub struct CloudConfig {
 }
 
 /// The cloud process.
-pub struct CloudProcess {
+pub(crate) struct CloudProcess {
     cfg: CloudConfig,
     store: ReplicatedStore,
     mape: MapeHost,
@@ -60,7 +60,7 @@ impl std::fmt::Debug for CloudProcess {
 
 impl CloudProcess {
     /// Creates the cloud node.
-    pub fn new(cfg: CloudConfig) -> Self {
+    pub(crate) fn new(cfg: CloudConfig) -> Self {
         let policy = if cfg.arch.governed_data {
             PolicyEngine::governed()
         } else {
@@ -73,7 +73,7 @@ impl CloudProcess {
     }
 
     /// The cloud's replicated store.
-    pub fn store(&self) -> &ReplicatedStore {
+    pub(crate) fn store(&self) -> &ReplicatedStore {
         &self.store
     }
 

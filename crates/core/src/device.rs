@@ -32,7 +32,7 @@ const TAG_TIMEOUT_BASE: u64 = 1 << 32;
 /// shared: a [`DeviceProcess`] carries only what differs between devices
 /// (the group is 104 bytes; a device, 120).
 #[derive(Debug)]
-pub struct DeviceGroup {
+pub(crate) struct DeviceGroup {
     /// The architecture being realized.
     pub arch: ArchitectureConfig,
     /// Backup edges, in failover order (used at ML4).
@@ -44,7 +44,7 @@ pub struct DeviceGroup {
 
 impl DeviceGroup {
     /// Builds one group's shared configuration over the run's metric keys.
-    pub fn new(
+    pub(crate) fn new(
         arch: ArchitectureConfig,
         backup_edges: Vec<ProcessId>,
         cloud: ProcessId,
@@ -62,7 +62,7 @@ impl DeviceGroup {
 /// Static configuration of one device: its group's shared part, and what
 /// differs from device to device.
 #[derive(Debug, Clone)]
-pub struct DeviceConfig {
+pub(crate) struct DeviceConfig {
     /// Architecture, failover list and cloud, shared by the edge group.
     pub group: Rc<DeviceGroup>,
     /// The device's primary edge.
@@ -81,7 +81,7 @@ pub struct DeviceConfig {
 /// Control-loop statistics accumulated since the last sample; the scenario
 /// runner drains this window every sampling period.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DeviceWindow {
+pub(crate) struct DeviceWindow {
     /// Successful control round-trips.
     pub control_ok: u32,
     /// Timed-out control requests.
@@ -94,7 +94,7 @@ pub struct DeviceWindow {
 
 impl DeviceWindow {
     /// Success fraction, or `None` when no request completed or timed out.
-    pub fn availability(&self) -> Option<f64> {
+    pub(crate) fn availability(&self) -> Option<f64> {
         let total = self.control_ok + self.control_timeout;
         if total == 0 {
             None
@@ -104,7 +104,7 @@ impl DeviceWindow {
     }
 
     /// Mean latency over the window, or `None` without observations.
-    pub fn mean_latency_ms(&self) -> Option<f64> {
+    pub(crate) fn mean_latency_ms(&self) -> Option<f64> {
         if self.latency_count == 0 {
             None
         } else {
@@ -125,7 +125,7 @@ impl DeviceWindow {
 /// `layout_keeps_a_tick_…`).
 #[derive(Debug)]
 #[repr(C)]
-pub struct DeviceProcess {
+pub(crate) struct DeviceProcess {
     /// This device's row in the slab.
     pub(crate) slot: u32,
     consecutive_timeouts: u32,
@@ -170,20 +170,21 @@ impl DeviceProcess {
     }
 
     /// The component's current lifecycle state.
-    pub fn component_state(&self) -> ComponentState {
+    #[cfg(test)]
+    pub(crate) fn component_state(&self) -> ComponentState {
         self.state
     }
 
     /// Injects a component fault (used by disruption schedules). The
     /// injector clears the `SERVING` input of the device's slab row
     /// (`scenario/disrupt.rs`); the device sets it again when it restarts.
-    pub fn fail_component(&mut self) {
+    pub(crate) fn fail_component(&mut self) {
         self.state = ComponentState::Failed;
     }
 
     /// Re-homes the device to a new primary edge (the mobility disruption:
     /// the device roamed and re-associated).
-    pub fn rehome(&mut self, new_primary: ProcessId) {
+    pub(crate) fn rehome(&mut self, new_primary: ProcessId) {
         self.primary_edge = new_primary;
         self.controller_idx = 0;
         self.consecutive_timeouts = 0;
@@ -191,7 +192,7 @@ impl DeviceProcess {
     }
 
     /// The edge currently serving this device.
-    pub fn current_edge(&self) -> ProcessId {
+    pub(crate) fn current_edge(&self) -> ProcessId {
         if self.controller_idx == 0 {
             self.primary_edge
         } else {

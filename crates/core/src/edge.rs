@@ -22,7 +22,7 @@ const TAG_MAPE: u64 = 3;
 
 /// Static configuration of one edge node.
 #[derive(Debug, Clone)]
-pub struct EdgeConfig {
+pub(crate) struct EdgeConfig {
     /// The architecture being realized.
     pub arch: ArchitectureConfig,
     /// This edge's process id (must match its spawn position).
@@ -49,7 +49,7 @@ pub struct EdgeConfig {
 }
 
 /// The edge process.
-pub struct EdgeProcess {
+pub(crate) struct EdgeProcess {
     cfg: EdgeConfig,
     swim: Option<Swim>,
     election: Option<Election>,
@@ -71,7 +71,7 @@ impl std::fmt::Debug for EdgeProcess {
 
 impl EdgeProcess {
     /// Creates an edge node for the given configuration.
-    pub fn new(cfg: EdgeConfig) -> Self {
+    pub(crate) fn new(cfg: EdgeConfig) -> Self {
         let policy = if cfg.arch.governed_data {
             PolicyEngine::governed()
         } else {
@@ -105,26 +105,13 @@ impl EdgeProcess {
     }
 
     /// The edge's replicated store (inspected by the scenario runner).
-    pub fn store(&self) -> &ReplicatedStore {
+    pub(crate) fn store(&self) -> &ReplicatedStore {
         &self.store
-    }
-
-    /// The locally believed scope leader (ML4 only).
-    pub fn leader(&self) -> Option<ProcessId> {
-        self.election.as_ref().and_then(|e| e.leader())
-    }
-
-    /// Peers this edge currently believes alive (ML4 only).
-    pub fn alive_peers(&self) -> Vec<ProcessId> {
-        self.swim
-            .as_ref()
-            .map(|s| s.alive_peers())
-            .unwrap_or_default()
     }
 
     /// Transfers this edge (and its store) to another administrative
     /// domain — the paper's runtime domain-transfer disruption.
-    pub fn transfer_domain(&mut self, to: DomainId) {
+    pub(crate) fn transfer_domain(&mut self, to: DomainId) {
         self.cfg.domain = to;
         self.store.set_domain(to);
         if self.cfg.arch.governed_data {
@@ -333,6 +320,21 @@ impl Process<Msg> for EdgeProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EdgeProcess {
+        /// The locally believed scope leader (ML4 only).
+        fn leader(&self) -> Option<ProcessId> {
+            self.election.as_ref().and_then(|e| e.leader())
+        }
+
+        /// Peers this edge currently believes alive (ML4 only).
+        fn alive_peers(&self) -> Vec<ProcessId> {
+            self.swim
+                .as_ref()
+                .map(|s| s.alive_peers())
+                .unwrap_or_default()
+        }
+    }
     use riot_model::{ComponentId, ComponentState, Domain, Jurisdiction, MaturityLevel};
     use riot_sim::{Sim, SimBuilder, SimDuration};
 

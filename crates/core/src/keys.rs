@@ -9,7 +9,7 @@ use riot_sim::{MetricKey, Metrics};
 /// name riot-core records is spelled here (or, for the three latency
 /// metrics, in the stream probes' row names) and nowhere else.
 #[derive(Debug, Clone, Copy)]
-pub struct MetricKeys {
+pub(crate) struct MetricKeys {
     // Written by devices.
     pub(crate) device_control_timeout: MetricKey,
     pub(crate) device_failover: MetricKey,
@@ -33,7 +33,7 @@ pub struct MetricKeys {
 impl MetricKeys {
     /// Interns every name in `metrics`. Idempotent: minting again returns
     /// the same keys.
-    pub fn mint(metrics: &mut Metrics) -> Self {
+    pub(crate) fn mint(metrics: &mut Metrics) -> Self {
         let [device_control_latency_ms, edge_ingest_latency_ms, cloud_ingest_latency_ms] =
             PROBE_ROWS.map(|name| metrics.intern(name));
         MetricKeys {

@@ -14,8 +14,8 @@
 //!   replication mode, governance posture, coordination stack and the
 //!   anti-entropy period. The timings no architecture varies are
 //!   constants.
-//! * [`DeviceProcess`], [`EdgeProcess`] and [`CloudProcess`] are the three
-//!   node types of Figure 1's landscape.
+//! * Devices, edges and the cloud, the three node types of Figure 1's
+//!   landscape, run as the scenario's own processes.
 //! * [`ScenarioSpec`] / [`Scenario`] build and run a deployment under a
 //!   [`riot_model::DisruptionSchedule`], sampling the five standard
 //!   requirements (latency, availability, coverage, freshness, privacy).
@@ -51,6 +51,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod cloud;
@@ -67,22 +68,16 @@ mod resilience;
 mod scenario;
 mod state;
 
-pub use cloud::{CloudConfig, CloudProcess};
 pub use config::{ArchitectureConfig, ControlPlacement, MapePlacement, ReplicationMode};
-pub use device::{DeviceConfig, DeviceGroup, DeviceProcess, DeviceWindow};
-pub use edge::{EdgeConfig, EdgeProcess};
-pub use keys::MetricKeys;
 pub use mobility::{roaming_schedule, Layout, MobilitySpec};
 pub use msg::{AppMsg, Msg, ReadingPayload};
 pub use observe::{
     MonitorError, MonitorOutcome, MonitorSpec, ObserverSpec, StreamQuantiles, StreamSpec,
-    StreamStats, StreamSummary, SAT_LABEL, VALUATION_ATOMS,
+    StreamStats, StreamSummary,
 };
-pub use report::{pct, resilience_table, secs, Stats, Table};
+pub use report::{resilience_table, secs, Stats, Table};
 pub use resilience::{
-    outcome_from_series, standard_goal_model, standard_requirements, time_weighted_mean,
-    time_weighted_mean_raw, RequirementOutcome, ResilienceReport, SampleLog, Series, Thresholds,
-    GOAL_NAME, REQUIREMENT_NAMES,
+    RequirementOutcome, ResilienceReport, SampleLog, Thresholds, GOAL_NAME, REQUIREMENT_NAMES,
 };
 pub use scenario::{
     standard_domains, DeviceInfo, Scenario, ScenarioResult, ScenarioSpec, SpecError, MAX_TRACE_TAIL,

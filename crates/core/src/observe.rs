@@ -64,12 +64,12 @@ use std::sync::Arc;
 
 /// The label of the trace note a sample's valuation is rendered under, and
 /// the display name of the scenario's monitor bank.
-pub const SAT_LABEL: &str = "sat";
+pub(crate) const SAT_LABEL: &str = "sat";
 
 /// The atoms a sample tick values, in bit order: atom *i* is bit *i* of the
 /// valuation the monitor bank is stepped with and token *i* of the `sat`
 /// note. `all`, `goal`, then [`REQUIREMENT_NAMES`](crate::REQUIREMENT_NAMES).
-pub const VALUATION_ATOMS: [&str; 7] = [
+pub(crate) const VALUATION_ATOMS: [&str; 7] = [
     "all",
     "goal",
     "latency",
@@ -82,8 +82,9 @@ pub const VALUATION_ATOMS: [&str; 7] = [
 /// One LTL property to monitor online during a scenario run.
 ///
 /// The formula is parsed by `riot_formal::parse_ltl`; its atoms must be
-/// among [`VALUATION_ATOMS`] — [`MonitorSpec::validate`] says whether they
-/// are.
+/// among the sample tick's atoms — `all`, `goal` and the
+/// [`REQUIREMENT_NAMES`](crate::REQUIREMENT_NAMES) — and
+/// [`MonitorSpec::validate`] says whether they are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorSpec {
     /// Name the outcome is reported under.
@@ -126,7 +127,8 @@ impl MonitorSpec {
         }
     }
 
-    /// Checks that the formula parses and names only [`VALUATION_ATOMS`].
+    /// Checks that the formula parses and names only the sample tick's
+    /// atoms (see [`MonitorSpec`]).
     /// [`ScenarioSpec::validate`](crate::ScenarioSpec::validate) runs this
     /// on every monitor; a reader of monitor text from outside the program
     /// calls it to report the error where the text is.

@@ -146,7 +146,7 @@ riot_sim::impl_to_json_struct!(Stats {
 });
 
 /// Formats a fraction as a percentage with two decimals.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 

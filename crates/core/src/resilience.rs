@@ -47,7 +47,7 @@ impl Default for Thresholds {
 /// latency, availability, coverage, timeliness/freshness, privacy), one
 /// per [`RequirementKind`]: the runner's sample telemetry reports each the
 /// column of its kind.
-pub fn standard_requirements(t: Thresholds) -> RequirementSet {
+pub(crate) fn standard_requirements(t: Thresholds) -> RequirementSet {
     vec![
         Requirement::new(
             RequirementId(0),
@@ -93,8 +93,8 @@ pub const REQUIREMENT_NAMES: [&str; 5] = [
     "privacy",
 ];
 
-/// The reporting key of the goal-model series (see
-/// [`standard_goal_model`]).
+/// The reporting key of the goal-model series: the standard goal model's
+/// root, satisfied when the requirements it refines are.
 pub const GOAL_NAME: &str = "acceptable";
 
 /// The standard goal model (§IV-B: "goal modeling and validation"): a
@@ -112,7 +112,7 @@ pub const GOAL_NAME: &str = "acceptable";
 /// facet (e.g. ML1's freshness — silos share nothing) yet still deliver
 /// acceptable degraded service, which the strict conjunction cannot
 /// express. Leaves reference the ids of [`standard_requirements`].
-pub fn standard_goal_model() -> GoalModel {
+pub(crate) fn standard_goal_model() -> GoalModel {
     let mut goals = GoalModel::new();
     let latency = goals.leaf("control reacts in time", RequirementId(0));
     let availability = goals.leaf("control plane answers", RequirementId(1));
@@ -127,7 +127,7 @@ pub fn standard_goal_model() -> GoalModel {
 }
 
 /// One sampled series: `(time, value)` points in time order.
-pub type Series = Vec<(SimTime, f64)>;
+pub(crate) type Series = Vec<(SimTime, f64)>;
 
 /// Everything the scenario sampler records, one column per series and one
 /// point per column per sample tick. This is the observation every result
@@ -177,13 +177,17 @@ impl SampleLog {
 /// the requirement held. The gap before the first point counts as that
 /// first point's value. `None` when the series is empty or the window is
 /// degenerate.
-pub fn time_weighted_mean(points: &[(SimTime, f64)], from: SimTime, to: SimTime) -> Option<f64> {
+pub(crate) fn time_weighted_mean(
+    points: &[(SimTime, f64)],
+    from: SimTime,
+    to: SimTime,
+) -> Option<f64> {
     integrate(points, from, to, true)
 }
 
 /// Like [`time_weighted_mean`] but without clamping — for series carrying
 /// physical quantities rather than satisfaction indicators.
-pub fn time_weighted_mean_raw(
+pub(crate) fn time_weighted_mean_raw(
     points: &[(SimTime, f64)],
     from: SimTime,
     to: SimTime,
@@ -243,7 +247,7 @@ riot_sim::impl_to_json_struct!(RequirementOutcome {
 ///
 /// `split` separates the baseline window `[start, split)` from the
 /// disruption window `[split, end]`.
-pub fn outcome_from_series(
+pub(crate) fn outcome_from_series(
     points: &[(SimTime, f64)],
     start: SimTime,
     split: SimTime,

@@ -123,11 +123,6 @@ impl std::fmt::Debug for Scenario {
 }
 
 impl Scenario {
-    /// The spec this scenario was built from.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
     /// The devices of the built scenario.
     pub fn devices(&self) -> &[DeviceInfo] {
         &self.devices

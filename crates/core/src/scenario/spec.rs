@@ -78,6 +78,14 @@ pub enum SpecError {
     ZeroEdges,
     /// `devices_per_edge = 0`: a scenario needs at least one device.
     ZeroDevicesPerEdge,
+    /// The cloud, the edges and their devices, `1 + edges + edges ×
+    /// devices_per_edge` nodes, do not fit the kernel's `u32` process ids.
+    TooManyNodes {
+        /// The spec's edge count.
+        edges: usize,
+        /// The spec's devices per edge.
+        devices_per_edge: usize,
+    },
     /// `sample_every` is zero: the sampling loop of [`Scenario::run`] would
     /// never advance.
     ZeroSampleInterval,
@@ -104,6 +112,14 @@ impl std::fmt::Display for SpecError {
         match self {
             SpecError::ZeroEdges => write!(f, "edges must be at least 1"),
             SpecError::ZeroDevicesPerEdge => write!(f, "devices_per_edge must be at least 1"),
+            SpecError::TooManyNodes {
+                edges,
+                devices_per_edge,
+            } => write!(
+                f,
+                "{edges} edges x {devices_per_edge} devices_per_edge is more nodes than the \
+                 kernel's u32 process ids can number"
+            ),
             SpecError::ZeroSampleInterval => {
                 write!(
                     f,
@@ -171,6 +187,17 @@ impl ScenarioSpec {
         }
         if self.devices_per_edge == 0 {
             return Err(SpecError::ZeroDevicesPerEdge);
+        }
+        let nodes = self
+            .edges
+            .checked_mul(self.devices_per_edge)
+            .and_then(|devices| devices.checked_add(self.edges))
+            .and_then(|n| n.checked_add(1));
+        if nodes.is_none_or(|n| n >= u32::MAX as usize) {
+            return Err(SpecError::TooManyNodes {
+                edges: self.edges,
+                devices_per_edge: self.devices_per_edge,
+            });
         }
         if self.sample_every == SimDuration::ZERO {
             return Err(SpecError::ZeroSampleInterval);

@@ -370,6 +370,32 @@ fn spec_validation_rejects_zero_shape_and_zero_sample_interval() {
 }
 
 #[test]
+fn spec_validation_rejects_a_fleet_the_kernel_cannot_number() {
+    // `1 + edges + edges × devices_per_edge` nodes: 2^32 × 2^32 overflows
+    // the multiplication, 2^16 × 2^16 does not but passes `u32::MAX`.
+    for (edges, devices_per_edge) in [(1 << 32, 1 << 32), (1 << 16, 1 << 16)] {
+        let mut spec = small(MaturityLevel::Ml1);
+        spec.edges = edges;
+        spec.devices_per_edge = devices_per_edge;
+        let want = SpecError::TooManyNodes {
+            edges,
+            devices_per_edge,
+        };
+        assert_rejected(spec, want, "u32 process ids");
+    }
+    // The kernel's ids stop below `u32::MAX`, the external sender's.
+    let mut spec = small(MaturityLevel::Ml1);
+    spec.edges = 1;
+    spec.devices_per_edge = u32::MAX as usize - 3;
+    assert_eq!(spec.validate(), Ok(()), "u32::MAX - 1 nodes fit");
+    spec.devices_per_edge += 1;
+    assert!(
+        matches!(spec.validate(), Err(SpecError::TooManyNodes { .. })),
+        "u32::MAX nodes do not"
+    );
+}
+
+#[test]
 fn spec_validation_rejects_a_monitor_no_sample_can_value() {
     // A misspelt atom used to read false for the whole run — `G !covrage`
     // held forever and checked nothing — and a formula that does not parse

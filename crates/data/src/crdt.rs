@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a replica (usually the hosting node's process index).
-pub type ReplicaId = u32;
+pub(crate) type ReplicaId = u32;
 
 /// A state-based (convergent) replicated data type.
 pub trait Crdt {

@@ -20,6 +20,7 @@
 //!   privacy-violation audit used by experiment E5.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod crdt;
@@ -28,7 +29,7 @@ mod keyspace;
 mod policy;
 mod store;
 
-pub use crdt::{Crdt, GCounter, LwwRegister, OrSet, PnCounter, ReplicaId};
+pub use crdt::{Crdt, GCounter, LwwRegister, OrSet, PnCounter};
 pub use item::{DataMeta, DataRecord, Purpose, PurposeSet, Sensitivity};
 pub use keyspace::{DataKey, KeySpace};
 pub use policy::{FlowContext, PolicyAction, PolicyEngine, PolicyRule};

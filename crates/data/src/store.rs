@@ -218,11 +218,6 @@ impl ReplicatedStore {
         }
     }
 
-    /// This store's replica id.
-    pub fn replica(&self) -> ReplicaId {
-        self.replica
-    }
-
     /// The domain this store lives in.
     pub fn domain(&self) -> DomainId {
         self.domain

@@ -28,6 +28,7 @@
 //!   threshold queries.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod ctl;
@@ -47,5 +48,5 @@ pub use monitor::{progress, simplify, Monitor, Verdict3};
 pub use online::{OnlineMonitor, OnlineProperty};
 pub use parse::{parse_ctl, parse_ltl, ParseError};
 pub use prob::{Dtmc, DtmcDefect};
-pub use prop::{AtomId, Atoms, Valuation, MAX_ATOMS};
-pub use stat::{estimate_probability, wilson, Estimate, Sprt, SprtDecision};
+pub use prop::{AtomId, Atoms, Valuation};
+pub use stat::{estimate_probability, Estimate, Sprt, SprtDecision};

@@ -254,11 +254,6 @@ impl Monitor {
         }
     }
 
-    /// The property being monitored.
-    pub fn property(&self) -> &Ltl {
-        &self.original
-    }
-
     /// The residual obligation.
     pub fn residual(&self) -> &Ltl {
         match &self.position {

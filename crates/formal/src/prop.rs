@@ -40,7 +40,7 @@ pub struct Atoms {
 }
 
 /// Maximum number of distinct atoms (valuations are 64-bit masks).
-pub const MAX_ATOMS: usize = 64;
+pub(crate) const MAX_ATOMS: usize = 64;
 
 impl Atoms {
     /// Creates an empty vocabulary.
@@ -52,7 +52,8 @@ impl Atoms {
     ///
     /// # Panics
     ///
-    /// Panics when more than [`MAX_ATOMS`] distinct atoms are interned.
+    /// Panics when more than 64 distinct atoms are interned (valuations are
+    /// 64-bit masks).
     pub fn intern(&mut self, name: &str) -> AtomId {
         if let Some(&id) = self.index.get(name) {
             return id;

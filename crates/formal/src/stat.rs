@@ -114,7 +114,7 @@ pub fn estimate_probability(
 /// # Panics
 ///
 /// Panics if `n == 0` or `successes > n`.
-pub fn wilson(successes: usize, n: usize, confidence: f64) -> Estimate {
+pub(crate) fn wilson(successes: usize, n: usize, confidence: f64) -> Estimate {
     assert!(n > 0 && successes <= n, "bad counts {successes}/{n}");
     let z = z_for(confidence);
     let nf = n as f64;

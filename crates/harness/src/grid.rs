@@ -83,11 +83,6 @@ impl<T> Grid<T> {
         self
     }
 
-    /// Number of cells declared.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
     /// `true` when no cells have been declared.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()

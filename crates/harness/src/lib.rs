@@ -44,6 +44,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod config;

@@ -155,11 +155,6 @@ impl GoalModel {
         self.root = Some(id);
     }
 
-    /// The declared root, if any.
-    pub fn root(&self) -> Option<GoalId> {
-        self.root
-    }
-
     /// Borrows a node.
     pub fn node(&self, id: GoalId) -> Option<&GoalNode> {
         self.nodes.get(id.0 as usize)

@@ -26,6 +26,7 @@
 //! in `riot-formal`.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod disruption;

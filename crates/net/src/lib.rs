@@ -26,12 +26,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod latency;
 mod network;
-pub mod topology;
+mod topology;
 
 pub use latency::LatencyModel;
 pub use network::{Link, Network, NodeKind, RouteStats};
-pub use topology::{full_mesh, line, presets, ring, star, Hierarchy, HierarchySpec};
+pub use topology::{line, presets, ring, Hierarchy, HierarchySpec};

@@ -3,8 +3,7 @@
 //! The paper's landscape (Figure 1) is a three-tier hierarchy: constrained
 //! devices attached to edge components, edges meshed with each other and
 //! up-linked to the cloud. [`Hierarchy::build`] constructs exactly that;
-//! `star`, `line`, `ring` and `full_mesh` cover the shapes protocol tests
-//! want.
+//! [`line`] and [`ring`] cover the shapes protocol tests want.
 //!
 //! riot-lint: allow-file(P1, reason = "topology builders index node vectors they allocate in the same function; lengths are fixed by the spec arguments")
 
@@ -153,22 +152,6 @@ impl Hierarchy {
     }
 }
 
-/// Builds a star: one hub of the given kind and `n` leaves.
-pub fn star(
-    hub_kind: NodeKind,
-    leaf_kind: NodeKind,
-    n: usize,
-    link: Link,
-) -> (Network, ProcessId, Vec<ProcessId>) {
-    let mut net = Network::new();
-    let hub = net.add_node(hub_kind);
-    let leaves: Vec<ProcessId> = (0..n).map(|_| net.add_node(leaf_kind)).collect();
-    for &l in &leaves {
-        net.add_link(hub, l, link);
-    }
-    (net, hub, leaves)
-}
-
 /// Builds a line of `n` nodes of one kind.
 pub fn line(kind: NodeKind, n: usize, link: Link) -> (Network, Vec<ProcessId>) {
     let mut net = Network::new();
@@ -192,7 +175,8 @@ pub fn ring(kind: NodeKind, n: usize, link: Link) -> (Network, Vec<ProcessId>) {
 }
 
 /// Builds a complete graph of `n` nodes of one kind.
-pub fn full_mesh(kind: NodeKind, n: usize, link: Link) -> (Network, Vec<ProcessId>) {
+#[cfg(test)]
+pub(crate) fn full_mesh(kind: NodeKind, n: usize, link: Link) -> (Network, Vec<ProcessId>) {
     let mut net = Network::new();
     let nodes: Vec<ProcessId> = (0..n).map(|_| net.add_node(kind)).collect();
     for i in 0..n {
@@ -263,13 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn star_line_ring_mesh_shapes() {
-        let (mut snet, hub, leaves) = star(NodeKind::Edge, NodeKind::Device, 5, presets::lan());
-        assert_eq!(leaves.len(), 5);
-        assert!(snet.path(leaves[0], leaves[4]).is_some());
-        assert_eq!(snet.path(leaves[0], leaves[4]).unwrap().len(), 3);
-        let _ = hub;
-
+    fn line_ring_mesh_shapes() {
         let (mut lnet, lnodes) = line(NodeKind::Edge, 4, presets::lan());
         assert_eq!(lnet.path(lnodes[0], lnodes[3]).unwrap().len(), 4);
 

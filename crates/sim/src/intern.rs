@@ -210,17 +210,17 @@ pub(crate) struct Interner {
 
 impl Interner {
     /// Returns the key for `name`, minting a fresh id on first sight.
-    pub fn intern(&mut self, name: &str) -> MetricKey {
+    pub(crate) fn intern(&mut self, name: &str) -> MetricKey {
         MetricKey(self.table.intern(name).0)
     }
 
     /// Returns the key for `name` if it was ever interned — no allocation.
-    pub fn get(&self, name: &str) -> Option<MetricKey> {
+    pub(crate) fn get(&self, name: &str) -> Option<MetricKey> {
         self.table.get(name).map(|s| MetricKey(s.0))
     }
 
     /// Number of interned names.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.table.len()
     }
 }

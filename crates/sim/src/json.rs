@@ -270,7 +270,7 @@ impl<K: ToString, V: ToJson> ToJson for BTreeMap<K, V> {
 /// they should appear in the output object:
 ///
 /// ```
-/// use riot_sim::{impl_to_json_struct, json::ToJson};
+/// use riot_sim::{impl_to_json_struct, ToJson};
 ///
 /// struct Row { name: String, score: f64 }
 /// impl_to_json_struct!(Row { name, score });
@@ -282,10 +282,10 @@ impl<K: ToString, V: ToJson> ToJson for BTreeMap<K, V> {
 #[macro_export]
 macro_rules! impl_to_json_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
-                    $((stringify!($field).to_owned(), $crate::json::ToJson::to_json(&self.$field)),)+
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::Obj(vec![
+                    $((stringify!($field).to_owned(), $crate::ToJson::to_json(&self.$field)),)+
                 ])
             }
         }

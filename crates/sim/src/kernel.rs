@@ -181,7 +181,7 @@ impl KernelKeys {
 
 /// The mutable heart of a run; exposed to processes through
 /// [`Ctx`](crate::Ctx) and to the engine through crate-private methods.
-pub struct Kernel<M> {
+pub(crate) struct Kernel<M> {
     pub(crate) clock: SimTime,
     pub(crate) seq: u64,
     pub(crate) queue: EventQueue,

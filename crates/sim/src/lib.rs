@@ -13,8 +13,8 @@
 //!   through a [`Ctx`] handle; they never see wall-clock time or OS
 //!   randomness.
 //! * **The medium** ([`Medium`]) decides latency and loss for every message;
-//!   `riot-net` provides a full IoT topology medium, and [`IdealMedium`] /
-//!   [`LossyMedium`] serve protocol tests.
+//!   `riot-net` provides a full IoT topology medium, and [`IdealMedium`]
+//!   serves protocol tests.
 //! * **Worlds** ([`World`]): one kernel, generic over what it runs — the
 //!   type of a process-table entry, the medium and the injection type. A
 //!   closed world (riot-core's scenario: an enum of its node types, its
@@ -29,10 +29,10 @@
 //! * **Observability**: three surfaces, one job each. *Events* go on a
 //!   typed bus — the kernel emits one [`SimEvent`] per occurrence to an
 //!   ordered list of [`SimObserver`]s, and the bounded [`RingTrace`] is the
-//!   observer that keeps them (see [`observer`] for the determinism
+//!   observer that keeps them (see [`SimObserver`] for the determinism
 //!   contract). *Bounded aggregates* over those events — moments, sketched
 //!   percentiles, windows, flow and liveness counts — are operators of a
-//!   [`StreamPipeline`] ([`stream`]). *Run totals* are [`Metrics`]:
+//!   [`StreamPipeline`]. *Run totals* are [`Metrics`]:
 //!   counters and histograms written through pre-interned [`MetricKey`]s.
 //!   What a scenario samples per tick is its own record, not a fourth
 //!   store here (`riot_core::SampleLog`).
@@ -67,25 +67,26 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod intern;
-pub mod json;
+mod json;
 mod kernel;
 mod medium;
 mod metrics;
-pub mod observer;
+mod observer;
 mod process;
 mod queue;
 mod rng;
 mod sim;
-pub mod stream;
+mod stream;
 mod time;
 mod world;
 
 pub use intern::{MetricKey, Symbol, SymbolTable};
 pub use json::{Json, ToJson};
-pub use medium::{Delivery, IdealMedium, LossyMedium, Medium};
+pub use medium::{Delivery, IdealMedium, Medium};
 pub use metrics::{Histogram, HistogramSummary, Metrics};
 pub use observer::{
     take_crash_tail, AnyObserver, EventMask, RingTrace, SimEvent, SimEventKind, SimObserver,

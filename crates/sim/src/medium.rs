@@ -91,45 +91,45 @@ impl<M> Medium<M> for IdealMedium {
     }
 }
 
-/// A medium with constant latency and i.i.d. loss, for protocol tests that
-/// need adversity without a full topology.
-#[derive(Debug, Clone)]
-pub struct LossyMedium {
-    latency: SimDuration,
-    loss: f64,
-}
-
-impl LossyMedium {
-    /// Creates a medium with the given latency and loss probability
-    /// (clamped to `[0, 1]`).
-    pub fn new(latency: SimDuration, loss: f64) -> Self {
-        LossyMedium {
-            latency,
-            loss: loss.clamp(0.0, 1.0),
-        }
-    }
-}
-
-impl<M> Medium<M> for LossyMedium {
-    fn route(
-        &mut self,
-        _now: SimTime,
-        _from: ProcessId,
-        _to: ProcessId,
-        _msg: &M,
-        rng: &mut SimRng,
-    ) -> Delivery {
-        if rng.chance(self.loss) {
-            Delivery::Drop("loss")
-        } else {
-            Delivery::After(self.latency)
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A medium with constant latency and i.i.d. loss, for protocol tests that
+    /// need adversity without a full topology.
+    #[derive(Debug, Clone)]
+    pub(crate) struct LossyMedium {
+        latency: SimDuration,
+        loss: f64,
+    }
+
+    impl LossyMedium {
+        /// Creates a medium with the given latency and loss probability
+        /// (clamped to `[0, 1]`).
+        pub(crate) fn new(latency: SimDuration, loss: f64) -> Self {
+            LossyMedium {
+                latency,
+                loss: loss.clamp(0.0, 1.0),
+            }
+        }
+    }
+
+    impl<M> Medium<M> for LossyMedium {
+        fn route(
+            &mut self,
+            _now: SimTime,
+            _from: ProcessId,
+            _to: ProcessId,
+            _msg: &M,
+            rng: &mut SimRng,
+        ) -> Delivery {
+            if rng.chance(self.loss) {
+                Delivery::Drop("loss")
+            } else {
+                Delivery::After(self.latency)
+            }
+        }
+    }
 
     #[test]
     fn ideal_medium_constant_latency() {

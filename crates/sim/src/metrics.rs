@@ -115,12 +115,6 @@ impl Histogram {
             .select_nth_unstable_by(rank - 1, f64::total_cmp)
             .1
     }
-
-    /// A borrowed view of the raw samples: in recording order until a
-    /// quantile is queried, in no particular order after.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 /// A summary of a [`Histogram`] suitable for table output.

@@ -12,23 +12,7 @@
 //! whoever computes the monitored valuation steps them with it.) There is
 //! no built-in recorder: a run with no observer constructs no event.
 //!
-//! ## Determinism contract for observer authors
-//!
-//! Observers are passive taps, not actors:
-//!
-//! 1. An observer receives `&SimEvent` only — it has no kernel handle, cannot
-//!    send messages, schedule timers, or draw randomness, and therefore
-//!    cannot perturb the run. Results with and without observers registered
-//!    are byte-identical by construction.
-//! 2. Events arrive in virtual-time order (ties in kernel scheduling order),
-//!    exactly once each, on the single simulation thread.
-//! 3. Dispatch order is registration order. Observer state must depend only
-//!    on the event stream, never on wall-clock time or ambient entropy
-//!    (riot-lint rules D2/D3 apply here).
-//! 4. The union of the registered [`SimObserver::interest`] masks is the one
-//!    gate on the emit path: a kind nobody subscribed to returns at a single
-//!    branch and allocates nothing, and call sites that format a text ask
-//!    [`Ctx::wants`](crate::Ctx::wants) first.
+//! The determinism contract observers uphold is on [`SimObserver`].
 
 use crate::intern::MetricKey;
 use crate::json::{Json, ToJson};
@@ -92,7 +76,7 @@ pub enum SimEventKind {
     },
     /// A numeric measurement ([`Ctx::measure`](crate::Ctx::measure)): the
     /// typed, allocation-free channel that feeds streaming telemetry
-    /// operators ([`crate::stream`]). The value travels as raw bits so the
+    /// operators ([`StreamPipeline`](crate::StreamPipeline)). The value travels as raw bits so the
     /// event type stays `Eq`/`Hash`; read it back with `f64::from_bits`.
     Measure {
         /// Measuring process.
@@ -145,11 +129,6 @@ impl EventMask {
     #[inline]
     pub fn intersects(self, other: EventMask) -> bool {
         self.0 & other.0 != 0
-    }
-
-    /// `true` if no kind is subscribed.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -305,9 +284,26 @@ impl ToJson for SimEvent {
 
 /// A streaming consumer of kernel events.
 ///
-/// See the [module docs](self) for the determinism contract observers must
-/// uphold. Observers run on the simulation thread and must be cheap relative
-/// to the event rate they subscribe to.
+/// Observers run on the simulation thread and must be cheap relative to the
+/// event rate they subscribe to.
+///
+/// # Determinism contract
+///
+/// Observers are passive taps, not actors:
+///
+/// 1. An observer receives `&SimEvent` only — it has no kernel handle, cannot
+///    send messages, schedule timers, or draw randomness, and therefore
+///    cannot perturb the run. Results with and without observers registered
+///    are byte-identical by construction.
+/// 2. Events arrive in virtual-time order (ties in kernel scheduling order),
+///    exactly once each, on the single simulation thread.
+/// 3. Dispatch order is registration order. Observer state must depend only
+///    on the event stream, never on wall-clock time or ambient entropy
+///    (riot-lint rules D2/D3 apply here).
+/// 4. The union of the registered [`SimObserver::interest`] masks is the one
+///    gate on the emit path: a kind nobody subscribed to returns at a single
+///    branch and allocates nothing, and call sites that format a text ask
+///    [`Ctx::wants`](crate::Ctx::wants) first.
 pub trait SimObserver {
     /// Called once per kernel event, in virtual-time order.
     fn on_event(&mut self, event: &SimEvent);

@@ -147,7 +147,7 @@ impl<'a, M: fmt::Debug> Ctx<'a, M> {
     /// interned [`MetricKey`](crate::MetricKey). Unlike [`Ctx::annotate`]
     /// this never allocates — the value travels as raw bits — so it is safe
     /// on hot paths; with nobody listening it is a single branch. Streaming
-    /// telemetry operators ([`crate::stream`]) consume these events.
+    /// telemetry operators ([`StreamPipeline`](crate::StreamPipeline)) consume these events.
     #[inline]
     pub fn measure(&mut self, key: crate::intern::MetricKey, value: f64) {
         if !self.wants(crate::observer::EventMask::MEASURE) {

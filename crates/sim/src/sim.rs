@@ -232,7 +232,7 @@ impl<M: fmt::Debug + 'static, W: World<M>> Sim<M, W> {
     /// Registers a [`SimObserver`] on the run's observability bus; returns
     /// the observer's index for later retrieval with [`Sim::observer`].
     /// Observers see every kernel event in virtual-time order, dispatched in
-    /// registration order (see [`crate::observer`] for the determinism
+    /// registration order (see [`SimObserver`](crate::SimObserver) for the determinism
     /// contract). Register before running — events already emitted are not
     /// replayed.
     pub fn add_observer(&mut self, observer: impl SimObserver + Any) -> usize {
@@ -547,7 +547,7 @@ impl<M: fmt::Debug, W: World<M>> fmt::Debug for Sim<M, W> {
 mod tests {
     use super::*;
     use crate::json::ToJson;
-    use crate::medium::LossyMedium;
+    use crate::medium::tests::LossyMedium;
     use crate::observer::{RingTrace, SimEvent};
     use crate::process::Process;
     use crate::world::AnyProcess;

@@ -489,11 +489,6 @@ impl MeasureProbe {
         }
     }
 
-    /// The key this probe follows.
-    pub fn key(&self) -> MetricKey {
-        self.key
-    }
-
     /// Whole-run streaming moments.
     pub fn stats(&self) -> &OnlineStats {
         &self.stats
@@ -692,11 +687,6 @@ pub struct StreamPipeline {
 }
 
 impl StreamPipeline {
-    /// An empty pipeline.
-    pub fn new() -> Self {
-        StreamPipeline::default()
-    }
-
     /// A pipeline pre-sized for `n` operators.
     pub fn with_capacity(n: usize) -> Self {
         StreamPipeline {

@@ -2,7 +2,7 @@
 # The full local gate: everything CI (and the tier-1 driver) checks, in the
 # order that fails fastest. Run from anywhere inside the repository.
 #
-#   scripts/check.sh           # fmt + clippy + riot-lint + doc + tests + benchmark package build + four smokes + the unread-exports report
+#   scripts/check.sh           # fmt + clippy + riot-lint + doc + tests + benchmark package build + four smokes
 #   scripts/check.sh --quick   # skip the tests, that build and the smokes (style + lint + doc only)
 #
 # Not here because they need a parent commit to compare with:
@@ -66,9 +66,6 @@ if [[ "$quick" == "0" ]]; then
 
   echo "==> profile smoke (one second of fuzz_sweep sampled and tabled; skips itself without cc/addr2line)"
   scripts/profile.sh fuzz_sweep --seconds 1 > /dev/null
-
-  echo "==> unread-exports report (runs to the end; what it lists is not a failure)"
-  scripts/unread_exports.sh > /dev/null
 fi
 
 echo "OK: fmt, clippy, riot-lint$([[ "$quick" == "0" ]] && echo ", tests") all clean"
