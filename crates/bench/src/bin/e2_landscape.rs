@@ -92,7 +92,7 @@ fn main() {
         spec.edges,
         scenario.devices().len()
     );
-    let personal = scenario.devices().iter().filter(|d| d.personal).count();
+    let personal = scenario.devices().filter(|d| d.personal).count();
     println!(
         "  {} devices produce personal (GDPR) data; edge {} belongs to the analytics vendor\n",
         personal,

@@ -217,52 +217,49 @@ impl Scenario {
             debug_assert_eq!(id, e);
         }
 
-        // Architecture, failover list, cloud id and metric keys are
-        // identical for every device on the same edge: one shared
-        // allocation per edge group.
+        // -- The devices' data keys: one run, slot `s` holding key
+        // `first_key.offset(s)`, which each device and `Scenario::devices`
+        // derive instead of storing.
+        let first_key = keys.mint_run(spec.device_count());
+        assert_eq!(
+            first_key.index() + spec.device_count(),
+            keys.len(),
+            "the device keys are the key space's last run"
+        );
+
+        // Architecture, failover list, cloud id, domain, first key and
+        // metric keys are identical for every device on the same edge: one
+        // shared allocation per edge group.
         let group_of_edge: Vec<Rc<DeviceGroup>> = (0..spec.edges)
             .map(|e| {
                 let backups = (1..spec.edges)
                     // riot-lint: allow(P1, reason = "hierarchy.edges has exactly spec.edges entries; the index is reduced mod spec.edges")
                     .map(|k| hierarchy.edges[(e + k) % spec.edges])
                     .collect();
-                DeviceGroup::new(arch.clone(), backups, hierarchy.cloud, metric_keys)
+                let (cloud, domain) = (hierarchy.cloud, DomainId(0));
+                DeviceGroup::new(arch.clone(), backups, cloud, domain, first_key, metric_keys)
             })
             .collect();
 
-        let mut devices = Vec::with_capacity(spec.device_count());
-        let mut global_idx = 0usize;
-        for (e, (devs, group)) in hierarchy.devices.iter().zip(&group_of_edge).enumerate() {
-            for &d in devs {
-                let personal =
-                    spec.personal_every > 0 && global_idx.is_multiple_of(spec.personal_every);
-                let key = keys.mint();
-                let dev = DeviceProcess::new(
-                    DeviceConfig {
-                        group: group.clone(),
-                        // riot-lint: allow(P1, reason = "e enumerates hierarchy.devices, built with one entry per edge")
-                        primary_edge: hierarchy.edges[e],
-                        component: riot_model::ComponentId(d.0 as u32),
-                        data_key: key,
-                        sensitivity: if personal {
-                            Sensitivity::Personal
-                        } else {
-                            Sensitivity::Internal
-                        },
-                        domain: DomainId(0),
-                    },
-                    global_idx as u32,
-                );
-                let id = sim.add_node(Node::Device(dev));
-                debug_assert_eq!(id, d);
-                devices.push(DeviceInfo {
-                    id: d,
-                    edge_index: e,
-                    key,
-                    personal,
-                });
-                global_idx += 1;
-            }
+        let mut operational = 0;
+        for slot in 0..spec.device_count() {
+            let info = DeviceInfo::of(&spec, first_key, slot);
+            operational += usize::from(!info.personal);
+            let e = info.edge_index;
+            // riot-lint: allow(P1, reason = "edge_index < spec.edges, and both tables have one entry per edge")
+            let (group, edge) = (group_of_edge[e].clone(), hierarchy.edges[e]);
+            let sensitivity = if info.personal {
+                Sensitivity::Personal
+            } else {
+                Sensitivity::Internal
+            };
+            let cfg = DeviceConfig {
+                group,
+                primary_edge: edge,
+                sensitivity,
+            };
+            let id = sim.add_node(Node::Device(DeviceProcess::new(cfg, slot as u32)));
+            debug_assert_eq!(id, info.id);
         }
 
         // -- Each home edge's consuming store: the cloud, or under
@@ -279,7 +276,6 @@ impl Scenario {
                 next.chain(hierarchy.edges.first()).copied().collect()
             }
         };
-        let operational = devices.iter().filter(|info| !info.personal).count();
 
         // -- Disruptions become injections.
         for ev in spec.disruptions.events() {
@@ -294,7 +290,7 @@ impl Scenario {
             hierarchy,
             keys,
             metric_keys,
-            devices,
+            first_key,
             registry,
             requirements,
             goals,

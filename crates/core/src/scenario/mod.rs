@@ -48,18 +48,35 @@ use riot_net::Hierarchy;
 use riot_sim::{MetricKey, ProcessId, SimTime};
 use world::ScenarioSim;
 
-/// Static facts about one device of a built scenario.
-#[derive(Debug, Clone)]
+/// Static facts about one device of a built scenario, derived from the
+/// spec's layout and the device's slot: nothing stores them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceInfo {
     /// Process id.
     pub id: ProcessId,
     /// Index of its primary edge.
     pub edge_index: usize,
     /// Its data key, minted unnamed in the scenario's run-wide key space:
-    /// device `i` in build order holds key index `i`.
+    /// the device keys are one run in slot order.
     pub key: DataKey,
     /// `true` when it produces personal data.
     pub personal: bool,
+}
+
+impl DeviceInfo {
+    /// Device `slot`'s facts under `spec`, whose device keys are the run
+    /// starting at `first_key`. Slots number devices edge by edge, as
+    /// [`ScenarioSpec::device_id`] lays out their process ids.
+    fn of(spec: &ScenarioSpec, first_key: DataKey, slot: usize) -> DeviceInfo {
+        let edge_index = slot / spec.devices_per_edge;
+        DeviceInfo {
+            id: spec.device_id(edge_index, slot % spec.devices_per_edge),
+            edge_index,
+            // The spec's node count fits a u32 (`SpecError::TooManyNodes`).
+            key: first_key.offset(slot as u32),
+            personal: spec.personal_every > 0 && slot.is_multiple_of(spec.personal_every),
+        }
+    }
 }
 
 /// A built, ready-to-run scenario.
@@ -71,7 +88,8 @@ pub struct Scenario {
     keys: KeySpace,
     /// The run's metric keys, minted once at build.
     metric_keys: MetricKeys,
-    devices: Vec<DeviceInfo>,
+    /// The data key of device slot 0: the device keys are one run.
+    first_key: DataKey,
     registry: DomainRegistry,
     requirements: RequirementSet,
     goals: GoalModel,
@@ -117,15 +135,15 @@ impl std::fmt::Debug for Scenario {
         f.debug_struct("Scenario")
             .field("name", &self.spec.name)
             .field("level", &self.spec.level)
-            .field("devices", &self.devices.len())
+            .field("devices", &self.spec.device_count())
             .finish()
     }
 }
 
 impl Scenario {
-    /// The devices of the built scenario.
-    pub fn devices(&self) -> &[DeviceInfo] {
-        &self.devices
+    /// The devices of the built scenario, in slot order.
+    pub fn devices(&self) -> impl ExactSizeIterator<Item = DeviceInfo> + '_ {
+        (0..self.spec.device_count()).map(|slot| DeviceInfo::of(&self.spec, self.first_key, slot))
     }
 
     /// The run-wide data-key space every store shares.

@@ -7,25 +7,23 @@
 #![cfg(test)]
 
 use super::run::NEVER_SEEN_STALENESS_S;
-use super::world::{Node, ScenarioSim};
+use super::world::Node;
 use super::{DeviceInfo, Scenario, ScenarioResult, ScenarioSpec};
 use crate::config::ReplicationMode;
 use crate::state::{NodeSlab, SampleFold};
-use riot_net::Hierarchy;
-use riot_sim::SimTime;
+use riot_data::Sensitivity;
+use riot_sim::{ProcessId, SimTime};
 
 impl Scenario {
     /// Staleness of `info`'s key at its consuming store, for the rescan
-    /// oracle. An associated function over disjoint borrows: [`Self::rescan`]
-    /// holds `&self.devices` while probing `self.sim`.
+    /// oracle.
     fn consumer_staleness(
-        sim: &ScenarioSim,
-        hierarchy: &Hierarchy,
+        &self,
         replication: ReplicationMode,
-        edges: usize,
         info: &DeviceInfo,
         now: SimTime,
     ) -> f64 {
+        let (sim, hierarchy) = (&self.sim, &self.hierarchy);
         match replication {
             ReplicationMode::None => NEVER_SEEN_STALENESS_S,
             ReplicationMode::CloudOnly | ReplicationMode::EdgeToCloud => {
@@ -36,7 +34,7 @@ impl Scenario {
                 .unwrap_or(NEVER_SEEN_STALENESS_S)
             }
             ReplicationMode::EdgeMesh => {
-                let consumer = hierarchy.edges[(info.edge_index + 1) % edges];
+                let consumer = hierarchy.edges[(info.edge_index + 1) % self.spec.edges];
                 match sim.node(consumer) {
                     Some(Node::Edge(e)) => e.store().staleness_secs_key(info.key, now),
                     _ => None,
@@ -51,7 +49,7 @@ impl Scenario {
     /// [`Self::rescan`] instead of the slab fold and the freshness scan.
     pub(super) fn run_rescan_oracle(spec: ScenarioSpec) -> ScenarioResult {
         let mut scenario = Scenario::build(spec);
-        let n = scenario.devices.len();
+        let n = scenario.spec.device_count();
         *scenario.sim.shared_mut() = NodeSlab::unsensed(crate::config::SENSE_PERIOD * 3, n);
         let mut t = SimTime::ZERO;
         let end = SimTime::ZERO + scenario.spec.duration;
@@ -80,11 +78,22 @@ impl Scenario {
         let mut staleness_n = 0usize;
         let replication = self.spec.architecture().replication;
         let fresh_horizon = crate::config::SENSE_PERIOD * 3;
-        for (slot, info) in self.devices.iter().enumerate() {
+        // Each device's facts from the hierarchy and the device itself, not
+        // from the layout `Scenario::devices` derives them by.
+        let placed = self.hierarchy.devices.iter().enumerate();
+        let ids = placed.flat_map(|(e, devs)| devs.iter().map(move |&id| (e, id)));
+        let ids: Vec<(usize, ProcessId)> = ids.collect();
+        for (slot, (edge_index, id)) in ids.into_iter().enumerate() {
             let (w, last_sense) = self.sim.shared_mut().take_raw_row(slot as u32);
-            let up = self.sim.is_up(info.id);
-            let Some(Node::Device(dev)) = self.sim.node(info.id) else {
+            let up = self.sim.is_up(id);
+            let Some(Node::Device(dev)) = self.sim.node(id) else {
                 panic!("device process");
+            };
+            let info = DeviceInfo {
+                id,
+                edge_index,
+                key: dev.data_key(),
+                personal: dev.sensitivity() == Sensitivity::Personal,
             };
             window.control_ok += w.control_ok;
             window.control_timeout += w.control_timeout;
@@ -99,15 +108,9 @@ impl Scenario {
             // Freshness at the consuming store (operational keys only;
             // governed architectures rightfully keep personal keys home).
             if !info.personal {
-                staleness_sum += Self::consumer_staleness(
-                    &self.sim,
-                    &self.hierarchy,
-                    replication,
-                    self.spec.edges,
-                    info,
-                    now,
-                )
-                .min(NEVER_SEEN_STALENESS_S);
+                staleness_sum += self
+                    .consumer_staleness(replication, &info, now)
+                    .min(NEVER_SEEN_STALENESS_S);
                 staleness_n += 1;
             }
         }

@@ -110,7 +110,7 @@ impl Scenario {
             return (c * n as f64, n);
         }
         let mut sum = 0.0;
-        for info in self.devices.iter().filter(|info| !info.personal) {
+        for info in self.devices().filter(|info| !info.personal) {
             let store = match self
                 .consumer_of_edge
                 .get(info.edge_index)
@@ -157,7 +157,7 @@ impl Scenario {
         let telemetry = SampleTelemetry {
             availability: window.availability(),
             latency_ms: window.mean_latency_ms(),
-            coverage: covered as f64 / self.devices.len().max(1) as f64,
+            coverage: covered as f64 / self.spec.device_count().max(1) as f64,
             freshness_s: (staleness_n > 0).then(|| staleness_sum / staleness_n as f64),
             privacy_violations: violations as f64,
         };

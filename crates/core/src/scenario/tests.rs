@@ -40,12 +40,59 @@ fn build_matches_layout() {
     let spec = small(MaturityLevel::Ml4);
     let scenario = Scenario::build(spec.clone());
     assert_eq!(scenario.devices().len(), 4);
-    assert_eq!(scenario.devices()[0].id, spec.device_id(0, 0));
-    assert!(
-        scenario.devices()[0].personal,
-        "device 0 is personal at every=4"
-    );
-    assert!(!scenario.devices()[1].personal);
+    let devices: Vec<DeviceInfo> = scenario.devices().collect();
+    assert_eq!(devices[0].id, spec.device_id(0, 0));
+    assert!(devices[0].personal, "device 0 is personal at every=4");
+    assert!(!devices[1].personal);
+}
+
+/// What `Scenario::devices` derives from the spec is what the build laid
+/// out: the hierarchy's ids and edges, one run of keys in slot order, and
+/// the sensitivity each device process was given.
+#[test]
+fn derived_devices_match_the_hierarchy_and_the_key_space() {
+    for (edges, per_edge, every) in [
+        (1, 1, 0),
+        (1, 5, 1),
+        (2, 3, 4),
+        (3, 4, 5),
+        (5, 2, 3),
+        (4, 7, 0),
+    ] {
+        let mut spec = small(MaturityLevel::Ml4);
+        (spec.edges, spec.devices_per_edge, spec.personal_every) = (edges, per_edge, every);
+        let shape = format!("{edges} edges x {per_edge}, personal every {every}");
+        let scenario = Scenario::build(spec);
+        let h = &scenario.hierarchy;
+        let devices: Vec<DeviceInfo> = scenario.devices().collect();
+        assert_eq!(devices.len(), edges * per_edge, "{shape}");
+        assert_eq!(
+            scenario.keys().len(),
+            edges * per_edge,
+            "{shape}: no other key"
+        );
+        let placed = h.devices.iter().enumerate();
+        let ids = placed.flat_map(|(e, devs)| devs.iter().map(move |&d| (e, d)));
+        let first = scenario.first_key;
+        for (slot, ((e, id), info)) in ids.zip(&devices).enumerate() {
+            assert_eq!((info.id, info.edge_index), (id, e), "{shape}: slot {slot}");
+            assert_eq!(info.key, first.offset(slot as u32), "{shape}: slot {slot}");
+            assert_eq!(
+                info.key.index(),
+                slot,
+                "{shape}: the run starts the key space"
+            );
+            let Some(world::Node::Device(dev)) = scenario.sim.node(id) else {
+                panic!("{shape}: slot {slot} is not a device");
+            };
+            assert_eq!(dev.slot as usize, slot, "{shape}");
+            assert_eq!(dev.data_key(), info.key, "{shape}: slot {slot}");
+            assert_eq!(dev.current_edge(), h.edges[e], "{shape}: slot {slot}");
+            let personal = dev.sensitivity() == riot_data::Sensitivity::Personal;
+            assert_eq!(info.personal, personal, "{shape}: slot {slot}");
+            assert_eq!(info.personal, every > 0 && slot % every == 0, "{shape}");
+        }
+    }
 }
 
 #[test]

@@ -88,10 +88,12 @@ mod tests {
     use std::mem::size_of;
 
     /// The table's entry is a device and at most a tag word: 10⁵ devices
-    /// cost no more inline than the pointer and box they replaced.
+    /// cost no more inline than the pointer and box they replaced. The tag
+    /// lives in a device field's spare values, so an entry is one line.
     #[test]
     fn a_node_is_a_device_and_at_most_a_word() {
         assert!(size_of::<Node>() <= size_of::<DeviceProcess>() + 8);
+        assert!(size_of::<Node>() <= 64);
         // The edge and the cloud stay behind their boxes: either inline
         // would make an entry at least its own size.
         assert!(size_of::<EdgeProcess>() > size_of::<Node>());

@@ -5,9 +5,9 @@
 //! device, cloned again at edge ingest, and cloned once more per sync
 //! target — with a `BTreeMap<String, _>` walk on every store operation.
 //! A [`KeySpace`] hands out dense ids from one registration-order
-//! sequence: [`KeySpace::mint`] takes the next with no name (the scenario's
-//! device keys, `0..N` in device order), [`KeySpace::intern`] one per
-//! distinct name. After that the hot path moves `Copy` ids and indexes
+//! sequence: [`KeySpace::mint_run`] takes the next `n` with no name (the
+//! scenario's device keys, `0..N` in device order), [`KeySpace::intern`]
+//! one per distinct name. After that the hot path moves `Copy` ids and indexes
 //! slabs directly; nothing maps an id back to a name.
 //!
 //! ## Sharing model
@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// A dense id for one data key, from [`KeySpace::mint`] or
+/// A dense id for one data key, from [`KeySpace::mint_run`] or
 /// [`KeySpace::intern`]. `Copy`; only meaningful to the key space (or
 /// clones of the handle) that minted it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,6 +38,17 @@ impl DataKey {
     #[inline]
     pub fn index(self) -> usize {
         self.0.index()
+    }
+
+    /// The key `by` ids after this one: the `by`-th of a run that
+    /// [`KeySpace::mint_run`] minted from here.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX`, where no key space mints.
+    #[inline]
+    pub fn offset(self, by: u32) -> DataKey {
+        DataKey(self.0.offset(by))
     }
 }
 
@@ -64,10 +75,12 @@ impl KeySpace {
         KeySpace::default()
     }
 
-    /// Returns the next dense id, with no name: no formatting, hashing or
-    /// probing. [`KeySpace::intern`] never returns it.
-    pub fn mint(&self) -> DataKey {
-        DataKey(self.table.borrow_mut().push_unnamed())
+    /// Mints `n` consecutive dense ids with no name and returns the first:
+    /// key `i` of the run is `first.offset(i)`. No formatting, hashing or
+    /// probing, and [`KeySpace::intern`] never returns one of them. The
+    /// scenario's device keys are one run.
+    pub fn mint_run(&self, n: usize) -> DataKey {
+        DataKey(self.table.borrow_mut().push_unnamed_run(n))
     }
 
     /// Returns the key for `name`, minting a fresh dense id on first
@@ -124,10 +137,10 @@ mod tests {
     #[test]
     fn minted_and_interned_keys_share_one_dense_sequence() {
         let ks = KeySpace::new();
-        let m0 = ks.mint();
+        let m0 = ks.mint_run(1);
         let a = ks.intern("a");
-        let m2 = ks.mint();
-        let m3 = ks.mint();
+        let m2 = ks.mint_run(1);
+        let m3 = ks.mint_run(1);
         let b = ks.intern("b");
         assert_eq!(
             [m0, a, m2, m3, b].map(DataKey::index),
@@ -137,14 +150,30 @@ mod tests {
         assert_eq!(ks.len(), 5);
         assert_eq!(ks.intern("a"), a, "intern stays idempotent after mints");
         assert_eq!(ks.intern("b"), b);
-        assert_ne!(ks.mint(), m3, "every mint is fresh");
+        assert_ne!(ks.mint_run(1), m3, "every mint is fresh");
         assert_eq!(ks.len(), 6);
+    }
+
+    #[test]
+    fn a_minted_run_is_consecutive_and_never_interned() {
+        let ks = KeySpace::new();
+        let a = ks.intern("a");
+        let first = ks.mint_run(4);
+        assert_eq!((first.index(), first.offset(3).index()), (1, 4));
+        assert_eq!(ks.len(), 5);
+        assert_eq!(
+            ks.mint_run(1).index(),
+            5,
+            "the sequence goes on after the run"
+        );
+        assert_eq!(ks.intern("a"), a);
+        assert_eq!(ks.intern("").index(), 6, "the run holds no name");
     }
 
     #[test]
     fn intern_never_returns_a_minted_id() {
         let ks = KeySpace::new();
-        let minted: Vec<DataKey> = (0..100).map(|_| ks.mint()).collect();
+        let minted: Vec<DataKey> = (0..100).map(|_| ks.mint_run(1)).collect();
         // Names through several growths of the index, including the empty
         // name and the names the scenario's device keys once had.
         for i in 0..300 {
@@ -166,10 +195,10 @@ mod tests {
         let ks = KeySpace::new();
         let other = ks.clone();
         let k = other.intern("shared");
-        let m = other.mint();
+        let m = other.mint_run(1);
         assert!(ks.same_as(&other));
         assert_eq!(ks.intern("shared"), k, "a clone sees the name");
-        assert_eq!(ks.mint().index(), m.index() + 1, "and the sequence");
+        assert_eq!(ks.mint_run(1).index(), m.index() + 1, "and the sequence");
         assert_eq!(ks.len(), 3);
         assert!(!ks.same_as(&KeySpace::new()));
         assert_eq!(ks, other.clone());

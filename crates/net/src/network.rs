@@ -346,6 +346,31 @@ impl Network {
             self.invalidate();
             return;
         }
+        self.insert_link(a, b, class);
+    }
+
+    /// [`Network::add_link`] for a pair its caller knows is not linked —
+    /// a builder's pair it has not linked yet — without the walk over the
+    /// two adjacency lists that looks for the link to replace. Ids,
+    /// adjacency order and change stamps come out as `add_link`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either endpoint is unknown or `a == b`; debug builds also
+    /// if the two are linked already.
+    pub(crate) fn add_new_link(&mut self, a: ProcessId, b: ProcessId, link: Link) {
+        assert!(a != b, "self-links are not allowed");
+        assert!(
+            a.0 < self.nodes.len() && b.0 < self.nodes.len(),
+            "unknown endpoint"
+        );
+        debug_assert!(self.link_id(a, b).is_none(), "{a} and {b} are linked");
+        let class = self.class_of(link);
+        self.insert_link(a, b, class);
+    }
+
+    /// Links `a` and `b`, which have no link, with parameters `class`.
+    fn insert_link(&mut self, a: ProcessId, b: ProcessId, class: u32) {
         let now = self.tick();
         let slot = LinkSlot {
             ends: [a.0 as u32, b.0 as u32],

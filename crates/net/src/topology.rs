@@ -108,17 +108,20 @@ impl Hierarchy {
                 .map(|_| net.add_node(NodeKind::Device))
                 .collect();
             devices.push(devs);
-            net.add_link(e, cloud, spec.edge_cloud);
+            net.add_new_link(e, cloud, spec.edge_cloud);
         }
+        // Every pair below is linked once, so no add looks for a link to
+        // replace: that walk over two edges' adjacency lists cost O(devices
+        // per edge) for each mesh link.
         for (ei, devs) in devices.iter().enumerate() {
             for &d in devs {
-                net.add_link(d, edges[ei], spec.device_edge);
+                net.add_new_link(d, edges[ei], spec.device_edge);
             }
         }
         if let Some(mesh) = spec.edge_mesh {
             for i in 0..edges.len() {
                 for j in (i + 1)..edges.len() {
-                    net.add_link(edges[i], edges[j], mesh);
+                    net.add_new_link(edges[i], edges[j], mesh);
                 }
             }
         }
@@ -210,6 +213,44 @@ mod tests {
         }
         assert_eq!(h.edge_of(h.devices[1][0]), Some(h.edges[1]));
         assert_eq!(h.edge_of(h.cloud), None);
+    }
+
+    /// The build's adds skip the search for a link to replace, and leave
+    /// the network exactly as `add_link` would: ids, adjacency order,
+    /// change stamps and counters.
+    #[test]
+    fn hierarchy_build_equals_the_same_adds_through_add_link() {
+        for (edges, devices_per_edge, mesh) in [(1, 3, true), (3, 4, true), (4, 2, false)] {
+            let spec = HierarchySpec {
+                edges,
+                devices_per_edge,
+                edge_mesh: mesh.then(presets::edge_edge),
+                ..HierarchySpec::default()
+            };
+            let (built, h) = Hierarchy::build(&spec);
+            let mut net = Network::new();
+            let cloud = net.add_node(NodeKind::Cloud);
+            let es: Vec<ProcessId> = (0..edges).map(|_| net.add_node(NodeKind::Edge)).collect();
+            for &e in &es {
+                for _ in 0..devices_per_edge {
+                    net.add_node(NodeKind::Device);
+                }
+                net.add_link(e, cloud, spec.edge_cloud);
+            }
+            for (e, devs) in h.devices.iter().enumerate() {
+                for &d in devs {
+                    net.add_link(d, es[e], spec.device_edge);
+                }
+            }
+            for i in 0..edges {
+                for j in (i + 1)..edges {
+                    if let Some(mesh) = spec.edge_mesh {
+                        net.add_link(es[i], es[j], mesh);
+                    }
+                }
+            }
+            assert_eq!(format!("{built:?}"), format!("{net:?}"));
+        }
     }
 
     #[test]

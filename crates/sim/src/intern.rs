@@ -55,6 +55,22 @@ impl Symbol {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The symbol `by` ids after this one: the `by`-th of a run that
+    /// [`SymbolTable::push_unnamed_run`] minted from here.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX`, where no table mints.
+    #[inline]
+    pub fn offset(self, by: u32) -> Symbol {
+        assert!(
+            by <= u32::MAX - self.0,
+            "symbol id {} + {by} overflows u32",
+            self.0
+        );
+        Symbol(self.0 + by)
+    }
 }
 
 impl fmt::Debug for Symbol {
@@ -85,14 +101,15 @@ fn fnv1a(name: &str) -> u64 {
 /// This is the generic table under the metrics interner; it is public
 /// so other layers (the data plane's key space) can intern their own
 /// namespaces with the same determinism contract: registration order
-/// mints dense ids, named or not ([`SymbolTable::push_unnamed`]).
+/// mints dense ids, named or not ([`SymbolTable::push_unnamed_run`]).
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     /// Every name, back to back in registration order.
     text: String,
     /// `ends[id]`: where name `id` ends in `text` (it starts where name
-    /// `id - 1` ends).
-    ends: Vec<usize>,
+    /// `id - 1` ends). A `u32` each, since an unnamed id costs one entry
+    /// here and nothing else: `intern` asserts that `text` fits.
+    ends: Vec<u32>,
     /// `id + 1` per occupied slot, 0 for an empty one. Only named ids are
     /// entered. Its length is zero or a power of two at least twice
     /// `named`, so a probe always meets an empty slot.
@@ -151,7 +168,7 @@ impl SymbolTable {
             None => 0,
         };
         let end = self.ends.get(id).copied().unwrap_or(start);
-        self.text.get(start..end).unwrap_or("")
+        self.text.get(start as usize..end as usize).unwrap_or("")
     }
 
     /// Returns the symbol for `name`, minting a fresh dense id on first
@@ -165,9 +182,14 @@ impl SymbolTable {
             self.grow();
             at = self.probe(name).0;
         }
-        let id = self.ends.len() as u32;
+        // The next id, minted once its name is in `text`.
+        let id = self.push_unnamed_run(0).0;
         self.text.push_str(name);
-        self.ends.push(self.text.len());
+        assert!(
+            self.text.len() <= u32::MAX as usize,
+            "interned names overflow u32 offsets"
+        );
+        self.ends.push(self.text.len() as u32);
         self.named += 1;
         if let Some(slot) = self.slots.get_mut(at) {
             *slot = id + 1;
@@ -175,12 +197,17 @@ impl SymbolTable {
         Symbol(id)
     }
 
-    /// Mints the next dense id with no name: no hash, no probe, and no
-    /// `intern` or `get` ever returns it.
-    pub fn push_unnamed(&mut self) -> Symbol {
-        let id = self.ends.len() as u32;
-        self.ends.push(self.text.len());
-        Symbol(id)
+    /// Mints `n` consecutive dense ids with no name and returns the first:
+    /// the run is `first.index()..first.index() + n`. No hash, no probe,
+    /// and no `intern` or `get` ever returns one of them. With `n == 0` it
+    /// mints nothing and returns the id the next mint takes.
+    pub fn push_unnamed_run(&mut self, n: usize) -> Symbol {
+        let first = self.ends.len();
+        // Every id, and the one past the last, fits a `u32`.
+        assert!(first + n < u32::MAX as usize, "symbol ids overflow u32");
+        // An unnamed id's name is empty: it ends where the text does.
+        self.ends.resize(first + n, self.text.len() as u32);
+        Symbol(first as u32)
     }
 
     /// Returns the symbol for `name` if it was ever interned — no
@@ -271,10 +298,10 @@ mod tests {
     #[test]
     fn unnamed_ids_share_the_sequence_and_stay_out_of_the_index() {
         let mut t = SymbolTable::new();
-        assert_eq!(t.push_unnamed().index(), 0);
+        assert_eq!(t.push_unnamed_run(1).index(), 0);
         let a = t.intern("a");
         assert_eq!(a.index(), 1);
-        assert_eq!(t.push_unnamed().index(), 2);
+        assert_eq!(t.push_unnamed_run(1).index(), 2);
         assert_eq!(t.get(""), None, "an unnamed id is not the empty name");
         let empty = t.intern("");
         assert_eq!(empty.index(), 3, "the empty name mints a fresh id");
@@ -282,7 +309,7 @@ mod tests {
             let sym = if i % 3 == 0 {
                 t.intern(&format!("k{i}"))
             } else {
-                t.push_unnamed()
+                t.push_unnamed_run(1)
             };
             assert_eq!(sym.index(), i);
         }
@@ -295,6 +322,31 @@ mod tests {
         );
         assert_eq!(t.get("k998"), None, "998 was minted unnamed");
         assert_eq!(t.name_of_id(999), "k999");
+    }
+
+    /// A run is `n` consecutive unnamed ids, no different from `n` single
+    /// mints: each ends where the text does, and interning goes on after it.
+    #[test]
+    fn a_run_of_unnamed_ids_is_consecutive() {
+        let mut t = SymbolTable::new();
+        let a = t.intern("a");
+        let first = t.push_unnamed_run(5);
+        assert_eq!(first.index(), 1);
+        assert_eq!(first.offset(4).index(), 5);
+        assert_eq!(t.len(), 6);
+        assert_eq!(
+            t.push_unnamed_run(0).index(),
+            6,
+            "an empty run mints nothing"
+        );
+        assert_eq!(t.len(), 6);
+        let b = t.intern("b");
+        assert_eq!(b.index(), 6);
+        assert_eq!(
+            (t.name_of_id(a.0), t.name_of_id(3), t.name_of_id(b.0)),
+            ("a", "", "b")
+        );
+        assert_eq!(t.get(""), None, "the run stays out of the index");
     }
 
     /// Scrambled names with repeats, through several growths of the index,

@@ -14,7 +14,9 @@
 # per-seed table and the median [Q1–Q3] / ratio / wins rows in
 # EXPERIMENTS.md's format (quartiles by the benchmark's own rule, stats.rs
 # `exclusive_quantile`). --record N also writes the run to BENCH_<N>.json
-# at the repository's root (schema below).
+# at the repository's root (schema below); N is a number, or a number and
+# a label such as 47-anchor-bb6b8d6 for a pairing against an older
+# revision than the parent.
 set -euo pipefail
 
 # BENCH_<N>.json, schema 1 (numbers as the runs printed them):
@@ -42,7 +44,7 @@ seeds=(3 7 11 19 23 42 57 101 314 2718)
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
 
 usage() {
-  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -62,7 +64,10 @@ while (($#)); do
 done
 [[ -n "$parent_rev" ]] || usage
 ((pairs >= 1 && pairs <= ${#seeds[@]})) || { echo "--pairs must be 1..${#seeds[@]}" >&2; exit 2; }
-[[ -z "$record" || "$record" =~ ^[0-9]+$ ]] || { echo "--record needs a number" >&2; exit 2; }
+[[ -z "$record" || "$record" =~ ^[0-9]+(-[A-Za-z0-9]+)*$ ]] || {
+  echo "--record needs a number, optionally with -label parts" >&2
+  exit 2
+}
 # The names under BENCHMARK.json's "workloads" array, in file order.
 mapfile -t known < <(sed -n '/"workloads": *\[/,/^ *\]/p' "$root/BENCHMARK.json" |
   grep -o '"name": *"[^"]*"' | sed 's/.*"\([^"]*\)"$/\1/')

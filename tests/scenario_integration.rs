@@ -104,7 +104,7 @@ fn devices_and_layout_agree() {
     let spec = quick_spec(MaturityLevel::Ml3, 5);
     let scenario = Scenario::build(spec.clone());
     assert_eq!(scenario.devices().len(), spec.device_count());
-    for (i, info) in scenario.devices().iter().enumerate() {
+    for (i, info) in scenario.devices().enumerate() {
         let e = i / spec.devices_per_edge;
         let d = i % spec.devices_per_edge;
         assert_eq!(info.id, spec.device_id(e, d));
