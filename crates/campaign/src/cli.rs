@@ -141,17 +141,12 @@ fn check_reproducer(path: &Path, config: &HarnessConfig) -> Result<(), String> {
     let shown = path.display();
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {shown}: {e}"))?;
     let program = CampaignProgram::parse(&text).map_err(|e| format!("{shown}: {e}"))?;
-    if program.expect.is_empty() {
-        return Err(format!(
-            "{shown}: a committed reproducer must expect something"
-        ));
-    }
-    let _ = run_and_check(&program, config).map_err(|e| format!("{shown}: {e}"))?;
     let Some(target) = program.expect.first() else {
         return Err(format!(
             "{shown}: a committed reproducer must expect something"
         ));
     };
+    let _ = run_and_check(&program, config).map_err(|e| format!("{shown}: {e}"))?;
     let again = shrink_to(&program, target, config);
     if again.program != program {
         return Err(format!(
@@ -208,12 +203,25 @@ fn smoke(seed: u64, budget: usize, config: &HarnessConfig) -> Result<(), String>
     Ok(())
 }
 
-fn cmd_fuzz(argv: &[String], config: HarnessConfig) -> Result<(), String> {
-    let mut seed = 7u64;
-    let mut budget = 24usize;
-    let mut out: Option<String> = None;
-    let mut smoke_mode = false;
-    let mut config = config;
+/// The flags of `campaign fuzz`.
+struct FuzzFlags {
+    seed: u64,
+    /// `--budget`, else 24 cases, or 6 under `--smoke` (a cheap gate).
+    budget: usize,
+    out: Option<String>,
+    smoke: bool,
+    config: HarnessConfig,
+}
+
+fn fuzz_flags(argv: &[String], config: HarnessConfig) -> Result<FuzzFlags, String> {
+    let mut flags = FuzzFlags {
+        seed: 7,
+        budget: 0,
+        out: None,
+        smoke: false,
+        config,
+    };
+    let mut budget = None;
     let mut i = 0;
     while let Some(flag) = argv.get(i) {
         let flag = flag.as_str();
@@ -224,32 +232,36 @@ fn cmd_fuzz(argv: &[String], config: HarnessConfig) -> Result<(), String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag {
-            "--seed" => seed = parse_num("--seed", &value(&mut i)?)?,
-            "--budget" => budget = parse_num("--budget", &value(&mut i)?)? as usize,
+            "--seed" => flags.seed = parse_num("--seed", &value(&mut i)?)?,
+            "--budget" => budget = Some(parse_num("--budget", &value(&mut i)?)? as usize),
             "--threads" => {
                 let n = parse_num("--threads", &value(&mut i)?)? as usize;
                 if n == 0 {
                     return Err("--threads must be at least 1".into());
                 }
-                config = config.threads(n);
+                flags.config = flags.config.threads(n);
             }
-            "--out" => out = Some(value(&mut i)?),
-            "--smoke" => smoke_mode = true,
+            "--out" => flags.out = Some(value(&mut i)?),
+            "--smoke" => flags.smoke = true,
             other => return Err(format!("unknown flag '{other}'")),
         }
         i += 1;
     }
-    if budget == 0 {
+    flags.budget = budget.unwrap_or(if flags.smoke { 6 } else { 24 });
+    if flags.budget == 0 {
         return Err("--budget must be at least 1".into());
     }
-    if smoke_mode {
-        // Bounded defaults unless overridden: the gate must stay cheap.
-        let smoke_budget = if budget == 24 { 6 } else { budget };
-        return smoke(seed, smoke_budget, &config);
+    Ok(flags)
+}
+
+fn cmd_fuzz(flags: FuzzFlags) -> Result<(), String> {
+    let config = flags.config;
+    if flags.smoke {
+        return smoke(flags.seed, flags.budget, &config);
     }
 
     let space = weakened_space();
-    let plan = FuzzPlan::new(seed, budget);
+    let plan = FuzzPlan::new(flags.seed, flags.budget);
     let report = fuzz_space(&space, &plan, &config.clone().quiet());
     for case in &report.cases {
         match &case.outcome {
@@ -281,7 +293,7 @@ fn cmd_fuzz(argv: &[String], config: HarnessConfig) -> Result<(), String> {
     let findings = case_findings(first);
     let outcome = shrink_first_finding(&first.case, &findings, &single)?;
     println!("minimal reproducer:\n{}", outcome.program.render());
-    if let Some(path) = &out {
+    if let Some(path) = &flags.out {
         write_out(path, &outcome.program)?;
     }
     Ok(())
@@ -333,7 +345,7 @@ pub fn run_cli(argv: &[String]) -> Result<(), String> {
             Some(file) => cmd_run(file, &config.threads(1).quiet()),
             None => Err("run: missing <file.campaign>".into()),
         },
-        Some("fuzz") => cmd_fuzz(argv.get(1..).unwrap_or(&[]), config),
+        Some("fuzz") => cmd_fuzz(fuzz_flags(argv.get(1..).unwrap_or(&[]), config)?),
         Some("shrink") => cmd_shrink(argv.get(1..).unwrap_or(&[]), &config),
         Some(other) => Err(format!("unknown campaign subcommand '{other}'")),
         None => Err("missing campaign subcommand".into()),
@@ -370,6 +382,20 @@ mod tests {
         assert!(run_and_check(&p, &config)
             .expect("no expectations")
             .is_empty());
+    }
+
+    #[test]
+    fn a_budget_flag_is_kept_under_smoke() {
+        let budget = |s: &str| {
+            let argv: Vec<String> = s.split_whitespace().map(str::to_owned).collect();
+            fuzz_flags(&argv, HarnessConfig::with_threads(1))
+                .expect("valid flags")
+                .budget
+        };
+        assert_eq!(budget(""), 24);
+        assert_eq!(budget("--smoke"), 6);
+        assert_eq!(budget("--smoke --budget 24"), 24);
+        assert_eq!(budget("--budget 3 --smoke"), 3);
     }
 
     #[test]

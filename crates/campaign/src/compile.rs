@@ -32,30 +32,37 @@ fn heal(secs: u64) -> Option<SimDuration> {
     }
 }
 
-/// The last instant, in whole seconds of the run, that compiling `v` for
-/// `edges` × `devices_per_edge` devices reaches: its last event plus that
-/// event's heal. `None` when the sum overflows a `u64` — [`compile`]'s
-/// arithmetic mirrored with checked operations, so that
-/// [`CampaignProgram::validate`](crate::CampaignProgram::validate) can
-/// reject a program whose schedule would not fit the clock.
-///
-/// [`compile`]: Campaign::compile
-pub(crate) fn reach_secs(v: &CampaignVector, edges: usize, devices_per_edge: usize) -> Option<u64> {
+/// What compiling `v` for `edges` × `devices_per_edge` devices commits: the
+/// events [`expand`] emits and the last instant they reach, in whole seconds
+/// (the last event plus its heal, reckoned from the parameters even where
+/// the fleet is too small for any event); `None` when that overflows a
+/// `u64`. `expand`'s arithmetic, checked, so that `CampaignProgram::validate`
+/// can refuse a vector before anything is allocated for it.
+pub(crate) fn extent(
+    v: &CampaignVector,
+    edges: usize,
+    devices_per_edge: usize,
+) -> Option<(u64, u64)> {
     let devices = edges.checked_mul(devices_per_edge)? as u64;
-    // (index of the last event, seconds between events, heal after it)
-    let (last, spacing, heal) = match *v {
+    let edges = edges as u64;
+    let links = |links: u64| links.max(1).min(edges);
+    // (events, index of the last step, seconds between steps, heal after it)
+    let (events, last, spacing, heal) = match *v {
         CampaignVector::Cascade {
             count,
             spacing,
             recover,
             ..
-        } => (count.saturating_sub(1), spacing, recover),
+        } => (count, count.saturating_sub(1), spacing, recover),
         CampaignVector::FirmwareWave {
             batch,
             spacing,
             outage,
             ..
-        } => (devices.saturating_sub(1) / batch.max(1), spacing, outage),
+        } => {
+            let last_wave = devices.saturating_sub(1) / batch.max(1);
+            (devices, last_wave, spacing, outage)
+        }
         CampaignVector::FaultStorm {
             spacing,
             per_edge,
@@ -64,35 +71,36 @@ pub(crate) fn reach_secs(v: &CampaignVector, edges: usize, devices_per_edge: usi
             ..
         } => {
             let room = (devices_per_edge as u64).saturating_sub(offset);
-            let per = per_edge.min(room.div_ceil(stride.max(1)));
-            (
-                (edges as u64).checked_mul(per)?.saturating_sub(1),
-                spacing,
-                0,
-            )
+            let faults = edges.checked_mul(per_edge.min(room.div_ceil(stride.max(1))))?;
+            (faults, faults.saturating_sub(1), spacing, 0)
         }
         CampaignVector::MobilityBurst {
             roamers, spacing, ..
-        } => (roamers.saturating_sub(1), spacing, 0),
-        CampaignVector::JurisdictionFlip { .. } => (0, 0, 0),
-        CampaignVector::CloudBlackout { heal, .. } | CampaignVector::SplitBrain { heal, .. } => {
-            (0, 0, heal)
+        } => {
+            let events = if edges >= 2 { roamers } else { 0 };
+            (events, roamers.saturating_sub(1), spacing, 0)
         }
+        CampaignVector::JurisdictionFlip { .. } => (1, 0, 0, 0),
+        CampaignVector::CloudBlackout { heal, .. } => (1, 0, 0, heal),
+        CampaignVector::SplitBrain { heal, .. } => (u64::from(edges >= 4), 0, 0, heal),
         CampaignVector::Adversary {
             mode: AdversaryMode::Flap,
             factor,
             duration,
+            links: l,
             ..
         } => {
             let cycles = factor.clamp(1, 8);
             let period = (duration / cycles).max(2);
-            (cycles - 1, period, (period / 2).max(1))
+            let cuts = links(l).saturating_mul(cycles);
+            (cuts, cycles - 1, period, (period / 2).max(1))
         }
-        CampaignVector::Adversary { duration, .. } => (0, 0, duration),
+        CampaignVector::Adversary {
+            duration, links: l, ..
+        } => (links(l), 0, 0, duration),
     };
-    v.onset()
-        .checked_add(last.checked_mul(spacing)?)?
-        .checked_add(heal)
+    let reach = v.onset().checked_add(last.checked_mul(spacing)?)?;
+    Some((events, reach.checked_add(heal)?))
 }
 
 /// An ordered, composable disruption campaign.
@@ -573,6 +581,37 @@ mod tests {
             s.events()[1].disruption,
             Disruption::DomainTransfer { .. }
         ));
+    }
+
+    /// `extent` mirrors `expand`: over one vector of every kind, the
+    /// vectors of the first 1 000 case programs (which all validate) and
+    /// each of those with every dimension scaled up, on fleets of every
+    /// size class, it counts exactly the events `compile` emits, and they
+    /// end by the instant it reaches.
+    #[test]
+    fn extent_counts_what_compile_emits() {
+        let space = crate::fuzz::weakened_space();
+        let mut vectors = crate::vector::tests::samples();
+        for seed in 0..1_000 {
+            let p = crate::fuzz::case_program(&space, seed);
+            p.validate().expect("case programs validate");
+            vectors.extend_from_slice(p.campaign.vectors());
+        }
+        for i in 0..vectors.len() {
+            let mut v = vectors[i];
+            for &dim in v.kind().dims {
+                v.set(dim, v.get(dim).unwrap_or(0) * 7 + 1);
+            }
+            vectors.push(v);
+        }
+        for (edges, dpe) in [(1, 1), (2, 3), (3, 2), (4, 2), (5, 7)] {
+            for v in &vectors {
+                let (events, reach) = extent(v, edges, dpe).expect("fits the clock");
+                let s = Campaign::single(*v).compile(&spec(edges, dpe));
+                assert_eq!(events, s.len() as u64, "{v:?} on {edges} × {dpe}");
+                assert!(s.last_at() <= Some(SimTime::from_secs(reach)));
+            }
+        }
     }
 
     #[test]

@@ -225,6 +225,55 @@ mod tests {
         assert_eq!(back, a);
     }
 
+    /// The vectors of the first ten case programs, which draw every kind.
+    /// Pins `generate`'s draw order and, through `case_seed % 3`, that of
+    /// `mutate_in_place`.
+    #[test]
+    fn case_programs_draw_as_pinned() {
+        let space = weakened_space();
+        let drawn: Vec<Vec<String>> = (0..10)
+            .map(|seed| {
+                let rendered = case_program(&space, seed).render();
+                rendered
+                    .lines()
+                    .filter_map(|l| l.strip_prefix("vector "))
+                    .map(str::to_owned)
+                    .collect()
+            })
+            .collect();
+        let pinned: [&[&str]; 10] = [
+            &["split-brain onset=31 heal=7"],
+            &["split-brain onset=36 heal=20"],
+            &["fault-storm onset=27 spacing=5 per-edge=3 stride=1 offset=0"],
+            &[
+                "adversary onset=32 mode=flap factor=11 duration=8 links=2",
+                "adversary onset=44 mode=delay factor=5 duration=24 links=2",
+                "cascade onset=38 count=3 spacing=2 recover=10",
+                "split-brain onset=38 heal=0",
+            ],
+            &["cloud-blackout onset=18 heal=12"],
+            &[
+                "mobility-burst onset=34 roamers=3 spacing=6",
+                "cascade onset=36 count=2 spacing=6 recover=14",
+                "cascade onset=41 count=2 spacing=3 recover=15",
+            ],
+            &["firmware-wave onset=22 batch=2 spacing=4 outage=27"],
+            &[
+                "adversary onset=21 mode=drop factor=14 duration=0 links=1",
+                "firmware-wave onset=35 batch=3 spacing=8 outage=23",
+                "cascade onset=22 count=3 spacing=1 recover=0",
+                "fault-storm onset=30 spacing=4 per-edge=3 stride=3 offset=1",
+            ],
+            &["mobility-burst onset=42 roamers=1 spacing=2"],
+            &[
+                "mobility-burst onset=46 roamers=3 spacing=9",
+                "jurisdiction-flip onset=28 edge=1",
+                "cloud-blackout onset=42 heal=29",
+            ],
+        ];
+        assert_eq!(drawn, pinned);
+    }
+
     #[test]
     fn sweep_is_deterministic_across_worker_counts() {
         let space = weakened_space();

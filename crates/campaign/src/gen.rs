@@ -10,7 +10,7 @@
 
 use crate::compile::Campaign;
 use crate::program::ScenarioParams;
-use crate::vector::{AdversaryMode, CampaignVector, Dim};
+use crate::vector::{CampaignVector, Dim, KINDS, MODES};
 use riot_core::MonitorSpec;
 use riot_sim::SimRng;
 
@@ -75,50 +75,16 @@ fn draw_dim(dim: Dim, space: &CampaignSpace, rng: &mut SimRng) -> u64 {
 
 /// Draws one vector: a uniformly-picked kind with every dimension drawn
 /// from a per-dimension distribution over the space's onset window and
-/// scenario shape.
+/// scenario shape. (The mode is drawn for every kind, first.)
 pub(crate) fn generate_vector(space: &CampaignSpace, rng: &mut SimRng) -> CampaignVector {
-    let mode = match rng.range_u64(0, 3) {
-        0 => AdversaryMode::Delay,
-        1 => AdversaryMode::Drop,
-        _ => AdversaryMode::Flap,
-    };
-    let mut v = match rng.range_u64(0, 8) {
-        0 => CampaignVector::Cascade {
-            onset: 0,
-            count: 1,
-            spacing: 1,
-            recover: 0,
-        },
-        1 => CampaignVector::FirmwareWave {
-            onset: 0,
-            batch: 1,
-            spacing: 1,
-            outage: 0,
-        },
-        2 => CampaignVector::FaultStorm {
-            onset: 0,
-            spacing: 1,
-            per_edge: 1,
-            stride: 1,
-            offset: 0,
-        },
-        3 => CampaignVector::MobilityBurst {
-            onset: 0,
-            roamers: 1,
-            spacing: 1,
-        },
-        4 => CampaignVector::JurisdictionFlip { onset: 0, edge: 0 },
-        5 => CampaignVector::CloudBlackout { onset: 0, heal: 0 },
-        6 => CampaignVector::SplitBrain { onset: 0, heal: 0 },
-        _ => CampaignVector::Adversary {
-            onset: 0,
-            mode,
-            factor: 2,
-            duration: 1,
-            links: 1,
-        },
-    };
-    for &dim in CampaignVector::dims(&v) {
+    let mode = rng.pick(&MODES);
+    let [cascade, ..] = &KINDS;
+    let kind = rng.pick(&KINDS).unwrap_or(cascade);
+    let mut v = kind.template;
+    if let (CampaignVector::Adversary { mode: slot, .. }, Some(&(_, mode))) = (&mut v, mode) {
+        *slot = mode;
+    }
+    for &dim in kind.dims {
         let value = draw_dim(dim, space, rng);
         CampaignVector::set(&mut v, dim, value);
     }
@@ -170,7 +136,7 @@ pub fn mutate_in_place(campaign: &mut Campaign, space: &CampaignSpace, rng: &mut
         1 => {
             let i = rng.range_u64(0, len) as usize;
             if let Some(v) = campaign.vectors_mut().get_mut(i) {
-                let dims = CampaignVector::dims(v);
+                let dims = v.kind().dims;
                 let pick = rng.range_u64(0, dims.len() as u64) as usize;
                 let dim = dims.get(pick).copied().unwrap_or(Dim::Onset);
                 let value = draw_dim(dim, space, rng);
@@ -232,7 +198,7 @@ mod tests {
                     (lo..hi).contains(&onset),
                     "onset {onset} outside [{lo}, {hi})"
                 );
-                for &dim in v.dims() {
+                for &dim in v.kind().dims {
                     let value = v.get(dim).expect("declared dim");
                     assert!(value >= dim.floor(), "{dim:?} below floor: {value}");
                 }
@@ -249,7 +215,7 @@ mod tests {
         let mut rng = SimRng::seed_from(5);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..400 {
-            seen.insert(generate_vector(&sp, &mut rng).kind_name());
+            seen.insert(generate_vector(&sp, &mut rng).kind().name);
         }
         assert_eq!(seen.len(), 8, "all kinds drawn: {seen:?}");
     }

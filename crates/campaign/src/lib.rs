@@ -12,10 +12,12 @@
 //!   blackouts, split-brain partitions, adversarial link interference)
 //!   with timing/intensity/scope dimensions, compiled deterministically
 //!   into [`riot_model::DisruptionSchedule`]s against a
-//!   [`riot_core::ScenarioSpec`]'s node-id layout.
+//!   [`riot_core::ScenarioSpec`]'s node-id layout. Each kind is one row of
+//!   a kind table.
 //! * **Programs** ([`CampaignProgram`]) — a flat, line-oriented text format binding
 //!   a scenario shape, LTL monitor oracles, a campaign and its expected
 //!   findings into one reproducible artifact; `parse(render(p)) == p`.
+//!   Validation refuses a vector past the clock or past 2²⁰ events.
 //! * **Generation & fuzzing** ([`generate`], [`fuzz_space`]) — seeded property-based
 //!   campaign generation and mutation (all entropy through one explicit
 //!   [`riot_sim::SimRng`], lint rule D3) swept through the
@@ -46,4 +48,4 @@ pub use fuzz::{case_program, fuzz_space, run_isolated, weakened_space, Finding};
 pub use gen::{generate, mutate_in_place, CampaignSpace};
 pub use program::{CampaignParseError, CampaignProgram, Expectation, ScenarioParams};
 pub use shrink::{shrink, shrink_to, ShrinkOutcome, ShrinkStats};
-pub use vector::{AdversaryMode, CampaignVector, Dim};
+pub use vector::{AdversaryMode, CampaignVector};

@@ -19,9 +19,14 @@
 //! Parsing and [`CampaignProgram::render`] round-trip exactly:
 //! `parse(render(p)) == p` for every valid program, which the tier-1
 //! regression suite pins.
+//!
+//! Validation refuses a vector whose last event plus its heal passes the
+//! simulation clock, or that expands to more than 2²⁰ events
+//! (`MAX_VECTOR_EVENTS`), counting both from the parameters before
+//! anything is allocated for it.
 
-use crate::compile::{reach_secs, Campaign};
-use crate::vector::{AdversaryMode, CampaignVector, Dim};
+use crate::compile::{extent, Campaign};
+use crate::vector::{CampaignVector, Dim, KINDS, MODES};
 use riot_core::{MonitorSpec, ScenarioSpec};
 use riot_model::MaturityLevel;
 use riot_sim::{SimDuration, SimTime};
@@ -90,7 +95,7 @@ pub enum Expectation {
 }
 
 /// A parsed campaign program. See the module docs for the grammar.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignProgram {
     /// Program name (becomes the scenario name).
     pub name: String,
@@ -105,20 +110,11 @@ pub struct CampaignProgram {
     pub expect: Vec<Expectation>,
 }
 
-impl PartialEq for CampaignProgram {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.scenario == other.scenario
-            && self.campaign == other.campaign
-            && self.expect == other.expect
-            && self.oracles.len() == other.oracles.len()
-            && self
-                .oracles
-                .iter()
-                .zip(&other.oracles)
-                .all(|(a, b)| a.name == b.name && a.formula == b.formula)
-    }
-}
+/// The most events one vector may expand to (2²⁰: one firmware wave over
+/// 10⁶ devices fits). `spec()` compiles every event of a vector before it
+/// clamps the schedule to the run, so a count past this is a units mistake
+/// or hostile input, and validation says so instead of allocating it.
+const MAX_VECTOR_EVENTS: u64 = 1 << 20;
 
 /// A parse or validation error, with the 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,100 +144,29 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, CampaignParseError> 
     })
 }
 
-/// Renders a maturity level as its DSL keyword.
-fn level_keyword(level: MaturityLevel) -> &'static str {
-    match level {
-        MaturityLevel::Ml1 => "ml1",
-        MaturityLevel::Ml2 => "ml2",
-        MaturityLevel::Ml3 => "ml3",
-        MaturityLevel::Ml4 => "ml4",
-    }
+/// The DSL keyword of each maturity level.
+const LEVELS: [(&str, MaturityLevel); 4] = [
+    ("ml1", MaturityLevel::Ml1),
+    ("ml2", MaturityLevel::Ml2),
+    ("ml3", MaturityLevel::Ml3),
+    ("ml4", MaturityLevel::Ml4),
+];
+
+/// The keyword a keyword table gives `value`.
+pub(crate) fn keyword<T: PartialEq>(table: &[(&'static str, T)], value: T) -> &'static str {
+    table
+        .iter()
+        .find(|(_, v)| *v == value)
+        .map_or("", |(k, _)| k)
 }
 
-fn parse_level(s: &str) -> Option<MaturityLevel> {
-    match s {
-        "ml1" => Some(MaturityLevel::Ml1),
-        "ml2" => Some(MaturityLevel::Ml2),
-        "ml3" => Some(MaturityLevel::Ml3),
-        "ml4" => Some(MaturityLevel::Ml4),
-        _ => None,
-    }
+/// The value a keyword table gives `word`.
+pub(crate) fn parse_keyword<T: Copy>(table: &[(&str, T)], word: &str) -> Option<T> {
+    table.iter().find(|(k, _)| *k == word).map(|&(_, v)| v)
 }
 
-/// The canonical `key=value` parameter list of a vector kind, as
-/// `(key, dim)` pairs in render order (after the implicit `onset`).
-fn kind_keys(kind: &str) -> Option<&'static [(&'static str, Dim)]> {
-    match kind {
-        "cascade" => Some(&[
-            ("count", Dim::Count),
-            ("spacing", Dim::Spacing),
-            ("recover", Dim::Heal),
-        ]),
-        "firmware-wave" => Some(&[
-            ("batch", Dim::Count),
-            ("spacing", Dim::Spacing),
-            ("outage", Dim::Heal),
-        ]),
-        "fault-storm" => Some(&[
-            ("spacing", Dim::Spacing),
-            ("per-edge", Dim::Count),
-            ("stride", Dim::Stride),
-            ("offset", Dim::Offset),
-        ]),
-        "mobility-burst" => Some(&[("roamers", Dim::Count), ("spacing", Dim::Spacing)]),
-        "jurisdiction-flip" => Some(&[("edge", Dim::Offset)]),
-        "cloud-blackout" => Some(&[("heal", Dim::Heal)]),
-        "split-brain" => Some(&[("heal", Dim::Heal)]),
-        "adversary" => Some(&[
-            ("factor", Dim::Factor),
-            ("duration", Dim::Heal),
-            ("links", Dim::Links),
-        ]),
-        _ => None,
-    }
-}
-
-/// A zero-valued vector of the named kind (parameters filled in by the
-/// parser through the [`Dim`] lattice).
-fn kind_template(kind: &str, mode: AdversaryMode) -> Option<CampaignVector> {
-    match kind {
-        "cascade" => Some(CampaignVector::Cascade {
-            onset: 0,
-            count: 1,
-            spacing: 0,
-            recover: 0,
-        }),
-        "firmware-wave" => Some(CampaignVector::FirmwareWave {
-            onset: 0,
-            batch: 1,
-            spacing: 0,
-            outage: 0,
-        }),
-        "fault-storm" => Some(CampaignVector::FaultStorm {
-            onset: 0,
-            spacing: 0,
-            per_edge: 1,
-            stride: 1,
-            offset: 0,
-        }),
-        "mobility-burst" => Some(CampaignVector::MobilityBurst {
-            onset: 0,
-            roamers: 1,
-            spacing: 0,
-        }),
-        "jurisdiction-flip" => Some(CampaignVector::JurisdictionFlip { onset: 0, edge: 0 }),
-        "cloud-blackout" => Some(CampaignVector::CloudBlackout { onset: 0, heal: 0 }),
-        "split-brain" => Some(CampaignVector::SplitBrain { onset: 0, heal: 0 }),
-        "adversary" => Some(CampaignVector::Adversary {
-            onset: 0,
-            mode,
-            factor: 1,
-            duration: 0,
-            links: 1,
-        }),
-        _ => None,
-    }
-}
+/// The implicit first key of every vector kind.
+const ONSET: [(&str, Dim); 1] = [("onset", Dim::Onset)];
 
 /// Parses one `key=value` token.
 fn parse_kv(token: &str, line: usize) -> Result<(&str, &str), CampaignParseError> {
@@ -267,7 +192,7 @@ fn parse_vector(rest: &str, line: usize) -> Result<CampaignVector, CampaignParse
     let Some(kind) = tokens.next() else {
         return err(line, "vector: missing kind");
     };
-    let Some(keys) = kind_keys(kind) else {
+    let Some(row) = KINDS.iter().find(|k| k.name == kind) else {
         return err(line, format!("vector: unknown kind '{kind}'"));
     };
     // First pass: pull mode (adversary only) so the template is complete,
@@ -280,7 +205,7 @@ fn parse_vector(rest: &str, line: usize) -> Result<CampaignVector, CampaignParse
             if kind != "adversary" {
                 return err(line, format!("{kind}: 'mode' only applies to adversary"));
             }
-            match AdversaryMode::parse(v) {
+            match parse_keyword(&MODES, v) {
                 Some(m) => mode = Some(m),
                 None => return err(line, format!("mode: unknown '{v}'")),
             }
@@ -288,52 +213,32 @@ fn parse_vector(rest: &str, line: usize) -> Result<CampaignVector, CampaignParse
             assigns.push((k, parse_u64(k, v, line)?));
         }
     }
-    if kind == "adversary" && mode.is_none() {
-        return err(line, "adversary: missing mode=delay|drop|flap");
+    let mut vector = row.template;
+    if let CampaignVector::Adversary { mode: slot, .. } = &mut vector {
+        let Some(m) = mode else {
+            return err(line, "adversary: missing mode=delay|drop|flap");
+        };
+        *slot = m;
     }
-    let Some(mut vector) = kind_template(kind, mode.unwrap_or(AdversaryMode::Delay)) else {
-        return err(line, format!("vector: unknown kind '{kind}'"));
-    };
-    let mut seen_onset = false;
     let mut seen = [false; 8];
     for (k, n) in assigns {
-        if k == "onset" {
-            if seen_onset {
-                return err(line, "duplicate key 'onset'");
-            }
-            seen_onset = true;
-            vector.set(Dim::Onset, n);
-            if vector.get(Dim::Onset) != Some(n) {
-                return err(line, format!("onset: {n} out of range"));
-            }
-            continue;
-        }
-        let mut found = None;
-        for ((key, dim), flag) in keys.iter().zip(seen.iter_mut()) {
-            if *key == k {
-                found = Some((*dim, flag));
-                break;
-            }
-        }
-        let Some((dim, flag)) = found else {
+        let mut keys = ONSET.iter().chain(row.keys).zip(seen.iter_mut());
+        let Some((&(_, dim), flag)) = keys.find(|((key, _), _)| *key == k) else {
             return err(line, format!("{kind}: unknown key '{k}'"));
         };
         if *flag {
             return err(line, format!("duplicate key '{k}'"));
         }
         *flag = true;
-        vector.set(dim, n);
-        if vector.get(dim) != Some(n) {
+        if n < dim.floor() {
             return err(
                 line,
                 format!("{k}: {n} below the minimum of {}", dim.floor()),
             );
         }
+        vector.set(dim, n);
     }
-    if !seen_onset {
-        return err(line, format!("{kind}: missing key 'onset'"));
-    }
-    for ((key, _), flag) in keys.iter().zip(seen.iter()) {
+    for ((key, _), flag) in ONSET.iter().chain(row.keys).zip(&seen) {
         if !*flag {
             return err(line, format!("{kind}: missing key '{key}'"));
         }
@@ -407,7 +312,7 @@ impl CampaignProgram {
                     for token in rest.split_whitespace() {
                         let (k, v) = parse_kv(token, lineno)?;
                         match k {
-                            "level" => match parse_level(v) {
+                            "level" => match parse_keyword(&LEVELS, v) {
                                 Some(l) => scenario.level = l,
                                 None => return err(lineno, format!("level: unknown '{v}'")),
                             },
@@ -495,13 +400,19 @@ impl CampaignProgram {
         }
         let (edges, devices) = (self.scenario.edges, self.scenario.devices_per_edge);
         for v in self.campaign.vectors() {
-            if !reach_secs(v, edges, devices).is_some_and(fits) {
+            let kind = v.kind().name;
+            let Some((events, _)) = extent(v, edges, devices).filter(|&(_, reach)| fits(reach))
+            else {
                 return err(
                     0,
-                    format!(
-                        "vector {}: its schedule runs past the simulation clock",
-                        v.kind_name()
-                    ),
+                    format!("vector {kind}: its schedule runs past the simulation clock"),
+                );
+            };
+            if events > MAX_VECTOR_EVENTS {
+                let most = MAX_VECTOR_EVENTS;
+                return err(
+                    0,
+                    format!("vector {kind}: {events} events exceed the maximum of {most}"),
                 );
             }
         }
@@ -524,7 +435,7 @@ impl CampaignProgram {
         let _ = writeln!(
             out,
             "scenario level={} edges={} devices={} duration={} warmup={} seed={}",
-            level_keyword(s.level),
+            keyword(&LEVELS, s.level),
             s.edges,
             s.devices_per_edge,
             s.duration_s,
@@ -535,15 +446,14 @@ impl CampaignProgram {
             let _ = writeln!(out, "oracle {} \"{}\"", m.name, m.formula);
         }
         for v in self.campaign.vectors() {
-            let _ = write!(out, "vector {} onset={}", v.kind_name(), v.onset());
-            if let CampaignVector::Adversary { mode, .. } = v {
-                let _ = write!(out, " mode={}", mode.name());
+            let kind = v.kind();
+            let _ = write!(out, "vector {} onset={}", kind.name, v.onset());
+            if let CampaignVector::Adversary { mode, .. } = *v {
+                let _ = write!(out, " mode={}", keyword(&MODES, mode));
             }
-            if let Some(keys) = kind_keys(v.kind_name()) {
-                for (key, dim) in keys {
-                    if let Some(value) = v.get(*dim) {
-                        let _ = write!(out, " {key}={value}");
-                    }
+            for &(key, dim) in kind.keys {
+                if let Some(value) = v.get(dim) {
+                    let _ = write!(out, " {key}={value}");
                 }
             }
             let _ = writeln!(out);
@@ -577,6 +487,7 @@ impl CampaignProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::AdversaryMode;
     use riot_sim::SimRng;
 
     const EXAMPLE: &str = r#"
@@ -622,6 +533,34 @@ expect violated coverage_safe
         let back = CampaignProgram::parse(&rendered).expect("round-trip parses");
         assert_eq!(back, p);
         assert_eq!(back.render(), rendered, "render is a fixpoint");
+    }
+
+    /// One vector of every kind renders to this text: the DSL keyword,
+    /// `onset`, the adversary's `mode`, then each kind's keys in order.
+    #[test]
+    fn one_vector_of_every_kind_renders_as_pinned() {
+        let mut p = CampaignProgram::new("kinds");
+        for v in crate::vector::tests::samples() {
+            p.campaign.push(v);
+        }
+        let rendered = p.render();
+        let vectors: Vec<&str> = rendered
+            .lines()
+            .filter(|l| l.starts_with("vector "))
+            .collect();
+        assert_eq!(
+            vectors,
+            [
+                "vector cascade onset=40 count=2 spacing=5 recover=20",
+                "vector firmware-wave onset=30 batch=3 spacing=4 outage=6",
+                "vector fault-storm onset=62 spacing=1 per-edge=3 stride=2 offset=1",
+                "vector mobility-burst onset=40 roamers=4 spacing=10",
+                "vector jurisdiction-flip onset=45 edge=0",
+                "vector cloud-blackout onset=40 heal=25",
+                "vector split-brain onset=80 heal=15",
+                "vector adversary onset=20 mode=flap factor=4 duration=16 links=2",
+            ]
+        );
     }
 
     #[test]
@@ -832,6 +771,55 @@ expect violated coverage_safe
             let p = CampaignProgram::parse(&program(&body)).expect(&body);
             let spec = p.spec();
             p.campaign.compile(&spec);
+        }
+    }
+
+    /// Hostile input: a vector that would expand to more than 2²⁰ events is
+    /// a validation error on line 0, found by counting them, so `parse`
+    /// never allocates them; an expansion at the bound parses.
+    #[test]
+    fn expansions_past_the_event_bound_are_rejected() {
+        let huge = 1_000_000_000_000_000_000u64;
+        let over = (1u64 << 20) + 1;
+        // 2 × 10⁶ devices is a fleet the kernel can number.
+        let fleet = |edges: u64| {
+            format!("campaign \"big\"\nscenario edges={edges} devices=1000 duration=60 warmup=10")
+        };
+        for (edges, vector) in [
+            (
+                2,
+                format!("cascade onset=20 count={huge} spacing=0 recover=0"),
+            ),
+            (
+                2_000,
+                format!("cascade onset=20 count={over} spacing=0 recover=0"),
+            ),
+            (
+                2,
+                format!("mobility-burst onset=20 roamers={huge} spacing=0"),
+            ),
+            (
+                2_000,
+                "firmware-wave onset=20 batch=1 spacing=0 outage=0".to_owned(),
+            ),
+        ] {
+            let text = format!("{}\nvector {vector}", fleet(edges));
+            let e = CampaignProgram::parse(&text).expect_err(&vector);
+            assert_eq!(e.line, 0, "{vector}: {e}");
+            assert!(e.to_string().contains("events"), "{vector}: {e}");
+        }
+        for (edges, vector) in [
+            (
+                2,
+                format!("cascade onset=20 count={} spacing=0 recover=0", over - 1),
+            ),
+            (
+                1_000,
+                "firmware-wave onset=20 batch=1 spacing=0 outage=0".to_owned(),
+            ),
+        ] {
+            let text = format!("{}\nvector {vector}", fleet(edges));
+            CampaignProgram::parse(&text).expect(&vector);
         }
     }
 

@@ -10,7 +10,8 @@
 //!    down to the smallest value that still fails.
 //! 3. **Latest onset** — per surviving vector, binary-search the onset
 //!    *up* toward the end of the run, so the reproducer shows the shortest
-//!    prefix that matters.
+//!    prefix that matters. This is pass 2's search reflected about the run's
+//!    horizon (`Shrinker::bisect`).
 //!
 //! The three passes repeat until a full round changes nothing, so the
 //! output is a fixpoint: shrinking a shrunk program returns it unchanged —
@@ -82,9 +83,16 @@ impl Shrinker<'_> {
         changed
     }
 
-    /// Binary-searches dimension `dim` of vector `index` down to the
-    /// smallest still-failing value. Precondition: `program` fails.
-    fn minimize_dim(&mut self, program: &mut CampaignProgram, index: usize, dim: Dim) -> bool {
+    /// Bisects dimension `dim` of vector `index` of failing `program` down to
+    /// its smallest still-failing value or, reflected about the run's
+    /// `horizon` when given one, up to the latest still-failing value below.
+    fn bisect(
+        &mut self,
+        program: &mut CampaignProgram,
+        index: usize,
+        dim: Dim,
+        horizon: Option<u64>,
+    ) -> bool {
         let Some(current) = program
             .campaign
             .vectors()
@@ -93,13 +101,18 @@ impl Shrinker<'_> {
         else {
             return false;
         };
-        let mut lo = dim.floor();
-        let mut hi = current;
+        // The search runs over `x`; the dimension holds `value(x)`.
+        let value = |x: u64| horizon.map_or(x, |h| h - x);
+        let (mut lo, mut hi) = match horizon {
+            None => (dim.floor(), current),
+            Some(h) if current < h => (0, h - current),
+            Some(_) => return false,
+        };
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let mut candidate = program.clone();
             if let Some(v) = candidate.campaign.vectors_mut().get_mut(index) {
-                v.set(dim, mid);
+                v.set(dim, value(mid));
             }
             if self.still_fails(&candidate) {
                 hi = mid;
@@ -109,40 +122,9 @@ impl Shrinker<'_> {
         }
         // `lo` is known-failing: either the original value or a tested mid.
         if let Some(v) = program.campaign.vectors_mut().get_mut(index) {
-            v.set(dim, lo);
+            v.set(dim, value(lo));
         }
-        lo != current
-    }
-
-    /// Binary-searches vector `index`'s onset *up* toward the latest
-    /// still-failing value below the run horizon.
-    fn defer_onset(&mut self, program: &mut CampaignProgram, index: usize) -> bool {
-        let Some(current) = program.campaign.vectors().get(index).map(|v| v.onset()) else {
-            return false;
-        };
-        let horizon = program.scenario.duration_s.saturating_sub(1);
-        if current >= horizon {
-            return false;
-        }
-        let mut lo = current;
-        let mut hi = horizon;
-        while lo < hi {
-            // Ceiling midpoint: probe the later half first.
-            let mid = lo + (hi - lo).div_ceil(2);
-            let mut candidate = program.clone();
-            if let Some(v) = candidate.campaign.vectors_mut().get_mut(index) {
-                v.set(Dim::Onset, mid);
-            }
-            if self.still_fails(&candidate) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        if let Some(v) = program.campaign.vectors_mut().get_mut(index) {
-            v.set(Dim::Onset, lo);
-        }
-        lo != current
+        value(lo) != current
     }
 
     fn run(mut self) -> ShrinkOutcome {
@@ -153,17 +135,19 @@ impl Shrinker<'_> {
             self.stats.rounds += 1;
             let mut changed = self.remove_vectors(&mut program);
             for index in 0..program.campaign.len() {
-                let Some(dims) = program.campaign.vectors().get(index).map(|v| v.dims()) else {
+                let Some(dims) = program.campaign.vectors().get(index).map(|v| v.kind().dims)
+                else {
                     continue;
                 };
                 for &dim in dims {
                     if dim.is_intensity() {
-                        changed |= self.minimize_dim(&mut program, index, dim);
+                        changed |= self.bisect(&mut program, index, dim, None);
                     }
                 }
             }
+            let horizon = program.scenario.duration_s.saturating_sub(1);
             for index in 0..program.campaign.len() {
-                changed |= self.defer_onset(&mut program, index);
+                changed |= self.bisect(&mut program, index, Dim::Onset, Some(horizon));
             }
             if !changed {
                 break;
@@ -268,8 +252,28 @@ mod tests {
             outcome.stats
         );
         assert!(p.campaign.len() <= 2, "kernel only: {:?}", p.campaign);
-        let kinds: Vec<&str> = p.campaign.vectors().iter().map(|v| v.kind_name()).collect();
+        let kinds: Vec<&str> = p.campaign.vectors().iter().map(|v| v.kind().name).collect();
         assert!(kinds.contains(&"fault-storm"), "{kinds:?}");
+        // The reproducer and the probe count pin both bisections' search
+        // order: per-edge 3 → 1 down, onset 20 → 46 up.
+        assert_eq!(
+            p.campaign.vectors(),
+            [CampaignVector::FaultStorm {
+                onset: 46,
+                spacing: 1,
+                per_edge: 1,
+                stride: 1,
+                offset: 0,
+            }]
+        );
+        assert_eq!(
+            outcome.stats,
+            ShrinkStats {
+                evals: 14,
+                removed_vectors: 3,
+                rounds: 2
+            }
+        );
         // The minimal program still produces the target.
         let replay = crate::fuzz::run_isolated(p, &config());
         assert!(replay.iter().any(|f| f.matches(&p.expect[0])));

@@ -8,8 +8,13 @@
 //! deterministic node-id layout (see `riot_core::ScenarioSpec`). Every
 //! field is a plain scalar, so vectors are `Copy`, comparable, and can be
 //! mutated and shrunk dimension-by-dimension through the [`Dim`] lattice
-//! without allocation — both the mutator and the delta-debugging shrinker
-//! are declared hot roots in `lint-hotpaths.toml`.
+//! without allocation — the mutator and the compiler are declared hot
+//! roots in `lint-hotpaths.toml`.
+//!
+//! A kind is declared once, as a row of [`KINDS`]: its DSL keyword, its
+//! parameters, its dimensions and its template. Beside the row, a kind
+//! has one arm in each of [`CampaignVector::field`] and `compile.rs`'s
+//! `expand` and `extent`.
 
 /// How the adversary interferes with edge↔cloud links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,26 +30,13 @@ pub enum AdversaryMode {
     Flap,
 }
 
-impl AdversaryMode {
-    /// The DSL keyword for this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            AdversaryMode::Delay => "delay",
-            AdversaryMode::Drop => "drop",
-            AdversaryMode::Flap => "flap",
-        }
-    }
-
-    /// Parses a DSL keyword.
-    pub fn parse(s: &str) -> Option<AdversaryMode> {
-        match s {
-            "delay" => Some(AdversaryMode::Delay),
-            "drop" => Some(AdversaryMode::Drop),
-            "flap" => Some(AdversaryMode::Flap),
-            _ => None,
-        }
-    }
-}
+/// The DSL keyword of each [`AdversaryMode`], in the order `generate`
+/// draws them.
+pub(crate) const MODES: [(&str, AdversaryMode); 3] = [
+    ("delay", AdversaryMode::Delay),
+    ("drop", AdversaryMode::Drop),
+    ("flap", AdversaryMode::Flap),
+];
 
 /// One composable disruption pattern. All times are in whole virtual
 /// seconds; `onset` is absolute run time, every other time parameter is
@@ -151,7 +143,7 @@ pub enum CampaignVector {
 /// (`Count`, `Factor`, `Links`) shrink *down* toward their minimum, and
 /// the remaining dimensions are mutation-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dim {
+pub(crate) enum Dim {
     /// Absolute onset time (s). Shrink direction: later.
     Onset,
     /// Primary intensity count (crashes, batch size, faults per edge,
@@ -175,7 +167,7 @@ pub enum Dim {
 
 impl Dim {
     /// The smallest meaningful value of this dimension.
-    pub fn floor(self) -> u64 {
+    pub(crate) fn floor(self) -> u64 {
         match self {
             Dim::Count | Dim::Factor | Dim::Links | Dim::Stride => 1,
             Dim::Onset | Dim::Spacing | Dim::Heal | Dim::Offset => 0,
@@ -183,128 +175,176 @@ impl Dim {
     }
 
     /// `true` for the dimensions the shrinker minimizes.
-    pub fn is_intensity(self) -> bool {
+    pub(crate) fn is_intensity(self) -> bool {
         matches!(self, Dim::Count | Dim::Factor | Dim::Links)
     }
 }
 
+/// One vector kind: everything about it but the arithmetic (see the
+/// module docs).
+pub(crate) struct Kind {
+    /// The DSL keyword.
+    pub(crate) name: &'static str,
+    /// The `key=value` parameters after the implicit `onset`, in render
+    /// order.
+    pub(crate) keys: &'static [(&'static str, Dim)],
+    /// The dimensions, `Onset` first, in the order `generate` draws them
+    /// and `mutate_in_place` picks among them. Static per kind, so walking
+    /// the lattice never allocates.
+    pub(crate) dims: &'static [Dim],
+    /// The kind with every dimension at its floor (and the adversary in
+    /// `delay` mode): the parser and the generator fill it in.
+    pub(crate) template: CampaignVector,
+}
+
+/// Every vector kind, in declaration order (the order `generate` draws
+/// them). Only the fault storm renders its keys in another order than it
+/// draws its dimensions.
+#[rustfmt::skip]
+pub(crate) static KINDS: [Kind; 8] = {
+    use CampaignVector as V;
+    use Dim::{Count, Factor, Heal, Links, Offset, Onset, Spacing, Stride};
+    [
+        Kind {
+            name: "cascade",
+            keys: &[("count", Count), ("spacing", Spacing), ("recover", Heal)],
+            dims: &[Onset, Count, Spacing, Heal],
+            template: V::Cascade { onset: 0, count: 1, spacing: 0, recover: 0 },
+        },
+        Kind {
+            name: "firmware-wave",
+            keys: &[("batch", Count), ("spacing", Spacing), ("outage", Heal)],
+            dims: &[Onset, Count, Spacing, Heal],
+            template: V::FirmwareWave { onset: 0, batch: 1, spacing: 0, outage: 0 },
+        },
+        Kind {
+            name: "fault-storm",
+            keys: &[
+                ("spacing", Spacing), ("per-edge", Count), ("stride", Stride), ("offset", Offset),
+            ],
+            dims: &[Onset, Count, Spacing, Stride, Offset],
+            template: V::FaultStorm { onset: 0, spacing: 0, per_edge: 1, stride: 1, offset: 0 },
+        },
+        Kind {
+            name: "mobility-burst",
+            keys: &[("roamers", Count), ("spacing", Spacing)],
+            dims: &[Onset, Count, Spacing],
+            template: V::MobilityBurst { onset: 0, roamers: 1, spacing: 0 },
+        },
+        Kind {
+            name: "jurisdiction-flip",
+            keys: &[("edge", Offset)],
+            dims: &[Onset, Offset],
+            template: V::JurisdictionFlip { onset: 0, edge: 0 },
+        },
+        Kind {
+            name: "cloud-blackout",
+            keys: &[("heal", Heal)],
+            dims: &[Onset, Heal],
+            template: V::CloudBlackout { onset: 0, heal: 0 },
+        },
+        Kind {
+            name: "split-brain",
+            keys: &[("heal", Heal)],
+            dims: &[Onset, Heal],
+            template: V::SplitBrain { onset: 0, heal: 0 },
+        },
+        Kind {
+            name: "adversary",
+            keys: &[("factor", Factor), ("duration", Heal), ("links", Links)],
+            dims: &[Onset, Factor, Heal, Links],
+            template: V::Adversary {
+                onset: 0, mode: AdversaryMode::Delay, factor: 1, duration: 0, links: 1,
+            },
+        },
+    ]
+};
+
 impl CampaignVector {
-    /// The DSL keyword naming this vector kind.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            CampaignVector::Cascade { .. } => "cascade",
-            CampaignVector::FirmwareWave { .. } => "firmware-wave",
-            CampaignVector::FaultStorm { .. } => "fault-storm",
-            CampaignVector::MobilityBurst { .. } => "mobility-burst",
-            CampaignVector::JurisdictionFlip { .. } => "jurisdiction-flip",
-            CampaignVector::CloudBlackout { .. } => "cloud-blackout",
-            CampaignVector::SplitBrain { .. } => "split-brain",
-            CampaignVector::Adversary { .. } => "adversary",
-        }
+    /// This vector's row of [`KINDS`]: the row whose template is of the
+    /// same kind.
+    pub(crate) fn kind(&self) -> &'static Kind {
+        let same = |k: &&Kind| std::mem::discriminant(&k.template) == std::mem::discriminant(self);
+        let [cascade, ..] = &KINDS;
+        KINDS.iter().find(same).unwrap_or(cascade)
     }
 
-    /// The dimensions this kind exposes, in canonical order (`Onset`
-    /// first). Static per kind, so walking the lattice never allocates.
-    pub fn dims(&self) -> &'static [Dim] {
-        match self {
-            CampaignVector::Cascade { .. } => &[Dim::Onset, Dim::Count, Dim::Spacing, Dim::Heal],
-            CampaignVector::FirmwareWave { .. } => {
-                &[Dim::Onset, Dim::Count, Dim::Spacing, Dim::Heal]
-            }
-            CampaignVector::FaultStorm { .. } => &[
+    /// The field holding one dimension; `None` when this kind does not
+    /// carry it.
+    fn field(&mut self, dim: Dim) -> Option<&mut u64> {
+        use CampaignVector as V;
+        Some(match (self, dim) {
+            (
+                V::Cascade { onset, .. }
+                | V::FirmwareWave { onset, .. }
+                | V::FaultStorm { onset, .. }
+                | V::MobilityBurst { onset, .. }
+                | V::JurisdictionFlip { onset, .. }
+                | V::CloudBlackout { onset, .. }
+                | V::SplitBrain { onset, .. }
+                | V::Adversary { onset, .. },
                 Dim::Onset,
+            ) => onset,
+            (
+                V::Cascade { count: n, .. }
+                | V::FirmwareWave { batch: n, .. }
+                | V::FaultStorm { per_edge: n, .. }
+                | V::MobilityBurst { roamers: n, .. },
                 Dim::Count,
+            ) => n,
+            (
+                V::Cascade { spacing, .. }
+                | V::FirmwareWave { spacing, .. }
+                | V::FaultStorm { spacing, .. }
+                | V::MobilityBurst { spacing, .. },
                 Dim::Spacing,
-                Dim::Stride,
+            ) => spacing,
+            (
+                V::Cascade { recover: h, .. }
+                | V::FirmwareWave { outage: h, .. }
+                | V::CloudBlackout { heal: h, .. }
+                | V::SplitBrain { heal: h, .. }
+                | V::Adversary { duration: h, .. },
+                Dim::Heal,
+            ) => h,
+            (V::FaultStorm { stride, .. }, Dim::Stride) => stride,
+            (
+                V::FaultStorm { offset: i, .. } | V::JurisdictionFlip { edge: i, .. },
                 Dim::Offset,
-            ],
-            CampaignVector::MobilityBurst { .. } => &[Dim::Onset, Dim::Count, Dim::Spacing],
-            CampaignVector::JurisdictionFlip { .. } => &[Dim::Onset, Dim::Offset],
-            CampaignVector::CloudBlackout { .. } => &[Dim::Onset, Dim::Heal],
-            CampaignVector::SplitBrain { .. } => &[Dim::Onset, Dim::Heal],
-            CampaignVector::Adversary { .. } => &[Dim::Onset, Dim::Factor, Dim::Heal, Dim::Links],
-        }
+            ) => i,
+            (V::Adversary { factor, .. }, Dim::Factor) => factor,
+            (V::Adversary { links, .. }, Dim::Links) => links,
+            _ => return None,
+        })
     }
 
     /// Reads one dimension; `None` when this kind does not carry it.
-    pub fn get(&self, dim: Dim) -> Option<u64> {
-        match (self, dim) {
-            (CampaignVector::Cascade { onset, .. }, Dim::Onset)
-            | (CampaignVector::FirmwareWave { onset, .. }, Dim::Onset)
-            | (CampaignVector::FaultStorm { onset, .. }, Dim::Onset)
-            | (CampaignVector::MobilityBurst { onset, .. }, Dim::Onset)
-            | (CampaignVector::JurisdictionFlip { onset, .. }, Dim::Onset)
-            | (CampaignVector::CloudBlackout { onset, .. }, Dim::Onset)
-            | (CampaignVector::SplitBrain { onset, .. }, Dim::Onset)
-            | (CampaignVector::Adversary { onset, .. }, Dim::Onset) => Some(*onset),
-            (CampaignVector::Cascade { count, .. }, Dim::Count) => Some(*count),
-            (CampaignVector::Cascade { spacing, .. }, Dim::Spacing) => Some(*spacing),
-            (CampaignVector::Cascade { recover, .. }, Dim::Heal) => Some(*recover),
-            (CampaignVector::FirmwareWave { batch, .. }, Dim::Count) => Some(*batch),
-            (CampaignVector::FirmwareWave { spacing, .. }, Dim::Spacing) => Some(*spacing),
-            (CampaignVector::FirmwareWave { outage, .. }, Dim::Heal) => Some(*outage),
-            (CampaignVector::FaultStorm { per_edge, .. }, Dim::Count) => Some(*per_edge),
-            (CampaignVector::FaultStorm { spacing, .. }, Dim::Spacing) => Some(*spacing),
-            (CampaignVector::FaultStorm { stride, .. }, Dim::Stride) => Some(*stride),
-            (CampaignVector::FaultStorm { offset, .. }, Dim::Offset) => Some(*offset),
-            (CampaignVector::MobilityBurst { roamers, .. }, Dim::Count) => Some(*roamers),
-            (CampaignVector::MobilityBurst { spacing, .. }, Dim::Spacing) => Some(*spacing),
-            (CampaignVector::JurisdictionFlip { edge, .. }, Dim::Offset) => Some(*edge),
-            (CampaignVector::CloudBlackout { heal, .. }, Dim::Heal) => Some(*heal),
-            (CampaignVector::SplitBrain { heal, .. }, Dim::Heal) => Some(*heal),
-            (CampaignVector::Adversary { factor, .. }, Dim::Factor) => Some(*factor),
-            (CampaignVector::Adversary { duration, .. }, Dim::Heal) => Some(*duration),
-            (CampaignVector::Adversary { links, .. }, Dim::Links) => Some(*links),
-            _ => None,
-        }
+    pub(crate) fn get(&self, dim: Dim) -> Option<u64> {
+        let mut v = *self;
+        v.field(dim).copied()
     }
 
     /// Writes one dimension, clamping to [`Dim::floor`]. A dimension this
     /// kind does not carry is ignored.
-    pub fn set(&mut self, dim: Dim, value: u64) {
-        let value = value.max(dim.floor());
-        match (self, dim) {
-            (CampaignVector::Cascade { onset, .. }, Dim::Onset)
-            | (CampaignVector::FirmwareWave { onset, .. }, Dim::Onset)
-            | (CampaignVector::FaultStorm { onset, .. }, Dim::Onset)
-            | (CampaignVector::MobilityBurst { onset, .. }, Dim::Onset)
-            | (CampaignVector::JurisdictionFlip { onset, .. }, Dim::Onset)
-            | (CampaignVector::CloudBlackout { onset, .. }, Dim::Onset)
-            | (CampaignVector::SplitBrain { onset, .. }, Dim::Onset)
-            | (CampaignVector::Adversary { onset, .. }, Dim::Onset) => *onset = value,
-            (CampaignVector::Cascade { count, .. }, Dim::Count) => *count = value,
-            (CampaignVector::Cascade { spacing, .. }, Dim::Spacing) => *spacing = value,
-            (CampaignVector::Cascade { recover, .. }, Dim::Heal) => *recover = value,
-            (CampaignVector::FirmwareWave { batch, .. }, Dim::Count) => *batch = value,
-            (CampaignVector::FirmwareWave { spacing, .. }, Dim::Spacing) => *spacing = value,
-            (CampaignVector::FirmwareWave { outage, .. }, Dim::Heal) => *outage = value,
-            (CampaignVector::FaultStorm { per_edge, .. }, Dim::Count) => *per_edge = value,
-            (CampaignVector::FaultStorm { spacing, .. }, Dim::Spacing) => *spacing = value,
-            (CampaignVector::FaultStorm { stride, .. }, Dim::Stride) => *stride = value,
-            (CampaignVector::FaultStorm { offset, .. }, Dim::Offset) => *offset = value,
-            (CampaignVector::MobilityBurst { roamers, .. }, Dim::Count) => *roamers = value,
-            (CampaignVector::MobilityBurst { spacing, .. }, Dim::Spacing) => *spacing = value,
-            (CampaignVector::JurisdictionFlip { edge, .. }, Dim::Offset) => *edge = value,
-            (CampaignVector::CloudBlackout { heal, .. }, Dim::Heal) => *heal = value,
-            (CampaignVector::SplitBrain { heal, .. }, Dim::Heal) => *heal = value,
-            (CampaignVector::Adversary { factor, .. }, Dim::Factor) => *factor = value,
-            (CampaignVector::Adversary { duration, .. }, Dim::Heal) => *duration = value,
-            (CampaignVector::Adversary { links, .. }, Dim::Links) => *links = value,
-            _ => {}
+    pub(crate) fn set(&mut self, dim: Dim, value: u64) {
+        if let Some(field) = self.field(dim) {
+            *field = value.max(dim.floor());
         }
     }
 
     /// The absolute onset (every kind carries one).
-    pub fn onset(&self) -> u64 {
+    pub(crate) fn onset(&self) -> u64 {
         self.get(Dim::Onset).unwrap_or(0)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::program::{keyword, parse_keyword};
 
-    fn samples() -> Vec<CampaignVector> {
+    /// One vector of every kind, in declaration order.
+    pub(crate) fn samples() -> Vec<CampaignVector> {
         vec![
             CampaignVector::Cascade {
                 onset: 40,
@@ -351,12 +391,23 @@ mod tests {
 
     #[test]
     fn every_kind_exposes_onset_and_round_trips_dims() {
-        for mut v in samples() {
+        for (mut v, row) in samples().into_iter().zip(&KINDS) {
+            // The lookup finds the vector's own row, and the row is whole:
+            // the template is of its kind and at every floor, and the keys
+            // are the dimensions after `Onset`, in some order.
+            assert!(std::ptr::eq(v.kind(), row) && std::ptr::eq(row.template.kind(), row));
+            assert_eq!(row.dims.first(), Some(&Dim::Onset));
+            let mut keyed: Vec<Dim> = row.keys.iter().map(|&(_, dim)| dim).collect();
+            for &dim in row.dims {
+                assert_eq!(row.template.get(dim), Some(dim.floor()), "{}", row.name);
+                keyed.retain(|&k| k != dim);
+            }
+            assert!(keyed.is_empty() && row.keys.len() + 1 == row.dims.len());
             assert_eq!(v.get(Dim::Onset), Some(v.onset()));
-            for &dim in v.dims() {
+            for &dim in row.dims {
                 let read = v.get(dim).expect("declared dim must be readable");
                 v.set(dim, read + 1);
-                assert_eq!(v.get(dim), Some(read + 1), "{}/{dim:?}", v.kind_name());
+                assert_eq!(v.get(dim), Some(read + 1), "{}/{dim:?}", row.name);
                 v.set(dim, read);
                 assert_eq!(v.get(dim), Some(read));
             }
@@ -406,14 +457,11 @@ mod tests {
 
     #[test]
     fn adversary_mode_names_round_trip() {
-        for mode in [
-            AdversaryMode::Delay,
-            AdversaryMode::Drop,
-            AdversaryMode::Flap,
-        ] {
-            assert_eq!(AdversaryMode::parse(mode.name()), Some(mode));
+        for (name, mode) in MODES {
+            assert_eq!(keyword(&MODES, mode), name);
+            assert_eq!(parse_keyword(&MODES, name), Some(mode));
         }
-        assert_eq!(AdversaryMode::parse("jam"), None);
+        assert_eq!(parse_keyword(&MODES, "jam"), None);
     }
 
     #[test]
